@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-json bench-multicore bench-snapshot
+.PHONY: ci fmt vet build test race bench-harness bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-json bench-multicore bench-snapshot
 
-ci: fmt vet build race fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke
+ci: fmt vet build race bench-harness fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -30,6 +30,14 @@ race:
 		-http 127.0.0.1:0 -slow-solve 1ns \
 		< cmd/vmnd/testdata/crash_corpus.ndjson > /dev/null
 
+# benchmark/ (vmnperf) is a module of its own, so `go vet ./...` and
+# `go test ./...` from the root skip it: vet it and run its smoke tests
+# (generator determinism, an in-process replay against its oracle, span
+# accounting, BENCHMARK.json against the metric tables) here, under the
+# race detector.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test -race .
+
 # One iteration of every Fig2 benchmark (SAT and explicit engines): a fast
 # sanity check that the measured paths still run.
 bench-smoke:
@@ -41,9 +49,14 @@ bench-smoke:
 # Propose/Commit/Rollback transaction modes riding the op bytes), the
 # wire decoder, and the transactional decoder (must never mutate live
 # state), and the request-envelope parser the daemon runs per input line
-# (stats/trace/explain and transaction shapes must never panic).
+# (stats/trace/explain and transaction shapes must never panic); the
+# table-patch differential (a patched tf.Tables behaves as tf.New on the
+# same FIB after every edit) and the trimmed-delta property (head/tail
+# trimming changes no dirtying verdict or witness).
 # `go test -fuzz` takes one target per invocation.
 fuzz-smoke:
+	$(GO) test ./internal/tf -run '^$$' -fuzz '^FuzzTablesPatch$$' -fuzztime 10s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzTrimmedDelta$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzSessionDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeChangeSet$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeProposeSet$$' -fuzztime 5s

@@ -274,6 +274,11 @@ func (v *Verifier) registerMetrics() {
 		_, _, tr := v.CanonStats()
 		return float64(tr)
 	})
+	m.RegisterFunc("vmn_core_engines", func() float64 {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return float64(v.engineCount)
+	})
 	m.RegisterFunc("vmn_sat_decisions_total", func() float64 { return float64(v.SolverStats().Decisions) })
 	m.RegisterFunc("vmn_sat_propagations_total", func() float64 { return float64(v.SolverStats().Propagations) })
 	m.RegisterFunc("vmn_sat_conflicts_total", func() float64 { return float64(v.SolverStats().Conflicts) })
@@ -315,25 +320,48 @@ func addSolverStats(a, b sat.Stats) sat.Stats {
 const maxCachedEngines = 64
 
 // EngineFor returns the compiled transfer engine for a failure scenario.
-// The forwarding state is recompiled on every call (so mutations behind
-// FIBFor take effect), but when its behaviour fingerprint matches a
-// previously compiled engine the old one — with its warm walk memoization
-// shared across invariants — is reused. Fingerprint collisions are ruled
-// out by full-key comparison. Callers running many checks under one
+// The forwarding state behind FIBFor is compiled from scratch on every
+// call — the verifier keeps no reference to earlier rule lists, so
+// mutations behind FIBFor, in place or not, take effect — and the result
+// is interned (see EngineOn). Callers running many checks under one
 // scenario should call this once and pass the engine to PlanOn /
-// VerifyPlanned rather than recompiling per check.
+// VerifyPlanned rather than recompiling per check; callers that know what
+// changed (internal/incr) patch the previous engine's tables and intern
+// through EngineOn instead.
 func (v *Verifier) EngineFor(sc topo.FailureScenario) *tf.Engine {
-	e := tf.New(v.net.Topo, v.net.FIBFor(sc), sc)
+	return v.EngineOn(tf.Compile(v.net.Topo, v.net.FIBFor(sc)), sc)
+}
+
+// EngineOn interns the engine that views tabs under sc. When a previously
+// interned engine has the same behaviour fingerprint — and, ruling out
+// collisions, the same scenario and table content — that one is returned,
+// with its walk memoization warm from earlier invariants. Otherwise a new
+// view is interned; if some interned engine already holds equal tables
+// under another scenario the view is taken over those, so the scenarios
+// of one forwarding state keep one compiled copy of it.
+func (v *Verifier) EngineOn(tabs *tf.Tables, sc topo.FailureScenario) *tf.Engine {
+	e := tabs.Engine(sc)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, old := range v.engines[e.Fingerprint()] {
-		if bytes.Equal(old.FingerprintKey(), e.FingerprintKey()) {
+		if old.SameBehaviour(e) {
 			return old
 		}
 	}
 	if v.engineCount >= maxCachedEngines {
 		v.engines = map[uint64][]*tf.Engine{}
 		v.engineCount = 0
+	}
+share:
+	for _, olds := range v.engines {
+		for _, old := range olds {
+			if t := old.Tables(); t.Equal(tabs) {
+				if t != tabs {
+					e = t.Engine(sc)
+				}
+				break share
+			}
+		}
 	}
 	v.engines[e.Fingerprint()] = append(v.engines[e.Fingerprint()], e)
 	v.engineCount++

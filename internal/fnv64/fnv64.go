@@ -1,7 +1,7 @@
 // Package fnv64 is the allocation-free FNV-1a 64 hash shared by the
 // binary-fingerprint subsystems: the explicit engine's visited set
-// (internal/explore), transfer-function behaviour fingerprints
-// (internal/tf) and the incremental verdict cache (internal/incr). Every
+// (internal/explore) and the incremental verdict cache and persisted
+// configuration hashes (internal/incr). Every
 // consumer pairs the hash with full-key comparison, so collisions degrade
 // to extra work, never wrong answers.
 package fnv64

@@ -111,10 +111,15 @@ func NodeDown(n topo.NodeID) Change { return Change{Kind: KindNodeDown, Node: n}
 func NodeUp(n topo.NodeID) Change { return Change{Kind: KindNodeUp, Node: n} }
 
 // FIBUpdate swaps the session's forwarding-state provider; changed table
-// owners are discovered by diffing the old provider's tables against the
-// new one's. A nil fibFor means the existing provider changed behind the
-// session's back (it closes over mutated tables) — diffing cannot see the
-// old state then, so nodes MUST list every owner whose table changed.
+// owners are discovered by comparing the new provider's tables with the
+// ones the session compiled last. A rule list that is the very slice
+// compiled last counts as unchanged without a look inside, so a provider
+// derived from the previous one should share the lists it did not touch —
+// and no list handed to the session may be mutated afterwards. A nil
+// fibFor means the existing provider changed behind the session's back
+// (it closes over mutated tables) — the comparison cannot see the old
+// state then, so nodes MUST list every owner whose table changed; listed
+// owners are recompiled and dirtied at node granularity.
 func FIBUpdate(fibFor func(topo.FailureScenario) tf.FIB, nodes ...topo.NodeID) Change {
 	return Change{Kind: KindFIB, FIBFor: fibFor, Nodes: nodes}
 }

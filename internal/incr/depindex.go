@@ -98,42 +98,35 @@ func containsNode(sorted []topo.NodeID, n topo.NodeID) bool {
 }
 
 // fibDelta is one changed forwarding table: the old and new rule lists of
-// one node under one effective scenario, the prefixes of positionally
-// changed rules (the atom prescreen), and a lazily filled per-atom
-// verdict memo shared by every group classified against this delta.
-// Classification runs on Apply's serializing goroutine, so the memo needs
-// no lock.
+// one node under one effective scenario, the prefixes of the rules in
+// their differing middles (the atom prescreen), and a lazily filled
+// per-atom verdict memo shared by every group classified against this
+// delta. Classification runs on Apply's serializing goroutine, so the memo
+// needs no lock.
 type fibDelta struct {
 	oldRules, newRules []tf.Rule
 	changed            []pkt.Prefix
 	memo               map[pkt.Addr]bool // true = resolves differently
 }
 
-// newFIBDelta records a changed table and the prefixes of every rule that
-// is not positionally identical between the two lists (a superset of the
-// rules whose matching behaviour can differ for any address).
-func newFIBDelta(old, new []tf.Rule) *fibDelta {
-	d := &fibDelta{oldRules: old, newRules: new, memo: map[pkt.Addr]bool{}}
-	seen := map[pkt.Prefix]bool{}
-	addPfx := func(p pkt.Prefix) {
-		if !seen[p] {
-			seen[p] = true
-			d.changed = append(d.changed, p)
-		}
-	}
-	n := len(old)
-	if len(new) > n {
-		n = len(new)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case i >= len(old):
-			addPfx(new[i].Match)
-		case i >= len(new):
-			addPfx(old[i].Match)
-		case old[i] != new[i]:
-			addPfx(old[i].Match)
-			addPfx(new[i].Match)
+// newFIBDelta records a changed table and the prefixes of every rule
+// between the lists' common head and common tail — a superset of the
+// rules whose matching behaviour can differ for any address. Rules of the
+// head and of the tail keep their relative order in both lists, so an
+// address no middle rule matches sees head matches then tail matches on
+// either side: the same subsequence. Trimming is what keeps one inserted
+// rule from naming every rule it shifted; dirtyAtom stays the precise
+// check either way.
+func newFIBDelta(td tf.TableDelta) *fibDelta {
+	d := &fibDelta{oldRules: td.Old, newRules: td.New}
+	oldMid, newMid := td.Middle()
+	seen := make(map[pkt.Prefix]bool, len(oldMid)+len(newMid))
+	for _, mid := range [2][]tf.Rule{oldMid, newMid} {
+		for _, r := range mid {
+			if !seen[r.Match] {
+				seen[r.Match] = true
+				d.changed = append(d.changed, r.Match)
+			}
 		}
 	}
 	return d
@@ -177,6 +170,9 @@ func (d *fibDelta) dirtyAtom(atoms topo.AtomSet) (pkt.Addr, bool) {
 		dirty, ok := d.memo[a]
 		if !ok {
 			dirty = !equalMatching(d.oldRules, d.newRules, a)
+			if d.memo == nil {
+				d.memo = map[pkt.Addr]bool{}
+			}
 			d.memo[a] = dirty
 		}
 		if dirty {
@@ -263,21 +259,51 @@ func srcOf(m map[topo.NodeID]int, n topo.NodeID) int {
 	return -1
 }
 
-// diffFIBs appends a fibDelta for every node whose rule list differs
-// between a and b. Rule order matters (equal-priority ties break on table
-// order), so the comparison is positional.
-func (im *impact) diffFIBs(a, b tf.FIB) {
-	for n, ra := range a {
-		rb, ok := b[n]
-		if !ok || !rulesEqual(ra, rb) {
-			im.fib[n] = append(im.fib[n], newFIBDelta(ra, rb))
+// addTableDeltas puts every changed table of the engine sync (one delta
+// list per effective scenario) on the fib channel and attributes it to a
+// change: the first KindFIB change announcing the node, else the first
+// change that could move forwarding state at all (the deltas are aggregate
+// across the set, so finer attribution is not possible).
+func (im *impact) addTableDeltas(deltas [][]tf.TableDelta, changes []Change) {
+	for _, ds := range deltas {
+		for _, td := range ds {
+			im.fib[td.Node] = append(im.fib[td.Node], newFIBDelta(td))
 		}
 	}
-	for n, rb := range b {
-		if _, ok := a[n]; !ok {
-			im.fib[n] = append(im.fib[n], newFIBDelta(nil, rb))
+	if len(im.fib) == 0 {
+		return
+	}
+	fallback := -1
+	for ci, ch := range changes {
+		if ch.Kind == KindNodeDown || ch.Kind == KindNodeUp || ch.Kind == KindFIB {
+			fallback = ci
+			break
 		}
 	}
+	for n := range im.fib {
+		src := fallback
+		for ci, ch := range changes {
+			if ch.Kind == KindFIB && nodeListed(ch.Nodes, n) {
+				src = ci
+				break
+			}
+		}
+		im.fibSrc[n] = src
+	}
+}
+
+// collapseToNodes folds the refined channels into element-level dirtying
+// (Options.NodeGranularity, the PR 2 baseline), carrying the attribution
+// along.
+func (im *impact) collapseToNodes() {
+	for n := range im.fib {
+		im.addNode(n, srcOf(im.fibSrc, n))
+	}
+	im.fib = map[topo.NodeID][]*fibDelta{}
+	for n := range im.boxes {
+		im.addNode(n, srcOf(im.boxSrc, n))
+	}
+	im.boxes = elemSet{}
 }
 
 // groupVerdict classifies one group's read-set against the impact.
@@ -350,16 +376,4 @@ func (im *impact) classify(e *groupEntry, boxKey func(n topo.NodeID, universe to
 		return groupRefinedClean, DirtyCause{}
 	}
 	return groupClean, DirtyCause{}
-}
-
-func rulesEqual(a, b []tf.Rule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

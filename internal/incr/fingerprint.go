@@ -75,12 +75,12 @@ func appendInvariantKey(b []byte, i inv.Invariant) ([]byte, bool) {
 }
 
 // fingerprint builds the verdict-cache key for one (invariant, scenario)
-// check over the given slice. fib must be the forwarding state of the
+// check over the given slice. tabs must be the forwarding state of the
 // effective scenario; touched must be slices.Touched for sl. ok is false
 // when any component is not canonically encodable (unknown invariant type
 // or a middlebox model without a configuration fingerprint).
 func fingerprint(i inv.Invariant, sc topo.FailureScenario, sl slices.Result,
-	touched []topo.NodeID, fib tf.FIB, t *topo.Topology, opts core.Options) ([]byte, bool) {
+	touched []topo.NodeID, tabs *tf.Tables, t *topo.Topology, opts core.Options) ([]byte, bool) {
 
 	b := make([]byte, 0, 256)
 
@@ -140,7 +140,7 @@ func fingerprint(i inv.Invariant, sc topo.FailureScenario, sl slices.Result,
 		} else {
 			b = append(b, 0)
 		}
-		rules := fib[n]
+		rules := tabs.Rules(n)
 		b = binary.AppendUvarint(b, uint64(len(rules)))
 		for _, r := range rules {
 			b = appendPrefix(b, r.Match)

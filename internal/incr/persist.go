@@ -32,7 +32,6 @@ import (
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
-	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -1095,10 +1094,6 @@ func (s *Session) reverifySampleLocked(k int) (checked int, ok bool) {
 		k = len(s.groups)
 	}
 	scens := s.effectiveScenarios()
-	engs := make([]*tf.Engine, len(scens))
-	for i, scen := range scens {
-		engs[i] = s.verifier.EngineFor(scen)
-	}
 	stride := len(s.groups) / k
 	for i := 0; i < k; i++ {
 		gi := i * stride
@@ -1106,7 +1101,7 @@ func (s *Session) reverifySampleLocked(k int) (checked int, ok bool) {
 		if e == nil || len(e.reports) != len(scens) {
 			return checked, false
 		}
-		gp, err := s.planGroup(s.groups[gi].Representative, scens, engs)
+		gp, err := s.planGroup(s.groups[gi].Representative, scens, s.engs)
 		if err != nil {
 			return checked, false
 		}

@@ -293,6 +293,18 @@ func (r *postResolution) screen(key string) postVerdict {
 	return postClean
 }
 
+// entries counts the slots held across all node and atom posting lists.
+func (p *depPosting) entries() int {
+	n := 0
+	for _, list := range p.nodePost {
+		n += len(list)
+	}
+	for _, list := range p.atomPost {
+		n += len(list)
+	}
+	return n
+}
+
 // clone deep-copies the index for a transactional shadow run: the shadow
 // refines the universe and re-syncs against its own entries without the
 // base ever observing it.

@@ -95,8 +95,11 @@ type ApplyStats struct {
 	// prefix/rule-level read-set proved untouched — the work the refined
 	// dependency index saves on this Apply. Always 0 with NodeGranularity.
 	RefinedClean int
-	CacheHits    int
-	CacheMisses  int
+	// TablesCompiled counts the forwarding tables this Apply sorted and
+	// hashed: 0 when no table's rules changed, whatever else did.
+	TablesCompiled int
+	CacheHits      int
+	CacheMisses    int
 	// CanonHits is the subset of CacheHits answered through canonical
 	// class keys — including hits where the cached verdict came from a
 	// differently named but isomorphic slice and the witness was
@@ -167,16 +170,24 @@ type Session struct {
 	invs []inv.Invariant
 	down map[topo.NodeID]bool
 
-	// verifier lives as long as the session: all its caches (compiled
-	// engines, SAT journey memoization) are content-fingerprinted, so
-	// network mutations are picked up without rebuilding — and journey
-	// enumerations survive across Applies, which is where the incremental
-	// path's repeated same-slice solves cash in.
+	// verifier lives as long as the session: all its caches (interned
+	// engines, SAT journey memoization, slice encodings) are keyed by
+	// content, so they stay valid across network mutations — journey
+	// enumerations and warm engines survive across Applies, which is where
+	// the incremental path's repeated same-slice solves cash in. The
+	// session does not ask it to compile forwarding state: it patches the
+	// tables of the engines it holds (engs) and interns the result.
 	verifier *core.Verifier
 	needFull bool
-	groups   []symmetry.Group
-	keys     []string
-	entries  map[string]*groupEntry
+	// engs holds one engine per effective scenario, current as of the last
+	// Apply (nil before the first and after invalidate). Part of the
+	// transactional state: the slice is replaced, never written in place.
+	engs []*tf.Engine
+	// groups and keys are the symmetry partition of invs, recomputed only
+	// when the invariant list or the policy classes change.
+	groups  []symmetry.Group
+	keys    []string
+	entries map[string]*groupEntry
 	// posting is the per-atom/per-node posting index over the shared atom
 	// universe (posting.go); synced against entries on every install so a
 	// change-set resolves to its dirty candidates by posting-list lookups
@@ -309,6 +320,18 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 				return 0
 			}
 			return float64(t.Coalesced) / float64(t.Enqueued)
+		})
+		// Size gauges for the structures that only grow with the change
+		// stream; walked at scrape time, never on the apply path.
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_atom_intervals", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.posting.u.NumAtoms())
+		})
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_posting_entries", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.posting.entries())
 		})
 	}
 	reports, err := s.Apply(nil)
@@ -545,9 +568,12 @@ func (s *Session) validNode(n topo.NodeID) error {
 
 // invalidate drops all incremental state so the next Apply re-verifies
 // everything — the recovery path after a failed Apply left mutations
-// half-applied. The verifier survives (its caches are content-validated).
+// half-applied. The held engines go too (the forwarding state they were
+// patched to may be half-installed); the verifier survives (its caches
+// are content-validated).
 func (s *Session) invalidate() {
 	s.needFull = true
+	s.engs = nil
 	s.entries = map[string]*groupEntry{}
 	s.groups = nil
 	s.keys = nil
@@ -611,14 +637,16 @@ func (s *Session) expired() bool {
 }
 
 // applyLocked is Apply's body, shared with the shadow (Propose) path: it
-// runs against whatever state is currently installed in s, under s.mu. A
-// panic anywhere in the pipeline is contained here — converted to an
-// error after dropping the (possibly half-mutated) incremental state.
+// runs against whatever state is currently installed in s, under s.mu. Any
+// error — and any panic in the pipeline, contained here and converted to
+// one — drops the (possibly half-mutated) incremental state.
 func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.invalidate()
 			err = fmt.Errorf("incr: panic during apply: %v", r)
+		}
+		if err != nil {
+			s.invalidate()
 		}
 	}()
 	start := time.Now()
@@ -627,384 +655,58 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	root := s.sopts.Obs.Span("apply")
 	defer root.End()
 
-	dirtyAll := s.needFull
-	mutated := len(changes) > 0 || s.needFull
+	// Phase 1: mutate the network and collect affected elements.
 	im := newImpact()
-
-	// Snapshot old forwarding state for diffing before mutating.
-	needFIBDiff := false
-	for _, ch := range changes {
-		switch ch.Kind {
-		case KindNodeDown, KindNodeUp, KindFIB:
-			needFIBDiff = true
-		}
+	full, regroup, err := s.mutate(changes, im)
+	if err != nil {
+		return nil, err
 	}
-	var oldFIBs []tf.FIB
-	if needFIBDiff {
-		for _, sc := range s.effectiveScenarios() {
-			oldFIBs = append(oldFIBs, s.net.FIBFor(sc))
-		}
-	}
+	dirtyAll := full || s.needFull
+	regroup = regroup || s.needFull
 
-	// Phase 1: mutate the network and collect affected elements, each
-	// attributed to the change index that put it on its channel
-	// (provenance for explain).
-	for ci, ch := range changes {
-		switch ch.Kind {
-		case KindNodeDown:
-			if err := s.validNode(ch.Node); err != nil {
-				s.invalidate()
-				return nil, err
-			}
-			if !s.down[ch.Node] {
-				s.down[ch.Node] = true
-				im.addNode(ch.Node, ci)
-			}
-		case KindNodeUp:
-			if err := s.validNode(ch.Node); err != nil {
-				s.invalidate()
-				return nil, err
-			}
-			if s.down[ch.Node] {
-				delete(s.down, ch.Node)
-				im.addNode(ch.Node, ci)
-			}
-		case KindFIB:
-			if ch.FIBFor != nil {
-				s.net.FIBFor = ch.FIBFor
-			}
-			im.addNodes(ch.Nodes, ci)
-		case KindBoxAdd:
-			if err := s.validNode(ch.Node); err != nil {
-				s.invalidate()
-				return nil, err
-			}
-			if ch.Model == nil {
-				s.invalidate()
-				return nil, fmt.Errorf("incr: box-add at %s needs a model", s.net.Topo.Node(ch.Node).Name)
-			}
-			if s.findBox(ch.Node) >= 0 {
-				s.invalidate()
-				return nil, fmt.Errorf("incr: node %s already has a middlebox model", s.net.Topo.Node(ch.Node).Name)
-			}
-			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
-			if ch.Model.Discipline() != mbox.FlowParallel {
-				// A new origin-agnostic box changes the class-representative
-				// rule of every slice; a new General box widens every slice
-				// to the whole network. Neither is visible in stale
-				// footprints, so dirty everything.
-				dirtyAll = true
-			}
-			im.addNode(ch.Node, ci)
-		case KindBoxRemove:
-			bi := s.findBox(ch.Node)
-			if bi < 0 {
-				s.invalidate()
-				return nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
-			}
-			if s.net.Boxes[bi].Model.Discipline() == mbox.OriginAgnostic {
-				// Losing the last origin-agnostic box shrinks every slice.
-				dirtyAll = true
-			}
-			s.net.Boxes = append(s.net.Boxes[:bi], s.net.Boxes[bi+1:]...)
-			im.addNode(ch.Node, ci)
-		case KindBoxReconfig:
-			bi := s.findBox(ch.Node)
-			if bi < 0 {
-				s.invalidate()
-				return nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
-			}
-			if ch.Model != nil {
-				oldD := s.net.Boxes[bi].Model.Discipline()
-				newD := ch.Model.Discipline()
-				if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
-					dirtyAll = true
-				}
-				s.net.Boxes[bi].Model = ch.Model
-			}
-			// Reconfigurations flow through the refined channel: groups
-			// whose rule-read projection of this box is unchanged stay
-			// clean (classify falls back to node granularity when no
-			// projection was stored).
-			im.addBox(ch.Node, ci)
-		case KindRelabel:
-			if err := s.validNode(ch.Node); err != nil {
-				s.invalidate()
-				return nil, err
-			}
-			if s.net.PolicyClass == nil {
-				s.net.PolicyClass = map[topo.NodeID]string{}
-			}
-			// Impact must be assessed against the class map as it stands
-			// before this relabel lands (the old class's surviving members
-			// decide who the displaced representatives are).
-			full, witnesses := s.relabelImpact(ch.Node, ch.Class)
-			if ch.Class == "" {
-				delete(s.net.PolicyClass, ch.Node)
-			} else {
-				s.net.PolicyClass[ch.Node] = ch.Class
-			}
-			if full {
-				dirtyAll = true
-			}
-			for _, w := range witnesses {
-				im.addNode(w, ci)
-			}
-		case KindInvAdd:
-			if ch.Invariant == nil {
-				s.invalidate()
-				return nil, fmt.Errorf("incr: inv-add needs an invariant")
-			}
-			s.invs = append(s.invs, ch.Invariant)
-		case KindInvRemove:
-			kept := s.invs[:0]
-			for _, i := range s.invs {
-				if i.Name() != ch.Name {
-					kept = append(kept, i)
-				}
-			}
-			s.invs = kept
-		default:
-			s.invalidate()
-			return nil, fmt.Errorf("incr: unknown change kind %d", ch.Kind)
-		}
-	}
-
-	// Phase 2: compile one engine per effective scenario (EngineFor
-	// dedups against the verifier's content-addressed cache, so an
-	// unchanged scenario reuses its warm engine) and diff forwarding
-	// state.
+	// Phase 2: bring the held engines up to date and put the tables that
+	// changed on the fib channel. Liveness toggles themselves dirty via
+	// the footprints (Consulted records every liveness read); what reaches
+	// the fib channel there is the scenario-dependence of FIBFor, whose
+	// tables may change wholesale when the effective scenario changes.
 	scens := s.effectiveScenarios()
-	var engs []*tf.Engine
-	var fibs []tf.FIB
-	if mutated {
-		for _, sc := range scens {
-			eng := s.verifier.EngineFor(sc)
-			engs = append(engs, eng)
-			fibs = append(fibs, eng.FIB())
-		}
-	}
-	if needFIBDiff {
-		// Liveness toggles themselves dirty via the footprints (Consulted
-		// records every liveness read); what needs diffing is the
-		// scenario-dependence of FIBFor, whose tables may change wholesale
-		// when the effective scenario changes.
-		for i := range scens {
-			if i < len(oldFIBs) {
-				im.diffFIBs(oldFIBs[i], fibs[i])
-			}
-		}
-		// Attribute each changed table to a change: the first KindFIB
-		// change announcing the node, else the first change that could
-		// move forwarding state at all (FIB diffs are aggregate across the
-		// set, so finer attribution is not possible).
-		fallback := -1
-		for ci, ch := range changes {
-			switch ch.Kind {
-			case KindNodeDown, KindNodeUp, KindFIB:
-				fallback = ci
-			}
-			if fallback >= 0 {
-				break
-			}
-		}
-		for n := range im.fib {
-			src := fallback
-			for ci, ch := range changes {
-				if ch.Kind == KindFIB && nodeListed(ch.Nodes, n) {
-					src = ci
-					break
-				}
-			}
-			im.fibSrc[n] = src
-		}
-	}
+	fwd := s.syncEngines(changes, scens)
+	s.engs = fwd.engs
+	im.addTableDeltas(fwd.deltas, changes)
 	if s.sopts.NodeGranularity {
-		// Escape hatch: collapse the refined channels into element-level
-		// dirtying (the PR 2 baseline), carrying the attribution along.
-		for n := range im.fib {
-			im.addNode(n, srcOf(im.fibSrc, n))
-		}
-		im.fib = map[topo.NodeID][]*fibDelta{}
-		for n := range im.boxes {
-			im.addNode(n, srcOf(im.boxSrc, n))
-		}
-		im.boxes = elemSet{}
+		im.collapseToNodes()
 	}
 
-	// Phase 3: regroup and decide what is dirty, recording a cause per
-	// dirty group (position-aligned with dirty). The posting index first
-	// resolves the change-set to its candidate groups wholesale — one
-	// posting-list lookup per changed element and per affected universe
-	// atom — so only candidates pay for classify's precision checks; the
-	// screened-out groups are clean or refined-clean by construction,
-	// with counts identical to the full per-group scan.
+	// Phase 3: regroup if the partition's inputs moved, and decide what is
+	// dirty.
 	dirtySpan := root.Child("dirty")
-	groups, keys := s.grouping()
-	newEntries := make(map[string]*groupEntry, len(groups))
-	var dirty []int
-	var causes []DirtyCause
-	refinedClean := 0
-	var res *postResolution
-	if !dirtyAll {
-		res = s.posting.resolve(im)
+	groups, keys := s.groups, s.keys
+	if regroup {
+		groups, keys = s.grouping()
 	}
-	prescreen := dirtySpan.Child("atom-prescreen")
-	for gi := range groups {
-		old, ok := s.entries[keys[gi]]
-		if dirtyAll || !ok || old.exceeded {
-			cause := DirtyCause{Reason: CauseFull, Change: -1}
-			switch {
-			case dirtyAll:
-			case !ok:
-				cause.Reason = CauseNewGroup
-			default:
-				// Entries holding budget-degraded verdicts re-run
-				// unconditionally: the Unknown was a budget artifact, not a
-				// property of the network.
-				cause.Reason = CauseBudgetRetry
-			}
-			dirty = append(dirty, gi)
-			causes = append(causes, cause)
-			continue
-		}
-		if res != nil {
-			switch res.screen(keys[gi]) {
-			case postClean:
-				newEntries[keys[gi]] = old
-				continue
-			case postRefined:
-				refinedClean++
-				newEntries[keys[gi]] = old
-				continue
-			}
-		}
-		verdict, cause := im.classify(old, s.ruleReadKey)
-		switch verdict {
-		case groupDirty:
-			dirty = append(dirty, gi)
-			causes = append(causes, cause)
-		case groupRefinedClean:
-			refinedClean++
-			newEntries[keys[gi]] = old
-		default:
-			newEntries[keys[gi]] = old
-		}
-	}
-	prescreen.End()
+	newEntries, dirty, causes, refinedClean := s.markDirty(dirtySpan, im, dirtyAll, keys)
 	if dirtySpan.Enabled() {
 		dirtySpan = dirtySpan.Label(fmt.Sprintf("groups=%d dirty=%d refined_clean=%d", len(groups), len(dirty), refinedClean))
 	}
 	dirtySpan.End()
 
 	stats := ApplyStats{
-		Seq:          s.seq,
-		Changes:      len(changes),
-		Groups:       len(groups),
-		Invariants:   len(s.invs),
-		DirtyGroups:  len(dirty),
-		RefinedClean: refinedClean,
+		Seq:            s.seq,
+		Changes:        len(changes),
+		Groups:         len(groups),
+		Invariants:     len(s.invs),
+		DirtyGroups:    len(dirty),
+		RefinedClean:   refinedClean,
+		TablesCompiled: fwd.compiled,
 	}
 	for _, gi := range dirty {
 		stats.DirtyInvariants += len(groups[gi].Members)
 	}
 
-	// Phase 4: re-verify dirty groups. Each dirty group is planned once
-	// (slice, dependency footprint, canonical identity per scenario), the
-	// plans cluster dirty groups into canonical equivalence classes, and
-	// the worker pool solves ONE representative per class — the remaining
-	// members inherit translated verdicts. This is dirtying at class
-	// granularity: a change that dirties twenty isomorphic tenant pairs
-	// costs one solve.
-	origins := make([][]CheckOrigin, len(dirty))
-	if len(dirty) > 0 {
-		workers := s.sopts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-
-		// Plan in parallel: in canonical mode most dirty groups never
-		// reach a solver, so key construction would otherwise serialize
-		// the Apply.
-		canonSpan := root.Child("canonicalize")
-		gplans := make([]*groupPlan, len(dirty))
-		err := core.ForEachIndexed(len(dirty), workers, func(di int) error {
-			gp, err := s.planGroup(groups[dirty[di]].Representative, scens, engs)
-			if gp != nil {
-				gp.members = len(groups[dirty[di]].Members)
-			}
-			gplans[di] = gp
-			return err
-		})
-		if err != nil {
-			s.invalidate()
-			return nil, err
-		}
-
-		// Cluster by joined per-scenario canonical keys (first-seen order;
-		// unclusterable groups stay singleton). The scenario axis is
-		// already folded into the joined key, so the grid is n×1.
-		clusters := symmetry.CanonClasses(len(dirty), 1, func(di, _ int) []byte {
-			if gplans[di].cluster == "" {
-				return nil
-			}
-			return []byte(gplans[di].cluster)
-		})
-		stats.DirtyClasses = len(clusters)
-		if canonSpan.Enabled() {
-			canonSpan = canonSpan.Label(fmt.Sprintf("dirty=%d classes=%d", len(dirty), len(clusters)))
-		}
-		canonSpan.End()
-
-		results := make([]*groupEntry, len(dirty))
-		stat := make([]verifyStats, len(dirty))
-		m := s.metrics
-		err = core.ForEachIndexed(len(clusters), workers, func(ci int) error {
-			// One span per canonical class; each class is one pool work
-			// unit, so these double as per-worker busy intervals
-			// (worker_busy_ns sums them).
-			csp := root.Child("class")
-			if csp.Enabled() {
-				csp = csp.Label(fmt.Sprintf("class=%d size=%d", ci, len(clusters[ci].Members)))
-			}
-			taskStart := time.Now()
-			defer func() {
-				csp.End()
-				if m != nil {
-					m.workerBusyNs.Add(time.Since(taskStart).Nanoseconds())
-				}
-			}()
-			if m != nil {
-				m.classSize.Observe(float64(len(clusters[ci].Members)))
-			}
-			lead := clusters[ci].Members[0].Group
-			e, vs, err := s.verifyGroup(gplans[lead], scens, fibs)
-			if err != nil {
-				return err
-			}
-			results[lead], stat[lead] = e, vs
-			for _, member := range clusters[ci].Members[1:] {
-				di := member.Group
-				me, ms, err := s.translateGroup(e, gplans[lead], gplans[di], scens)
-				if err != nil {
-					return err
-				}
-				results[di], stat[di] = me, ms
-			}
-			return nil
-		})
-		if err != nil {
-			s.invalidate()
-			return nil, err
-		}
-		for di, gi := range dirty {
-			newEntries[keys[gi]] = results[di]
-			stats.CacheHits += stat[di].hits
-			stats.CanonHits += stat[di].canonHits
-			stats.CacheMisses += stat[di].misses
-			stats.CanonShared += stat[di].shared
-			origins[di] = stat[di].origins
-		}
+	// Phase 4: re-verify dirty groups.
+	origins, err := s.reverify(root, groups, keys, dirty, scens, newEntries, &stats)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 5: commit and assemble the full report set. The posting
@@ -1045,6 +747,347 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	s.lastExplain = recs
 
 	stats.Duration = time.Since(start)
+	s.account(stats, len(out)-len(groups)*len(scens))
+	return out, nil
+}
+
+// mutate is Apply's phase 1: it installs every change into the network
+// and the session's liveness and invariant sets, and records the affected
+// elements in im, each attributed to the change index that put it on its
+// channel (provenance for explain). full reports a change stale footprints
+// cannot scope, so everything is dirty; regroup one that moved an input of
+// the symmetry partition (the invariant list or the policy classes). On
+// error the state may be half-mutated; the caller drops it.
+func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err error) {
+	for ci, ch := range changes {
+		switch ch.Kind {
+		case KindNodeDown, KindNodeUp:
+			if err := s.validNode(ch.Node); err != nil {
+				return false, false, err
+			}
+			if down := ch.Kind == KindNodeDown; down != s.down[ch.Node] {
+				if down {
+					s.down[ch.Node] = true
+				} else {
+					delete(s.down, ch.Node)
+				}
+				im.addNode(ch.Node, ci)
+			}
+		case KindFIB:
+			if ch.FIBFor != nil {
+				s.net.FIBFor = ch.FIBFor
+			}
+			im.addNodes(ch.Nodes, ci)
+		case KindBoxAdd:
+			if err := s.validNode(ch.Node); err != nil {
+				return false, false, err
+			}
+			if ch.Model == nil {
+				return false, false, fmt.Errorf("incr: box-add at %s needs a model", s.net.Topo.Node(ch.Node).Name)
+			}
+			if s.findBox(ch.Node) >= 0 {
+				return false, false, fmt.Errorf("incr: node %s already has a middlebox model", s.net.Topo.Node(ch.Node).Name)
+			}
+			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
+			if ch.Model.Discipline() != mbox.FlowParallel {
+				// A new origin-agnostic box changes the class-representative
+				// rule of every slice; a new General box widens every slice
+				// to the whole network. Neither is visible in stale
+				// footprints, so dirty everything.
+				full = true
+			}
+			im.addNode(ch.Node, ci)
+		case KindBoxRemove:
+			bi := s.findBox(ch.Node)
+			if bi < 0 {
+				return false, false, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
+			}
+			if s.net.Boxes[bi].Model.Discipline() == mbox.OriginAgnostic {
+				// Losing the last origin-agnostic box shrinks every slice.
+				full = true
+			}
+			s.net.Boxes = append(s.net.Boxes[:bi], s.net.Boxes[bi+1:]...)
+			im.addNode(ch.Node, ci)
+		case KindBoxReconfig:
+			bi := s.findBox(ch.Node)
+			if bi < 0 {
+				return false, false, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
+			}
+			if ch.Model != nil {
+				oldD := s.net.Boxes[bi].Model.Discipline()
+				newD := ch.Model.Discipline()
+				if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
+					full = true
+				}
+				s.net.Boxes[bi].Model = ch.Model
+			}
+			// Reconfigurations flow through the refined channel: groups
+			// whose rule-read projection of this box is unchanged stay
+			// clean (classify falls back to node granularity when no
+			// projection was stored).
+			im.addBox(ch.Node, ci)
+		case KindRelabel:
+			if err := s.validNode(ch.Node); err != nil {
+				return false, false, err
+			}
+			if s.net.PolicyClass == nil {
+				s.net.PolicyClass = map[topo.NodeID]string{}
+			}
+			// Impact must be assessed against the class map as it stands
+			// before this relabel lands (the old class's surviving members
+			// decide who the displaced representatives are).
+			relabelFull, witnesses := s.relabelImpact(ch.Node, ch.Class)
+			if ch.Class == "" {
+				delete(s.net.PolicyClass, ch.Node)
+			} else {
+				s.net.PolicyClass[ch.Node] = ch.Class
+			}
+			full = full || relabelFull
+			regroup = true
+			for _, w := range witnesses {
+				im.addNode(w, ci)
+			}
+		case KindInvAdd:
+			if ch.Invariant == nil {
+				return false, false, fmt.Errorf("incr: inv-add needs an invariant")
+			}
+			s.invs = append(s.invs, ch.Invariant)
+			regroup = true
+		case KindInvRemove:
+			kept := s.invs[:0]
+			for _, i := range s.invs {
+				if i.Name() != ch.Name {
+					kept = append(kept, i)
+				}
+			}
+			s.invs = kept
+			regroup = true
+		default:
+			return false, false, fmt.Errorf("incr: unknown change kind %d", ch.Kind)
+		}
+	}
+	return full, regroup, nil
+}
+
+// fwdSync is what bringing the session's engines up to date with a
+// change-set produced: the engines to hold from here on (one per
+// effective scenario), per scenario the tables that differ from the ones
+// held before, and how many tables were compiled to get there.
+type fwdSync struct {
+	engs     []*tf.Engine
+	deltas   [][]tf.TableDelta
+	compiled int
+}
+
+// syncEngines is Apply's phase 2. The engines held from the previous
+// Apply carry the compiled forwarding state, so the work here follows
+// the change, not the network: a change-set that names no forwarding or
+// liveness change touches nothing; otherwise each scenario's FIB is
+// patched against the tables held for it — one comparison per owner,
+// identical slices first — and only the differing tables are compiled. A
+// liveness toggle whose FIB does not depend on the scenario therefore
+// compiles nothing and yields a new view over the same tables. Owners a
+// KindFIB change announces are compiled regardless: an announcement is how
+// a caller reports an in-place edit the comparison cannot see. With no
+// engines held (first Apply, or after invalidate) everything is compiled,
+// each scenario patched from the one before it so that scenarios with
+// equal tables share them.
+func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fwdSync {
+	var announced []topo.NodeID
+	moved := false
+	for _, ch := range changes {
+		switch ch.Kind {
+		case KindFIB:
+			announced = append(announced, ch.Nodes...)
+			moved = true
+		case KindNodeDown, KindNodeUp:
+			moved = true
+		}
+	}
+	held := len(s.engs) == len(scens)
+	if held && !moved {
+		return fwdSync{engs: s.engs}
+	}
+	out := fwdSync{engs: make([]*tf.Engine, len(scens))}
+	base := tf.NewTables(s.net.Topo)
+	for i, sc := range scens {
+		if held {
+			base = s.engs[i].Tables()
+		}
+		tabs, deltas, n := base.Patch(s.net.FIBFor(sc), announced)
+		out.engs[i] = s.verifier.EngineOn(tabs, sc)
+		out.compiled += n
+		if held {
+			out.deltas = append(out.deltas, deltas)
+		}
+		base = tabs
+	}
+	return out
+}
+
+// markDirty is Apply's phase 3: it decides which groups (by index into
+// keys) must re-verify, with a cause per dirty group (position-aligned
+// with dirty), and carries every other group's entry over into the
+// returned entry map. The posting index first resolves the change-set to
+// its candidate groups wholesale — one posting-list lookup per changed
+// element and per affected universe atom — so only candidates pay for
+// classify's precision checks; the screened-out groups are clean or
+// refined-clean by construction, with counts identical to the full
+// per-group scan.
+func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool, keys []string) (newEntries map[string]*groupEntry, dirty []int, causes []DirtyCause, refinedClean int) {
+	newEntries = make(map[string]*groupEntry, len(keys))
+	var res *postResolution
+	if !dirtyAll {
+		res = s.posting.resolve(im)
+	}
+	prescreen := dirtySpan.Child("atom-prescreen")
+	defer prescreen.End()
+	for gi, key := range keys {
+		old, ok := s.entries[key]
+		if dirtyAll || !ok || old.exceeded {
+			cause := DirtyCause{Reason: CauseFull, Change: -1}
+			switch {
+			case dirtyAll:
+			case !ok:
+				cause.Reason = CauseNewGroup
+			default:
+				// Entries holding budget-degraded verdicts re-run
+				// unconditionally: the Unknown was a budget artifact, not a
+				// property of the network.
+				cause.Reason = CauseBudgetRetry
+			}
+			dirty = append(dirty, gi)
+			causes = append(causes, cause)
+			continue
+		}
+		verdict, cause := groupDirty, DirtyCause{}
+		switch res.screen(key) {
+		case postClean:
+			verdict = groupClean
+		case postRefined:
+			verdict = groupRefinedClean
+		default:
+			verdict, cause = im.classify(old, s.ruleReadKey)
+		}
+		switch verdict {
+		case groupDirty:
+			dirty = append(dirty, gi)
+			causes = append(causes, cause)
+			continue
+		case groupRefinedClean:
+			refinedClean++
+		}
+		newEntries[key] = old
+	}
+	return newEntries, dirty, causes, refinedClean
+}
+
+// reverify is Apply's phase 4. Each dirty group is planned once (slice,
+// dependency footprint, canonical identity per scenario), the plans
+// cluster dirty groups into canonical equivalence classes, and the worker
+// pool solves ONE representative per class — the remaining members
+// inherit translated verdicts. This is dirtying at class granularity: a
+// change that dirties twenty isomorphic tenant pairs costs one solve. The
+// fresh entries land in newEntries, the cache accounting in stats; the
+// returned verdict origins are position-aligned with dirty.
+func (s *Session) reverify(root obs.Span, groups []symmetry.Group, keys []string, dirty []int,
+	scens []topo.FailureScenario, newEntries map[string]*groupEntry, stats *ApplyStats) ([][]CheckOrigin, error) {
+	origins := make([][]CheckOrigin, len(dirty))
+	if len(dirty) == 0 {
+		return origins, nil
+	}
+	workers := s.sopts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+
+	// Plan in parallel: in canonical mode most dirty groups never
+	// reach a solver, so key construction would otherwise serialize
+	// the Apply.
+	canonSpan := root.Child("canonicalize")
+	gplans := make([]*groupPlan, len(dirty))
+	err := core.ForEachIndexed(len(dirty), workers, func(di int) error {
+		gp, err := s.planGroup(groups[dirty[di]].Representative, scens, s.engs)
+		if gp != nil {
+			gp.members = len(groups[dirty[di]].Members)
+		}
+		gplans[di] = gp
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Cluster by joined per-scenario canonical keys (first-seen order;
+	// unclusterable groups stay singleton). The scenario axis is
+	// already folded into the joined key, so the grid is n×1.
+	clusters := symmetry.CanonClasses(len(dirty), 1, func(di, _ int) []byte {
+		if gplans[di].cluster == "" {
+			return nil
+		}
+		return []byte(gplans[di].cluster)
+	})
+	stats.DirtyClasses = len(clusters)
+	if canonSpan.Enabled() {
+		canonSpan = canonSpan.Label(fmt.Sprintf("dirty=%d classes=%d", len(dirty), len(clusters)))
+	}
+	canonSpan.End()
+
+	results := make([]*groupEntry, len(dirty))
+	stat := make([]verifyStats, len(dirty))
+	m := s.metrics
+	err = core.ForEachIndexed(len(clusters), workers, func(ci int) error {
+		// One span per canonical class; each class is one pool work
+		// unit, so these double as per-worker busy intervals
+		// (worker_busy_ns sums them).
+		csp := root.Child("class")
+		if csp.Enabled() {
+			csp = csp.Label(fmt.Sprintf("class=%d size=%d", ci, len(clusters[ci].Members)))
+		}
+		taskStart := time.Now()
+		defer func() {
+			csp.End()
+			if m != nil {
+				m.workerBusyNs.Add(time.Since(taskStart).Nanoseconds())
+			}
+		}()
+		if m != nil {
+			m.classSize.Observe(float64(len(clusters[ci].Members)))
+		}
+		lead := clusters[ci].Members[0].Group
+		e, vs, err := s.verifyGroup(gplans[lead], scens)
+		if err != nil {
+			return err
+		}
+		results[lead], stat[lead] = e, vs
+		for _, member := range clusters[ci].Members[1:] {
+			di := member.Group
+			me, ms, err := s.translateGroup(e, gplans[lead], gplans[di], scens)
+			if err != nil {
+				return err
+			}
+			results[di], stat[di] = me, ms
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for di, gi := range dirty {
+		newEntries[keys[gi]] = results[di]
+		stats.CacheHits += stat[di].hits
+		stats.CanonHits += stat[di].canonHits
+		stats.CacheMisses += stat[di].misses
+		stats.CanonShared += stat[di].shared
+		origins[di] = stat[di].origins
+	}
+	return origins, nil
+}
+
+// account folds one Apply's statistics into the session's last/lifetime
+// counters and metric handles; reused is how many of its reports were
+// symmetry copies.
+func (s *Session) account(stats ApplyStats, reused int) {
 	s.last = stats
 	s.totals.Applies++
 	s.totals.Solves += stats.CacheMisses
@@ -1055,7 +1098,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	s.totals.RefinedClean += stats.RefinedClean
 	s.totals.DirtyInvs += stats.DirtyInvariants
 	s.totals.TotalInvs += stats.Invariants
-	s.totals.ReusedInvs += len(out) - len(s.groups)*len(scens)
+	s.totals.ReusedInvs += reused
 	if m := s.metrics; m != nil {
 		m.applies.Inc()
 		m.changes.Add(int64(stats.Changes))
@@ -1073,7 +1116,6 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 			m.dirtyFraction.Observe(float64(stats.DirtyGroups) / float64(stats.Groups))
 		}
 	}
-	return out, nil
 }
 
 // CanonStats exposes the underlying verifier's canonicalization counters
@@ -1228,9 +1270,9 @@ func unionTouched(reads []slices.ReadSet) []topo.NodeID {
 // exact content fingerprints otherwise ('x' namespace); canonical hits may
 // come from an isomorphic slice in another namespace, in which case the
 // cached witness is translated through the renamings. The per-scenario
-// engines were compiled once in Apply phase 2 and are shared by every
-// dirty group and pool worker.
-func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario, fibs []tf.FIB) (*groupEntry, verifyStats, error) {
+// engines were brought up to date once in Apply phase 2 and are shared by
+// every dirty group and pool worker.
+func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*groupEntry, verifyStats, error) {
 	if hook := s.sopts.FaultHook; hook != nil {
 		hook("solve")
 	}
@@ -1243,7 +1285,7 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario, fibs 
 		if ck := cp.CanonKey(); ck != nil {
 			key = append(append(make([]byte, 0, len(ck)+1), 'c'), ck...)
 			canon = true
-		} else if fp, ok := fingerprint(gp.rep, sc, cp.Slice(), gp.reads[si].Nodes, fibs[si], s.net.Topo, s.opts); ok {
+		} else if fp, ok := fingerprint(gp.rep, sc, cp.Slice(), gp.reads[si].Nodes, s.engs[si].Tables(), s.net.Topo, s.opts); ok {
 			key = append(append(make([]byte, 0, len(fp)+1), 'x'), fp...)
 		}
 		var r core.Report
@@ -1448,7 +1490,9 @@ func (s *Session) translateGroup(lead *groupEntry, leadPlan, memPlan *groupPlan,
 // scenarios (entries reused across a liveness toggle carried stale ones;
 // verdicts are position-aligned with the configured scenario list).
 func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
-	var out []core.Report
+	// The groups partition the invariant set and an entry holds one report
+	// per scenario, so this is the exact size.
+	out := make([]core.Report, 0, len(s.invs)*len(scens))
 	for gi, g := range s.groups {
 		e := s.entries[s.keys[gi]]
 		for si, r := range e.reports {

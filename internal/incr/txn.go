@@ -108,10 +108,12 @@ type ProposeResult struct {
 }
 
 // sessState is the session's mutable state as one value: what Propose
-// snapshots, shadows, and Commit installs. Group entries, groups and keys
-// are shared between base and shadow (the pipeline replaces these
-// containers wholesale instead of mutating them), so capture/install are
-// cheap pointer swaps.
+// snapshots, shadows, and Commit installs. Group entries, groups, keys and
+// the held engines are shared between base and shadow (the pipeline
+// replaces these containers wholesale instead of mutating them, and
+// compiled tables are immutable), so capture/install are cheap pointer
+// swaps — and a rolled-back or failed shadow leaves the base holding
+// exactly the engines that match its restored FIB provider.
 type sessState struct {
 	boxes    []mbox.Instance
 	policy   map[topo.NodeID]string
@@ -119,6 +121,7 @@ type sessState struct {
 	down     map[topo.NodeID]bool
 	invs     []inv.Invariant
 	needFull bool
+	engs     []*tf.Engine
 	groups   []symmetry.Group
 	keys     []string
 	entries  map[string]*groupEntry
@@ -134,7 +137,7 @@ type sessState struct {
 func (s *Session) capture() sessState {
 	return sessState{
 		boxes: s.net.Boxes, policy: s.net.PolicyClass, fibFor: s.net.FIBFor,
-		down: s.down, invs: s.invs, needFull: s.needFull,
+		down: s.down, invs: s.invs, needFull: s.needFull, engs: s.engs,
 		groups: s.groups, keys: s.keys, entries: s.entries, posting: s.posting,
 		seq: s.seq, last: s.last, totals: s.totals, explain: s.lastExplain,
 	}
@@ -143,7 +146,7 @@ func (s *Session) capture() sessState {
 // install makes st the session's current state.
 func (s *Session) install(st sessState) {
 	s.net.Boxes, s.net.PolicyClass, s.net.FIBFor = st.boxes, st.policy, st.fibFor
-	s.down, s.invs, s.needFull = st.down, st.invs, st.needFull
+	s.down, s.invs, s.needFull, s.engs = st.down, st.invs, st.needFull, st.engs
 	s.groups, s.keys, s.entries = st.groups, st.keys, st.entries
 	s.posting = st.posting
 	s.seq, s.last, s.totals = st.seq, st.last, st.totals

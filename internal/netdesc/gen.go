@@ -138,8 +138,14 @@ func FatTree(k, hostsPerEdge int) *Desc {
 
 // ISPBackboneConfig sizes ISPBackbone.
 type ISPBackboneConfig struct {
-	Peerings int // peering points, each an IDPS + stateful-firewall pipeline
-	Subnets  int // customer subnets; kinds cycle public/private/quarantined
+	// Peerings is the number of peering points (1..256), each an IDPS +
+	// stateful-firewall pipeline; peer i is addressed 8.<i>.0.1.
+	Peerings int
+	// Subnets is the number of customer subnets (1..2560); kinds cycle
+	// public/private/quarantined. Subnet s is <10+s/256>.<s%256>.0.0/16:
+	// ten /8 blocks, staying below the 20.x space route streams announce
+	// into.
+	Subnets int
 }
 
 // ISPBackbone generates a SWITCHlan-style ISP backbone (the paper's
@@ -153,8 +159,14 @@ func ISPBackbone(cfg ISPBackboneConfig) *Desc {
 	if cfg.Peerings < 1 {
 		cfg.Peerings = 1
 	}
+	if cfg.Peerings > 256 {
+		cfg.Peerings = 256
+	}
 	if cfg.Subnets < 1 {
 		cfg.Subnets = 3
+	}
+	if cfg.Subnets > 2560 {
+		cfg.Subnets = 2560
 	}
 	const scrubberAddr = "100.0.0.9"
 	d := &Desc{
@@ -164,8 +176,22 @@ func ISPBackbone(cfg ISPBackboneConfig) *Desc {
 		Classes: []string{"malicious", "attack"},
 		FIB:     map[string][]Rule{},
 	}
-	subnetPrefix := func(s int) string { return fmt.Sprintf("10.%d.0.0/16", s) }
-	subnetHost := func(s int) string { return fmt.Sprintf("10.%d.0.1", s) }
+	subnetPrefix := func(s int) string { return fmt.Sprintf("%d.%d.0.0/16", 10+s>>8, s&255) }
+	subnetHost := func(s int) string { return fmt.Sprintf("%d.%d.0.1", 10+s>>8, s&255) }
+	// customer lists the /8 blocks the subnets occupy; the peering
+	// pipelines steer each of them (one rule per block and table).
+	var customer []string
+	for o := 10; o <= 10+(cfg.Subnets-1)>>8; o++ {
+		customer = append(customer, fmt.Sprintf("%d.0.0.0/8", o))
+	}
+	perBlock := func(r Rule) []Rule {
+		out := make([]Rule, len(customer))
+		for i, blk := range customer {
+			out[i] = r
+			out[i].Match = blk
+		}
+		return out
+	}
 	peerAddr := func(i int) string { return fmt.Sprintf("8.%d.0.1", i) }
 	kindOf := func(s int) string {
 		switch s % 3 {
@@ -226,26 +252,18 @@ func ISPBackbone(cfg ISPBackboneConfig) *Desc {
 		d.Links = append(d.Links,
 			[2]string{peer, swP}, [2]string{swP, ids}, [2]string{ids, swM},
 			[2]string{swM, fw}, [2]string{fw, "backbone"}, [2]string{swM, "backbone"})
-		d.FIB[swP] = []Rule{
-			{Match: "10.0.0.0/8", In: peer, Out: ids, Priority: 10},
-			{Match: scrubberAddr, In: peer, Out: ids, Priority: 10},
-			{Match: peerAddr(i), Out: peer, Priority: 10},
-		}
-		d.FIB[ids] = []Rule{
-			{Match: "10.0.0.0/8", Out: swM, Priority: 10},
-			{Match: scrubberAddr, Out: swM, Priority: 10},
-			{Match: matchAll, Out: swP, Priority: 5},
-		}
-		d.FIB[swM] = []Rule{
-			{Match: scrubberAddr, In: ids, Out: "backbone", Priority: 20},
-			{Match: "10.0.0.0/8", In: ids, Out: fw, Priority: 10},
-			{Match: matchAll, In: fw, Out: ids, Priority: 5},
-		}
-		d.FIB[fw] = []Rule{
-			{Match: "10.0.0.0/8", Out: "backbone", Priority: 10},
-			{Match: scrubberAddr, Out: "backbone", Priority: 10},
-			{Match: matchAll, Out: swM, Priority: 5},
-		}
+		d.FIB[swP] = append(perBlock(Rule{In: peer, Out: ids, Priority: 10}),
+			Rule{Match: scrubberAddr, In: peer, Out: ids, Priority: 10},
+			Rule{Match: peerAddr(i), Out: peer, Priority: 10})
+		d.FIB[ids] = append(perBlock(Rule{Out: swM, Priority: 10}),
+			Rule{Match: scrubberAddr, Out: swM, Priority: 10},
+			Rule{Match: matchAll, Out: swP, Priority: 5})
+		d.FIB[swM] = append(append([]Rule{{Match: scrubberAddr, In: ids, Out: "backbone", Priority: 20}},
+			perBlock(Rule{In: ids, Out: fw, Priority: 10})...),
+			Rule{Match: matchAll, In: fw, Out: ids, Priority: 5})
+		d.FIB[fw] = append(perBlock(Rule{Out: "backbone", Priority: 10}),
+			Rule{Match: scrubberAddr, Out: "backbone", Priority: 10},
+			Rule{Match: matchAll, Out: swM, Priority: 5})
 		backboneRules = append(backboneRules, Rule{Match: peerAddr(i), Out: fw, Priority: 10})
 	}
 	for s := 0; s < cfg.Subnets; s++ {

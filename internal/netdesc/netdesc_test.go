@@ -14,7 +14,10 @@ func generators() map[string]*Desc {
 	return map[string]*Desc{
 		"fattree": FatTree(4, 2),
 		"isp":     ISPBackbone(ISPBackboneConfig{Peerings: 2, Subnets: 3}),
-		"vpc":     CloudVPC(VPCConfig{Tenants: 4, Shapes: 2, Peerings: 1, CrossChecks: 2}),
+		// Past 256 subnets the addressing carries into a second /8 block
+		// (the generator used to emit 10.256.0.0/16 here).
+		"isp-wide": ISPBackbone(ISPBackboneConfig{Peerings: 2, Subnets: 258}),
+		"vpc":      CloudVPC(VPCConfig{Tenants: 4, Shapes: 2, Peerings: 1, CrossChecks: 2}),
 	}
 }
 

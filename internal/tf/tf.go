@@ -11,13 +11,10 @@
 package tf
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"github.com/netverify/vmn/internal/fnv64"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -45,13 +42,14 @@ type FIB map[topo.NodeID][]Rule
 // Add appends a rule to node n's table.
 func (f FIB) Add(n topo.NodeID, r Rule) { f[n] = append(f[n], r) }
 
-// Engine evaluates the transfer function for one failure scenario.
+// Engine evaluates the transfer function for one failure scenario: a view
+// over compiled Tables (shared with every other view of the same
+// forwarding state) plus the scenario and a walk memo of its own.
 type Engine struct {
 	topo *topo.Topology
-	fib  FIB
+	tabs *Tables
 	fail topo.FailureScenario
-
-	sorted map[topo.NodeID][]Rule
+	fp   uint64
 
 	// memo caches Next results (and consulted/tableReads cache the
 	// Consulted/ConsultedTables read sets); guarded by mu so the
@@ -60,9 +58,6 @@ type Engine struct {
 	memo       map[memoKey]memoVal
 	consulted  map[memoKey][]topo.NodeID
 	tableReads map[memoKey][]topo.NodeID
-
-	fpKey []byte
-	fp    uint64
 }
 
 type memoKey struct {
@@ -77,83 +72,55 @@ type memoVal struct {
 }
 
 // New builds an engine over the given topology, tables and failure
-// scenario. The FIB is not copied; callers must not mutate it afterwards.
+// scenario. The FIB's rule lists are not copied; callers must not mutate
+// them afterwards.
 func New(t *topo.Topology, fib FIB, fail topo.FailureScenario) *Engine {
-	e := &Engine{topo: t, fib: fib, fail: fail,
-		sorted:     make(map[topo.NodeID][]Rule, len(fib)),
+	return Compile(t, fib).Engine(fail)
+}
+
+// Engine returns a fresh view of the compiled state under fail.
+func (t *Tables) Engine(fail topo.FailureScenario) *Engine {
+	// The fingerprint combines the scenario with the tables' content hash,
+	// so it is a pure function of the behaviour-determining state — the
+	// failed set and the priority-sorted tables fix every hop decision —
+	// and costs nothing per table here.
+	h := mix64(uint64(fail.Count()))
+	for _, n := range fail.Nodes() {
+		h = mix64(h ^ uint64(uint32(n)))
+	}
+	return &Engine{topo: t.topo, tabs: t, fail: fail, fp: mix64(h ^ t.hash),
 		memo:       map[memoKey]memoVal{},
 		consulted:  map[memoKey][]topo.NodeID{},
 		tableReads: map[memoKey][]topo.NodeID{},
 	}
-	for n, rules := range fib {
-		rs := append([]Rule(nil), rules...)
-		sort.SliceStable(rs, func(i, j int) bool {
-			a, b := rs[i], rs[j]
-			if a.Priority != b.Priority {
-				return a.Priority > b.Priority
-			}
-			ai, bi := a.In != topo.NodeNone, b.In != topo.NodeNone
-			if ai != bi {
-				return ai
-			}
-			return a.Match.Len > b.Match.Len
-		})
-		e.sorted[n] = rs
-	}
-	e.computeFingerprint()
-	return e
 }
 
-// computeFingerprint encodes the engine's behaviour-determining state —
-// the failure scenario and the priority-sorted tables, which fix every
-// hop decision — into a canonical byte key and its FNV-1a 64 hash. Two
-// engines over the same topology with equal keys are behaviourally
-// identical, which is what lets callers share compiled engines (and their
-// warm memoization) across verification calls while still picking up
-// forwarding-state mutations.
-func (e *Engine) computeFingerprint() {
-	b := make([]byte, 0, 256)
-	fail := e.fail.Nodes()
-	b = binary.AppendUvarint(b, uint64(len(fail)))
-	for _, n := range fail {
-		b = binary.AppendVarint(b, int64(n))
-	}
-	nodes := make([]topo.NodeID, 0, len(e.sorted))
-	for n := range e.sorted {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	b = binary.AppendUvarint(b, uint64(len(nodes)))
-	for _, n := range nodes {
-		b = binary.AppendVarint(b, int64(n))
-		rules := e.sorted[n]
-		b = binary.AppendUvarint(b, uint64(len(rules)))
-		for _, r := range rules {
-			b = binary.BigEndian.AppendUint32(b, uint32(r.Match.Addr))
-			b = append(b, byte(r.Match.Len))
-			b = binary.AppendVarint(b, int64(r.In))
-			b = binary.AppendVarint(b, int64(r.Out))
-			b = binary.AppendVarint(b, int64(r.Priority))
-		}
-	}
-	e.fpKey = b
-	e.fp = fnv64.Sum(b)
-}
-
-// Fingerprint returns the FNV-1a 64 hash of the engine's canonical
-// behaviour key (scenario + sorted tables).
+// Fingerprint returns a 64-bit hash of the engine's behaviour-determining
+// state (scenario + sorted tables). Two engines over the same topology
+// that are SameBehaviour have equal fingerprints; callers that share
+// engines (and their warm memoization) on a fingerprint match confirm it
+// with SameBehaviour.
 func (e *Engine) Fingerprint() uint64 { return e.fp }
 
-// FingerprintKey returns the full canonical behaviour key for collision
-// verification. Callers must not mutate it.
-func (e *Engine) FingerprintKey() []byte { return e.fpKey }
+// SameBehaviour reports whether two engines over the same topology decide
+// every hop alike: equal failed sets and equal sorted tables.
+func (e *Engine) SameBehaviour(o *Engine) bool {
+	if e.fail.Count() != o.fail.Count() {
+		return false
+	}
+	for _, n := range e.fail.Nodes() {
+		if !o.fail.Failed(n) {
+			return false
+		}
+	}
+	return e.tabs.Equal(o.tabs)
+}
 
 // Failure returns the engine's failure scenario.
 func (e *Engine) Failure() topo.FailureScenario { return e.fail }
 
-// FIB returns the forwarding state the engine was compiled from (not
-// copied; callers must not mutate it).
-func (e *Engine) FIB() FIB { return e.fib }
+// Tables returns the compiled forwarding state the engine views.
+func (e *Engine) Tables() *Tables { return e.tabs }
 
 // hop picks the next hop at node `at` for a packet to dst that arrived from
 // `prev`. The boolean result is false when the packet is dropped
@@ -169,7 +136,7 @@ func (e *Engine) hop(at, prev topo.NodeID, dst pkt.Addr) (topo.NodeID, bool) {
 // visited nodes this is the complete read set of the decision, which is
 // what makes Consulted a sound dependency footprint (see Consulted).
 func (e *Engine) hopConsult(at, prev topo.NodeID, dst pkt.Addr, consult func(topo.NodeID)) (topo.NodeID, bool) {
-	for _, r := range e.sorted[at] {
+	for _, r := range e.tabs.sorted(at) {
 		if r.In != topo.NodeNone && r.In != prev {
 			continue
 		}
