@@ -25,7 +25,12 @@
 //	[{"op":"fw_del","node":"fw1","src":"10.0.0.0/16","dst":"10.1.0.0/16"},
 //	 {"op":"relabel","node":"h0-0","class":"broken-0"}]
 //	{"op":"inv_add","invariant":{"type":"simple_isolation","dst":"h1-0","src_addr":"10.2.0.1"}}
+//	{"op":"box_state","node":"fw1","box":{"type":"firewall","default_allow":true}}
 //	{"op":"noop"}
+//
+// A change-set that cannot apply is refused whole: nothing of it is
+// installed or journaled. Invariants, box configurations and prefixes are
+// spelled as in topology files (internal/netdesc).
 //
 // An apply_batch envelope submits a change list for coalescing before
 // the (single, atomic) apply: repeated updates to one element collapse
@@ -51,12 +56,12 @@
 // proposed.
 //
 // Each result line carries the dirty/cache counters and the full report
-// set; malformed or inapplicable change-sets produce an error line and
-// the session continues. Every request runs under recover() with an
-// optional wall-clock deadline (-timeout) and solver conflict budget
-// (-max-conflicts): solver bugs become structured error lines and
-// over-budget checks degrade to explicit budget_exceeded verdicts — the
-// daemon itself keeps serving.
+// set; malformed, oversize (over 1 MiB) or inapplicable lines produce an
+// error line and the session continues. Every request runs under
+// recover() with an optional wall-clock deadline (-timeout) and solver
+// conflict budget (-max-conflicts): solver bugs become structured error
+// lines and over-budget checks degrade to explicit budget_exceeded
+// verdicts — the daemon itself keeps serving.
 package main
 
 import (
@@ -247,6 +252,17 @@ func wireFaultInjection(sopts *incr.Options) serveHooks {
 // buffering: a slow consumer eventually blocks stdin.
 const ingestQueue = 64
 
+// maxLineBytes caps one request line (its newline included). A longer
+// line is answered with an error line and skipped; stdin is untrusted.
+const maxLineBytes = 1 << 20
+
+// inputLine is one line of stdin on its way to the handler: its bytes, or
+// why it has none.
+type inputLine struct {
+	data []byte
+	err  error
+}
+
 // serve runs the NDJSON loop: one initial result line for the session's
 // first verification, then one result (or error) line per input line.
 // This is the whole wire protocol of vmnd; the golden-file tests in
@@ -268,7 +284,7 @@ const ingestQueue = 64
 // and exit 0. Unread stdin is deliberately left behind: it was never
 // acked, and at-least-once clients replay unacked requests by id.
 func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.Reader, out io.Writer, hooks serveHooks, stop <-chan struct{}) error {
-	lines := make(chan []byte, ingestQueue)
+	lines := make(chan inputLine, ingestQueue)
 	resps := make(chan any, ingestQueue)
 
 	var readErr error
@@ -276,32 +292,55 @@ func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.R
 	go func() {
 		defer close(readerDone)
 		defer close(lines)
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-		for sc.Scan() {
-			// The scanner reuses its buffer; the line crosses a stage
-			// boundary and must be owned by the receiver.
-			select {
-			case lines <- append([]byte(nil), sc.Bytes()...):
-			case <-stop:
+		br := bufio.NewReaderSize(in, maxLineBytes)
+		for {
+			data, err := br.ReadSlice('\n')
+			var line inputLine
+			if err == bufio.ErrBufferFull {
+				// Over the cap: one error line for it, skip to its newline,
+				// keep serving what follows.
+				for err == bufio.ErrBufferFull {
+					_, err = br.ReadSlice('\n')
+				}
+				line.err = fmt.Errorf("request line exceeds %d bytes", maxLineBytes)
+			} else {
+				// The reader reuses its buffer; the line crosses a stage
+				// boundary and must be owned by the receiver.
+				line.data = append([]byte(nil), data...)
+			}
+			if line.err != nil || len(line.data) > 0 {
+				select {
+				case lines <- line:
+				case <-stop:
+					return
+				}
+			}
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
+				}
 				return
 			}
 		}
-		readErr = sc.Err()
 	}()
 
 	go func() {
 		defer close(resps)
 		resps <- incr.EncodeResult(net.Topo, sess.LastApply(), reports)
+		answer := func(line inputLine) {
+			if line.err != nil {
+				resps <- incr.WireError{Seq: sess.LastApply().Seq, Error: line.err.Error()}
+			} else if resp := handle(sess, net, hooks, line.data); resp != nil {
+				resps <- resp
+			}
+		}
 		for {
 			select {
 			case line, ok := <-lines:
 				if !ok {
 					return
 				}
-				if resp := handle(sess, net, hooks, line); resp != nil {
-					resps <- resp
-				}
+				answer(line)
 			case <-stop:
 				// Drain the in-flight (already read and queued) requests,
 				// then stop. The reader may stay blocked on a quiet stdin;
@@ -312,9 +351,7 @@ func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.R
 						if !ok {
 							return
 						}
-						if resp := handle(sess, net, hooks, line); resp != nil {
-							resps <- resp
-						}
+						answer(line)
 					default:
 						return
 					}
@@ -376,19 +413,8 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 		op, id = req.Op, req.Id
 		switch req.Op {
 		case "apply_batch":
-			// Replay dedup BEFORE decoding: an at-least-once client
-			// resending an already-acked id must not re-apply — and
-			// firewall ops mutate live state at decode time, so even
-			// decoding the duplicate would corrupt the session.
-			if id != "" && sess.IsApplied(id) {
-				res := incr.EncodeResult(net.Topo, sess.LastApply(), sess.CurrentReports())
-				res.Id, res.Duplicate = id, true
+			if res, dup := ackDuplicate(sess, net, id); dup {
 				return res
-			}
-			// Guard before decoding: firewall ops mutate live state at
-			// decode time, which would leak past a pending shadow.
-			if sess.ProposePending() {
-				return fail(incr.ErrProposePending)
 			}
 			changes, err := incr.DecodeChanges(net, req.Changes)
 			if err != nil {
@@ -469,17 +495,11 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 			return w
 		}
 	}
-	// Plain change-set (single object or array): decode-and-apply. A
-	// replayed request id dedups BEFORE decoding (firewall ops mutate
-	// live state at decode time); with a propose pending, refuse before
-	// decoding for the same reason.
-	if id != "" && sess.IsApplied(id) {
-		res := incr.EncodeResult(net.Topo, sess.LastApply(), sess.CurrentReports())
-		res.Id, res.Duplicate = id, true
+	// Plain change-set (single object or array): decode and apply. Decoding
+	// is pure, so nothing needs deciding before it: a pending propose is
+	// refused by ApplyID, under the session's lock.
+	if res, dup := ackDuplicate(sess, net, id); dup {
 		return res
-	}
-	if sess.ProposePending() {
-		return fail(incr.ErrProposePending)
 	}
 	changes, err := incr.DecodeChangeSet(net, line)
 	if err != nil {
@@ -492,6 +512,20 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 	res := incr.EncodeResult(net.Topo, sess.LastApply(), reports)
 	res.Id = id
 	return res
+}
+
+// ackDuplicate answers a replayed request id with the session's current
+// verdicts (dup=false when id is new). It runs before the body is decoded:
+// against the state the first delivery produced a replayed body may no
+// longer decode, and an at-least-once client is still owed the ack it
+// missed.
+func ackDuplicate(sess *incr.Session, net *core.Network, id string) (res incr.WireResult, dup bool) {
+	if !sess.IsApplied(id) {
+		return res, false
+	}
+	res = incr.EncodeResult(net.Topo, sess.LastApply(), sess.CurrentReports())
+	res.Id, res.Duplicate = id, true
+	return res, true
 }
 
 // statsResponse assembles the "stats" introspection answer from the

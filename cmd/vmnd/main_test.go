@@ -142,8 +142,8 @@ func TestGoldenWireProtocol(t *testing.T) {
 				`{"op":"fw_deny","node":"fw1","src":"10.9.0.0/24","dst":"*"},` +
 				`{"op":"fw_del","node":"fw1","src":"10.9.0.0/24","dst":"*"}]}`,
 		}},
-		// apply_batch refuses while a propose is pending (before decoding —
-		// firewall ops mutate at decode time) and works after rollback.
+		// apply_batch refuses while a propose is pending and works after
+		// rollback.
 		{"apply_batch_pending", []string{
 			`{"op":"propose","id":"p1","changes":[{"op":"node_down","node":"h2-0"}]}`,
 			`{"op":"apply_batch","id":"b1","changes":[{"op":"node_down","node":"fw1"}]}`,
@@ -151,8 +151,7 @@ func TestGoldenWireProtocol(t *testing.T) {
 			`{"op":"apply_batch","id":"b2","changes":[{"op":"node_down","node":"fw1"}]}`,
 		}},
 		// Malformed batches: an invalid change anywhere rejects the whole
-		// batch before any mutation runs; the trailing noop pins that the
-		// session is untouched.
+		// batch; the trailing noop pins that the session is untouched.
 		{"apply_batch_malformed", []string{
 			`{"op":"apply_batch","id":"m1","changes":[` +
 				`{"op":"fw_deny","node":"fw1","src":"10.9.0.0/24","dst":"*"},` +
@@ -292,9 +291,11 @@ func TestGoldenObservability(t *testing.T) {
 	}
 }
 
-// exchangePersist is exchange with a persistent session over dir; the
-// session shuts down cleanly (final snapshot) after the input drains.
-func exchangePersist(t *testing.T, lines []string, dir string) []byte {
+// exchangePersist is exchange with a persistent session over dir. After
+// the input drains the session shuts down cleanly (final snapshot), or with
+// kill set is abandoned as a SIGKILL would leave it: the journal is all
+// the next run has.
+func exchangePersist(t *testing.T, lines []string, dir string, kill bool) []byte {
 	t.Helper()
 	net, invs, err := buildNetwork(netConfig{network: "datacenter", groups: 3})
 	if err != nil {
@@ -309,6 +310,9 @@ func exchangePersist(t *testing.T, lines []string, dir string) []byte {
 	var out bytes.Buffer
 	if err := serve(sess, net, reports, in, &out, serveHooks{}, nil); err != nil {
 		t.Fatal(err)
+	}
+	if kill {
+		return normalize(out.Bytes())
 	}
 	if err := sess.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -328,12 +332,12 @@ func TestGoldenPersistence(t *testing.T) {
 	got1 := exchangePersist(t, []string{
 		`{"op":"node_down","node":"fw1","id":"req-1"}`,
 		`{"op":"persist_status","id":"ps1"}`,
-	}, dir)
+	}, dir, false)
 	got2 := exchangePersist(t, []string{
 		`{"op":"persist_status","id":"ps2"}`,
 		`{"op":"node_down","node":"fw1","id":"req-1"}`,
 		`{"op":"stats","id":"st1"}`,
-	}, dir)
+	}, dir, false)
 	for i, got := range [][]byte{got1, got2} {
 		path := filepath.Join("testdata", "golden", fmt.Sprintf("persistence_run%d.ndjson", i+1))
 		if *update {
@@ -533,8 +537,12 @@ func TestCrashResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The corpus file stays small: the one case that cannot, a request line
+	// over the 1 MiB cap, goes in front of it here (and in `make
+	// vmnd-smoke`). It costs one error line; everything behind it is served.
+	oversize := append(bytes.Repeat([]byte("x"), maxLineBytes+1), '\n')
 	var out bytes.Buffer
-	if err := serve(sess, net, reports, bytes.NewReader(corpus), &out, hooks, nil); err != nil {
+	if err := serve(sess, net, reports, io.MultiReader(bytes.NewReader(oversize), bytes.NewReader(corpus)), &out, hooks, nil); err != nil {
 		t.Fatalf("serve must survive the crash corpus: %v", err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
@@ -542,6 +550,12 @@ func TestCrashResilience(t *testing.T) {
 		if !json.Valid(line) {
 			t.Fatalf("output line %d is not valid JSON: %q", i, line)
 		}
+	}
+	if want := `"error":"request line exceeds 1048576 bytes"`; !bytes.Contains(lines[1], []byte(want)) {
+		t.Fatalf("the oversize line was answered with %s, want %s", lines[1], want)
+	}
+	if n := bytes.Count(corpus, []byte("\n")); len(lines) != 2+n {
+		t.Fatalf("%d output lines for the init line, the oversize line and %d corpus lines", len(lines), n)
 	}
 	var last struct {
 		Seq     int
@@ -719,4 +733,71 @@ func TestRestartSmoke(t *testing.T) {
 	}
 	in2.Close()
 	in1.Close()
+}
+
+// TestRefusedChangeSetLeavesNoTrace pins that a change-set is atomic: when
+// its second change cannot apply, the first — a firewall rule that would
+// open two isolation invariants — is not installed, not journaled, and not
+// there after a kill and restart on the same state directory. The one
+// error line names the node.
+func TestRefusedChangeSetLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	unsatisfied := func(line []byte) int {
+		t.Helper()
+		var res struct {
+			Unsatisfied *int `json:"unsatisfied"`
+		}
+		if err := json.Unmarshal(line, &res); err != nil || res.Unsatisfied == nil {
+			t.Fatalf("not a result line: %s", line)
+		}
+		return *res.Unsatisfied
+	}
+	run1 := bytes.Split(bytes.TrimSpace(exchangePersist(t, []string{
+		`[{"op":"fw_allow","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"op":"box_remove","node":"h0-0"}]`,
+		`{"op":"noop"}`,
+		`{"op":"persist_status"}`,
+	}, dir, true)), []byte("\n"))
+	if len(run1) != 4 {
+		t.Fatalf("want init, error, result and status lines, got %d:\n%s", len(run1), bytes.Join(run1, []byte("\n")))
+	}
+	if want := `"error":"incr: no middlebox model at \"h0-0\""`; !bytes.Contains(run1[1], []byte(want)) {
+		t.Fatalf("refusal answered %s, want %s", run1[1], want)
+	}
+	if n := unsatisfied(run1[2]); n != 0 {
+		t.Fatalf("the refused change-set leaked: %d invariants violated after it", n)
+	}
+	if bytes.Contains(run1[3], []byte(`"journal_records"`)) {
+		t.Fatalf("the refused change-set was journaled: %s", run1[3])
+	}
+	run2 := bytes.Split(bytes.TrimSpace(exchangePersist(t, []string{`{"op":"noop"}`}, dir, true)), []byte("\n"))
+	if len(run2) != 2 || unsatisfied(run2[0]) != 0 || unsatisfied(run2[1]) != 0 {
+		t.Fatalf("verdicts changed across the restart:\n%s", bytes.Join(run2, []byte("\n")))
+	}
+}
+
+// TestPrefixesAreCanonical pins that a prefix has one spelling inside the
+// daemon: a rule added as 10.9.0.77/24 is the rule 10.9.0.0/24 names, so
+// the fw_del removes it and the network is back to what it was.
+func TestPrefixesAreCanonical(t *testing.T) {
+	out := bytes.Split(bytes.TrimSpace(exchange(t, []string{
+		`{"op":"topology","name":"dump"}`,
+		`{"op":"fw_allow","node":"fw1","src":"10.9.0.77/24","dst":"1.2.3.4/0"}`,
+		`{"op":"fw_del","node":"fw1","src":"10.9.0.0/24","dst":"*"}`,
+		`{"op":"topology","name":"dump"}`,
+	})), []byte("\n"))
+	if len(out) != 5 {
+		t.Fatalf("want 5 lines, got %d", len(out))
+	}
+	var before, after struct {
+		Desc json.RawMessage `json:"desc"`
+	}
+	if err := json.Unmarshal(out[1], &before); err != nil || before.Desc == nil {
+		t.Fatalf("no dump in %s", out[1])
+	}
+	if err := json.Unmarshal(out[4], &after); err != nil || after.Desc == nil {
+		t.Fatalf("no dump in %s", out[4])
+	}
+	if !bytes.Equal(before.Desc, after.Desc) {
+		t.Fatalf("fw_del 10.9.0.0/24 did not remove the rule added as 10.9.0.77/24:\n%s", after.Desc)
+	}
 }

@@ -25,13 +25,19 @@ import (
 // from. A proposed forwarding change that is rolled back (or a propose
 // that fails) leaves exactly the pre-propose engines in place — were the
 // proposed ones to survive, the next Apply would re-verify against a
-// forwarding state that no longer exists — and a failed Apply drops them
-// with the rest of the incremental state.
+// forwarding state that no longer exists. A refused Apply moves nothing
+// either; one that fails past validation drops them with the rest of the
+// incremental state.
 func TestRollbackKeepsHeldEngines(t *testing.T) {
 	const G = 3
 	opts := core.Options{Engine: core.EngineSAT}
 	d := bench.NewDatacenter(bench.DCConfig{Groups: G, HostsPerGroup: 1})
-	sess, _, err := incr.NewSession(d.Net, opts, d.AllIsolationInvariants(), incr.Options{})
+	failSolves := false
+	sess, _, err := incr.NewSession(d.Net, opts, d.AllIsolationInvariants(), incr.Options{FaultHook: func(string) {
+		if failSolves {
+			panic("injected solve failure")
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +85,29 @@ func TestRollbackKeepsHeldEngines(t *testing.T) {
 		t.Fatal("a failed propose left its engines in place")
 	}
 
-	// A failed Apply leaves the network half-mutated (the provider is
-	// swapped, the session says so) and must drop the engines with the
-	// rest: the next Apply compiles and verifies from scratch.
+	// A change-set the session refuses is refused whole: the provider is
+	// not swapped and the engines stay.
 	if _, err := sess.Apply([]incr.Change{bypass, incr.BoxRemove(d.Agg)}); err == nil {
 		t.Fatal("removing a box from a switch must fail")
 	}
+	if got := sess.HeldEngines(); !slices.Equal(got, before) {
+		t.Fatal("a refused Apply replaced its engines")
+	}
+	if _, err := sess.Apply(nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.LastApply(); st.TablesCompiled != 0 || st.DirtyGroups != 0 {
+		t.Fatalf("a refused Apply left work behind: %+v", st)
+	}
+
+	// An Apply that fails past validation has installed its changes (the
+	// provider is swapped, the session says so) and must drop the engines
+	// with the rest: the next Apply compiles and verifies from scratch.
+	failSolves = true
+	if _, err := sess.Apply([]incr.Change{bypass}); err == nil {
+		t.Fatal("the injected solve failure must fail the Apply")
+	}
+	failSolves = false
 	if got := sess.HeldEngines(); got != nil {
 		t.Fatal("a failed Apply kept its engines")
 	}

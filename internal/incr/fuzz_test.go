@@ -27,6 +27,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -510,11 +511,63 @@ func FuzzSessionDifferential(f *testing.F) {
 	})
 }
 
-// FuzzDecodeChangeSet hardens the wire decoder: arbitrary input lines must
-// decode or fail cleanly, never panic, and a successful decode must be
-// applicable or rejected cleanly by the session.
+// fuzzDecodePure is the one decode fuzz target: an arbitrary input line
+// must decode or fail cleanly through every decode entry point — never
+// panic, never return changes beside an error, never hand a propose an
+// in-place reconfiguration — and must leave netdesc.FromNetwork's canonical
+// dump of the live network byte-identical. Decoding is pure; only
+// Session.mutate may change the network.
+func fuzzDecodePure(f *testing.F, seeds []string) {
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+	want := canonicalDump(f, d.Net, d.AllIsolationInvariants())
+	f.Fuzz(func(t *testing.T, line []byte) {
+		changes, err := incr.DecodeChangeSet(d.Net, line)
+		if err != nil && changes != nil {
+			t.Fatalf("decode returned changes alongside error %v", err)
+		}
+		var wires []incr.WireChange
+		if json.Unmarshal(line, &wires) == nil {
+			if changes, err := incr.DecodeChanges(d.Net, wires); err != nil && changes != nil {
+				t.Fatalf("decode returned changes alongside error %v", err)
+			}
+			changes, err := incr.DecodeProposeSet(d.Net, wires)
+			if err != nil && changes != nil {
+				t.Fatalf("propose decode returned changes alongside error %v", err)
+			}
+			for _, ch := range changes {
+				if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
+					t.Fatal("propose decode produced an impure in-place reconfig")
+				}
+			}
+		}
+		if got := canonicalDump(t, d.Net, d.AllIsolationInvariants()); !bytes.Equal(got, want) {
+			t.Fatalf("decoding %q changed the live network\n--- got ---\n%s\n--- want ---\n%s", line, got, want)
+		}
+	})
+}
+
+// canonicalDump renders a network and invariant set in netdesc's canonical
+// byte form: equal dumps are equal networks, for everything a description
+// can say.
+func canonicalDump(t testing.TB, net *core.Network, invs []inv.Invariant) []byte {
+	t.Helper()
+	desc, err := netdesc.FromNetwork("dump", net, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := netdesc.Encode(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzDecodeChangeSet is fuzzDecodePure seeded with wire lines, one per op.
 func FuzzDecodeChangeSet(f *testing.F) {
-	seeds := []string{
+	fuzzDecodePure(f, []string{
 		`{"op":"node_down","node":"fw1"}`,
 		`{"op":"node_up","node":"h0-0"}`,
 		`{"op":"relabel","node":"h0-0","class":"x"}`,
@@ -530,25 +583,18 @@ func FuzzDecodeChangeSet(f *testing.F) {
 		`[{"op":"noop"},{"op":"node_down","node":"fw1"}]`,
 		`not json`,
 		`{"op":`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
-	f.Fuzz(func(t *testing.T, line []byte) {
-		changes, err := incr.DecodeChangeSet(d.Net, line)
-		if err != nil && changes != nil {
-			t.Fatalf("decode returned changes alongside error %v", err)
-		}
+		`{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.0.0.77/24","dst":"*"}]}}`,
+		`{"op":"box_state","node":"ids1","box":{"type":"appfirewall","blocked":["never-registered"]}}`,
+		`{"op":"box_state","node":"fw1","box":{"type":"mdl","bundle":"/etc/passwd"}}`,
 	})
 }
 
-// FuzzDecodeProposeSet hardens the transactional decoder: arbitrary
-// change arrays must decode or fail cleanly without ever mutating live
-// state (propose decoding clones; only Commit may change the network) and
-// a successful decode must contain only pure changes.
+// FuzzDecodeProposeSet is the same target seeded with change arrays: the
+// shape the apply_batch and propose envelopes carry. `make fuzz-smoke`
+// fuzzes the body once, through FuzzDecodeChangeSet; these seeds run with
+// the ordinary tests.
 func FuzzDecodeProposeSet(f *testing.F) {
-	seeds := []string{
+	fuzzDecodePure(f, []string{
 		`[{"op":"fw_allow","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]`,
 		`[{"op":"fw_deny","node":"fw1","src":"*","dst":"10.1.0.1"},{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]`,
 		`[{"op":"box_reconfig","node":"fw2"}]`,
@@ -556,30 +602,7 @@ func FuzzDecodeProposeSet(f *testing.F) {
 		`[{"op":"inv_remove","name":"x"},{"op":"relabel","node":"h0-0","class":"y"}]`,
 		`[]`,
 		`[{"op":"frobnicate"}]`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var wires []incr.WireChange
-		if json.Unmarshal(data, &wires) != nil {
-			t.Skip()
-		}
-		aclBefore := len(d.FWPrimary.ACL)
-		changes, err := incr.DecodeProposeSet(d.Net, wires)
-		if len(d.FWPrimary.ACL) != aclBefore {
-			t.Fatalf("propose decode mutated the live firewall (%d -> %d entries)",
-				aclBefore, len(d.FWPrimary.ACL))
-		}
-		if err != nil {
-			return
-		}
-		for _, ch := range changes {
-			if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
-				t.Fatal("propose decode produced an impure in-place reconfig")
-			}
-		}
+		`[{"op":"box_state","node":"fw1","box":{"type":"firewall"}},{"op":"fw_allow","node":"fw1","src":"*","dst":"*"}]`,
 	})
 }
 

@@ -5,12 +5,15 @@ package incr
 // state — topology mutations, invariant set, the verdict cache with its
 // canonical renamings, and the client-request dedup map — snapshots
 // periodically so recovery is snapshot + journal-suffix replay instead
-// of a cold re-verify. The codec here is deliberately narrower than the
-// Change type: only changes expressible in durable terms (named nodes,
-// full middlebox state, wire-encodable invariants) are journaled; a
-// change outside that set (a FIBFor closure, a custom model) poisons
-// the journal with an explicit opaque tombstone so recovery degrades to
-// a cold start rather than silently restoring a state that diverged.
+// of a cold re-verify. A journal record is a wire change-set: EncodeChange
+// writes each applied change as the WireChange that reproduces it, and
+// recovery runs the records through the wire decoder and Session.mutate,
+// the path every live change takes. Box state and invariants, in records
+// and snapshots alike, are spelled by internal/netdesc. A change with no
+// written form (a FIBFor closure, an added box, a custom model or
+// invariant) poisons the journal with an explicit opaque tombstone so
+// recovery degrades to a cold start rather than silently restoring a
+// state that diverged.
 // The recovery path additionally re-verifies a sampled subset of the
 // restored verdicts against fresh solves before trusting the store —
 // the invariant throughout is "never a wrong verdict": every failure
@@ -28,7 +31,7 @@ import (
 	"github.com/netverify/vmn/internal/fnv64"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
-	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
@@ -158,37 +161,14 @@ func (st *sessStore) snapshotPath() string { return filepath.Join(st.dir, snapsh
 
 // journal record / snapshot wire forms ------------------------------------
 
-// journalRecord is one applied (or committed) change-set. Op "opaque"
-// is the poison tombstone for a change-set outside the durable codec.
+// journalRecord is one applied (or committed) change-set, in the wire's
+// vocabulary. Op "opaque" is the poison tombstone for a change-set with no
+// written form.
 type journalRecord struct {
-	Seq     int             `json:"seq"`
-	ID      string          `json:"id,omitempty"`
-	Op      string          `json:"op,omitempty"`
-	Changes []persistChange `json:"changes,omitempty"`
-}
-
-// persistChange is the durable form of one Change. Box reconfigurations
-// are journaled as the box's full post-change state (op box_state), so
-// replay does not depend on reproducing in-place mutations.
-type persistChange struct {
-	Op        string           `json:"op"`
-	Node      string           `json:"node,omitempty"`
-	Class     string           `json:"class,omitempty"`
-	Name      string           `json:"name,omitempty"`
-	Invariant *WireInvariant   `json:"inv,omitempty"`
-	FW        *persistFirewall `json:"fw,omitempty"`
-}
-
-type persistFirewall struct {
-	Name         string       `json:"name,omitempty"`
-	DefaultAllow bool         `json:"default_allow,omitempty"`
-	ACL          []persistACL `json:"acl,omitempty"`
-}
-
-type persistACL struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Allow bool   `json:"allow,omitempty"`
+	Seq     int          `json:"seq"`
+	ID      string       `json:"id,omitempty"`
+	Op      string       `json:"op,omitempty"`
+	Changes []WireChange `json:"changes,omitempty"`
 }
 
 type snapshotPayload struct {
@@ -206,13 +186,13 @@ type snapshotPayload struct {
 	Cache      []persistCacheEntry `json:"cache,omitempty"`
 }
 
-// persistBox records one middlebox: firewalls serialize their full
-// state; other models carry a config-key hash that must match the
-// freshly built network's model (detecting configuration drift).
+// persistBox records one middlebox of the roster. Box is its whole
+// configuration; it is absent for a model outside the description format,
+// which is then the freshly built network's own: installing or editing
+// such a model poisons the journal, so it cannot have changed.
 type persistBox struct {
-	Node       string           `json:"node"`
-	FW         *persistFirewall `json:"fw,omitempty"`
-	ConfigHash uint64           `json:"config_hash,omitempty"`
+	Node string       `json:"node"`
+	Box  *netdesc.Box `json:"box,omitempty"`
 }
 
 // persistCacheEntry is one verdict-cache line, ordered oldest-first in
@@ -271,232 +251,13 @@ type persistPrefix struct {
 	L int    `json:"l"`
 }
 
-// invariant / firewall codecs ----------------------------------------------
-
-// EncodeInvariant is the inverse of DecodeInvariant: it renders a
-// built-in invariant into its wire form. Custom invariant types return
-// false — they are outside the durable codec (the persistence layer
-// then degrades explicitly rather than guessing).
-func EncodeInvariant(t *topo.Topology, i inv.Invariant) (*WireInvariant, bool) {
-	addr := func(a pkt.Addr) string {
-		if a == pkt.AddrNone {
-			return ""
-		}
-		return a.String()
-	}
-	switch v := i.(type) {
-	case inv.SimpleIsolation:
-		return &WireInvariant{Type: "simple_isolation", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.FlowIsolation:
-		return &WireInvariant{Type: "flow_isolation", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.Reachability:
-		return &WireInvariant{Type: "reachability", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.DataIsolation:
-		return &WireInvariant{Type: "data_isolation", Dst: t.Node(v.Dst).Name, Origin: v.Origin.String(), Label: v.Label}, true
-	case inv.Traversal:
-		w := &WireInvariant{Type: "traversal", Dst: t.Node(v.Dst).Name, SrcPrefix: v.SrcPrefix.String(), SrcAddr: addr(v.SrcAddr), Label: v.Label}
-		for _, via := range v.Vias {
-			w.Vias = append(w.Vias, t.Node(via).Name)
-		}
-		return w, true
-	}
-	return nil, false
-}
-
-func encodeFirewall(fw *mbox.LearningFirewall) *persistFirewall {
-	p := &persistFirewall{Name: fw.InstanceName, DefaultAllow: fw.DefaultAllow}
-	for _, e := range fw.ACL {
-		p.ACL = append(p.ACL, persistACL{Src: e.Src.String(), Dst: e.Dst.String(), Allow: e.Action == mbox.Allow})
-	}
-	return p
-}
-
-func decodeFirewall(p *persistFirewall) (*mbox.LearningFirewall, error) {
-	fw := &mbox.LearningFirewall{InstanceName: p.Name, DefaultAllow: p.DefaultAllow}
-	for _, e := range p.ACL {
-		src, err := parsePrefix(e.Src)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := parsePrefix(e.Dst)
-		if err != nil {
-			return nil, err
-		}
-		if e.Allow {
-			fw.ACL = append(fw.ACL, mbox.AllowEntry(src, dst))
-		} else {
-			fw.ACL = append(fw.ACL, mbox.DenyEntry(src, dst))
-		}
-	}
-	return fw, nil
-}
-
-// change-set codec ---------------------------------------------------------
-
-// encodePersistChanges renders an APPLIED change-set into its durable
-// form, reading post-change state from the live network (box_state).
-// ok=false means the set contains a change outside the durable codec.
-func (s *Session) encodePersistChanges(changes []Change) ([]persistChange, bool) {
-	t := s.net.Topo
-	out := make([]persistChange, 0, len(changes))
-	for _, ch := range changes {
-		switch ch.Kind {
-		case KindNodeDown:
-			out = append(out, persistChange{Op: "node_down", Node: t.Node(ch.Node).Name})
-		case KindNodeUp:
-			out = append(out, persistChange{Op: "node_up", Node: t.Node(ch.Node).Name})
-		case KindRelabel:
-			out = append(out, persistChange{Op: "relabel", Node: t.Node(ch.Node).Name, Class: ch.Class})
-		case KindBoxRemove:
-			out = append(out, persistChange{Op: "box_remove", Node: t.Node(ch.Node).Name})
-		case KindBoxReconfig:
-			bi := s.findBox(ch.Node)
-			if bi < 0 {
-				// The box was removed later in this same (applied)
-				// change-set; the final state carries no trace of the
-				// reconfiguration, so neither does the journal.
-				continue
-			}
-			fw, ok := s.net.Boxes[bi].Model.(*mbox.LearningFirewall)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, persistChange{Op: "box_state", Node: t.Node(ch.Node).Name, FW: encodeFirewall(fw)})
-		case KindInvAdd:
-			w, ok := EncodeInvariant(t, ch.Invariant)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, persistChange{Op: "inv_add", Invariant: w})
-		case KindInvRemove:
-			out = append(out, persistChange{Op: "inv_remove", Name: ch.Name})
-		default:
-			// KindFIB (a closure) and KindBoxAdd (an arbitrary model)
-			// have no durable form.
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// restoreScratch is the validated-but-not-installed recovery state:
-// restore decodes snapshot + journal into it first and installs it
-// atomically only if everything parsed, so a damaged store can never
-// leave the session half-mutated.
-type restoreScratch struct {
-	down    map[topo.NodeID]bool
-	policy  map[topo.NodeID]string
-	boxes   []mbox.Instance
-	invs    []inv.Invariant
-	applied map[string]int
-	cache   []restoredLine
-	seq     int
-	records int
-}
-
-type restoredLine struct {
-	key    []byte
-	report core.Report
-	ren    *slices.Renaming
-}
-
-// replayChange applies one durable change to the scratch state,
-// validating against the evolving scratch roster.
-func (sc *restoreScratch) replayChange(t *topo.Topology, pc persistChange) error {
-	node := func() (topo.NodeID, error) {
-		n, ok := t.ByName(pc.Node)
-		if !ok {
-			return topo.NodeNone, fmt.Errorf("incr: journal names unknown node %q", pc.Node)
-		}
-		return n.ID, nil
-	}
-	switch pc.Op {
-	case "node_down":
-		n, err := node()
-		if err != nil {
-			return err
-		}
-		sc.down[n] = true
-	case "node_up":
-		n, err := node()
-		if err != nil {
-			return err
-		}
-		delete(sc.down, n)
-	case "relabel":
-		n, err := node()
-		if err != nil {
-			return err
-		}
-		if sc.policy == nil {
-			sc.policy = map[topo.NodeID]string{}
-		}
-		if pc.Class == "" {
-			delete(sc.policy, n)
-		} else {
-			sc.policy[n] = pc.Class
-		}
-	case "box_remove":
-		n, err := node()
-		if err != nil {
-			return err
-		}
-		for i, b := range sc.boxes {
-			if b.Node == n {
-				sc.boxes = append(sc.boxes[:i], sc.boxes[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("incr: journal removes absent box at %q", pc.Node)
-	case "box_state":
-		n, err := node()
-		if err != nil {
-			return err
-		}
-		if pc.FW == nil {
-			return fmt.Errorf("incr: box_state record without state")
-		}
-		fw, err := decodeFirewall(pc.FW)
-		if err != nil {
-			return err
-		}
-		for i, b := range sc.boxes {
-			if b.Node == n {
-				sc.boxes[i].Model = fw
-				return nil
-			}
-		}
-		return fmt.Errorf("incr: journal reconfigures absent box at %q", pc.Node)
-	case "inv_add":
-		if pc.Invariant == nil {
-			return fmt.Errorf("incr: inv_add record without invariant")
-		}
-		i, err := DecodeInvariant(t, pc.Invariant)
-		if err != nil {
-			return err
-		}
-		sc.invs = append(sc.invs, i)
-	case "inv_remove":
-		kept := sc.invs[:0]
-		for _, i := range sc.invs {
-			if i.Name() != pc.Name {
-				kept = append(kept, i)
-			}
-		}
-		sc.invs = kept
-	default:
-		return fmt.Errorf("incr: unknown journal op %q", pc.Op)
-	}
-	return nil
-}
-
 // configHash fingerprints everything outside the store that verdicts
 // depend on: solver options, scenarios, grouping/dirtying modes, and
 // the initial network shape the caller rebuilds from its own
 // configuration. A restored store whose hash differs was written by a
 // differently configured session — its verdicts do not transfer.
 func (s *Session) configHash() uint64 {
-	b := []byte{1} // codec version
+	b := []byte{2} // codec version: 2 = records are wire change-sets, box state is netdesc.Box
 	put := func(vs ...int64) {
 		for _, v := range vs {
 			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -667,19 +428,17 @@ func (s *Session) encodeSnapshot() ([]byte, bool) {
 	}
 	for _, bx := range s.net.Boxes {
 		pb := persistBox{Node: t.Node(bx.Node).Name}
-		if fw, ok := bx.Model.(*mbox.LearningFirewall); ok {
-			pb.FW = encodeFirewall(fw)
-		} else if ck, ok := bx.Model.(mbox.ConfigKeyer); ok {
-			pb.ConfigHash = fnv64.Sum(ck.AppendConfigKey(nil))
+		if box, err := netdesc.ExportBox(pb.Node, bx.Model, s.net.Registry); err == nil {
+			pb.Box = box
 		}
 		snap.Boxes = append(snap.Boxes, pb)
 	}
 	for _, i := range s.invs {
-		w, ok := EncodeInvariant(t, i)
-		if !ok {
+		w, err := netdesc.ExportInvariant(t, i)
+		if err != nil {
 			return nil, false
 		}
-		snap.Invariants = append(snap.Invariants, *w)
+		snap.Invariants = append(snap.Invariants, w)
 	}
 	if len(s.appliedIDs) > 0 {
 		snap.Applied = make(map[string]int, len(s.appliedIDs))
@@ -706,26 +465,22 @@ func (s *Session) encodeSnapshot() ([]byte, bool) {
 	return payload, true
 }
 
-// restoreState validates snapshot + journal-suffix into scratch state
-// and installs it atomically. Any error leaves the session untouched
-// (the caller degrades to a cold start).
-func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
-	t := s.net.Topo
-	sc := &restoreScratch{
-		down:    map[topo.NodeID]bool{},
-		boxes:   append([]mbox.Instance(nil), s.net.Boxes...),
-		invs:    append([]inv.Invariant(nil), s.invs...),
-		applied: map[string]int{},
-	}
-	if len(s.net.PolicyClass) > 0 {
-		sc.policy = make(map[topo.NodeID]string, len(s.net.PolicyClass))
-		for n, c := range s.net.PolicyClass {
-			sc.policy[n] = c
+// restoreState rebuilds the persisted session state on a shadow of the
+// freshly built one: the snapshot's state is laid over it, then each
+// journal record is decoded by the wire decoder and installed by mutate,
+// exactly as when it was first applied. Any error reinstalls the untouched
+// base (the caller degrades to a cold start).
+func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
+	base := s.capture()
+	s.install(shadowOf(base))
+	defer func() {
+		if err != nil {
+			s.install(base)
 		}
-	}
+	}()
 
+	var snap snapshotPayload // stays zero without a snapshot
 	if snapRaw != nil {
-		var snap snapshotPayload
 		if err := json.Unmarshal(snapRaw, &snap); err != nil {
 			return fmt.Errorf("incr: snapshot undecodable: %w", err)
 		}
@@ -733,82 +488,18 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 			return fmt.Errorf("incr: snapshot version %d not supported", snap.Version)
 		}
 		if snap.Config != s.store.cfg {
-			return fmt.Errorf("incr: snapshot was written under a different configuration")
+			return fmt.Errorf("incr: snapshot was written under a different configuration or codec version")
 		}
-		for _, name := range snap.Down {
-			n, ok := t.ByName(name)
-			if !ok {
-				return fmt.Errorf("incr: snapshot names unknown node %q", name)
-			}
-			sc.down[n.ID] = true
+		if err := s.overlaySnapshot(&snap); err != nil {
+			return err
 		}
-		if snap.Policy != nil {
-			sc.policy = make(map[topo.NodeID]string, len(snap.Policy))
-			for name, c := range snap.Policy {
-				n, ok := t.ByName(name)
-				if !ok {
-					return fmt.Errorf("incr: snapshot labels unknown node %q", name)
-				}
-				sc.policy[n.ID] = c
-			}
-		} else {
-			sc.policy = nil
-		}
-		// The snapshot's box roster wins: boxes absent from it were
-		// removed before the snapshot; listed boxes must match (or, for
-		// firewalls, carry) the freshly built model.
-		inRoster := map[topo.NodeID]persistBox{}
-		for _, pb := range snap.Boxes {
-			n, ok := t.ByName(pb.Node)
-			if !ok {
-				return fmt.Errorf("incr: snapshot names unknown box node %q", pb.Node)
-			}
-			inRoster[n.ID] = pb
-		}
-		kept := sc.boxes[:0]
-		for _, bx := range sc.boxes {
-			pb, ok := inRoster[bx.Node]
-			if !ok {
-				continue // removed before the snapshot
-			}
-			delete(inRoster, bx.Node)
-			if pb.FW != nil {
-				fw, err := decodeFirewall(pb.FW)
-				if err != nil {
-					return err
-				}
-				bx.Model = fw
-			} else if pb.ConfigHash != 0 {
-				ck, ok := bx.Model.(mbox.ConfigKeyer)
-				if !ok || fnv64.Sum(ck.AppendConfigKey(nil)) != pb.ConfigHash {
-					return fmt.Errorf("incr: box at %q differs from snapshotted configuration", pb.Node)
-				}
-			}
-			kept = append(kept, bx)
-		}
-		sc.boxes = kept
-		for n := range inRoster {
-			return fmt.Errorf("incr: snapshot lists box at %q absent from the network", t.Node(n).Name)
-		}
-		sc.invs = sc.invs[:0]
-		for i := range snap.Invariants {
-			iv, err := DecodeInvariant(t, &snap.Invariants[i])
-			if err != nil {
-				return err
-			}
-			sc.invs = append(sc.invs, iv)
-		}
-		for id, seq := range snap.Applied {
-			sc.applied[id] = seq
-		}
-		for _, e := range snap.Cache {
-			sc.cache = append(sc.cache, restoredLine{key: e.Key, report: decodeReport(e.R), ren: decodeRenaming(e.Ren)})
-		}
-		sc.seq = snap.Seq
+	}
+	applied := snap.Applied
+	if applied == nil {
+		applied = map[string]int{}
 	}
 
-	snapSeq := sc.seq
-	prevSeq := sc.seq
+	snapSeq, prevSeq, records := s.seq, s.seq, 0
 	for _, raw := range recs {
 		var rec journalRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -825,34 +516,99 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 		if rec.Seq <= prevSeq {
 			return fmt.Errorf("incr: journal sequence not increasing (%d after %d)", rec.Seq, prevSeq)
 		}
-		for _, pc := range rec.Changes {
-			if err := sc.replayChange(t, pc); err != nil {
-				return err
-			}
+		changes, err := decodeChanges(s.net, rec.Changes, false)
+		if err == nil {
+			err = s.validate(changes)
 		}
+		if err != nil {
+			return fmt.Errorf("incr: journal record %d does not replay: %w", rec.Seq, err)
+		}
+		s.mutate(changes, newImpact())
 		if rec.ID != "" {
-			sc.applied[rec.ID] = rec.Seq
+			applied[rec.ID] = rec.Seq
 		}
 		prevSeq = rec.Seq
-		sc.records++
+		records++
 	}
-	sc.seq = prevSeq
 
-	// Everything validated: install atomically.
-	s.down = sc.down
-	s.net.PolicyClass = sc.policy
-	s.net.Boxes = sc.boxes
-	s.invs = sc.invs
-	s.appliedIDs = sc.applied
+	s.seq = prevSeq
+	s.appliedIDs = applied
 	s.trimAppliedIDs()
-	s.seq = sc.seq
 	s.cmu.Lock()
-	for _, ln := range sc.cache {
-		s.cache.put(ln.key, ln.report, ln.ren)
+	for _, e := range snap.Cache {
+		s.cache.put(e.Key, decodeReport(e.R), decodeRenaming(e.Ren))
 	}
 	s.cmu.Unlock()
+	s.store.snapSeq = snapSeq
 	s.recovery.Recovered = true
-	s.recovery.JournalRecords = sc.records
+	s.recovery.SnapshotSeq = snapSeq
+	s.recovery.JournalRecords = records
+	return nil
+}
+
+// overlaySnapshot lays a snapshot's state over the installed one: liveness,
+// policy classes, the box roster, the invariant list and the sequence
+// number. On error the state is part-written; restoreState reinstalls the
+// base.
+func (s *Session) overlaySnapshot(snap *snapshotPayload) error {
+	t := s.net.Topo
+	for _, name := range snap.Down {
+		n, ok := t.ByName(name)
+		if !ok {
+			return fmt.Errorf("incr: snapshot names unknown node %q", name)
+		}
+		s.down[n.ID] = true
+	}
+	s.net.PolicyClass = nil
+	if snap.Policy != nil {
+		s.net.PolicyClass = make(map[topo.NodeID]string, len(snap.Policy))
+		for name, c := range snap.Policy {
+			n, ok := t.ByName(name)
+			if !ok {
+				return fmt.Errorf("incr: snapshot labels unknown node %q", name)
+			}
+			s.net.PolicyClass[n.ID] = c
+		}
+	}
+	// The snapshot's box roster wins: boxes absent from it were removed
+	// before the snapshot; a listed box takes the configuration it carries.
+	roster := map[topo.NodeID]persistBox{}
+	for _, pb := range snap.Boxes {
+		n, ok := t.ByName(pb.Node)
+		if !ok {
+			return fmt.Errorf("incr: snapshot names unknown box node %q", pb.Node)
+		}
+		roster[n.ID] = pb
+	}
+	kept := s.net.Boxes[:0]
+	for _, bx := range s.net.Boxes {
+		pb, ok := roster[bx.Node]
+		if !ok {
+			continue // removed before the snapshot
+		}
+		delete(roster, bx.Node)
+		if pb.Box != nil {
+			model, err := netdesc.BuildBox(pb.Node, pb.Box, s.net.Registry)
+			if err != nil {
+				return fmt.Errorf("incr: snapshot box at %q: %w", pb.Node, err)
+			}
+			bx.Model = model
+		}
+		kept = append(kept, bx)
+	}
+	s.net.Boxes = kept
+	for n := range roster {
+		return fmt.Errorf("incr: snapshot lists box at %q absent from the network", t.Node(n).Name)
+	}
+	s.invs = s.invs[:0]
+	for i := range snap.Invariants {
+		iv, err := netdesc.BuildInvariant(t, &snap.Invariants[i])
+		if err != nil {
+			return fmt.Errorf("incr: snapshot invariant %d: %w", i, err)
+		}
+		s.invs = append(s.invs, iv)
+	}
+	s.seq = snap.Seq
 	return nil
 }
 
@@ -917,12 +673,6 @@ func (s *Session) openStore() error {
 	if err := s.restoreState(snapRaw, recs); err != nil {
 		return degrade(err.Error())
 	}
-	if snapRaw != nil {
-		var snap snapshotPayload
-		json.Unmarshal(snapRaw, &snap)
-		st.snapSeq = snap.Seq
-		s.recovery.SnapshotSeq = snap.Seq
-	}
 	return nil
 }
 
@@ -942,12 +692,15 @@ func (s *Session) persistApply(id string, changes []Change) {
 	if len(changes) == 0 && id == "" {
 		return // pure refresh: nothing to make durable
 	}
-	pcs, ok := s.encodePersistChanges(changes)
-	if !ok {
-		st.poison(s.seq)
-		return
+	rec := journalRecord{Seq: s.seq, ID: id, Changes: make([]WireChange, 0, len(changes))}
+	for _, ch := range changes {
+		w, ok := EncodeChange(s.net, ch)
+		if !ok {
+			st.poison(s.seq)
+			return
+		}
+		rec.Changes = append(rec.Changes, w)
 	}
-	rec := journalRecord{Seq: s.seq, ID: id, Changes: pcs}
 	payload, err := json.Marshal(&rec)
 	if err != nil {
 		st.fail(err)
@@ -971,7 +724,7 @@ func (st *sessStore) poison(seq int) {
 	if payload, err := json.Marshal(&rec); err == nil {
 		st.j.Append(payload)
 	}
-	st.degraded = "change-set outside the durable codec (fib provider, custom model, or custom invariant)"
+	st.degraded = "change-set outside the durable codec (fib provider, added box, custom model or custom invariant)"
 }
 
 // fail disables persistence after an I/O error and removes the store:
@@ -1163,10 +916,9 @@ func (s *Session) PersistStatus() PersistStatus {
 	return ps
 }
 
-// IsApplied reports whether a client request id was already applied —
-// the pre-decode dedup gate for at-least-once wire clients (wire
-// decoding mutates firewalls in place, so the daemon must detect a
-// duplicate before decoding it a second time).
+// IsApplied reports whether a client request id was already applied: the
+// daemon acks a replayed id before looking at its body, which may no
+// longer decode against the state the first delivery produced.
 func (s *Session) IsApplied(id string) bool {
 	if id == "" {
 		return false

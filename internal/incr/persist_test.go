@@ -9,6 +9,7 @@ package incr_test
 // crash_test.go.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/store"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -259,8 +261,9 @@ func TestPersistStatus(t *testing.T) {
 	}
 }
 
-// EncodeInvariant must round-trip every built-in invariant type through
-// DecodeInvariant (snapshots and journals depend on it).
+// Every built-in invariant type must round-trip through the journal's
+// codec: EncodeChange writes the inv_add a record carries, the wire
+// decoder reads it back (snapshots and journals depend on it).
 func TestEncodeInvariantRoundTrip(t *testing.T) {
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
 	topoT := d.Net.Topo
@@ -272,16 +275,170 @@ func TestEncodeInvariantRoundTrip(t *testing.T) {
 		inv.DataIsolation{Dst: d.Hosts[1][0], Origin: a0, Label: "di"},
 		inv.Traversal{Dst: d.Hosts[1][0], SrcPrefix: pkt.HostPrefix(a0), SrcAddr: a0, Vias: []topo.NodeID{d.FW1}, Label: "tr"},
 	} {
-		w, ok := incr.EncodeInvariant(topoT, c)
+		w, ok := incr.EncodeChange(d.Net, incr.AddInvariant(c))
 		if !ok {
 			t.Fatalf("case %d: not encodable", i)
 		}
-		back, err := incr.DecodeInvariant(topoT, w)
+		back, err := incr.DecodeChanges(d.Net, []incr.WireChange{w})
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if fmt.Sprintf("%#v", back) != fmt.Sprintf("%#v", c) {
+		if len(back) != 1 || fmt.Sprintf("%#v", back[0].Invariant) != fmt.Sprintf("%#v", c) {
 			t.Fatalf("case %d: round trip\n got %#v\nwant %#v", i, back, c)
 		}
 	}
+}
+
+// writeStore lays a state directory out from raw payloads: the snapshot
+// (nil = none) and the journal records, framed as the store frames them.
+func writeStore(t testing.TB, dir string, snapshot []byte, records ...[]byte) {
+	t.Helper()
+	if snapshot != nil {
+		if err := store.WriteSnapshot(filepath.Join(dir, "snapshot.vmn"), snapshot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"), store.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A state directory written before journal records became wire change-sets
+// (firewall state under "fw", invariants under "inv", per-box config
+// hashes) must not be half-read: with its snapshot the codec version in
+// the configuration fingerprint refuses it, without one its first
+// old-format record does, and either way the session cold-starts on the
+// freshly built network and says why. The payloads are what the previous
+// revision's vmnd wrote for this very configuration (datacenter, 3 groups,
+// SAT engine) after an fw_allow and an inv_add.
+func TestParentFormatStateColdStarts(t *testing.T) {
+	const acl = `{"src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"src":"10.0.0.0/24","dst":"10.2.0.0/24"},` +
+		`{"src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"src":"10.1.0.0/24","dst":"10.2.0.0/24"},` +
+		`{"src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"src":"10.2.0.0/24","dst":"10.1.0.0/24"}`
+	const snapshot = `{"version":1,"config":9163900738520554507,"seq":1,` +
+		`"policy":{"h0-0":"tier-0","h1-0":"tier-1","h2-0":"tier-2"},"boxes":[` +
+		`{"node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[` + acl + `]}},` +
+		`{"node":"fw2","fw":{"name":"fw2","default_allow":true,"acl":[` + acl + `]}},` +
+		`{"node":"ids1","config_hash":4636616019471412245},{"node":"ids2","config_hash":4636616019471412245}],` +
+		`"invariants":[{"type":"simple_isolation","dst":"h1-0","src_addr":"10.0.0.1","label":"iso g0->g1"},` +
+		`{"type":"simple_isolation","dst":"h2-0","src_addr":"10.0.0.1","label":"iso g0->g2"},` +
+		`{"type":"simple_isolation","dst":"h0-0","src_addr":"10.1.0.1","label":"iso g1->g0"},` +
+		`{"type":"simple_isolation","dst":"h2-0","src_addr":"10.1.0.1","label":"iso g1->g2"},` +
+		`{"type":"simple_isolation","dst":"h0-0","src_addr":"10.2.0.1","label":"iso g2->g0"},` +
+		`{"type":"simple_isolation","dst":"h1-0","src_addr":"10.2.0.1","label":"iso g2->g1"}]}`
+	records := [][]byte{
+		[]byte(`{"seq":2,"id":"a1","changes":[{"op":"box_state","node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[` +
+			`{"src":"10.9.0.0/24","dst":"0.0.0.0/0","allow":true},` + acl + `]}}]}`),
+		[]byte(`{"seq":3,"changes":[{"op":"inv_add","inv":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`),
+	}
+	fresh, _, want := newPersistDC(t, incr.Options{})
+	for _, tc := range []struct {
+		name     string
+		snapshot []byte
+	}{{"snapshot and journal", []byte(snapshot)}, {"journal only", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeStore(t, dir, tc.snapshot, records...)
+			d, s, got := newPersistDC(t, persistOpts(dir))
+			rec := s.Recovery()
+			if !rec.ColdStart || rec.Recovered || rec.Reason == "" {
+				t.Fatalf("recovery = %+v, want an explicit cold start", rec)
+			}
+			t.Log(rec.Reason)
+			if _, err := os.Stat(filepath.Join(dir, "journal.wal.corrupt")); err != nil {
+				t.Fatalf("old-format journal not kept aside: %v", err)
+			}
+			if s.IsApplied("a1") {
+				t.Fatal("a request id of the refused store was restored")
+			}
+			if !bytes.Equal(canonicalDump(t, d.Net, s.Invariants()), canonicalDump(t, fresh.Net, fresh.AllIsolationInvariants())) {
+				t.Fatal("a refused store left a trace in the network")
+			}
+			compareReports(t, "cold-start", got, want)
+		})
+	}
+}
+
+// FuzzRestoreState feeds NewSession arbitrary snapshot and journal-record
+// payloads (framed and checksummed as the store would have: what is fuzzed
+// is everything behind the CRC). It must never panic or fail, and it must
+// either recover, or cold-start saying why with the live network
+// byte-identical to the freshly built one — never a half-restored state.
+func FuzzRestoreState(f *testing.F) {
+	newDC := func(t testing.TB, sopts incr.Options) (*bench.Datacenter, *incr.Session) {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+		sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, d.AllIsolationInvariants(), sopts)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		return d, sess
+	}
+	// Seed with a real store: the startup snapshot, then records of every
+	// durable op, left in the journal as after a kill.
+	seedDir := f.TempDir()
+	d, sess := newDC(f, incr.Options{Persist: &incr.PersistOptions{Dir: seedDir, SnapshotEvery: -1}})
+	for _, line := range []string{
+		`[{"op":"fw_allow","node":"fw1","src":"10.9.0.0/24","dst":"*"},{"op":"relabel","node":"h0-0","class":"x"}]`,
+		`[{"op":"node_down","node":"fw2"},{"op":"inv_add","invariant":{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.0/24","vias":["ids1"]}}]`,
+		`[{"op":"box_remove","node":"ids2"},{"op":"inv_remove","name":"iso g0->g1"},{"op":"node_up","node":"fw2"}]`,
+	} {
+		changes, err := incr.DecodeChangeSet(d.Net, []byte(line))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := sess.Apply(changes); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snapshot, err := store.ReadSnapshot(filepath.Join(seedDir, "snapshot.vmn"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	j, recs, err := store.OpenJournal(filepath.Join(seedDir, "journal.wal"), store.SyncNone)
+	if err != nil || len(recs) != 3 {
+		f.Fatalf("seed journal: %d records, %v", len(recs), err)
+	}
+	j.Close()
+	f.Add(snapshot, recs[0], recs[1], recs[2])
+	f.Add([]byte(nil), recs[0], recs[1], recs[2])
+	f.Add(snapshot, recs[1], recs[0], []byte(`{"seq":9,"op":"opaque"}`))
+	f.Add([]byte(`{"version":1}`), []byte(`{"seq":2,"changes":[{"op":"box_state","node":"fw1"}]}`), []byte(nil), []byte(`not json`))
+
+	initial, _ := newDC(f, incr.Options{})
+	want := canonicalDump(f, initial.Net, initial.AllIsolationInvariants())
+	f.Fuzz(func(t *testing.T, snapshot, rec0, rec1, rec2 []byte) {
+		dir := t.TempDir()
+		var records [][]byte
+		for _, r := range [][]byte{rec0, rec1, rec2} {
+			if len(r) > 0 {
+				records = append(records, r)
+			}
+		}
+		writeStore(t, dir, snapshot, records...)
+		d, sess := newDC(t, incr.Options{Persist: &incr.PersistOptions{Dir: dir}})
+		rec := sess.Recovery()
+		switch {
+		case rec.Recovered && !rec.ColdStart:
+		case rec.ColdStart && !rec.Recovered:
+			if rec.Reason == "" {
+				t.Fatal("cold start without a reason")
+			}
+			if got := canonicalDump(t, d.Net, sess.Invariants()); !bytes.Equal(got, want) {
+				t.Fatalf("cold start (%s) over a network that is not the initial one:\n%s", rec.Reason, got)
+			}
+		default:
+			if snapshot != nil || len(records) > 0 {
+				t.Fatalf("a non-empty store neither recovered nor cold-started: %+v", rec)
+			}
+		}
+	})
 }

@@ -588,9 +588,11 @@ func (s *Session) invalidate() {
 // for the current invariant set — byte-for-byte the verdicts a fresh
 // core.VerifyAll over the mutated network would produce, in the same
 // order. An empty change-set is a cheap refresh (no re-verification).
-// If Apply returns an error the session drops its incremental state and
-// the next Apply re-verifies from scratch. While a Propose is pending,
-// Apply fails with ErrProposePending (decide the transaction first).
+// A change-set that cannot apply (an unknown node, a box that is not
+// there) is refused whole and leaves the session as it was; after an error
+// later in the pipeline the session drops its incremental state and the
+// next Apply re-verifies from scratch. While a Propose is pending, Apply
+// fails with ErrProposePending (decide the transaction first).
 func (s *Session) Apply(changes []Change) ([]core.Report, error) {
 	reports, _, err := s.ApplyID("", changes)
 	return reports, err
@@ -638,9 +640,12 @@ func (s *Session) expired() bool {
 
 // applyLocked is Apply's body, shared with the shadow (Propose) path: it
 // runs against whatever state is currently installed in s, under s.mu. Any
-// error — and any panic in the pipeline, contained here and converted to
-// one — drops the (possibly half-mutated) incremental state.
+// error past validation — and any panic in the pipeline, contained here and
+// converted to one — drops the incremental state.
 func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
+	if err := s.validate(changes); err != nil {
+		return nil, err // refused before anything moved: no state to drop
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("incr: panic during apply: %v", r)
@@ -657,10 +662,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 
 	// Phase 1: mutate the network and collect affected elements.
 	im := newImpact()
-	full, regroup, err := s.mutate(changes, im)
-	if err != nil {
-		return nil, err
-	}
+	full, regroup := s.mutate(changes, im)
 	dirtyAll := full || s.needFull
 	regroup = regroup || s.needFull
 
@@ -751,20 +753,76 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	return out, nil
 }
 
-// mutate is Apply's phase 1: it installs every change into the network
-// and the session's liveness and invariant sets, and records the affected
-// elements in im, each attributed to the change index that put it on its
-// channel (provenance for explain). full reports a change stale footprints
-// cannot scope, so everything is dirty; regroup one that moved an input of
-// the symmetry partition (the invariant list or the policy classes). On
-// error the state may be half-mutated; the caller drops it.
-func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err error) {
+// validate checks every precondition mutate relies on, each against the
+// state the changes before it in the set will have produced (which boxes
+// exist is the only one a change can move). A change-set that cannot apply
+// is therefore refused whole, before anything is installed.
+func (s *Session) validate(changes []Change) error {
+	// present overrides findBox for the nodes this set has bound or unbound.
+	var present map[topo.NodeID]bool
+	hasBox := func(n topo.NodeID) bool {
+		if p, ok := present[n]; ok {
+			return p
+		}
+		return s.findBox(n) >= 0
+	}
+	setBox := func(n topo.NodeID, p bool) {
+		if present == nil {
+			present = map[topo.NodeID]bool{}
+		}
+		present[n] = p
+	}
+	for _, ch := range changes {
+		switch ch.Kind {
+		case KindFIB, KindInvRemove:
+			continue
+		case KindInvAdd:
+			if ch.Invariant == nil {
+				return fmt.Errorf("incr: inv-add needs an invariant")
+			}
+			continue
+		case KindNodeDown, KindNodeUp, KindRelabel, KindBoxAdd, KindBoxRemove, KindBoxReconfig:
+			if err := s.validNode(ch.Node); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("incr: unknown change kind %d", ch.Kind)
+		}
+		name := func() string { return s.net.Topo.Node(ch.Node).Name }
+		switch ch.Kind {
+		case KindBoxAdd:
+			if ch.Model == nil {
+				return fmt.Errorf("incr: box-add at %s needs a model", name())
+			}
+			if hasBox(ch.Node) {
+				return fmt.Errorf("incr: node %s already has a middlebox model", name())
+			}
+			setBox(ch.Node, true)
+		case KindBoxRemove, KindBoxReconfig:
+			if !hasBox(ch.Node) {
+				return fmt.Errorf("incr: no middlebox model at %q", name())
+			}
+			if ch.Kind == KindBoxRemove {
+				setBox(ch.Node, false)
+			}
+		}
+	}
+	return nil
+}
+
+// mutate is Apply's phase 1, and the only place a change is installed —
+// for a live Apply, a shadow run and journal recovery alike. It installs
+// every change into the network and the session's liveness and invariant
+// sets, and records the affected elements in im, each attributed to the
+// change index that put it on its channel (provenance for explain). full
+// reports a change stale footprints cannot scope, so everything is dirty;
+// regroup one that moved an input of the symmetry partition (the invariant
+// list or the policy classes). The set must have passed validate: nothing
+// here can fail.
+func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 	for ci, ch := range changes {
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
-			if err := s.validNode(ch.Node); err != nil {
-				return false, false, err
-			}
 			if down := ch.Kind == KindNodeDown; down != s.down[ch.Node] {
 				if down {
 					s.down[ch.Node] = true
@@ -779,15 +837,6 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 			}
 			im.addNodes(ch.Nodes, ci)
 		case KindBoxAdd:
-			if err := s.validNode(ch.Node); err != nil {
-				return false, false, err
-			}
-			if ch.Model == nil {
-				return false, false, fmt.Errorf("incr: box-add at %s needs a model", s.net.Topo.Node(ch.Node).Name)
-			}
-			if s.findBox(ch.Node) >= 0 {
-				return false, false, fmt.Errorf("incr: node %s already has a middlebox model", s.net.Topo.Node(ch.Node).Name)
-			}
 			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
 			if ch.Model.Discipline() != mbox.FlowParallel {
 				// A new origin-agnostic box changes the class-representative
@@ -799,9 +848,6 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 			im.addNode(ch.Node, ci)
 		case KindBoxRemove:
 			bi := s.findBox(ch.Node)
-			if bi < 0 {
-				return false, false, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
-			}
 			if s.net.Boxes[bi].Model.Discipline() == mbox.OriginAgnostic {
 				// Losing the last origin-agnostic box shrinks every slice.
 				full = true
@@ -809,11 +855,8 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 			s.net.Boxes = append(s.net.Boxes[:bi], s.net.Boxes[bi+1:]...)
 			im.addNode(ch.Node, ci)
 		case KindBoxReconfig:
-			bi := s.findBox(ch.Node)
-			if bi < 0 {
-				return false, false, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
-			}
 			if ch.Model != nil {
+				bi := s.findBox(ch.Node)
 				oldD := s.net.Boxes[bi].Model.Discipline()
 				newD := ch.Model.Discipline()
 				if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
@@ -827,9 +870,6 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 			// projection was stored).
 			im.addBox(ch.Node, ci)
 		case KindRelabel:
-			if err := s.validNode(ch.Node); err != nil {
-				return false, false, err
-			}
 			if s.net.PolicyClass == nil {
 				s.net.PolicyClass = map[topo.NodeID]string{}
 			}
@@ -848,9 +888,6 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 				im.addNode(w, ci)
 			}
 		case KindInvAdd:
-			if ch.Invariant == nil {
-				return false, false, fmt.Errorf("incr: inv-add needs an invariant")
-			}
 			s.invs = append(s.invs, ch.Invariant)
 			regroup = true
 		case KindInvRemove:
@@ -862,11 +899,9 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool, err 
 			}
 			s.invs = kept
 			regroup = true
-		default:
-			return false, false, fmt.Errorf("incr: unknown change kind %d", ch.Kind)
 		}
 	}
-	return full, regroup, nil
+	return full, regroup
 }
 
 // fwdSync is what bringing the session's engines up to date with a

@@ -3,17 +3,29 @@ package incr
 // The newline-delimited JSON wire protocol of cmd/vmnd. Each input line is
 // one change-set: either a single change object or an array of them,
 // applied atomically. Each output line is one Result. Nodes are referenced
-// by topology name, addresses in dotted-quad form, prefixes in CIDR form.
+// by topology name; addresses, prefixes, invariants and box configurations
+// are spelled as in description files (internal/netdesc owns those codecs).
 //
 //	{"op":"node_down","node":"fw1"}
 //	[{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"},
 //	 {"op":"relabel","node":"h0-0","class":"broken-0"}]
 //	{"op":"inv_add","invariant":{"type":"simple_isolation","dst":"h1-0",
 //	  "src_addr":"10.0.0.1","label":"iso g0->g1"}}
+//	{"op":"box_state","node":"fw1","box":{"type":"firewall","default_allow":true,
+//	  "acl":[{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]}}
 //
-// Supported ops: node_down, node_up, relabel, box_remove, box_reconfig,
-// fw_allow, fw_deny, fw_del (prepend/delete a firewall ACL entry and
-// announce the reconfiguration), inv_add, inv_remove, noop.
+// Supported ops: node_down, node_up, relabel, box_remove, box_reconfig
+// (re-read a model the embedding program edited in place), box_state
+// (replace a box's whole configuration), fw_allow, fw_deny, fw_del
+// (prepend/delete one firewall ACL entry), inv_add, inv_remove, noop.
+//
+// A change is data. Decoding reads the network and never writes it: the
+// firewall ops clone the targeted firewall, edit the clone and decode to the
+// swap, so a line that fails to decode, a change-set the session refuses
+// and a proposal that is rolled back all leave no trace. The same
+// vocabulary is the journal's: EncodeChange writes an applied change as
+// the wire change that reproduces it (a reconfiguration as box_state), and
+// recovery replays records through this file's decoder.
 //
 // Transactional ops wrap a change-set in a request envelope:
 //
@@ -24,9 +36,7 @@ package incr
 //
 // A propose verifies the change-set against shadow state and answers with
 // a decision plus verified repair suggestions on new violations; commit
-// promotes the shadow, rollback discards it bit-exactly. Propose bodies
-// never mutate live state: firewall ops clone the targeted firewall and
-// swap the edited clone in (only inside the shadow).
+// promotes the shadow, rollback discards it bit-exactly.
 //
 // An "apply_batch" envelope carries a change list to coalesce (see
 // Coalesce) before one atomic apply; its result reports the raw and
@@ -35,19 +45,19 @@ package incr
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"github.com/netverify/vmn/internal/core"
-	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/obs"
-	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/topo"
 )
 
-// WireChange is the JSON form of one change.
+// WireChange is the JSON form of one change, on the wire and in the
+// journal.
 type WireChange struct {
 	Op        string         `json:"op"`
 	Node      string         `json:"node,omitempty"`
@@ -56,6 +66,8 @@ type WireChange struct {
 	Dst       string         `json:"dst,omitempty"` // CIDR prefix
 	Invariant *WireInvariant `json:"invariant,omitempty"`
 	Name      string         `json:"name,omitempty"`
+	// Box is the whole configuration a box_state installs at Node.
+	Box *netdesc.Box `json:"box,omitempty"`
 }
 
 // WireRequest is the JSON envelope of one non-array vmnd input line: a
@@ -68,16 +80,9 @@ type WireRequest struct {
 	Changes []WireChange `json:"changes,omitempty"`
 }
 
-// WireInvariant is the JSON form of an invariant.
-type WireInvariant struct {
-	Type      string   `json:"type"` // simple_isolation | flow_isolation | data_isolation | reachability | traversal
-	Dst       string   `json:"dst"`  // node name
-	SrcAddr   string   `json:"src_addr,omitempty"`
-	Origin    string   `json:"origin,omitempty"`
-	SrcPrefix string   `json:"src_prefix,omitempty"`
-	Vias      []string `json:"vias,omitempty"` // node names
-	Label     string   `json:"label,omitempty"`
-}
+// WireInvariant is the JSON form of an invariant: the description
+// format's, validated and resolved by netdesc.BuildInvariant.
+type WireInvariant = netdesc.Invariant
 
 // WireReport is the JSON form of one core.Report.
 type WireReport struct {
@@ -384,29 +389,6 @@ func EncodeExplain(t *topo.Topology, id string, seq int, recs []ExplainRecord) W
 	return out
 }
 
-func parsePrefix(s string) (pkt.Prefix, error) {
-	if s == "" || s == "*" {
-		return pkt.Prefix{}, nil
-	}
-	addrStr, lenStr, ok := strings.Cut(s, "/")
-	if !ok {
-		a, err := pkt.ParseAddr(s)
-		if err != nil {
-			return pkt.Prefix{}, err
-		}
-		return pkt.HostPrefix(a), nil
-	}
-	a, err := pkt.ParseAddr(addrStr)
-	if err != nil {
-		return pkt.Prefix{}, err
-	}
-	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 || n > 32 {
-		return pkt.Prefix{}, fmt.Errorf("incr: malformed prefix length in %q", s)
-	}
-	return pkt.Prefix{Addr: a, Len: n}, nil
-}
-
 func nodeByName(t *topo.Topology, name string) (topo.NodeID, error) {
 	n, ok := t.ByName(name)
 	if !ok {
@@ -415,174 +397,141 @@ func nodeByName(t *topo.Topology, name string) (topo.NodeID, error) {
 	return n.ID, nil
 }
 
-// DecodeInvariant resolves a WireInvariant against the topology.
-func DecodeInvariant(t *topo.Topology, w *WireInvariant) (inv.Invariant, error) {
-	dst, err := nodeByName(t, w.Dst)
-	if err != nil {
-		return nil, err
+func modelAt(net *core.Network, n topo.NodeID) mbox.Model {
+	for _, b := range net.Boxes {
+		if b.Node == n {
+			return b.Model
+		}
 	}
-	switch w.Type {
-	case "simple_isolation", "flow_isolation", "reachability":
-		a, err := pkt.ParseAddr(w.SrcAddr)
-		if err != nil {
-			return nil, err
-		}
-		switch w.Type {
-		case "simple_isolation":
-			return inv.SimpleIsolation{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		case "flow_isolation":
-			return inv.FlowIsolation{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		default:
-			return inv.Reachability{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		}
-	case "data_isolation":
-		o, err := pkt.ParseAddr(w.Origin)
-		if err != nil {
-			return nil, err
-		}
-		return inv.DataIsolation{Dst: dst, Origin: o, Label: w.Label}, nil
-	case "traversal":
-		p, err := parsePrefix(w.SrcPrefix)
-		if err != nil {
-			return nil, err
-		}
-		var srcAddr pkt.Addr
-		if w.SrcAddr != "" {
-			if srcAddr, err = pkt.ParseAddr(w.SrcAddr); err != nil {
-				return nil, err
-			}
-		}
-		var vias []topo.NodeID
-		for _, name := range w.Vias {
-			id, err := nodeByName(t, name)
-			if err != nil {
-				return nil, err
-			}
-			vias = append(vias, id)
-		}
-		return inv.Traversal{Dst: dst, SrcPrefix: p, SrcAddr: srcAddr, Vias: vias, Label: w.Label}, nil
-	default:
-		return nil, fmt.Errorf("incr: unknown invariant type %q", w.Type)
-	}
+	return nil
 }
 
-// DecodeChange resolves one wire change against the session's network.
-// Firewall ops mutate the targeted LearningFirewall in place and return
-// the matching BoxReconfig change, per the Session change protocol. For
-// multi-change lines use DecodeChangeSet, which defers all in-place
-// mutations until the whole set has validated (atomicity).
-func DecodeChange(net *core.Network, w WireChange) (Change, error) {
-	ch, mutate, err := decodeChange(net, w)
+// wireErr renders a netdesc codec error in the wire's voice. The field
+// path is dropped: a wire change carries one invariant or one box, so the
+// message alone locates the fault.
+func wireErr(err error) error {
+	var de *netdesc.Error
+	if errors.As(err, &de) {
+		return fmt.Errorf("incr: %s", de.Msg)
+	}
+	return err
+}
+
+// decodeChange resolves one wire change against net without writing to it.
+func decodeChange(net *core.Network, w WireChange, edited map[topo.NodeID]mbox.Model) (Change, error) {
+	switch w.Op {
+	case "inv_add":
+		if w.Invariant == nil {
+			return Change{}, fmt.Errorf("incr: inv_add needs an invariant")
+		}
+		i, err := netdesc.BuildInvariant(net.Topo, w.Invariant)
+		if err != nil {
+			return Change{}, wireErr(err)
+		}
+		return AddInvariant(i), nil
+	case "inv_remove":
+		return RemoveInvariant(w.Name), nil
+	case "node_down", "node_up", "relabel", "box_remove", "box_reconfig", "box_state", "fw_allow", "fw_deny", "fw_del":
+		n, err := nodeByName(net.Topo, w.Node)
+		if err != nil {
+			return Change{}, err
+		}
+		return decodeNodeChange(net, w, n, edited)
+	}
+	return Change{}, fmt.Errorf("incr: unknown op %q", w.Op)
+}
+
+// decodeNodeChange decodes the ops that act on node n. edited holds the
+// model each node has been given so far in the set: a firewall op edits a
+// clone of that model (of the live one for the first op on a node), so
+// successive ops on one node compose and every change carries its own
+// model.
+func decodeNodeChange(net *core.Network, w WireChange, n topo.NodeID, edited map[topo.NodeID]mbox.Model) (Change, error) {
+	switch w.Op {
+	case "node_down":
+		return NodeDown(n), nil
+	case "node_up":
+		return NodeUp(n), nil
+	case "relabel":
+		return Relabel(n, w.Class), nil
+	case "box_remove":
+		return BoxRemove(n), nil
+	case "box_reconfig":
+		return BoxReconfig(n), nil
+	case "box_state":
+		if w.Box == nil {
+			return Change{}, fmt.Errorf("incr: box_state needs a box")
+		}
+		model, err := netdesc.BuildBox(w.Node, w.Box, net.Registry)
+		if err != nil {
+			return Change{}, wireErr(err)
+		}
+		edited[n] = model
+		return BoxSwap(n, model), nil
+	}
+	// The firewall ACL edits.
+	model, ok := edited[n]
+	if !ok {
+		model = modelAt(net, n)
+	}
+	if model == nil {
+		return Change{}, fmt.Errorf("incr: no middlebox model at %q", w.Node)
+	}
+	old, ok := model.(*mbox.LearningFirewall)
+	if !ok {
+		return Change{}, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
+	}
+	src, err := netdesc.ParsePrefix(w.Src)
 	if err != nil {
 		return Change{}, err
 	}
-	if mutate != nil {
-		mutate()
+	dst, err := netdesc.ParsePrefix(w.Dst)
+	if err != nil {
+		return Change{}, err
 	}
-	return ch, nil
+	fw := &mbox.LearningFirewall{InstanceName: old.InstanceName, DefaultAllow: old.DefaultAllow}
+	switch w.Op {
+	case "fw_del": // remove every entry with these prefixes
+		for _, e := range old.ACL {
+			if e.Src != src || e.Dst != dst {
+				fw.ACL = append(fw.ACL, e)
+			}
+		}
+	case "fw_deny":
+		fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(src, dst)}, old.ACL...)
+	default:
+		fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(src, dst)}, old.ACL...)
+	}
+	edited[n] = fw
+	return BoxSwap(n, fw), nil
 }
 
-// decodeChange validates one wire change and returns it plus a deferred
-// in-place mutation (nil for ops that mutate nothing themselves). No
-// network state is touched until the returned closure runs.
-func decodeChange(net *core.Network, w WireChange) (Change, func(), error) {
-	t := net.Topo
-	switch w.Op {
-	case "node_down":
-		n, err := nodeByName(t, w.Node)
+// decodeChanges is the one decoder: every wire entry point and journal
+// recovery resolve change lists here. "noop" entries vanish (an empty set
+// is a cheap report refresh). shadowed refuses the box_reconfig
+// announcement, which names an edit made outside the change-set that a
+// rollback could not undo.
+func decodeChanges(net *core.Network, wires []WireChange, shadowed bool) ([]Change, error) {
+	var out []Change
+	edited := map[topo.NodeID]mbox.Model{}
+	for _, w := range wires {
+		switch {
+		case w.Op == "noop" || w.Op == "":
+			continue
+		case shadowed && w.Op == "box_reconfig":
+			return nil, ErrImpureChange
+		}
+		ch, err := decodeChange(net, w, edited)
 		if err != nil {
-			return Change{}, nil, err
+			return nil, err
 		}
-		return NodeDown(n), nil, nil
-	case "node_up":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return NodeUp(n), nil, nil
-	case "relabel":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return Relabel(n, w.Class), nil, nil
-	case "box_remove":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return BoxRemove(n), nil, nil
-	case "box_reconfig":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return BoxReconfig(n), nil, nil
-	case "fw_allow", "fw_deny", "fw_del":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		var fw *mbox.LearningFirewall
-		for _, b := range net.Boxes {
-			if b.Node == n {
-				var ok bool
-				if fw, ok = b.Model.(*mbox.LearningFirewall); !ok {
-					return Change{}, nil, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
-				}
-				break
-			}
-		}
-		if fw == nil {
-			return Change{}, nil, fmt.Errorf("incr: no middlebox model at %q", w.Node)
-		}
-		src, err := parsePrefix(w.Src)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		dst, err := parsePrefix(w.Dst)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		op := w.Op
-		mutate := func() {
-			switch op {
-			case "fw_allow":
-				fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(src, dst)}, fw.ACL...)
-			case "fw_deny":
-				fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(src, dst)}, fw.ACL...)
-			default: // fw_del: remove every entry with these prefixes
-				kept := fw.ACL[:0]
-				for _, e := range fw.ACL {
-					if e.Src != src || e.Dst != dst {
-						kept = append(kept, e)
-					}
-				}
-				fw.ACL = kept
-			}
-		}
-		return BoxReconfig(n), mutate, nil
-	case "inv_add":
-		if w.Invariant == nil {
-			return Change{}, nil, fmt.Errorf("incr: inv_add needs an invariant")
-		}
-		i, err := DecodeInvariant(t, w.Invariant)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return AddInvariant(i), nil, nil
-	case "inv_remove":
-		return RemoveInvariant(w.Name), nil, nil
-	default:
-		return Change{}, nil, fmt.Errorf("incr: unknown op %q", w.Op)
+		out = append(out, ch)
 	}
+	return out, nil
 }
 
 // DecodeChangeSet parses one wire line — a single change object or an
-// array — into a change-set. The "noop" op yields an empty set (a cheap
-// report refresh). The whole line validates before any in-place mutation
-// runs: a decode error on the third change leaves the network untouched
-// by the first two, preserving the documented apply-atomically semantics.
+// array — into a change-set.
 func DecodeChangeSet(net *core.Network, line []byte) ([]Change, error) {
 	trimmed := strings.TrimSpace(string(line))
 	if trimmed == "" {
@@ -603,121 +552,59 @@ func DecodeChangeSet(net *core.Network, line []byte) ([]Change, error) {
 	return DecodeChanges(net, wires)
 }
 
-// DecodeChanges resolves a list of wire changes with the same atomicity
-// contract as DecodeChangeSet: every change validates before any
-// in-place mutation runs, so a decode error leaves the network
-// untouched. The apply_batch envelope decodes through here.
+// DecodeChanges resolves a list of wire changes (the apply_batch envelope
+// decodes through here).
 func DecodeChanges(net *core.Network, wires []WireChange) ([]Change, error) {
-	var out []Change
-	var mutations []func()
-	for _, w := range wires {
-		if w.Op == "noop" || w.Op == "" {
-			continue
-		}
-		ch, mutate, err := decodeChange(net, w)
-		if err != nil {
-			return nil, err
-		}
-		if mutate != nil {
-			mutations = append(mutations, mutate)
-		}
-		out = append(out, ch)
-	}
-	for _, mutate := range mutations {
-		mutate()
-	}
-	return out, nil
+	return decodeChanges(net, wires, false)
 }
 
-// DecodeProposeSet resolves a proposed change-set without touching live
-// state: where DecodeChangeSet's firewall ops mutate the targeted
-// LearningFirewall in place, the propose path clones it, edits the clone,
-// and emits a model swap — the live model stays untouched until Commit
-// installs the shadow. Successive firewall ops on the same node chain
-// their clones, so they compose exactly as the in-place path would.
-// In-place box_reconfig (no replacement model) cannot be shadowed and is
-// rejected with ErrImpureChange.
+// DecodeProposeSet resolves a proposed change-set: DecodeChanges, except
+// that box_reconfig is refused with ErrImpureChange.
 func DecodeProposeSet(net *core.Network, wires []WireChange) ([]Change, error) {
-	var out []Change
-	clones := map[topo.NodeID]*mbox.LearningFirewall{}
-	for _, w := range wires {
-		if w.Op == "noop" || w.Op == "" {
-			continue
+	return decodeChanges(net, wires, true)
+}
+
+// EncodeChange writes an applied change as the wire change that reproduces
+// it: the inverse of the decoder and the journal's record format. A
+// reconfiguration becomes box_state, carrying the swapped-in model or, for
+// an in-place edit, what the live model holds now (nothing, if the same
+// set went on to remove the box). ok=false means the change has no written
+// form: a FIB provider, an added box, a model or invariant type outside
+// the description format.
+func EncodeChange(net *core.Network, ch Change) (w WireChange, ok bool) {
+	name := func() string { return net.Topo.Node(ch.Node).Name }
+	switch ch.Kind {
+	case KindNodeDown:
+		return WireChange{Op: "node_down", Node: name()}, true
+	case KindNodeUp:
+		return WireChange{Op: "node_up", Node: name()}, true
+	case KindRelabel:
+		return WireChange{Op: "relabel", Node: name(), Class: ch.Class}, true
+	case KindBoxRemove:
+		return WireChange{Op: "box_remove", Node: name()}, true
+	case KindBoxReconfig:
+		model := ch.Model
+		if model == nil {
+			if model = modelAt(net, ch.Node); model == nil {
+				return WireChange{Op: "noop"}, true
+			}
 		}
-		switch w.Op {
-		case "box_reconfig":
-			return nil, ErrImpureChange
-		case "fw_allow", "fw_deny", "fw_del":
-			n, err := nodeByName(net.Topo, w.Node)
-			if err != nil {
-				return nil, err
-			}
-			fw := clones[n]
-			if fw == nil {
-				var live *mbox.LearningFirewall
-				for _, b := range net.Boxes {
-					if b.Node == n {
-						var ok bool
-						if live, ok = b.Model.(*mbox.LearningFirewall); !ok {
-							return nil, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
-						}
-						break
-					}
-				}
-				if live == nil {
-					return nil, fmt.Errorf("incr: no middlebox model at %q", w.Node)
-				}
-				fw = &mbox.LearningFirewall{
-					InstanceName: live.InstanceName,
-					ACL:          append([]mbox.ACLEntry(nil), live.ACL...),
-					DefaultAllow: live.DefaultAllow,
-				}
-			} else {
-				// Chain: snapshot the previous op's clone so each change
-				// carries its own model.
-				fw = &mbox.LearningFirewall{
-					InstanceName: fw.InstanceName,
-					ACL:          append([]mbox.ACLEntry(nil), fw.ACL...),
-					DefaultAllow: fw.DefaultAllow,
-				}
-			}
-			src, err := parsePrefix(w.Src)
-			if err != nil {
-				return nil, err
-			}
-			dst, err := parsePrefix(w.Dst)
-			if err != nil {
-				return nil, err
-			}
-			switch w.Op {
-			case "fw_allow":
-				fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(src, dst)}, fw.ACL...)
-			case "fw_deny":
-				fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(src, dst)}, fw.ACL...)
-			default: // fw_del
-				kept := fw.ACL[:0]
-				for _, e := range fw.ACL {
-					if e.Src != src || e.Dst != dst {
-						kept = append(kept, e)
-					}
-				}
-				fw.ACL = kept
-			}
-			clones[n] = fw
-			out = append(out, BoxSwap(n, fw))
-		default:
-			ch, mutate, err := decodeChange(net, w)
-			if err != nil {
-				return nil, err
-			}
-			if mutate != nil {
-				// Defensive: no remaining op should defer a live mutation.
-				return nil, ErrImpureChange
-			}
-			out = append(out, ch)
+		w = WireChange{Op: "box_state", Node: name()}
+		var err error
+		if w.Box, err = netdesc.ExportBox(w.Node, model, net.Registry); err != nil {
+			return WireChange{}, false
 		}
+		return w, true
+	case KindInvAdd:
+		iv, err := netdesc.ExportInvariant(net.Topo, ch.Invariant)
+		if err != nil {
+			return WireChange{}, false
+		}
+		return WireChange{Op: "inv_add", Invariant: &iv}, true
+	case KindInvRemove:
+		return WireChange{Op: "inv_remove", Name: ch.Name}, true
 	}
-	return out, nil
+	return WireChange{}, false
 }
 
 // ParseRequest parses one wire line into its request envelope. Array

@@ -1,6 +1,8 @@
 package incr_test
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +10,9 @@ import (
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 func TestWireDecodeAndApply(t *testing.T) {
@@ -47,11 +52,18 @@ func TestWireDecodeAndApply(t *testing.T) {
 
 	// The fw_del line must have removed the entry from fw2 only; with fw1
 	// back up the primary still enforces, but under fw1 failure the leak
-	// shows. Sanity-check via the firewall model itself.
-	if d.FWBackup.Allowed(bench.HostAddr(0, 0), bench.HostAddr(1, 0)) != true {
+	// shows. Decoding swapped an edited clone in, so read the models back
+	// through the network.
+	fw := map[topo.NodeID]*mbox.LearningFirewall{}
+	for _, b := range d.Net.Boxes {
+		if m, ok := b.Model.(*mbox.LearningFirewall); ok {
+			fw[b.Node] = m
+		}
+	}
+	if !fw[d.FW2].Allowed(bench.HostAddr(0, 0), bench.HostAddr(1, 0)) {
 		t.Fatal("fw_del should have opened g0->g1 on the backup")
 	}
-	if d.FWPrimary.Allowed(bench.HostAddr(0, 0), bench.HostAddr(1, 0)) {
+	if fw[d.FW1].Allowed(bench.HostAddr(0, 0), bench.HostAddr(1, 0)) {
 		t.Fatal("primary firewall must still deny g0->g1")
 	}
 }
@@ -110,5 +122,154 @@ func TestWireInvariantRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(tr.SrcPrefix.String(), "/24") {
 		t.Fatalf("prefix decoded wrong: %v", tr.SrcPrefix)
+	}
+}
+
+// TestEncodeChangeRoundTrip pins that the journal's vocabulary loses
+// nothing: for every kind of change with a written form, applying
+// decode(EncodeChange(ch)) to a twin network — the record passing through
+// JSON, as it does through the journal — leaves it byte-identical to the
+// network ch itself was applied to, with identical reports and witnesses.
+// The kinds with no written form say so.
+func TestEncodeChangeRoundTrip(t *testing.T) {
+	opts := core.Options{Engine: core.EngineSAT}
+	newTwin := func() (*bench.Datacenter, *incr.Session) {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1, WithCaches: true})
+		invs := []inv.Invariant{d.IsolationInvariant(0, 1), d.IsolationInvariant(1, 2), d.DataIsolationInvariant(0)}
+		sess, _, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, sess
+	}
+	a, sa := newTwin()
+	b, sb := newTwin()
+	// Once a box is removed its node has no model to describe; the twins
+	// must then fail to dump in the same way.
+	dump := func(net *core.Network, sess *incr.Session) string {
+		desc, err := netdesc.FromNetwork("twin", net, sess.Invariants())
+		if err != nil {
+			return err.Error()
+		}
+		data, err := netdesc.Encode(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	leak := inv.Reachability{Dst: a.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "leak?"}
+	cases := []struct {
+		name string
+		make func() incr.Change // against a; may edit a's models in place first
+	}{
+		{"node_down", func() incr.Change { return incr.NodeDown(a.FW1) }},
+		{"node_up", func() incr.Change { return incr.NodeUp(a.FW1) }},
+		{"relabel", func() incr.Change { return incr.Relabel(a.Hosts[0][0], "broken-0") }},
+		{"box_reconfig in place", func() incr.Change {
+			a.FWPrimary.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(bench.ClientPrefix(0), bench.ClientPrefix(1))}, a.FWPrimary.ACL...)
+			return incr.BoxReconfig(a.FW1)
+		}},
+		{"box_swap firewall", func() incr.Change {
+			return incr.BoxSwap(a.FW2, &mbox.LearningFirewall{InstanceName: "fw2", DefaultAllow: true})
+		}},
+		{"box_swap cache", func() incr.Change {
+			return incr.BoxSwap(a.Caches[0], mbox.NewContentCache("cache0", mbox.DenyEntry(bench.ClientPrefix(1), bench.ClientPrefix(0))))
+		}},
+		{"inv_add", func() incr.Change { return incr.AddInvariant(leak) }},
+		{"inv_remove", func() incr.Change { return incr.RemoveInvariant(leak.Name()) }},
+		{"box_remove", func() incr.Change { return incr.BoxRemove(a.IDS2) }},
+	}
+	for _, c := range cases {
+		ch := c.make()
+		ra, err := sa.Apply([]incr.Change{ch})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		w, ok := incr.EncodeChange(a.Net, ch)
+		if !ok {
+			t.Fatalf("%s has no written form", c.name)
+		}
+		raw, err := json.Marshal([]incr.WireChange{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := incr.DecodeChangeSet(b.Net, raw)
+		if err != nil {
+			t.Fatalf("%s: %s does not decode: %v", c.name, raw, err)
+		}
+		rb, err := sb.Apply(back)
+		if err != nil {
+			t.Fatalf("%s: %s does not apply: %v", c.name, raw, err)
+		}
+		if da, db := dump(a.Net, sa), dump(b.Net, sb); da != db {
+			t.Fatalf("%s: networks diverge after replaying %s\n--- applied ---\n%s\n--- replayed ---\n%s", c.name, raw, da, db)
+		}
+		compareReports(t, c.name, rb, ra)
+		compareWitnesses(t, c.name, rb, ra)
+	}
+
+	for _, ch := range []incr.Change{
+		incr.FIBUpdate(a.Net.FIBFor),
+		incr.BoxAdd(a.IDS2, mbox.NewPassthrough("ids2", "ids")),
+		incr.AddInvariant(customInvariant{leak}),
+	} {
+		if w, ok := incr.EncodeChange(a.Net, ch); ok {
+			t.Fatalf("%v change got a written form: %+v", ch.Kind, w)
+		}
+	}
+}
+
+// customInvariant is an invariant type outside the description format.
+type customInvariant struct{ inv.Reachability }
+
+// TestWireInvariantsMatchLoader pins that the wire and the strict file
+// loader accept exactly the same invariants — they share one validating
+// codec — so the description `{"op":"topology","name":"dump"}` emits always
+// reloads.
+func TestWireInvariantsMatchLoader(t *testing.T) {
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+	cases := []struct {
+		inv  string
+		want string // error text both must give; "" = both accept
+	}{
+		{`{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1"}`, ""},
+		{`{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.77/24","vias":["ids1","fw1"]}`, ""},
+		{`{"type":"traversal","dst":"h1-0","src_prefix":"*"}`, "traversal needs at least one via"},
+		{`{"type":"traversal","dst":"h1-0","src_prefix":"*","vias":["h0-0"]}`, `via "h0-0" is not a middlebox`},
+		{`{"type":"traversal","dst":"h1-0","src_prefix":"*","vias":["nope"]}`, `unknown node "nope"`},
+		{`{"type":"data_isolation","dst":"h1-0","origin":"10.0.0"}`, `pkt: malformed address "10.0.0"`},
+		{`{"type":"weird","dst":"h1-0"}`, `unknown invariant type "weird"`},
+	}
+	for _, c := range cases {
+		_, wireErr := incr.DecodeChangeSet(d.Net, []byte(`{"op":"inv_add","invariant":`+c.inv+`}`))
+
+		desc, err := netdesc.FromNetwork("dc", d.Net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc.Invariants = make([]netdesc.Invariant, 1)
+		if err := json.Unmarshal([]byte(c.inv), &desc.Invariants[0]); err != nil {
+			t.Fatal(err)
+		}
+		file, err := netdesc.Encode(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fileErr := netdesc.Decode(file, "dump.json")
+
+		if c.want == "" {
+			if wireErr != nil || fileErr != nil {
+				t.Fatalf("%s: wire %v, loader %v; want both to accept", c.inv, wireErr, fileErr)
+			}
+			continue
+		}
+		if wireErr == nil || wireErr.Error() != "incr: "+c.want {
+			t.Errorf("%s: wire error %v, want %q", c.inv, wireErr, "incr: "+c.want)
+		}
+		var de *netdesc.Error
+		if !errors.As(fileErr, &de) || de.Msg != c.want {
+			t.Errorf("%s: loader error %v, want %q", c.inv, fileErr, c.want)
+		}
 	}
 }

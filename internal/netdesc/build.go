@@ -110,7 +110,11 @@ func Build(d *Desc, baseDir string) (*core.Network, []inv.Invariant, error) {
 
 	var invs []inv.Invariant
 	for i := range d.Invariants {
-		invs = append(invs, buildInvariant(&d.Invariants[i], ids))
+		iv, err := BuildInvariant(t, &d.Invariants[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		invs = append(invs, iv)
 	}
 
 	net := &core.Network{
@@ -299,27 +303,100 @@ func configSet(xs []any) (any, error) {
 	}
 }
 
-func buildInvariant(w *Invariant, ids map[string]topo.NodeID) inv.Invariant {
-	dst := ids[w.Dst]
+// resolveInvariant validates one invariant and resolves its names: the
+// only Invariant → inv.Invariant there is. Validate runs it against the
+// description's own node list, BuildInvariant against a built topology
+// (the wire, the journal and snapshots). node reports a name's id and
+// whether it is a middlebox; error fields are relative to the invariant.
+func resolveInvariant(w *Invariant, node func(name string) (id topo.NodeID, middlebox, ok bool)) (inv.Invariant, *Error) {
+	dst, _, ok := node(w.Dst)
+	if !ok {
+		return nil, errf("", "dst", "unknown node %q", w.Dst)
+	}
+	// The first malformed address; checked once the invariant is assembled.
+	var bad *Error
+	addr := func(field, s string) pkt.Addr {
+		a, err := pkt.ParseAddr(s)
+		if err != nil && bad == nil {
+			bad = errf("", field, "%v", err)
+		}
+		return a
+	}
+	var iv inv.Invariant
 	switch w.Type {
 	case "simple_isolation":
-		return inv.SimpleIsolation{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
+		iv = inv.SimpleIsolation{Dst: dst, SrcAddr: addr("src_addr", w.SrcAddr), Label: w.Label}
 	case "flow_isolation":
-		return inv.FlowIsolation{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
+		iv = inv.FlowIsolation{Dst: dst, SrcAddr: addr("src_addr", w.SrcAddr), Label: w.Label}
 	case "reachability":
-		return inv.Reachability{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
+		iv = inv.Reachability{Dst: dst, SrcAddr: addr("src_addr", w.SrcAddr), Label: w.Label}
 	case "data_isolation":
-		return inv.DataIsolation{Dst: dst, Origin: pkt.MustParseAddr(w.Origin), Label: w.Label}
-	default: // traversal
-		p, _ := ParsePrefix(w.SrcPrefix)
-		var srcAddr pkt.Addr
+		iv = inv.DataIsolation{Dst: dst, Origin: addr("origin", w.Origin), Label: w.Label}
+	case "traversal":
+		tr := inv.Traversal{Dst: dst, Label: w.Label}
+		var err error
+		if tr.SrcPrefix, err = ParsePrefix(w.SrcPrefix); err != nil {
+			return nil, errf("", "src_prefix", "%v", err)
+		}
 		if w.SrcAddr != "" {
-			srcAddr = pkt.MustParseAddr(w.SrcAddr)
+			tr.SrcAddr = addr("src_addr", w.SrcAddr)
 		}
-		var vias []topo.NodeID
-		for _, v := range w.Vias {
-			vias = append(vias, ids[v])
+		if len(w.Vias) == 0 {
+			return nil, errf("", "vias", "traversal needs at least one via")
 		}
-		return inv.Traversal{Dst: dst, SrcPrefix: p, SrcAddr: srcAddr, Vias: vias, Label: w.Label}
+		for j, via := range w.Vias {
+			id, middlebox, ok := node(via)
+			if !ok {
+				return nil, errf("", fmt.Sprintf("vias[%d]", j), "unknown node %q", via)
+			}
+			if !middlebox {
+				return nil, errf("", fmt.Sprintf("vias[%d]", j), "via %q is not a middlebox", via)
+			}
+			tr.Vias = append(tr.Vias, id)
+		}
+		iv = tr
+	default:
+		return nil, errf("", "type", "unknown invariant type %q", w.Type)
 	}
+	if bad != nil {
+		return nil, bad
+	}
+	return iv, nil
+}
+
+// BuildInvariant validates w against a built topology and resolves it;
+// ExportInvariant is its inverse.
+func BuildInvariant(t *topo.Topology, w *Invariant) (inv.Invariant, error) {
+	iv, err := resolveInvariant(w, func(name string) (topo.NodeID, bool, bool) {
+		n, ok := t.ByName(name)
+		return n.ID, n.Kind == topo.Middlebox, ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	return iv, nil
+}
+
+// BuildBox validates one box configuration and builds its model for the
+// middlebox called name in a live network: the codec of the box_state
+// change and of snapshotted box state, with ExportBox its inverse. It
+// leaves the network's class registry as it is (an appfirewall may block
+// registered classes only) and refuses mdl boxes, whose bundles are files.
+func BuildBox(name string, b *Box, reg *pkt.Registry) (mbox.Model, error) {
+	if err := validateBox(b, "", "box"); err != nil {
+		return nil, err
+	}
+	if b.Type == "mdl" {
+		return nil, errf("", "box.type", "mdl boxes load from description files only")
+	}
+	for i, c := range b.Blocked {
+		var known bool
+		if reg != nil {
+			_, known = reg.Lookup(c)
+		}
+		if !known {
+			return nil, errf("", fmt.Sprintf("box.blocked[%d]", i), "unknown class %q", c)
+		}
+	}
+	return buildModel(name, b, reg, nil, "", 0)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 // Load reads and decodes the description at path. Errors are *Error
@@ -79,10 +80,6 @@ var (
 		"firewall": true, "cache": true, "nat": true, "idps": true, "scrubber": true,
 		"loadbalancer": true, "appfirewall": true, "passthrough": true, "wanopt": true,
 		"mdl": true,
-	}
-	invTypes = map[string]bool{
-		"simple_isolation": true, "flow_isolation": true, "data_isolation": true,
-		"reachability": true, "traversal": true,
 	}
 )
 
@@ -229,46 +226,16 @@ func (d *Desc) Validate(file string) error {
 		}
 	}
 
-	// Invariants mirror the vmnd wire shapes.
+	// Invariants resolve through the codec the wire and the journal use;
+	// node i of the description becomes NodeID i when built.
+	node := func(name string) (topo.NodeID, bool, bool) {
+		i, ok := names[name]
+		return topo.NodeID(i), ok && d.Nodes[i].Kind == "middlebox", ok
+	}
 	for i := range d.Invariants {
-		iv := &d.Invariants[i]
-		f := fmt.Sprintf("invariants[%d]", i)
-		if !invTypes[iv.Type] {
-			return errf(file, f+".type", "unknown invariant type %q", iv.Type)
-		}
-		if _, ok := names[iv.Dst]; !ok {
-			return errf(file, f+".dst", "unknown node %q", iv.Dst)
-		}
-		switch iv.Type {
-		case "simple_isolation", "flow_isolation", "reachability":
-			if _, err := pkt.ParseAddr(iv.SrcAddr); err != nil {
-				return errf(file, f+".src_addr", "%v", err)
-			}
-		case "data_isolation":
-			if _, err := pkt.ParseAddr(iv.Origin); err != nil {
-				return errf(file, f+".origin", "%v", err)
-			}
-		case "traversal":
-			if _, err := ParsePrefix(iv.SrcPrefix); err != nil {
-				return errf(file, f+".src_prefix", "%v", err)
-			}
-			if iv.SrcAddr != "" {
-				if _, err := pkt.ParseAddr(iv.SrcAddr); err != nil {
-					return errf(file, f+".src_addr", "%v", err)
-				}
-			}
-			if len(iv.Vias) == 0 {
-				return errf(file, f+".vias", "traversal needs at least one via")
-			}
-			for j, via := range iv.Vias {
-				vi, ok := names[via]
-				if !ok {
-					return errf(file, fmt.Sprintf("%s.vias[%d]", f, j), "unknown node %q", via)
-				}
-				if d.Nodes[vi].Kind != "middlebox" {
-					return errf(file, fmt.Sprintf("%s.vias[%d]", f, j), "via %q is not a middlebox", via)
-				}
-			}
+		if _, err := resolveInvariant(&d.Invariants[i], node); err != nil {
+			err.File, err.Field = file, fmt.Sprintf("invariants[%d].%s", i, err.Field)
+			return err
 		}
 	}
 	return nil
@@ -424,8 +391,11 @@ func validateBox(b *Box, file, f string) error {
 	return nil
 }
 
-// ParsePrefix parses the format's prefix syntax: "*" (or "0.0.0.0/0") is
-// match-all, a bare address is /32, otherwise CIDR.
+// ParsePrefix parses the format's prefix syntax: "*" (or any "/0") is
+// match-all, a bare address is /32, otherwise CIDR. The result is
+// canonical — host bits masked off, one match-all value — so two
+// spellings of one prefix are one ACL key, one coalescing key and one
+// fingerprint.
 func ParsePrefix(s string) (pkt.Prefix, error) {
 	if s == "" || s == "*" {
 		return pkt.Prefix{}, nil
@@ -442,7 +412,10 @@ func ParsePrefix(s string) (pkt.Prefix, error) {
 	if err != nil || n < 0 || n > 32 {
 		return pkt.Prefix{}, fmt.Errorf("malformed prefix length in %q", s)
 	}
-	return pkt.Prefix{Addr: a, Len: n}, nil
+	if n == 0 {
+		return pkt.Prefix{}, nil
+	}
+	return pkt.Prefix{Addr: a &^ (1<<(32-n) - 1), Len: n}, nil
 }
 
 // FormatPrefix renders a prefix in the canonical on-disk form ParsePrefix

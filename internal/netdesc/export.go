@@ -46,7 +46,7 @@ func FromNetwork(name string, net *core.Network, invs []inv.Invariant) (*Desc, e
 			if !ok {
 				return nil, fmt.Errorf("netdesc: middlebox %q has no model instance", n.Name)
 			}
-			box, err := exportBox(n.Name, model, net.Registry)
+			box, err := ExportBox(n.Name, model, net.Registry)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +86,7 @@ func FromNetwork(name string, net *core.Network, invs []inv.Invariant) (*Desc, e
 	}
 
 	for _, iv := range invs {
-		w, err := exportInvariant(iv, t)
+		w, err := ExportInvariant(t, iv)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +103,10 @@ func exportACL(acl []mbox.ACLEntry) []ACLRule {
 	return out
 }
 
-func exportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
+// ExportBox reads a model's configuration back into its description; the
+// inverse of BuildBox. Models outside the format (MDL-interpreted, custom)
+// are an error.
+func ExportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
 	switch m := model.(type) {
 	case *mbox.LearningFirewall:
 		return &Box{Type: "firewall", ACL: exportACL(m.ACL), DefaultAllow: m.DefaultAllow}, nil
@@ -147,7 +150,9 @@ func exportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
 	}
 }
 
-func exportInvariant(iv inv.Invariant, t *topo.Topology) (Invariant, error) {
+// ExportInvariant names an invariant's slots against t; the inverse of
+// BuildInvariant. Custom invariant types are an error.
+func ExportInvariant(t *topo.Topology, iv inv.Invariant) (Invariant, error) {
 	switch i := iv.(type) {
 	case inv.SimpleIsolation:
 		return Invariant{Type: "simple_isolation", Dst: t.Node(i.Dst).Name,

@@ -1,4 +1,4 @@
-package netdesc
+package netdesc_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/netdesc"
 )
 
 // differential runs the same invariants against the in-memory network
@@ -14,19 +15,19 @@ import (
 // violation trace.
 func differential(t *testing.T, name string, net *core.Network, invs []inv.Invariant) {
 	t.Helper()
-	d, err := FromNetwork(name, net, invs)
+	d, err := netdesc.FromNetwork(name, net, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Encode(d)
+	data, err := netdesc.Encode(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data, name+".json")
+	back, err := netdesc.Decode(data, name+".json")
 	if err != nil {
 		t.Fatalf("exported description does not decode: %v", err)
 	}
-	rebuilt, rebuiltInvs, err := Build(back, "")
+	rebuilt, rebuiltInvs, err := netdesc.Build(back, "")
 	if err != nil {
 		t.Fatalf("exported description does not build: %v", err)
 	}

@@ -128,8 +128,9 @@ type Rule struct {
 	Priority int    `json:"priority"`
 }
 
-// Invariant mirrors the vmnd wire invariant: type plus name/address
-// slots.
+// Invariant is the one written form of an invariant — in description
+// files, on the vmnd wire (incr.WireInvariant is this type), in the journal
+// and in snapshots: type plus name/address slots.
 type Invariant struct {
 	Type      string   `json:"type"` // simple_isolation | flow_isolation | data_isolation | reachability | traversal
 	Dst       string   `json:"dst"`
