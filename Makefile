@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race loc bench-harness bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-json bench-multicore bench-snapshot
+.PHONY: ci fmt vet build test race loc bench-harness bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-json
 
 ci: fmt vet build race bench-harness fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke
 
@@ -45,10 +45,12 @@ race:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
 
-# One iteration of every Fig2 benchmark (SAT and explicit engines): a fast
+# One iteration of every Fig2 benchmark (SAT and explicit engines) and one
+# run of the same points through the vmnbench CLI's figure table: a fast
 # sanity check that the measured paths still run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
+	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 1 -json > /dev/null
 
 # A short coverage-guided run of each fuzz target beyond its checked-in
 # seed corpus: the differential churn fuzzer (Session.Apply bit-identical
@@ -105,28 +107,8 @@ vmnd-smoke:
 vmnd-restart-smoke:
 	$(GO) test ./cmd/vmnd -run '^TestRestartSmoke$$' -count 1
 
-# Machine-readable series for benchmark trajectory tracking.
+# Machine-readable series of the paper figures. End-to-end and per-layer
+# numbers (daemon, incremental session, topology frontend) come from
+# benchmark/run.sh, the command BENCHMARK.json declares.
 bench-json:
 	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 5 -json
-
-# The figures whose numbers only mean something on a multi-core box: the
-# explicit-engine worker sweep, the SAT solver-reuse comparison, the
-# canonical-normalization comparison (class counts + encoding/verdict reuse
-# rates), the churn comparison (incremental vs full, with the
-# prefix-level vs node-level dirty-fraction series), the transactional
-# guardrail comparison (propose/rollback vs apply-then-revert) and the
-# streaming-pipeline comparison (pipelined+coalesced vs pipelined vs
-# serial updates/sec under sustained FIB churn), plus the file-driven
-# fat-tree and cloud-VPC scaling figures (tenant sweep at fixed shapes:
-# canonical classes and encoding builds stay flat as tenants grow). CI
-# runs this on the multi-core GitHub runner and uploads the JSON as an
-# artifact.
-bench-multicore:
-	$(GO) run ./cmd/vmnbench -fig explicit,satincr,canon,churn,guardrail,stream,restart,fattree,vpc -runs 5 -json > bench-multicore.json
-
-# A quick churn snapshot with the observability metrics registry attached:
-# the JSON rows carry the per-figure metrics map (solve latency histogram,
-# dirty-fraction distribution, hit rates), so trends are diffable across
-# commits. CI uploads the file as an artifact.
-bench-snapshot:
-	$(GO) run ./cmd/vmnbench -fig churn -runs 3 -json -obs > bench-snapshot.json

@@ -1,12 +1,16 @@
 // Benchmarks regenerating every figure of the paper's evaluation (§5) at
-// laptop scale, plus ablations of VMN's design choices. Each benchmark
-// measures one verification run of the corresponding experiment; the
-// cmd/vmnbench tool prints the full series (sweeps and percentiles).
+// laptop scale, plus ablations of VMN's design choices. A figure's points
+// are defined once, in internal/bench: each sub-benchmark here times the
+// same closure `vmnbench -fig N` samples, one verification run per
+// iteration; the cmd/vmnbench tool prints the full series (sweeps and
+// percentiles).
 package vmn
 
 import (
-	"math/rand"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -19,109 +23,45 @@ import (
 	"github.com/netverify/vmn/internal/topo"
 )
 
-// --- Figure 2: single-invariant time in the datacenter scenarios ---
-
-func benchDCInvariant(b *testing.B, prep func(seed int64) (*core.Verifier, inv.Invariant, bool)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		v, iv, wantSat := prep(int64(i))
-		rs, err := v.VerifyInvariant(iv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rs[0].Satisfied != wantSat {
-			b.Fatalf("unexpected verdict: %v", rs[0].Result.Outcome)
-		}
+// benchFigure runs the points of f as sub-benchmarks named label/x=N; the
+// per-iteration set-up (network, verifier, seed i) stays outside the timer,
+// as in Figure.Run.
+func benchFigure(b *testing.B, f bench.Figure) {
+	for _, p := range f.Points {
+		b.Run(fmt.Sprintf("%s/x=%d", p.Label, p.X), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				body := p.Prep(int64(i))
+				b.StartTimer()
+				body()
+			}
+		})
 	}
 }
 
-func BenchmarkFig2RulesViolated(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1})
-		aff := d.DeleteRandomDenyRules(rand.New(rand.NewSource(seed)), 1)
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: seed})
-		return v, d.IsolationInvariant(aff[0][0], aff[0][1]), false
-	})
-}
-
-func BenchmarkFig2RulesHolds(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1})
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: seed})
-		return v, d.IsolationInvariant(0, 1), true
-	})
-}
-
-func BenchmarkFig2RedundancyViolated(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1})
-		aff := d.DeleteBackupDenyRules(rand.New(rand.NewSource(seed)), 1)
-		v, _ := core.NewVerifier(d.Net, core.Options{
-			Engine: core.EngineSAT, Seed: seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.FW1)},
-		})
-		return v, d.IsolationInvariant(aff[0][0], aff[0][1]), false
-	})
-}
-
-func BenchmarkFig2RedundancyHolds(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1})
-		v, _ := core.NewVerifier(d.Net, core.Options{
-			Engine: core.EngineSAT, Seed: seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.FW1)},
-		})
-		return v, d.IsolationInvariant(0, 1), true
-	})
-}
-
-func BenchmarkFig2TraversalViolated(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1, OpenGroups: true})
-		d.BypassIDSUnderFailure = true
-		v, _ := core.NewVerifier(d.Net, core.Options{
-			Engine: core.EngineSAT, Seed: seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.IDS1)},
-		})
-		return v, d.TraversalInvariant(0, 1), false
-	})
-}
-
-func BenchmarkFig2TraversalHolds(b *testing.B) {
-	benchDCInvariant(b, func(seed int64) (*core.Verifier, inv.Invariant, bool) {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1, OpenGroups: true})
-		v, _ := core.NewVerifier(d.Net, core.Options{
-			Engine: core.EngineSAT, Seed: seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.IDS1)},
-		})
-		return v, d.TraversalInvariant(0, 1), true
-	})
-}
+func BenchmarkFig2(b *testing.B)  { benchFigure(b, bench.Fig2(5)) }
+func BenchmarkFig3(b *testing.B)  { benchFigure(b, bench.Fig3([]int{4, 8, 16})) }
+func BenchmarkFig4(b *testing.B)  { benchFigure(b, bench.Fig4([]int{3, 6, 9})) }
+func BenchmarkFig5(b *testing.B)  { benchFigure(b, bench.Fig5([]int{3, 6})) }
+func BenchmarkFig7(b *testing.B)  { benchFigure(b, bench.Fig7([]int{9, 15, 24})) }
+func BenchmarkFig8(b *testing.B)  { benchFigure(b, bench.Fig8([]int{4, 8})) }
+func BenchmarkFig9b(b *testing.B) { benchFigure(b, bench.Fig9b(2, []int{6, 12})) }
+func BenchmarkFig9c(b *testing.B) { benchFigure(b, bench.Fig9c(6, []int{2, 4})) }
 
 // --- Figure 2, explicit-state engine: the perf target of the binary-
-// fingerprint search. MaxSends is raised to 4 so the product space is
-// large enough (715 states) to exercise the search loop; allocs/op and
-// states explored per second are reported alongside wall clock. ---
+// fingerprint search, on the `explicit` figure's instance (MaxSends 4, so
+// the product space — 715 states — is large enough to exercise the search
+// loop). One verifier serves every iteration; allocs/op and states explored
+// per second are reported alongside wall clock. ---
 
 func benchFig2Explicit(b *testing.B, workers int) {
 	b.Helper()
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 5, HostsPerGroup: 1})
-	v, _ := core.NewVerifier(d.Net, core.Options{
-		Engine: core.EngineExplicit, MaxSends: 4, Workers: workers,
-	})
-	iv := d.IsolationInvariant(0, 1)
+	body := bench.FigExplicit([]int{workers}).Points[0].Prep(0)
 	b.ReportAllocs()
 	states := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := v.VerifyInvariant(iv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rs[0].Satisfied {
-			b.Fatalf("unexpected verdict: %v", rs[0].Result.Outcome)
-		}
-		states += rs[0].Result.StatesExplored
+		states += body()
 	}
 	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }
@@ -131,122 +71,15 @@ func BenchmarkFig2ExplicitRulesHoldsWMax(b *testing.B) {
 	benchFig2Explicit(b, runtime.GOMAXPROCS(0))
 }
 
-// --- Figure 3: all invariants vs policy classes ---
-
-func benchFig3(b *testing.B, classes int) {
-	for i := 0; i < b.N; i++ {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: classes, HostsPerGroup: 1})
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i)})
-		var invs []inv.Invariant
-		for g := 0; g < classes; g++ {
-			invs = append(invs, d.IsolationInvariant(g, (g+1)%classes))
-		}
-		if _, err := v.VerifyAll(invs, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3Classes4(b *testing.B)  { benchFig3(b, 4) }
-func BenchmarkFig3Classes8(b *testing.B)  { benchFig3(b, 8) }
-func BenchmarkFig3Classes16(b *testing.B) { benchFig3(b, 16) }
-
-// --- Figure 4: per-invariant data isolation vs policy classes ---
-
-func benchFig4(b *testing.B, classes int) {
-	for i := 0; i < b.N; i++ {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: classes, HostsPerGroup: 1, WithCaches: true})
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i)})
-		rs, err := v.VerifyInvariant(d.DataIsolationInvariant(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rs[0].Satisfied {
-			b.Fatal("should hold")
-		}
-	}
-}
-
-func BenchmarkFig4Classes3(b *testing.B) { benchFig4(b, 3) }
-func BenchmarkFig4Classes6(b *testing.B) { benchFig4(b, 6) }
-func BenchmarkFig4Classes9(b *testing.B) { benchFig4(b, 9) }
-
-// --- Figure 5: all data-isolation invariants vs policy classes ---
-
-func benchFig5(b *testing.B, classes int) {
-	for i := 0; i < b.N; i++ {
-		d := bench.NewDatacenter(bench.DCConfig{Groups: classes, HostsPerGroup: 1, WithCaches: true})
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i)})
-		var invs []inv.Invariant
-		for g := 0; g < classes; g++ {
-			invs = append(invs, d.DataIsolationInvariant(g))
-		}
-		if _, err := v.VerifyAll(invs, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5Classes3(b *testing.B) { benchFig5(b, 3) }
-func BenchmarkFig5Classes6(b *testing.B) { benchFig5(b, 6) }
-
-// --- Figure 7: enterprise, slice vs whole network ---
-
-func benchFig7(b *testing.B, subnets int, noSlices bool) {
-	for i := 0; i < b.N; i++ {
-		e := bench.NewEnterprise(bench.EnterpriseConfig{Subnets: subnets, HostsPerSubnet: 1})
-		v, _ := core.NewVerifier(e.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i), NoSlices: noSlices})
-		if _, err := v.VerifyInvariant(e.Invariant(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7Slice(b *testing.B)   { benchFig7(b, 9, false) }
-func BenchmarkFig7Whole9(b *testing.B)  { benchFig7(b, 9, true) }
-func BenchmarkFig7Whole15(b *testing.B) { benchFig7(b, 15, true) }
-func BenchmarkFig7Whole24(b *testing.B) { benchFig7(b, 24, true) }
-
-// --- Figure 8: multi-tenant, slice vs whole network ---
-
-func benchFig8(b *testing.B, tenants int, noSlices bool) {
-	for i := 0; i < b.N; i++ {
-		m := bench.NewMultiTenant(bench.MTConfig{Tenants: tenants, PubPerTenant: 2, PrivPerTenant: 2})
-		v, _ := core.NewVerifier(m.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i), NoSlices: noSlices})
-		if _, err := v.VerifyInvariant(m.PrivPrivInvariant(0, 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8Slice(b *testing.B)  { benchFig8(b, 4, false) }
-func BenchmarkFig8Whole4(b *testing.B) { benchFig8(b, 4, true) }
-func BenchmarkFig8Whole8(b *testing.B) { benchFig8(b, 8, true) }
-
-// --- Figure 9b/9c: ISP, slice vs whole network ---
-
-func benchISP(b *testing.B, peerings, subnets int, noSlices bool) {
-	for i := 0; i < b.N; i++ {
-		isp := bench.NewISP(bench.ISPConfig{Peerings: peerings, Subnets: subnets})
-		v, _ := core.NewVerifier(isp.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i), NoSlices: noSlices})
-		if _, err := v.VerifyInvariant(isp.Invariant(1, 0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9bSlice(b *testing.B)      { benchISP(b, 2, 6, false) }
-func BenchmarkFig9bWhole6(b *testing.B)     { benchISP(b, 2, 6, true) }
-func BenchmarkFig9bWhole12(b *testing.B)    { benchISP(b, 2, 12, true) }
-func BenchmarkFig9cSlice(b *testing.B)      { benchISP(b, 2, 6, false) }
-func BenchmarkFig9cWholePeer2(b *testing.B) { benchISP(b, 2, 6, true) }
-func BenchmarkFig9cWholePeer4(b *testing.B) { benchISP(b, 4, 6, true) }
-
 // --- Ablations (DESIGN.md) ---
 
-// Slicing on vs off on the same instance isolates the §4.1 claim.
-func BenchmarkAblationWithSlicing(b *testing.B)    { benchFig7(b, 15, false) }
-func BenchmarkAblationWithoutSlicing(b *testing.B) { benchFig7(b, 15, true) }
+// Slicing on vs off on the same instance isolates the §4.1 claim: the two
+// private-subnet points of Fig. 7 at 15 subnets.
+func BenchmarkAblationSlicing(b *testing.B) {
+	f := bench.Fig7([]int{15})
+	f.Points = slices.DeleteFunc(f.Points, func(p bench.Point) bool { return !strings.HasPrefix(p.Label, "private/") })
+	benchFigure(b, f)
+}
 
 // Symmetry on vs off isolates the §4.2 claim.
 func benchSymmetry(b *testing.B, useSymmetry bool) {

@@ -2,6 +2,9 @@
 // text tables: per-row min/p5/median/p95/max over repeated runs, the same
 // statistics the paper's box-and-whisker plots report. The extra
 // "explicit" figure sweeps the explicit-state engine's search workers.
+// End-to-end and per-layer numbers for the daemon, the incremental
+// session and the topology frontend come from benchmark/ (vmnperf), not
+// from here.
 //
 // Usage:
 //
@@ -12,15 +15,6 @@
 // With -json the series are emitted as a single JSON array (duration
 // samples in nanoseconds, plus the explored-state count for explicit-
 // engine rows), for machine-readable benchmark trajectory tracking.
-// With -obs the incremental-session figures (churn, guardrail) run with
-// the observability registry attached and each series carries a flat
-// metrics snapshot (solve-latency histogram, dirty-fraction
-// distribution, hit-rate counters) in its Metrics field.
-//
-// The fattree and vpc figures are file-driven: each data point generates
-// a vmn-topology/1 description to disk and measures netdesc.BuildFile +
-// VerifyAll on it (see topofig.go). -scale multiplies the vpc tenant
-// sweep; -fig vpc -scale 10 -runs 1 reaches 10k+ tenants.
 package main
 
 import (
@@ -28,92 +22,94 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/netverify/vmn/internal/bench"
-	"github.com/netverify/vmn/internal/obs"
 )
 
+// figure is one -fig name; build sizes its sweep by the -scale multiplier.
+type figure struct {
+	name  string
+	build func(sc int) bench.Figure
+}
+
+// figures is the one table the flag help, the unknown-name error and the
+// dispatch are driven from, in the order -fig all runs them.
+var figures = []figure{
+	{"2", func(sc int) bench.Figure { return bench.Fig2(5 * sc) }},
+	{"3", func(sc int) bench.Figure { return bench.Fig3(mul(sc, 4, 8, 12, 16)) }},
+	{"4", func(sc int) bench.Figure { return bench.Fig4(mul(sc, 3, 5, 7, 9)) }},
+	{"5", func(sc int) bench.Figure { return bench.Fig5(mul(sc, 3, 5, 7)) }},
+	{"7", func(sc int) bench.Figure { return bench.Fig7(mul(sc, 3, 9, 15, 24)) }},
+	{"8", func(sc int) bench.Figure { return bench.Fig8(mul(sc, 2, 4, 6, 8)) }},
+	{"9b", func(sc int) bench.Figure { return bench.Fig9b(2, mul(sc, 3, 6, 12, 18)) }},
+	{"9c", func(sc int) bench.Figure { return bench.Fig9c(6, mul(sc, 1, 2, 4, 6)) }},
+	{"explicit", func(int) bench.Figure { return bench.FigExplicit([]int{1, 2, 4, 8}) }},
+}
+
+func mul(sc int, xs ...int) []int {
+	for i := range xs {
+		xs[i] *= sc
+	}
+	return xs
+}
+
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, ",") + " or all"
+}
+
+// selectFigures resolves a -fig argument to table entries, in table order.
+// Any unknown name fails the whole selection, so nothing runs on a typo.
+func selectFigures(arg string) ([]figure, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.TrimSpace(name)
+		known := func(f figure) bool { return f.name == name }
+		if name != "all" && !slices.ContainsFunc(figures, known) {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown figure %s (want %s)", strings.Join(unknown, ", "), figureNames())
+	}
+	var sel []figure
+	for _, f := range figures {
+		if want["all"] || want[f.name] {
+			sel = append(sel, f)
+		}
+	}
+	return sel, nil
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5,7,8,9b,9c,explicit,satincr,canon,churn,guardrail,stream,restart,fattree,vpc or all")
+	fig := flag.String("fig", "all", "figures to regenerate: "+figureNames())
 	runs := flag.Int("runs", 5, "repetitions per data point (paper uses 100)")
 	scale := flag.Int("scale", 1, "size multiplier for the sweeps (1 = quick laptop scale)")
 	asJSON := flag.Bool("json", false, "emit the series as JSON instead of text tables")
-	withObs := flag.Bool("obs", false, "attach the metrics registry to incremental sessions and emit a per-figure snapshot")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
+	sel, err := selectFigures(*fig)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vmnbench: %v\n", err)
+		os.Exit(2)
 	}
-	all := want["all"]
-	sc := *scale
-	if sc < 1 {
-		sc = 1
-	}
-	mul := func(xs ...int) []int {
-		out := make([]int, len(xs))
-		for i, x := range xs {
-			out[i] = x * sc
-		}
-		return out
-	}
-
-	ran := false
+	sc := max(*scale, 1)
 	var series []bench.Series
-	run := func(name string, f func() bench.Series) {
-		if !all && !want[name] {
-			return
-		}
-		ran = true
-		if *withObs {
-			// A fresh registry per figure: snapshots don't bleed across
-			// figures. The trace ring is present but never drained — the
-			// artifact of interest here is the metrics map.
-			bench.Instrument = obs.New(1024)
-		}
-		s := f()
-		if *withObs {
-			// Merge, don't assign: figures like stream pre-populate
-			// Metrics with derived throughput keys of their own.
-			snap := bench.Instrument.Metrics.Snapshot()
-			if s.Metrics == nil {
-				s.Metrics = snap
-			} else {
-				for k, v := range snap {
-					s.Metrics[k] = v
-				}
-			}
-			bench.Instrument = nil
-		}
+	for _, f := range sel {
+		s := f.build(sc).Run(*runs)
 		if *asJSON {
 			series = append(series, s)
 		} else {
 			s.Print(os.Stdout)
 		}
-	}
-
-	run("2", func() bench.Series { return bench.Fig2(5*sc, *runs) })
-	run("3", func() bench.Series { return bench.Fig3(mul(4, 8, 12, 16), *runs) })
-	run("4", func() bench.Series { return bench.Fig4(mul(3, 5, 7, 9), *runs) })
-	run("5", func() bench.Series { return bench.Fig5(mul(3, 5, 7), *runs) })
-	run("7", func() bench.Series { return bench.Fig7(mul(3, 9, 15, 24), *runs) })
-	run("8", func() bench.Series { return bench.Fig8(mul(2, 4, 6, 8), *runs) })
-	run("9b", func() bench.Series { return bench.Fig9b(2, mul(3, 6, 12, 18), *runs) })
-	run("9c", func() bench.Series { return bench.Fig9c(6, mul(1, 2, 4, 6), *runs) })
-	run("explicit", func() bench.Series { return bench.FigExplicit([]int{1, 2, 4, 8}, *runs) })
-	run("satincr", func() bench.Series { return bench.FigSATIncr(*runs) })
-	run("canon", func() bench.Series { return bench.FigCanon(*runs) })
-	run("churn", func() bench.Series { return bench.Churn(8*sc, *runs) })
-	run("guardrail", func() bench.Series { return bench.Guardrail(4*sc, *runs) })
-	run("stream", func() bench.Series { return bench.Stream(1000*sc, *runs) })
-	run("restart", func() bench.Series { return bench.Restart(8*sc, *runs) })
-	run("fattree", func() bench.Series { return figFatTree([]int{4, 8, 16}, 2, *runs) })
-	run("vpc", func() bench.Series { return figVPC(mul(64, 256, 1024), 8, []int{2, 4, 16, 32}, *runs) })
-
-	if !ran {
-		fmt.Fprintf(os.Stderr, "vmnbench: unknown figure %q (want 2,3,4,5,7,8,9b,9c,explicit,satincr,canon,churn,guardrail,stream,restart,fattree,vpc or all)\n", *fig)
-		os.Exit(2)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -593,9 +593,7 @@ func main() {
 		seed      = flag.Int64("seed", 0, "solver seed")
 		workers   = flag.Int("workers", 0, "re-verification pool size (0 = GOMAXPROCS)")
 		noSym     = flag.Bool("no-symmetry", false, "verify every invariant individually")
-		nodeGran  = flag.Bool("node-granularity", false,
-			"dirty at node granularity instead of prefix/rule level (escape hatch, comparison baseline)")
-		timeout = flag.Duration("timeout", 0,
+		timeout   = flag.Duration("timeout", 0,
 			"per-request wall-clock budget (0 = none); checks past the deadline degrade to budget_exceeded verdicts")
 		maxConflicts = flag.Int64("max-conflicts", 0,
 			"per-solve SAT conflict budget (0 = unlimited); exhausted solves report outcome unknown with budget_exceeded")
@@ -666,7 +664,7 @@ func main() {
 	// the nil (disabled) default unless they opt in.
 	o := obs.New(*traceBuf)
 	sopts := incr.Options{
-		Workers: *workers, NoSymmetry: *noSym, NodeGranularity: *nodeGran,
+		Workers: *workers, NoSymmetry: *noSym,
 		RequestTimeout: *timeout,
 		Obs:            o, SlowSolve: *slowSolve,
 	}

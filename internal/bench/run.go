@@ -12,43 +12,51 @@ import (
 	"github.com/netverify/vmn/internal/topo"
 )
 
+// Point is one data point of a figure, defined once: cmd/vmnbench samples it
+// through Figure.Run and the root bench_test.go walks the same points with
+// b.Run, so both time the same closure. Prep does one repetition's untimed
+// set-up (network, verifier, invariants) and returns the timed body, which
+// reports the product states it explored (0 on the SAT engine) and panics
+// on a verdict the figure does not expect.
+type Point struct {
+	Label string
+	X     int
+	Prep  func(seed int64) (body func() int)
+}
+
+// Figure is one figure of the paper's evaluation (§5) as a list of points.
+type Figure struct {
+	Fig    string
+	Title  string
+	Points []Point
+}
+
+// Run samples every point runs times (seeds 0..runs-1) and folds the figure
+// into a Series.
+func (f Figure) Run(runs int) Series {
+	s := Series{Fig: f.Fig, Title: f.Title}
+	for _, p := range f.Points {
+		row := Row{Label: p.Label, X: p.X}
+		for r := 0; r < runs; r++ {
+			body := p.Prep(int64(r))
+			start := time.Now()
+			row.States = body()
+			row.Samples = append(row.Samples, time.Since(start))
+		}
+		s.Rows = append(s.Rows, row)
+	}
+	return s
+}
+
 // Row is one measured point of a figure: a labelled x-value with repeated
 // timing samples (the paper reports min/5th/median/95th/max over 100 runs).
 // For explicit-engine rows, States records the (deterministic) number of
 // product states explored per run, so consumers can derive states/sec.
-// Churn rows (incremental vs full re-verification) additionally carry the
-// per-step invariant count, the average number of invariants dirtied per
-// step, and the verdict-cache hit / solver-run totals.
 type Row struct {
 	Label   string
 	X       int
 	Samples []time.Duration
 	States  int `json:",omitempty"`
-	// Churn accounting (see Churn). FigSATIncr reuses Invariants /
-	// CacheHits / Solves for its per-run invariant count, encoding-cache
-	// hits and encoding builds.
-	Invariants int `json:",omitempty"`
-	Dirtied    int `json:",omitempty"`
-	// DirtyFraction is Dirtied/Invariants (the average per-step fraction of
-	// the invariant set re-verified); the churn figure reports it for both
-	// the prefix-level and node-granularity incremental rows so the
-	// refinement's dirty-set reduction is directly visible in the artifact.
-	DirtyFraction float64 `json:",omitempty"`
-	// RefinedClean totals the groups the prefix/rule-level dependency
-	// index proved clean where node-granularity dirtying would have
-	// re-verified them.
-	RefinedClean int `json:",omitempty"`
-	CacheHits    int `json:",omitempty"`
-	Solves       int `json:",omitempty"`
-	// Conflicts totals SAT-solver conflicts across the row's runs — the
-	// learnt-clause reuse signal of FigSATIncr (a warm shared encoding
-	// resolves later invariants with far fewer conflicts).
-	Conflicts int64 `json:",omitempty"`
-	// Canonicalization accounting (FigCanon): equivalence classes formed
-	// and checks served by witness translation, totalled across the row's
-	// runs.
-	Classes int `json:",omitempty"`
-	Shared  int `json:",omitempty"`
 }
 
 // StatesPerSec derives the exploration throughput from the median sample;
@@ -77,35 +85,24 @@ type Series struct {
 	Fig   string
 	Title string
 	Rows  []Row
-	// Metrics is a flat snapshot of the observability registry taken
-	// after the figure's runs (vmnbench -obs): solve-latency and
-	// dirty-fraction histograms, hit-rate counters, class sizes. Empty
-	// unless the run attached bench.Instrument.
-	Metrics map[string]float64 `json:",omitempty"`
 }
 
-// Print renders the series as a table (min / p5 / median / p95 / max).
+// Print renders the series as a table (min / p5 / median / p95 / max, plus
+// states/sec on explicit-engine rows).
 func (s Series) Print(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", s.Fig, s.Title)
 	fmt.Fprintf(w, "%-28s %6s %10s %10s %10s %10s %10s\n", "series", "x", "min", "p5", "median", "p95", "max")
 	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-28s %6d %10s %10s %10s %10s %10s %s\n",
-			r.Label, r.X,
-			r.Percentile(0).Round(time.Microsecond),
-			r.Percentile(5).Round(time.Microsecond),
-			r.Percentile(50).Round(time.Microsecond),
-			r.Percentile(95).Round(time.Microsecond),
-			r.Percentile(100).Round(time.Microsecond),
-			statesCol(r))
+		fmt.Fprintf(w, "%-28s %6d", r.Label, r.X)
+		for _, p := range []float64{0, 5, 50, 95, 100} {
+			fmt.Fprintf(w, " %10s", r.Percentile(p).Round(time.Microsecond))
+		}
+		if sps := r.StatesPerSec(); sps > 0 {
+			fmt.Fprintf(w, " %8.0f st/s", sps)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
-}
-
-// timeIt runs f and returns its wall-clock duration.
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
 }
 
 func mustVerifier(net *core.Network, opts core.Options) *core.Verifier {
@@ -116,304 +113,230 @@ func mustVerifier(net *core.Network, opts core.Options) *core.Verifier {
 	return v
 }
 
-func mustVerify(v *core.Verifier, i inv.Invariant) []core.Report {
-	rs, err := v.VerifyInvariant(i)
-	if err != nil {
-		panic(err)
+func satOpts(seed int64) core.Options { return core.Options{Engine: core.EngineSAT, Seed: seed} }
+
+// verifyOne builds the verifier (untimed) and returns the timed body that
+// checks iv once and panics unless the verdict is holds.
+func verifyOne(net *core.Network, opts core.Options, iv inv.Invariant, holds bool) func() int {
+	v := mustVerifier(net, opts)
+	return func() int {
+		rs, err := v.VerifyInvariant(iv)
+		if err != nil {
+			panic(err)
+		}
+		if r := rs[0]; r.Satisfied != holds {
+			panic(fmt.Sprintf("bench: unexpected verdict for %s: satisfied=%v (want %v), outcome=%v",
+				r.Invariant.Name(), r.Satisfied, holds, r.Result.Outcome))
+		}
+		return rs[0].Result.StatesExplored
 	}
-	return rs
+}
+
+// verifyAll is verifyOne for a whole invariant set, symmetry on.
+func verifyAll(net *core.Network, opts core.Options, invs []inv.Invariant) func() int {
+	v := mustVerifier(net, opts)
+	return func() int {
+		if _, err := v.VerifyAll(invs, true); err != nil {
+			panic(err)
+		}
+		return 0
+	}
 }
 
 // Fig2 reproduces Figure 2: time to verify a single invariant in the
 // datacenter for the three §5.1 scenarios, both when the invariant is
 // violated and when it holds.
-func Fig2(groups, runs int) Series {
-	s := Series{Fig: "fig2", Title: "time per invariant (datacenter scenarios), violated vs holds"}
-	collect := func(label string, f func(seed int64) time.Duration) {
-		row := Row{Label: label, X: groups}
-		for r := 0; r < runs; r++ {
-			row.Samples = append(row.Samples, f(int64(r)))
-		}
-		s.Rows = append(s.Rows, row)
+func Fig2(groups int) Figure {
+	failing := func(n topo.NodeID) []topo.FailureScenario {
+		return []topo.FailureScenario{topo.Failures(n)}
 	}
-
-	collect("rules/violated", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1})
-		rng := rand.New(rand.NewSource(seed))
-		aff := d.DeleteRandomDenyRules(rng, 1)
-		v := mustVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: seed})
-		return timeIt(func() {
-			rs := mustVerify(v, d.IsolationInvariant(aff[0][0], aff[0][1]))
-			assertOutcome(rs[0], false)
-		})
-	})
-	collect("rules/holds", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1})
-		v := mustVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: seed})
-		return timeIt(func() {
-			rs := mustVerify(v, d.IsolationInvariant(0, 1))
-			assertOutcome(rs[0], true)
-		})
-	})
-	collect("redundancy/violated", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1})
-		rng := rand.New(rand.NewSource(seed))
-		aff := d.DeleteBackupDenyRules(rng, 1)
-		v := mustVerifier(d.Net, core.Options{
-			Engine:    core.EngineSAT,
-			Seed:      seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.FW1)},
-		})
-		return timeIt(func() {
-			rs := mustVerify(v, d.IsolationInvariant(aff[0][0], aff[0][1]))
-			assertOutcome(rs[0], false)
-		})
-	})
-	collect("redundancy/holds", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1})
-		v := mustVerifier(d.Net, core.Options{
-			Engine:    core.EngineSAT,
-			Seed:      seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.FW1)},
-		})
-		return timeIt(func() {
-			rs := mustVerify(v, d.IsolationInvariant(0, 1))
-			assertOutcome(rs[0], true)
-		})
-	})
-	collect("traversal/violated", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1, OpenGroups: true})
-		d.BypassIDSUnderFailure = true
-		v := mustVerifier(d.Net, core.Options{
-			Engine:    core.EngineSAT,
-			Seed:      seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.IDS1)},
-		})
-		return timeIt(func() {
-			rs := mustVerify(v, d.TraversalInvariant(0, 1))
-			assertOutcome(rs[0], false)
-		})
-	})
-	collect("traversal/holds", func(seed int64) time.Duration {
-		d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1, OpenGroups: true})
-		v := mustVerifier(d.Net, core.Options{
-			Engine:    core.EngineSAT,
-			Seed:      seed,
-			Scenarios: []topo.FailureScenario{topo.Failures(d.IDS1)},
-		})
-		return timeIt(func() {
-			rs := mustVerify(v, d.TraversalInvariant(0, 1))
-			assertOutcome(rs[0], true)
-		})
-	})
-	return s
-}
-
-func assertOutcome(r core.Report, wantSatisfied bool) {
-	if r.Satisfied != wantSatisfied {
-		panic(fmt.Sprintf("bench: unexpected verdict for %s: satisfied=%v (want %v), outcome=%v",
-			r.Invariant.Name(), r.Satisfied, wantSatisfied, r.Result.Outcome))
+	iso := func(d *Datacenter, pair [2]int) inv.Invariant { return d.IsolationInvariant(pair[0], pair[1]) }
+	scenarios := []struct {
+		label      string
+		openGroups bool
+		holds      bool
+		// instance breaks d (violated rows) and returns the failures to
+		// verify under and the invariant.
+		instance func(d *Datacenter, rng *rand.Rand) ([]topo.FailureScenario, inv.Invariant)
+	}{
+		{"rules/violated", false, false, func(d *Datacenter, rng *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			return nil, iso(d, d.DeleteRandomDenyRules(rng, 1)[0])
+		}},
+		{"rules/holds", false, true, func(d *Datacenter, _ *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			return nil, d.IsolationInvariant(0, 1)
+		}},
+		{"redundancy/violated", false, false, func(d *Datacenter, rng *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			return failing(d.FW1), iso(d, d.DeleteBackupDenyRules(rng, 1)[0])
+		}},
+		{"redundancy/holds", false, true, func(d *Datacenter, _ *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			return failing(d.FW1), d.IsolationInvariant(0, 1)
+		}},
+		{"traversal/violated", true, false, func(d *Datacenter, _ *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			d.BypassIDSUnderFailure = true
+			return failing(d.IDS1), d.TraversalInvariant(0, 1)
+		}},
+		{"traversal/holds", true, true, func(d *Datacenter, _ *rand.Rand) ([]topo.FailureScenario, inv.Invariant) {
+			return failing(d.IDS1), d.TraversalInvariant(0, 1)
+		}},
 	}
+	f := Figure{Fig: "fig2", Title: "time per invariant (datacenter scenarios), violated vs holds"}
+	for _, sc := range scenarios {
+		f.Points = append(f.Points, Point{Label: sc.label, X: groups, Prep: func(seed int64) func() int {
+			d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1, OpenGroups: sc.openGroups})
+			failures, iv := sc.instance(d, rand.New(rand.NewSource(seed)))
+			opts := core.Options{Engine: core.EngineSAT, Seed: seed, Scenarios: failures}
+			return verifyOne(d.Net, opts, iv, sc.holds)
+		}})
+	}
+	return f
 }
 
 // Fig3 reproduces Figure 3: time to verify all (per-class) isolation
 // invariants as policy complexity grows; symmetry collapses nothing here
 // because every class is distinct.
-func Fig3(classCounts []int, runs int) Series {
-	s := Series{Fig: "fig3", Title: "time to verify all invariants vs policy classes"}
+func Fig3(classCounts []int) Figure {
+	f := Figure{Fig: "fig3", Title: "time to verify all invariants vs policy classes"}
 	for _, c := range classCounts {
-		row := Row{Label: "all-invariants", X: c}
-		for r := 0; r < runs; r++ {
+		f.Points = append(f.Points, Point{Label: "all-invariants", X: c, Prep: func(seed int64) func() int {
 			d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1})
-			v := mustVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(r)})
-			// One representative invariant per policy class (see
-			// EXPERIMENTS.md): class i isolated from class i+1.
+			// One representative invariant per policy class: class i
+			// isolated from class i+1.
 			var invs []inv.Invariant
 			for g := 0; g < c; g++ {
 				invs = append(invs, d.IsolationInvariant(g, (g+1)%c))
 			}
-			row.Samples = append(row.Samples, timeIt(func() {
-				if _, err := v.VerifyAll(invs, true); err != nil {
-					panic(err)
-				}
-			}))
-		}
-		s.Rows = append(s.Rows, row)
+			return verifyAll(d.Net, satOpts(seed), invs)
+		}})
 	}
-	return s
+	return f
 }
 
 // Fig4 reproduces Figure 4: per-invariant data-isolation time as policy
 // complexity grows (origin-agnostic caches make slices grow with classes).
-func Fig4(classCounts []int, runs int) Series {
-	s := Series{Fig: "fig4", Title: "data isolation: time per invariant vs policy classes"}
+func Fig4(classCounts []int) Figure {
+	f := Figure{Fig: "fig4", Title: "data isolation: time per invariant vs policy classes"}
 	for _, c := range classCounts {
-		forRow := func(label string, mutate func(*Datacenter), wantSat bool) {
-			row := Row{Label: label, X: c}
-			for r := 0; r < runs; r++ {
-				d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1, WithCaches: true})
-				mutate(d)
-				v := mustVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(r)})
-				row.Samples = append(row.Samples, timeIt(func() {
-					rs := mustVerify(v, d.DataIsolationInvariant(0))
-					assertOutcome(rs[0], wantSat)
-				}))
+		for _, holds := range []bool{true, false} {
+			label := "holds"
+			if !holds {
+				label = "violated"
 			}
-			s.Rows = append(s.Rows, row)
+			f.Points = append(f.Points, Point{Label: label, X: c, Prep: func(seed int64) func() int {
+				d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1, WithCaches: true})
+				if !holds {
+					d.DeleteCacheACLs(0, 0)
+				}
+				return verifyOne(d.Net, satOpts(seed), d.DataIsolationInvariant(0), holds)
+			}})
 		}
-		forRow("holds", func(*Datacenter) {}, true)
-		forRow("violated", func(d *Datacenter) { d.DeleteCacheACLs(0, 0) }, false)
 	}
-	return s
+	return f
 }
 
 // Fig5 reproduces Figure 5: time to verify all data-isolation invariants.
-func Fig5(classCounts []int, runs int) Series {
-	s := Series{Fig: "fig5", Title: "data isolation: all invariants vs policy classes"}
+func Fig5(classCounts []int) Figure {
+	f := Figure{Fig: "fig5", Title: "data isolation: all invariants vs policy classes"}
 	for _, c := range classCounts {
-		row := Row{Label: "all-data-isolation", X: c}
-		for r := 0; r < runs; r++ {
+		f.Points = append(f.Points, Point{Label: "all-data-isolation", X: c, Prep: func(seed int64) func() int {
 			d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1, WithCaches: true})
-			v := mustVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(r)})
 			var invs []inv.Invariant
 			for g := 0; g < c; g++ {
 				invs = append(invs, d.DataIsolationInvariant(g))
 			}
-			row.Samples = append(row.Samples, timeIt(func() {
-				if _, err := v.VerifyAll(invs, true); err != nil {
-					panic(err)
-				}
-			}))
-		}
-		s.Rows = append(s.Rows, row)
+			return verifyAll(d.Net, satOpts(seed), invs)
+		}})
 	}
-	return s
+	return f
+}
+
+// sliceVsWhole lays out the points of a Fig. 7–9 sweep: each kind of
+// invariant verified on its slice and on the whole network (NoSlices) at
+// every size in xs. Slice time is size-independent, so the slice rows are
+// measured at xs[0] only. build returns the size-x network and its
+// invariant of the given kind, which must hold.
+func sliceVsWhole(xs []int, kinds []string, build func(x, kind int) (*core.Network, inv.Invariant)) []Point {
+	var pts []Point
+	for _, whole := range []bool{false, true} {
+		mode := "/slice"
+		if whole {
+			mode = "/whole"
+		}
+		for _, x := range xs {
+			if !whole && x != xs[0] {
+				continue
+			}
+			for k, kind := range kinds {
+				pts = append(pts, Point{Label: kind + mode, X: x, Prep: func(seed int64) func() int {
+					net, iv := build(x, k)
+					opts := core.Options{Engine: core.EngineSAT, Seed: seed, NoSlices: whole}
+					return verifyOne(net, opts, iv, true)
+				}})
+			}
+		}
+	}
+	return pts
 }
 
 // Fig7 reproduces Figure 7: enterprise per-invariant verification time —
 // a constant-size slice vs whole-network verification growing with size.
-func Fig7(subnetCounts []int, runs int) Series {
-	s := Series{Fig: "fig7", Title: "enterprise: slice (flat) vs whole network (grows)"}
-	kinds := []struct {
-		name   string
-		subnet func(e *Enterprise) int
-	}{
-		{"public", func(*Enterprise) int { return 0 }},
-		{"private", func(*Enterprise) int { return 1 }},
-		{"quarantined", func(*Enterprise) int { return 2 }},
-	}
-	for _, mode := range []struct {
-		label    string
-		noSlices bool
-	}{{"slice", false}, {"whole", true}} {
-		for _, n := range subnetCounts {
-			if !mode.noSlices && n != subnetCounts[0] {
-				continue // slice time is size-independent: one x suffices
-			}
-			for _, k := range kinds {
-				row := Row{Label: k.name + "/" + mode.label, X: n}
-				for r := 0; r < runs; r++ {
-					e := NewEnterprise(EnterpriseConfig{Subnets: n, HostsPerSubnet: 1})
-					v := mustVerifier(e.Net, core.Options{
-						Engine: core.EngineSAT, Seed: int64(r), NoSlices: mode.noSlices,
-					})
-					iv := e.Invariant(k.subnet(e))
-					row.Samples = append(row.Samples, timeIt(func() { mustVerify(v, iv) }))
-				}
-				s.Rows = append(s.Rows, row)
-			}
-		}
-	}
-	return s
+func Fig7(subnetCounts []int) Figure {
+	return Figure{Fig: "fig7", Title: "enterprise: slice (flat) vs whole network (grows)",
+		Points: sliceVsWhole(subnetCounts, []string{"public", "private", "quarantined"},
+			func(n, kind int) (*core.Network, inv.Invariant) {
+				e := NewEnterprise(EnterpriseConfig{Subnets: n, HostsPerSubnet: 1})
+				return e.Net, e.Invariant(kind) // subnet k is of kind k
+			})}
 }
 
 // Fig8 reproduces Figure 8: multi-tenant datacenter per-invariant time,
 // slice vs whole network as tenants grow.
-func Fig8(tenantCounts []int, runs int) Series {
-	s := Series{Fig: "fig8", Title: "multi-tenant: slice (flat) vs whole network (grows)"}
-	kinds := []struct {
-		name string
-		mk   func(m *MultiTenant) inv.Invariant
-	}{
-		{"priv-priv", func(m *MultiTenant) inv.Invariant { return m.PrivPrivInvariant(0, 1) }},
-		{"pub-priv", func(m *MultiTenant) inv.Invariant { return m.PubPrivInvariant(0, 1) }},
-		{"priv-pub", func(m *MultiTenant) inv.Invariant { return m.PrivPubInvariant(0, 1) }},
-	}
-	for _, mode := range []struct {
-		label    string
-		noSlices bool
-	}{{"slice", false}, {"whole", true}} {
-		for _, n := range tenantCounts {
-			if !mode.noSlices && n != tenantCounts[0] {
-				continue
-			}
-			for _, k := range kinds {
-				row := Row{Label: k.name + "/" + mode.label, X: n}
-				for r := 0; r < runs; r++ {
-					m := NewMultiTenant(MTConfig{Tenants: n, PubPerTenant: 2, PrivPerTenant: 2})
-					v := mustVerifier(m.Net, core.Options{
-						Engine: core.EngineSAT, Seed: int64(r), NoSlices: mode.noSlices,
-					})
-					iv := k.mk(m)
-					row.Samples = append(row.Samples, timeIt(func() { mustVerify(v, iv) }))
-				}
-				s.Rows = append(s.Rows, row)
-			}
-		}
-	}
-	return s
+func Fig8(tenantCounts []int) Figure {
+	return Figure{Fig: "fig8", Title: "multi-tenant: slice (flat) vs whole network (grows)",
+		Points: sliceVsWhole(tenantCounts, []string{"priv-priv", "pub-priv", "priv-pub"},
+			func(n, kind int) (*core.Network, inv.Invariant) {
+				m := NewMultiTenant(MTConfig{Tenants: n, PubPerTenant: 2, PrivPerTenant: 2})
+				mk := []func(a, b int) inv.Invariant{m.PrivPrivInvariant, m.PubPrivInvariant, m.PrivPubInvariant}
+				return m.Net, mk[kind](0, 1)
+			})}
+}
+
+// ispPrivate is the Fig. 9 instance: the private subnet at peer 0.
+func ispPrivate(peerings, subnets int) (*core.Network, inv.Invariant) {
+	isp := NewISP(ISPConfig{Peerings: peerings, Subnets: subnets})
+	return isp.Net, isp.Invariant(1, 0)
 }
 
 // Fig9b reproduces Figure 9b: ISP per-invariant time vs number of subnets
 // (5 peering points in the paper; laptop-scaled here).
-func Fig9b(peerings int, subnetCounts []int, runs int) Series {
-	s := Series{Fig: "fig9b", Title: "ISP: per-invariant time vs subnets, slice vs whole"}
-	for _, mode := range []struct {
-		label    string
-		noSlices bool
-	}{{"slice", false}, {"whole", true}} {
-		for _, n := range subnetCounts {
-			if !mode.noSlices && n != subnetCounts[0] {
-				continue
-			}
-			row := Row{Label: "private/" + mode.label, X: n}
-			for r := 0; r < runs; r++ {
-				isp := NewISP(ISPConfig{Peerings: peerings, Subnets: n})
-				v := mustVerifier(isp.Net, core.Options{
-					Engine: core.EngineSAT, Seed: int64(r), NoSlices: mode.noSlices,
-				})
-				iv := isp.Invariant(1, 0) // private subnet at peer 0
-				row.Samples = append(row.Samples, timeIt(func() { mustVerify(v, iv) }))
-			}
-			s.Rows = append(s.Rows, row)
-		}
-	}
-	return s
+func Fig9b(peerings int, subnetCounts []int) Figure {
+	return Figure{Fig: "fig9b", Title: "ISP: per-invariant time vs subnets, slice vs whole",
+		Points: sliceVsWhole(subnetCounts, []string{"private"},
+			func(n, _ int) (*core.Network, inv.Invariant) { return ispPrivate(peerings, n) })}
 }
 
 // Fig9c reproduces Figure 9c: ISP per-invariant time vs peering points
 // (75 subnets in the paper; laptop-scaled here).
-func Fig9c(subnets int, peeringCounts []int, runs int) Series {
-	s := Series{Fig: "fig9c", Title: "ISP: per-invariant time vs peering points, slice vs whole"}
-	for _, mode := range []struct {
-		label    string
-		noSlices bool
-	}{{"slice", false}, {"whole", true}} {
-		for _, p := range peeringCounts {
-			if !mode.noSlices && p != peeringCounts[0] {
-				continue
-			}
-			row := Row{Label: "private/" + mode.label, X: p}
-			for r := 0; r < runs; r++ {
-				isp := NewISP(ISPConfig{Peerings: p, Subnets: subnets})
-				v := mustVerifier(isp.Net, core.Options{
-					Engine: core.EngineSAT, Seed: int64(r), NoSlices: mode.noSlices,
-				})
-				iv := isp.Invariant(1, 0)
-				row.Samples = append(row.Samples, timeIt(func() { mustVerify(v, iv) }))
-			}
-			s.Rows = append(s.Rows, row)
-		}
+func Fig9c(subnets int, peeringCounts []int) Figure {
+	return Figure{Fig: "fig9c", Title: "ISP: per-invariant time vs peering points, slice vs whole",
+		Points: sliceVsWhole(peeringCounts, []string{"private"},
+			func(p, _ int) (*core.Network, inv.Invariant) { return ispPrivate(p, subnets) })}
+}
+
+// FigExplicit measures the explicit-state engine on the Fig. 2 datacenter
+// "rules/holds" instance at an elevated schedule bound (the explicit
+// engine's cost driver), sweeping the search worker count. The verdict,
+// trace and state count are identical across worker counts by
+// construction, so the sweep isolates the search loop's scaling; states
+// explored per run is recorded so consumers can track states/sec.
+func FigExplicit(workerCounts []int) Figure {
+	f := Figure{Fig: "explicit", Title: "explicit engine: time per invariant vs search workers"}
+	for _, workers := range workerCounts {
+		f.Points = append(f.Points, Point{Label: fmt.Sprintf("rules-holds/w%d", workers), X: workers,
+			Prep: func(int64) func() int {
+				d := NewDatacenter(DCConfig{Groups: 5, HostsPerGroup: 1})
+				opts := core.Options{Engine: core.EngineExplicit, MaxSends: 4, Workers: workers}
+				return verifyOne(d.Net, opts, d.IsolationInvariant(0, 1), true)
+			}})
 	}
-	return s
+	return f
 }

@@ -32,8 +32,8 @@ type PipelineOptions struct {
 	// Default: the queue depth.
 	MaxBatch int
 	// NoCoalesce applies every change individually (one result per
-	// change) while keeping ingest/verify overlap — the "pipelined"
-	// baseline in bench.Stream, isolating the batching win.
+	// change) while keeping ingest/verify overlap — the baseline that
+	// isolates the batching win.
 	NoCoalesce bool
 }
 

@@ -36,10 +36,10 @@ type Options struct {
 	CacheCap int
 	// NodeGranularity disables prefix/rule-level dependency refinement:
 	// forwarding updates and middlebox reconfigurations then dirty every
-	// group whose node footprint contains the changed element (the PR 2
-	// behaviour), instead of only the groups whose recorded read atoms or
-	// rule-read projections the change actually alters. The escape hatch
-	// and comparison baseline; verdicts are identical either way.
+	// group whose node footprint contains the changed element, instead of
+	// only the groups whose recorded read atoms or rule-read projections
+	// the change alters. Verdicts are identical either way; no CLI sets it:
+	// it is the reference FuzzSessionDifferential holds refined dirtying to.
 	NodeGranularity bool
 	// RequestTimeout bounds the wall clock of one request (Apply or
 	// Propose, including repair search). Checks not started before the
