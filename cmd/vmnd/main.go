@@ -611,8 +611,6 @@ func main() {
 			"journal fsync policy: always (every record durable before its ack) | none (page cache only; a machine crash can lose the tail, detected as torn on restart)")
 		snapshotEvery = flag.Int("snapshot-every", 64,
 			"compact the journal into a snapshot after this many records (<0 disables periodic snapshots)")
-		recoverySample = flag.Int("recovery-sample", 2,
-			"restored verdict groups to re-verify against fresh solves on warm restart before trusting the store (<0 disables)")
 	)
 	flag.Parse()
 
@@ -674,10 +672,9 @@ func main() {
 			fail("%v", err)
 		}
 		sopts.Persist = &incr.PersistOptions{
-			Dir:            *stateDir,
-			Sync:           sync,
-			SnapshotEvery:  *snapshotEvery,
-			RecoverySample: *recoverySample,
+			Dir:           *stateDir,
+			Sync:          sync,
+			SnapshotEvery: *snapshotEvery,
 		}
 	}
 	var hooks serveHooks

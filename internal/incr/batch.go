@@ -22,20 +22,24 @@ package incr
 //     the final provider, so cross-table updates in one batch still
 //     dirty each table independently — coalescing never merges diffs
 //     across tables, it only removes superseded providers.
-//   - BoxReconfig: one announcement per node suffices — the last
+//   - BoxReconfig: one announcement per node and run suffices — the last
 //     swapped-in model wins; in-place announcements (nil model) are
-//     idempotent. Skipped entirely (conservative pass-through, original
-//     order) when the batch also adds or removes boxes, where ordering
-//     against the reconfig is semantic.
+//     idempotent. A BoxAdd or BoxRemove of the same node ends the run
+//     (ordering against the reconfig is semantic there); other nodes'
+//     membership changes do not. BoxRemove drops the run it ends: the
+//     box is gone whatever it was last configured as.
 //   - Relabel: last writer wins per node.
-//   - BoxAdd/BoxRemove/InvAdd/InvRemove: never coalesced — their
-//     validation and name-matching semantics are order-sensitive.
+//   - InvRemove drops every earlier InvAdd/InvRemove of its name: it
+//     removes all invariants so named, whichever change put them there.
+//   - BoxAdd/InvAdd: never coalesced — their validation and ordering
+//     semantics are order-sensitive.
 //
 // Survivors keep their relative order (by the index of the retained
 // occurrence), so order-sensitive kinds interleave exactly as given.
 
 import (
 	"github.com/netverify/vmn/internal/core"
+	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -50,25 +54,49 @@ func Coalesce(changes []Change) ([]Change, int) {
 	for i := range keep {
 		keep[i] = true
 	}
+	drop := func(last map[topo.NodeID]int, n topo.NodeID) {
+		if j, ok := last[n]; ok {
+			keep[j] = false
+			delete(last, n)
+		}
+	}
 
-	// Last writer wins per node for liveness and relabels.
 	lastLive := map[topo.NodeID]int{}
 	lastRelab := map[topo.NodeID]int{}
-	boxOps := false
+	// openReconf is the surviving announcement of each node's open run;
+	// model[i] is the last model swapped in by the run change i closes.
+	openReconf := map[topo.NodeID]int{}
+	model := make([]mbox.Model, len(changes))
+	// invOps lists, per invariant name, the surviving adds and removes.
+	invOps := map[string][]int{}
 	for i, ch := range changes {
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
-			if j, ok := lastLive[ch.Node]; ok {
-				keep[j] = false
-			}
+			drop(lastLive, ch.Node)
 			lastLive[ch.Node] = i
 		case KindRelabel:
-			if j, ok := lastRelab[ch.Node]; ok {
+			drop(lastRelab, ch.Node)
+			lastRelab[ch.Node] = i
+		case KindBoxReconfig:
+			model[i] = ch.Model
+			if j, ok := openReconf[ch.Node]; ok && ch.Model == nil {
+				model[i] = model[j]
+			}
+			drop(openReconf, ch.Node)
+			openReconf[ch.Node] = i
+		case KindBoxAdd:
+			delete(openReconf, ch.Node)
+		case KindBoxRemove:
+			drop(openReconf, ch.Node)
+		case KindInvAdd:
+			if ch.Invariant != nil { // validate refuses a nil one
+				invOps[ch.Invariant.Name()] = append(invOps[ch.Invariant.Name()], i)
+			}
+		case KindInvRemove:
+			for _, j := range invOps[ch.Name] {
 				keep[j] = false
 			}
-			lastRelab[ch.Node] = i
-		case KindBoxAdd, KindBoxRemove:
-			boxOps = true
+			invOps[ch.Name] = append(invOps[ch.Name][:0], i)
 		}
 	}
 
@@ -98,30 +126,6 @@ func Coalesce(changes []Change) ([]Change, int) {
 		lastFIB = i
 	}
 
-	// One reconfig announcement per box node (unless box membership is
-	// changing in the same batch, where ordering is semantic).
-	lastReconf := map[topo.NodeID]int{}
-	reconfMerged := map[topo.NodeID]Change{}
-	if !boxOps {
-		for i, ch := range changes {
-			if ch.Kind != KindBoxReconfig {
-				continue
-			}
-			if j, ok := lastReconf[ch.Node]; ok {
-				keep[j] = false
-			}
-			lastReconf[ch.Node] = i
-			m, ok := reconfMerged[ch.Node]
-			if !ok {
-				m = Change{Kind: KindBoxReconfig, Node: ch.Node}
-			}
-			if ch.Model != nil {
-				m.Model = ch.Model
-			}
-			reconfMerged[ch.Node] = m
-		}
-	}
-
 	out := make([]Change, 0, len(changes))
 	for i, ch := range changes {
 		if !keep[i] {
@@ -129,12 +133,11 @@ func Coalesce(changes []Change) ([]Change, int) {
 		}
 		switch {
 		case ch.Kind == KindFIB && nFIB > 1:
-			out = append(out, mergedFIB)
-		case ch.Kind == KindBoxReconfig && !boxOps:
-			out = append(out, reconfMerged[ch.Node])
-		default:
-			out = append(out, ch)
+			ch = mergedFIB
+		case ch.Kind == KindBoxReconfig:
+			ch.Model = model[i]
 		}
+		out = append(out, ch)
 	}
 	return out, len(changes) - len(out)
 }

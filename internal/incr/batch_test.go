@@ -1,18 +1,20 @@
 package incr_test
 
 // Batching/coalescing tests: the Coalesce unit rules (last-writer-wins,
-// FIB collapse, the box-membership guard, survivor ordering) and the
-// session-level guarantees — an add-then-delete pair nets out to zero
+// FIB collapse, per-node reconfiguration runs, invariant names, survivor
+// ordering) and the session-level guarantees — an add-then-delete pair nets out to zero
 // dirtied groups, N priority rewrites of one rule dirty once, and a
 // batch spanning two tables dirties both (coalescing merges providers,
 // never diffs).
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
+	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -80,19 +82,58 @@ func TestCoalesceReconfigMerge(t *testing.T) {
 		t.Fatalf("merged reconfig must keep the last swapped-in model: %+v", out[0])
 	}
 
-	// The guard: box membership changing in the same batch disables
-	// reconfig coalescing entirely (ordering against add/remove is
-	// semantic), passing everything through untouched.
-	out, dropped = incr.Coalesce([]incr.Change{
-		incr.BoxSwap(n, d.FWPrimary),
-		incr.BoxRemove(topo.NodeID(4)),
-		incr.BoxReconfig(n),
-	})
-	if dropped != 0 || len(out) != 3 {
-		t.Fatalf("box add/remove must disable reconfig coalescing: %d survivors, %d dropped", len(out), dropped)
+	// Membership changes end a run only at their own node: another node's
+	// box_remove leaves n's run whole, n's own box_add splits it, and n's
+	// box_remove drops what it was last configured as.
+	other := topo.NodeID(4)
+	kinds := func(cs []incr.Change) (ks []incr.Kind) {
+		for _, c := range cs {
+			ks = append(ks, c.Kind)
+		}
+		return ks
 	}
-	if out[0].Model != d.FWPrimary || out[2].Model != nil {
-		t.Fatal("guarded pass-through must not rewrite changes")
+	for _, tc := range []struct {
+		name string
+		in   []incr.Change
+		want []incr.Kind
+	}{
+		{"other node's remove", []incr.Change{incr.BoxSwap(n, d.FWPrimary), incr.BoxRemove(other), incr.BoxReconfig(n)},
+			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxReconfig}},
+		{"own remove drops the run", []incr.Change{incr.BoxSwap(n, d.FWPrimary), incr.BoxReconfig(n), incr.BoxRemove(n)},
+			[]incr.Kind{incr.KindBoxRemove}},
+		{"own add splits the run", []incr.Change{incr.BoxReconfig(n), incr.BoxRemove(n), incr.BoxAdd(n, d.FWPrimary), incr.BoxReconfig(n), incr.BoxReconfig(n)},
+			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxAdd, incr.KindBoxReconfig}},
+	} {
+		out, _ := incr.Coalesce(tc.in)
+		if got := kinds(out); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: survivors %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.name == "other node's remove" && out[1].Model != d.FWPrimary {
+			t.Errorf("%s: the run's swapped-in model was lost: %+v", tc.name, out[1])
+		}
+		if again, dropped := incr.Coalesce(out); dropped != 0 || !reflect.DeepEqual(kinds(again), tc.want) {
+			t.Errorf("%s: not idempotent: %v", tc.name, kinds(again))
+		}
+	}
+}
+
+// An inv_remove takes every invariant of its name with it, so the earlier
+// adds and removes of that name have no effect left; other names and later
+// adds keep their place.
+func TestCoalesceInvariantNames(t *testing.T) {
+	add := func(name string) incr.Change {
+		return incr.AddInvariant(inv.Reachability{Dst: 1, SrcAddr: 2, Label: name})
+	}
+	out, dropped := incr.Coalesce([]incr.Change{
+		incr.RemoveInvariant("a"), add("a"), add("b"), add("a"), incr.RemoveInvariant("a"), add("a"),
+		{Kind: incr.KindInvAdd}, // refused by validate, not Coalesce's to judge
+	})
+	if dropped != 3 || len(out) != 4 {
+		t.Fatalf("got %d survivors (%d dropped), want 4 (3 dropped): %+v", len(out), dropped, out)
+	}
+	if out[0].Invariant.Name() != "b" || out[1].Kind != incr.KindInvRemove || out[1].Name != "a" ||
+		out[2].Invariant.Name() != "a" || out[3].Invariant != nil {
+		t.Fatalf("survivors %+v, want add b, remove a, add a, the nil add", out)
 	}
 }
 

@@ -11,7 +11,10 @@ package incr_test
 // granularities; `make race` covers it with the race detector.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +24,9 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 const crashSteps = 9
@@ -155,6 +160,181 @@ func TestCrashMidChurnRecovers(t *testing.T) {
 					compareWitnesses(t, step, got, uCur)
 				}
 			})
+		}
+	}
+}
+
+// durableStep draws one change-set from every durable change kind — liveness,
+// a swapped-in firewall, a firewall edited in place and announced, a relabel,
+// a box removal, and adds and removes of both added and initial invariant
+// names — against the lane's own network, so lanes seeded alike stay in
+// lockstep. initial is the configuration's invariant list.
+func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []incr.Change {
+	t := d.Net.Topo
+	// ids1 stays up: traffic then never detours through ids2, whose model
+	// the stream may remove (a modelless box on a path fails the encoding).
+	nodes := []topo.NodeID{d.Hosts[0][0], d.Hosts[1][0], d.Hosts[2][0], d.FW1, d.FW2, d.IDS2}
+	modelAt := func(n topo.NodeID) mbox.Model {
+		for _, b := range d.Net.Boxes {
+			if b.Node == n {
+				return b.Model
+			}
+		}
+		return nil
+	}
+	deny := func() mbox.ACLEntry {
+		a, b := r.Intn(3), r.Intn(3)
+		return mbox.DenyEntry(pkt.HostPrefix(t.Node(d.Hosts[a][0]).Addr), pkt.HostPrefix(t.Node(d.Hosts[b][0]).Addr))
+	}
+	var out []incr.Change
+	removed := false // ids2, earlier in this very set
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		fwNode := []topo.NodeID{d.FW1, d.FW2}[r.Intn(2)]
+		fw, _ := modelAt(fwNode).(*mbox.LearningFirewall)
+		switch op := r.Intn(10); {
+		case op == 0:
+			out = append(out, incr.NodeDown(nodes[r.Intn(len(nodes))]))
+		case op == 1:
+			out = append(out, incr.NodeUp(nodes[r.Intn(len(nodes))]))
+		case op == 2 && fw != nil:
+			out = append(out, incr.BoxSwap(fwNode, &mbox.LearningFirewall{
+				InstanceName: fw.InstanceName, DefaultAllow: true, ACL: []mbox.ACLEntry{deny(), deny()}}))
+		case op == 3 && fw != nil:
+			fw.ACL = append([]mbox.ACLEntry{deny()}, fw.ACL...)
+			out = append(out, incr.BoxReconfig(fwNode))
+		case op == 4:
+			out = append(out, incr.Relabel(d.Hosts[r.Intn(3)][0], []string{"", "x", "y"}[r.Intn(3)]))
+		case op == 5:
+			out = append(out, incr.AddInvariant(inv.Reachability{
+				Dst: d.Hosts[2][0], SrcAddr: t.Node(d.Hosts[0][0]).Addr, Label: fmt.Sprintf("p%d", r.Intn(3))}))
+		case op == 6:
+			out = append(out, incr.RemoveInvariant(fmt.Sprintf("p%d", r.Intn(3))))
+		case op == 7:
+			out = append(out, incr.RemoveInvariant(initial[r.Intn(len(initial))].Name()))
+		case op == 8:
+			out = append(out, incr.AddInvariant(initial[r.Intn(len(initial))]))
+		case op == 9 && r.Intn(4) == 0: // rare: every later step runs without the box
+			if modelAt(d.IDS2) != nil && !removed {
+				removed = true
+				out = append(out, incr.BoxRemove(d.IDS2))
+			}
+		}
+	}
+	return out
+}
+
+// mutableDump renders everything a durable change can move — the box roster
+// with each configuration, the policy classes, the invariant list — as
+// canonicalDump does while every middlebox node has a model, and through the
+// same exporters once a box_remove has left one without (netdesc refuses to
+// describe such a network as a file).
+func mutableDump(t *testing.T, net *core.Network, invs []inv.Invariant) []byte {
+	t.Helper()
+	if len(net.Boxes) == 4 {
+		return canonicalDump(t, net, invs)
+	}
+	var dump struct {
+		Boxes      []*netdesc.Box
+		Policy     map[string]string
+		Invariants []netdesc.Invariant
+	}
+	for _, b := range net.Boxes {
+		box, err := netdesc.ExportBox(net.Topo.Node(b.Node).Name, b.Model, net.Registry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump.Boxes = append(dump.Boxes, box)
+	}
+	dump.Policy = map[string]string{}
+	for n, c := range net.PolicyClass {
+		dump.Policy[net.Topo.Node(n).Name] = c
+	}
+	for _, i := range invs {
+		w, err := netdesc.ExportInvariant(net.Topo, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump.Invariants = append(dump.Invariants, w)
+	}
+	out, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Compaction is invisible: however often the journal was folded into a
+// snapshot — after every record, every third, or never past start-up — a
+// restart lands on the same network, liveness, verdicts and witnesses as a
+// session that never persisted anything; and coalescing a coalesced list
+// drops nothing more.
+func TestCompactionIsInvisible(t *testing.T) {
+	const steps = 24
+	opts := core.Options{Engine: core.EngineSAT}
+	lane := func(t *testing.T, seed int64, sopts incr.Options) (*bench.Datacenter, *incr.Session, []incr.Change) {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
+		initial := d.AllIsolationInvariants()
+		s, _, err := incr.NewSession(d.Net, opts, initial, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []incr.Change
+		r := rand.New(rand.NewSource(seed))
+		for k := 0; k < steps; k++ {
+			changes := durableStep(d, initial, r)
+			if _, _, err := s.ApplyID(fmt.Sprintf("req-%d", k), changes); err != nil {
+				t.Fatalf("step %d: %v", k, err)
+			}
+			all = append(all, changes...)
+		}
+		return d, s, all
+	}
+	wire := func(net *core.Network, changes []incr.Change) string {
+		var ws []incr.WireChange
+		for _, ch := range changes {
+			w, ok := incr.EncodeChange(net, ch)
+			if !ok {
+				t.Fatalf("%+v is not durable", ch)
+			}
+			ws = append(ws, w)
+		}
+		b, _ := json.Marshal(ws)
+		return string(b)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		dU, sU, all := lane(t, seed, incr.Options{})
+		want := sU.CurrentReports()
+		once, dropped := incr.Coalesce(all)
+		if dropped == 0 {
+			t.Fatalf("seed %d: a %d-change stream with nothing to coalesce tests nothing", seed, len(all))
+		}
+		if twice, again := incr.Coalesce(once); again != 0 || wire(dU.Net, twice) != wire(dU.Net, once) {
+			t.Fatalf("seed %d: Coalesce is not idempotent: a second pass dropped %d", seed, again)
+		}
+		for _, every := range []int{1, 3, -1} {
+			name := fmt.Sprintf("seed=%d/every=%d", seed, every)
+			dir := t.TempDir()
+			popts := incr.Options{Persist: &incr.PersistOptions{Dir: dir, SnapshotEvery: every}}
+			lane(t, seed, popts) // killed: no Shutdown
+			d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
+			s, got, err := incr.NewSession(d.Net, opts, d.AllIsolationInvariants(), popts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := s.Recovery(); !rec.Recovered || rec.ColdStart || rec.SampleMismatch {
+				t.Fatalf("%s: recovery = %+v, want a warm restart", name, rec)
+			}
+			if g, w := mutableDump(t, d.Net, s.Invariants()), mutableDump(t, dU.Net, sU.Invariants()); !bytes.Equal(g, w) {
+				t.Fatalf("%s: the recovered network differs from the live one:\n%s\n%s", name, g, w)
+			}
+			if g, w := fmt.Sprint(s.EffectiveScenarios()), fmt.Sprint(sU.EffectiveScenarios()); g != w {
+				t.Fatalf("%s: recovered liveness %s, want %s", name, g, w)
+			}
+			compareReports(t, name, got, want)
+			compareWitnesses(t, name, got, want)
+			if !s.IsApplied(fmt.Sprintf("req-%d", steps-1)) {
+				t.Fatalf("%s: the last request id was not restored", name)
+			}
 		}
 	}
 }

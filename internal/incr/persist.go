@@ -1,19 +1,19 @@
 package incr
 
 // Session durability: every acked Apply/ApplyBatch/Commit appends its
-// change-set to a CRC-framed write-ahead journal, and the full session
-// state — topology mutations, invariant set, the verdict cache with its
-// canonical renamings, and the client-request dedup map — snapshots
-// periodically so recovery is snapshot + journal-suffix replay instead
-// of a cold re-verify. A journal record is a wire change-set: EncodeChange
-// writes each applied change as the WireChange that reproduces it, and
-// recovery runs the records through the wire decoder and Session.mutate,
-// the path every live change takes. Box state and invariants, in records
-// and snapshots alike, are spelled by internal/netdesc. A change with no
-// written form (a FIBFor closure, an added box, a custom model or
-// invariant) poisons the journal with an explicit opaque tombstone so
-// recovery degrades to a cold start rather than silently restoring a
-// state that diverged.
+// change-set to a CRC-framed write-ahead journal, and a snapshot — the
+// coalesced change-set since the configuration the process was started
+// from, plus the verdict cache with its canonical renamings and the
+// client-request dedup map — replaces the journal periodically, so
+// recovery is snapshot + journal-suffix replay instead of a cold
+// re-verify. Journal records and the snapshot's state are both wire
+// change-sets (EncodeChange writes each change as the WireChange that
+// reproduces it, netdesc spells box state and invariants), and recovery
+// runs both through the wire decoder and Session.mutate, the path every
+// live change takes. A change with no written form (a FIBFor closure, an
+// added box, a custom model or invariant) poisons the journal with an
+// explicit opaque tombstone so recovery degrades to a cold start rather
+// than silently restoring a state that diverged.
 // The recovery path additionally re-verifies a sampled subset of the
 // restored verdicts against fresh solves before trusting the store —
 // the invariant throughout is "never a wrong verdict": every failure
@@ -31,7 +31,6 @@ import (
 	"github.com/netverify/vmn/internal/fnv64"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
-	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
@@ -50,10 +49,6 @@ type PersistOptions struct {
 	// this many records (0 = 64; < 0 disables periodic snapshots —
 	// shutdown and recovery still snapshot).
 	SnapshotEvery int
-	// RecoverySample is how many restored groups are re-verified
-	// against fresh solves before the restored verdicts are trusted
-	// (0 = 2; < 0 disables sampling).
-	RecoverySample int
 }
 
 func (po *PersistOptions) snapshotEvery() int {
@@ -61,16 +56,6 @@ func (po *PersistOptions) snapshotEvery() int {
 		return 64
 	}
 	return po.SnapshotEvery
-}
-
-func (po *PersistOptions) recoverySample() int {
-	if po.RecoverySample == 0 {
-		return 2
-	}
-	if po.RecoverySample < 0 {
-		return 0
-	}
-	return po.RecoverySample
 }
 
 // RecoveryStats describes what happened on session startup with
@@ -123,6 +108,10 @@ type PersistStatus struct {
 // apply sequence) are evicted beyond it.
 const maxAppliedIDs = 4096
 
+// reverifyGroups is how many restored groups are re-verified against
+// fresh solves before the restored verdicts are trusted.
+const reverifyGroups = 2
+
 const (
 	journalFile  = "journal.wal"
 	snapshotFile = "snapshot.vmn"
@@ -146,6 +135,16 @@ type sessStore struct {
 	// matching restart, and a genuinely different initial config could
 	// coincidentally collide after drift.
 	cfg uint64
+	// initial names the invariants of that configuration: removing one of
+	// them is the only inv_remove a snapshot has to remember.
+	initial map[string]bool
+	// log is the change-set that takes that configuration to the current
+	// durable state: every change journaled since, compacted whenever it
+	// has doubled past compacted, its length after the last compaction —
+	// so it follows the elements touched, not uptime. A snapshot is this
+	// log, written out.
+	log       []Change
+	compacted int
 	// snapSeq is the apply sequence the on-disk snapshot covers.
 	snapSeq int
 	// records counts journal records since the last snapshot.
@@ -171,28 +170,16 @@ type journalRecord struct {
 	Changes []WireChange `json:"changes,omitempty"`
 }
 
+// snapshotPayload is record zero of a recovery: Changes takes the network
+// the caller rebuilds from its own configuration (Config guards that it is
+// the one the writer started from) to the state at Seq.
 type snapshotPayload struct {
-	Version int    `json:"version"`
-	Config  uint64 `json:"config"`
-	Seq     int    `json:"seq"`
-	// Down/Policy/Boxes/Invariants are the full mutable session state
-	// relative to the network the caller rebuilds from its own
-	// configuration (Config guards that the two match).
-	Down       []string            `json:"down,omitempty"`
-	Policy     map[string]string   `json:"policy,omitempty"`
-	Boxes      []persistBox        `json:"boxes"`
-	Invariants []WireInvariant     `json:"invariants"`
-	Applied    map[string]int      `json:"applied,omitempty"`
-	Cache      []persistCacheEntry `json:"cache,omitempty"`
-}
-
-// persistBox records one middlebox of the roster. Box is its whole
-// configuration; it is absent for a model outside the description format,
-// which is then the freshly built network's own: installing or editing
-// such a model poisons the journal, so it cannot have changed.
-type persistBox struct {
-	Node string       `json:"node"`
-	Box  *netdesc.Box `json:"box,omitempty"`
+	Version int                 `json:"version"`
+	Config  uint64              `json:"config"`
+	Seq     int                 `json:"seq"`
+	Applied map[string]int      `json:"applied,omitempty"`
+	Changes []WireChange        `json:"changes,omitempty"`
+	Cache   []persistCacheEntry `json:"cache,omitempty"`
 }
 
 // persistCacheEntry is one verdict-cache line, ordered oldest-first in
@@ -207,48 +194,23 @@ type persistCacheEntry struct {
 // paths overwrite Invariant/Scenario/Slice from the live group, so
 // Outcome + witness + slice stats are the complete cached truth.
 type persistReport struct {
-	Outcome         int8           `json:"o"`
-	Satisfied       bool           `json:"s,omitempty"`
-	Engine          string         `json:"e,omitempty"`
-	SliceHosts      int            `json:"sh,omitempty"`
-	SliceBoxes      int            `json:"sb,omitempty"`
-	Whole           bool           `json:"w,omitempty"`
-	StatesExplored  int            `json:"se,omitempty"`
-	SolverConflicts int64          `json:"sc,omitempty"`
-	Trace           []persistEvent `json:"t,omitempty"`
-}
-
-type persistEvent struct {
-	Kind    int8          `json:"k"`
-	Src     int64         `json:"s"`
-	Dst     int64         `json:"d"`
-	Node    int64         `json:"n"`
-	Hdr     persistHeader `json:"h"`
-	Classes uint64        `json:"c,omitempty"`
-}
-
-type persistHeader struct {
-	Src       uint32 `json:"s,omitempty"`
-	Dst       uint32 `json:"d,omitempty"`
-	SrcPort   uint16 `json:"sp,omitempty"`
-	DstPort   uint16 `json:"dp,omitempty"`
-	Proto     uint8  `json:"pr,omitempty"`
-	Origin    uint32 `json:"o,omitempty"`
-	ContentID uint32 `json:"c,omitempty"`
-	Tunnel    uint32 `json:"tu,omitempty"`
+	Outcome         int8          `json:"o"`
+	Satisfied       bool          `json:"s,omitempty"`
+	Engine          string        `json:"e,omitempty"`
+	SliceHosts      int           `json:"sh,omitempty"`
+	SliceBoxes      int           `json:"sb,omitempty"`
+	Whole           bool          `json:"w,omitempty"`
+	StatesExplored  int           `json:"se,omitempty"`
+	SolverConflicts int64         `json:"sc,omitempty"`
+	Trace           []logic.Event `json:"t,omitempty"`
 }
 
 // persistRenaming is a canonical renaming's inverse tables
 // (slices.Renaming round-trips through ExportTables).
 type persistRenaming struct {
-	Nodes []int64         `json:"n,omitempty"`
-	Addrs []uint32        `json:"a,omitempty"`
-	Pfx   []persistPrefix `json:"p,omitempty"`
-}
-
-type persistPrefix struct {
-	A uint32 `json:"a"`
-	L int    `json:"l"`
+	Nodes []topo.NodeID `json:"n,omitempty"`
+	Addrs []pkt.Addr    `json:"a,omitempty"`
+	Pfx   []pkt.Prefix  `json:"p,omitempty"`
 }
 
 // configHash fingerprints everything outside the store that verdicts
@@ -257,7 +219,7 @@ type persistPrefix struct {
 // configuration. A restored store whose hash differs was written by a
 // differently configured session — its verdicts do not transfer.
 func (s *Session) configHash() uint64 {
-	b := []byte{2} // codec version: 2 = records are wire change-sets, box state is netdesc.Box
+	b := []byte{3} // codec version: 3 = a snapshot's state is a wire change-set, as a journal record's is
 	put := func(vs ...int64) {
 		for _, v := range vs {
 			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -314,7 +276,7 @@ func (s *Session) configHash() uint64 {
 // report / renaming codecs -------------------------------------------------
 
 func encodeReport(r core.Report) persistReport {
-	p := persistReport{
+	return persistReport{
 		Outcome:         int8(r.Result.Outcome),
 		Satisfied:       r.Satisfied,
 		Engine:          r.Engine,
@@ -323,25 +285,12 @@ func encodeReport(r core.Report) persistReport {
 		Whole:           r.Whole,
 		StatesExplored:  r.Result.StatesExplored,
 		SolverConflicts: r.Result.SolverConflicts,
+		Trace:           r.Result.Trace,
 	}
-	for _, ev := range r.Result.Trace {
-		p.Trace = append(p.Trace, persistEvent{
-			Kind: int8(ev.Kind),
-			Src:  int64(ev.Src), Dst: int64(ev.Dst), Node: int64(ev.Node),
-			Hdr: persistHeader{
-				Src: uint32(ev.Hdr.Src), Dst: uint32(ev.Hdr.Dst),
-				SrcPort: uint16(ev.Hdr.SrcPort), DstPort: uint16(ev.Hdr.DstPort),
-				Proto: uint8(ev.Hdr.Proto), Origin: uint32(ev.Hdr.Origin),
-				ContentID: ev.Hdr.ContentID, Tunnel: uint32(ev.Hdr.Tunnel),
-			},
-			Classes: uint64(ev.Classes),
-		})
-	}
-	return p
 }
 
 func decodeReport(p persistReport) core.Report {
-	r := core.Report{
+	return core.Report{
 		Satisfied:  p.Satisfied,
 		Engine:     p.Engine,
 		SliceHosts: p.SliceHosts,
@@ -351,22 +300,9 @@ func decodeReport(p persistReport) core.Report {
 			Outcome:         inv.Outcome(p.Outcome),
 			StatesExplored:  p.StatesExplored,
 			SolverConflicts: p.SolverConflicts,
+			Trace:           p.Trace,
 		},
 	}
-	for _, ev := range p.Trace {
-		r.Result.Trace = append(r.Result.Trace, logic.Event{
-			Kind: logic.EventKind(ev.Kind),
-			Src:  topo.NodeID(ev.Src), Dst: topo.NodeID(ev.Dst), Node: topo.NodeID(ev.Node),
-			Hdr: pkt.Header{
-				Src: pkt.Addr(ev.Hdr.Src), Dst: pkt.Addr(ev.Hdr.Dst),
-				SrcPort: pkt.Port(ev.Hdr.SrcPort), DstPort: pkt.Port(ev.Hdr.DstPort),
-				Proto: pkt.Proto(ev.Hdr.Proto), Origin: pkt.Addr(ev.Hdr.Origin),
-				ContentID: ev.Hdr.ContentID, Tunnel: pkt.Addr(ev.Hdr.Tunnel),
-			},
-			Classes: pkt.ClassSet(ev.Classes),
-		})
-	}
-	return r
 }
 
 func encodeRenaming(ren *slices.Renaming) *persistRenaming {
@@ -374,77 +310,46 @@ func encodeRenaming(ren *slices.Renaming) *persistRenaming {
 		return nil
 	}
 	nodes, addrs, pfxs := ren.ExportTables()
-	p := &persistRenaming{Addrs: make([]uint32, len(addrs))}
-	for _, n := range nodes {
-		p.Nodes = append(p.Nodes, int64(n))
-	}
-	for i, a := range addrs {
-		p.Addrs[i] = uint32(a)
-	}
-	for _, pf := range pfxs {
-		p.Pfx = append(p.Pfx, persistPrefix{A: uint32(pf.Addr), L: pf.Len})
-	}
-	return p
+	return &persistRenaming{Nodes: nodes, Addrs: addrs, Pfx: pfxs}
 }
 
 func decodeRenaming(p *persistRenaming) *slices.Renaming {
 	if p == nil {
 		return nil
 	}
-	nodes := make([]topo.NodeID, len(p.Nodes))
-	for i, n := range p.Nodes {
-		nodes[i] = topo.NodeID(n)
-	}
-	addrs := make([]pkt.Addr, len(p.Addrs))
-	for i, a := range p.Addrs {
-		addrs[i] = pkt.Addr(a)
-	}
-	pfxs := make([]pkt.Prefix, len(p.Pfx))
-	for i, pf := range p.Pfx {
-		pfxs[i] = pkt.Prefix{Addr: pkt.Addr(pf.A), Len: pf.L}
-	}
-	return slices.NewRenamingFromTables(nodes, addrs, pfxs)
+	return slices.NewRenamingFromTables(p.Nodes, p.Addrs, p.Pfx)
 }
 
 // snapshot assembly / restore ----------------------------------------------
 
-// encodeSnapshot serializes the full current session state. ok=false
-// means an invariant is outside the durable codec: the session then
-// runs journal-only (correct but cold-cache recovery).
-func (s *Session) encodeSnapshot() ([]byte, bool) {
-	t := s.net.Topo
-	snap := snapshotPayload{Version: 1, Config: s.store.cfg, Seq: s.seq}
-	downNames := make([]string, 0, len(s.down))
-	for n := range s.down {
-		downNames = append(downNames, t.Node(n).Name)
-	}
-	sort.Strings(downNames)
-	snap.Down = downNames
-	if len(s.net.PolicyClass) > 0 {
-		snap.Policy = make(map[string]string, len(s.net.PolicyClass))
-		for n, c := range s.net.PolicyClass {
-			snap.Policy[t.Node(n).Name] = c
+// compact rewrites the log as the shortest change-set Coalesce and the
+// configuration allow: a surviving node_up is its node's last liveness
+// writer and every node starts up; a surviving inv_remove has no earlier
+// add of its name left, so it matters only if the configuration had one.
+func (st *sessStore) compact() {
+	log, _ := Coalesce(st.log)
+	kept := log[:0]
+	for _, ch := range log {
+		if ch.Kind == KindNodeUp || (ch.Kind == KindInvRemove && !st.initial[ch.Name]) {
+			continue
 		}
+		kept = append(kept, ch)
 	}
-	for _, bx := range s.net.Boxes {
-		pb := persistBox{Node: t.Node(bx.Node).Name}
-		if box, err := netdesc.ExportBox(pb.Node, bx.Model, s.net.Registry); err == nil {
-			pb.Box = box
+	st.log, st.compacted = kept, len(kept)
+}
+
+// encodeSnapshot serializes the compacted log and the verdict store.
+func (s *Session) encodeSnapshot() ([]byte, error) {
+	st := s.store
+	st.compact()
+	snap := snapshotPayload{Version: 2, Config: st.cfg, Seq: s.seq, Applied: s.appliedIDs}
+	for _, ch := range st.log {
+		w, ok := EncodeChange(s.net, ch)
+		if !ok {
+			// It had one when journaled: a model edited in place, unannounced.
+			return nil, fmt.Errorf("incr: journaled %s has no written form any more", describeChange(s.net.Topo, ch))
 		}
-		snap.Boxes = append(snap.Boxes, pb)
-	}
-	for _, i := range s.invs {
-		w, err := netdesc.ExportInvariant(t, i)
-		if err != nil {
-			return nil, false
-		}
-		snap.Invariants = append(snap.Invariants, w)
-	}
-	if len(s.appliedIDs) > 0 {
-		snap.Applied = make(map[string]int, len(s.appliedIDs))
-		for id, seq := range s.appliedIDs {
-			snap.Applied[id] = seq
-		}
+		snap.Changes = append(snap.Changes, w)
 	}
 	s.cmu.Lock()
 	s.cache.exportOldestFirst(func(key []byte, r core.Report, ren *slices.Renaming) {
@@ -458,18 +363,14 @@ func (s *Session) encodeSnapshot() ([]byte, bool) {
 		})
 	})
 	s.cmu.Unlock()
-	payload, err := json.Marshal(&snap)
-	if err != nil {
-		return nil, false
-	}
-	return payload, true
+	return json.Marshal(&snap)
 }
 
 // restoreState rebuilds the persisted session state on a shadow of the
-// freshly built one: the snapshot's state is laid over it, then each
-// journal record is decoded by the wire decoder and installed by mutate,
-// exactly as when it was first applied. Any error reinstalls the untouched
-// base (the caller degrades to a cold start).
+// freshly built one. The snapshot's change-set is record zero; it and each
+// journal record are decoded by the wire decoder and installed by mutate,
+// exactly as when first applied. Any error reinstalls the untouched base
+// (the caller degrades to a cold start).
 func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 	base := s.capture()
 	s.install(shadowOf(base))
@@ -484,51 +385,55 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 		if err := json.Unmarshal(snapRaw, &snap); err != nil {
 			return fmt.Errorf("incr: snapshot undecodable: %w", err)
 		}
-		if snap.Version != 1 {
+		if snap.Version != 2 {
 			return fmt.Errorf("incr: snapshot version %d not supported", snap.Version)
 		}
 		if snap.Config != s.store.cfg {
 			return fmt.Errorf("incr: snapshot was written under a different configuration or codec version")
-		}
-		if err := s.overlaySnapshot(&snap); err != nil {
-			return err
 		}
 	}
 	applied := snap.Applied
 	if applied == nil {
 		applied = map[string]int{}
 	}
-
-	snapSeq, prevSeq, records := s.seq, s.seq, 0
-	for _, raw := range recs {
-		var rec journalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+	records := make([]journalRecord, 1+len(recs))
+	records[0] = journalRecord{Seq: snap.Seq, Changes: snap.Changes}
+	for i, raw := range recs {
+		if err := json.Unmarshal(raw, &records[1+i]); err != nil {
 			return fmt.Errorf("incr: journal record undecodable: %w", err)
 		}
+	}
+
+	var log []Change
+	prevSeq, replayed := snap.Seq, 0
+	for i, rec := range records {
 		if rec.Op == "opaque" {
 			return fmt.Errorf("incr: journal contains a change outside the durable codec")
 		}
-		if rec.Seq <= snapSeq && prevSeq == snapSeq {
-			// A record the snapshot already folded in (the crash landed
-			// between snapshot write and journal compaction): skip.
-			continue
-		}
-		if rec.Seq <= prevSeq {
-			return fmt.Errorf("incr: journal sequence not increasing (%d after %d)", rec.Seq, prevSeq)
+		if i > 0 {
+			if rec.Seq <= snap.Seq && prevSeq == snap.Seq {
+				// A record the snapshot already folded in (the crash landed
+				// between snapshot write and journal compaction): skip.
+				continue
+			}
+			if rec.Seq <= prevSeq {
+				return fmt.Errorf("incr: journal sequence not increasing (%d after %d)", rec.Seq, prevSeq)
+			}
+			replayed++
 		}
 		changes, err := decodeChanges(s.net, rec.Changes, false)
 		if err == nil {
 			err = s.validate(changes)
 		}
 		if err != nil {
-			return fmt.Errorf("incr: journal record %d does not replay: %w", rec.Seq, err)
+			return fmt.Errorf("incr: change-set at seq %d does not replay: %w", rec.Seq, err)
 		}
 		s.mutate(changes, newImpact())
+		log = append(log, changes...)
 		if rec.ID != "" {
 			applied[rec.ID] = rec.Seq
 		}
 		prevSeq = rec.Seq
-		records++
 	}
 
 	s.seq = prevSeq
@@ -539,76 +444,11 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 		s.cache.put(e.Key, decodeReport(e.R), decodeRenaming(e.Ren))
 	}
 	s.cmu.Unlock()
-	s.store.snapSeq = snapSeq
+	s.store.log = log
+	s.store.snapSeq = snap.Seq
 	s.recovery.Recovered = true
-	s.recovery.SnapshotSeq = snapSeq
-	s.recovery.JournalRecords = records
-	return nil
-}
-
-// overlaySnapshot lays a snapshot's state over the installed one: liveness,
-// policy classes, the box roster, the invariant list and the sequence
-// number. On error the state is part-written; restoreState reinstalls the
-// base.
-func (s *Session) overlaySnapshot(snap *snapshotPayload) error {
-	t := s.net.Topo
-	for _, name := range snap.Down {
-		n, ok := t.ByName(name)
-		if !ok {
-			return fmt.Errorf("incr: snapshot names unknown node %q", name)
-		}
-		s.down[n.ID] = true
-	}
-	s.net.PolicyClass = nil
-	if snap.Policy != nil {
-		s.net.PolicyClass = make(map[topo.NodeID]string, len(snap.Policy))
-		for name, c := range snap.Policy {
-			n, ok := t.ByName(name)
-			if !ok {
-				return fmt.Errorf("incr: snapshot labels unknown node %q", name)
-			}
-			s.net.PolicyClass[n.ID] = c
-		}
-	}
-	// The snapshot's box roster wins: boxes absent from it were removed
-	// before the snapshot; a listed box takes the configuration it carries.
-	roster := map[topo.NodeID]persistBox{}
-	for _, pb := range snap.Boxes {
-		n, ok := t.ByName(pb.Node)
-		if !ok {
-			return fmt.Errorf("incr: snapshot names unknown box node %q", pb.Node)
-		}
-		roster[n.ID] = pb
-	}
-	kept := s.net.Boxes[:0]
-	for _, bx := range s.net.Boxes {
-		pb, ok := roster[bx.Node]
-		if !ok {
-			continue // removed before the snapshot
-		}
-		delete(roster, bx.Node)
-		if pb.Box != nil {
-			model, err := netdesc.BuildBox(pb.Node, pb.Box, s.net.Registry)
-			if err != nil {
-				return fmt.Errorf("incr: snapshot box at %q: %w", pb.Node, err)
-			}
-			bx.Model = model
-		}
-		kept = append(kept, bx)
-	}
-	s.net.Boxes = kept
-	for n := range roster {
-		return fmt.Errorf("incr: snapshot lists box at %q absent from the network", t.Node(n).Name)
-	}
-	s.invs = s.invs[:0]
-	for i := range snap.Invariants {
-		iv, err := netdesc.BuildInvariant(t, &snap.Invariants[i])
-		if err != nil {
-			return fmt.Errorf("incr: snapshot invariant %d: %w", i, err)
-		}
-		s.invs = append(s.invs, iv)
-	}
-	s.seq = snap.Seq
+	s.recovery.SnapshotSeq = snap.Seq
+	s.recovery.JournalRecords = replayed
 	return nil
 }
 
@@ -626,7 +466,10 @@ func (s *Session) openStore() error {
 	if err := os.MkdirAll(po.Dir, 0o755); err != nil {
 		return err
 	}
-	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash()}
+	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs))}
+	for _, i := range s.invs {
+		st.initial[i.Name()] = true
+	}
 	s.recovery = RecoveryStats{Enabled: true}
 
 	degrade := func(reason string) error {
@@ -711,8 +554,11 @@ func (s *Session) persistApply(id string, changes []Change) {
 		return
 	}
 	st.records++
+	st.log = append(st.log, changes...)
 	if every := st.opts.snapshotEvery(); every > 0 && st.records >= every {
 		s.snapshotLocked()
+	} else if len(st.log) >= 2*max(st.compacted, 32) {
+		st.compact()
 	}
 }
 
@@ -747,13 +593,11 @@ func (s *Session) snapshotLocked() {
 	if st == nil || st.degraded != "" || st.j == nil {
 		return
 	}
-	payload, ok := s.encodeSnapshot()
-	if !ok {
-		// Journal-only mode: recovery replays the whole journal against
-		// the initial state (correct, cold cache).
-		return
+	payload, err := s.encodeSnapshot()
+	if err == nil {
+		err = store.WriteSnapshot(st.snapshotPath(), payload)
 	}
-	if err := store.WriteSnapshot(st.snapshotPath(), payload); err != nil {
+	if err != nil {
 		st.fail(err)
 		return
 	}
@@ -817,7 +661,7 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 			s.recovery.RecoveredGroups++
 		}
 	}
-	checked, ok := s.reverifySampleLocked(s.sopts.Persist.recoverySample())
+	checked, ok := s.reverifySampleLocked()
 	s.recovery.ReverifiedOnRecovery = checked
 	if ok {
 		s.mu.Unlock()
@@ -835,16 +679,14 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 	return s.Apply(nil)
 }
 
-// reverifySampleLocked fresh-solves up to k groups (spread evenly
-// across the key order) and compares outcome, satisfaction and witness
-// against the restored reports. ok=false on any divergence or solve
-// error.
-func (s *Session) reverifySampleLocked(k int) (checked int, ok bool) {
-	if k <= 0 || len(s.groups) == 0 {
+// reverifySampleLocked fresh-solves up to reverifyGroups groups (spread
+// evenly across the key order) and compares outcome, satisfaction and
+// witness against the restored reports. ok=false on any divergence or
+// solve error.
+func (s *Session) reverifySampleLocked() (checked int, ok bool) {
+	k := min(reverifyGroups, len(s.groups))
+	if k == 0 {
 		return 0, true
-	}
-	if k > len(s.groups) {
-		k = len(s.groups)
 	}
 	scens := s.effectiveScenarios()
 	stride := len(s.groups) / k

@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/store"
 	"github.com/netverify/vmn/internal/topo"
@@ -229,6 +231,43 @@ func TestOpaqueChangePoisonsStore(t *testing.T) {
 	}
 }
 
+// A snapshot that cannot be written must not be compacted behind: the error
+// reaches PersistStatus, journaling stops, and the restart is an explicit
+// cold start on the initial network rather than an old snapshot beside an
+// emptied journal.
+func TestSnapshotWriteFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	sopts := incr.Options{Persist: &incr.PersistOptions{Dir: dir, SnapshotEvery: 1}}
+	d1, s1, _ := newPersistDC(t, sopts)
+	// The rename over a non-empty directory fails after the temp file was
+	// written and synced, as a failed directory sync would.
+	snap := filepath.Join(dir, "snapshot.vmn")
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(snap, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Apply([]incr.Change{incr.NodeDown(d1.Hosts[0][0])}); err != nil {
+		t.Fatal(err)
+	}
+	if ps := s1.PersistStatus(); ps.Degraded == "" || ps.JournalRecords != 1 {
+		t.Fatalf("status after a failed snapshot = %+v, want degraded with the record uncompacted", ps)
+	}
+	if err := os.RemoveAll(snap); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, want := newPersistDC(t, incr.Options{})
+	d2, s2, got := newPersistDC(t, sopts)
+	if rec := s2.Recovery(); rec.Recovered {
+		t.Fatalf("recovery = %+v after persistence failed, want no restore", rec)
+	}
+	if !bytes.Equal(canonicalDump(t, d2.Net, s2.Invariants()), canonicalDump(t, fresh.Net, fresh.AllIsolationInvariants())) {
+		t.Fatal("restart after a failed snapshot is not on the initial network")
+	}
+	compareReports(t, "restart", got, want)
+}
+
 // PersistStatus surfaces the store's live accounting.
 func TestPersistStatus(t *testing.T) {
 	dir := t.TempDir()
@@ -312,50 +351,75 @@ func writeStore(t testing.TB, dir string, snapshot []byte, records ...[]byte) {
 	}
 }
 
-// A state directory written before journal records became wire change-sets
-// (firewall state under "fw", invariants under "inv", per-box config
-// hashes) must not be half-read: with its snapshot the codec version in
-// the configuration fingerprint refuses it, without one its first
-// old-format record does, and either way the session cold-starts on the
-// freshly built network and says why. The payloads are what the previous
-// revision's vmnd wrote for this very configuration (datacenter, 3 groups,
-// SAT engine) after an fw_allow and an inv_add.
+// A state directory written by an earlier revision must not be half-read.
+// Two generations are pinned, each as what that revision's vmnd wrote for
+// this very configuration (datacenter, 3 groups, SAT engine) after an
+// fw_allow and an inv_add: the one before journal records became wire
+// change-sets (firewall state under "fw", invariants under "inv", per-box
+// config hashes), whose first record no longer decodes, and the parent's
+// (version 1, codec 2), whose snapshot dumps the whole network under
+// down/policy/boxes/invariants. The snapshot's version refuses it, the codec
+// byte in the configuration fingerprint refuses it had the version lied, and
+// either way the session cold-starts on the freshly built network and says
+// why.
 func TestParentFormatStateColdStarts(t *testing.T) {
 	const acl = `{"src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"src":"10.0.0.0/24","dst":"10.2.0.0/24"},` +
 		`{"src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"src":"10.1.0.0/24","dst":"10.2.0.0/24"},` +
 		`{"src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"src":"10.2.0.0/24","dst":"10.1.0.0/24"}`
-	const snapshot = `{"version":1,"config":9163900738520554507,"seq":1,` +
-		`"policy":{"h0-0":"tier-0","h1-0":"tier-1","h2-0":"tier-2"},"boxes":[` +
-		`{"node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[` + acl + `]}},` +
-		`{"node":"fw2","fw":{"name":"fw2","default_allow":true,"acl":[` + acl + `]}},` +
-		`{"node":"ids1","config_hash":4636616019471412245},{"node":"ids2","config_hash":4636616019471412245}],` +
-		`"invariants":[{"type":"simple_isolation","dst":"h1-0","src_addr":"10.0.0.1","label":"iso g0->g1"},` +
+	const invariants = `"invariants":[{"type":"simple_isolation","dst":"h1-0","src_addr":"10.0.0.1","label":"iso g0->g1"},` +
 		`{"type":"simple_isolation","dst":"h2-0","src_addr":"10.0.0.1","label":"iso g0->g2"},` +
 		`{"type":"simple_isolation","dst":"h0-0","src_addr":"10.1.0.1","label":"iso g1->g0"},` +
 		`{"type":"simple_isolation","dst":"h2-0","src_addr":"10.1.0.1","label":"iso g1->g2"},` +
 		`{"type":"simple_isolation","dst":"h0-0","src_addr":"10.2.0.1","label":"iso g2->g0"},` +
 		`{"type":"simple_isolation","dst":"h1-0","src_addr":"10.2.0.1","label":"iso g2->g1"}]}`
-	records := [][]byte{
+	const policy = `"policy":{"h0-0":"tier-0","h1-0":"tier-1","h2-0":"tier-2"},`
+	const snapshot1 = `{"version":1,"config":9163900738520554507,"seq":1,` + policy + `"boxes":[` +
+		`{"node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[` + acl + `]}},` +
+		`{"node":"fw2","fw":{"name":"fw2","default_allow":true,"acl":[` + acl + `]}},` +
+		`{"node":"ids1","config_hash":4636616019471412245},{"node":"ids2","config_hash":4636616019471412245}],` + invariants
+	records1 := [][]byte{
 		[]byte(`{"seq":2,"id":"a1","changes":[{"op":"box_state","node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[` +
 			`{"src":"10.9.0.0/24","dst":"0.0.0.0/0","allow":true},` + acl + `]}}]}`),
 		[]byte(`{"seq":3,"changes":[{"op":"inv_add","inv":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`),
+	}
+	deny := strings.ReplaceAll(acl, `{"src"`, `{"action":"deny","src"`)
+	snapshot2 := `{"version":1,"config":17804505473473491956,"seq":1,` + policy + `"boxes":[` +
+		`{"node":"fw1","box":{"type":"firewall","acl":[` + deny + `],"default_allow":true}},` +
+		`{"node":"fw2","box":{"type":"firewall","acl":[` + deny + `],"default_allow":true}},` +
+		`{"node":"ids1","box":{"type":"idps"}},{"node":"ids2","box":{"type":"idps"}}],` + invariants
+	records2 := [][]byte{
+		[]byte(`{"seq":2,"id":"a1","changes":[{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[` +
+			`{"action":"allow","src":"10.9.0.0/24","dst":"*"},` + deny + `],"default_allow":true}}]}`),
+		[]byte(`{"seq":3,"changes":[{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`),
 	}
 	fresh, _, want := newPersistDC(t, incr.Options{})
 	for _, tc := range []struct {
 		name     string
 		snapshot []byte
-	}{{"snapshot and journal", []byte(snapshot)}, {"journal only", nil}} {
+		records  [][]byte
+	}{
+		{"snapshot and journal", []byte(snapshot1), records1},
+		{"journal only", nil, records1},
+		{"parent snapshot and journal", []byte(snapshot2), records2},
+		{"parent snapshot claiming version 2", []byte(strings.Replace(snapshot2, `"version":1`, `"version":2`, 1)), records2},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeStore(t, dir, tc.snapshot, records...)
+			writeStore(t, dir, tc.snapshot, tc.records...)
 			d, s, got := newPersistDC(t, persistOpts(dir))
 			rec := s.Recovery()
 			if !rec.ColdStart || rec.Recovered || rec.Reason == "" {
 				t.Fatalf("recovery = %+v, want an explicit cold start", rec)
 			}
 			t.Log(rec.Reason)
-			if _, err := os.Stat(filepath.Join(dir, "journal.wal.corrupt")); err != nil {
-				t.Fatalf("old-format journal not kept aside: %v", err)
+			aside := []string{"journal.wal.corrupt"}
+			if tc.snapshot != nil {
+				aside = append(aside, "snapshot.vmn.corrupt")
+			}
+			for _, f := range aside {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					t.Fatalf("old-format state not kept aside: %v", err)
+				}
 			}
 			if s.IsApplied("a1") {
 				t.Fatal("a request id of the refused store was restored")
@@ -365,6 +429,60 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 			}
 			compareReports(t, "cold-start", got, want)
 		})
+	}
+}
+
+// A snapshot follows the change, not the network: on a 256-tenant VPC (1 028
+// nodes, 522 invariants) the snapshot of a fresh directory holds the verdict
+// store and nothing about the network, and 64 edits of one firewall leave it
+// the size one edit did — the log coalesces to that firewall's last state.
+func TestSnapshotFollowsTheChange(t *testing.T) {
+	net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: 256, Shapes: 8, Peerings: 2, CrossChecks: 8}), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sess, _, err := incr.NewSession(net, core.Options{}, invs,
+		incr.Options{Persist: &incr.PersistOptions{Dir: dir, SnapshotEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "snapshot.vmn"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	fresh := snapshotSize()
+	if fresh >= 64<<10 {
+		t.Fatalf("fresh-directory snapshot is %d bytes, want < 64 KB", fresh)
+	}
+	edit := func(i int) {
+		t.Helper()
+		// Alternate an allowance in and out: the ACL, hence the box_state the
+		// snapshot carries, is the same size after every odd edit.
+		op := []string{"fw_allow", "fw_del"}[i%2]
+		line := fmt.Sprintf(`{"op":%q,"node":"t100-fw","src":"8.0.0.0/8","dst":"10.0.100.128/25"}`, op)
+		changes, err := incr.DecodeChangeSet(net, []byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Apply(changes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(0)
+	one := snapshotSize()
+	if one <= fresh {
+		t.Fatalf("an edited firewall left the snapshot at %d bytes (fresh: %d)", one, fresh)
+	}
+	for i := 1; i < 65; i++ {
+		edit(i)
+	}
+	if many := snapshotSize(); many > one+one/10 || many < one-one/10 {
+		t.Fatalf("snapshot is %d bytes after 65 edits of one firewall, %d after one: want within 10 %%", many, one)
 	}
 }
 
@@ -383,7 +501,8 @@ func FuzzRestoreState(f *testing.F) {
 		return d, sess
 	}
 	// Seed with a real store: the startup snapshot, then records of every
-	// durable op, left in the journal as after a kill.
+	// durable op, left in the journal as after a kill; and what a clean
+	// shutdown makes of them.
 	seedDir := f.TempDir()
 	d, sess := newDC(f, incr.Options{Persist: &incr.PersistOptions{Dir: seedDir, SnapshotEvery: -1}})
 	for _, line := range []string{
@@ -408,10 +527,20 @@ func FuzzRestoreState(f *testing.F) {
 		f.Fatalf("seed journal: %d records, %v", len(recs), err)
 	}
 	j.Close()
+	// The shutdown snapshot folds those records into its own change-set.
+	if err := sess.Shutdown(); err != nil {
+		f.Fatal(err)
+	}
+	folded, err := store.ReadSnapshot(filepath.Join(seedDir, "snapshot.vmn"))
+	if err != nil || !bytes.Contains(folded, []byte(`"changes":[`)) {
+		f.Fatalf("seed snapshot carries no change-set: %v\n%s", err, folded)
+	}
 	f.Add(snapshot, recs[0], recs[1], recs[2])
 	f.Add([]byte(nil), recs[0], recs[1], recs[2])
 	f.Add(snapshot, recs[1], recs[0], []byte(`{"seq":9,"op":"opaque"}`))
-	f.Add([]byte(`{"version":1}`), []byte(`{"seq":2,"changes":[{"op":"box_state","node":"fw1"}]}`), []byte(nil), []byte(`not json`))
+	f.Add(folded, recs[2], []byte(`{"seq":5,"changes":[{"op":"inv_remove","name":"iso g1->g0"}]}`), []byte(nil))
+	f.Add(bytes.Replace(folded, []byte(`"op":"box_remove"`), []byte(`"op":"box_state"`), 1), []byte(nil), []byte(nil), []byte(nil))
+	f.Add([]byte(`{"version":2}`), []byte(`{"seq":2,"changes":[{"op":"box_state","node":"fw1"}]}`), []byte(nil), []byte(`not json`))
 
 	initial, _ := newDC(f, incr.Options{})
 	want := canonicalDump(f, initial.Net, initial.AllIsolationInvariants())

@@ -199,7 +199,8 @@ func (j *Journal) Close() error {
 // previous snapshot or the complete new one.
 var snapMagic = []byte("VMNSNAP1")
 
-// WriteSnapshot atomically replaces the snapshot at path with payload.
+// WriteSnapshot atomically replaces the snapshot at path with payload; on
+// an error it may not be durable, so the journal behind it must be kept.
 func WriteSnapshot(path string, payload []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -207,15 +208,9 @@ func WriteSnapshot(path string, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	hdr := make([]byte, len(snapMagic)+8)
-	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+4:], crc32.ChecksumIEEE(payload))
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(payload); err != nil {
+	buf := binary.LittleEndian.AppendUint32(append([]byte(nil), snapMagic...), uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	if _, err := tmp.Write(append(buf, payload...)); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -229,12 +224,17 @@ func WriteSnapshot(path string, payload []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	// fsync the directory so the rename itself is durable.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, which is what makes a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	defer d.Close()
+	return d.Sync()
 }
 
 // ReadSnapshot returns the snapshot payload at path, (nil, nil) if no

@@ -217,6 +217,29 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// A snapshot is durable once its directory is synced after the rename. When
+// that cannot be done WriteSnapshot must say so — the caller compacts the
+// journal behind a snapshot it was told is safe — so the step that used to
+// swallow its errors is checked on its own, and the write as a whole.
+func TestSnapshotDirSyncFailureIsReported(t *testing.T) {
+	dir := t.TempDir()
+	gone := filepath.Join(dir, "gone")
+	for _, tc := range []struct {
+		name, dir string
+		ok        bool
+	}{{"existing directory", dir, true}, {"missing directory", gone, false}} {
+		if err := syncDir(tc.dir); (err == nil) != tc.ok {
+			t.Errorf("syncDir(%s) = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	if err := WriteSnapshot(filepath.Join(gone, "snapshot.vmn"), []byte("x")); err == nil {
+		t.Error("WriteSnapshot into a missing directory reported success")
+	}
+	if err := WriteSnapshot(filepath.Join(dir, "snapshot.vmn"), []byte("x")); err != nil {
+		t.Errorf("WriteSnapshot: %v", err)
+	}
+}
+
 func TestParseSyncPolicy(t *testing.T) {
 	if p, err := ParseSyncPolicy("always"); err != nil || p != SyncAlways {
 		t.Fatal(p, err)
