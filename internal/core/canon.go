@@ -23,9 +23,8 @@ package core
 //     encoding's namespace, solved there, and its witness translated back.
 
 import (
-	"math"
-
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -89,24 +88,6 @@ func (v *Verifier) buildPlan(i inv.Invariant, sc topo.FailureScenario, engine *t
 	return p, nil
 }
 
-// putCanonOpts serializes the verification options a verdict is a function
-// of (mirroring the incremental layer's fingerprint prologue). Seed and
-// solver tuning are included because violation witnesses are canonical but
-// Unknown outcomes under a conflict budget are not.
-func (v *Verifier) putCanonOpts(c *slices.Canonizer) {
-	c.PutByte(byte(v.opts.Engine))
-	c.PutUint(uint64(v.opts.MaxSends))
-	if v.opts.NoSlices {
-		c.PutByte(1)
-	} else {
-		c.PutByte(0)
-	}
-	c.PutInt(v.opts.Seed)
-	c.PutU64(math.Float64bits(v.opts.RandomBranchFreq))
-	c.PutInt(v.opts.MaxConflicts)
-	c.PutUint(uint64(v.opts.MaxStates))
-}
-
 // putCanonSlice serializes the slice content: hosts with their addresses
 // (in slice order, which is also sample-generation order), the boxes'
 // auxiliary and service addresses (completing the address universe BEFORE
@@ -115,40 +96,40 @@ func (v *Verifier) putCanonOpts(c *slices.Canonizer) {
 // canonical configuration keys, and the packet alphabet. It reports false
 // when a box has no canonical configuration key.
 func putCanonSlice(c *slices.Canonizer, p *checkPlan) bool {
-	c.PutByte('H')
-	c.PutUint(uint64(len(p.sl.Hosts)))
+	c.Byte('H')
+	c.Uint(uint64(len(p.sl.Hosts)))
 	for _, h := range p.sl.Hosts {
-		c.PutNode(h)
-		c.PutAddr(p.prob.Topo.Node(h).Addr)
+		c.Node(h)
+		c.Addr(p.prob.Topo.Node(h).Addr)
 	}
-	c.PutByte('A')
+	c.Byte('A')
 	for _, b := range p.sl.Boxes {
 		if aux, ok := b.Model.(slices.AuxAddrs); ok {
 			for _, a := range aux.AuxAddrs() {
-				c.PutAddr(a)
+				c.Addr(a)
 			}
 		}
 		if svc, ok := b.Model.(slices.ServiceAddrs); ok {
 			for _, a := range svc.ServiceAddrs() {
-				c.PutAddr(a)
+				c.Addr(a)
 			}
 		}
 	}
-	c.PutByte('B')
-	c.PutUint(uint64(len(p.sl.Boxes)))
+	c.Byte('B')
+	c.Uint(uint64(len(p.sl.Boxes)))
 	for _, b := range p.sl.Boxes {
-		c.PutNode(b.Node)
+		c.Node(b.Node)
 		if !c.PutBoxConfig(b.Model) {
 			return false
 		}
 	}
-	c.PutByte('S')
-	c.PutUint(uint64(len(p.prob.Samples)))
+	c.Byte('S')
+	c.Uint(uint64(len(p.prob.Samples)))
 	for _, s := range p.prob.Samples {
-		c.PutNode(s.Sender)
-		c.PutHeader(s.Hdr)
+		c.Node(s.Sender)
+		c.Header(s.Hdr)
 	}
-	c.PutUint(uint64(p.prob.MaxSends))
+	c.Uint(uint64(p.prob.MaxSends))
 	return true
 }
 
@@ -157,12 +138,16 @@ func putCanonSlice(c *slices.Canonizer, p *checkPlan) bool {
 // equal and traces corresponding under the renamings.
 func (v *Verifier) canonClassKey(p *checkPlan) ([]byte, *slices.Renaming) {
 	c := slices.NewCanonizer(v.net.Topo, p.engine)
-	c.PutByte(1) // key format version
-	v.putCanonOpts(c)
-	c.PutByte('I')
-	if !putCanonInvariant(c, p.inv) {
+	c.Byte(1) // key format version
+	c.Raw(v.opts.AppendVerdictKey(nil))
+	c.Byte('I')
+	// An invariant type without slots is not canonically encodable; its
+	// checks are never class-shared (sound: they simply always solve).
+	si, ok := p.inv.(inv.Slotted)
+	if !ok {
 		return nil, nil
 	}
+	si.Slots(c)
 	if !putCanonSlice(c, p) {
 		return nil, nil
 	}
@@ -175,106 +160,61 @@ func (v *Verifier) canonClassKey(p *checkPlan) ([]byte, *slices.Renaming) {
 // regardless of which invariants they carry.
 func (v *Verifier) canonEncKey(p *checkPlan) ([]byte, *slices.Renaming) {
 	c := slices.NewCanonizer(v.net.Topo, p.engine)
-	c.PutByte(2) // key format version (distinct from class keys)
-	v.putCanonOpts(c)
+	c.Byte(2) // key format version (distinct from class keys)
+	c.Raw(v.opts.AppendVerdictKey(nil))
 	if !putCanonSlice(c, p) {
 		return nil, nil
 	}
 	return c.Key(), c.Renaming()
 }
 
-// putCanonInvariant serializes an invariant's type tag and structural
-// slots through the canonizer, interning the referenced names. Unknown
-// invariant types are not canonically encodable; their checks are never
-// class-shared (sound: they simply always solve).
-func putCanonInvariant(c *slices.Canonizer, i inv.Invariant) bool {
-	switch iv := i.(type) {
-	case inv.SimpleIsolation:
-		c.PutByte('i')
-		c.PutNode(iv.Dst)
-		c.PutAddr(iv.SrcAddr)
-	case inv.Reachability:
-		c.PutByte('r')
-		c.PutNode(iv.Dst)
-		c.PutAddr(iv.SrcAddr)
-	case inv.FlowIsolation:
-		c.PutByte('f')
-		c.PutNode(iv.Dst)
-		c.PutAddr(iv.SrcAddr)
-	case inv.DataIsolation:
-		c.PutByte('d')
-		c.PutNode(iv.Dst)
-		c.PutAddr(iv.Origin)
-	case inv.Traversal:
-		c.PutByte('t')
-		c.PutNode(iv.Dst)
-		c.PutPrefix(iv.SrcPrefix)
-		c.PutAddr(iv.SrcAddr)
-		c.PutUint(uint64(len(iv.Vias)))
-		for _, m := range iv.Vias {
-			c.PutNode(m)
-		}
-	default:
-		return false
+// slotTranslator is the inv.SlotWriter that carries an invariant's slots
+// from one renaming's namespace into another's: it writes nothing and
+// answers each name with its image; ok turns false when a slot is outside
+// the source renaming. A prefix the source never interned (a Traversal
+// source against an encoding renaming, built from the slice alone) is
+// carried by behaviour: a prefix classifying the target universe exactly as
+// p classifies the source one is indistinguishable to the encoded problem.
+type slotTranslator struct {
+	from, to *slices.Renaming
+	ok       bool
+}
+
+func (t *slotTranslator) Byte(byte)   {}
+func (t *slotTranslator) Uint(uint64) {}
+
+func (t *slotTranslator) Node(n topo.NodeID) topo.NodeID {
+	n, ok := t.from.TranslateNode(n, t.to)
+	t.ok = t.ok && ok
+	return n
+}
+
+func (t *slotTranslator) Addr(a pkt.Addr) pkt.Addr {
+	a, ok := t.from.TranslateAddr(a, t.to)
+	t.ok = t.ok && ok
+	return a
+}
+
+func (t *slotTranslator) Prefix(p pkt.Prefix) pkt.Prefix {
+	q, ok := t.from.TranslatePrefix(p, t.to)
+	if !ok {
+		q, ok = t.from.TranslatePrefixByMatch(p, t.to)
 	}
-	return true
+	t.ok = t.ok && ok
+	return q
 }
 
 // translateInvariant carries an invariant's structural slots from one
-// renaming's namespace into another's. Labels are preserved (they are
-// reporting-only). It reports false when a slot is outside the source
-// renaming; a Traversal prefix against an encoding renaming (which never
-// interned invariant prefixes) is carried by behaviour instead, via
-// TranslatePrefixByMatch.
+// renaming's namespace into another's; labels are preserved. It reports
+// false for an invariant type without slots.
 func translateInvariant(i inv.Invariant, from, to *slices.Renaming) (inv.Invariant, bool) {
-	switch iv := i.(type) {
-	case inv.SimpleIsolation:
-		dst, ok1 := from.TranslateNode(iv.Dst, to)
-		src, ok2 := from.TranslateAddr(iv.SrcAddr, to)
-		return inv.SimpleIsolation{Dst: dst, SrcAddr: src, Label: iv.Label}, ok1 && ok2
-	case inv.Reachability:
-		dst, ok1 := from.TranslateNode(iv.Dst, to)
-		src, ok2 := from.TranslateAddr(iv.SrcAddr, to)
-		return inv.Reachability{Dst: dst, SrcAddr: src, Label: iv.Label}, ok1 && ok2
-	case inv.FlowIsolation:
-		dst, ok1 := from.TranslateNode(iv.Dst, to)
-		src, ok2 := from.TranslateAddr(iv.SrcAddr, to)
-		return inv.FlowIsolation{Dst: dst, SrcAddr: src, Label: iv.Label}, ok1 && ok2
-	case inv.DataIsolation:
-		dst, ok1 := from.TranslateNode(iv.Dst, to)
-		origin, ok2 := from.TranslateAddr(iv.Origin, to)
-		return inv.DataIsolation{Dst: dst, Origin: origin, Label: iv.Label}, ok1 && ok2
-	case inv.Traversal:
-		dst, ok := from.TranslateNode(iv.Dst, to)
-		if !ok {
-			return nil, false
-		}
-		pfx, ok := from.TranslatePrefix(iv.SrcPrefix, to)
-		if !ok {
-			// Encoding renamings never intern invariant prefixes (they are
-			// built from the slice alone), so a Traversal source prefix has
-			// no canonical number there. Translate it by behaviour instead:
-			// a prefix classifying the target universe exactly as SrcPrefix
-			// classifies the source one is indistinguishable to the encoded
-			// problem, whose address domain IS that universe.
-			if pfx, ok = from.TranslatePrefixByMatch(iv.SrcPrefix, to); !ok {
-				return nil, false
-			}
-		}
-		src, ok := from.TranslateAddr(iv.SrcAddr, to)
-		if !ok {
-			return nil, false
-		}
-		vias := make([]topo.NodeID, len(iv.Vias))
-		for j, m := range iv.Vias {
-			if vias[j], ok = from.TranslateNode(m, to); !ok {
-				return nil, false
-			}
-		}
-		return inv.Traversal{Dst: dst, SrcPrefix: pfx, SrcAddr: src, Vias: vias, Label: iv.Label}, true
-	default:
+	si, ok := i.(inv.Slotted)
+	if !ok {
 		return nil, false
 	}
+	t := &slotTranslator{from: from, to: to, ok: true}
+	out := si.Slots(t)
+	return out, t.ok
 }
 
 // translateSamples carries a packet alphabet between namespaces. Given

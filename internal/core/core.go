@@ -10,7 +10,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -117,6 +119,25 @@ type Options struct {
 	// instrumentation at the cost of one pointer check per site. Not part
 	// of any content fingerprint.
 	Obs *obs.Obs
+}
+
+// AppendVerdictKey appends the options a verdict is a function of — the
+// prologue of every verdict key (canonical class and encoding keys, exact
+// fingerprints, the state directory's configuration hash). Seed and solver
+// tuning are included because violation witnesses are canonical but Unknown
+// outcomes under a conflict budget are not.
+func (o Options) AppendVerdictKey(b []byte) []byte {
+	b = append(b, byte(o.Engine))
+	b = binary.AppendUvarint(b, uint64(o.MaxSends))
+	if o.NoSlices {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendVarint(b, o.Seed)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(o.RandomBranchFreq))
+	b = binary.AppendVarint(b, o.MaxConflicts)
+	return binary.AppendUvarint(b, uint64(o.MaxStates))
 }
 
 // Report is the verdict for one (invariant, scenario) pair.

@@ -25,7 +25,7 @@ import (
 // configuration fingerprints of every middlebox, so forwarding-state or
 // configuration mutations between calls miss cleanly instead of returning
 // stale journeys; problems containing a middlebox without a configuration
-// fingerprint (no mbox.ConfigKeyer) skip memoization entirely. Safe for
+// description (mbox.ExactKey reports false) skip memoization entirely. Safe for
 // concurrent use. Cached paths are handed out shared; Verify treats them
 // as immutable.
 type JourneyCache struct {
@@ -94,11 +94,10 @@ func appendProblemKey(b []byte, p *inv.Problem, opts Options) ([]byte, bool) {
 	var seg []byte
 	for _, box := range p.Boxes {
 		b = binary.AppendVarint(b, int64(box.Node))
-		ck, ok := box.Model.(mbox.ConfigKeyer)
-		if !ok {
+		var ok bool
+		if seg, ok = mbox.ExactKey(seg[:0], box.Model); !ok {
 			return nil, false
 		}
-		seg = ck.AppendConfigKey(seg[:0])
 		b = binary.AppendUvarint(b, uint64(len(seg)))
 		b = append(b, seg...)
 	}

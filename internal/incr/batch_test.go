@@ -142,7 +142,7 @@ func TestCoalesceInvariantNames(t *testing.T) {
 // identical to the session's — zero groups dirtied, zero solves.
 func TestApplyBatchAddDeleteAnnihilates(t *testing.T) {
 	const G = 4
-	dp, _, sp, _ := newDCSessions(t, G)
+	dp, sp := newDCSession(t, G)
 
 	add := shadowRule(dp, dp.Agg,
 		tf.Rule{Match: bench.ClientPrefix(0), In: topo.NodeNone, Out: dp.FW1, Priority: 11})
@@ -166,7 +166,7 @@ func TestApplyBatchAddDeleteAnnihilates(t *testing.T) {
 // same dirty set a single apply of the final rule would produce.
 func TestApplyBatchPriorityRewritesDirtyOnce(t *testing.T) {
 	const G = 4
-	dp, _, sp, _ := newDCSessions(t, G)
+	dp, sp := newDCSession(t, G)
 
 	var batch []incr.Change
 	for i := 0; i < 4; i++ {
@@ -198,7 +198,7 @@ func TestApplyBatchPriorityRewritesDirtyOnce(t *testing.T) {
 // the readers of both tables independently.
 func TestApplyBatchCrossTable(t *testing.T) {
 	const G = 4
-	dp, _, sp, _ := newDCSessions(t, G)
+	dp, sp := newDCSession(t, G)
 
 	// Update 1 touches tor0's table (same-next-hop specific for group 1:
 	// dirties exactly the g0<->g1 pair). Update 2 layers a steering rule

@@ -11,7 +11,7 @@
 //   - A dependency index derived from slice provenance: each symmetry
 //     group's verdict depends only on the elements its computed slice
 //     touches (slice hosts and boxes plus every fabric node on any
-//     forwarding walk between them — slices.Touched). A change dirties
+//     forwarding walk between them — slices.ReadSet.Nodes). A change dirties
 //     exactly the groups whose footprint it intersects; symmetry groups
 //     stay collapsed, so a dirtied representative re-runs once for its
 //     whole group.

@@ -24,7 +24,7 @@ package incr
 //
 //   - boxes: middlebox nodes announced as reconfigured. A group is dirty
 //     only if the box's rule-read projection onto the group's address
-//     universe (mbox.RuleReadKeyer) differs from the projection stored
+//     universe (mbox.ReadKey) differs from the projection stored
 //     when the group was last verified — appending a rule for an
 //     unrelated tenant leaves the projection, and hence the verdict,
 //     untouched.
@@ -39,10 +39,6 @@ package incr
 // (FIBFor) can itself depend on the failure scenario, so liveness toggles
 // and provider swaps are diffed table-by-table and flow through the fib
 // channel.
-//
-// Options.NodeGranularity collapses the fib and boxes channels into
-// nodes, restoring PR 2's element-level dirtying as the escape hatch and
-// comparison baseline.
 
 import (
 	"sort"
@@ -292,26 +288,12 @@ func (im *impact) addTableDeltas(deltas [][]tf.TableDelta, changes []Change) {
 	}
 }
 
-// collapseToNodes folds the refined channels into element-level dirtying
-// (Options.NodeGranularity, the PR 2 baseline), carrying the attribution
-// along.
-func (im *impact) collapseToNodes() {
-	for n := range im.fib {
-		im.addNode(n, srcOf(im.fibSrc, n))
-	}
-	im.fib = map[topo.NodeID][]*fibDelta{}
-	for n := range im.boxes {
-		im.addNode(n, srcOf(im.boxSrc, n))
-	}
-	im.boxes = elemSet{}
-}
-
 // groupVerdict classifies one group's read-set against the impact.
 type groupVerdict int8
 
 const (
 	groupClean groupVerdict = iota
-	// groupRefinedClean: the node-granularity index would have dirtied the
+	// groupRefinedClean: element-level dirtying would have re-verified the
 	// group (its footprint intersects a changed element), but the refined
 	// read-set proved every change irrelevant.
 	groupRefinedClean

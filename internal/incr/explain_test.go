@@ -91,7 +91,7 @@ func checkExplainRecords(t *testing.T, step string, sess *incr.Session) {
 // aggregation switch → fib_atom with the witness (node, atom), and the
 // node-granularity escape hatch → coarse fib at the same switch.
 func TestExplainCauses(t *testing.T) {
-	dp, dn, sp, sn := newDCSessions(t, 3)
+	dp, sp := newDCSession(t, 3)
 
 	// Initial verification: everything dirty, cause "full", unattributed.
 	for _, r := range sp.Explain() {
@@ -144,19 +144,11 @@ func TestExplainCauses(t *testing.T) {
 		t.Fatal("ExplainGroup must miss on unknown keys")
 	}
 
-	// Escape hatch: NodeGranularity collapses the fib channel into the
-	// node channel, so the same update reports a node cause at the agg
-	// with no witness atom.
-	ruleN := tf.Rule{Match: bench.ClientPrefix(1), In: topo.NodeNone, Out: dn.FW1, Priority: 11}
-	if _, err := sn.Apply([]incr.Change{shadowRule(dn, dn.Agg, ruleN)}); err != nil {
-		t.Fatal(err)
+	// The agg is in every footprint: the groups the fib_atom causes did not
+	// name are the ones element-level dirtying would have re-verified too.
+	if st := sp.LastApply(); st.RefinedClean == 0 || st.RefinedClean != st.Groups-st.DirtyGroups {
+		t.Fatalf("every group without a cause should be refined-clean: %+v", st)
 	}
-	for _, r := range sn.Explain() {
-		if r.Cause.Reason != incr.CauseNode || r.Cause.Node != dn.Agg || r.Cause.HasAtom {
-			t.Fatalf("escape hatch should give a node cause at agg, got %+v", r.Cause)
-		}
-	}
-	checkExplainRecords(t, "agg-fib-node", sn)
 }
 
 // TestExplainChurnCompleteness runs the datacenter churn stream (the
@@ -300,7 +292,7 @@ func TestTotalsAccounting(t *testing.T) {
 // prefix clean — and the count surfaces in the result for deployment
 // pipelines to read.
 func TestProposeSurfacesRefinedClean(t *testing.T) {
-	dp, _, sp, _ := newDCSessions(t, 4)
+	dp, sp := newDCSession(t, 4)
 	rule := tf.Rule{Match: bench.ClientPrefix(0), In: topo.NodeNone, Out: dp.FW1, Priority: 11}
 	pr, err := sp.Propose([]incr.Change{shadowRule(dp, dp.Agg, rule)})
 	if err != nil {

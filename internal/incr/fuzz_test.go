@@ -3,8 +3,7 @@ package incr_test
 // Differential churn fuzzing: arbitrary bytes decode into a change stream
 // over the bench networks, and after EVERY step the session's report set
 // must be bit-identical — verdicts AND witnesses — to a from-scratch
-// VerifyAll over the same mutated network, in both prefix-level and
-// node-granularity dirtying modes. This is the correctness bar of the
+// VerifyAll over the same mutated network. This is the correctness bar of the
 // incremental layer (Apply ≡ VerifyAll) enforced over the whole change-op
 // alphabet instead of a handful of hand-written streams; the seed corpus
 // covers every op on every fuzzed network. Transaction modes ride on the
@@ -14,7 +13,7 @@ package incr_test
 //
 // Two identical networks are built per run — sessions own their networks
 // (FIBUpdate swaps the provider, ACL edits mutate models in place), so the
-// prefix- and node-granularity sessions must not share one.
+// one-at-a-time and the batched session must not share one.
 
 import (
 	"bytes"
@@ -34,9 +33,9 @@ import (
 )
 
 // fuzzTarget materializes decoded ops as change-sets over one owned
-// network. Both granularity modes get their own target; toggle state is
-// keyed deterministically on the op bytes, so the two targets stay in
-// lock-step. probe builds a pure (self-contained, no mirror mutation)
+// network. The one-at-a-time and the batched lane get their own target;
+// toggle state is keyed deterministically on the op bytes, so the two
+// targets stay in lock-step. probe builds a pure (self-contained, no mirror mutation)
 // change-set for transactional detours: it is only ever proposed and
 // rolled back, never committed.
 type fuzzTarget interface {
@@ -330,7 +329,7 @@ func compareWitnesses(t *testing.T, step string, got, want []core.Report) {
 // pairs. The op byte's low bits pick the change kind; its high two bits
 // pick a transaction mode for the step:
 //
-//	mode 1: before applying, Propose a pure probe on both sessions and
+//	mode 1: before applying, Propose a pure probe and
 //	        Roll it back (plus ordering-error assertions). Any leak —
 //	        state, verdicts, witnesses, cache recency — then surfaces in
 //	        the lockstep/scratch comparisons for this and later steps.
@@ -338,11 +337,11 @@ func compareWitnesses(t *testing.T, step string, got, want []core.Report) {
 //	        of Apply when it is pure; committed state must still match
 //	        the from-scratch baseline bit-identically.
 //
-// A second pair of sessions (both granularities) consumes the SAME change
+// A second session consumes the SAME change
 // stream through ApplyBatch: steps accumulate and flush at boundaries
 // derived from the input bytes, so random streams get random batch
-// partitions — and at every batch boundary the batched sessions' verdicts
-// and witnesses must be bit-identical to the one-at-a-time sessions'.
+// partitions — and at every batch boundary the batched session's verdicts
+// and witnesses must be bit-identical to the one-at-a-time session's.
 // This is the coalescing soundness bar: batching may only move WHERE
 // verification happens, never what it concludes. After the first
 // sequential apply error the batched lane goes dead for the rest of the
@@ -383,14 +382,12 @@ func FuzzSessionDifferential(f *testing.F) {
 				return newDCTarget(t, false, sopts)
 			}
 		}
-		prefix := mk(incr.Options{})
-		node := mk(incr.Options{NodeGranularity: true})
-		// The batched lane: independent targets (sessions own their
+		single := mk(incr.Options{})
+		// The batched lane: an independent target (sessions own their
 		// networks and mirror state) fed the same op stream, applied in
 		// input-derived batches instead of one change-set per step.
-		batchPrefix := mk(incr.Options{})
-		batchNode := mk(incr.Options{NodeGranularity: true})
-		var pendBP, pendBN []incr.Change
+		batch := mk(incr.Options{})
+		var pend []incr.Change
 		batchDead := false
 
 		// pureSet reports whether a change-set can round-trip through
@@ -452,8 +449,7 @@ func FuzzSessionDifferential(f *testing.F) {
 			step := fmt.Sprintf("net %d step %d (op %d arg %d mode %d)", sel, i/2, op, arg, mode)
 
 			if mode == 1 {
-				detour(step+" [detour prefix]", prefix, arg)
-				detour(step+" [detour node]", node, arg)
+				detour(step+" [detour]", single, arg)
 			}
 
 			if !batchDead {
@@ -461,51 +457,37 @@ func FuzzSessionDifferential(f *testing.F) {
 				// Model mutations (ACL toggles) happen here, now; the
 				// session only hears about them at the flush — exactly the
 				// apply_batch contract.
-				pendBP = append(pendBP, batchPrefix.changes(op, arg)...)
-				pendBN = append(pendBN, batchNode.changes(op, arg)...)
+				pend = append(pend, batch.changes(op, arg)...)
 			}
 
-			got, errP := applyTx(prefix.session(), prefix.changes(op, arg), mode)
-			gotNode, errN := applyTx(node.session(), node.changes(op, arg), mode)
-			if (errP == nil) != (errN == nil) {
-				t.Fatalf("%s: granularity modes disagree on applicability: prefix=%v node=%v",
-					step, errP, errN)
-			}
-			if errP != nil {
+			got, err := applyTx(single.session(), single.changes(op, arg), mode)
+			if err != nil {
 				// Fuzzing can assemble configurations the engines reject
-				// for both modes and from scratch alike (e.g. steering
+				// incrementally and from scratch alike (e.g. steering
 				// into a failed middlebox that slice closure cannot
-				// reach). Both sessions have dropped their incremental
-				// state and recover on the next Apply. The batched lane
+				// reach). The session has dropped its incremental state
+				// and recovers on the next Apply. The batched lane
 				// cannot replicate a partial failure and goes dead.
 				batchDead = true
 				continue
 			}
 
-			want := baseline(t, prefix.session(), opts, true)
-			compareReports(t, step+" [prefix vs scratch]", got, want)
-			compareWitnesses(t, step+" [prefix vs scratch]", got, want)
-			compareReports(t, step+" [node vs prefix]", gotNode, got)
-			compareWitnesses(t, step+" [node vs prefix]", gotNode, got)
+			want := baseline(t, single.session(), opts, true)
+			compareReports(t, step+" [vs scratch]", got, want)
+			compareWitnesses(t, step+" [vs scratch]", got, want)
 
 			// Flush the batched lane at input-derived boundaries and at the
 			// end of the stream, and demand bit-identical verdicts AND
 			// witnesses against the one-at-a-time sessions.
 			last := !(i+3 < len(ops) && i/2+1 < maxFuzzOps)
 			if !batchDead && ((int(op)+int(arg))%3 == 0 || last) {
-				gotBP, errBP := batchPrefix.session().ApplyBatch(pendBP)
-				if errBP != nil {
-					t.Fatalf("%s: batched apply failed where sequential succeeded: %v", step, errBP)
+				gotB, errB := batch.session().ApplyBatch(pend)
+				if errB != nil {
+					t.Fatalf("%s: batched apply failed where sequential succeeded: %v", step, errB)
 				}
-				gotBN, errBN := batchNode.session().ApplyBatch(pendBN)
-				if errBN != nil {
-					t.Fatalf("%s: batched node-granularity apply failed: %v", step, errBN)
-				}
-				pendBP, pendBN = pendBP[:0], pendBN[:0]
-				compareReports(t, step+" [batch vs sequential]", gotBP, got)
-				compareWitnesses(t, step+" [batch vs sequential]", gotBP, got)
-				compareReports(t, step+" [batch node vs batch prefix]", gotBN, gotBP)
-				compareWitnesses(t, step+" [batch node vs batch prefix]", gotBN, gotBP)
+				pend = pend[:0]
+				compareReports(t, step+" [batch vs sequential]", gotB, got)
+				compareWitnesses(t, step+" [batch vs sequential]", gotB, got)
 			}
 		}
 	})

@@ -214,12 +214,14 @@ type persistRenaming struct {
 }
 
 // configHash fingerprints everything outside the store that verdicts
-// depend on: solver options, scenarios, grouping/dirtying modes, and
+// depend on: solver options, scenarios, the grouping mode, and
 // the initial network shape the caller rebuilds from its own
 // configuration. A restored store whose hash differs was written by a
 // differently configured session — its verdicts do not transfer.
 func (s *Session) configHash() uint64 {
-	b := []byte{3} // codec version: 3 = a snapshot's state is a wire change-set, as a journal record's is
+	// codec version: 4 = the options are core.Options.AppendVerdictKey
+	// (RandomBranchFreq by its float bits, where 3 truncated it to 0)
+	b := s.opts.AppendVerdictKey([]byte{4})
 	put := func(vs ...int64) {
 		for _, v := range vs {
 			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -241,9 +243,7 @@ func (s *Session) configHash() uint64 {
 		}
 	}
 	o := s.opts
-	put(int64(o.Engine), int64(o.MaxSends), o.Seed, int64(o.MaxConflicts), int64(o.MaxStates))
-	put(int64(o.RandomBranchFreq))
-	putb(o.NoSlices, o.NoSolverReuse, o.NoCanon, s.sopts.NoSymmetry, s.sopts.NodeGranularity)
+	putb(o.NoSolverReuse, o.NoCanon, s.sopts.NoSymmetry)
 	put(int64(len(o.Scenarios)))
 	for _, sc := range o.Scenarios {
 		puts(sc.Key())

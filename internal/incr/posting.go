@@ -22,8 +22,8 @@ package incr
 //     by construction — the set-level prescreen, without per-group work.
 //
 //   - coarse: the slots whose entries carry no refined reads (whole-
-//     network slices, NodeGranularity mode); any change at a footprint
-//     node must put them in front of classify.
+//     network slices); any change at a footprint node must put them in
+//     front of classify.
 //
 // The lists select CANDIDATES; the existing impact.classify remains the
 // per-candidate precision check (matching-subsequence comparison,

@@ -34,13 +34,6 @@ type Options struct {
 	NoSymmetry bool
 	// CacheCap bounds verdict-cache entries (0 = 65536).
 	CacheCap int
-	// NodeGranularity disables prefix/rule-level dependency refinement:
-	// forwarding updates and middlebox reconfigurations then dirty every
-	// group whose node footprint contains the changed element, instead of
-	// only the groups whose recorded read atoms or rule-read projections
-	// the change alters. Verdicts are identical either way; no CLI sets it:
-	// it is the reference FuzzSessionDifferential holds refined dirtying to.
-	NodeGranularity bool
 	// RequestTimeout bounds the wall clock of one request (Apply or
 	// Propose, including repair search). Checks not started before the
 	// deadline degrade to an explicit BudgetExceeded/Unknown report
@@ -90,10 +83,10 @@ type ApplyStats struct {
 	// inherited (invariant, scenario) reports).
 	DirtyClasses int
 	CanonShared  int
-	// RefinedClean counts groups the node-granularity index would have
-	// dirtied (their footprint contains a changed element) but whose
+	// RefinedClean counts groups element-level dirtying would have
+	// re-verified (their footprint contains a changed element) but whose
 	// prefix/rule-level read-set proved untouched — the work the refined
-	// dependency index saves on this Apply. Always 0 with NodeGranularity.
+	// dependency index saves on this Apply.
 	RefinedClean int
 	// TablesCompiled counts the forwarding tables this Apply sorted and
 	// hashed: 0 when no table's rules changed, whatever else did.
@@ -140,8 +133,8 @@ type Totals struct {
 // the per-node forwarding read atoms and the per-box rule-read
 // projections (prefix/rule-level dirtying), and the slice address
 // universe the projections were taken against. coarse marks entries
-// without refined reads (whole-network slices, NodeGranularity mode):
-// any change at a footprint node dirties them.
+// without refined reads (whole-network slices): any change at a footprint
+// node dirties them.
 type groupEntry struct {
 	reports  []core.Report
 	touched  []topo.NodeID
@@ -427,11 +420,11 @@ func (s *Session) grouping() ([]symmetry.Group, []string) {
 		keys := make([]string, 0, len(s.invs))
 		seen := map[string]int{}
 		for _, i := range s.invs {
-			var base string
-			if ik, ok := appendInvariantKey(nil, i); ok {
-				base = "k:" + string(ik)
-			} else {
-				base = "o:" + cls.Signature(i) + "|" + i.Name()
+			base := "o:" + cls.Signature(i) + "|" + i.Name()
+			if si, ok := i.(inv.Slotted); ok {
+				var k mbox.Key
+				si.Slots(&k)
+				base = "k:" + string(k.B)
 			}
 			n := seen[base]
 			seen[base] = n + 1
@@ -675,9 +668,6 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	fwd := s.syncEngines(changes, scens)
 	s.engs = fwd.engs
 	im.addTableDeltas(fwd.deltas, changes)
-	if s.sopts.NodeGranularity {
-		im.collapseToNodes()
-	}
 
 	// Phase 3: regroup if the partition's inputs moved, and decide what is
 	// dirty.
@@ -1200,16 +1190,7 @@ func (s *Session) planGroup(rep inv.Invariant, scens []topo.FailureScenario, eng
 			return nil, err
 		}
 		gp.plans = append(gp.plans, cp)
-		if s.sopts.NodeGranularity {
-			// The escape hatch never consults refined reads: record the
-			// node footprint only.
-			gp.reads = append(gp.reads, slices.ReadSet{
-				Nodes:  slices.Touched(s.net.Topo, engs[si], cp.Slice()),
-				Coarse: true,
-			})
-		} else {
-			gp.reads = append(gp.reads, slices.ComputeReadSet(s.net.Topo, engs[si], cp.Slice()))
-		}
+		gp.reads = append(gp.reads, slices.ComputeReadSet(s.net.Topo, engs[si], cp.Slice()))
 		if k := cp.CanonKey(); k != nil && canonOK {
 			joined = appendFramed(joined, k)
 		} else {
@@ -1223,38 +1204,29 @@ func (s *Session) planGroup(rep inv.Invariant, scens []topo.FailureScenario, eng
 }
 
 // ruleReadKey projects the configuration of the middlebox currently bound
-// at n onto universe (mbox.RuleReadKeyer). ok=false when no such box
-// exists or its model has no projection — the caller then falls back to
-// node-granularity dirtying.
+// at n onto universe (mbox.ReadKey). ok=false when no such box exists or
+// its model has no description — the caller then dirties the group.
 func (s *Session) ruleReadKey(n topo.NodeID, universe topo.AtomSet) (string, bool) {
 	bi := s.findBox(n)
 	if bi < 0 {
 		return "", false
 	}
-	rk, ok := s.net.Boxes[bi].Model.(mbox.RuleReadKeyer)
-	if !ok {
-		return "", false
-	}
-	return string(rk.AppendRuleReadKey(nil, universe)), true
+	k, ok := mbox.ReadKey(nil, s.net.Boxes[bi].Model, universe)
+	return string(k), ok
 }
 
 // newEntry assembles the read-set memory of a freshly verified group: the
 // union node footprint across scenarios, and — unless some scenario's
-// slice was whole or the session dirties at node granularity — the union
-// forwarding read atoms, the union address universe, and the rule-read
-// projections of every slice box against that universe.
+// slice was whole — the union forwarding read atoms, the union address
+// universe, and the rule-read projections of every slice box against that
+// universe.
 func (s *Session) newEntry(gp *groupPlan) *groupEntry {
-	e := &groupEntry{}
-	coarse := s.sopts.NodeGranularity
+	e := &groupEntry{touched: unionTouched(gp.reads)}
 	for _, rs := range gp.reads {
 		if rs.Coarse {
-			coarse = true
+			e.coarse = true
+			return e
 		}
-	}
-	e.touched = unionTouched(gp.reads)
-	e.coarse = coarse
-	if coarse {
-		return e
 	}
 	e.fib = map[topo.NodeID]topo.AtomSet{}
 	for _, rs := range gp.reads {
@@ -1269,8 +1241,8 @@ func (s *Session) newEntry(gp *groupPlan) *groupEntry {
 			if _, ok := e.boxKeys[b.Node]; ok {
 				continue
 			}
-			if rk, ok := b.Model.(mbox.RuleReadKeyer); ok {
-				e.boxKeys[b.Node] = string(rk.AppendRuleReadKey(nil, e.universe))
+			if k, ok := mbox.ReadKey(nil, b.Model, e.universe); ok {
+				e.boxKeys[b.Node] = string(k)
 			}
 		}
 	}

@@ -120,6 +120,28 @@ type Invariant interface {
 	RefAddrs() []pkt.Addr
 }
 
+// SlotWriter is what an invariant's structural slots are walked through:
+// the key writers (mbox.Key for the exact key, slices.Canonizer for the
+// canonical one), which serialize each name and return it unchanged, and
+// internal/core's translator, which returns the name a renaming maps it to.
+type SlotWriter interface {
+	Byte(x byte)
+	Uint(x uint64)
+	Node(n topo.NodeID) topo.NodeID
+	Addr(a pkt.Addr) pkt.Addr
+	Prefix(p pkt.Prefix) pkt.Prefix
+}
+
+// Slotted is implemented by invariants that can be keyed and carried
+// between namespaces: Slots walks the type tag and every node, address and
+// prefix the invariant names through w, in a fixed order, and returns the
+// invariant rebuilt from what w answered (labels are reporting-only and
+// kept). An invariant type without it is never verdict-cached or class-
+// shared: its checks always solve in their own namespace.
+type Slotted interface {
+	Slots(w SlotWriter) Invariant
+}
+
 // matchSrc builds the predicate "header source equals a".
 func matchSrc(a pkt.Addr) func(logic.Event) bool {
 	return func(e logic.Event) bool { return e.Hdr.Src == a }
@@ -155,6 +177,13 @@ func (i SimpleIsolation) Expectation() bool { return true }
 // RefAddrs implements Invariant.
 func (i SimpleIsolation) RefAddrs() []pkt.Addr { return []pkt.Addr{i.SrcAddr} }
 
+// Slots implements Slotted.
+func (i SimpleIsolation) Slots(w SlotWriter) Invariant {
+	w.Byte('i')
+	i.Dst, i.SrcAddr = w.Node(i.Dst), w.Addr(i.SrcAddr)
+	return i
+}
+
 // Reachability is the positive counterpart of SimpleIsolation: it *wants*
 // Dst to receive a packet from SrcAddr (e.g. §5.3.2's Priv-Pub check).
 // Engines still search for the receive event; Violated means "reachable".
@@ -186,6 +215,13 @@ func (i Reachability) Expectation() bool { return false }
 
 // RefAddrs implements Invariant.
 func (i Reachability) RefAddrs() []pkt.Addr { return []pkt.Addr{i.SrcAddr} }
+
+// Slots implements Slotted.
+func (i Reachability) Slots(w SlotWriter) Invariant {
+	w.Byte('r')
+	i.Dst, i.SrcAddr = w.Node(i.Dst), w.Addr(i.SrcAddr)
+	return i
+}
 
 // DataIsolation asserts Dst never receives data originating at Origin,
 // whether directly or via a cache: □¬(rcv(d,n,p) ∧ origin(p)=o). (§3.3,
@@ -219,6 +255,13 @@ func (i DataIsolation) Expectation() bool { return true }
 
 // RefAddrs implements Invariant.
 func (i DataIsolation) RefAddrs() []pkt.Addr { return []pkt.Addr{i.Origin} }
+
+// Slots implements Slotted.
+func (i DataIsolation) Slots(w SlotWriter) Invariant {
+	w.Byte('d')
+	i.Dst, i.Origin = w.Node(i.Dst), w.Addr(i.Origin)
+	return i
+}
 
 // FlowIsolation asserts Dst receives packets from SrcAddr only on flows
 // Dst itself initiated (§3.3's flow isolation; the "private hosts may
@@ -279,6 +322,13 @@ func (i FlowIsolation) Expectation() bool { return true }
 // RefAddrs implements Invariant.
 func (i FlowIsolation) RefAddrs() []pkt.Addr { return []pkt.Addr{i.SrcAddr} }
 
+// Slots implements Slotted.
+func (i FlowIsolation) Slots(w SlotWriter) Invariant {
+	w.Byte('f')
+	i.Dst, i.SrcAddr = w.Node(i.Dst), w.Addr(i.SrcAddr)
+	return i
+}
+
 // Traversal asserts every packet received by Dst whose source matches
 // SrcPrefix has previously been received by one of the Via middlebox
 // instances (the §5.1 "Misconfigured Redundant Routing" invariant: all
@@ -328,4 +378,17 @@ func (i Traversal) RefAddrs() []pkt.Addr {
 		return nil
 	}
 	return []pkt.Addr{i.SrcAddr}
+}
+
+// Slots implements Slotted.
+func (i Traversal) Slots(w SlotWriter) Invariant {
+	w.Byte('t')
+	i.Dst, i.SrcPrefix, i.SrcAddr = w.Node(i.Dst), w.Prefix(i.SrcPrefix), w.Addr(i.SrcAddr)
+	w.Uint(uint64(len(i.Vias)))
+	vias := make([]topo.NodeID, len(i.Vias))
+	for j, m := range i.Vias {
+		vias[j] = w.Node(m)
+	}
+	i.Vias = vias
+	return i
 }

@@ -1,287 +1,285 @@
 package mbox
 
-// Middlebox configuration fingerprints. While AppendKey (key.go)
-// fingerprints a box's mutable *state*, AppendConfigKey fingerprints its
-// *configuration* — the ACLs, address pools and class sets that Process
-// consults but never mutates. The incremental verifier (internal/incr)
-// folds these segments into its verdict-cache key so that reconfiguring a
-// box invalidates exactly the cached verdicts whose slices contain it.
-// Encodings are length-framed and tagged by model type, so two distinct
-// configurations can never collide; ACL entries are encoded in evaluation
-// order because first-match-wins semantics make order significant.
+// Middlebox configuration keys. AppendKey (key.go) fingerprints a box's
+// mutable *state*; the keys here fingerprint its *configuration* — the ACLs,
+// address pools and class sets Process consults but never mutates. A model
+// describes its configuration ONCE, by walking it through a KeyWriter
+// (DescribeConfig), and each writer turns the walk into one key (DESIGN.md,
+// "Keys"): the exact key keeps every entry under its concrete name (equal
+// keys ⇔ equal configurations); the read key keeps, of the match lists, only
+// the entries live on a given address universe U (equal keys over U ⇒
+// identical behaviour on every packet whose addresses all lie in U — U is
+// the slice's complete alphabet, slices.ReadSet.Universe); the canonical
+// key (internal/slices.Canonizer) drops the same dead entries and replaces
+// names by canonical numbers (equal keys ⇒ the configurations agree modulo
+// the slices' renaming).
+//
+// Encodings are tagged by model type and length-framed, so distinct
+// configurations never collide; ACL entries keep evaluation order because
+// first-match-wins makes it significant. Abstract class bits are written
+// raw: the class registry is network-global, so classes are not renamed.
 
 import (
 	"encoding/binary"
+	"sort"
 
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/topo"
 )
 
-// ConfigKeyer is implemented by middlebox models whose configuration has a
-// canonical binary fingerprint. Models that do not implement it (e.g.
-// interpreted MDL models) are simply never verdict-cached — a sound
-// fallback, not an error.
-type ConfigKeyer interface {
-	// AppendConfigKey appends a canonical encoding of the model's
-	// configuration to b. Equal configurations ⇔ equal bytes.
-	AppendConfigKey(b []byte) []byte
+// KeyWriter is what a configuration is described to. Addr and Prefix return
+// their argument (inv.SlotWriter shares the methods, and its translating
+// implementation returns the renamed name); descriptions ignore the result.
+type KeyWriter interface {
+	// Byte writes a byte no renaming touches: tags, booleans, ports, class
+	// bits, type names. Uint writes a count.
+	Byte(x byte)
+	Uint(x uint64)
+	Addr(a pkt.Addr) pkt.Addr
+	Prefix(p pkt.Prefix) pkt.Prefix
+	// Live reports whether an entry guarded by p can fire on the universe
+	// the key is taken over: some universe address matches p. Every packet
+	// either engine routes carries only universe addresses, so descriptions
+	// skip entries that are not live. Always true for the exact key.
+	Live(p pkt.Prefix) bool
+	// Set writes n elements as an unordered collection: elem(i) describes
+	// element i and the writer emits the encodings sorted, so the key does
+	// not depend on the order the elements were supplied in.
+	Set(n int, elem func(i int))
+	// Opaque writes bytes that spell concrete addresses in a form the
+	// writer cannot see. A renaming writer has no canonical form for them
+	// and abandons its key.
+	Opaque(b []byte)
 }
 
-// CanonRenamer maps the concrete addresses and prefixes of one slice onto
-// its canonical alphabet (internal/slices.Canonizer implements it). Numbers
-// are assigned in first-encounter order, so encoding a configuration
-// through a CanonRenamer yields bytes that are invariant under a renaming
-// of the slice's address space.
-type CanonRenamer interface {
-	// CanonAddr returns the canonical number of a.
-	CanonAddr(a pkt.Addr) uint32
-	// CanonPrefix returns the canonical number of p. The renamer records
-	// the prefix and later emits its match behaviour over the canonical
-	// address universe, so two configurations agree canonically only if
-	// their prefixes classify the slice's addresses identically.
-	CanonPrefix(p pkt.Prefix) uint32
-	// PrefixMatchesAny reports whether p matches any address of the
-	// slice's universe (fully interned before box configurations are
-	// encoded). Every packet either engine routes carries only universe
-	// addresses, so a prefix matching none of them can never fire:
-	// encoders drop such dead entries, making a globally-configured box
-	// (one ACL shared by every slice) canonicalize by its behaviour on
-	// the slice rather than its full configuration text.
-	PrefixMatchesAny(p pkt.Prefix) bool
+// ConfigDescriber is implemented by models whose configuration has keys:
+// DescribeConfig walks everything Process consults through w. A model
+// without it (a custom Go model) is never memoized, verdict-cached or
+// canonically classed, and dirties at node granularity — sound fallbacks,
+// not errors.
+type ConfigDescriber interface {
+	DescribeConfig(w KeyWriter)
 }
 
-// CanonKeyer is implemented by models whose configuration can additionally
-// be encoded relative to a canonical renaming — the hook that lets
-// canonical slice normalization (internal/slices, internal/core) place two
-// boxes with structurally identical-but-renamed configurations in one
-// equivalence class. Models without it (interpreted MDL models) opt out of
-// cross-slice classing: their slices are never canonically shared, which is
-// sound. Class fields (IDPS/Scrubber abstract classes) are emitted raw —
-// the class registry is network-global, so classes are not renamed.
-type CanonKeyer interface {
-	ConfigKeyer
-	// AppendConfigKeyCanon appends the renamed encoding of the model's
-	// configuration to b. Structurally equal configurations modulo the
-	// renaming ⇔ equal bytes (given the renamer's final prefix tables).
-	AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte
-}
-
-func appendCanonPrefix(b []byte, r CanonRenamer, p pkt.Prefix) []byte {
-	return binary.AppendUvarint(b, uint64(r.CanonPrefix(p)))
-}
-
-func appendCanonAddr(b []byte, r CanonRenamer, a pkt.Addr) []byte {
-	return binary.AppendUvarint(b, uint64(r.CanonAddr(a)))
-}
-
-// appendCanonACL encodes the live entries of an ACL — those whose source
-// AND destination prefixes each match at least one universe address, the
-// only entries first-match-wins evaluation can ever select for a packet of
-// this slice — in evaluation order. Dead entries are dropped so that
-// slices seeing the same effective policy canonicalize together even when
-// the configured ACL text differs (per-pair rules of a global firewall).
-func appendCanonACL(b []byte, r CanonRenamer, acl []ACLEntry) []byte {
-	live := make([]bool, len(acl))
-	n := 0
-	for i, e := range acl {
-		if r.PrefixMatchesAny(e.Src) && r.PrefixMatchesAny(e.Dst) {
-			live[i] = true
-			n++
-		}
+// WriteConfig describes m's configuration to w; false (nothing written)
+// when m has no description.
+func WriteConfig(w KeyWriter, m Model) bool {
+	d, ok := m.(ConfigDescriber)
+	if ok {
+		d.DescribeConfig(w)
 	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for i, e := range acl {
-		if !live[i] {
-			continue
-		}
-		b = appendCanonPrefix(b, r, e.Src)
-		b = appendCanonPrefix(b, r, e.Dst)
-		b = append(b, byte(e.Action))
-	}
-	return b
+	return ok
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (f *LearningFirewall) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	b = append(b, 'F')
-	b = appendCanonACL(b, r, f.ACL)
-	if f.DefaultAllow {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// ExactKey appends m's exact configuration key to b.
+func ExactKey(b []byte, m Model) ([]byte, bool) {
+	k := Key{B: b}
+	ok := WriteConfig(&k, m)
+	return k.B, ok
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (n *NAT) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	b = append(b, 'N')
-	b = appendCanonAddr(b, r, n.NATAddr)
-	return binary.BigEndian.AppendUint16(b, uint16(n.PortBase))
+// ReadKey appends m's read key over universe to b.
+func ReadKey(b []byte, m Model, universe topo.AtomSet) ([]byte, bool) {
+	k := Key{B: b, universe: &universe}
+	ok := WriteConfig(&k, m)
+	return k.B, ok
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (c *ContentCache) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	b = append(b, 'C')
-	b = appendCanonACL(b, r, c.ACL)
-	if c.DefaultServe {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// Key is the writer of exact and read keys (and of an invariant's exact
+// slots, internal/inv): nodes as varints, addresses as four big-endian
+// bytes, prefixes as address plus length byte, appended to B.
+type Key struct {
+	B        []byte
+	universe *topo.AtomSet // nil: the exact key, every entry live
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (d *IDPS) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	b = append(b, 'I')
-	b = appendCanonAddr(b, r, d.Scrubber)
-	live := make([]bool, len(d.Watched))
-	n := 0
-	for i, p := range d.Watched {
-		if r.PrefixMatchesAny(p) {
-			live[i] = true
-			n++
-		}
+func (k *Key) Byte(x byte)   { k.B = append(k.B, x) }
+func (k *Key) Uint(x uint64) { k.B = binary.AppendUvarint(k.B, x) }
+
+func (k *Key) Node(n topo.NodeID) topo.NodeID {
+	k.B = binary.AppendVarint(k.B, int64(n))
+	return n
+}
+
+func (k *Key) Addr(a pkt.Addr) pkt.Addr {
+	k.B = binary.BigEndian.AppendUint32(k.B, uint32(a))
+	return a
+}
+
+func (k *Key) Prefix(p pkt.Prefix) pkt.Prefix {
+	k.B = append(binary.BigEndian.AppendUint32(k.B, uint32(p.Addr)), byte(p.Len))
+	return p
+}
+
+func (k *Key) Live(p pkt.Prefix) bool {
+	return k.universe == nil || k.universe.IntersectsPrefix(p)
+}
+
+func (k *Key) Set(n int, elem func(i int)) {
+	k.Uint(uint64(n))
+	SortSegments(&k.B, n, elem)
+}
+
+func (k *Key) Opaque(b []byte) { k.B = append(binary.AppendUvarint(k.B, uint64(len(b))), b...) }
+
+// SortSegments is KeyWriter.Set for a writer that appends to *buf: each
+// elem(i) appends one encoding, and the n encodings are left in bytewise
+// order.
+func SortSegments(buf *[]byte, n int, elem func(i int)) {
+	start := len(*buf)
+	segs := make([]string, n)
+	for i := range segs {
+		elem(i)
+		segs[i] = string((*buf)[start:])
+		*buf = (*buf)[:start]
 	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for i, p := range d.Watched {
-		if live[i] {
-			b = appendCanonPrefix(b, r, p)
-		}
+	sort.Strings(segs)
+	for _, seg := range segs {
+		*buf = append(*buf, seg...)
 	}
-	if d.HasClass {
-		b = append(b, 1, byte(d.MalClass))
+}
+
+// PutString writes a length-framed string of bytes no renaming touches.
+func PutString(w KeyWriter, s string) {
+	w.Uint(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		w.Byte(s[i])
+	}
+}
+
+// putFixed writes the low n bytes of x, big-endian.
+func putFixed(w KeyWriter, x uint64, n int) {
+	for n--; n >= 0; n-- {
+		w.Byte(byte(x >> (8 * uint(n))))
+	}
+}
+
+func putBool(w KeyWriter, v bool) {
+	if v {
+		w.Byte(1)
 	} else {
-		b = append(b, 0, 0)
+		w.Byte(0)
 	}
-	return b
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (s *Scrubber) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	return s.AppendConfigKey(b) // classes only; nothing to rename
-}
-
-// AppendConfigKeyCanon implements CanonKeyer.
-func (l *LoadBalancer) AppendConfigKeyCanon(b []byte, r CanonRenamer) []byte {
-	b = append(b, 'L')
-	b = appendCanonAddr(b, r, l.VIP)
-	b = binary.AppendUvarint(b, uint64(len(l.Backends)))
-	for _, a := range l.Backends {
-		b = appendCanonAddr(b, r, a)
+// putClass writes an optional abstract class.
+func putClass(w KeyWriter, has bool, c pkt.Class) {
+	if !has {
+		c = 0
 	}
-	return b
+	putBool(w, has)
+	w.Byte(byte(c))
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (p *Passthrough) AppendConfigKeyCanon(b []byte, _ CanonRenamer) []byte {
-	return p.AppendConfigKey(b) // type name only; nothing to rename
+// putPrefixes writes the live members of a match list, in order.
+func putPrefixes(w KeyWriter, ps []pkt.Prefix) {
+	n := 0
+	for _, p := range ps {
+		if w.Live(p) {
+			n++
+		}
+	}
+	w.Uint(uint64(n))
+	for _, p := range ps {
+		if w.Live(p) {
+			w.Prefix(p)
+		}
+	}
 }
 
-// AppendConfigKeyCanon implements CanonKeyer.
-func (f *AppFirewall) AppendConfigKeyCanon(b []byte, _ CanonRenamer) []byte {
-	return f.AppendConfigKey(b) // abstract classes only; not renamed
-}
-
-// AppendConfigKeyCanon implements CanonKeyer.
-func (w *WANOptimizer) AppendConfigKeyCanon(b []byte, _ CanonRenamer) []byte {
-	return w.AppendConfigKey(b)
-}
-
-func appendPrefix(b []byte, p pkt.Prefix) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(p.Addr))
-	return append(b, byte(p.Len))
-}
-
-func appendACL(b []byte, acl []ACLEntry) []byte {
-	b = binary.AppendUvarint(b, uint64(len(acl)))
+// putACL writes the live entries of an ACL — those whose source AND
+// destination prefixes are each live, the only entries first-match-wins
+// evaluation can select for a packet of the universe — in evaluation order.
+// Dropping the dead ones is what makes slices that see the same effective
+// policy key alike when the configured ACL text differs (the per-pair rules
+// of a global firewall).
+func putACL(w KeyWriter, acl []ACLEntry) {
+	live := func(e ACLEntry) bool { return w.Live(e.Src) && w.Live(e.Dst) }
+	n := 0
 	for _, e := range acl {
-		b = appendPrefix(b, e.Src)
-		b = appendPrefix(b, e.Dst)
-		b = append(b, byte(e.Action))
+		if live(e) {
+			n++
+		}
 	}
-	return b
+	w.Uint(uint64(n))
+	for _, e := range acl {
+		if live(e) {
+			w.Prefix(e.Src)
+			w.Prefix(e.Dst)
+			w.Byte(byte(e.Action))
+		}
+	}
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (f *LearningFirewall) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'F')
-	b = appendACL(b, f.ACL)
-	if f.DefaultAllow {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// DescribeConfig implements ConfigDescriber: the firewall consults the
+// first live entry matching (src, dst) and the default policy.
+func (f *LearningFirewall) DescribeConfig(w KeyWriter) {
+	w.Byte('F')
+	putACL(w, f.ACL)
+	putBool(w, f.DefaultAllow)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (n *NAT) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'N')
-	b = binary.BigEndian.AppendUint32(b, uint32(n.NATAddr))
-	return binary.BigEndian.AppendUint16(b, uint16(n.PortBase))
+// DescribeConfig implements ConfigDescriber: every packet consults the
+// public address and port base.
+func (n *NAT) DescribeConfig(w KeyWriter) {
+	w.Byte('N')
+	w.Addr(n.NATAddr)
+	putFixed(w, uint64(n.PortBase), 2)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (c *ContentCache) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'C')
-	b = appendACL(b, c.ACL)
-	if c.DefaultServe {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// DescribeConfig implements ConfigDescriber: the cache consults the first
+// live serve-policy entry and the default.
+func (c *ContentCache) DescribeConfig(w KeyWriter) {
+	w.Byte('C')
+	putACL(w, c.ACL)
+	putBool(w, c.DefaultServe)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (d *IDPS) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'I')
-	b = binary.BigEndian.AppendUint32(b, uint32(d.Scrubber))
-	b = binary.AppendUvarint(b, uint64(len(d.Watched)))
-	for _, p := range d.Watched {
-		b = appendPrefix(b, p)
-	}
-	if d.HasClass {
-		b = append(b, 1, byte(d.MalClass))
-	} else {
-		b = append(b, 0, 0)
-	}
-	return b
+// DescribeConfig implements ConfigDescriber: only a watched prefix covering
+// a universe address can flag a packet; the scrubber address and class bits
+// are consulted unconditionally.
+func (d *IDPS) DescribeConfig(w KeyWriter) {
+	w.Byte('I')
+	w.Addr(d.Scrubber)
+	putPrefixes(w, d.Watched)
+	putClass(w, d.HasClass, d.MalClass)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (s *Scrubber) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'S')
-	if s.HasClass {
-		return append(b, 1, byte(s.AttackClass))
-	}
-	return append(b, 0, 0)
+// DescribeConfig implements ConfigDescriber.
+func (s *Scrubber) DescribeConfig(w KeyWriter) {
+	w.Byte('S')
+	putClass(w, s.HasClass, s.AttackClass)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (l *LoadBalancer) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'L')
-	b = binary.BigEndian.AppendUint32(b, uint32(l.VIP))
-	b = binary.AppendUvarint(b, uint64(len(l.Backends)))
+// DescribeConfig implements ConfigDescriber: every flow consults the VIP
+// and the backend pool.
+func (l *LoadBalancer) DescribeConfig(w KeyWriter) {
+	w.Byte('L')
+	w.Addr(l.VIP)
+	w.Uint(uint64(len(l.Backends)))
 	for _, a := range l.Backends {
-		b = binary.BigEndian.AppendUint32(b, uint32(a))
+		w.Addr(a)
 	}
-	return b
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (p *Passthrough) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'P')
-	return appendString(b, p.TypeName)
+// DescribeConfig implements ConfigDescriber.
+func (p *Passthrough) DescribeConfig(w KeyWriter) {
+	w.Byte('P')
+	PutString(w, p.TypeName)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (f *AppFirewall) AppendConfigKey(b []byte) []byte {
-	b = append(b, 'A')
-	return binary.BigEndian.AppendUint64(b, uint64(f.Blocked))
+// DescribeConfig implements ConfigDescriber.
+func (f *AppFirewall) DescribeConfig(w KeyWriter) {
+	w.Byte('A')
+	putFixed(w, uint64(f.Blocked), 8)
 }
 
-// AppendConfigKey implements ConfigKeyer.
-func (w *WANOptimizer) AppendConfigKey(b []byte) []byte {
-	return append(b, 'W')
-}
+// DescribeConfig implements ConfigDescriber.
+func (o *WANOptimizer) DescribeConfig(w KeyWriter) { w.Byte('W') }
 
 // ServiceAddrs reports the NAT's public address: rewritten and return
-// traffic is routed on it, so touched-element enumeration
-// (internal/slices.Touched) must walk the fabric toward it.
+// traffic is routed on it, so read-set enumeration
+// (internal/slices.ComputeReadSet) must walk the fabric toward it.
 func (n *NAT) ServiceAddrs() []pkt.Addr { return []pkt.Addr{n.NATAddr} }
 
 // ServiceAddrs reports the load balancer's virtual IP and backend pool for

@@ -1,6 +1,8 @@
 package mdl
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,18 +26,32 @@ func Instantiate(cls *Class, instanceName string, cfg Config, reg *pkt.Registry)
 		reg:     reg,
 		scalars: map[string]value{},
 		sets:    map[string]map[string]bool{},
+		typed:   map[string][][]pkt.Addr{},
 	}
+	// The class body is part of the configuration key. Every AST node type
+	// has a distinct set of field names, so the JSON rendering is injective.
+	ast, err := json.Marshal(cls)
+	if err != nil {
+		return nil, fmt.Errorf("mdl: %s: %v", cls.Name, err)
+	}
+	m.digest = sha256.Sum256(ast)
 	for _, p := range cls.Params {
 		raw, ok := cfg[p.Name]
 		if !ok {
 			return nil, fmt.Errorf("mdl: %s: missing config parameter %q", cls.Name, p.Name)
 		}
 		if p.Type.IsSet() {
-			set, err := toKeySet(raw)
+			set, typed, err := toKeySet(raw)
 			if err != nil {
 				return nil, fmt.Errorf("mdl: %s: parameter %q: %v", cls.Name, p.Name, err)
 			}
 			m.sets[p.Name] = set
+			if typed != nil {
+				m.typed[p.Name] = typed
+			}
+			for _, e := range typed {
+				m.addrs = append(m.addrs, e...)
+			}
 			continue
 		}
 		v, err := toValue(raw)
@@ -43,7 +59,11 @@ func Instantiate(cls *Class, instanceName string, cfg Config, reg *pkt.Registry)
 			return nil, fmt.Errorf("mdl: %s: parameter %q: %v", cls.Name, p.Name, err)
 		}
 		m.scalars[p.Name] = v
+		if a, ok := v.(pkt.Addr); ok {
+			m.addrs = append(m.addrs, a)
+		}
 	}
+	sort.Slice(m.addrs, func(i, j int) bool { return m.addrs[i] < m.addrs[j] })
 	m.failMode = deriveFailMode(cls)
 	m.discipline = deriveDiscipline(cls)
 	// Pre-register the class predicates the model consults.
@@ -66,11 +86,18 @@ func MustInstantiate(cls *Class, instanceName string, cfg Config, reg *pkt.Regis
 
 // Interpreted is an mbox.Model executing a parsed MDL class.
 type Interpreted struct {
-	cls        *Class
-	name       string
-	reg        *pkt.Registry
-	scalars    map[string]value
-	sets       map[string]map[string]bool
+	cls     *Class
+	name    string
+	reg     *pkt.Registry
+	scalars map[string]value
+	sets    map[string]map[string]bool
+	// typed holds, beside the rendered keys in sets, the elements of every
+	// set parameter supplied as addresses or address pairs, duplicate-free:
+	// the form the configuration keys are written from. addrs is every
+	// configured address, scalar or set element, sorted.
+	typed      map[string][][]pkt.Addr
+	addrs      []pkt.Addr
+	digest     [sha256.Size]byte // of the class AST
 	failMode   mbox.FailMode
 	discipline mbox.Discipline
 }
@@ -100,6 +127,55 @@ func (m *Interpreted) RelevantClasses(reg *pkt.Registry) pkt.ClassSet {
 	}
 	return set
 }
+
+// DescribeConfig implements mbox.ConfigDescriber mechanically from the
+// declared parameter list: the class (name and AST digest), then each
+// parameter in declaration order. MDL compares addresses only with ==, !=
+// and contains and has no address literals, so writing every configured
+// address through w.Addr makes the canonical key sound under renaming. A
+// set supplied as pre-rendered string keys has no renamable form and is
+// written opaquely: exact keys only, no canonical classing. Set elements
+// are not projected onto the universe — the read key is the exact key.
+func (m *Interpreted) DescribeConfig(w mbox.KeyWriter) {
+	w.Byte('M')
+	mbox.PutString(w, m.cls.Name)
+	mbox.PutString(w, string(m.digest[:]))
+	for _, p := range m.cls.Params {
+		if elems, ok := m.typed[p.Name]; ok {
+			w.Byte('s')
+			w.Set(len(elems), func(i int) {
+				w.Uint(uint64(len(elems[i])))
+				for _, a := range elems[i] {
+					w.Addr(a)
+				}
+			})
+			continue
+		}
+		switch v := m.scalars[p.Name].(type) {
+		case pkt.Addr:
+			w.Byte('a')
+			w.Addr(v)
+		case nil: // a set of string keys
+			keys := make([]string, 0, len(m.sets[p.Name]))
+			for k := range m.sets[p.Name] {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			w.Byte('o')
+			w.Opaque([]byte(fmt.Sprintf("%q", keys)))
+		default: // ints and booleans
+			w.Byte('v')
+			mbox.PutString(w, keyOf(v))
+		}
+	}
+}
+
+// ServiceAddrs reports every configured address, sorted. A scalar one may
+// be written into packets (Listing 2's NAT address), so it belongs to the
+// slice's address universe; set elements are there so that canonical
+// numbering meets them in an order that does not depend on how the set was
+// supplied, before the configuration is described.
+func (m *Interpreted) ServiceAddrs() []pkt.Addr { return m.addrs }
 
 func deriveFailMode(cls *Class) mbox.FailMode {
 	for _, a := range cls.Annotations {
@@ -297,25 +373,35 @@ func toValue(raw any) (value, error) {
 	}
 }
 
-func toKeySet(raw any) (map[string]bool, error) {
-	out := map[string]bool{}
+// toKeySet renders a set parameter as interpreter keys; typed is the same
+// set as address tuples, nil when the keys came pre-rendered.
+func toKeySet(raw any) (out map[string]bool, typed [][]pkt.Addr, err error) {
+	out = map[string]bool{}
+	add := func(v value, elem ...pkt.Addr) {
+		if k := keyOf(v); !out[k] {
+			out[k] = true
+			typed = append(typed, elem)
+		}
+	}
 	switch v := raw.(type) {
 	case []pkt.Addr:
+		typed = [][]pkt.Addr{}
 		for _, a := range v {
-			out[keyOf(a)] = true
+			add(a, a)
 		}
 	case [][2]pkt.Addr:
+		typed = [][]pkt.Addr{}
 		for _, pr := range v {
-			out[keyOf(tuple{pr[0], pr[1]})] = true
+			add(tuple{pr[0], pr[1]}, pr[0], pr[1])
 		}
 	case []string:
 		for _, s := range v {
 			out[s] = true
 		}
 	default:
-		return nil, fmt.Errorf("unsupported set config of type %T", raw)
+		return nil, nil, fmt.Errorf("unsupported set config of type %T", raw)
 	}
-	return out, nil
+	return out, typed, nil
 }
 
 // keyOf renders a value canonically for set/map keys.

@@ -332,7 +332,7 @@ func (r *Renaming) TranslateEvents(evs []logic.Event, to *Renaming) ([]logic.Eve
 }
 
 // Canonizer builds the canonical key of one verification problem. Callers
-// serialize the problem content through the Put methods in a fixed
+// serialize the problem content through the writer methods in a fixed
 // structural order — invariant slots first, then slice hosts, boxes with
 // canonical configurations, and the packet alphabet — interning names in
 // first-encounter order, and finish with Key, which appends the derived
@@ -346,8 +346,10 @@ type Canonizer struct {
 	ren  *Renaming
 	buf  []byte
 	done bool
+	// opaque: a box configuration spelled addresses no renaming reaches.
+	opaque bool
 
-	// PrefixMatchesAny memo, valid for the universe size it was computed
+	// Live memo, valid for the universe size it was computed
 	// at (global firewalls re-test the same prefixes for every box and
 	// both canonical keys of a check).
 	pfxLive    map[pkt.Prefix]bool
@@ -400,21 +402,15 @@ func (c *Canonizer) pfxID(p pkt.Prefix) uint32 {
 	return i
 }
 
-// CanonAddr implements mbox.CanonRenamer.
-func (c *Canonizer) CanonAddr(a pkt.Addr) uint32 { return c.addrID(a) }
-
-// CanonPrefix implements mbox.CanonRenamer.
-func (c *Canonizer) CanonPrefix(p pkt.Prefix) uint32 { return c.pfxID(p) }
-
-// PrefixMatchesAny implements mbox.CanonRenamer: whether p matches any
-// address interned so far. Callers serialize the complete address universe
-// (invariant slots, host addresses, auxiliary and service addresses)
-// before box configurations, so during config encoding this answers "can
+// Live implements mbox.KeyWriter: whether p matches any address interned
+// so far. Callers serialize the complete address universe (invariant slots,
+// host addresses, auxiliary and service addresses) before box
+// configurations, so while a configuration is described this answers "can
 // any packet of this slice ever fire an entry guarded by p". Results are
-// memoized per universe size — the scan repeats for every box and for
-// both canonical keys of a check.
-func (c *Canonizer) PrefixMatchesAny(p pkt.Prefix) bool {
-	if c.pfxLiveLen != len(c.ren.addrInv) {
+// memoized per universe size — the scan repeats for every box and for both
+// canonical keys of a check.
+func (c *Canonizer) Live(p pkt.Prefix) bool {
+	if c.pfxLive == nil || c.pfxLiveLen != len(c.ren.addrInv) {
 		c.pfxLive = make(map[pkt.Prefix]bool, 16)
 		c.pfxLiveLen = len(c.ren.addrInv)
 	}
@@ -432,57 +428,77 @@ func (c *Canonizer) PrefixMatchesAny(p pkt.Prefix) bool {
 	return live
 }
 
-// PutByte appends a raw byte (section tags, booleans, small enums).
-func (c *Canonizer) PutByte(x byte) { c.buf = append(c.buf, x) }
+// Byte appends a raw byte (section tags, booleans, small enums).
+func (c *Canonizer) Byte(x byte) { c.buf = append(c.buf, x) }
 
-// PutUint appends an unsigned varint.
-func (c *Canonizer) PutUint(x uint64) { c.buf = binary.AppendUvarint(c.buf, x) }
+// Raw appends bytes that name nothing (the options prologue).
+func (c *Canonizer) Raw(b []byte) { c.buf = append(c.buf, b...) }
 
-// PutInt appends a signed varint.
-func (c *Canonizer) PutInt(x int64) { c.buf = binary.AppendVarint(c.buf, x) }
+// Uint appends an unsigned varint.
+func (c *Canonizer) Uint(x uint64) { c.buf = binary.AppendUvarint(c.buf, x) }
 
-// PutU64 appends a fixed-width big-endian uint64 (float bits, class sets).
-func (c *Canonizer) PutU64(x uint64) { c.buf = binary.BigEndian.AppendUint64(c.buf, x) }
+// Node appends the canonical number of n, interning it on first encounter.
+func (c *Canonizer) Node(n topo.NodeID) topo.NodeID {
+	c.Uint(uint64(c.nodeID(n)))
+	return n
+}
 
-// PutNode appends the canonical number of n, interning it on first
-// encounter.
-func (c *Canonizer) PutNode(n topo.NodeID) { c.PutUint(uint64(c.nodeID(n))) }
+// Addr appends the canonical number of a, interning it on first encounter.
+func (c *Canonizer) Addr(a pkt.Addr) pkt.Addr {
+	c.Uint(uint64(c.addrID(a)))
+	return a
+}
 
-// PutAddr appends the canonical number of a, interning it on first
-// encounter.
-func (c *Canonizer) PutAddr(a pkt.Addr) { c.PutUint(uint64(c.addrID(a))) }
+// Prefix appends the canonical number of p; the prefix's match behaviour
+// over the final address universe is emitted by Key, so two keys agree only
+// if their prefixes classify the slice's addresses identically.
+func (c *Canonizer) Prefix(p pkt.Prefix) pkt.Prefix {
+	c.Uint(uint64(c.pfxID(p)))
+	return p
+}
 
-// PutPrefix appends the canonical number of p; the prefix's match
-// behaviour over the final address universe is emitted by Key.
-func (c *Canonizer) PutPrefix(p pkt.Prefix) { c.PutUint(uint64(c.pfxID(p))) }
+// Set implements mbox.KeyWriter. The sorted form is independent of supply
+// order only for elements whose addresses are already interned (an element
+// naming a new address numbers it at first encounter), which is why models
+// put their configuration addresses in the universe (ServiceAddrs).
+func (c *Canonizer) Set(n int, elem func(i int)) {
+	c.Uint(uint64(n))
+	mbox.SortSegments(&c.buf, n, elem)
+}
 
-// PutHeader appends a packet header with its address fields renamed. Ports,
+// Opaque implements mbox.KeyWriter: addresses the canonizer cannot rename
+// make the configuration, and so the problem, non-canonicalizable.
+func (c *Canonizer) Opaque([]byte) { c.opaque = true }
+
+// Header appends a packet header with its address fields renamed. Ports,
 // protocol and content IDs are not topology-dependent and are emitted raw.
-func (c *Canonizer) PutHeader(h pkt.Header) {
-	c.PutAddr(h.Src)
-	c.PutAddr(h.Dst)
-	c.PutUint(uint64(h.SrcPort))
-	c.PutUint(uint64(h.DstPort))
-	c.PutByte(byte(h.Proto))
-	c.PutAddr(h.Origin)
-	c.PutUint(uint64(h.ContentID))
-	c.PutAddr(h.Tunnel)
+func (c *Canonizer) Header(h pkt.Header) {
+	c.Addr(h.Src)
+	c.Addr(h.Dst)
+	c.Uint(uint64(h.SrcPort))
+	c.Uint(uint64(h.DstPort))
+	c.Byte(byte(h.Proto))
+	c.Addr(h.Origin)
+	c.Uint(uint64(h.ContentID))
+	c.Addr(h.Tunnel)
 }
 
 // PutBoxConfig appends the canonical (renamed) configuration key of a
-// middlebox model, length-framed. It reports false when the model does not
-// support canonical configuration keys (no mbox.CanonKeyer): such boxes
-// must opt out of cross-slice classing, so the whole canonicalization is
-// abandoned by the caller.
+// middlebox model — its description written through this canonizer —
+// length-framed. It reports false when the model has no description or
+// describes addresses opaquely: such boxes opt out of cross-slice classing,
+// so the caller abandons the whole canonicalization.
 func (c *Canonizer) PutBoxConfig(m mbox.Model) bool {
-	ck, ok := m.(mbox.CanonKeyer)
-	if !ok {
-		return false
+	outer := c.buf
+	c.buf = nil
+	ok := mbox.WriteConfig(c, m) && !c.opaque
+	seg := c.buf
+	c.buf = outer
+	if ok {
+		c.Uint(uint64(len(seg)))
+		c.buf = append(c.buf, seg...)
 	}
-	seg := ck.AppendConfigKeyCanon(nil, c)
-	c.PutUint(uint64(len(seg)))
-	c.buf = append(c.buf, seg...)
-	return true
+	return ok
 }
 
 // Key finalizes and returns the canonical key: the serialized problem
@@ -513,13 +529,13 @@ func (c *Canonizer) Key() []byte {
 	// Address ownership. Owners may be nodes not yet interned (an address
 	// owned by a host outside the slice); interning here gives them rows in
 	// the matrix below.
-	c.PutByte('O')
-	c.PutUint(uint64(len(c.ren.addrInv)))
+	c.Byte('O')
+	c.Uint(uint64(len(c.ren.addrInv)))
 	for ai := 0; ai < len(c.ren.addrInv); ai++ {
 		if n, ok := c.t.HostByAddr(c.ren.addrInv[ai]); ok {
-			c.PutNode(n.ID)
+			c.Node(n.ID)
 		} else {
-			c.PutUint(uint64(canonNone))
+			c.Uint(uint64(canonNone))
 		}
 	}
 
@@ -527,8 +543,8 @@ func (c *Canonizer) Key() []byte {
 	// nodeInv; the loop picks them up, so the row set is the final node
 	// universe. Rows are emitted for edge nodes only (walks cannot start at
 	// switches); which indices are edge nodes is pinned by section 'N'.
-	c.PutByte('M')
-	c.PutUint(uint64(len(c.ren.addrInv)))
+	c.Byte('M')
+	c.Uint(uint64(len(c.ren.addrInv)))
 	for ni := 0; ni < len(c.ren.nodeInv); ni++ {
 		id := c.ren.nodeInv[ni]
 		if !c.t.Node(id).IsEdge() {
@@ -538,26 +554,26 @@ func (c *Canonizer) Key() []byte {
 			next, ok, err := c.eng.Next(id, c.ren.addrInv[ai])
 			switch {
 			case err != nil:
-				c.PutUint(uint64(cellErr))
+				c.Uint(uint64(cellErr))
 			case !ok:
-				c.PutUint(uint64(cellDrop))
+				c.Uint(uint64(cellDrop))
 			default:
-				c.PutNode(next)
+				c.Node(next)
 			}
 		}
 	}
 
 	// Node kinds and liveness, in final canonical order.
-	c.PutByte('N')
-	c.PutUint(uint64(len(c.ren.nodeInv)))
+	c.Byte('N')
+	c.Uint(uint64(len(c.ren.nodeInv)))
 	fail := c.eng.Failure()
 	for _, id := range c.ren.nodeInv {
 		live := byte(0)
 		if fail.Failed(id) {
 			live = 1
 		}
-		c.PutByte(byte(c.t.Node(id).Kind))
-		c.PutByte(live)
+		c.Byte(byte(c.t.Node(id).Kind))
+		c.Byte(live)
 	}
 
 	// Prefix match tables: length plus match bitvector over the address
@@ -565,22 +581,22 @@ func (c *Canonizer) Key() []byte {
 	// concerned (rules, ACLs and invariant predicates only ever test
 	// universe addresses against it); the length is kept because rule
 	// selection breaks priority ties by longest prefix.
-	c.PutByte('P')
-	c.PutUint(uint64(len(c.ren.pfxInv)))
+	c.Byte('P')
+	c.Uint(uint64(len(c.ren.pfxInv)))
 	for _, p := range c.ren.pfxInv {
-		c.PutByte(byte(p.Len))
+		c.Byte(byte(p.Len))
 		var cur byte
 		for ai, a := range c.ren.addrInv {
 			if p.Matches(a) {
 				cur |= 1 << uint(ai%8)
 			}
 			if ai%8 == 7 {
-				c.PutByte(cur)
+				c.Byte(cur)
 				cur = 0
 			}
 		}
 		if len(c.ren.addrInv)%8 != 0 {
-			c.PutByte(cur)
+			c.Byte(cur)
 		}
 	}
 	return c.buf

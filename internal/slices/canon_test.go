@@ -40,10 +40,10 @@ func twoPairNet() (*topo.Topology, *tf.Engine, [2][2]topo.NodeID, [2][2]pkt.Addr
 func serializePair(t *topo.Topology, eng *tf.Engine, nodes [2]topo.NodeID, addrs [2]pkt.Addr) ([]byte, *Renaming) {
 	c := NewCanonizer(t, eng)
 	for h := 0; h < 2; h++ {
-		c.PutNode(nodes[h])
-		c.PutAddr(addrs[h])
+		c.Node(nodes[h])
+		c.Addr(addrs[h])
 	}
-	c.PutHeader(pkt.Header{Src: addrs[0], Dst: addrs[1], SrcPort: 1000, DstPort: 80})
+	c.Header(pkt.Header{Src: addrs[0], Dst: addrs[1], SrcPort: 1000, DstPort: 80})
 	return c.Key(), c.Renaming()
 }
 
@@ -91,10 +91,10 @@ func TestCanonizerDistinguishesStructure(t *testing.T) {
 	// Same slice content, reversed header direction: different key.
 	c := NewCanonizer(tp, eng)
 	for h := 0; h < 2; h++ {
-		c.PutNode(nodes[0][h])
-		c.PutAddr(addrs[0][h])
+		c.Node(nodes[0][h])
+		c.Addr(addrs[0][h])
 	}
-	c.PutHeader(pkt.Header{Src: addrs[0][1], Dst: addrs[0][0], SrcPort: 1000, DstPort: 80})
+	c.Header(pkt.Header{Src: addrs[0][1], Dst: addrs[0][0], SrcPort: 1000, DstPort: 80})
 	if bytes.Equal(keyA, c.Key()) {
 		t.Fatal("reversed alphabet direction must change the canonical key")
 	}
@@ -102,11 +102,11 @@ func TestCanonizerDistinguishesStructure(t *testing.T) {
 	// Cross-pair mix (host from pair A, address owned by pair B's host):
 	// the ownership section must split it from the within-pair key.
 	c = NewCanonizer(tp, eng)
-	c.PutNode(nodes[0][0])
-	c.PutAddr(addrs[0][0])
-	c.PutNode(nodes[0][1])
-	c.PutAddr(addrs[1][1]) // not this node's address
-	c.PutHeader(pkt.Header{Src: addrs[0][0], Dst: addrs[1][1], SrcPort: 1000, DstPort: 80})
+	c.Node(nodes[0][0])
+	c.Addr(addrs[0][0])
+	c.Node(nodes[0][1])
+	c.Addr(addrs[1][1]) // not this node's address
+	c.Header(pkt.Header{Src: addrs[0][0], Dst: addrs[1][1], SrcPort: 1000, DstPort: 80})
 	if bytes.Equal(keyA, c.Key()) {
 		t.Fatal("mismatched address ownership must change the canonical key")
 	}
@@ -160,13 +160,13 @@ func TestCanonizerPrefixSemantics(t *testing.T) {
 	mkKey := func(pair int, p pkt.Prefix) []byte {
 		c := NewCanonizer(tp, eng)
 		for h := 0; h < 2; h++ {
-			c.PutNode(nodes[pair][h])
-			c.PutAddr(addrs[pair][h])
+			c.Node(nodes[pair][h])
+			c.Addr(addrs[pair][h])
 		}
-		if !c.PrefixMatchesAny(p) {
+		if !c.Live(p) {
 			t.Fatalf("prefix %v should match a universe address", p)
 		}
-		c.PutPrefix(p)
+		c.Prefix(p)
 		return c.Key()
 	}
 	// Each pair's /24 covers exactly its own two hosts: same behaviour,

@@ -192,11 +192,11 @@ func TestGeneralDisciplineWholeNetworkFallbackUnderFailure(t *testing.T) {
 			t.Fatalf("whole-network fallback must keep all %d hosts and %d boxes, got %d/%d",
 				hostCount, len(d.Net.Boxes), len(sl.Hosts), len(sl.Boxes))
 		}
-		// Touched-element enumeration must cover every node for whole
+		// The node footprint must cover every node for whole
 		// slices (the incremental layer dirties on it).
 		eng := tf.New(d.Net.Topo, d.Net.FIBFor(sc), sc)
-		if got := len(slices.Touched(d.Net.Topo, eng, sl)); got != d.Net.Topo.NumNodes() {
-			t.Fatalf("Touched on whole slice: %d nodes, want %d", got, d.Net.Topo.NumNodes())
+		if got := len(slices.ComputeReadSet(d.Net.Topo, eng, sl).Nodes); got != d.Net.Topo.NumNodes() {
+			t.Fatalf("footprint of a whole slice: %d nodes, want %d", got, d.Net.Topo.NumNodes())
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestTouchedFootprintUnderFailure(t *testing.T) {
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
 	iv := d.IsolationInvariant(0, 1)
 	sl, eng := computeSlice(t, d.Net, iv, topo.Failures(d.FW1))
-	touched := slices.Touched(d.Net.Topo, eng, sl)
+	touched := slices.ComputeReadSet(d.Net.Topo, eng, sl).Nodes
 	set := map[topo.NodeID]bool{}
 	for _, n := range touched {
 		set[n] = true

@@ -60,34 +60,28 @@ type AuxAddrs interface {
 // ServiceAddrs is implemented by middlebox models that emit packets routed
 // toward addresses that are not slice host addresses and not auxiliary
 // service targets pulled in by AuxAddrs — a NAT's public address, a load
-// balancer's virtual IP and backend pool. Touched-element enumeration
-// (Touched) walks the fabric toward these addresses too, so that
+// balancer's virtual IP and backend pool. Read-set enumeration
+// (ComputeReadSet) walks the fabric toward these addresses too, so that
 // forwarding-state changes affecting rewritten traffic dirty the right
 // invariants.
 type ServiceAddrs interface {
 	ServiceAddrs() []pkt.Addr
 }
 
-// Touched enumerates every network element the verification of slice r can
-// consult: the slice's host and middlebox nodes, plus every fabric node on
-// any forwarding walk from a slice edge member toward any slice-relevant
-// destination address (slice host addresses, middlebox auxiliary addresses
-// and service addresses). For whole-network slices every node is returned.
-// The result is sorted and duplicate-free.
+// ReadSet is the dependency footprint of one check: the node footprint,
+// plus — for proper slices — the forwarding-state reads at address
+// granularity and the slice's address universe.
 //
-// This is the dependency footprint incremental verification (internal/incr)
-// dirties on: a configuration change at an element outside this set cannot
-// change the slice, the problem the engines solve, or the verdict — walks
-// are deterministic and only read the tables of nodes they visit, slice
-// closure only walks paths between slice members, and middlebox semantics
-// only involve boxes inside the slice.
-func Touched(t *topo.Topology, eng *tf.Engine, r Result) []topo.NodeID {
-	return computeReadSet(t, eng, r, false).Nodes
-}
-
-// ReadSet is the refined dependency footprint of one check: the node
-// footprint (Touched), plus — for proper slices — the forwarding-state
-// reads at address granularity and the slice's address universe.
+// Nodes is every network element the verification of the slice can consult,
+// sorted and duplicate-free: the slice's host and middlebox nodes, plus
+// every fabric node on any forwarding walk from a slice edge member toward
+// any slice-relevant destination address (slice host addresses, middlebox
+// auxiliary and service addresses); every node, for a whole-network slice.
+// A configuration change at an element outside it cannot change the slice,
+// the problem the engines solve, or the verdict — walks are deterministic
+// and only read the tables of nodes they visit, slice closure only walks
+// paths between slice members, and middlebox semantics only involve boxes
+// inside the slice.
 //
 // FIB maps each table-read node to the destination atoms looked up there
 // (tf.Engine.ConsultedTables per walk; every lookup of one walk uses the
@@ -102,7 +96,7 @@ func Touched(t *topo.Topology, eng *tf.Engine, r Result) []topo.NodeID {
 //
 // Universe is the full address alphabet of the slice (host, auxiliary and
 // service addresses) — every address a packet routed by either engine can
-// carry, the set middlebox rule-read projections (mbox.RuleReadKeyer) are
+// carry, the set middlebox rule-read projections (mbox.ReadKey) are
 // taken against.
 //
 // Coarse marks whole-network slices: FIB and Universe are unset and every
@@ -114,17 +108,8 @@ type ReadSet struct {
 	Coarse   bool
 }
 
-// ComputeReadSet enumerates the refined read-set of slice r (see ReadSet);
-// its Nodes field is exactly Touched.
+// ComputeReadSet enumerates the read-set of slice r (see ReadSet).
 func ComputeReadSet(t *topo.Topology, eng *tf.Engine, r Result) ReadSet {
-	return computeReadSet(t, eng, r, true)
-}
-
-// computeReadSet walks the slice's read enumeration; with refined=false
-// only the node footprint is built (Touched's path — the node-granularity
-// escape hatch opted out of the atom bookkeeping, so it should not pay
-// for it).
-func computeReadSet(t *topo.Topology, eng *tf.Engine, r Result, refined bool) ReadSet {
 	if r.Whole {
 		all := make([]topo.NodeID, t.NumNodes())
 		for i := range all {
@@ -175,10 +160,8 @@ func computeReadSet(t *topo.Topology, eng *tf.Engine, r Result, refined bool) Re
 			for _, n := range eng.Consulted(from, a) {
 				touched[n] = true
 			}
-			if refined {
-				for _, n := range eng.ConsultedTables(from, a) {
-					reads[n] = append(reads[n], a)
-				}
+			for _, n := range eng.ConsultedTables(from, a) {
+				reads[n] = append(reads[n], a)
 			}
 		}
 	}
@@ -187,9 +170,6 @@ func computeReadSet(t *topo.Topology, eng *tf.Engine, r Result, refined bool) Re
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if !refined {
-		return ReadSet{Nodes: out}
-	}
 	fib := make(map[topo.NodeID]topo.AtomSet, len(reads))
 	for n, as := range reads {
 		fib[n] = topo.NewAtomSet(as)
