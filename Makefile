@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22695
+LOC_CEILING = 22640
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -73,14 +73,17 @@ bench-smoke:
 # panic) and state recovery (arbitrary snapshot and journal payloads
 # recover or cold-start with a reason, never half-restore); the table-patch
 # differential (a patched tf.Tables behaves as tf.New on the same FIB after
-# every edit) and the trimmed-delta property (head/tail trimming changes no
-# dirtying verdict or witness).
+# every edit), the trimmed-delta property (head/tail trimming changes no
+# dirtying verdict or witness) and the group table (its posting lists equal
+# a recount from its records, resolve agrees with a per-record classify
+# scan, a clone never writes through to its original).
 # `go test -fuzz` takes one target per invocation. Recovery inputs are
 # whole snapshots, which the engine would spend the run minimizing.
 fuzz-smoke:
 	$(GO) test ./internal/tf -run '^$$' -fuzz '^FuzzTablesPatch$$' -fuzztime 10s
 	$(GO) test ./internal/mbox -run '^$$' -fuzz '^FuzzConfigKeys$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzTrimmedDelta$$' -fuzztime 5s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzGroupTable$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzSessionDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeChangeSet$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s

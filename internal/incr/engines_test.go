@@ -197,12 +197,23 @@ func TestApplyWorkFollowsTheChange(t *testing.T) {
 			t.Fatalf("%d subnets: an empty change-set compiled %d tables", subnets, st.TablesCompiled)
 		}
 
-		// A firewall edit changes no forwarding state.
-		fw := r.net.Boxes[slices.IndexFunc(r.net.Boxes, func(b mbox.Instance) bool { return b.Node == r.fw })].Model.(*mbox.LearningFirewall)
+		// A firewall edit changes no forwarding state, and puts the groups
+		// whose footprint holds that firewall in front of classify and no
+		// other: none for fw3, one of the three for fw1.
 		dead := pkt.Prefix{Addr: pkt.MustParseAddr("10.99.0.0"), Len: 24}
-		fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(dead, dead)}, fw.ACL...)
-		if st := r.apply(t, incr.BoxReconfig(r.fw)); st.TablesCompiled != 0 {
-			t.Fatalf("%d subnets: a firewall edit compiled %d tables", subnets, st.TablesCompiled)
+		for name, readers := range map[string]int{"fw3": 0, "fw1": 1} {
+			node := r.net.Topo.MustByName(name).ID
+			fw := r.net.Boxes[slices.IndexFunc(r.net.Boxes, func(b mbox.Instance) bool { return b.Node == node })].Model.(*mbox.LearningFirewall)
+			fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(dead, dead)}, fw.ACL...)
+			before := r.sess.Classified()
+			st := r.apply(t, incr.BoxReconfig(node))
+			if st.TablesCompiled != 0 || st.DirtyGroups != 0 {
+				t.Fatalf("%d subnets: a dead edit at %s: %+v", subnets, name, st)
+			}
+			if got := r.sess.Classified() - before; got != readers || r.sess.GroupsReading(node) != readers || readers >= st.Groups {
+				t.Fatalf("%d subnets: an edit at %s classified %d groups; %d of %d read it, want %d",
+					subnets, name, got, r.sess.GroupsReading(node), st.Groups, readers)
+			}
 		}
 
 		// Neither does a liveness toggle when the provider returns the
@@ -232,12 +243,21 @@ func TestApplyWorkFollowsTheChange(t *testing.T) {
 		}
 		w := work{compiled: 1}
 		i := 0
+		before := r.sess.Classified()
 		w.allocs = testing.AllocsPerRun(len(changes)-1, func() {
 			if st := r.apply(t, changes[i]); st.TablesCompiled != 1 || st.DirtyGroups != 0 {
 				t.Fatalf("%d subnets, update %d: %+v", subnets, i, st)
 			}
 			i++
 		})
+		// A route for a prefix no slice reads is answered by the posting
+		// lists alone: no group is visited to be told it is clean.
+		if got := r.sess.Classified() - before; got != 0 {
+			t.Fatalf("%d subnets: %d zero-dirty route updates classified %d groups", subnets, i, got)
+		}
+		if w.allocs > 29 {
+			t.Fatalf("%d subnets: a route update allocates %v times, over the 29 it took before the group table", subnets, w.allocs)
+		}
 		routeUpdate[subnets] = w
 		t.Logf("%d subnets: route update %+v", subnets, w)
 	}

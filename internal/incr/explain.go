@@ -26,8 +26,9 @@ const (
 	// relabels are scoped to the affected representatives' footprints
 	// (see Session.relabelImpact).
 	CauseFull = "full"
-	// CauseNewGroup: the group had no prior entry (new invariant, or the
-	// grouping shifted under invariant add/remove).
+	// CauseNewGroup: the group had no prior entry (new invariant, the
+	// grouping shifted under invariant add/remove, or the group's
+	// representative changed — its verdicts were another invariant's).
 	CauseNewGroup = "new_group"
 	// CauseBudgetRetry: the prior entry held a budget-degraded (Unknown)
 	// verdict; the group re-runs unconditionally once budget allows.
@@ -95,15 +96,15 @@ type DirtyCause struct {
 // was obtained.
 type CheckOrigin struct {
 	// Scenario indexes the session's effective scenario list.
-	Scenario int
+	Scenario int `json:"scenario"`
 	// Source is one of the Source* constants.
-	Source string
+	Source string `json:"source"`
 	// DurationNs is the check's solve time (0 for cache hits and
 	// inherited verdicts).
-	DurationNs int64
+	DurationNs int64 `json:"duration_ns"`
 	// Conflicts counts SAT conflicts attributable to this check (SAT
 	// engine only).
-	Conflicts int64
+	Conflicts int64 `json:"conflicts,omitempty"`
 }
 
 // ExplainRecord is the provenance of one re-verified group.
@@ -137,7 +138,7 @@ func (s *Session) Explain() []ExplainRecord {
 // proposed; Commit installs the shadow's.
 func (s *Session) explainLocked() []ExplainRecord {
 	if s.pending != nil {
-		return s.pending.state.explain
+		return s.pending.state.lastExplain
 	}
 	return s.lastExplain
 }

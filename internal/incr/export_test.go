@@ -1,6 +1,9 @@
 package incr
 
-import "github.com/netverify/vmn/internal/tf"
+import (
+	"github.com/netverify/vmn/internal/tf"
+	"github.com/netverify/vmn/internal/topo"
+)
 
 // HeldEngines exposes the per-scenario engines the session holds between
 // Applys, so tests can pin which state transitions replace them.
@@ -8,4 +11,25 @@ func (s *Session) HeldEngines() []*tf.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.engs
+}
+
+// Classified is how many group records markDirty has run classify on over
+// the session's lifetime.
+func (s *Session) Classified() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.classified
+}
+
+// GroupsReading counts, from the records, the groups whose footprint holds n.
+func (s *Session) GroupsReading(n topo.NodeID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	count := 0
+	for _, sl := range s.table.order {
+		if containsNode(s.table.recs[sl].entry.touched, n) {
+			count++
+		}
+	}
+	return count
 }

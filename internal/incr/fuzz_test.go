@@ -301,6 +301,77 @@ func (f *mtTarget) probe(arg byte) []incr.Change {
 	}
 }
 
+// --- cloud-VPC target ---
+
+// vpcTarget is the one network whose INITIAL invariant set has multi-member
+// symmetry groups (same-shape tenants), so a group's representative can
+// leave it: the next member must then be verified on its own slice, not
+// inherit the departed one's verdicts and footprint.
+type vpcTarget struct {
+	net  *core.Network
+	sess *incr.Session
+	// reach is the pub-reach group as the session holds it, representative
+	// first; gone is the member currently removed (nil when all are in).
+	reach []inv.Invariant
+	gone  inv.Invariant
+	down  map[topo.NodeID]bool
+}
+
+const vpcTenants = 3
+
+func newVPCTarget(t *testing.T, opts core.Options, sopts incr.Options) *vpcTarget {
+	t.Helper()
+	net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: vpcTenants, Shapes: 1}), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := incr.NewSession(net, opts, invs, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &vpcTarget{net: net, sess: sess, down: map[topo.NodeID]bool{}}
+	for _, i := range invs {
+		if _, ok := i.(inv.Reachability); ok {
+			f.reach = append(f.reach, i)
+		}
+	}
+	return f
+}
+
+func (f *vpcTarget) session() *incr.Session { return f.sess }
+
+func (f *vpcTarget) firewall(arg byte) topo.NodeID {
+	return f.net.Topo.MustByName(fmt.Sprintf("t%d-fw", int(arg)%vpcTenants)).ID
+}
+
+func (f *vpcTarget) changes(op, arg byte) []incr.Change {
+	switch op % 3 {
+	case 0: // tenant firewall liveness toggle: flips that tenant's reachability
+		n := f.firewall(arg)
+		if f.down[n] {
+			delete(f.down, n)
+			return []incr.Change{incr.NodeUp(n)}
+		}
+		f.down[n] = true
+		return []incr.Change{incr.NodeDown(n)}
+	case 1: // representative toggle: the group's current first member leaves,
+		// and comes back (as its last member) on the next toggle
+		if back := f.gone; back != nil {
+			f.gone, f.reach = nil, append(f.reach, back)
+			return []incr.Change{incr.AddInvariant(back)}
+		}
+		f.gone, f.reach = f.reach[0], f.reach[1:]
+		return []incr.Change{incr.RemoveInvariant(f.gone.Name())}
+	default: // noop refresh
+		return nil
+	}
+}
+
+// probe builds pure transactional change-sets (see dcTarget.probe).
+func (f *vpcTarget) probe(arg byte) []incr.Change {
+	return []incr.Change{incr.NodeDown(f.firewall(arg))}
+}
+
 // maxFuzzOps bounds the per-input change stream (every op costs two
 // Applies plus a from-scratch VerifyAll).
 const maxFuzzOps = 6
@@ -352,7 +423,7 @@ func FuzzSessionDifferential(f *testing.F) {
 	// (toggle on/off, negative-read then liveness, relabel then revert)
 	// and transactional streams (propose/rollback detours, propose+commit
 	// replacing apply).
-	for net := byte(0); net < 3; net++ {
+	for net := byte(0); net < 4; net++ {
 		for op := byte(0); op < 8; op++ {
 			f.Add([]byte{net, op, 0})
 		}
@@ -366,16 +437,26 @@ func FuzzSessionDifferential(f *testing.F) {
 		f.Add([]byte{net, 1, 1, 1, 1, 1, 1, 2, 2})                       // repeated overlay toggles: heavy FIB coalescing in one batch
 		f.Add([]byte{net, 3, 2, 3, 2, 0, 1, 4, 1, 3, 2})                 // ACL toggle pairs annihilating inside a batch
 	}
+	// The representative leaves its group, then the next member's slice is
+	// edited — and again through Propose+Commit, and with the member back.
+	f.Add([]byte{3, 1, 0, 0, 1})
+	f.Add([]byte{3, 128 + 1, 0, 128 + 0, 1, 128 + 1, 0, 128 + 0, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			t.Skip()
 		}
-		sel := data[0] % 3
+		sel := data[0] % 4
+		opts := core.Options{Engine: core.EngineSAT}
+		if sel == 3 {
+			opts = core.Options{} // the VPC's NAT gateway needs the explicit engine
+		}
 		mk := func(sopts incr.Options) fuzzTarget {
 			switch sel {
 			case 1:
 				return newMTTarget(t, sopts)
+			case 3:
+				return newVPCTarget(t, opts, sopts)
 			case 2:
 				return newDCTarget(t, true, sopts) // with caches: origin-agnostic paths
 			default:
@@ -441,7 +522,6 @@ func FuzzSessionDifferential(f *testing.F) {
 			}
 		}
 
-		opts := core.Options{Engine: core.EngineSAT}
 		ops := data[1:]
 		for i := 0; i+1 < len(ops) && i/2 < maxFuzzOps; i += 2 {
 			op, arg := ops[i], ops[i+1]

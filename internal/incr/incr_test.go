@@ -20,6 +20,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -493,4 +494,48 @@ func TestSessionUncacheableInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReports(t, "refresh", reports, baseline(t, sess, opts, true))
+}
+
+// TestRepresentativeRemovalReverifies: a group's verdicts and footprint are
+// its representative's, so when the representative leaves the invariant set
+// the next member must be verified in its own right — not inherit the
+// departed invariant's entry, whose footprint is another tenant's slice. On
+// both the Apply and the Propose/Commit path.
+func TestRepresentativeRemovalReverifies(t *testing.T) {
+	for _, txn := range []bool{false, true} {
+		net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: 6, Shapes: 1}), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Options{}
+		sess, reports, err := incr.NewSession(net, opts, invs, incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, "init", reports, baseline(t, sess, opts, true))
+		steps := []incr.Change{
+			incr.RemoveInvariant("t0-pub-reach"),
+			incr.NodeDown(net.Topo.MustByName("t1-fw").ID),
+		}
+		for i, ch := range steps {
+			step := fmt.Sprintf("txn=%v step %d", txn, i)
+			if txn {
+				if _, err := sess.Propose([]incr.Change{ch}); err != nil {
+					t.Fatal(err)
+				}
+				reports, err = sess.Commit()
+			} else {
+				reports, err = sess.Apply([]incr.Change{ch})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := baseline(t, sess, opts, true)
+			compareReports(t, step, reports, want)
+			compareWitnesses(t, step, reports, want)
+		}
+		if st := sess.LastApply(); st.DirtyGroups < 1 {
+			t.Fatalf("txn=%v: node_down on the new representative's firewall dirtied no group: %+v", txn, st)
+		}
+	}
 }

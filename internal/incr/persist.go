@@ -645,8 +645,8 @@ func (s *Session) trimAppliedIDs() {
 // Returns the (possibly re-verified) report set.
 func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 	s.mu.Lock()
-	for _, key := range s.keys {
-		e := s.entries[key]
+	for _, sl := range s.table.order {
+		e := s.table.recs[sl].entry
 		if e == nil || len(e.reports) == 0 {
 			continue
 		}
@@ -684,19 +684,20 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 // witness against the restored reports. ok=false on any divergence or
 // solve error.
 func (s *Session) reverifySampleLocked() (checked int, ok bool) {
-	k := min(reverifyGroups, len(s.groups))
+	order := s.table.order
+	k := min(reverifyGroups, len(order))
 	if k == 0 {
 		return 0, true
 	}
 	scens := s.effectiveScenarios()
-	stride := len(s.groups) / k
+	stride := len(order) / k
 	for i := 0; i < k; i++ {
-		gi := i * stride
-		e := s.entries[s.keys[gi]]
+		rec := &s.table.recs[order[i*stride]]
+		e := rec.entry
 		if e == nil || len(e.reports) != len(scens) {
 			return checked, false
 		}
-		gp, err := s.planGroup(s.groups[gi].Representative, scens, s.engs)
+		gp, err := s.planGroup(rec.group.Representative, scens, s.engs)
 		if err != nil {
 			return checked, false
 		}

@@ -111,19 +111,19 @@ type ApplyStats struct {
 
 // Totals accumulates session-lifetime counters.
 type Totals struct {
-	Applies      int
-	Solves       int // (invariant, scenario) checks actually run
-	CacheHits    int // checks answered from the verdict cache
-	CanonHits    int // cache hits served through canonical class keys
-	CanonShared  int // reports inherited from a dirty-class representative
-	Classes      int // canonical classes formed among dirty groups
-	RefinedClean int // groups kept clean by prefix/rule-level refinement
-	DirtyInvs    int // invariants dirtied across all applies
-	TotalInvs    int // invariant count summed across all applies
-	ReusedInvs   int // invariant reports inherited via symmetry
-	Batches      int // ApplyBatch calls
-	Enqueued     int // raw changes handed to ApplyBatch before coalescing
-	Coalesced    int // changes eliminated by batch coalescing
+	Applies      int `json:"applies"`
+	Solves       int `json:"solves"`              // (invariant, scenario) checks actually run
+	CacheHits    int `json:"cache_hits"`          // checks answered from the verdict cache
+	CanonHits    int `json:"canon_hits"`          // cache hits served through canonical class keys
+	CanonShared  int `json:"canon_shared"`        // reports inherited from a dirty-class representative
+	Classes      int `json:"classes"`             // canonical classes formed among dirty groups
+	RefinedClean int `json:"refined_clean"`       // groups kept clean by prefix/rule-level refinement
+	DirtyInvs    int `json:"dirty_invariants"`    // invariants dirtied across all applies
+	TotalInvs    int `json:"total_invariants"`    // invariant count summed across all applies
+	ReusedInvs   int `json:"reused_invariants"`   // invariant reports inherited via symmetry
+	Batches      int `json:"batches,omitempty"`   // ApplyBatch calls
+	Enqueued     int `json:"enqueued,omitempty"`  // raw changes handed to ApplyBatch before coalescing
+	Coalesced    int `json:"coalesced,omitempty"` // changes eliminated by batch coalescing
 }
 
 // groupEntry is the session's memory of one symmetry group: the
@@ -160,8 +160,9 @@ type Session struct {
 	opts  core.Options
 	sopts Options
 
-	invs []inv.Invariant
-	down map[topo.NodeID]bool
+	// sessState is everything a change-set moves, as one value (txn.go):
+	// what a Propose shadows and a Commit installs.
+	sessState
 
 	// verifier lives as long as the session: all its caches (interned
 	// engines, SAT journey memoization, slice encodings) are keyed by
@@ -171,21 +172,6 @@ type Session struct {
 	// session does not ask it to compile forwarding state: it patches the
 	// tables of the engines it holds (engs) and interns the result.
 	verifier *core.Verifier
-	needFull bool
-	// engs holds one engine per effective scenario, current as of the last
-	// Apply (nil before the first and after invalidate). Part of the
-	// transactional state: the slice is replaced, never written in place.
-	engs []*tf.Engine
-	// groups and keys are the symmetry partition of invs, recomputed only
-	// when the invariant list or the policy classes change.
-	groups  []symmetry.Group
-	keys    []string
-	entries map[string]*groupEntry
-	// posting is the per-atom/per-node posting index over the shared atom
-	// universe (posting.go); synced against entries on every install so a
-	// change-set resolves to its dirty candidates by posting-list lookups
-	// instead of a full per-group scan.
-	posting *depPosting
 
 	cmu   sync.Mutex
 	cache *verdictCache
@@ -203,10 +189,6 @@ type Session struct {
 	// Propose/Commit|Rollback window.
 	pending *pendingTx
 
-	seq    int
-	last   ApplyStats
-	totals Totals
-
 	// store is the durability layer (nil when Options.Persist is nil):
 	// every acked apply journals through it and snapshots compact the
 	// journal (persist.go). appliedIDs dedups client request ids for
@@ -219,10 +201,9 @@ type Session struct {
 	// metrics caches the session's registered metric handles (nil when
 	// Options.Obs carries no registry — the disabled mode).
 	metrics *sessMetrics
-	// lastExplain holds the provenance records of the most recent Apply's
-	// dirty groups (see explain.go); swapped with the rest of the mutable
-	// state across Propose/Commit/Rollback.
-	lastExplain []ExplainRecord
+	// classified counts the records markDirty has run classify on (tests
+	// pin "a zero-dirty Apply examines no group" with it).
+	classified int
 	// slowMu serializes slow-solve log lines across pool workers.
 	slowMu sync.Mutex
 }
@@ -281,15 +262,16 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		return nil, nil, err
 	}
 	s := &Session{
-		net:      net,
-		opts:     opts,
-		sopts:    sopts,
-		invs:     append([]inv.Invariant(nil), invs...),
-		down:     map[topo.NodeID]bool{},
+		net:   net,
+		opts:  opts,
+		sopts: sopts,
+		sessState: sessState{
+			invs:     append([]inv.Invariant(nil), invs...),
+			down:     map[topo.NodeID]bool{},
+			needFull: true,
+			table:    newGroupTable(),
+		},
 		verifier: v,
-		needFull: true,
-		entries:  map[string]*groupEntry{},
-		posting:  newDepPosting(),
 		cache:    newVerdictCache(sopts.CacheCap),
 	}
 	s.cview = liveCacheView{s}
@@ -319,12 +301,12 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		sopts.Obs.Metrics.RegisterFunc("vmn_incr_atom_intervals", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(s.posting.u.NumAtoms())
+			return float64(s.table.u.NumAtoms())
 		})
 		sopts.Obs.Metrics.RegisterFunc("vmn_incr_posting_entries", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(s.posting.entries())
+			return float64(s.table.postings())
 		})
 	}
 	reports, err := s.Apply(nil)
@@ -420,16 +402,12 @@ func (s *Session) grouping() ([]symmetry.Group, []string) {
 		keys := make([]string, 0, len(s.invs))
 		seen := map[string]int{}
 		for _, i := range s.invs {
-			base := "o:" + cls.Signature(i) + "|" + i.Name()
-			if si, ok := i.(inv.Slotted); ok {
-				var k mbox.Key
-				si.Slots(&k)
-				base = "k:" + string(k.B)
-			}
+			sig := cls.Signature(i)
+			base := invIdentity(i, sig)
 			n := seen[base]
 			seen[base] = n + 1
 			groups = append(groups, symmetry.Group{
-				Signature:      cls.Signature(i),
+				Signature:      sig,
 				Representative: i,
 				Members:        []inv.Invariant{i},
 			})
@@ -567,13 +545,9 @@ func (s *Session) validNode(n topo.NodeID) error {
 func (s *Session) invalidate() {
 	s.needFull = true
 	s.engs = nil
-	s.entries = map[string]*groupEntry{}
-	s.groups = nil
-	s.keys = nil
-	// A fresh posting index: the universe re-refines from the next
-	// change stream, and sync re-registers everything after the full
-	// re-verification.
-	s.posting = newDepPosting()
+	// A fresh table: the next Apply regroups into it and the universe
+	// re-refines from the change stream that follows.
+	s.table = newGroupTable()
 }
 
 // Apply atomically applies a change-set, re-verifies exactly the
@@ -672,41 +646,41 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	// Phase 3: regroup if the partition's inputs moved, and decide what is
 	// dirty.
 	dirtySpan := root.Child("dirty")
-	groups, keys := s.groups, s.keys
+	t := s.table
 	if regroup {
-		groups, keys = s.grouping()
+		t.regroup(s.grouping())
 	}
-	newEntries, dirty, causes, refinedClean := s.markDirty(dirtySpan, im, dirtyAll, keys)
+	dirty, causes, refinedClean := s.markDirty(dirtySpan, im, dirtyAll)
 	if dirtySpan.Enabled() {
-		dirtySpan = dirtySpan.Label(fmt.Sprintf("groups=%d dirty=%d refined_clean=%d", len(groups), len(dirty), refinedClean))
+		dirtySpan = dirtySpan.Label(fmt.Sprintf("groups=%d dirty=%d refined_clean=%d", len(t.order), len(dirty), refinedClean))
 	}
 	dirtySpan.End()
 
 	stats := ApplyStats{
 		Seq:            s.seq,
 		Changes:        len(changes),
-		Groups:         len(groups),
+		Groups:         len(t.order),
 		Invariants:     len(s.invs),
 		DirtyGroups:    len(dirty),
 		RefinedClean:   refinedClean,
 		TablesCompiled: fwd.compiled,
 	}
-	for _, gi := range dirty {
-		stats.DirtyInvariants += len(groups[gi].Members)
+	for _, sl := range dirty {
+		stats.DirtyInvariants += len(t.recs[sl].group.Members)
 	}
 
 	// Phase 4: re-verify dirty groups.
-	origins, err := s.reverify(root, groups, keys, dirty, scens, newEntries, &stats)
+	entries, origins, err := s.reverify(root, dirty, scens, &stats)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 5: commit and assemble the full report set. The posting
-	// index re-syncs against the installed entries: only re-verified
-	// groups (fresh entry pointers) re-register their reads.
+	// Phase 5: install the fresh entries — only re-verified groups move
+	// their postings — and assemble the full report set.
 	installSpan := root.Child("cache-install")
-	s.groups, s.keys, s.entries = groups, keys, newEntries
-	s.posting.sync(newEntries)
+	for di, sl := range dirty {
+		t.install(sl, entries[di])
+	}
 	s.needFull = false
 	out := s.assemble(scens)
 	installSpan.End()
@@ -720,26 +694,27 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	// change (rendered lazily — only dirty groups pay) and how each
 	// verdict was obtained.
 	recs := make([]ExplainRecord, 0, len(dirty))
-	for di, gi := range dirty {
+	for di, sl := range dirty {
 		c := causes[di]
 		if c.Change >= 0 && c.Change < len(changes) {
 			c.ChangeDesc = describeChange(s.net.Topo, changes[c.Change])
 		} else {
 			c.Change = -1
 		}
-		members := make([]string, 0, len(groups[gi].Members))
-		for _, mi := range groups[gi].Members {
+		g := t.recs[sl].group
+		members := make([]string, 0, len(g.Members))
+		for _, mi := range g.Members {
 			members = append(members, mi.Name())
 		}
 		recs = append(recs, ExplainRecord{
-			Seq: s.seq, GroupKey: keys[gi], Members: members,
+			Seq: s.seq, GroupKey: t.recs[sl].key, Members: members,
 			Cause: c, Checks: origins[di],
 		})
 	}
 	s.lastExplain = recs
 
 	stats.Duration = time.Since(start)
-	s.account(stats, len(out)-len(groups)*len(scens))
+	s.account(stats, len(out)-len(t.order)*len(scens))
 	return out, nil
 }
 
@@ -950,61 +925,59 @@ func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fw
 	return out
 }
 
-// markDirty is Apply's phase 3: it decides which groups (by index into
-// keys) must re-verify, with a cause per dirty group (position-aligned
-// with dirty), and carries every other group's entry over into the
-// returned entry map. The posting index first resolves the change-set to
-// its candidate groups wholesale — one posting-list lookup per changed
+// markDirty is Apply's phase 3: it decides which groups (as slots, in
+// report order) must re-verify, with a cause per dirty group
+// (position-aligned with dirty). The table first resolves the change-set
+// to its candidate groups wholesale — one posting-list lookup per changed
 // element and per affected universe atom — so only candidates pay for
-// classify's precision checks; the screened-out groups are clean or
-// refined-clean by construction, with counts identical to the full
-// per-group scan.
-func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool, keys []string) (newEntries map[string]*groupEntry, dirty []int, causes []DirtyCause, refinedClean int) {
-	newEntries = make(map[string]*groupEntry, len(keys))
-	var res *postResolution
+// classify's precision checks, and only they and the unsettled groups are
+// visited at all; every other group is clean or refined-clean by
+// construction, with counts identical to a full per-group scan.
+func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool) (dirty []slot, causes []DirtyCause, refinedClean int) {
+	t := s.table
+	var candidates []slot
 	if !dirtyAll {
-		res = s.posting.resolve(im)
+		candidates, refinedClean = t.resolve(im)
 	}
 	prescreen := dirtySpan.Child("atom-prescreen")
 	defer prescreen.End()
-	for gi, key := range keys {
-		old, ok := s.entries[key]
-		if dirtyAll || !ok || old.exceeded {
-			cause := DirtyCause{Reason: CauseFull, Change: -1}
-			switch {
-			case dirtyAll:
-			case !ok:
-				cause.Reason = CauseNewGroup
-			default:
-				// Entries holding budget-degraded verdicts re-run
-				// unconditionally: the Unknown was a budget artifact, not a
-				// property of the network.
-				cause.Reason = CauseBudgetRetry
-			}
-			dirty = append(dirty, gi)
-			causes = append(causes, cause)
-			continue
+	if dirtyAll {
+		for range t.order {
+			causes = append(causes, DirtyCause{Reason: CauseFull, Change: -1})
 		}
-		verdict, cause := groupDirty, DirtyCause{}
-		switch res.screen(key) {
-		case postClean:
-			verdict = groupClean
-		case postRefined:
-			verdict = groupRefinedClean
-		default:
-			verdict, cause = im.classify(old, s.ruleReadKey)
-		}
-		switch verdict {
-		case groupDirty:
-			dirty = append(dirty, gi)
-			causes = append(causes, cause)
-			continue
-		case groupRefinedClean:
-			refinedClean++
-		}
-		newEntries[key] = old
+		return t.order, causes, 0
 	}
-	return newEntries, dirty, causes, refinedClean
+	var visit []int
+	for _, sl := range t.unsettled {
+		visit = append(visit, t.recs[sl].pos)
+	}
+	for _, sl := range candidates {
+		visit = append(visit, t.recs[sl].pos)
+	}
+	sort.Ints(visit)
+	for _, gi := range visit {
+		sl := t.order[gi]
+		cause := DirtyCause{Reason: CauseNewGroup, Change: -1}
+		if e := t.recs[sl].entry; e != nil && e.exceeded {
+			// Entries holding budget-degraded verdicts re-run
+			// unconditionally: the Unknown was a budget artifact, not a
+			// property of the network.
+			cause.Reason = CauseBudgetRetry
+		} else if e != nil {
+			s.classified++
+			var verdict groupVerdict
+			verdict, cause = im.classify(e, s.ruleReadKey)
+			if verdict == groupRefinedClean {
+				refinedClean++
+			}
+			if verdict != groupDirty {
+				continue
+			}
+		}
+		dirty = append(dirty, sl)
+		causes = append(causes, cause)
+	}
+	return dirty, causes, refinedClean
 }
 
 // reverify is Apply's phase 4. Each dirty group is planned once (slice,
@@ -1013,13 +986,12 @@ func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool, keys 
 // pool solves ONE representative per class — the remaining members
 // inherit translated verdicts. This is dirtying at class granularity: a
 // change that dirties twenty isomorphic tenant pairs costs one solve. The
-// fresh entries land in newEntries, the cache accounting in stats; the
-// returned verdict origins are position-aligned with dirty.
-func (s *Session) reverify(root obs.Span, groups []symmetry.Group, keys []string, dirty []int,
-	scens []topo.FailureScenario, newEntries map[string]*groupEntry, stats *ApplyStats) ([][]CheckOrigin, error) {
+// cache accounting lands in stats; the returned fresh entries and verdict
+// origins are position-aligned with dirty.
+func (s *Session) reverify(root obs.Span, dirty []slot, scens []topo.FailureScenario, stats *ApplyStats) ([]*groupEntry, [][]CheckOrigin, error) {
 	origins := make([][]CheckOrigin, len(dirty))
 	if len(dirty) == 0 {
-		return origins, nil
+		return nil, origins, nil
 	}
 	workers := s.sopts.Workers
 	if workers <= 0 {
@@ -1032,15 +1004,16 @@ func (s *Session) reverify(root obs.Span, groups []symmetry.Group, keys []string
 	canonSpan := root.Child("canonicalize")
 	gplans := make([]*groupPlan, len(dirty))
 	err := core.ForEachIndexed(len(dirty), workers, func(di int) error {
-		gp, err := s.planGroup(groups[dirty[di]].Representative, scens, s.engs)
+		g := s.table.recs[dirty[di]].group
+		gp, err := s.planGroup(g.Representative, scens, s.engs)
 		if gp != nil {
-			gp.members = len(groups[dirty[di]].Members)
+			gp.members = len(g.Members)
 		}
 		gplans[di] = gp
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Cluster by joined per-scenario canonical keys (first-seen order;
@@ -1096,17 +1069,16 @@ func (s *Session) reverify(root obs.Span, groups []symmetry.Group, keys []string
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for di, gi := range dirty {
-		newEntries[keys[gi]] = results[di]
+	for di := range dirty {
 		stats.CacheHits += stat[di].hits
 		stats.CanonHits += stat[di].canonHits
 		stats.CacheMisses += stat[di].misses
 		stats.CanonShared += stat[di].shared
 		origins[di] = stat[di].origins
 	}
-	return origins, nil
+	return results, origins, nil
 }
 
 // account folds one Apply's statistics into the session's last/lifetime
@@ -1500,8 +1472,8 @@ func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
 	// The groups partition the invariant set and an entry holds one report
 	// per scenario, so this is the exact size.
 	out := make([]core.Report, 0, len(s.invs)*len(scens))
-	for gi, g := range s.groups {
-		e := s.entries[s.keys[gi]]
+	for _, sl := range s.table.order {
+		g, e := s.table.recs[sl].group, s.table.recs[sl].entry
 		for si, r := range e.reports {
 			r.Invariant = g.Representative
 			r.Scenario = scens[si]

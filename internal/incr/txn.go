@@ -1,9 +1,8 @@
 package incr
 
 // Transactional what-if verification. Propose runs the ordinary Apply
-// pipeline against a shadow copy of the session's mutable state — boxes,
-// policy classes, FIB provider, liveness set, invariant list, and the
-// group-entry index — with verdict-cache access routed through an overlay
+// pipeline against a shadow copy of the session's mutable state — the one
+// sessState value — with verdict-cache access routed through an overlay
 // that reads the live cache without perturbing it and journals its writes.
 // Commit installs the shadow state and replays the journal; Rollback drops
 // both, leaving the session bit-identical to never having proposed
@@ -29,7 +28,6 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/slices"
-	"github.com/netverify/vmn/internal/symmetry"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -108,49 +106,50 @@ type ProposeResult struct {
 }
 
 // sessState is the session's mutable state as one value: what Propose
-// snapshots, shadows, and Commit installs. Group entries, groups, keys and
-// the held engines are shared between base and shadow (the pipeline
-// replaces these containers wholesale instead of mutating them, and
-// compiled tables are immutable), so capture/install are cheap pointer
-// swaps — and a rolled-back or failed shadow leaves the base holding
-// exactly the engines that match its restored FIB provider.
+// snapshots, shadows, and Commit installs. The Session embeds the live one.
+// Group entries, groups and the held engines are shared between base and
+// shadow (entries and compiled tables are immutable, the engine slice is
+// replaced, never written in place), so capture/install are a struct copy
+// — and a rolled-back or failed shadow leaves the base holding exactly the
+// engines that match its restored FIB provider.
 type sessState struct {
-	boxes    []mbox.Instance
-	policy   map[topo.NodeID]string
-	fibFor   func(topo.FailureScenario) tf.FIB
-	down     map[topo.NodeID]bool
+	// The network's mutable fields live in Session.net while installed;
+	// capture fills these in and install puts them back.
+	boxes  []mbox.Instance
+	policy map[topo.NodeID]string
+	fibFor func(topo.FailureScenario) tf.FIB
+
 	invs     []inv.Invariant
+	down     map[topo.NodeID]bool
 	needFull bool
-	engs     []*tf.Engine
-	groups   []symmetry.Group
-	keys     []string
-	entries  map[string]*groupEntry
-	posting  *depPosting
-	seq      int
-	last     ApplyStats
-	totals   Totals
-	explain  []ExplainRecord
+	// engs holds one engine per effective scenario, current as of the last
+	// Apply (nil before the first and after invalidate).
+	engs []*tf.Engine
+	// table is the symmetry partition of invs and what is known about each
+	// group (table.go); regrouped only when the invariant list or the
+	// policy classes change.
+	table *groupTable
+
+	seq    int
+	last   ApplyStats
+	totals Totals
+	// lastExplain holds the provenance records of the most recent Apply's
+	// dirty groups (see explain.go).
+	lastExplain []ExplainRecord
 }
 
 // capture snapshots the current state (by reference; pair with shadowOf
 // before running the pipeline against it).
 func (s *Session) capture() sessState {
-	return sessState{
-		boxes: s.net.Boxes, policy: s.net.PolicyClass, fibFor: s.net.FIBFor,
-		down: s.down, invs: s.invs, needFull: s.needFull, engs: s.engs,
-		groups: s.groups, keys: s.keys, entries: s.entries, posting: s.posting,
-		seq: s.seq, last: s.last, totals: s.totals, explain: s.lastExplain,
-	}
+	st := s.sessState
+	st.boxes, st.policy, st.fibFor = s.net.Boxes, s.net.PolicyClass, s.net.FIBFor
+	return st
 }
 
 // install makes st the session's current state.
 func (s *Session) install(st sessState) {
+	s.sessState = st
 	s.net.Boxes, s.net.PolicyClass, s.net.FIBFor = st.boxes, st.policy, st.fibFor
-	s.down, s.invs, s.needFull, s.engs = st.down, st.invs, st.needFull, st.engs
-	s.groups, s.keys, s.entries = st.groups, st.keys, st.entries
-	s.posting = st.posting
-	s.seq, s.last, s.totals = st.seq, st.last, st.totals
-	s.lastExplain = st.explain
 }
 
 // shadowOf copies the containers the apply pipeline mutates in place
@@ -170,10 +169,10 @@ func shadowOf(st sessState) sessState {
 		sh.down[k] = v
 	}
 	sh.invs = append([]inv.Invariant(nil), st.invs...)
-	// The posting index is mutated in place (universe refinement,
-	// registration sync), so the shadow needs its own deep copy — a
-	// rolled-back propose must leave the base index untouched.
-	sh.posting = st.posting.clone()
+	// The group table is edited in place (regroup, install, universe
+	// refinement), so the shadow needs its own copy — a rolled-back
+	// propose must leave the base table untouched.
+	sh.table = st.table.clone()
 	return sh
 }
 

@@ -202,33 +202,12 @@ type WireTxAck struct {
 	Totals *WireTotals `json:"totals,omitempty"`
 }
 
-// WireTotals is the JSON form of the session-lifetime Totals counters.
-type WireTotals struct {
-	Applies      int `json:"applies"`
-	Solves       int `json:"solves"`
-	CacheHits    int `json:"cache_hits"`
-	CanonHits    int `json:"canon_hits"`
-	CanonShared  int `json:"canon_shared"`
-	Classes      int `json:"classes"`
-	RefinedClean int `json:"refined_clean"`
-	DirtyInvs    int `json:"dirty_invariants"`
-	TotalInvs    int `json:"total_invariants"`
-	ReusedInvs   int `json:"reused_invariants"`
-	Batches      int `json:"batches,omitempty"`
-	Enqueued     int `json:"enqueued,omitempty"`
-	Coalesced    int `json:"coalesced,omitempty"`
-}
+// WireTotals is the session-lifetime Totals counters, which carry their
+// own JSON form.
+type WireTotals = Totals
 
 // EncodeTotals renders session-lifetime counters on the wire.
-func EncodeTotals(t Totals) WireTotals {
-	return WireTotals{
-		Applies: t.Applies, Solves: t.Solves,
-		CacheHits: t.CacheHits, CanonHits: t.CanonHits, CanonShared: t.CanonShared,
-		Classes: t.Classes, RefinedClean: t.RefinedClean,
-		DirtyInvs: t.DirtyInvs, TotalInvs: t.TotalInvs, ReusedInvs: t.ReusedInvs,
-		Batches: t.Batches, Enqueued: t.Enqueued, Coalesced: t.Coalesced,
-	}
-}
+func EncodeTotals(t Totals) WireTotals { return t }
 
 // WireSolverStats is the JSON form of aggregate SAT solver counters.
 type WireSolverStats struct {
@@ -327,13 +306,9 @@ type WireTrace struct {
 	Spans []obs.SpanRecord `json:"spans"`
 }
 
-// WireCheckOrigin is the JSON form of one verdict's provenance.
-type WireCheckOrigin struct {
-	Scenario   int    `json:"scenario"`
-	Source     string `json:"source"`
-	DurationNs int64  `json:"duration_ns"`
-	Conflicts  int64  `json:"conflicts,omitempty"`
-}
+// WireCheckOrigin is one verdict's provenance, which carries its own JSON
+// form.
+type WireCheckOrigin = CheckOrigin
 
 // WireExplainGroup is the JSON form of one re-verified group's provenance.
 type WireExplainGroup struct {
@@ -371,18 +346,13 @@ func EncodeExplain(t *topo.Topology, id string, seq int, recs []ExplainRecord) W
 			Reason:      rec.Cause.Reason,
 			ChangeIndex: rec.Cause.Change,
 			Change:      rec.Cause.ChangeDesc,
+			Checks:      rec.Checks,
 		}
 		if rec.Cause.HasNode && rec.Cause.Node >= 0 && int(rec.Cause.Node) < t.NumNodes() {
 			g.Node = t.Node(rec.Cause.Node).Name
 		}
 		if rec.Cause.HasAtom {
 			g.Atom = rec.Cause.Atom.String()
-		}
-		for _, c := range rec.Checks {
-			g.Checks = append(g.Checks, WireCheckOrigin{
-				Scenario: c.Scenario, Source: c.Source,
-				DurationNs: c.DurationNs, Conflicts: c.Conflicts,
-			})
 		}
 		out.Groups = append(out.Groups, g)
 	}

@@ -10,9 +10,9 @@ package topo
 // boundaries, splitting at most two existing intervals in place instead
 // of rebuilding any per-check AtomSet; each split keeps the lower half
 // under the parent's identity and mints a fresh identity for the upper
-// half, reported to the caller so label sets can be copied (Delta-net's
-// copy-on-split: the child conservatively inherits the parent's posting
-// list, exact again once the registered groups re-verify).
+// half, reported to the caller so label sets can follow (Delta-net's
+// copy-on-split; internal/incr sends each reader of the split interval to
+// the half its reads are in, so its posting lists stay exact).
 
 import (
 	"sort"
