@@ -72,16 +72,11 @@ func main() {
 		return
 	}
 
-	opts := core.Options{Seed: *seed, NoSlices: *noSlices, Workers: *workers}
-	switch *engine {
-	case "sat":
-		opts.Engine = core.EngineSAT
-	case "explicit":
-		opts.Engine = core.EngineExplicit
-	case "auto":
-	default:
-		fail("unknown engine %q", *engine)
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fail("%v", err)
 	}
+	opts := core.Options{Engine: eng, Seed: *seed, NoSlices: *noSlices, Workers: *workers}
 
 	var (
 		net  *core.Network

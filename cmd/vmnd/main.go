@@ -614,16 +614,11 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := core.Options{Seed: *seed, MaxConflicts: *maxConflicts}
-	switch *engine {
-	case "sat":
-		opts.Engine = core.EngineSAT
-	case "explicit":
-		opts.Engine = core.EngineExplicit
-	case "auto":
-	default:
-		fail("unknown engine %q", *engine)
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fail("%v", err)
 	}
+	opts := core.Options{Engine: eng, Seed: *seed, MaxConflicts: *maxConflicts}
 
 	// A topology file replaces the built-in network wholesale. Loading is
 	// all-or-nothing: a malformed or adversarial file produces exactly one
@@ -634,7 +629,6 @@ func main() {
 		invs     []inv.Invariant
 		topoName = *network
 		topoSrc  = "builtin"
-		err      error
 	)
 	if *topology != "" {
 		var d *netdesc.Desc

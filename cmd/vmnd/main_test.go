@@ -99,7 +99,6 @@ func TestGoldenWireProtocol(t *testing.T) {
 		{"fw_allow", []string{`{"op":"fw_allow","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}`}},
 		{"fw_deny", []string{`{"op":"fw_deny","node":"fw1","src":"10.2.0.0/24","dst":"*"}`}},
 		{"fw_del", []string{`{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}`}},
-		{"box_reconfig", []string{`{"op":"box_reconfig","node":"fw2"}`}},
 		{"box_remove", []string{`{"op":"box_remove","node":"ids2"}`}},
 		{"inv_add", []string{
 			`{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"leak?"}}`,
@@ -135,8 +134,8 @@ func TestGoldenWireProtocol(t *testing.T) {
 				`{"op":"node_up","node":"h2-0"}]}`,
 		}},
 		// An add-then-delete pair of one firewall entry nets out to the
-		// original ACL; the two reconfig announcements coalesce to one and
-		// the rule-read projections are unchanged — nothing dirtied.
+		// original ACL; the two box swaps coalesce to the last one and the
+		// rule-read projections are unchanged — nothing dirtied.
 		{"apply_batch_annihilate", []string{
 			`{"op":"apply_batch","id":"b1","changes":[` +
 				`{"op":"fw_deny","node":"fw1","src":"10.9.0.0/24","dst":"*"},` +
@@ -196,9 +195,9 @@ func TestGoldenWireProtocol(t *testing.T) {
 			`{"op":"rollback","id":"o5"}`,
 			`{"op":"noop"}`,
 		}},
-		// Malformed propose bodies: bad JSON shapes, unknown nodes, and
-		// in-place reconfiguration (not shadowable) are all rejected
-		// without touching the session.
+		// Malformed propose bodies: bad JSON shapes, unknown nodes and
+		// unknown ops (box_reconfig among them) are all rejected without
+		// touching the session.
 		{"propose_malformed", []string{
 			`{"op":"propose","id":"m1","changes":"not an array"}`,
 			`{"op":"propose","id":"m2","changes":[{"op":"box_reconfig","node":"fw2"}]}`,

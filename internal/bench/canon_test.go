@@ -227,10 +227,12 @@ func TestCanonVerdictCacheAcrossIsomorphicFootprints(t *testing.T) {
 	}
 
 	shadow := func(tn int) incr.Change {
-		m.Firewalls[tn].ACL = append([]mbox.ACLEntry{
+		fw := *m.Firewalls[tn]
+		fw.ACL = append([]mbox.ACLEntry{
 			mbox.AllowEntry(TenantPrivPrefix(tn), TenantPrivPrefix(tn)),
-		}, m.Firewalls[tn].ACL...)
-		return incr.BoxReconfig(m.VSwitchFW[tn])
+		}, fw.ACL...)
+		m.Firewalls[tn] = &fw
+		return incr.BoxSwap(m.VSwitchFW[tn], &fw)
 	}
 
 	// Shadow tenant 1's firewall: novel configurations, so the dirty

@@ -71,6 +71,16 @@ func (e EngineKind) String() string {
 	}
 }
 
+// ParseEngine is the inverse of EngineKind.String.
+func ParseEngine(s string) (EngineKind, error) {
+	for _, e := range []EngineKind{EngineAuto, EngineSAT, EngineExplicit} {
+		if e.String() == s {
+			return e, nil
+		}
+	}
+	return EngineAuto, fmt.Errorf("unknown engine %q", s)
+}
+
 // Options tune verification.
 type Options struct {
 	Engine EngineKind

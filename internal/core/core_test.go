@@ -158,6 +158,20 @@ func TestEngineKindString(t *testing.T) {
 	}
 }
 
+// TestParseEngine: ParseEngine inverts String and refuses anything else.
+func TestParseEngine(t *testing.T) {
+	for _, e := range []EngineKind{EngineAuto, EngineSAT, EngineExplicit} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, s := range []string{"bogus", "", "SAT"} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Fatalf("ParseEngine(%q) accepted", s)
+		}
+	}
+}
+
 func TestNoSlicesReportsWhole(t *testing.T) {
 	net, hA, _, _ := pairNet(mbox.NewLearningFirewall("fw"))
 	v, _ := NewVerifier(net, Options{NoSlices: true})

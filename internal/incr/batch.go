@@ -16,18 +16,18 @@ package incr
 //
 //   - NodeDown/NodeUp: last writer wins per node. Apply's toggle check
 //     makes an annihilated pair (down then up of an up node) a no-op.
-//   - FIB: all updates collapse to one — the last non-nil provider IS
-//     the final forwarding state (providers are whole-FIB functions),
-//     and the announced owner lists union. Diffing is per-table against
-//     the final provider, so cross-table updates in one batch still
-//     dirty each table independently — coalescing never merges diffs
-//     across tables, it only removes superseded providers.
-//   - BoxReconfig: one announcement per node and run suffices — the last
-//     swapped-in model wins; in-place announcements (nil model) are
-//     idempotent. A BoxAdd or BoxRemove of the same node ends the run
-//     (ordering against the reconfig is semantic there); other nodes'
-//     membership changes do not. BoxRemove drops the run it ends: the
-//     box is gone whatever it was last configured as.
+//   - FIB: last writer wins across the set — the last provider IS the
+//     final forwarding state (providers are whole-FIB functions).
+//     Diffing is per-table against the final provider, so cross-table
+//     updates in one batch still dirty each table independently —
+//     coalescing never merges diffs across tables, it only removes
+//     superseded providers.
+//   - BoxSwap: last writer wins per node and run — the last
+//     swapped-in model is the box's configuration. A BoxAdd or BoxRemove
+//     of the same node ends the run (ordering against the swap is
+//     semantic there); other nodes' membership changes do not. BoxRemove
+//     drops the run it ends: the box is gone whatever it was last
+//     configured as.
 //   - Relabel: last writer wins per node.
 //   - InvRemove drops every earlier InvAdd/InvRemove of its name: it
 //     removes all invariants so named, whichever change put them there.
@@ -39,17 +39,13 @@ package incr
 
 import (
 	"github.com/netverify/vmn/internal/core"
-	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/topo"
 )
 
 // Coalesce reduces a change list to an equivalent one (same final
-// session state, hence identical verdicts), returning the survivors and
-// how many changes were eliminated.
-func Coalesce(changes []Change) ([]Change, int) {
-	if len(changes) < 2 {
-		return changes, 0
-	}
+// session state, hence identical verdicts), returning the survivors and,
+// for each, its index in changes.
+func Coalesce(changes []Change) (out []Change, from []int) {
 	keep := make([]bool, len(changes))
 	for i := range keep {
 		keep[i] = true
@@ -63,10 +59,9 @@ func Coalesce(changes []Change) ([]Change, int) {
 
 	lastLive := map[topo.NodeID]int{}
 	lastRelab := map[topo.NodeID]int{}
-	// openReconf is the surviving announcement of each node's open run;
-	// model[i] is the last model swapped in by the run change i closes.
+	// openReconf is the surviving swap of each node's open run.
 	openReconf := map[topo.NodeID]int{}
-	model := make([]mbox.Model, len(changes))
+	lastFIB := -1
 	// invOps lists, per invariant name, the surviving adds and removes.
 	invOps := map[string][]int{}
 	for i, ch := range changes {
@@ -77,11 +72,12 @@ func Coalesce(changes []Change) ([]Change, int) {
 		case KindRelabel:
 			drop(lastRelab, ch.Node)
 			lastRelab[ch.Node] = i
-		case KindBoxReconfig:
-			model[i] = ch.Model
-			if j, ok := openReconf[ch.Node]; ok && ch.Model == nil {
-				model[i] = model[j]
+		case KindFIB:
+			if lastFIB >= 0 {
+				keep[lastFIB] = false
 			}
+			lastFIB = i
+		case KindBoxReconfig:
 			drop(openReconf, ch.Node)
 			openReconf[ch.Node] = i
 		case KindBoxAdd:
@@ -100,46 +96,13 @@ func Coalesce(changes []Change) ([]Change, int) {
 		}
 	}
 
-	// All FIB updates collapse into the last one, carrying the union of
-	// announced owners and the last non-nil provider.
-	lastFIB, nFIB := -1, 0
-	var mergedFIB Change
-	mergedFIB.Kind = KindFIB
-	fibNodeSeen := map[topo.NodeID]bool{}
 	for i, ch := range changes {
-		if ch.Kind != KindFIB {
-			continue
+		if keep[i] {
+			out = append(out, ch)
+			from = append(from, i)
 		}
-		nFIB++
-		if lastFIB >= 0 {
-			keep[lastFIB] = false
-		}
-		if ch.FIBFor != nil {
-			mergedFIB.FIBFor = ch.FIBFor
-		}
-		for _, n := range ch.Nodes {
-			if !fibNodeSeen[n] {
-				fibNodeSeen[n] = true
-				mergedFIB.Nodes = append(mergedFIB.Nodes, n)
-			}
-		}
-		lastFIB = i
 	}
-
-	out := make([]Change, 0, len(changes))
-	for i, ch := range changes {
-		if !keep[i] {
-			continue
-		}
-		switch {
-		case ch.Kind == KindFIB && nFIB > 1:
-			ch = mergedFIB
-		case ch.Kind == KindBoxReconfig:
-			ch.Model = model[i]
-		}
-		out = append(out, ch)
-	}
-	return out, len(changes) - len(out)
+	return out, from
 }
 
 // ApplyBatch coalesces a batch of changes and applies the survivors as
@@ -171,12 +134,19 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 		}
 	}
 	s.armDeadline()
-	co, dropped := Coalesce(changes)
+	co, from := Coalesce(changes)
 	reports, err := s.applyLocked(co)
 	if err != nil {
 		return nil, false, err
 	}
+	// Explain names the dirtying change by its place in the request.
+	for i := range s.lastExplain {
+		if c := &s.lastExplain[i].Cause; c.Change >= 0 {
+			c.Change = from[c.Change]
+		}
+	}
 	s.persistApply(id, co)
+	dropped := len(changes) - len(co)
 	s.last.Enqueued = len(changes)
 	s.last.Coalesced = dropped
 	s.totals.Batches++

@@ -21,19 +21,19 @@ import (
 
 func TestCoalesceLastWriterWins(t *testing.T) {
 	a, b := topo.NodeID(1), topo.NodeID(2)
-	out, dropped := incr.Coalesce([]incr.Change{
+	out, from := incr.Coalesce([]incr.Change{
 		incr.NodeDown(a),
 		incr.Relabel(a, "x"),
 		incr.NodeUp(a),
 		incr.NodeDown(b),
 		incr.Relabel(a, "y"),
 	})
-	if dropped != 2 {
-		t.Fatalf("dropped %d changes, want 2", dropped)
-	}
 	want := []incr.Change{incr.NodeUp(a), incr.NodeDown(b), incr.Relabel(a, "y")}
 	if len(out) != len(want) {
 		t.Fatalf("survivors %v, want %v", out, want)
+	}
+	if !reflect.DeepEqual(from, []int{2, 3, 4}) {
+		t.Fatalf("survivors come from request indices %v, want [2 3 4]", from)
 	}
 	for i := range want {
 		if out[i].Kind != want[i].Kind || out[i].Node != want[i].Node || out[i].Class != want[i].Class {
@@ -46,40 +46,38 @@ func TestCoalesceFIBCollapse(t *testing.T) {
 	n1, n2 := topo.NodeID(1), topo.NodeID(2)
 	p1 := func(topo.FailureScenario) tf.FIB { return tf.FIB{n1: nil} }
 	p2 := func(topo.FailureScenario) tf.FIB { return tf.FIB{n2: nil} }
-	out, dropped := incr.Coalesce([]incr.Change{
-		incr.FIBUpdate(p1, n1),
+	out, _ := incr.Coalesce([]incr.Change{
+		incr.FIBUpdate(p1),
 		incr.NodeDown(n1),
-		incr.FIBUpdate(p2, n2),
+		incr.FIBUpdate(p2),
 	})
-	if dropped != 1 || len(out) != 2 {
-		t.Fatalf("got %d survivors (%d dropped), want 2 (1 dropped)", len(out), dropped)
+	if len(out) != 2 {
+		t.Fatalf("got %d survivors, want 2", len(out))
 	}
-	// Survivor order: the merged FIB change sits at the LAST retained
-	// index, after the interleaved liveness change.
+	// Survivor order: the FIB change kept is the LAST one, after the
+	// interleaved liveness change.
 	if out[0].Kind != incr.KindNodeDown || out[1].Kind != incr.KindFIB {
 		t.Fatalf("survivor order wrong: %v, %v", out[0].Kind, out[1].Kind)
 	}
 	fib := out[1].FIBFor(topo.FailureScenario{})
 	if _, ok := fib[n2]; !ok || len(fib) != 1 {
-		t.Fatalf("merged provider must be the last one: got tables for %v", fib)
-	}
-	if len(out[1].Nodes) != 2 || out[1].Nodes[0] != n1 || out[1].Nodes[1] != n2 {
-		t.Fatalf("merged owner list must union: %v", out[1].Nodes)
+		t.Fatalf("surviving provider must be the last one: got tables for %v", fib)
 	}
 }
 
 func TestCoalesceReconfigMerge(t *testing.T) {
 	n := topo.NodeID(3)
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
-	out, dropped := incr.Coalesce([]incr.Change{
-		incr.BoxSwap(n, d.FWPrimary),
-		incr.BoxReconfig(n),
+	first, last := d.FWBackup, d.FWPrimary
+	out, _ := incr.Coalesce([]incr.Change{
+		incr.BoxSwap(n, first),
+		incr.BoxSwap(n, last),
 	})
-	if dropped != 1 || len(out) != 1 {
-		t.Fatalf("got %d survivors (%d dropped), want 1 (1 dropped)", len(out), dropped)
+	if len(out) != 1 {
+		t.Fatalf("got %d survivors, want 1", len(out))
 	}
-	if out[0].Kind != incr.KindBoxReconfig || out[0].Model != d.FWPrimary {
-		t.Fatalf("merged reconfig must keep the last swapped-in model: %+v", out[0])
+	if out[0].Kind != incr.KindBoxReconfig || out[0].Model != last {
+		t.Fatalf("the last swapped-in model must win: %+v", out[0])
 	}
 
 	// Membership changes end a run only at their own node: another node's
@@ -97,21 +95,21 @@ func TestCoalesceReconfigMerge(t *testing.T) {
 		in   []incr.Change
 		want []incr.Kind
 	}{
-		{"other node's remove", []incr.Change{incr.BoxSwap(n, d.FWPrimary), incr.BoxRemove(other), incr.BoxReconfig(n)},
+		{"other node's remove", []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(other), incr.BoxSwap(n, last)},
 			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxReconfig}},
-		{"own remove drops the run", []incr.Change{incr.BoxSwap(n, d.FWPrimary), incr.BoxReconfig(n), incr.BoxRemove(n)},
+		{"own remove drops the run", []incr.Change{incr.BoxSwap(n, first), incr.BoxSwap(n, last), incr.BoxRemove(n)},
 			[]incr.Kind{incr.KindBoxRemove}},
-		{"own add splits the run", []incr.Change{incr.BoxReconfig(n), incr.BoxRemove(n), incr.BoxAdd(n, d.FWPrimary), incr.BoxReconfig(n), incr.BoxReconfig(n)},
+		{"own add splits the run", []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(n), incr.BoxAdd(n, first), incr.BoxSwap(n, first), incr.BoxSwap(n, last)},
 			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxAdd, incr.KindBoxReconfig}},
 	} {
 		out, _ := incr.Coalesce(tc.in)
 		if got := kinds(out); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: survivors %v, want %v", tc.name, got, tc.want)
 		}
-		if tc.name == "other node's remove" && out[1].Model != d.FWPrimary {
-			t.Errorf("%s: the run's swapped-in model was lost: %+v", tc.name, out[1])
+		if k := len(out) - 1; out[k].Kind == incr.KindBoxReconfig && out[k].Model != last {
+			t.Errorf("%s: the run's last swapped-in model was lost: %+v", tc.name, out[k])
 		}
-		if again, dropped := incr.Coalesce(out); dropped != 0 || !reflect.DeepEqual(kinds(again), tc.want) {
+		if again, _ := incr.Coalesce(out); !reflect.DeepEqual(kinds(again), tc.want) {
 			t.Errorf("%s: not idempotent: %v", tc.name, kinds(again))
 		}
 	}
@@ -124,12 +122,12 @@ func TestCoalesceInvariantNames(t *testing.T) {
 	add := func(name string) incr.Change {
 		return incr.AddInvariant(inv.Reachability{Dst: 1, SrcAddr: 2, Label: name})
 	}
-	out, dropped := incr.Coalesce([]incr.Change{
+	out, _ := incr.Coalesce([]incr.Change{
 		incr.RemoveInvariant("a"), add("a"), add("b"), add("a"), incr.RemoveInvariant("a"), add("a"),
 		{Kind: incr.KindInvAdd}, // refused by validate, not Coalesce's to judge
 	})
-	if dropped != 3 || len(out) != 4 {
-		t.Fatalf("got %d survivors (%d dropped), want 4 (3 dropped): %+v", len(out), dropped, out)
+	if len(out) != 4 {
+		t.Fatalf("got %d survivors, want 4: %+v", len(out), out)
 	}
 	if out[0].Invariant.Name() != "b" || out[1].Kind != incr.KindInvRemove || out[1].Name != "a" ||
 		out[2].Invariant.Name() != "a" || out[3].Invariant != nil {
@@ -229,4 +227,24 @@ func TestApplyBatchCrossTable(t *testing.T) {
 			st.DirtyInvariants, want)
 	}
 	compareReports(t, "cross-table", reports, baseline(t, sp, core.Options{Engine: core.EngineSAT}, true))
+}
+
+// TestBatchExplainIndexesTheRequest: explain names the dirtying change by
+// its place in the batch as sent, not in the coalesced list Apply ran —
+// here the eliminated node_down h2-0 would shift every index down by one.
+func TestBatchExplainIndexesTheRequest(t *testing.T) {
+	d, s := newDCSession(t, 3)
+	h := d.Hosts[2][0]
+	if _, err := s.ApplyBatch([]incr.Change{incr.NodeDown(h), incr.NodeUp(h), incr.NodeDown(d.FW1)}); err != nil {
+		t.Fatal(err)
+	}
+	recs := s.Explain()
+	if len(recs) == 0 {
+		t.Fatal("node_down fw1 dirtied nothing")
+	}
+	for _, r := range recs {
+		if r.Cause.Change != 2 || r.Cause.ChangeDesc != "node-down fw1" {
+			t.Fatalf("record %s names change %d (%q), want 2 (node-down fw1)", r.GroupKey, r.Cause.Change, r.Cause.ChangeDesc)
+		}
+	}
 }

@@ -47,17 +47,15 @@ const (
 	KindNodeDown Kind = iota
 	// KindNodeUp returns Node to service.
 	KindNodeUp
-	// KindFIB reports a forwarding-state update: the session's FIB
-	// provider (swapped by FIBFor when non-nil) now returns different
-	// tables. Changed table owners are diffed automatically against the
-	// previous provider; Nodes may list additional owners explicitly.
+	// KindFIB swaps in FIBFor as the session's forwarding-state provider.
+	// Changed table owners are found by diffing its tables against the
+	// previous provider's.
 	KindFIB
 	// KindBoxAdd binds Model to the middlebox node Node.
 	KindBoxAdd
 	// KindBoxRemove unbinds the middlebox model at Node.
 	KindBoxRemove
-	// KindBoxReconfig reports that the model at Node was reconfigured —
-	// in place (Model nil) or by swapping in Model.
+	// KindBoxReconfig replaces the model at Node with Model.
 	KindBoxReconfig
 	// KindRelabel sets Node's policy equivalence class to Class (empty
 	// Class makes the node a singleton again).
@@ -96,7 +94,6 @@ func (k Kind) String() string {
 type Change struct {
 	Kind      Kind
 	Node      topo.NodeID
-	Nodes     []topo.NodeID
 	FIBFor    func(topo.FailureScenario) tf.FIB
 	Model     mbox.Model
 	Class     string
@@ -115,13 +112,9 @@ func NodeUp(n topo.NodeID) Change { return Change{Kind: KindNodeUp, Node: n} }
 // ones the session compiled last. A rule list that is the very slice
 // compiled last counts as unchanged without a look inside, so a provider
 // derived from the previous one should share the lists it did not touch —
-// and no list handed to the session may be mutated afterwards. A nil
-// fibFor means the existing provider changed behind the session's back
-// (it closes over mutated tables) — the comparison cannot see the old
-// state then, so nodes MUST list every owner whose table changed; listed
-// owners are recompiled and dirtied at node granularity.
-func FIBUpdate(fibFor func(topo.FailureScenario) tf.FIB, nodes ...topo.NodeID) Change {
-	return Change{Kind: KindFIB, FIBFor: fibFor, Nodes: nodes}
+// and no list handed to the session is ever mutated afterwards.
+func FIBUpdate(fibFor func(topo.FailureScenario) tf.FIB) Change {
+	return Change{Kind: KindFIB, FIBFor: fibFor}
 }
 
 // BoxAdd binds model to the middlebox node n.
@@ -132,11 +125,8 @@ func BoxAdd(n topo.NodeID, model mbox.Model) Change {
 // BoxRemove unbinds the middlebox model at n.
 func BoxRemove(n topo.NodeID) Change { return Change{Kind: KindBoxRemove, Node: n} }
 
-// BoxReconfig reports an in-place reconfiguration of the model at n (its
-// ACL or other configuration was mutated by the caller).
-func BoxReconfig(n topo.NodeID) Change { return Change{Kind: KindBoxReconfig, Node: n} }
-
-// BoxSwap replaces the model at n.
+// BoxSwap replaces the model at n: the one way to reconfigure a box. To
+// edit a configuration, clone the model, edit the clone and swap it in.
 func BoxSwap(n topo.NodeID, model mbox.Model) Change {
 	return Change{Kind: KindBoxReconfig, Node: n, Model: model}
 }

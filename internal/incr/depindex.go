@@ -5,9 +5,8 @@ package incr
 // in decreasing coarseness:
 //
 //   - nodes: elements whose liveness, membership or policy changed
-//     (node up/down, box add/remove, relabels, explicitly announced FIB
-//     owners). Any group whose footprint contains such an element is
-//     dirty — exactly the PR 2 behaviour.
+//     (node up/down, box add/remove, relabels). Any group whose footprint
+//     contains such an element is dirty — exactly the PR 2 behaviour.
 //
 //   - fib: forwarding tables whose rule lists changed, carried as
 //     old/new pairs per effective scenario. A group is dirty only if one
@@ -22,7 +21,7 @@ package incr
 //     rule arrives, and loses nothing when the change is outside every
 //     atom.
 //
-//   - boxes: middlebox nodes announced as reconfigured. A group is dirty
+//   - boxes: middlebox nodes given a new model. A group is dirty
 //     only if the box's rule-read projection onto the group's address
 //     universe (mbox.ReadKey) differs from the projection stored
 //     when the group was last verified — appending a rule for an
@@ -74,17 +73,6 @@ func (s elemSet) firstOf(nodes []topo.NodeID) (topo.NodeID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// nodeListed reports membership in an unsorted node slice (change-set
-// node lists are caller-ordered).
-func nodeListed(nodes []topo.NodeID, n topo.NodeID) bool {
-	for _, m := range nodes {
-		if m == n {
-			return true
-		}
-	}
-	return false
 }
 
 // containsNode reports membership in a sorted node slice.
@@ -203,24 +191,24 @@ func equalMatching(old, new []tf.Rule, a pkt.Addr) bool {
 }
 
 // impact is the classified effect of one change-set (see the package
-// comment above for the three channels). The src maps carry provenance:
+// comment above for the three channels). The src fields carry provenance:
 // the index (into the Apply's change-set) of the first change that put
 // each element on its channel, -1 or absent when not attributable to a
-// single change.
+// single change. Every changed table shares one fibSrc.
 type impact struct {
 	nodes elemSet
 	fib   map[topo.NodeID][]*fibDelta
 	boxes elemSet
 
 	nodeSrc map[topo.NodeID]int
-	fibSrc  map[topo.NodeID]int
+	fibSrc  int
 	boxSrc  map[topo.NodeID]int
 }
 
 func newImpact() *impact {
 	return &impact{
 		nodes: elemSet{}, fib: map[topo.NodeID][]*fibDelta{}, boxes: elemSet{},
-		nodeSrc: map[topo.NodeID]int{}, fibSrc: map[topo.NodeID]int{}, boxSrc: map[topo.NodeID]int{},
+		nodeSrc: map[topo.NodeID]int{}, fibSrc: -1, boxSrc: map[topo.NodeID]int{},
 	}
 }
 
@@ -230,12 +218,6 @@ func (im *impact) addNode(n topo.NodeID, ci int) {
 	im.nodes.add(n)
 	if _, ok := im.nodeSrc[n]; !ok {
 		im.nodeSrc[n] = ci
-	}
-}
-
-func (im *impact) addNodes(nodes []topo.NodeID, ci int) {
-	for _, n := range nodes {
-		im.addNode(n, ci)
 	}
 }
 
@@ -256,35 +238,20 @@ func srcOf(m map[topo.NodeID]int, n topo.NodeID) int {
 }
 
 // addTableDeltas puts every changed table of the engine sync (one delta
-// list per effective scenario) on the fib channel and attributes it to a
-// change: the first KindFIB change announcing the node, else the first
-// change that could move forwarding state at all (the deltas are aggregate
-// across the set, so finer attribution is not possible).
+// list per effective scenario) on the fib channel and attributes them to
+// the first change that could move forwarding state (the deltas are
+// aggregate across the set, so finer attribution is not possible).
 func (im *impact) addTableDeltas(deltas [][]tf.TableDelta, changes []Change) {
 	for _, ds := range deltas {
 		for _, td := range ds {
 			im.fib[td.Node] = append(im.fib[td.Node], newFIBDelta(td))
 		}
 	}
-	if len(im.fib) == 0 {
-		return
-	}
-	fallback := -1
 	for ci, ch := range changes {
 		if ch.Kind == KindNodeDown || ch.Kind == KindNodeUp || ch.Kind == KindFIB {
-			fallback = ci
-			break
+			im.fibSrc = ci
+			return
 		}
-	}
-	for n := range im.fib {
-		src := fallback
-		for ci, ch := range changes {
-			if ch.Kind == KindFIB && nodeListed(ch.Nodes, n) {
-				src = ci
-				break
-			}
-		}
-		im.fibSrc[n] = src
 	}
 }
 
@@ -314,7 +281,7 @@ func (im *impact) classify(e *groupEntry, boxKey func(n topo.NodeID, universe to
 			continue
 		}
 		if e.coarse {
-			return groupDirty, DirtyCause{Reason: CauseFIB, Node: n, HasNode: true, Change: srcOf(im.fibSrc, n)}
+			return groupDirty, DirtyCause{Reason: CauseFIB, Node: n, HasNode: true, Change: im.fibSrc}
 		}
 		atoms := e.fib[n]
 		if len(atoms) == 0 {
@@ -328,7 +295,7 @@ func (im *impact) classify(e *groupEntry, boxKey func(n topo.NodeID, universe to
 			if a, dirty := d.dirtyAtom(atoms); dirty {
 				return groupDirty, DirtyCause{
 					Reason: CauseFIBAtom, Node: n, HasNode: true,
-					Atom: a, HasAtom: true, Change: srcOf(im.fibSrc, n),
+					Atom: a, HasAtom: true, Change: im.fibSrc,
 				}
 			}
 		}

@@ -64,8 +64,9 @@ func TestRollbackKeepsHeldEngines(t *testing.T) {
 
 	// A firewall edit re-verifies groups on the held engines and touches
 	// none of them.
-	d.FWPrimary.ACL = deleteDeny(d.FWPrimary.ACL, 2, 1)
-	reports, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)})
+	fw := cloneFirewall(d.FWPrimary)
+	fw.ACL = deleteDeny(fw.ACL, 2, 1)
+	reports, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, fw)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +204,10 @@ func TestApplyWorkFollowsTheChange(t *testing.T) {
 		dead := pkt.Prefix{Addr: pkt.MustParseAddr("10.99.0.0"), Len: 24}
 		for name, readers := range map[string]int{"fw3": 0, "fw1": 1} {
 			node := r.net.Topo.MustByName(name).ID
-			fw := r.net.Boxes[slices.IndexFunc(r.net.Boxes, func(b mbox.Instance) bool { return b.Node == node })].Model.(*mbox.LearningFirewall)
+			fw := cloneFirewall(r.net.Boxes[slices.IndexFunc(r.net.Boxes, func(b mbox.Instance) bool { return b.Node == node })].Model.(*mbox.LearningFirewall))
 			fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(dead, dead)}, fw.ACL...)
 			before := r.sess.Classified()
-			st := r.apply(t, incr.BoxReconfig(node))
+			st := r.apply(t, incr.BoxSwap(node, fw))
 			if st.TablesCompiled != 0 || st.DirtyGroups != 0 {
 				t.Fatalf("%d subnets: a dead edit at %s: %+v", subnets, name, st)
 			}

@@ -33,3 +33,14 @@ func (s *Session) GroupsReading(n topo.NodeID) int {
 	}
 	return count
 }
+
+// GroupKeys lists the group table's keys in report order.
+func (s *Session) GroupKeys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.table.order))
+	for _, sl := range s.table.order {
+		keys = append(keys, s.table.recs[sl].key)
+	}
+	return keys
+}

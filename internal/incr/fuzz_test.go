@@ -12,8 +12,9 @@ package incr_test
 // indistinguishable from a direct Apply.
 //
 // Two identical networks are built per run — sessions own their networks
-// (FIBUpdate swaps the provider, ACL edits mutate models in place), so the
-// one-at-a-time and the batched session must not share one.
+// and the targets mirror what was handed over (FIBUpdate swaps the
+// provider, an ACL edit swaps in an edited clone), so the one-at-a-time
+// and the batched session must not share one.
 
 import (
 	"bytes"
@@ -35,22 +36,13 @@ import (
 // fuzzTarget materializes decoded ops as change-sets over one owned
 // network. The one-at-a-time and the batched lane get their own target;
 // toggle state is keyed deterministically on the op bytes, so the two
-// targets stay in lock-step. probe builds a pure (self-contained, no mirror mutation)
-// change-set for transactional detours: it is only ever proposed and
-// rolled back, never committed.
+// targets stay in lock-step. probe builds a change-set that leaves the
+// target's mirror untouched, for transactional detours: it is only ever
+// proposed and rolled back, never committed.
 type fuzzTarget interface {
 	changes(op, arg byte) []incr.Change
 	probe(arg byte) []incr.Change
 	session() *incr.Session
-}
-
-// cloneFirewall copies a learning firewall for pure BoxSwap probes.
-func cloneFirewall(fw *mbox.LearningFirewall) *mbox.LearningFirewall {
-	return &mbox.LearningFirewall{
-		InstanceName: fw.InstanceName,
-		ACL:          append([]mbox.ACLEntry(nil), fw.ACL...),
-		DefaultAllow: fw.DefaultAllow,
-	}
 }
 
 // --- datacenter target ---
@@ -98,15 +90,17 @@ func (f *dcTarget) fibUpdate() incr.Change {
 	return incr.FIBUpdate(overlayFIBFor(f.base, f.overlay))
 }
 
-// toggleACLHead pops the firewall's head entry when it equals e, and
-// prepends e otherwise — a deterministic toggle that stays consistent no
-// matter how ops interleave.
-func toggleACLHead(fw *mbox.LearningFirewall, e mbox.ACLEntry) {
+// toggleACLHead returns a clone of fw with its head entry popped when it
+// equals e, and e prepended otherwise — a deterministic toggle that stays
+// consistent no matter how ops interleave.
+func toggleACLHead(fw *mbox.LearningFirewall, e mbox.ACLEntry) *mbox.LearningFirewall {
+	fw = cloneFirewall(fw)
 	if len(fw.ACL) > 0 && fw.ACL[0] == e {
 		fw.ACL = fw.ACL[1:]
-		return
+	} else {
+		fw.ACL = append([]mbox.ACLEntry{e}, fw.ACL...)
 	}
-	fw.ACL = append([]mbox.ACLEntry{e}, fw.ACL...)
+	return fw
 }
 
 func (f *dcTarget) changes(op, arg byte) []incr.Change {
@@ -147,12 +141,12 @@ func (f *dcTarget) changes(op, arg byte) []incr.Change {
 		return []incr.Change{f.fibUpdate()}
 	case 3: // live per-pair ACL entry toggle on the primary firewall
 		a, b := g, (g+1)%G
-		toggleACLHead(d.FWPrimary, mbox.DenyEntry(bench.ClientPrefix(a), bench.ClientPrefix(b)))
-		return []incr.Change{incr.BoxReconfig(d.FW1)}
+		d.FWPrimary = toggleACLHead(d.FWPrimary, mbox.DenyEntry(bench.ClientPrefix(a), bench.ClientPrefix(b)))
+		return []incr.Change{incr.BoxSwap(d.FW1, d.FWPrimary)}
 	case 4: // dead ACL entry toggle (must dirty nothing at prefix level)
 		deadPfx := pkt.Prefix{Addr: pkt.MustParseAddr("10.99.0.0"), Len: 24}
-		toggleACLHead(d.FWPrimary, mbox.DenyEntry(deadPfx, deadPfx))
-		return []incr.Change{incr.BoxReconfig(d.FW1)}
+		d.FWPrimary = toggleACLHead(d.FWPrimary, mbox.DenyEntry(deadPfx, deadPfx))
+		return []incr.Change{incr.BoxSwap(d.FW1, d.FWPrimary)}
 	case 5: // policy relabel toggle (fresh singleton class and back)
 		h := d.Hosts[g][0]
 		if f.relab[h] {
@@ -267,9 +261,9 @@ func (f *mtTarget) changes(op, arg byte) []incr.Change {
 		}
 		return []incr.Change{incr.FIBUpdate(overlayFIBFor(f.base, f.overlay))}
 	case 2: // per-tenant firewall shadow entry toggle
-		toggleACLHead(m.Firewalls[tn],
+		m.Firewalls[tn] = toggleACLHead(m.Firewalls[tn],
 			mbox.AllowEntry(bench.TenantPrivPrefix(tn), bench.TenantPrivPrefix(tn)))
-		return []incr.Change{incr.BoxReconfig(m.VSwitchFW[tn])}
+		return []incr.Change{incr.BoxSwap(m.VSwitchFW[tn], m.Firewalls[tn])}
 	case 3: // invariant add/remove toggle
 		label := fmt.Sprintf("probe-%d", tn)
 		if f.probes[label] {
@@ -405,8 +399,8 @@ func compareWitnesses(t *testing.T, step string, got, want []core.Report) {
 //	        state, verdicts, witnesses, cache recency — then surfaces in
 //	        the lockstep/scratch comparisons for this and later steps.
 //	mode 2: drive the step's change-set through Propose+Commit instead
-//	        of Apply when it is pure; committed state must still match
-//	        the from-scratch baseline bit-identically.
+//	        of Apply; committed state must still match the from-scratch
+//	        baseline bit-identically.
 //
 // A second session consumes the SAME change
 // stream through ApplyBatch: steps accumulate and flush at boundaries
@@ -471,23 +465,12 @@ func FuzzSessionDifferential(f *testing.F) {
 		var pend []incr.Change
 		batchDead := false
 
-		// pureSet reports whether a change-set can round-trip through
-		// Propose: in-place reconfigs (nil model) mutate live state at
-		// construction time and are refused by the transactional layer.
-		pureSet := func(cs []incr.Change) bool {
-			for _, ch := range cs {
-				if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
-					return false
-				}
-			}
-			return true
-		}
-		// applyTx drives one step through Propose+Commit when the mode and
-		// the change-set allow it; committed state must be undistinguishable
-		// from a direct Apply. A failed Propose never poisons the session,
-		// so a plain Apply then surfaces the same error as today.
+		// applyTx drives one step through Propose+Commit in mode 2;
+		// committed state must be undistinguishable from a direct Apply. A
+		// failed Propose never poisons the session, so a plain Apply then
+		// surfaces the same error as today.
 		applyTx := func(s *incr.Session, cs []incr.Change, mode byte) ([]core.Report, error) {
-			if mode == 2 && pureSet(cs) {
+			if mode == 2 {
 				if _, err := s.Propose(cs); err == nil {
 					return s.Commit()
 				}
@@ -533,9 +516,8 @@ func FuzzSessionDifferential(f *testing.F) {
 			}
 
 			if !batchDead {
-				// Mirror the step into the batched lane's pending window.
-				// Model mutations (ACL toggles) happen here, now; the
-				// session only hears about them at the flush — exactly the
+				// Mirror the step into the batched lane's pending window;
+				// the session hears about it at the flush — exactly the
 				// apply_batch contract.
 				pend = append(pend, batch.changes(op, arg)...)
 			}
@@ -575,8 +557,8 @@ func FuzzSessionDifferential(f *testing.F) {
 
 // fuzzDecodePure is the one decode fuzz target: an arbitrary input line
 // must decode or fail cleanly through every decode entry point — never
-// panic, never return changes beside an error, never hand a propose an
-// in-place reconfiguration — and must leave netdesc.FromNetwork's canonical
+// panic, never return changes beside an error, never decode a
+// reconfiguration without its model — and must leave netdesc.FromNetwork's canonical
 // dump of the live network byte-identical. Decoding is pure; only
 // Session.mutate may change the network.
 func fuzzDecodePure(f *testing.F, seeds []string) {
@@ -599,10 +581,10 @@ func fuzzDecodePure(f *testing.F, seeds []string) {
 			if err != nil && changes != nil {
 				t.Fatalf("propose decode returned changes alongside error %v", err)
 			}
-			for _, ch := range changes {
-				if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
-					t.Fatal("propose decode produced an impure in-place reconfig")
-				}
+		}
+		for _, ch := range changes {
+			if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
+				t.Fatal("decode produced a reconfiguration without its model")
 			}
 		}
 		if got := canonicalDump(t, d.Net, d.AllIsolationInvariants()); !bytes.Equal(got, want) {

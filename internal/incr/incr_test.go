@@ -92,6 +92,16 @@ func overlayFIBFor(base func(topo.FailureScenario) tf.FIB, overlay map[topo.Node
 	}
 }
 
+// cloneFirewall copies a learning firewall: a session owns the models
+// handed to it, so an edit is made on a clone and swapped in (BoxSwap).
+func cloneFirewall(fw *mbox.LearningFirewall) *mbox.LearningFirewall {
+	return &mbox.LearningFirewall{
+		InstanceName: fw.InstanceName,
+		ACL:          append([]mbox.ACLEntry(nil), fw.ACL...),
+		DefaultAllow: fw.DefaultAllow,
+	}
+}
+
 func TestSessionSoundnessDatacenter(t *testing.T) {
 	const G = 4
 	d := bench.NewDatacenter(bench.DCConfig{Groups: G, HostsPerGroup: 1})
@@ -138,10 +148,11 @@ func TestSessionSoundnessDatacenter(t *testing.T) {
 			h := d.Hosts[rng.Intn(G)][0]
 			changes = append(changes, incr.Relabel(h, fmt.Sprintf("fresh-%d", fresh)))
 		case 3: // delete a random inter-group deny rule from both firewalls
+			d.FWPrimary, d.FWBackup = cloneFirewall(d.FWPrimary), cloneFirewall(d.FWBackup)
 			aff := d.DeleteRandomDenyRules(rng, 1)
-			changes = append(changes, incr.BoxReconfig(d.FW1), incr.BoxReconfig(d.FW2))
-			// DeleteRandomDenyRules already isolated the affected groups'
-			// policy classes in place; announce those relabels.
+			changes = append(changes, incr.BoxSwap(d.FW1, d.FWPrimary), incr.BoxSwap(d.FW2, d.FWBackup))
+			// DeleteRandomDenyRules also isolated the affected groups'
+			// policy classes; relabel them to match.
 			for _, pair := range aff {
 				for _, g := range pair {
 					for _, h := range d.Hosts[g] {
@@ -193,21 +204,22 @@ func TestSessionSoundnessDatacenterCaches(t *testing.T) {
 	}
 	compareReports(t, "init", reports, baseline(t, sess, opts, true))
 
-	savedACL := append([]mbox.ACLEntry(nil), d.CacheBoxes[0].ACL...)
+	saved := d.CacheBoxes[0]
 	steps := []struct {
 		name    string
 		changes func() []incr.Change
 	}{
 		{"break cache 0", func() []incr.Change {
+			broken := *saved
+			d.CacheBoxes[0] = &broken
 			d.DeleteCacheACLs(0, 0)
-			return []incr.Change{incr.BoxReconfig(d.Caches[0])}
+			return []incr.Change{incr.BoxSwap(d.Caches[0], &broken)}
 		}},
 		{"relabel guest (origin-agnostic dirty-all)", func() []incr.Change {
 			return []incr.Change{incr.Relabel(d.Guests[1], "suspect-guest")}
 		}},
 		{"restore cache 0", func() []incr.Change {
-			d.CacheBoxes[0].ACL = append([]mbox.ACLEntry(nil), savedACL...)
-			return []incr.Change{incr.BoxReconfig(d.Caches[0])}
+			return []incr.Change{incr.BoxSwap(d.Caches[0], saved)}
 		}},
 		{"cache 0 down (fail-open)", func() []incr.Change {
 			return []incr.Change{incr.NodeDown(d.Caches[0])}
@@ -255,17 +267,18 @@ func TestSessionSoundnessMultiTenant(t *testing.T) {
 			relabels = append(relabels, incr.Relabel(vm, fmt.Sprintf("priv-%d", tn)))
 		}
 	}
-	savedACL := append([]mbox.ACLEntry(nil), m.Firewalls[0].ACL...)
+	saved := m.Firewalls[0]
 	steps := []struct {
 		name    string
 		changes func() []incr.Change
 	}{
 		{"per-tenant classes", func() []incr.Change { return relabels }},
 		{"open tenant-0 private group", func() []incr.Change {
-			m.Firewalls[0].ACL = append([]mbox.ACLEntry{
+			fw := cloneFirewall(saved)
+			fw.ACL = append([]mbox.ACLEntry{
 				mbox.AllowEntry(pkt.Prefix{}, bench.TenantPrivPrefix(0)),
-			}, m.Firewalls[0].ACL...)
-			return []incr.Change{incr.BoxReconfig(m.VSwitchFW[0])}
+			}, fw.ACL...)
+			return []incr.Change{incr.BoxSwap(m.VSwitchFW[0], fw)}
 		}},
 		{"inv add/remove", func() []incr.Change {
 			return []incr.Change{
@@ -274,8 +287,7 @@ func TestSessionSoundnessMultiTenant(t *testing.T) {
 			}
 		}},
 		{"restore tenant-0 policy", func() []incr.Change {
-			m.Firewalls[0].ACL = append([]mbox.ACLEntry(nil), savedACL...)
-			return []incr.Change{incr.BoxReconfig(m.VSwitchFW[0])}
+			return []incr.Change{incr.BoxSwap(m.VSwitchFW[0], saved)}
 		}},
 		{"tenant-1 firewall down (fail-closed)", func() []incr.Change {
 			return []incr.Change{incr.NodeDown(m.VSwitchFW[1])}
@@ -308,8 +320,9 @@ func TestSessionSoundnessExplicitEngine(t *testing.T) {
 	compareReports(t, "init", reports, baseline(t, sess, opts, true))
 
 	rng := rand.New(rand.NewSource(3))
+	d.FWPrimary, d.FWBackup = cloneFirewall(d.FWPrimary), cloneFirewall(d.FWBackup)
 	aff := d.DeleteRandomDenyRules(rng, 1)
-	changes := []incr.Change{incr.BoxReconfig(d.FW1), incr.BoxReconfig(d.FW2)}
+	changes := []incr.Change{incr.BoxSwap(d.FW1, d.FWPrimary), incr.BoxSwap(d.FW2, d.FWBackup)}
 	for _, pair := range aff {
 		for _, g := range pair {
 			for _, h := range d.Hosts[g] {
@@ -356,8 +369,9 @@ func TestSessionNoSymmetry(t *testing.T) {
 	// Make verdicts asymmetric across same-signature invariants, then
 	// remove one invariant: survivors must keep their own entries (no
 	// re-verification needed, and no inherited neighbour verdicts).
-	d.FWBackup.ACL = deleteDeny(d.FWBackup.ACL, 0, 1)
-	reports, err = sess.Apply([]incr.Change{incr.BoxReconfig(d.FW2)})
+	backup := cloneFirewall(d.FWBackup)
+	backup.ACL = deleteDeny(backup.ACL, 0, 1)
+	reports, err = sess.Apply([]incr.Change{incr.BoxSwap(d.FW2, backup)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +440,9 @@ func TestSessionVerdictCacheRevert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	saved := append([]mbox.ACLEntry(nil), d.FWPrimary.ACL...)
-	d.FWPrimary.ACL = d.FWPrimary.ACL[1:] // drop one deny entry
-	if _, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)}); err != nil {
+	edited := cloneFirewall(d.FWPrimary)
+	edited.ACL = edited.ACL[1:] // drop one deny entry
+	if _, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, edited)}); err != nil {
 		t.Fatal(err)
 	}
 	// The dropped entry names one group pair; only slices where it was
@@ -452,8 +466,7 @@ func TestSessionVerdictCacheRevert(t *testing.T) {
 		t.Fatalf("dirty groups must be solved, cached or inherited: %+v", st)
 	}
 
-	d.FWPrimary.ACL = append([]mbox.ACLEntry(nil), saved...)
-	if _, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)}); err != nil {
+	if _, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, d.FWPrimary)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.LastApply(); st.CacheMisses != 0 || st.CacheHits+st.CanonShared != st.DirtyGroups {
@@ -482,7 +495,7 @@ func TestSessionUncacheableInvariant(t *testing.T) {
 	// Dirty it twice with the same configuration: must re-solve (no cache)
 	// yet stay correct.
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)}); err != nil {
+		if _, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, cloneFirewall(d.FWPrimary))}); err != nil {
 			t.Fatal(err)
 		}
 		if st := sess.LastApply(); st.CacheHits != 0 {

@@ -346,7 +346,7 @@ func (s *Session) encodeSnapshot() ([]byte, error) {
 	for _, ch := range st.log {
 		w, ok := EncodeChange(s.net, ch)
 		if !ok {
-			// It had one when journaled: a model edited in place, unannounced.
+			// It had one when journaled: a model edited after it was handed over.
 			return nil, fmt.Errorf("incr: journaled %s has no written form any more", describeChange(s.net.Topo, ch))
 		}
 		snap.Changes = append(snap.Changes, w)
@@ -421,7 +421,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 			}
 			replayed++
 		}
-		changes, err := decodeChanges(s.net, rec.Changes, false)
+		changes, err := DecodeChanges(s.net, rec.Changes)
 		if err == nil {
 			err = s.validate(changes)
 		}

@@ -123,8 +123,9 @@ func TestRuleLevelBoxDirtying(t *testing.T) {
 	// An entry over prefixes outside every slice universe is dead
 	// everywhere: no group's projection changes.
 	deadPfx := pkt.Prefix{Addr: pkt.MustParseAddr("10.99.0.0"), Len: 24}
-	d.FWPrimary.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(deadPfx, deadPfx)}, d.FWPrimary.ACL...)
-	if _, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)}); err != nil {
+	fw := cloneFirewall(d.FWPrimary)
+	fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(deadPfx, deadPfx)}, fw.ACL...)
+	if _, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, fw)}); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.LastApply()
@@ -137,10 +138,11 @@ func TestRuleLevelBoxDirtying(t *testing.T) {
 
 	// A live per-pair entry dirties exactly the slices where both
 	// prefixes cover a universe address: pair (2,3) in both directions.
-	d.FWPrimary.ACL = append([]mbox.ACLEntry{
+	fw = cloneFirewall(fw)
+	fw.ACL = append([]mbox.ACLEntry{
 		mbox.DenyEntry(bench.ClientPrefix(2), bench.ClientPrefix(3)),
-	}, d.FWPrimary.ACL...)
-	reports, err := sess.Apply([]incr.Change{incr.BoxReconfig(d.FW1)})
+	}, fw.ACL...)
+	reports, err := sess.Apply([]incr.Change{incr.BoxSwap(d.FW1, fw)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,10 +149,10 @@ type groupEntry struct {
 }
 
 // Session is a long-lived incremental verifier. It owns the network it was
-// created over: between Apply calls the caller must not mutate the
-// network except through Changes (in-place middlebox reconfiguration is
-// allowed when announced with BoxReconfig in the same change-set).
-// Sessions are safe for concurrent Apply calls (they serialize).
+// created over and every model and rule list handed to it: the caller
+// changes the network only through Changes, each carrying its new value,
+// and never mutates what it has handed over. Sessions are safe for
+// concurrent Apply calls (they serialize).
 type Session struct {
 	mu sync.Mutex
 
@@ -739,7 +739,12 @@ func (s *Session) validate(changes []Change) error {
 	}
 	for _, ch := range changes {
 		switch ch.Kind {
-		case KindFIB, KindInvRemove:
+		case KindInvRemove:
+			continue
+		case KindFIB:
+			if ch.FIBFor == nil {
+				return fmt.Errorf("incr: fib update needs a provider")
+			}
 			continue
 		case KindInvAdd:
 			if ch.Invariant == nil {
@@ -754,11 +759,11 @@ func (s *Session) validate(changes []Change) error {
 			return fmt.Errorf("incr: unknown change kind %d", ch.Kind)
 		}
 		name := func() string { return s.net.Topo.Node(ch.Node).Name }
+		if (ch.Kind == KindBoxAdd || ch.Kind == KindBoxReconfig) && ch.Model == nil {
+			return fmt.Errorf("incr: %s at %s needs a model", ch.Kind, name())
+		}
 		switch ch.Kind {
 		case KindBoxAdd:
-			if ch.Model == nil {
-				return fmt.Errorf("incr: box-add at %s needs a model", name())
-			}
 			if hasBox(ch.Node) {
 				return fmt.Errorf("incr: node %s already has a middlebox model", name())
 			}
@@ -797,10 +802,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 				im.addNode(ch.Node, ci)
 			}
 		case KindFIB:
-			if ch.FIBFor != nil {
-				s.net.FIBFor = ch.FIBFor
-			}
-			im.addNodes(ch.Nodes, ci)
+			s.net.FIBFor = ch.FIBFor
 		case KindBoxAdd:
 			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
 			if ch.Model.Discipline() != mbox.FlowParallel {
@@ -820,15 +822,13 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			s.net.Boxes = append(s.net.Boxes[:bi], s.net.Boxes[bi+1:]...)
 			im.addNode(ch.Node, ci)
 		case KindBoxReconfig:
-			if ch.Model != nil {
-				bi := s.findBox(ch.Node)
-				oldD := s.net.Boxes[bi].Model.Discipline()
-				newD := ch.Model.Discipline()
-				if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
-					full = true
-				}
-				s.net.Boxes[bi].Model = ch.Model
+			bi := s.findBox(ch.Node)
+			oldD := s.net.Boxes[bi].Model.Discipline()
+			newD := ch.Model.Discipline()
+			if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
+				full = true
 			}
+			s.net.Boxes[bi].Model = ch.Model
 			// Reconfigurations flow through the refined channel: groups
 			// whose rule-read projection of this box is unchanged stay
 			// clean (classify falls back to node granularity when no
@@ -886,21 +886,14 @@ type fwdSync struct {
 // patched against the tables held for it — one comparison per owner,
 // identical slices first — and only the differing tables are compiled. A
 // liveness toggle whose FIB does not depend on the scenario therefore
-// compiles nothing and yields a new view over the same tables. Owners a
-// KindFIB change announces are compiled regardless: an announcement is how
-// a caller reports an in-place edit the comparison cannot see. With no
+// compiles nothing and yields a new view over the same tables. With no
 // engines held (first Apply, or after invalidate) everything is compiled,
 // each scenario patched from the one before it so that scenarios with
 // equal tables share them.
 func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fwdSync {
-	var announced []topo.NodeID
 	moved := false
 	for _, ch := range changes {
-		switch ch.Kind {
-		case KindFIB:
-			announced = append(announced, ch.Nodes...)
-			moved = true
-		case KindNodeDown, KindNodeUp:
+		if ch.Kind == KindFIB || ch.Kind == KindNodeDown || ch.Kind == KindNodeUp {
 			moved = true
 		}
 	}
@@ -914,7 +907,7 @@ func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fw
 		if held {
 			base = s.engs[i].Tables()
 		}
-		tabs, deltas, n := base.Patch(s.net.FIBFor(sc), announced)
+		tabs, deltas, n := base.Patch(s.net.FIBFor(sc))
 		out.engs[i] = s.verifier.EngineOn(tabs, sc)
 		out.compiled += n
 		if held {

@@ -40,11 +40,6 @@ var (
 	ErrProposePending = errors.New("incr: a proposed change-set is pending; commit or rollback first")
 	// ErrNoPropose rejects Commit/Rollback with nothing proposed.
 	ErrNoPropose = errors.New("incr: no proposed change-set is pending")
-	// ErrImpureChange rejects changes that mutate live state outside the
-	// shadow: an in-place BoxReconfig (nil Model) means the caller already
-	// edited the live model, which a Rollback could not undo. Propose
-	// requires self-contained changes (BoxSwap carries the new model).
-	ErrImpureChange = errors.New("incr: propose requires self-contained changes; in-place box reconfiguration (nil model) cannot be shadowed")
 )
 
 // Decision is the session's verdict on a proposed change-set.
@@ -302,20 +297,14 @@ func (s *Session) ProposePending() bool {
 // the change, a decision, and — on new violations — verified
 // minimal-repair suggestions. The live session state, verdict cache,
 // stats and witnesses are untouched; follow with Commit to promote the
-// shadow atomically or Rollback to discard it. Changes must be
-// self-contained (ErrImpureChange otherwise); a failed Propose leaves the
-// session exactly as before (no poisoning — the shadow is simply
-// discarded).
+// shadow atomically or Rollback to discard it. Propose accepts every
+// change-set Apply accepts; a failed Propose leaves the session exactly as
+// before (no poisoning — the shadow is simply discarded).
 func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pending != nil {
 		return nil, ErrProposePending
-	}
-	for _, ch := range changes {
-		if ch.Kind == KindBoxReconfig && ch.Model == nil {
-			return nil, ErrImpureChange
-		}
 	}
 	s.armDeadline()
 

@@ -8,14 +8,19 @@ package incr_test
 // and mirror bookkeeping stay in one place.
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/tf"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 // compareStats asserts two ApplyStats are identical modulo wall-clock
@@ -39,8 +44,8 @@ func TestTxnOrderingErrors(t *testing.T) {
 	if err := s.Rollback(); err != incr.ErrNoPropose {
 		t.Fatalf("Rollback without propose: got %v, want ErrNoPropose", err)
 	}
-	if _, err := s.Propose([]incr.Change{incr.BoxReconfig(a.d.FW1)}); err != incr.ErrImpureChange {
-		t.Fatalf("Propose of in-place reconfig: got %v, want ErrImpureChange", err)
+	if _, err := s.Propose([]incr.Change{{Kind: incr.KindBoxReconfig, Node: a.d.FW1}}); err == nil {
+		t.Fatal("Propose of a reconfiguration without its model succeeded")
 	}
 	if s.ProposePending() {
 		t.Fatal("rejected propose left the session pending")
@@ -152,9 +157,8 @@ func TestProposeCommitEqualsApply(t *testing.T) {
 	compareReports(t, "commit vs propose result", committed, pr.Reports)
 	compareStats(t, "commit", a.session().LastApply(), b.session().LastApply())
 
-	// Follow-up churn: pure ops only (both twins swapped FW1's model, so
-	// the in-place reconfig alphabet would act on a stale pointer).
-	for i, p := range [][2]byte{{1, 0}, {0, 2}, {6, 1}, {0, 2}} {
+	// Follow-up churn, ACL edits included.
+	for i, p := range [][2]byte{{1, 0}, {0, 2}, {3, 1}, {6, 1}, {0, 2}} {
 		step := "follow-up " + string(rune('0'+i))
 		ra, errA := a.session().Apply(a.changes(p[0], p[1]))
 		rb, errB := b.session().Apply(b.changes(p[0], p[1]))
@@ -304,4 +308,103 @@ func TestFaultHookContainment(t *testing.T) {
 	want := baseline(t, a.session(), core.Options{Engine: core.EngineSAT}, true)
 	compareReports(t, "post-fault", got, want)
 	compareWitnesses(t, "post-fault", got, want)
+}
+
+// TestRefusedValuelessChanges: a change carries its value. A FIB update
+// without a provider and a reconfiguration without a model are refused,
+// by name, before anything moves — through Apply and Propose alike: the
+// sequence number, the last stats, the journal and the group table stay
+// as they were.
+func TestRefusedValuelessChanges(t *testing.T) {
+	a := newDCTarget(t, false, incr.Options{Persist: &incr.PersistOptions{Dir: t.TempDir()}})
+	s := a.session()
+	if _, err := s.Apply(a.changes(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	last, status, keys := s.LastApply(), s.PersistStatus(), s.GroupKeys()
+	for _, c := range []struct {
+		ch   incr.Change
+		want string
+	}{
+		{incr.Change{Kind: incr.KindFIB}, "incr: fib update needs a provider"},
+		{incr.Change{Kind: incr.KindBoxReconfig, Node: a.d.FW1}, "incr: box-reconfig at fw1 needs a model"},
+	} {
+		// Behind a change that would move something, so a refusal that came
+		// too late would show.
+		set := append(a.probe(1), c.ch)
+		if _, err := s.Apply(set); err == nil || err.Error() != c.want {
+			t.Fatalf("Apply: got %v, want %q", err, c.want)
+		}
+		if _, err := s.Propose(set); err == nil || err.Error() != c.want {
+			t.Fatalf("Propose: got %v, want %q", err, c.want)
+		}
+		if s.ProposePending() {
+			t.Fatal("a refused propose left the session pending")
+		}
+		if got := s.LastApply(); got != last {
+			t.Fatalf("%s: last stats moved: %+v, want %+v", c.want, got, last)
+		}
+		if got := s.PersistStatus(); got.Seq != status.Seq || got.JournalRecords != status.JournalRecords || got.JournalBytes != status.JournalBytes {
+			t.Fatalf("%s: seq or journal moved: %+v, want %+v", c.want, got, status)
+		}
+		if got := s.GroupKeys(); !slices.Equal(got, keys) {
+			t.Fatalf("%s: group table moved: %v, want %v", c.want, got, keys)
+		}
+	}
+	got, err := s.Apply(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline(t, s, core.Options{Engine: core.EngineSAT}, true)
+	compareReports(t, "after refusals", got, want)
+	compareWitnesses(t, "after refusals", got, want)
+}
+
+// TestProposeCommitEveryKind: a change-set holding one change of every kind
+// ends in bit-identical reports, witnesses and stats through
+// Propose+Commit and through Apply, on twin sessions.
+func TestProposeCommitEveryKind(t *testing.T) {
+	every := func(f *dcTarget) []incr.Change {
+		d := f.d
+		var ids2 mbox.Model
+		for _, b := range d.Net.Boxes {
+			if b.Node == d.IDS2 {
+				ids2 = b.Model
+			}
+		}
+		fw := cloneFirewall(d.FWPrimary)
+		fw.ACL = fw.ACL[1:]
+		return []incr.Change{
+			incr.NodeDown(d.FW2),
+			incr.NodeUp(d.Hosts[0][0]),
+			shadowRule(d, d.Agg, tf.Rule{Match: bench.ClientPrefix(1), In: topo.NodeNone, Out: d.FW1, Priority: 11}),
+			incr.BoxRemove(d.IDS2),
+			incr.BoxAdd(d.IDS2, ids2),
+			incr.BoxSwap(d.FW1, fw),
+			incr.Relabel(d.Hosts[2][0], "canary"),
+			incr.AddInvariant(inv.Reachability{Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "probe"}),
+			incr.RemoveInvariant(d.IsolationInvariant(0, 1).Name()),
+		}
+	}
+	sopts := incr.Options{NoRepair: true}
+	a, b := newDCTarget(t, false, sopts), newDCTarget(t, false, sopts)
+	pr, err := a.session().Propose(every(a))
+	if err != nil {
+		t.Fatalf("Propose failed: %v", err)
+	}
+	committed, err := a.session().Commit()
+	if err != nil {
+		t.Fatalf("Commit failed: %v", err)
+	}
+	direct, err := b.session().Apply(every(b))
+	if err != nil {
+		t.Fatalf("direct Apply failed: %v", err)
+	}
+	compareReports(t, "every kind", committed, direct)
+	compareWitnesses(t, "every kind", committed, direct)
+	compareWitnesses(t, "every kind vs propose result", committed, pr.Reports)
+	compareStats(t, "every kind", a.session().LastApply(), b.session().LastApply())
+	want := baseline(t, b.session(), core.Options{Engine: core.EngineSAT}, true)
+	compareReports(t, "every kind vs scratch", direct, want)
+	compareWitnesses(t, "every kind vs scratch", direct, want)
 }

@@ -14,8 +14,7 @@ package incr
 //	{"op":"box_state","node":"fw1","box":{"type":"firewall","default_allow":true,
 //	  "acl":[{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]}}
 //
-// Supported ops: node_down, node_up, relabel, box_remove, box_reconfig
-// (re-read a model the embedding program edited in place), box_state
+// Supported ops: node_down, node_up, relabel, box_remove, box_state
 // (replace a box's whole configuration), fw_allow, fw_deny, fw_del
 // (prepend/delete one firewall ACL entry), inv_add, inv_remove, noop.
 //
@@ -401,7 +400,7 @@ func decodeChange(net *core.Network, w WireChange, edited map[topo.NodeID]mbox.M
 		return AddInvariant(i), nil
 	case "inv_remove":
 		return RemoveInvariant(w.Name), nil
-	case "node_down", "node_up", "relabel", "box_remove", "box_reconfig", "box_state", "fw_allow", "fw_deny", "fw_del":
+	case "node_down", "node_up", "relabel", "box_remove", "box_state", "fw_allow", "fw_deny", "fw_del":
 		n, err := nodeByName(net.Topo, w.Node)
 		if err != nil {
 			return Change{}, err
@@ -426,8 +425,6 @@ func decodeNodeChange(net *core.Network, w WireChange, n topo.NodeID, edited map
 		return Relabel(n, w.Class), nil
 	case "box_remove":
 		return BoxRemove(n), nil
-	case "box_reconfig":
-		return BoxReconfig(n), nil
 	case "box_state":
 		if w.Box == nil {
 			return Change{}, fmt.Errorf("incr: box_state needs a box")
@@ -476,20 +473,16 @@ func decodeNodeChange(net *core.Network, w WireChange, n topo.NodeID, edited map
 	return BoxSwap(n, fw), nil
 }
 
-// decodeChanges is the one decoder: every wire entry point and journal
-// recovery resolve change lists here. "noop" entries vanish (an empty set
-// is a cheap report refresh). shadowed refuses the box_reconfig
-// announcement, which names an edit made outside the change-set that a
-// rollback could not undo.
-func decodeChanges(net *core.Network, wires []WireChange, shadowed bool) ([]Change, error) {
+// DecodeChanges is the one decoder: every wire entry point, the
+// apply_batch and propose envelopes and journal recovery resolve change
+// lists here. "noop" entries vanish (an empty set is a cheap report
+// refresh).
+func DecodeChanges(net *core.Network, wires []WireChange) ([]Change, error) {
 	var out []Change
 	edited := map[topo.NodeID]mbox.Model{}
 	for _, w := range wires {
-		switch {
-		case w.Op == "noop" || w.Op == "":
+		if w.Op == "noop" || w.Op == "" {
 			continue
-		case shadowed && w.Op == "box_reconfig":
-			return nil, ErrImpureChange
 		}
 		ch, err := decodeChange(net, w, edited)
 		if err != nil {
@@ -522,25 +515,17 @@ func DecodeChangeSet(net *core.Network, line []byte) ([]Change, error) {
 	return DecodeChanges(net, wires)
 }
 
-// DecodeChanges resolves a list of wire changes (the apply_batch envelope
-// decodes through here).
-func DecodeChanges(net *core.Network, wires []WireChange) ([]Change, error) {
-	return decodeChanges(net, wires, false)
-}
-
-// DecodeProposeSet resolves a proposed change-set: DecodeChanges, except
-// that box_reconfig is refused with ErrImpureChange.
+// DecodeProposeSet resolves a proposed change-set: a propose accepts
+// every change-set an apply does.
 func DecodeProposeSet(net *core.Network, wires []WireChange) ([]Change, error) {
-	return decodeChanges(net, wires, true)
+	return DecodeChanges(net, wires)
 }
 
 // EncodeChange writes an applied change as the wire change that reproduces
 // it: the inverse of the decoder and the journal's record format. A
-// reconfiguration becomes box_state, carrying the swapped-in model or, for
-// an in-place edit, what the live model holds now (nothing, if the same
-// set went on to remove the box). ok=false means the change has no written
-// form: a FIB provider, an added box, a model or invariant type outside
-// the description format.
+// reconfiguration becomes box_state, carrying the swapped-in model.
+// ok=false means the change has no written form: a FIB provider, an added
+// box, a model or invariant type outside the description format.
 func EncodeChange(net *core.Network, ch Change) (w WireChange, ok bool) {
 	name := func() string { return net.Topo.Node(ch.Node).Name }
 	switch ch.Kind {
@@ -553,15 +538,9 @@ func EncodeChange(net *core.Network, ch Change) (w WireChange, ok bool) {
 	case KindBoxRemove:
 		return WireChange{Op: "box_remove", Node: name()}, true
 	case KindBoxReconfig:
-		model := ch.Model
-		if model == nil {
-			if model = modelAt(net, ch.Node); model == nil {
-				return WireChange{Op: "noop"}, true
-			}
-		}
 		w = WireChange{Op: "box_state", Node: name()}
 		var err error
-		if w.Box, err = netdesc.ExportBox(w.Node, model, net.Registry); err != nil {
+		if w.Box, err = netdesc.ExportBox(w.Node, ch.Model, net.Registry); err != nil {
 			return WireChange{}, false
 		}
 		return w, true

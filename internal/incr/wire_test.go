@@ -73,6 +73,7 @@ func TestWireDecodeErrors(t *testing.T) {
 	bad := []string{
 		`{"op":"node_down","node":"nope"}`,
 		`{"op":"frobnicate"}`,
+		`{"op":"box_reconfig","node":"fw1"}`,                                    // a change carries its value: gone
 		`{"op":"fw_del","node":"ids1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}`, // not a firewall
 		`{"op":"inv_add","invariant":{"type":"weird","dst":"h0-0"}}`,
 		`{"op":"fw_deny","node":"fw1","src":"999.0.0.0/24","dst":"*"}`,
@@ -161,14 +162,15 @@ func TestEncodeChangeRoundTrip(t *testing.T) {
 	leak := inv.Reachability{Dst: a.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "leak?"}
 	cases := []struct {
 		name string
-		make func() incr.Change // against a; may edit a's models in place first
+		make func() incr.Change // against a
 	}{
 		{"node_down", func() incr.Change { return incr.NodeDown(a.FW1) }},
 		{"node_up", func() incr.Change { return incr.NodeUp(a.FW1) }},
 		{"relabel", func() incr.Change { return incr.Relabel(a.Hosts[0][0], "broken-0") }},
-		{"box_reconfig in place", func() incr.Change {
-			a.FWPrimary.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(bench.ClientPrefix(0), bench.ClientPrefix(1))}, a.FWPrimary.ACL...)
-			return incr.BoxReconfig(a.FW1)
+		{"box_swap edited firewall", func() incr.Change {
+			fw := cloneFirewall(a.FWPrimary)
+			fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(bench.ClientPrefix(0), bench.ClientPrefix(1))}, fw.ACL...)
+			return incr.BoxSwap(a.FW1, fw)
 		}},
 		{"box_swap firewall", func() incr.Change {
 			return incr.BoxSwap(a.FW2, &mbox.LearningFirewall{InstanceName: "fw2", DefaultAllow: true})

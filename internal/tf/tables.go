@@ -70,7 +70,7 @@ func NewTableDelta(n topo.NodeID, old, new []Rule) TableDelta {
 // Compile builds the compiled state of fib from scratch. The FIB's rule
 // lists are not copied; callers must not mutate them afterwards.
 func Compile(t *topo.Topology, fib FIB) *Tables {
-	tabs, _, _ := NewTables(t).patch(fib, nil, false)
+	tabs, _, _ := NewTables(t).patch(fib, false)
 	return tabs
 }
 
@@ -88,15 +88,13 @@ func NewTables(t *topo.Topology) *Tables { return &Tables{topo: t} }
 // array and length) or compares equal rule by rule. The first test is
 // what makes a patch cheap — a caller that derives the next FIB from the
 // previous one hands over the same slices for every table it did not
-// touch — and it is sound because compiled rule lists must not be mutated.
-// A caller that did mutate one in place names its owner in force: forced
-// owners are recompiled whatever the comparison says (and get a delta
-// only if it finds a difference, which for an in-place edit it cannot).
-func (t *Tables) Patch(fib FIB, force []topo.NodeID) (*Tables, []TableDelta, int) {
-	return t.patch(fib, force, true)
+// touch — and it is sound because a handed-over rule list is never
+// mutated.
+func (t *Tables) Patch(fib FIB) (*Tables, []TableDelta, int) {
+	return t.patch(fib, true)
 }
 
-func (t *Tables) patch(fib FIB, force []topo.NodeID, wantDeltas bool) (*Tables, []TableDelta, int) {
+func (t *Tables) patch(fib FIB, wantDeltas bool) (*Tables, []TableDelta, int) {
 	size := max(len(t.tabs), t.topo.NumNodes())
 	var nt *Tables // allocated at the first difference
 	var deltas []TableDelta
@@ -150,16 +148,6 @@ func (t *Tables) patch(fib FIB, force []topo.NodeID, wantDeltas bool) (*Tables, 
 				deltas = append(deltas, TableDelta{Node: topo.NodeID(i), Old: old.src})
 			}
 		}
-	}
-	for _, n := range force {
-		rules, ok := fib[n]
-		if !ok || n < 0 || int(n) >= size {
-			continue
-		}
-		if nt != nil && nt.tabs[n] != t.table(n) {
-			continue // differed (or forced twice): already recompiled
-		}
-		set(n, compile(n, nil, TableDelta{New: rules}))
 	}
 	if nt == nil {
 		return t, nil, 0

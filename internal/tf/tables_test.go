@@ -58,11 +58,12 @@ func (s *byteStream) rule(t *topo.Topology, hosts []pkt.Addr) Rule {
 }
 
 // FuzzTablesPatch drives a random stream of table edits — rule add,
-// remove, replace, reorder; whole tables added and deleted; in-place edits
-// announced through force — and after every step holds the patched state
-// to the from-scratch one: equal fingerprints, and equal Next, Consulted
-// and ConsultedTables for every (edge node, host address) pair, under no
-// failure and under one failure drawn from the input. It also checks what
+// remove, replace, reorder; whole tables added and deleted; equal copies
+// and the compiled slice itself handed back — and after every step holds
+// the patched state to the from-scratch one: equal fingerprints, and equal
+// Next, Consulted and ConsultedTables for every (edge node, host address)
+// pair, under no failure and under one failure drawn from the input. It
+// also checks what
 // makes a patch cheap and a delta usable: untouched owners keep their
 // compiled table (same object), at most the edited owner is compiled, and
 // the reported deltas are exactly the owners whose lists differ, with
@@ -91,14 +92,12 @@ func FuzzTablesPatch(f *testing.F) {
 			cur, had := fib[owner]
 			// What the compiled state holds for owner: equal to cur rule by
 			// rule, but the same slice only if no equal copy was handed over
-			// since — which decides whether an in-place edit of cur is
-			// invisible to the comparison.
+			// since.
 			old := tabs.Rules(owner)
 			next := make(FIB, len(fib)+1)
 			for n, rs := range fib {
 				next[n] = rs
 			}
-			var force []topo.NodeID
 			at := func() int { return in.next() % len(cur) }
 			switch op := in.next() % 7; {
 			case op == 0 || len(cur) == 0: // add a rule (creating the table if need be)
@@ -120,14 +119,13 @@ func FuzzTablesPatch(f *testing.F) {
 				delete(next, owner)
 			case op == 5: // an equal copy: must compile nothing
 				next[owner] = slices.Clone(cur)
-			default: // edit in place, announced
-				cur[at()] = in.rule(tp, hosts)
-				force = []topo.NodeID{owner}
+			default: // the very slice compiled, handed back: must compile nothing
+				next[owner] = old
 			}
 
-			patched, deltas, compiled := tabs.Patch(next, force)
+			patched, deltas, compiled := tabs.Patch(next)
 			want := 0
-			if now, has := next[owner]; has && (force != nil || !had || !slices.Equal(old, now)) {
+			if now, has := next[owner]; has && (!had || !slices.Equal(old, now)) {
 				want = 1
 			}
 			if compiled != want {
@@ -171,8 +169,7 @@ func FuzzTablesPatch(f *testing.F) {
 
 // checkDeltas holds the deltas of one step to the edit that produced it:
 // at most one, for owner, present iff its list differs from the one the
-// compiled state holds (an in-place edit of that very slice shows no
-// difference — the old list is gone — and neither does an equal copy),
+// compiled state holds (an equal copy and that very slice show none),
 // carrying the two lists and a Head and Tail that frame equal rules.
 func checkDeltas(t *testing.T, step int, deltas []TableDelta, owner topo.NodeID, had bool, old []Rule, next FIB) {
 	t.Helper()

@@ -110,7 +110,6 @@ const (
 var (
 	ErrProposePending = incr.ErrProposePending
 	ErrNoPropose      = incr.ErrNoPropose
-	ErrImpureChange   = incr.ErrImpureChange
 )
 
 // NewSession builds a session over net, verifies invs once, and returns
@@ -120,17 +119,17 @@ func NewSession(net *Network, opts Options, invs []Invariant, sopts SessionOptio
 }
 
 // Change constructors. NodeDown/NodeUp model link and element failures
-// becoming real (node granularity); FIBUpdate announces recomputed
-// forwarding state; BoxAdd/BoxRemove/BoxReconfig/BoxSwap manage middlebox
-// bindings and configurations; Relabel moves a node between policy
-// equivalence classes; AddInvariant/RemoveInvariant edit the verified set.
+// becoming real (node granularity); FIBUpdate swaps in recomputed
+// forwarding state; BoxAdd/BoxRemove/BoxSwap manage middlebox bindings
+// and configurations; Relabel moves a node between policy equivalence
+// classes; AddInvariant/RemoveInvariant edit the verified set. Every
+// change carries its new value.
 var (
 	NodeDown        = incr.NodeDown
 	NodeUp          = incr.NodeUp
 	FIBUpdate       = incr.FIBUpdate
 	BoxAdd          = incr.BoxAdd
 	BoxRemove       = incr.BoxRemove
-	BoxReconfig     = incr.BoxReconfig
 	BoxSwap         = incr.BoxSwap
 	Relabel         = incr.Relabel
 	AddInvariant    = incr.AddInvariant
