@@ -15,12 +15,12 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/netverify/vmn/internal/encode"
 	"github.com/netverify/vmn/internal/explore"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/pkt"
@@ -198,17 +198,17 @@ type Verifier struct {
 	net  *Network
 	opts Options
 
-	mu          sync.Mutex
-	engines     map[uint64][]*tf.Engine
-	engineCount int
-	journeys    *encode.JourneyCache
-	// Encoding cache: key → slot with LRU eviction (encHead is most
-	// recently used). Keys are canonical encoding keys when the problem
-	// canonicalizes, exact content keys otherwise.
-	encodings        map[string]*encSlot
-	encHead, encTail *encSlot
-	encHits          int64
-	encMisses        int64
+	mu sync.Mutex
+	// engines interns engines by behaviour fingerprint; a colliding
+	// fingerprint replaces the engine it collides with.
+	engines  *lru.Cache[uint64, *tf.Engine]
+	journeys *encode.JourneyCache
+	// encodings is keyed by canonical encoding keys when the problem
+	// canonicalizes, exact content keys otherwise. A slot is pinned while
+	// its build is in flight.
+	encodings *lru.Cache[string, *encSlot]
+	encHits   int64
+	encMisses int64
 
 	// Canonicalization counters (see CanonStats).
 	canonClasses       int64
@@ -229,22 +229,18 @@ type Verifier struct {
 // engine" consistently.
 type encSlot struct {
 	once sync.Once
-	enc  *encode.SliceEncoding
-	err  error
-	done atomic.Bool // set after the build completes (see eviction)
+	// enc, err, exact and ren are written once, under the verifier's mu,
+	// when the build completes; enc is nil until then.
+	enc *encode.SliceEncoding
+	err error
 
 	// exact is the builder problem's exact content key; ren its canonical
 	// encoding renaming (nil for exact-keyed slots). A canonical-key hit
 	// whose exact key differs is an isomorphic-but-renamed problem: it is
 	// translated into the builder's namespace before solving (see
-	// verifySAT). Both are written once under the once and read only
-	// after it.
+	// verifySAT).
 	exact []byte
 	ren   *slices.Renaming
-
-	// Intrusive LRU list links (guarded by the verifier's mu).
-	key        string
-	prev, next *encSlot
 }
 
 // NewVerifier builds a verifier; opts zero value means defaults (auto
@@ -257,12 +253,17 @@ func NewVerifier(net *Network, opts Options) (*Verifier, error) {
 		net.Registry = pkt.NewRegistry()
 	}
 	v := &Verifier{
-		net:       net,
-		opts:      opts,
-		engines:   map[uint64][]*tf.Engine{},
-		journeys:  encode.NewJourneyCache(),
-		encodings: map[string]*encSlot{},
+		net:      net,
+		opts:     opts,
+		engines:  lru.New[uint64, *tf.Engine](engineCacheCap, nil),
+		journeys: encode.NewJourneyCache(),
 	}
+	// An evicted encoding's solver work stays in the lifetime aggregate.
+	v.encodings = lru.New(encodingCacheCap, func(_ string, slot *encSlot) {
+		if slot.enc != nil {
+			v.retiredSolver = addSolverStats(v.retiredSolver, slot.enc.SolverStats())
+		}
+	})
 	v.registerMetrics()
 	return v, nil
 }
@@ -305,11 +306,16 @@ func (v *Verifier) registerMetrics() {
 		_, _, tr := v.CanonStats()
 		return float64(tr)
 	})
-	m.RegisterFunc("vmn_core_engines", func() float64 {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		return float64(v.engineCount)
-	})
+	size := func(c interface{ Len() int }) func() float64 {
+		return func() float64 {
+			v.mu.Lock()
+			defer v.mu.Unlock()
+			return float64(c.Len())
+		}
+	}
+	m.RegisterFunc("vmn_core_engines", size(v.engines))
+	m.RegisterFunc("vmn_core_encodings", size(v.encodings))
+	m.RegisterFunc("vmn_core_journeys", func() float64 { return float64(v.journeys.Len()) })
 	m.RegisterFunc("vmn_sat_decisions_total", func() float64 { return float64(v.SolverStats().Decisions) })
 	m.RegisterFunc("vmn_sat_propagations_total", func() float64 { return float64(v.SolverStats().Propagations) })
 	m.RegisterFunc("vmn_sat_conflicts_total", func() float64 { return float64(v.SolverStats().Conflicts) })
@@ -326,11 +332,12 @@ func (v *Verifier) SolverStats() sat.Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	total := v.retiredSolver
-	for _, slot := range v.encodings {
-		if slot.done.Load() && slot.enc != nil {
+	v.encodings.Walk(func(_ string, slot *encSlot) bool {
+		if slot.enc != nil {
 			total = addSolverStats(total, slot.enc.SolverStats())
 		}
-	}
+		return true
+	})
 	return total
 }
 
@@ -345,10 +352,12 @@ func addSolverStats(a, b sat.Stats) sat.Stats {
 	return a
 }
 
-// maxCachedEngines bounds the compiled-engine cache of a long-lived
-// Verifier; overflowing flushes it wholesale (warm memoization is lost,
-// correctness is not — engines are content-addressed).
-const maxCachedEngines = 64
+// engineCacheCap and encodingCacheCap bound the engine and encoding
+// caches (DESIGN.md, "Bounded memory").
+const (
+	engineCacheCap   = 64
+	encodingCacheCap = 128
+)
 
 // EngineFor returns the compiled transfer engine for a failure scenario.
 // The forwarding state behind FIBFor is compiled from scratch on every
@@ -374,28 +383,19 @@ func (v *Verifier) EngineOn(tabs *tf.Tables, sc topo.FailureScenario) *tf.Engine
 	e := tabs.Engine(sc)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, old := range v.engines[e.Fingerprint()] {
-		if old.SameBehaviour(e) {
-			return old
-		}
+	if old, ok := v.engines.Get(e.Fingerprint()); ok && old.SameBehaviour(e) {
+		return old
 	}
-	if v.engineCount >= maxCachedEngines {
-		v.engines = map[uint64][]*tf.Engine{}
-		v.engineCount = 0
-	}
-share:
-	for _, olds := range v.engines {
-		for _, old := range olds {
-			if t := old.Tables(); t.Equal(tabs) {
-				if t != tabs {
-					e = t.Engine(sc)
-				}
-				break share
+	v.engines.Walk(func(_ uint64, old *tf.Engine) bool {
+		if t := old.Tables(); t.Equal(tabs) {
+			if t != tabs {
+				e = t.Engine(sc)
 			}
+			return false
 		}
-	}
-	v.engines[e.Fingerprint()] = append(v.engines[e.Fingerprint()], e)
-	v.engineCount++
+		return true
+	})
+	v.engines.Put(e.Fingerprint(), e)
 	return e
 }
 
@@ -414,74 +414,36 @@ func (v *Verifier) EncodingCacheStats() (hits, misses int64) {
 	return v.encHits, v.encMisses
 }
 
-// maxCachedEncodings bounds the slice-encoding cache of a long-lived
-// Verifier. Eviction is LRU (like the incremental layer's verdict cache):
-// under scenario churn the warm solver state that keeps answering stays
-// resident while one-off encodings age out. Slots whose build is still in
-// flight are never evicted — dropping them would let a concurrent request
-// for the same key start a duplicate construction.
-const maxCachedEncodings = 128
-
-// encUnlink removes slot from the LRU list. Callers hold v.mu.
-func (v *Verifier) encUnlink(slot *encSlot) {
-	if slot.prev != nil {
-		slot.prev.next = slot.next
-	} else {
-		v.encHead = slot.next
-	}
-	if slot.next != nil {
-		slot.next.prev = slot.prev
-	} else {
-		v.encTail = slot.prev
-	}
-	slot.prev, slot.next = nil, nil
-}
-
-// encPushFront makes slot the most recently used. Callers hold v.mu.
-func (v *Verifier) encPushFront(slot *encSlot) {
-	slot.next = v.encHead
-	if v.encHead != nil {
-		v.encHead.prev = slot
-	}
-	v.encHead = slot
-	if v.encTail == nil {
-		v.encTail = slot
-	}
-}
-
 // encSlotFor returns the cached slot for key (hit=true), refreshing its
-// recency, or inserts a fresh one, evicting the least recently used
-// completed slot when the cache is full.
+// recency, or inserts a fresh one, pinned until buildSlot completes it:
+// evicting an in-flight slot would let a concurrent request for the same
+// key start a duplicate construction.
 func (v *Verifier) encSlotFor(key string) (*encSlot, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if slot, ok := v.encodings[key]; ok {
+	if slot, ok := v.encodings.Get(key); ok {
 		v.encHits++
-		if v.encHead != slot {
-			v.encUnlink(slot)
-			v.encPushFront(slot)
-		}
 		return slot, true
 	}
-	if len(v.encodings) >= maxCachedEncodings {
-		for victim := v.encTail; victim != nil; victim = victim.prev {
-			if victim.done.Load() {
-				if victim.enc != nil {
-					v.retiredSolver = addSolverStats(v.retiredSolver, victim.enc.SolverStats())
-				}
-				v.encUnlink(victim)
-				delete(v.encodings, victim.key)
-				break
-			}
-		}
-		// All slots in flight (pathological): exceed the cap rather than
-		// dropping a build another goroutine is waiting on.
-	}
-	slot := &encSlot{key: key}
-	v.encodings[key] = slot
-	v.encPushFront(slot)
+	slot := &encSlot{}
+	v.encodings.Put(key, slot)
+	v.encodings.Pin(key, true)
 	v.encMisses++
 	return slot, false
+}
+
+// buildSlot builds the encoding of p into the slot under key once, then
+// unpins it. ren is the slot's canonical renaming (nil for exact keys).
+func (v *Verifier) buildSlot(key string, slot *encSlot, p *inv.Problem, encOpts encode.Options, exact []byte, ren *slices.Renaming) {
+	slot.once.Do(func() {
+		sp := v.opts.Obs.Span("encode")
+		enc, err := encode.NewSliceEncoding(p, encOpts)
+		sp.End()
+		v.mu.Lock()
+		slot.enc, slot.err, slot.exact, slot.ren = enc, err, exact, ren
+		v.encodings.Pin(key, false)
+		v.mu.Unlock()
+	})
 }
 
 // verifySAT runs one check through the SAT engine, reusing a cached slice
@@ -506,23 +468,14 @@ func (v *Verifier) verifySAT(p *inv.Problem, encOpts encode.Options, plan *check
 		return encode.Verify(p, encOpts)
 	}
 	var key string
-	canon := plan != nil && plan.encKey != nil
-	if canon {
-		key = "c" + string(plan.encKey)
+	var ren *slices.Renaming
+	if plan != nil && plan.encKey != nil {
+		key, ren = "c"+string(plan.encKey), plan.encRen
 	} else {
 		key = "x" + string(exact)
 	}
 	slot, wasHit := v.encSlotFor(key)
-	slot.once.Do(func() {
-		sp := v.opts.Obs.Span("encode")
-		slot.enc, slot.err = encode.NewSliceEncoding(p, encOpts)
-		slot.exact = exact
-		if canon {
-			slot.ren = plan.encRen
-		}
-		slot.done.Store(true)
-		sp.End()
-	})
+	v.buildSlot(key, slot, p, encOpts, exact, ren)
 	if slot.err != nil {
 		return inv.Result{}, slot.err
 	}
@@ -554,14 +507,9 @@ func (v *Verifier) verifySAT(p *inv.Problem, encOpts encode.Options, plan *check
 		v.encHits--
 		v.mu.Unlock()
 	}
-	xslot, _ := v.encSlotFor("x" + string(exact))
-	xslot.once.Do(func() {
-		sp := v.opts.Obs.Span("encode")
-		xslot.enc, xslot.err = encode.NewSliceEncoding(p, encOpts)
-		xslot.exact = exact
-		xslot.done.Store(true)
-		sp.End()
-	})
+	xkey := "x" + string(exact)
+	xslot, _ := v.encSlotFor(xkey)
+	v.buildSlot(xkey, xslot, p, encOpts, exact, nil)
 	if xslot.err != nil {
 		return inv.Result{}, xslot.err
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -181,5 +183,35 @@ func TestNoSlicesReportsWhole(t *testing.T) {
 	}
 	if !rs[0].Whole {
 		t.Fatal("NoSlices must mark the report Whole")
+	}
+}
+
+// TestEngineInternKeepsHotEngine: single-failure views stream through the
+// engine intern cache while every other lookup is the fault-free view. The
+// fault-free engine, with its warm walk memo, must stay interned however
+// many views pass, and the cache must stay within its bound.
+func TestEngineInternKeepsHotEngine(t *testing.T) {
+	net, _, _, _ := pairNet(mbox.NewLearningFirewall("fw"))
+	sw, _ := net.Topo.ByName("sw")
+	var extra []topo.NodeID
+	for i := 0; i < 100; i++ {
+		h := net.Topo.AddHost(fmt.Sprintf("x%d", i), pkt.MustParseAddr(fmt.Sprintf("10.1.%d.1", i)))
+		net.Topo.AddLink(h, sw.ID)
+		extra = append(extra, h)
+	}
+	o := obs.New(0)
+	v, err := NewVerifier(net, Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := v.EngineFor(topo.NoFailures())
+	for i, n := range extra {
+		v.EngineFor(topo.Failures(n))
+		if got := v.EngineFor(topo.NoFailures()); got != hot {
+			t.Fatalf("view %d: the fault-free engine was re-interned", i)
+		}
+		if count := o.Metrics.Snapshot()["vmn_core_engines"]; count > engineCacheCap {
+			t.Fatalf("view %d: %v engines interned, bound %d", i, count, engineCacheCap)
+		}
 	}
 }

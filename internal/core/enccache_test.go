@@ -27,11 +27,24 @@ func (v *Verifier) encSlotT(key string) *encSlot {
 	return slot
 }
 
+// encDone completes the build of key's slot the way buildSlot does.
+func (v *Verifier) encDone(key string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.encodings.Pin(key, false)
+}
+
 func (v *Verifier) encHas(key string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	_, ok := v.encodings[key]
+	_, ok := v.encodings.Peek(key)
 	return ok
+}
+
+func (v *Verifier) encLen() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.encodings.Len()
 }
 
 // TestEncodingCacheLRUEvictionOrder pins the eviction policy that replaced
@@ -40,13 +53,15 @@ func (v *Verifier) encHas(key string) bool {
 func TestEncodingCacheLRUEvictionOrder(t *testing.T) {
 	v := lruVerifier(t)
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
-	for i := 0; i < maxCachedEncodings; i++ {
-		v.encSlotT(key(i)).done.Store(true)
+	for i := 0; i < encodingCacheCap; i++ {
+		v.encSlotT(key(i))
+		v.encDone(key(i))
 	}
 	// Touch the oldest entry: it becomes most recently used.
 	v.encSlotT(key(0))
 	// Overflow: the victim must be k1 (now least recently used), not k0.
-	v.encSlotT("hot-survivor").done.Store(true)
+	v.encSlotT("hot-survivor")
+	v.encDone("hot-survivor")
 	if !v.encHas(key(0)) {
 		t.Fatal("recently touched slot was evicted")
 	}
@@ -56,18 +71,16 @@ func TestEncodingCacheLRUEvictionOrder(t *testing.T) {
 	// Sustained churn: the hot key is re-touched before every insertion
 	// and must stay resident throughout (the old flush-on-full policy
 	// dropped it at every overflow).
-	for i := 0; i < 4*maxCachedEncodings; i++ {
+	for i := 0; i < 4*encodingCacheCap; i++ {
 		v.encSlotT(key(0))
-		v.encSlotT(fmt.Sprintf("churn%d", i)).done.Store(true)
+		v.encSlotT(fmt.Sprintf("churn%d", i))
+		v.encDone(fmt.Sprintf("churn%d", i))
 		if !v.encHas(key(0)) {
 			t.Fatalf("hot encoding evicted at churn step %d", i)
 		}
 	}
-	v.mu.Lock()
-	n := len(v.encodings)
-	v.mu.Unlock()
-	if n > maxCachedEncodings {
-		t.Fatalf("cache exceeded its bound: %d > %d", n, maxCachedEncodings)
+	if n := v.encLen(); n > encodingCacheCap {
+		t.Fatalf("cache exceeded its bound: %d > %d", n, encodingCacheCap)
 	}
 	hits, misses := v.EncodingCacheStats()
 	if hits == 0 || misses == 0 {
@@ -80,32 +93,25 @@ func TestEncodingCacheLRUEvictionOrder(t *testing.T) {
 // find the slot and share the build rather than start a duplicate.
 func TestEncodingCacheLRUPinsInFlightBuilds(t *testing.T) {
 	v := lruVerifier(t)
-	for i := 0; i < maxCachedEncodings; i++ {
+	for i := 0; i < encodingCacheCap; i++ {
 		v.encSlotT(fmt.Sprintf("inflight%d", i)) // done never set
 	}
 	v.encSlotT("overflow")
-	for i := 0; i < maxCachedEncodings; i++ {
+	for i := 0; i < encodingCacheCap; i++ {
 		if !v.encHas(fmt.Sprintf("inflight%d", i)) {
 			t.Fatalf("in-flight slot %d was evicted", i)
 		}
 	}
-	v.mu.Lock()
-	n := len(v.encodings)
-	v.mu.Unlock()
-	if n != maxCachedEncodings+1 {
+	if n := v.encLen(); n != encodingCacheCap+1 {
 		t.Fatalf("cache should exceed its cap rather than drop an in-flight build: %d", n)
 	}
-	// Once builds complete, the cap is enforced again on later misses.
-	v.mu.Lock()
-	for _, slot := range v.encodings {
-		slot.done.Store(true)
+	// Once builds complete, the cap is enforced again.
+	for i := 0; i < encodingCacheCap; i++ {
+		v.encDone(fmt.Sprintf("inflight%d", i))
 	}
-	v.mu.Unlock()
+	v.encDone("overflow")
 	v.encSlotT("post")
-	v.mu.Lock()
-	n = len(v.encodings)
-	v.mu.Unlock()
-	if n > maxCachedEncodings+1 {
+	if n := v.encLen(); n > encodingCacheCap {
 		t.Fatalf("cap not enforced after builds completed: %d", n)
 	}
 }

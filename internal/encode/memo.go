@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
 )
@@ -30,13 +31,23 @@ import (
 // as immutable.
 type JourneyCache struct {
 	mu           sync.Mutex
-	m            map[string][]jpath
+	m            *lru.Cache[string, []jpath]
 	hits, misses int64
 }
 
+// journeyCacheCap bounds the cache (DESIGN.md, "Bounded memory").
+const journeyCacheCap = 1 << 16
+
 // NewJourneyCache creates an empty cache.
 func NewJourneyCache() *JourneyCache {
-	return &JourneyCache{m: map[string][]jpath{}}
+	return &JourneyCache{m: lru.New[string, []jpath](journeyCacheCap, nil)}
+}
+
+// Len is the number of journey enumerations held.
+func (c *JourneyCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Len()
 }
 
 // Stats reports cache hits and misses so far.
@@ -52,7 +63,7 @@ func (c *JourneyCache) Stats() (hits, misses int64) {
 func (c *JourneyCache) get(key string) ([]jpath, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	paths, ok := c.m[key]
+	paths, ok := c.m.Get(key)
 	if ok {
 		c.hits++
 	} else {
@@ -61,17 +72,10 @@ func (c *JourneyCache) get(key string) ([]jpath, bool) {
 	return paths, ok
 }
 
-// maxJourneyEntries bounds the cache; overflow flushes it wholesale
-// (keys are content-addressed, so only warmth is lost).
-const maxJourneyEntries = 1 << 16
-
 func (c *JourneyCache) put(key string, paths []jpath) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) >= maxJourneyEntries {
-		c.m = map[string][]jpath{}
-	}
-	c.m[key] = paths
+	c.m.Put(key, paths)
 }
 
 // appendProblemKey encodes the per-problem part of a journey key: the

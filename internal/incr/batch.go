@@ -129,7 +129,7 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 		return nil, false, ErrProposePending
 	}
 	if id != "" {
-		if _, ok := s.appliedIDs[id]; ok {
+		if _, ok := s.appliedIDs.Peek(id); ok {
 			return s.assemble(s.effectiveScenarios()), true, nil
 		}
 	}

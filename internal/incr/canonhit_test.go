@@ -47,11 +47,11 @@ func TestSessionCanonRehitAfterEviction(t *testing.T) {
 	}, m.Firewalls[T-1].ACL...)
 
 	opts := core.Options{Engine: core.EngineSAT}
-	sess, reports, err := incr.NewSession(m.Net, opts, []inv.Invariant{m.PrivPrivInvariant(0, 3)},
-		incr.Options{CacheCap: 4})
+	sess, reports, err := incr.NewSession(m.Net, opts, []inv.Invariant{m.PrivPrivInvariant(0, 3)}, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.ShrinkVerdictCache(4)
 	if reports[0].Satisfied || len(reports[0].Result.Trace) == 0 {
 		t.Fatalf("setup: tenant-0 invariant should be violated with a witness: %+v", reports[0].Result)
 	}

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -43,4 +44,18 @@ func (s *Session) GroupKeys() []string {
 		keys = append(keys, s.table.recs[sl].key)
 	}
 	return keys
+}
+
+// ShrinkVerdictCache re-bounds the verdict cache to n entries, keeping the
+// most recent of what it holds, so tests can put it under eviction
+// pressure.
+func (s *Session) ShrinkVerdictCache(n int) {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	c := lru.New[string, cacheLine](n, nil)
+	s.cache.Walk(func(k string, l cacheLine) bool {
+		c.Put(k, l)
+		return true
+	})
+	s.cache = c
 }

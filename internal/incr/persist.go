@@ -4,7 +4,7 @@ package incr
 // change-set to a CRC-framed write-ahead journal, and a snapshot — the
 // coalesced change-set since the configuration the process was started
 // from, plus the verdict cache with its canonical renamings and the
-// client-request dedup map — replaces the journal periodically, so
+// client-request dedup set — replaces the journal periodically, so
 // recovery is snapshot + journal-suffix replay instead of a cold
 // re-verify. Journal records and the snapshot's state are both wire
 // change-sets (EncodeChange writes each change as the WireChange that
@@ -31,6 +31,7 @@ import (
 	"github.com/netverify/vmn/internal/fnv64"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
@@ -104,9 +105,11 @@ type PersistStatus struct {
 	Recovery RecoveryStats
 }
 
-// maxAppliedIDs bounds the client-request dedup map; the oldest ids (by
-// apply sequence) are evicted beyond it.
-const maxAppliedIDs = 4096
+// appliedIDsCap bounds the client-request dedup set (DESIGN.md, "Bounded
+// memory"); the set maps each id to the apply sequence that acked it.
+const appliedIDsCap = 4096
+
+func newAppliedIDs() *lru.Cache[string, int] { return lru.New[string, int](appliedIDsCap, nil) }
 
 // reverifyGroups is how many restored groups are re-verified against
 // fresh solves before the restored verdicts are trusted.
@@ -342,7 +345,11 @@ func (st *sessStore) compact() {
 func (s *Session) encodeSnapshot() ([]byte, error) {
 	st := s.store
 	st.compact()
-	snap := snapshotPayload{Version: 2, Config: st.cfg, Seq: s.seq, Applied: s.appliedIDs}
+	snap := snapshotPayload{Version: 2, Config: st.cfg, Seq: s.seq, Applied: make(map[string]int, s.appliedIDs.Len())}
+	s.appliedIDs.Walk(func(id string, seq int) bool {
+		snap.Applied[id] = seq
+		return true
+	})
 	for _, ch := range st.log {
 		w, ok := EncodeChange(s.net, ch)
 		if !ok {
@@ -352,15 +359,17 @@ func (s *Session) encodeSnapshot() ([]byte, error) {
 		snap.Changes = append(snap.Changes, w)
 	}
 	s.cmu.Lock()
-	s.cache.exportOldestFirst(func(key []byte, r core.Report, ren *slices.Renaming) {
-		if r.BudgetExceeded {
-			return
+	// Oldest first, so re-putting the entries in order on restore
+	// reproduces the recency order.
+	s.cache.Walk(func(key string, l cacheLine) bool {
+		if !l.report.BudgetExceeded {
+			snap.Cache = append(snap.Cache, persistCacheEntry{
+				Key: []byte(key),
+				R:   encodeReport(l.report),
+				Ren: encodeRenaming(l.ren),
+			})
 		}
-		snap.Cache = append(snap.Cache, persistCacheEntry{
-			Key: append([]byte(nil), key...),
-			R:   encodeReport(r),
-			Ren: encodeRenaming(ren),
-		})
+		return true
 	})
 	s.cmu.Unlock()
 	return json.Marshal(&snap)
@@ -392,9 +401,18 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 			return fmt.Errorf("incr: snapshot was written under a different configuration or codec version")
 		}
 	}
-	applied := snap.Applied
-	if applied == nil {
-		applied = map[string]int{}
+	// The snapshot's ids enter oldest first, then the journal's in order.
+	applied := newAppliedIDs()
+	ids := make([]string, 0, len(snap.Applied))
+	for id := range snap.Applied {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := snap.Applied[ids[i]], snap.Applied[ids[j]]
+		return a < b || a == b && ids[i] < ids[j]
+	})
+	for _, id := range ids {
+		applied.Put(id, snap.Applied[id])
 	}
 	records := make([]journalRecord, 1+len(recs))
 	records[0] = journalRecord{Seq: snap.Seq, Changes: snap.Changes}
@@ -431,17 +449,16 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 		s.mutate(changes, newImpact())
 		log = append(log, changes...)
 		if rec.ID != "" {
-			applied[rec.ID] = rec.Seq
+			applied.Put(rec.ID, rec.Seq)
 		}
 		prevSeq = rec.Seq
 	}
 
 	s.seq = prevSeq
 	s.appliedIDs = applied
-	s.trimAppliedIDs()
 	s.cmu.Lock()
 	for _, e := range snap.Cache {
-		s.cache.put(e.Key, decodeReport(e.R), decodeRenaming(e.Ren))
+		s.cache.Put(string(e.Key), cacheLine{decodeReport(e.R), decodeRenaming(e.Ren)})
 	}
 	s.cmu.Unlock()
 	s.store.log = log
@@ -609,31 +626,7 @@ func (s *Session) snapshotLocked() {
 	st.records = 0
 }
 
-func (s *Session) rememberID(id string) {
-	if s.appliedIDs == nil {
-		s.appliedIDs = map[string]int{}
-	}
-	s.appliedIDs[id] = s.seq
-	s.trimAppliedIDs()
-}
-
-func (s *Session) trimAppliedIDs() {
-	if len(s.appliedIDs) <= maxAppliedIDs {
-		return
-	}
-	type idSeq struct {
-		id  string
-		seq int
-	}
-	all := make([]idSeq, 0, len(s.appliedIDs))
-	for id, seq := range s.appliedIDs {
-		all = append(all, idSeq{id, seq})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
-	for _, e := range all[maxAppliedIDs:] {
-		delete(s.appliedIDs, e.id)
-	}
-}
+func (s *Session) rememberID(id string) { s.appliedIDs.Put(id, s.seq) }
 
 // recovery verification -----------------------------------------------------
 
@@ -672,7 +665,7 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 	s.recovery.RecoveredGroups = 0
 	s.recovery.Reason = "restored verdicts failed re-verification"
 	s.cmu.Lock()
-	s.cache = newVerdictCache(s.sopts.CacheCap)
+	s.cache = newVerdictCache()
 	s.cmu.Unlock()
 	s.invalidate()
 	s.mu.Unlock()
@@ -742,7 +735,7 @@ func (s *Session) Recovery() RecoveryStats {
 func (s *Session) PersistStatus() PersistStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := PersistStatus{Recovery: s.recovery, Seq: s.seq, AppliedIDs: len(s.appliedIDs)}
+	ps := PersistStatus{Recovery: s.recovery, Seq: s.seq, AppliedIDs: s.appliedIDs.Len()}
 	st := s.store
 	if st == nil {
 		return ps
@@ -768,7 +761,7 @@ func (s *Session) IsApplied(id string) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.appliedIDs[id]
+	_, ok := s.appliedIDs.Peek(id)
 	return ok
 }
 

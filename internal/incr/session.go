@@ -14,6 +14,7 @@ import (
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/sat"
@@ -32,8 +33,6 @@ type Options struct {
 	// group. With symmetry on (default), a dirtied representative re-runs
 	// once for its whole group.
 	NoSymmetry bool
-	// CacheCap bounds verdict-cache entries (0 = 65536).
-	CacheCap int
 	// RequestTimeout bounds the wall clock of one request (Apply or
 	// Propose, including repair search). Checks not started before the
 	// deadline degrade to an explicit BudgetExceeded/Unknown report
@@ -174,7 +173,7 @@ type Session struct {
 	verifier *core.Verifier
 
 	cmu   sync.Mutex
-	cache *verdictCache
+	cache *lru.Cache[string, cacheLine]
 	// cview is the cache access path verifyGroup goes through: the live
 	// cache directly, or — during a Propose — an overlay that peeks the
 	// live cache without touching it and journals writes for replay on
@@ -192,10 +191,10 @@ type Session struct {
 	// store is the durability layer (nil when Options.Persist is nil):
 	// every acked apply journals through it and snapshots compact the
 	// journal (persist.go). appliedIDs dedups client request ids for
-	// at-least-once wire replay; recovery describes what startup
-	// restored.
+	// at-least-once wire replay, oldest forgotten first; recovery
+	// describes what startup restored.
 	store      *sessStore
-	appliedIDs map[string]int
+	appliedIDs *lru.Cache[string, int]
 	recovery   RecoveryStats
 
 	// metrics caches the session's registered metric handles (nil when
@@ -271,8 +270,9 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 			needFull: true,
 			table:    newGroupTable(),
 		},
-		verifier: v,
-		cache:    newVerdictCache(sopts.CacheCap),
+		verifier:   v,
+		cache:      newVerdictCache(),
+		appliedIDs: newAppliedIDs(),
 	}
 	s.cview = liveCacheView{s}
 	if sopts.Persist != nil {
@@ -307,6 +307,16 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.table.postings())
+		})
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_applied_ids", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.appliedIDs.Len())
+		})
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_verdict_cache_entries", func() float64 {
+			s.cmu.Lock()
+			defer s.cmu.Unlock()
+			return float64(s.cache.Len())
 		})
 	}
 	reports, err := s.Apply(nil)
@@ -578,7 +588,7 @@ func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplica
 		return nil, false, ErrProposePending
 	}
 	if id != "" {
-		if _, ok := s.appliedIDs[id]; ok {
+		if _, ok := s.appliedIDs.Peek(id); ok {
 			return s.assemble(s.effectiveScenarios()), true, nil
 		}
 	}
@@ -1252,30 +1262,30 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*gro
 	var vs verifyStats
 	for si, sc := range scens {
 		cp := gp.plans[si]
-		var key []byte
+		var key string
 		canon := false
 		if ck := cp.CanonKey(); ck != nil {
-			key = append(append(make([]byte, 0, len(ck)+1), 'c'), ck...)
+			key = "c" + string(ck)
 			canon = true
 		} else if fp, ok := fingerprint(gp.rep, sc, cp.Slice(), gp.reads[si].Nodes, s.engs[si].Tables(), s.net.Topo, s.opts); ok {
-			key = append(append(make([]byte, 0, len(fp)+1), 'x'), fp...)
+			key = "x" + string(fp)
 		}
 		var r core.Report
 		hit := false
 		source := ""
-		if key != nil {
-			cached, ren, found := s.cview.get(key)
+		if key != "" {
+			cached, found := s.cview.get(key)
 			if found && canon {
 				// Canonical entry: translate the verdict (and witness)
 				// from the producer's namespace into this check's. A
 				// failed translation (ruled out by key equality, but
 				// checked) degrades to a miss.
-				if tr, ok := core.TranslatePlannedReport(cached, ren, cp); ok {
+				if tr, ok := core.TranslatePlannedReport(cached.report, cached.ren, cp); ok {
 					r = tr
 					r.Cached = true
 					// CanonShared marks cross-namespace inheritance; a hit
 					// on the very same slice is a plain cached verdict.
-					r.CanonShared = !ren.Equal(cp.Renaming())
+					r.CanonShared = !cached.ren.Equal(cp.Renaming())
 					hit = true
 					vs.canonHits++
 					source = SourceCanonHit
@@ -1284,7 +1294,7 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*gro
 					}
 				}
 			} else if found {
-				r = cached
+				r = cached.report
 				r.Invariant = gp.rep
 				r.Scenario = sc
 				r.Cached = true
@@ -1315,8 +1325,8 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*gro
 			s.observeSolve(gp, si, r)
 			// Budget-degraded verdicts are artifacts of this request's
 			// budget, not of the network: never cache them.
-			if key != nil && !r.BudgetExceeded {
-				s.cview.put(key, r, cp.Renaming())
+			if key != "" && !r.BudgetExceeded {
+				s.cview.put(key, cacheLine{r, cp.Renaming()})
 			}
 		}
 		if r.BudgetExceeded {

@@ -26,6 +26,7 @@ import (
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
@@ -182,42 +183,50 @@ type pendingTx struct {
 	changes []Change
 }
 
+// cacheLine is one verdict-cache value: a report and the renaming its
+// producer's namespace canonicalizes under (nil for exact-fingerprint
+// entries), which a hit from an isomorphic slice translates through.
+type cacheLine struct {
+	report core.Report
+	ren    *slices.Renaming
+}
+
+// verdictCacheCap bounds the verdict cache (DESIGN.md, "Bounded memory").
+const verdictCacheCap = 1 << 16
+
+func newVerdictCache() *lru.Cache[string, cacheLine] {
+	return lru.New[string, cacheLine](verdictCacheCap, nil)
+}
+
 // cacheView is the cache access path verifyGroup goes through; the
 // session swaps it for an overlay during shadow runs.
 type cacheView interface {
-	get(key []byte) (core.Report, *slices.Renaming, bool)
-	put(key []byte, r core.Report, ren *slices.Renaming)
+	get(key string) (cacheLine, bool)
+	put(key string, l cacheLine)
 }
 
 // liveCacheView is the non-transactional path: the live cache under the
 // session's cache mutex.
 type liveCacheView struct{ s *Session }
 
-func (v liveCacheView) get(key []byte) (core.Report, *slices.Renaming, bool) {
+func (v liveCacheView) get(key string) (cacheLine, bool) {
 	v.s.cmu.Lock()
 	defer v.s.cmu.Unlock()
-	return v.s.cache.get(key)
+	return v.s.cache.Get(key)
 }
 
-func (v liveCacheView) put(key []byte, r core.Report, ren *slices.Renaming) {
+func (v liveCacheView) put(key string, l cacheLine) {
 	v.s.cmu.Lock()
 	defer v.s.cmu.Unlock()
-	v.s.cache.put(key, r, ren)
+	v.s.cache.Put(key, l)
 }
 
 // cacheOp is one journaled verdict-cache operation: a put, or a touch (a
 // hit whose recency refresh must be replayed on Commit).
 type cacheOp struct {
-	key    string
-	isPut  bool
-	report core.Report
-	ren    *slices.Renaming
-}
-
-// overlayEntry is a shadow-written cache line.
-type overlayEntry struct {
-	report core.Report
-	ren    *slices.Renaming
+	key   string
+	isPut bool
+	line  cacheLine
 }
 
 // overlayCacheView gives a shadow run read access to the warm live cache
@@ -233,54 +242,52 @@ type overlayCacheView struct {
 	record bool
 
 	mu      sync.Mutex
-	entries map[string]overlayEntry
+	entries map[string]cacheLine
 	journal []cacheOp
 }
 
 func newOverlayView(s *Session, parent *overlayCacheView, record bool) *overlayCacheView {
-	return &overlayCacheView{s: s, parent: parent, record: record, entries: map[string]overlayEntry{}}
+	return &overlayCacheView{s: s, parent: parent, record: record, entries: map[string]cacheLine{}}
 }
 
 // lookup finds k in this overlay or its parents (callers hold v.mu; the
 // parent is quiescent during candidate runs, so its map is read-only).
-func (v *overlayCacheView) lookup(k string) (overlayEntry, bool) {
+func (v *overlayCacheView) lookup(k string) (cacheLine, bool) {
 	if e, ok := v.entries[k]; ok {
 		return e, true
 	}
 	if v.parent != nil {
 		return v.parent.lookup(k)
 	}
-	return overlayEntry{}, false
+	return cacheLine{}, false
 }
 
-func (v *overlayCacheView) get(key []byte) (core.Report, *slices.Renaming, bool) {
-	k := string(key)
+func (v *overlayCacheView) get(k string) (cacheLine, bool) {
 	v.mu.Lock()
 	if e, ok := v.lookup(k); ok {
 		if v.record {
 			v.journal = append(v.journal, cacheOp{key: k})
 		}
 		v.mu.Unlock()
-		return e.report, e.ren, true
+		return e, true
 	}
 	v.mu.Unlock()
 	v.s.cmu.Lock()
-	r, ren, ok := v.s.cache.peek(key)
+	l, ok := v.s.cache.Peek(k)
 	v.s.cmu.Unlock()
 	if ok && v.record {
 		v.mu.Lock()
 		v.journal = append(v.journal, cacheOp{key: k})
 		v.mu.Unlock()
 	}
-	return r, ren, ok
+	return l, ok
 }
 
-func (v *overlayCacheView) put(key []byte, r core.Report, ren *slices.Renaming) {
-	k := string(key)
+func (v *overlayCacheView) put(k string, l cacheLine) {
 	v.mu.Lock()
-	v.entries[k] = overlayEntry{report: r, ren: ren}
+	v.entries[k] = l
 	if v.record {
-		v.journal = append(v.journal, cacheOp{key: k, isPut: true, report: r, ren: ren})
+		v.journal = append(v.journal, cacheOp{key: k, isPut: true, line: l})
 	}
 	v.mu.Unlock()
 }
@@ -350,7 +357,7 @@ func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id != "" {
-		if _, ok := s.appliedIDs[id]; ok {
+		if _, ok := s.appliedIDs.Peek(id); ok {
 			return s.assemble(s.effectiveScenarios()), true, nil
 		}
 	}
@@ -363,9 +370,9 @@ func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error)
 	s.cmu.Lock()
 	for _, op := range p.journal {
 		if op.isPut {
-			s.cache.put([]byte(op.key), op.report, op.ren)
+			s.cache.Put(op.key, op.line)
 		} else {
-			s.cache.get([]byte(op.key))
+			s.cache.Get(op.key)
 		}
 	}
 	s.cmu.Unlock()

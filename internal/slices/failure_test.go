@@ -17,6 +17,7 @@ import (
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
@@ -27,24 +28,49 @@ import (
 // under the given failure scenario.
 func computeSlice(t *testing.T, net *core.Network, i inv.Invariant, sc topo.FailureScenario) (slices.Result, *tf.Engine) {
 	t.Helper()
-	eng := tf.New(net.Topo, net.FIBFor(sc), sc)
+	in := sliceInput(net, i, sc)
+	sl, err := slices.Compute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sl, in.TF
+}
+
+func sliceInput(net *core.Network, i inv.Invariant, sc topo.FailureScenario) slices.Input {
 	keep := append([]topo.NodeID(nil), i.Nodes()...)
 	for _, a := range i.RefAddrs() {
 		if n, ok := net.Topo.HostByAddr(a); ok {
 			keep = append(keep, n.ID)
 		}
 	}
-	sl, err := slices.Compute(slices.Input{
+	return slices.Input{
 		Topo:        net.Topo,
-		TF:          eng,
+		TF:          tf.New(net.Topo, net.FIBFor(sc), sc),
 		Boxes:       net.Boxes,
 		PolicyClass: net.PolicyClass,
 		Keep:        keep,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return sl, eng
+}
+
+// TestComputeAllocsFollowTheSlice: slicing one tenant's invariant in a
+// cloud VPC allocates the same at 256 and at 2 048 tenants (§4: a slice's
+// cost follows the slice, not the network).
+func TestComputeAllocsFollowTheSlice(t *testing.T) {
+	allocs := func(tenants int) float64 {
+		net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: tenants, Shapes: 1}), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := sliceInput(net, invs[0], topo.NoFailures())
+		return testing.AllocsPerRun(20, func() {
+			if _, err := slices.Compute(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(256), allocs(2048); small != large {
+		t.Fatalf("Compute allocates %v times at 256 tenants, %v at 2048", small, large)
+	}
 }
 
 // assertClosed checks slice closure under the scenario's transfer

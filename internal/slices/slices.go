@@ -179,10 +179,8 @@ func ComputeReadSet(t *topo.Topology, eng *tf.Engine, r Result) ReadSet {
 
 // Compute builds a slice per §4.1.
 func Compute(in Input) (Result, error) {
-	boxByNode := map[topo.NodeID]mbox.Instance{}
 	originAgnostic := false
 	for _, b := range in.Boxes {
-		boxByNode[b.Node] = b
 		switch b.Model.Discipline() {
 		case mbox.General:
 			// No slice smaller than the network is sound.
@@ -246,7 +244,7 @@ func Compute(in Input) (Result, error) {
 		}
 		// Auxiliary addresses of slice middleboxes.
 		for id := range inSlice {
-			b, ok := boxByNode[id]
+			b, ok := boxAt(in, id)
 			if !ok {
 				continue
 			}
@@ -296,13 +294,28 @@ func Compute(in Input) (Result, error) {
 
 	var boxes []mbox.Instance
 	for id := range inSlice {
-		if b, ok := boxByNode[id]; ok {
+		if b, ok := boxAt(in, id); ok {
 			boxes = append(boxes, b)
 		}
 	}
 	sort.Slice(boxes, func(i, j int) bool { return boxes[i].Node < boxes[j].Node })
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	return Result{Hosts: hosts, Boxes: boxes}, nil
+}
+
+// boxAt finds the instance bound to node id, which only a middlebox node
+// carries (the last one, should two share a node). A scan, not a map built
+// per call: what a call allocates must follow its slice, not the network's
+// box count.
+func boxAt(in Input, id topo.NodeID) (mbox.Instance, bool) {
+	if in.Topo.Node(id).Kind == topo.Middlebox {
+		for i := len(in.Boxes) - 1; i >= 0; i-- {
+			if in.Boxes[i].Node == id {
+				return in.Boxes[i], true
+			}
+		}
+	}
+	return mbox.Instance{}, false
 }
 
 func classOf(in Input, id topo.NodeID) string {
