@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22434
+LOC_CEILING = 22512
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -56,9 +56,11 @@ bench-harness:
 
 # One iteration of every Fig2 benchmark (SAT and explicit engines) and one
 # run of the same points through the vmnbench CLI's figure table: a fast
-# sanity check that the measured paths still run.
+# sanity check that the measured paths still run. BenchmarkReplyRender
+# keeps the daemon's reply path (one-flip Apply, spliced line) exercised.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
+	$(GO) test -run '^$$' -bench ReplyRender -benchtime 1x ./internal/incr
 	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 1 -json > /dev/null
 
 # A short coverage-guided run of each fuzz target beyond its checked-in

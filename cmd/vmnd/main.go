@@ -248,8 +248,8 @@ func wireFaultInjection(sopts *incr.Options) serveHooks {
 }
 
 // ingestQueue bounds how far the reader stage may run ahead of the
-// verifier, and the verifier ahead of the writer. Backpressure, not
-// buffering: a slow consumer eventually blocks stdin.
+// handler. Backpressure, not buffering: a slow consumer eventually blocks
+// stdin.
 const ingestQueue = 64
 
 // maxLineBytes caps one request line (its newline included). A longer
@@ -270,12 +270,11 @@ type inputLine struct {
 // recover(), so a bug anywhere in decode or verification degrades to a
 // structured error line and the daemon keeps serving.
 //
-// The loop is pipelined into three stages — read, handle (decode +
-// verify), encode+flush — connected by bounded channels, so input
-// ingest and response serialization overlap verification instead of
-// serialising behind it. Each stage is a single goroutine draining a
-// FIFO, so the response stream stays totally ordered: response i
-// reflects requests 1..i and nothing later.
+// A reader goroutine ingests stdin ahead of verification. Requests are
+// answered in order, each response flushed before the next is handled:
+// response i reflects requests 1..i and nothing later. Result lines are
+// spliced by the session into one reused buffer; every other response is
+// encoded straight to the writer.
 // A nil stop channel disables graceful-shutdown handling (a nil channel
 // never fires in a select); main passes the SIGTERM/SIGINT channel. On
 // stop, already-read requests drain through the handler — every change
@@ -283,10 +282,8 @@ type inputLine struct {
 // persistence on, journaled — and serve returns so main can snapshot
 // and exit 0. Unread stdin is deliberately left behind: it was never
 // acked, and at-least-once clients replay unacked requests by id.
-func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.Reader, out io.Writer, hooks serveHooks, stop <-chan struct{}) error {
+func serve(sess *incr.Session, net *core.Network, in io.Reader, out io.Writer, hooks serveHooks, stop <-chan struct{}) error {
 	lines := make(chan inputLine, ingestQueue)
-	resps := make(chan any, ingestQueue)
-
 	var readErr error
 	readerDone := make(chan struct{})
 	go func() {
@@ -324,56 +321,52 @@ func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.R
 		}
 	}()
 
-	go func() {
-		defer close(resps)
-		resps <- incr.EncodeResult(net.Topo, sess.LastApply(), reports)
-		answer := func(line inputLine) {
-			if line.err != nil {
-				resps <- incr.WireError{Seq: sess.LastApply().Seq, Error: line.err.Error()}
-			} else if resp := handle(sess, net, hooks, line.data); resp != nil {
-				resps <- resp
-			}
-		}
-		for {
-			select {
-			case line, ok := <-lines:
-				if !ok {
-					return
-				}
-				answer(line)
-			case <-stop:
-				// Drain the in-flight (already read and queued) requests,
-				// then stop. The reader may stay blocked on a quiet stdin;
-				// it holds no state worth waiting for.
-				for {
-					select {
-					case line, ok := <-lines:
-						if !ok {
-							return
-						}
-						answer(line)
-					default:
-						return
-					}
-				}
-			}
-		}
-	}()
-
 	bw := bufio.NewWriter(out)
 	enc := json.NewEncoder(bw)
-	for v := range resps {
-		if err := enc.Encode(v); err != nil {
+	var buf []byte
+	write := func(resp any) error {
+		if b, ok := resp.([]byte); ok {
+			buf = b[:0]
+			bw.Write(b) // a write error sticks; Flush reports it
+		} else if err := enc.Encode(resp); err != nil {
 			return err
 		}
-		if err := bw.Flush(); err != nil {
-			return err
+		return bw.Flush()
+	}
+	if err := write(sess.AppendResult(buf, "", false)); err != nil {
+		return err
+	}
+	for {
+		line, ok := inputLine{}, false
+		select {
+		case line, ok = <-lines:
+		case <-stop:
+			// Drain the in-flight (already read and queued) requests, then
+			// stop. The reader may stay blocked on a quiet stdin; it holds
+			// no state worth waiting for.
+			select {
+			case line, ok = <-lines:
+			default:
+			}
+		}
+		if !ok {
+			break
+		}
+		var resp any
+		if line.err != nil {
+			resp = incr.WireError{Seq: sess.LastApply().Seq, Error: line.err.Error()}
+		} else {
+			resp = handle(sess, net, hooks, line.data, buf)
+		}
+		if resp != nil {
+			if err := write(resp); err != nil {
+				return err
+			}
 		}
 	}
-	// resps closing means the handler drained lines. readErr is only
-	// settled (and safe to read) once the reader goroutine finished; on
-	// the stop path it may still be blocked on stdin — skip it, the
-	// daemon is exiting anyway.
+	// readErr is only settled (and safe to read) once the reader goroutine
+	// finished; on the stop path it may still be blocked on stdin — skip
+	// it, the daemon is exiting anyway.
 	select {
 	case <-readerDone:
 		if readErr != nil {
@@ -384,22 +377,18 @@ func serve(sess *incr.Session, net *core.Network, reports []core.Report, in io.R
 	return nil
 }
 
-// handle processes one request line and returns the response value (nil
-// for blank lines). Panics are contained here and answered as structured
-// error lines carrying the request's op and id when they were parseable.
-func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte) (resp any) {
+// handle processes one request line and returns the response (nil for
+// blank lines): a result line spliced into buf, or a value to encode.
+// Panics are contained here and answered as structured error lines
+// carrying the request's op and id when they were parseable.
+func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line, buf []byte) (resp any) {
 	var op, id string
 	fail := func(err error) any {
 		return incr.WireError{Seq: sess.LastApply().Seq, Error: err.Error(), Op: op, Id: id}
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			resp = incr.WireError{
-				Seq:   sess.LastApply().Seq,
-				Error: fmt.Sprintf("panic: %v", r),
-				Op:    op,
-				Id:    id,
-			}
+			resp = fail(fmt.Errorf("panic: %v", r))
 		}
 	}()
 	if len(bytes.TrimSpace(line)) == 0 {
@@ -412,31 +401,15 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 	if envelope {
 		op, id = req.Op, req.Id
 		switch req.Op {
-		case "apply_batch":
-			if res, dup := ackDuplicate(sess, net, id); dup {
-				return res
-			}
-			changes, err := incr.DecodeChanges(net, req.Changes)
-			if err != nil {
-				return fail(err)
-			}
-			reports, _, err := sess.ApplyBatchID(id, changes)
-			if err != nil {
-				return fail(err)
-			}
-			res := incr.EncodeResult(net.Topo, sess.LastApply(), reports)
-			res.Id = id
-			return res
 		case "propose":
 			changes, err := incr.DecodeProposeSet(net, req.Changes)
 			if err != nil {
 				return fail(err)
 			}
-			pr, err := sess.Propose(changes)
-			if err != nil {
+			if _, err := sess.Propose(changes); err != nil {
 				return fail(err)
 			}
-			return incr.EncodeProposeResult(net.Topo, id, changes, pr)
+			return sess.AppendProposeResult(buf, id)
 		case "commit":
 			reports, dup, err := sess.CommitID(id)
 			if err != nil {
@@ -495,37 +468,32 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 			return w
 		}
 	}
-	// Plain change-set (single object or array): decode and apply. Decoding
-	// is pure, so nothing needs deciding before it: a pending propose is
-	// refused by ApplyID, under the session's lock.
-	if res, dup := ackDuplicate(sess, net, id); dup {
-		return res
+	// A change-set — an apply_batch's list, coalesced, or a plain line (a
+	// single object or an array): decode and apply. Decoding is pure, so
+	// nothing needs deciding before it: a pending propose is refused by the
+	// apply, under the session's lock. A replayed request id is acked with
+	// the current verdicts before its body is decoded: against the state
+	// the first delivery produced it may no longer decode, and an
+	// at-least-once client is still owed the ack it missed.
+	if sess.IsApplied(id) {
+		return sess.AppendResult(buf, id, true)
 	}
-	changes, err := incr.DecodeChangeSet(net, line)
+	var changes []incr.Change
+	apply := sess.ApplyID
+	if op == "apply_batch" {
+		changes, err = incr.DecodeChanges(net, req.Changes)
+		apply = sess.ApplyBatchID
+	} else {
+		changes, err = incr.DecodeChangeSet(net, line)
+	}
 	if err != nil {
 		return fail(err)
 	}
-	reports, _, err := sess.ApplyID(id, changes)
+	_, dup, err := apply(id, changes)
 	if err != nil {
 		return fail(err)
 	}
-	res := incr.EncodeResult(net.Topo, sess.LastApply(), reports)
-	res.Id = id
-	return res
-}
-
-// ackDuplicate answers a replayed request id with the session's current
-// verdicts (dup=false when id is new). It runs before the body is decoded:
-// against the state the first delivery produced a replayed body may no
-// longer decode, and an at-least-once client is still owed the ack it
-// missed.
-func ackDuplicate(sess *incr.Session, net *core.Network, id string) (res incr.WireResult, dup bool) {
-	if !sess.IsApplied(id) {
-		return res, false
-	}
-	res = incr.EncodeResult(net.Topo, sess.LastApply(), sess.CurrentReports())
-	res.Id, res.Duplicate = id, true
-	return res, true
+	return sess.AppendResult(buf, id, dup)
 }
 
 // statsResponse assembles the "stats" introspection answer from the
@@ -683,7 +651,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "vmnd: metrics and pprof on http://%s\n", addr)
 	}
-	sess, reports, err := incr.NewSession(net, opts, invs, sopts)
+	sess, _, err := incr.NewSession(net, opts, invs, sopts)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -712,7 +680,7 @@ func main() {
 		close(stop)
 	}()
 
-	if err := serve(sess, net, reports, os.Stdin, os.Stdout, hooks, stop); err != nil {
+	if err := serve(sess, net, os.Stdin, os.Stdout, hooks, stop); err != nil {
 		fail("%v", err)
 	}
 	// EOF and signal land here alike: make the session durable and leave

@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"syscall"
@@ -73,13 +74,13 @@ func exchangeOpts(t *testing.T, lines []string, sopts incr.Options, faultInj boo
 	if faultInj {
 		hooks = wireFaultInjection(&sopts)
 	}
-	sess, reports, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := strings.NewReader(strings.Join(lines, "\n") + "\n")
 	var out bytes.Buffer
-	if err := serve(sess, net, reports, in, &out, hooks, nil); err != nil {
+	if err := serve(sess, net, in, &out, hooks, nil); err != nil {
 		t.Fatal(err)
 	}
 	return normalize(out.Bytes())
@@ -108,6 +109,17 @@ func TestGoldenWireProtocol(t *testing.T) {
 			`{"op":"inv_remove","name":"extra"}`,
 		}},
 		{"noop", []string{`{"op":"noop"}`}},
+		// A liveness toggle changes every report's scenario, the groups it
+		// leaves clean included, and toggling back restores it, noops
+		// between; the replayed id then acks the current verdicts (h2-0 up)
+		// with the counters of no work.
+		{"liveness_replay", []string{
+			`{"op":"node_down","node":"h2-0","id":"d1"}`,
+			`{"op":"noop"}`,
+			`{"op":"node_up","node":"h2-0"}`,
+			`{"op":"noop"}`,
+			`{"op":"node_down","node":"h2-0","id":"d1"}`,
+		}},
 		{"change_set", []string{
 			`[{"op":"fw_del","node":"fw2","src":"10.0.0.0/24","dst":"10.1.0.0/24"},` +
 				`{"op":"relabel","node":"h0-0","class":"broken-0"},` +
@@ -290,6 +302,36 @@ func TestGoldenObservability(t *testing.T) {
 	}
 }
 
+// TestDuplicateAckDidNoWork: a replayed request id is acked with the
+// current verdicts and the counters of a request that did nothing, not
+// with those of the Apply before it.
+func TestDuplicateAckDidNoWork(t *testing.T) {
+	out := exchange(t, []string{
+		`{"op":"node_down","node":"fw1","id":"a1"}`,
+		`{"op":"node_down","node":"fw1","id":"a1"}`,
+	})
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	if len(lines) != 3 {
+		t.Fatalf("want 3 lines, got %d:\n%s", len(lines), out)
+	}
+	var applied, dup incr.WireResult
+	if err := json.Unmarshal(lines[1], &applied); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(lines[2], &dup); err != nil {
+		t.Fatal(err)
+	}
+	if applied.DirtyGroups == 0 {
+		t.Fatalf("the first delivery dirtied nothing: %s", lines[1])
+	}
+	if !dup.Duplicate || dup.DirtyGroups != 0 || dup.CacheHits != 0 || dup.CanonHits != 0 || dup.Changes != 0 {
+		t.Errorf("duplicate ack reports work it did not do: %s", lines[2])
+	}
+	if dup.Seq != applied.Seq || dup.Unsatisfied != applied.Unsatisfied || !reflect.DeepEqual(dup.Reports, applied.Reports) {
+		t.Errorf("duplicate ack does not carry the current verdicts:\n%s\n%s", lines[1], lines[2])
+	}
+}
+
 // exchangePersist is exchange with a persistent session over dir. After
 // the input drains the session shuts down cleanly (final snapshot), or with
 // kill set is abandoned as a SIGKILL would leave it: the journal is all
@@ -301,13 +343,13 @@ func exchangePersist(t *testing.T, lines []string, dir string, kill bool) []byte
 		t.Fatal(err)
 	}
 	sopts := incr.Options{Workers: 1, Persist: &incr.PersistOptions{Dir: dir}}
-	sess, reports, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := strings.NewReader(strings.Join(lines, "\n") + "\n")
 	var out bytes.Buffer
-	if err := serve(sess, net, reports, in, &out, serveHooks{}, nil); err != nil {
+	if err := serve(sess, net, in, &out, serveHooks{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if kill {
@@ -395,7 +437,7 @@ func TestGoldenTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, reports, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, incr.Options{Workers: 1})
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, incr.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +449,7 @@ func TestGoldenTopology(t *testing.T) {
 	}
 	in := strings.NewReader(strings.Join(lines, "\n") + "\n")
 	var out bytes.Buffer
-	if err := serve(sess, net, reports, in, &out, hooks, nil); err != nil {
+	if err := serve(sess, net, in, &out, hooks, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := normalize(out.Bytes())
@@ -532,7 +574,7 @@ func TestCrashResilience(t *testing.T) {
 	}
 	sopts := incr.Options{Workers: 2}
 	hooks := wireFaultInjection(&sopts)
-	sess, reports, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +583,7 @@ func TestCrashResilience(t *testing.T) {
 	// vmnd-smoke`). It costs one error line; everything behind it is served.
 	oversize := append(bytes.Repeat([]byte("x"), maxLineBytes+1), '\n')
 	var out bytes.Buffer
-	if err := serve(sess, net, reports, io.MultiReader(bytes.NewReader(oversize), bytes.NewReader(corpus)), &out, hooks, nil); err != nil {
+	if err := serve(sess, net, io.MultiReader(bytes.NewReader(oversize), bytes.NewReader(corpus)), &out, hooks, nil); err != nil {
 		t.Fatalf("serve must survive the crash corpus: %v", err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))

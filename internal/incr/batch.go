@@ -128,10 +128,8 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 	if s.pending != nil {
 		return nil, false, ErrProposePending
 	}
-	if id != "" {
-		if _, ok := s.appliedIDs.Peek(id); ok {
-			return s.assemble(s.effectiveScenarios()), true, nil
-		}
+	if s.replayed(id) {
+		return s.assemble(s.effectiveScenarios()), true, nil
 	}
 	s.armDeadline()
 	co, from := Coalesce(changes)

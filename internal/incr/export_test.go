@@ -59,3 +59,11 @@ func (s *Session) ShrinkVerdictCache(n int) {
 	})
 	s.cache = c
 }
+
+// UnsatTallies returns the Propose baseline tally read off the group table
+// and the one counted from the assembled report set.
+func (s *Session) UnsatTallies() (table, assembled map[string]int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.unsatTally(), unsatCounts(s.assemble(s.effectiveScenarios()))
+}

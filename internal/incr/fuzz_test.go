@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -389,6 +390,36 @@ func compareWitnesses(t *testing.T, step string, got, want []core.Report) {
 	}
 }
 
+// checkLine demands that the session's spliced result line equal the line
+// json.Encoder writes for EncodeResult over the same reports, and that the
+// Propose baseline tally read off the group table equal the one counted
+// from the assembled reports.
+func checkLine(t *testing.T, step string, s *incr.Session, reports []core.Report) {
+	t.Helper()
+	want, err := json.Marshal(incr.EncodeResult(s.Network().Topo, s.LastApply(), reports))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AppendResult(nil, "", false); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%s: spliced result line differs\n--- got ---\n%s--- want ---\n%s", step, got, want)
+	}
+	if table, assembled := s.UnsatTallies(); !reflect.DeepEqual(table, assembled) {
+		t.Fatalf("%s: unsatisfied tallies differ: table %v, assembled %v", step, table, assembled)
+	}
+}
+
+// checkProposeLine is checkLine for the pending proposal's line.
+func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr.Change, pr *incr.ProposeResult) {
+	t.Helper()
+	want, err := json.Marshal(incr.EncodeProposeResult(s.Network().Topo, "p", changes, pr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AppendProposeResult(nil, "p"); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%s: spliced propose line differs\n--- got ---\n%s--- want ---\n%s", step, got, want)
+	}
+}
+
 // FuzzSessionDifferential is the differential churn fuzzer (see the file
 // comment). data[0] selects the network, the rest decodes as (op, arg)
 // pairs. The op byte's low bits pick the change kind; its high two bits
@@ -407,6 +438,8 @@ func compareWitnesses(t *testing.T, step string, got, want []core.Report) {
 // derived from the input bytes, so random streams get random batch
 // partitions — and at every batch boundary the batched session's verdicts
 // and witnesses must be bit-identical to the one-at-a-time session's.
+// After every step each session's spliced reply line must equal the one
+// EncodeResult (EncodeProposeResult for a proposal) renders.
 // This is the coalescing soundness bar: batching may only move WHERE
 // verification happens, never what it concludes. After the first
 // sequential apply error the batched lane goes dead for the rest of the
@@ -469,9 +502,10 @@ func FuzzSessionDifferential(f *testing.F) {
 		// committed state must be undistinguishable from a direct Apply. A
 		// failed Propose never poisons the session, so a plain Apply then
 		// surfaces the same error as today.
-		applyTx := func(s *incr.Session, cs []incr.Change, mode byte) ([]core.Report, error) {
+		applyTx := func(step string, s *incr.Session, cs []incr.Change, mode byte) ([]core.Report, error) {
 			if mode == 2 {
-				if _, err := s.Propose(cs); err == nil {
+				if pr, err := s.Propose(cs); err == nil {
+					checkProposeLine(t, step, s, cs, pr)
 					return s.Commit()
 				}
 			}
@@ -482,11 +516,13 @@ func FuzzSessionDifferential(f *testing.F) {
 		// comparison after the step's real change.
 		detour := func(step string, tgt fuzzTarget, arg byte) {
 			s := tgt.session()
-			pr, err := s.Propose(tgt.probe(arg))
+			probe := tgt.probe(arg)
+			pr, err := s.Propose(probe)
 			if err == nil {
 				if pr == nil {
 					t.Fatalf("%s: Propose returned nil result without error", step)
 				}
+				checkProposeLine(t, step, s, probe, pr)
 				if _, err2 := s.Propose(nil); err2 != incr.ErrProposePending {
 					t.Fatalf("%s: double propose: got %v, want ErrProposePending", step, err2)
 				}
@@ -522,7 +558,7 @@ func FuzzSessionDifferential(f *testing.F) {
 				pend = append(pend, batch.changes(op, arg)...)
 			}
 
-			got, err := applyTx(single.session(), single.changes(op, arg), mode)
+			got, err := applyTx(step, single.session(), single.changes(op, arg), mode)
 			if err != nil {
 				// Fuzzing can assemble configurations the engines reject
 				// incrementally and from scratch alike (e.g. steering
@@ -537,6 +573,7 @@ func FuzzSessionDifferential(f *testing.F) {
 			want := baseline(t, single.session(), opts, true)
 			compareReports(t, step+" [vs scratch]", got, want)
 			compareWitnesses(t, step+" [vs scratch]", got, want)
+			checkLine(t, step, single.session(), got)
 
 			// Flush the batched lane at input-derived boundaries and at the
 			// end of the stream, and demand bit-identical verdicts AND
@@ -550,6 +587,7 @@ func FuzzSessionDifferential(f *testing.F) {
 				pend = pend[:0]
 				compareReports(t, step+" [batch vs sequential]", gotB, got)
 				compareWitnesses(t, step+" [batch vs sequential]", gotB, got)
+				checkLine(t, step+" [batch]", batch.session(), gotB)
 			}
 		}
 	})

@@ -756,13 +756,15 @@ func (s *Session) PersistStatus() PersistStatus {
 // daemon acks a replayed id before looking at its body, which may no
 // longer decode against the state the first delivery produced.
 func (s *Session) IsApplied(id string) bool {
-	if id == "" {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.replayed(id)
+}
+
+// replayed reports whether id was already applied; an empty id never was.
+func (s *Session) replayed(id string) bool {
 	_, ok := s.appliedIDs.Peek(id)
-	return ok
+	return id != "" && ok
 }
 
 // CurrentReports returns the current full report set without applying

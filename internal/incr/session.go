@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -587,10 +588,8 @@ func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplica
 	if s.pending != nil {
 		return nil, false, ErrProposePending
 	}
-	if id != "" {
-		if _, ok := s.appliedIDs.Peek(id); ok {
-			return s.assemble(s.effectiveScenarios()), true, nil
-		}
+	if s.replayed(id) {
+		return s.assemble(s.effectiveScenarios()), true, nil
 	}
 	s.armDeadline()
 	reports, err := s.applyLocked(changes)
@@ -809,6 +808,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 				} else {
 					delete(s.down, ch.Node)
 				}
+				s.scenGen++
 				im.addNode(ch.Node, ci)
 			}
 		case KindFIB:
@@ -1466,33 +1466,86 @@ func (s *Session) translateGroup(lead *groupEntry, leadPlan, memPlan *groupPlan,
 	return e, vs, nil
 }
 
-// assemble renders the complete report set in core.VerifyAll order:
-// group-major, representative reports first, then symmetry copies per
-// member. Scenario fields are rewritten to the current effective
-// scenarios (entries reused across a liveness toggle carried stale ones;
-// verdicts are position-aligned with the configured scenario list).
+// assemble renders the complete report set in core.VerifyAll order.
 func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
 	// The groups partition the invariant set and an entry holds one report
 	// per scenario, so this is the exact size.
 	out := make([]core.Report, 0, len(s.invs)*len(scens))
 	for _, sl := range s.table.order {
-		g, e := s.table.recs[sl].group, s.table.recs[sl].entry
-		for si, r := range e.reports {
-			r.Invariant = g.Representative
-			r.Scenario = scens[si]
-			out = append(out, r)
-		}
-		// Members[0] is the representative (skip by position: invariants
-		// may be uncomparable types, so interface equality would panic).
-		for _, m := range g.Members[1:] {
-			for si, r := range e.reports {
-				r.Invariant = m
-				r.Scenario = scens[si]
-				r.Reused = true
-				r.Duration = 0
-				out = append(out, r)
+		out = appendReports(out, &s.table.recs[sl], scens)
+	}
+	return out
+}
+
+// appendReports appends one group's reports: the representative's first,
+// then symmetry copies per member. Scenario fields are rewritten to the
+// current effective scenarios (entries reused across a liveness toggle
+// carried stale ones; verdicts are position-aligned with the configured
+// scenario list).
+func appendReports(out []core.Report, rec *groupRecord, scens []topo.FailureScenario) []core.Report {
+	// Members[0] is the representative (told apart by position: invariants
+	// may be uncomparable types, so interface equality would panic).
+	for mi, m := range rec.group.Members {
+		for si, r := range rec.entry.reports {
+			r.Invariant, r.Scenario = m, scens[si]
+			if mi > 0 {
+				r.Reused, r.Duration = true, 0
 			}
+			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// AppendResult appends the current result line to buf: byte for byte
+// json.Encoder's line for EncodeResult(topology, LastApply(), reports) of
+// the current reports, id and duplicate set. A duplicate did no work: its
+// change, dirty, cache and canon counters and duration read 0.
+func (s *Session) AppendResult(buf []byte, id string, duplicate bool) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stats := s.last
+	if duplicate {
+		stats = ApplyStats{Seq: stats.Seq, Invariants: stats.Invariants, Groups: stats.Groups, BudgetExceeded: stats.BudgetExceeded}
+	}
+	res := EncodeResult(s.net.Topo, stats, nil)
+	res.Id, res.Duplicate = id, duplicate
+	return s.splice(buf, &res, &res)
+}
+
+// reportsHole is the report list of a result marshalled without reports.
+var reportsHole = []byte(`"reports":null`)
+
+// splice appends head's line (a result, or a propose line with its result
+// last) with the groups' fragments in place of res's nil report list, and
+// fills in res's unsatisfied tally. A missing or stale fragment is
+// rendered anew through EncodeResult, the one report-to-wire mapping.
+// The bytes cannot pass through a json.Marshaler: encoding/json
+// re-validates and compacts its output.
+func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
+	t, scens := s.table, s.effectiveScenarios()
+	var reps []core.Report
+	for _, sl := range t.order {
+		r := &t.recs[sl]
+		if f := r.frag; f == nil || f.entry != r.entry || f.scenGen != s.scenGen {
+			reps = appendReports(reps[:0], r, scens)
+			w := EncodeResult(s.net.Topo, ApplyStats{}, reps)
+			b, _ := json.Marshal(w.Reports) // strings, integers and booleans only
+			r.frag = &fragment{entry: r.entry, scenGen: s.scenGen, json: b[1 : len(b)-1], unsat: w.Unsatisfied}
+		}
+		res.Unsatisfied += r.frag.unsat
+	}
+	b, _ := json.Marshal(head) // strings, integers and booleans only
+	i := bytes.Index(b, reportsHole) + len(`"reports":`)
+	buf = append(buf, b[:i]...)
+	if len(t.order) > 0 { // no report leaves the list null, as EncodeResult does
+		sep := byte('[')
+		for _, sl := range t.order {
+			buf = append(append(buf, sep), t.recs[sl].frag.json...)
+			sep = ','
+		}
+		buf = append(buf, ']')
+		i += len("null")
+	}
+	return append(append(buf, b[i:]...), '\n')
 }

@@ -115,8 +115,11 @@ type sessState struct {
 	policy map[topo.NodeID]string
 	fibFor func(topo.FailureScenario) tf.FIB
 
-	invs     []inv.Invariant
-	down     map[topo.NodeID]bool
+	invs []inv.Invariant
+	down map[topo.NodeID]bool
+	// scenGen counts liveness toggles: the effective scenario list, and
+	// with it every report's scenario, changes exactly when it does.
+	scenGen  uint64
 	needFull bool
 	// engs holds one engine per effective scenario, current as of the last
 	// Apply (nil before the first and after invalidate).
@@ -175,7 +178,6 @@ func shadowOf(st sessState) sessState {
 // pendingTx is a proposed-but-undecided transaction.
 type pendingTx struct {
 	state   sessState // post-shadow state, installed by Commit
-	reports []core.Report
 	journal []cacheOp // verdict-cache writes/touches, replayed by Commit
 	result  *ProposeResult
 	// changes is the proposed change-set, kept so Commit can append it
@@ -316,7 +318,7 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	s.armDeadline()
 
 	base := s.capture()
-	baseUnsat := unsatCounts(s.assemble(s.effectiveScenarios()))
+	baseUnsat := s.unsatTally()
 
 	view := newOverlayView(s, nil, true)
 	reports, post, err := s.runShadow(base, view, changes)
@@ -335,8 +337,27 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 		s.searchRepairs(base, baseUnsat, changes, view, res)
 	}
 
-	s.pending = &pendingTx{state: post, reports: reports, journal: view.journal, result: res, changes: changes}
+	s.pending = &pendingTx{state: post, journal: view.journal, result: res, changes: changes}
 	return res, nil
+}
+
+// AppendProposeResult is AppendResult for the pending Propose: its line is
+// EncodeProposeResult's, spliced from the shadow's fragments, which Commit
+// adopts and Rollback drops. buf comes back unchanged when none is pending.
+func (s *Session) AppendProposeResult(buf []byte, id string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.pending
+	if p == nil {
+		return buf
+	}
+	pr := *p.result
+	pr.Reports = nil
+	head := EncodeProposeResult(s.net.Topo, id, p.changes, &pr)
+	base := s.capture()
+	s.install(p.state)
+	defer s.install(base)
+	return s.splice(buf, &head, &head.Result)
 }
 
 // Commit promotes the pending shadow: state installs atomically (it was
@@ -356,10 +377,8 @@ func (s *Session) Commit() ([]core.Report, error) {
 func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id != "" {
-		if _, ok := s.appliedIDs.Peek(id); ok {
-			return s.assemble(s.effectiveScenarios()), true, nil
-		}
+	if s.replayed(id) {
+		return s.assemble(s.effectiveScenarios()), true, nil
 	}
 	if s.pending == nil {
 		return nil, false, ErrNoPropose
@@ -377,7 +396,7 @@ func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error)
 	}
 	s.cmu.Unlock()
 	s.persistApply(id, p.changes)
-	return p.reports, false, nil
+	return p.result.Reports, false, nil
 }
 
 // Rollback discards the pending shadow. The session — verdicts,
@@ -412,11 +431,11 @@ func (s *Session) runShadow(base sessState, view *overlayCacheView, changes []Ch
 
 // checkKey identifies one (invariant, scenario) check across report sets
 // (scenario node order normalized).
-func checkKey(r core.Report) string {
-	nodes := append([]topo.NodeID(nil), r.Scenario.Nodes()...)
+func checkKey(i inv.Invariant, sc topo.FailureScenario) string {
+	nodes := append([]topo.NodeID(nil), sc.Nodes()...)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	var b strings.Builder
-	b.WriteString(r.Invariant.Name())
+	b.WriteString(i.Name())
 	for _, n := range nodes {
 		b.WriteByte('|')
 		b.WriteString(strconv.Itoa(int(n)))
@@ -430,7 +449,25 @@ func unsatCounts(reports []core.Report) map[string]int {
 	m := map[string]int{}
 	for _, r := range reports {
 		if !r.Satisfied {
-			m[checkKey(r)]++
+			m[checkKey(r.Invariant, r.Scenario)]++
+		}
+	}
+	return m
+}
+
+// unsatTally is unsatCounts of the current report set, read off the
+// group table: only unsatisfied verdicts are visited, once per member.
+func (s *Session) unsatTally() map[string]int {
+	m := map[string]int{}
+	scens := s.effectiveScenarios()
+	for _, sl := range s.table.order {
+		r := &s.table.recs[sl]
+		for si, rep := range r.entry.reports {
+			if !rep.Satisfied {
+				for _, i := range r.group.Members {
+					m[checkKey(i, scens[si])]++
+				}
+			}
 		}
 	}
 	return m

@@ -3,6 +3,8 @@ package incr_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,5 +275,78 @@ func TestWireInvariantsMatchLoader(t *testing.T) {
 		if !errors.As(fileErr, &de) || de.Msg != c.want {
 			t.Errorf("%s: loader error %v, want %q", c.inv, fileErr, c.want)
 		}
+	}
+}
+
+// vpcFlip builds a one-shape CloudVPC session over tenants and returns it
+// with the fw_deny flip of the last tenant's public prefix and its undo.
+func vpcFlip(tb testing.TB, tenants int) (sess *incr.Session, flip [2][]incr.Change) {
+	tb.Helper()
+	net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: tenants, Shapes: 1}), "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sess, _, err = incr.NewSession(net, core.Options{}, invs, incr.Options{}); err != nil {
+		tb.Fatal(err)
+	}
+	last := tenants - 1
+	for i, op := range []string{"fw_deny", "fw_del"} {
+		line := fmt.Sprintf(`{"op":%q,"node":"t%d-fw","src":"8.0.0.0/8","dst":"10.%d.%d.0/25"}`, op, last, last>>8, last&255)
+		if flip[i], err = incr.DecodeChangeSet(net, []byte(line)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sess, flip
+}
+
+// TestReplyRenderFollowsTheChange: after an Apply, rendering the reply
+// costs what the Apply changed, not what the network holds — the same
+// allocations at 256 and at 2 048 tenants, and little memory.
+func TestReplyRenderFollowsTheChange(t *testing.T) {
+	cost := func(tenants int) (allocs, bytes uint64) {
+		sess, flip := vpcFlip(t, tenants)
+		buf := sess.AppendResult(nil, "", false)
+		if _, err := sess.Apply(flip[0]); err != nil {
+			t.Fatal(err)
+		}
+		// Fill encoding/json's state pool, which a collection may have
+		// emptied, so both sizes start the render alike.
+		runtime.GC()
+		json.Marshal(incr.WireResult{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf = sess.AppendResult(buf[:0], "", false)
+		runtime.ReadMemStats(&after)
+		want, err := json.Marshal(incr.EncodeResult(sess.Network().Topo, sess.LastApply(), sess.CurrentReports()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != string(want)+"\n" {
+			t.Fatalf("%d tenants: spliced reply differs from EncodeResult's", tenants)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	smallAllocs, _ := cost(256)
+	allocs, bytes := cost(2048)
+	if allocs != smallAllocs {
+		t.Errorf("render allocations follow the network: %d at 256 tenants, %d at 2048", smallAllocs, allocs)
+	}
+	if bytes >= 64<<10 {
+		t.Errorf("render allocated %d bytes at 2048 tenants, want < 64 KiB", bytes)
+	}
+}
+
+// BenchmarkReplyRender is the daemon's reply path on a 2 048-tenant VPC:
+// one firewall flip applied, then its reply spliced into a reused buffer.
+func BenchmarkReplyRender(b *testing.B) {
+	sess, flip := vpcFlip(b, 2048)
+	buf := sess.AppendResult(nil, "", false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Apply(flip[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		buf = sess.AppendResult(buf[:0], "", false)
 	}
 }
