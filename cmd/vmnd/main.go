@@ -52,8 +52,8 @@
 //
 // A propose answers with a decision (reject on newly violated invariants,
 // with verified minimal-repair suggestions) and the full shadow report
-// set; rollback leaves the session bit-identical to never having
-// proposed.
+// set; rollback leaves the session as if never proposed, but for the
+// verdicts it keeps cached.
 //
 // Each result line carries the dirty/cache counters and the full report
 // set; malformed, oversize (over 1 MiB) or inapplicable lines produce an
@@ -187,6 +187,7 @@ type wireTopology struct {
 // it. The export can fail (MDL-interpreted boxes are not exportable) —
 // that is a structured error, not a dead session.
 func topologyResponse(sess *incr.Session, net *core.Network, hooks serveHooks, id string, dump bool) (any, error) {
+	reports := sess.CurrentReports() // first: after a failed apply it re-verifies, moving Seq
 	w := wireTopology{
 		Op:     "topology",
 		Id:     id,
@@ -216,7 +217,7 @@ func topologyResponse(sess *incr.Session, net *core.Network, hooks serveHooks, i
 	}
 	w.Links = links / 2
 	var invs []inv.Invariant
-	for _, r := range sess.CurrentReports() {
+	for _, r := range reports {
 		invs = append(invs, r.Invariant)
 	}
 	w.Invariants = len(invs)
@@ -471,19 +472,18 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line, buf [
 	// A change-set — an apply_batch's list, coalesced, or a plain line (a
 	// single object or an array): decode and apply. Decoding is pure, so
 	// nothing needs deciding before it: a pending propose is refused by the
-	// apply, under the session's lock. A replayed request id is acked with
-	// the current verdicts before its body is decoded: against the state
-	// the first delivery produced it may no longer decode, and an
+	// apply, under the session's lock. A replayed request id is acked by
+	// ApplyID(id, nil) before its body is decoded: against the state the
+	// first delivery produced it may no longer decode, and an
 	// at-least-once client is still owed the ack it missed.
-	if sess.IsApplied(id) {
-		return sess.AppendResult(buf, id, true)
-	}
 	var changes []incr.Change
 	apply := sess.ApplyID
-	if op == "apply_batch" {
+	switch {
+	case sess.IsApplied(id):
+	case op == "apply_batch":
 		changes, err = incr.DecodeChanges(net, req.Changes)
 		apply = sess.ApplyBatchID
-	} else {
+	default:
 		changes, err = incr.DecodeChangeSet(net, line)
 	}
 	if err != nil {

@@ -598,12 +598,20 @@ func TestCrashResilience(t *testing.T) {
 	if n := bytes.Count(corpus, []byte("\n")); len(lines) != 2+n {
 		t.Fatalf("%d output lines for the init line, the oversize line and %d corpus lines", len(lines), n)
 	}
+	// The corpus ends by applying request cr1, failing the next apply with
+	// an injected panic and replaying cr1: the replay's ack must carry the
+	// current verdicts, not the emptied group table the failure left.
 	var last struct {
-		Seq     int
-		Reports []struct{ Satisfied bool }
+		Seq       int
+		Id        string
+		Duplicate bool
+		Reports   []struct{ Satisfied bool }
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		t.Fatal(err)
+	}
+	if last.Id != "cr1" || !last.Duplicate {
+		t.Fatalf("the final line is not the replay of cr1: %s", lines[len(lines)-1])
 	}
 	if len(last.Reports) != 6 {
 		t.Fatalf("daemon did not answer the final request with a full report set: %s",

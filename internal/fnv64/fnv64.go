@@ -1,9 +1,9 @@
-// Package fnv64 is the allocation-free FNV-1a 64 hash shared by the
-// binary-fingerprint subsystems: the explicit engine's visited set
-// (internal/explore) and the incremental verdict cache and persisted
-// configuration hashes (internal/incr). Every
-// consumer pairs the hash with full-key comparison, so collisions degrade
-// to extra work, never wrong answers.
+// Package fnv64 is the allocation-free FNV-1a 64 hash. The explicit
+// engine's visited set (internal/explore) pairs it with full-key
+// comparison, so a collision costs work, never a wrong answer. The
+// persisted configuration hash (internal/incr) keeps no full key: recovery
+// re-verifies a sample of the restored verdicts against fresh solves
+// instead. The slow-solve log shortens class keys with it.
 package fnv64
 
 // Sum returns the FNV-1a 64 hash of b.

@@ -125,11 +125,11 @@ func (s *Session) ApplyBatch(changes []Change) ([]core.Report, error) {
 func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.replayed(id) {
+		return s.duplicate()
+	}
 	if s.pending != nil {
 		return nil, false, ErrProposePending
-	}
-	if s.replayed(id) {
-		return s.assemble(s.effectiveScenarios()), true, nil
 	}
 	s.armDeadline()
 	co, from := Coalesce(changes)

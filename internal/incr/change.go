@@ -16,12 +16,12 @@
 //     stay collapsed, so a dirtied representative re-runs once for its
 //     whole group.
 //
-//   - A verdict cache keyed by a canonical slice fingerprint (FNV-1a 64
-//     over the invariant, scenario, slice membership, middlebox
-//     configurations and the forwarding entries of touched nodes, with
-//     full-key collision verification). A dirtied group whose slice
-//     fingerprint is unchanged — or reverts to a previously seen
-//     configuration — returns its cached report without re-solving.
+//   - A verdict cache keyed, byte for byte, by a check's canonical class
+//     key or else its slice fingerprint (the invariant, scenario, slice
+//     membership, middlebox configurations and the forwarding entries of
+//     touched nodes). A dirtied group whose key is unchanged — or reverts
+//     to a previously seen configuration — returns its cached report
+//     without re-solving.
 //
 //   - Parallel re-verification: dirtied groups are re-verified across a
 //     worker pool, composing with the explicit engine's intra-search

@@ -11,8 +11,8 @@ package incr
 // is core.Options.AppendVerdictKey, the invariant is its slots
 // (inv.Slotted) and each box its exact key (mbox.ExactKey), all written
 // through one mbox.Key; every segment is length-framed or fixed-width,
-// making the encoding injective. The cache hashes it with FNV-1a 64 and
-// keeps the full key for collision verification.
+// making the encoding injective. The cache keys on the whole encoding, so
+// no two checks can share an entry.
 
 import (
 	"encoding/binary"

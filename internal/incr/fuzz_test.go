@@ -7,9 +7,9 @@ package incr_test
 // incremental layer (Apply ≡ VerifyAll) enforced over the whole change-op
 // alphabet instead of a handful of hand-written streams; the seed corpus
 // covers every op on every fuzzed network. Transaction modes ride on the
-// op byte's high bits: Propose+Rollback detours must leave no residue
-// (the scratch comparison would catch any), and Propose+Commit must be
-// indistinguishable from a direct Apply.
+// op byte's high bits: Propose+Rollback detours must leave no residue in
+// the session state (the scratch comparison would catch any), and
+// Propose+Commit must be indistinguishable from a direct Apply.
 //
 // Two identical networks are built per run — sessions own their networks
 // and the targets mirror what was handed over (FIBUpdate swaps the
@@ -426,9 +426,11 @@ func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr
 // pick a transaction mode for the step:
 //
 //	mode 1: before applying, Propose a pure probe and
-//	        Roll it back (plus ordering-error assertions). Any leak —
-//	        state, verdicts, witnesses, cache recency — then surfaces in
-//	        the lockstep/scratch comparisons for this and later steps.
+//	        Roll it back (plus ordering-error assertions). Any leak of
+//	        session state into later steps — network, liveness,
+//	        invariants, verdicts, witnesses — then surfaces in the
+//	        lockstep/scratch comparisons for this and later steps. The
+//	        verdicts the probe verified stay cached by design.
 //	mode 2: drive the step's change-set through Propose+Commit instead
 //	        of Apply; committed state must still match the from-scratch
 //	        baseline bit-identically.

@@ -768,10 +768,15 @@ func (s *Session) replayed(id string) bool {
 }
 
 // CurrentReports returns the current full report set without applying
-// anything (the ack body for a deduplicated request).
+// anything. After a failed Apply it first re-verifies, as the next Apply
+// would, and panics with the error if that fails too: it never answers
+// from the emptied group table.
 func (s *Session) CurrentReports() []core.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.settle(); err != nil {
+		panic(err)
+	}
 	return s.assemble(s.effectiveScenarios())
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"github.com/netverify/vmn/internal/core"
+	"github.com/netverify/vmn/internal/fnv64"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
@@ -173,13 +173,9 @@ type Session struct {
 	// tables of the engines it holds (engs) and interns the result.
 	verifier *core.Verifier
 
+	// cache is the verdict cache, for Apply and Propose alike (txn.go).
 	cmu   sync.Mutex
 	cache *lru.Cache[string, cacheLine]
-	// cview is the cache access path verifyGroup goes through: the live
-	// cache directly, or — during a Propose — an overlay that peeks the
-	// live cache without touching it and journals writes for replay on
-	// Commit (txn.go).
-	cview cacheView
 
 	// deadline bounds the in-flight request (zero = none); set at the
 	// top of Apply/Propose from Options.RequestTimeout.
@@ -275,7 +271,6 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		cache:      newVerdictCache(),
 		appliedIDs: newAppliedIDs(),
 	}
-	s.cview = liveCacheView{s}
 	if sopts.Persist != nil {
 		// Open the store and restore any previous session's state
 		// BEFORE the initial verification: the Apply below then plans
@@ -561,6 +556,25 @@ func (s *Session) invalidate() {
 	s.table = newGroupTable()
 }
 
+// settle re-verifies everything, as the next Apply would, when a failed
+// Apply dropped the incremental state: every read of the report set goes
+// through it, so none answers from the emptied group table.
+func (s *Session) settle() (err error) {
+	if s.needFull {
+		s.armDeadline()
+		_, err = s.applyLocked(nil)
+	}
+	return err
+}
+
+// duplicate acks a replayed request id with the current report set.
+func (s *Session) duplicate() ([]core.Report, bool, error) {
+	if err := s.settle(); err != nil {
+		return nil, false, err
+	}
+	return s.assemble(s.effectiveScenarios()), true, nil
+}
+
 // Apply atomically applies a change-set, re-verifies exactly the
 // invariants the changes can affect, and returns a complete report set
 // for the current invariant set — byte-for-byte the verdicts a fresh
@@ -581,15 +595,16 @@ func (s *Session) Apply(changes []Change) ([]core.Report, error) {
 // recovered predecessor), the change-set is NOT re-applied and the
 // current report set returns with duplicate=true. With persistence
 // enabled the change-set is journaled before the call returns, so an
-// acked change survives a crash. Empty ids are never deduplicated.
+// acked change survives a crash. Empty ids are never deduplicated. A
+// duplicate applies nothing, so a pending Propose does not refuse it.
 func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.replayed(id) {
+		return s.duplicate()
+	}
 	if s.pending != nil {
 		return nil, false, ErrProposePending
-	}
-	if s.replayed(id) {
-		return s.assemble(s.effectiveScenarios()), true, nil
 	}
 	s.armDeadline()
 	reports, err := s.applyLocked(changes)
@@ -1274,7 +1289,9 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*gro
 		hit := false
 		source := ""
 		if key != "" {
-			cached, found := s.cview.get(key)
+			s.cmu.Lock()
+			cached, found := s.cache.Get(key)
+			s.cmu.Unlock()
 			if found && canon {
 				// Canonical entry: translate the verdict (and witness)
 				// from the producer's namespace into this check's. A
@@ -1326,7 +1343,9 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario) (*gro
 			// Budget-degraded verdicts are artifacts of this request's
 			// budget, not of the network: never cache them.
 			if key != "" && !r.BudgetExceeded {
-				s.cview.put(key, cacheLine{r, cp.Renaming()})
+				s.cmu.Lock()
+				s.cache.Put(key, cacheLine{r, cp.Renaming()})
+				s.cmu.Unlock()
 			}
 		}
 		if r.BudgetExceeded {
@@ -1380,9 +1399,7 @@ func (s *Session) logSlowSolve(gp *groupPlan, scenario int, r core.Report) {
 	}
 	classKey := "exact"
 	if gp.cluster != "" {
-		h := fnv.New64a()
-		io.WriteString(h, gp.cluster)
-		classKey = fmt.Sprintf("%016x", h.Sum64())
+		classKey = fmt.Sprintf("%016x", fnv64.Sum([]byte(gp.cluster)))
 	}
 	line, err := json.Marshal(struct {
 		Event      string `json:"event"`

@@ -2,27 +2,27 @@ package incr
 
 // Transactional what-if verification. Propose runs the ordinary Apply
 // pipeline against a shadow copy of the session's mutable state — the one
-// sessState value — with verdict-cache access routed through an overlay
-// that reads the live cache without perturbing it and journals its writes.
-// Commit installs the shadow state and replays the journal; Rollback drops
-// both, leaving the session bit-identical to never having proposed
-// (group entries are immutable after construction, so base and shadow can
-// share them safely).
+// sessState value. Commit installs the shadow state; Rollback drops it,
+// leaving that state bit-identical to never having proposed (group entries
+// are immutable after construction, so base and shadow can share them
+// safely). The shadow reads and fills the live verdict cache exactly as
+// Apply does: a cached verdict is a function of its check's content, not
+// of session state, so what a rolled-back proposal verified stays cached,
+// as it does in the verifier's engine, encoding and journey caches.
 //
 // On a rejected propose the session derives minimal-repair suggestions:
 // candidate sub-change-sets (the proposed set minus a small suspect
 // subset) are re-verified through the same shadow pipeline — every
 // suggestion reported was actually verified green, never guessed. The
-// searches run over warm state: the verifier's content-addressed encoding
-// and journey caches plus a read-through of the propose overlay make each
-// candidate no more expensive than an incremental Apply.
+// candidates run over those warm caches, the proposal's own verdicts
+// included, so each costs no more than an incremental Apply.
 
 import (
 	"errors"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
@@ -157,16 +157,7 @@ func (s *Session) install(st sessState) {
 func shadowOf(st sessState) sessState {
 	sh := st
 	sh.boxes = append([]mbox.Instance(nil), st.boxes...)
-	if st.policy != nil {
-		sh.policy = make(map[topo.NodeID]string, len(st.policy))
-		for k, v := range st.policy {
-			sh.policy[k] = v
-		}
-	}
-	sh.down = make(map[topo.NodeID]bool, len(st.down))
-	for k, v := range st.down {
-		sh.down[k] = v
-	}
+	sh.policy, sh.down = maps.Clone(st.policy), maps.Clone(st.down)
 	sh.invs = append([]inv.Invariant(nil), st.invs...)
 	// The group table is edited in place (regroup, install, universe
 	// refinement), so the shadow needs its own copy — a rolled-back
@@ -177,9 +168,8 @@ func shadowOf(st sessState) sessState {
 
 // pendingTx is a proposed-but-undecided transaction.
 type pendingTx struct {
-	state   sessState // post-shadow state, installed by Commit
-	journal []cacheOp // verdict-cache writes/touches, replayed by Commit
-	result  *ProposeResult
+	state  sessState // post-shadow state, installed by Commit
+	result *ProposeResult
 	// changes is the proposed change-set, kept so Commit can append it
 	// to the durable journal (persist.go) after installing the shadow.
 	changes []Change
@@ -200,100 +190,6 @@ func newVerdictCache() *lru.Cache[string, cacheLine] {
 	return lru.New[string, cacheLine](verdictCacheCap, nil)
 }
 
-// cacheView is the cache access path verifyGroup goes through; the
-// session swaps it for an overlay during shadow runs.
-type cacheView interface {
-	get(key string) (cacheLine, bool)
-	put(key string, l cacheLine)
-}
-
-// liveCacheView is the non-transactional path: the live cache under the
-// session's cache mutex.
-type liveCacheView struct{ s *Session }
-
-func (v liveCacheView) get(key string) (cacheLine, bool) {
-	v.s.cmu.Lock()
-	defer v.s.cmu.Unlock()
-	return v.s.cache.Get(key)
-}
-
-func (v liveCacheView) put(key string, l cacheLine) {
-	v.s.cmu.Lock()
-	defer v.s.cmu.Unlock()
-	v.s.cache.Put(key, l)
-}
-
-// cacheOp is one journaled verdict-cache operation: a put, or a touch (a
-// hit whose recency refresh must be replayed on Commit).
-type cacheOp struct {
-	key   string
-	isPut bool
-	line  cacheLine
-}
-
-// overlayCacheView gives a shadow run read access to the warm live cache
-// without perturbing it (peek, no LRU touch) and absorbs its writes. When
-// record is set, hits and puts are journaled in order so Commit can
-// replay them against the live cache — leaving it exactly as a direct
-// Apply would have. Repair-candidate runs chain a scratch view over the
-// propose's overlay (parent): content-addressed keys make cross-run
-// reuse sound.
-type overlayCacheView struct {
-	s      *Session
-	parent *overlayCacheView
-	record bool
-
-	mu      sync.Mutex
-	entries map[string]cacheLine
-	journal []cacheOp
-}
-
-func newOverlayView(s *Session, parent *overlayCacheView, record bool) *overlayCacheView {
-	return &overlayCacheView{s: s, parent: parent, record: record, entries: map[string]cacheLine{}}
-}
-
-// lookup finds k in this overlay or its parents (callers hold v.mu; the
-// parent is quiescent during candidate runs, so its map is read-only).
-func (v *overlayCacheView) lookup(k string) (cacheLine, bool) {
-	if e, ok := v.entries[k]; ok {
-		return e, true
-	}
-	if v.parent != nil {
-		return v.parent.lookup(k)
-	}
-	return cacheLine{}, false
-}
-
-func (v *overlayCacheView) get(k string) (cacheLine, bool) {
-	v.mu.Lock()
-	if e, ok := v.lookup(k); ok {
-		if v.record {
-			v.journal = append(v.journal, cacheOp{key: k})
-		}
-		v.mu.Unlock()
-		return e, true
-	}
-	v.mu.Unlock()
-	v.s.cmu.Lock()
-	l, ok := v.s.cache.Peek(k)
-	v.s.cmu.Unlock()
-	if ok && v.record {
-		v.mu.Lock()
-		v.journal = append(v.journal, cacheOp{key: k})
-		v.mu.Unlock()
-	}
-	return l, ok
-}
-
-func (v *overlayCacheView) put(k string, l cacheLine) {
-	v.mu.Lock()
-	v.entries[k] = l
-	if v.record {
-		v.journal = append(v.journal, cacheOp{key: k, isPut: true, line: l})
-	}
-	v.mu.Unlock()
-}
-
 // ProposePending reports whether a proposed change-set awaits a decision.
 func (s *Session) ProposePending() bool {
 	s.mu.Lock()
@@ -304,24 +200,26 @@ func (s *Session) ProposePending() bool {
 // Propose verifies a change-set against shadow state without committing
 // it: the returned result holds the verdicts the network would have after
 // the change, a decision, and — on new violations — verified
-// minimal-repair suggestions. The live session state, verdict cache,
-// stats and witnesses are untouched; follow with Commit to promote the
-// shadow atomically or Rollback to discard it. Propose accepts every
-// change-set Apply accepts; a failed Propose leaves the session exactly as
-// before (no poisoning — the shadow is simply discarded).
+// minimal-repair suggestions. Only the verdict cache sees the shadow run;
+// follow with Commit to promote the shadow atomically or Rollback to
+// discard it. Propose accepts every change-set Apply accepts; a failed
+// Propose leaves the session as before (no poisoning — the shadow is
+// simply discarded). Its baseline is the current report set, settled.
 func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pending != nil {
 		return nil, ErrProposePending
 	}
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	s.armDeadline()
 
 	base := s.capture()
 	baseUnsat := s.unsatTally()
 
-	view := newOverlayView(s, nil, true)
-	reports, post, err := s.runShadow(base, view, changes)
+	reports, post, err := s.runShadow(base, changes)
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +232,10 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 		res.Decision = Reject
 	}
 	if res.NewViolations > 0 && !s.sopts.NoRepair {
-		s.searchRepairs(base, baseUnsat, changes, view, res)
+		s.searchRepairs(base, baseUnsat, changes, res)
 	}
 
-	s.pending = &pendingTx{state: post, journal: view.journal, result: res, changes: changes}
+	s.pending = &pendingTx{state: post, result: res, changes: changes}
 	return res, nil
 }
 
@@ -360,10 +258,9 @@ func (s *Session) AppendProposeResult(buf []byte, id string) []byte {
 	return s.splice(buf, &head, &head.Result)
 }
 
-// Commit promotes the pending shadow: state installs atomically (it was
-// fully computed at Propose time) and the journaled cache operations
-// replay, leaving the session identical to one that had Apply'd the
-// change-set directly. Returns the (already computed) report set.
+// Commit promotes the pending shadow: its state, fully computed at Propose
+// time, installs atomically, leaving the session identical to one that had
+// Apply'd the change-set directly. Returns the shadow's report set.
 func (s *Session) Commit() ([]core.Report, error) {
 	reports, _, err := s.CommitID("")
 	return reports, err
@@ -378,7 +275,7 @@ func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.replayed(id) {
-		return s.assemble(s.effectiveScenarios()), true, nil
+		return s.duplicate()
 	}
 	if s.pending == nil {
 		return nil, false, ErrNoPropose
@@ -386,22 +283,14 @@ func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error)
 	p := s.pending
 	s.pending = nil
 	s.install(p.state)
-	s.cmu.Lock()
-	for _, op := range p.journal {
-		if op.isPut {
-			s.cache.Put(op.key, op.line)
-		} else {
-			s.cache.Get(op.key)
-		}
-	}
-	s.cmu.Unlock()
 	s.persistApply(id, p.changes)
 	return p.result.Reports, false, nil
 }
 
-// Rollback discards the pending shadow. The session — verdicts,
-// witnesses, cache contents and recency, stats, sequence numbers — is
-// bit-identical to never having proposed.
+// Rollback discards the pending shadow: the session state (sessState and
+// the network) is bit-identical to never having proposed. The verdict
+// cache keeps what the shadow verified, so a rejected change proposed or
+// applied again is answered from it.
 func (s *Session) Rollback() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,16 +301,13 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// runShadow installs a shadow of base, runs the apply pipeline on it with
-// cache access through view, captures the post state, and restores base —
-// on every path, including pipeline errors (applyLocked contains panics
-// itself, so none escape past it).
-func (s *Session) runShadow(base sessState, view *overlayCacheView, changes []Change) (reports []core.Report, post sessState, err error) {
+// runShadow installs a shadow of base, runs the apply pipeline on it,
+// captures the post state, and restores base — on every path, including
+// pipeline errors (applyLocked contains panics itself, so none escape past
+// it).
+func (s *Session) runShadow(base sessState, changes []Change) (reports []core.Report, post sessState, err error) {
 	s.install(shadowOf(base))
-	prev := s.cview
-	s.cview = view
 	reports, err = s.applyLocked(changes)
-	s.cview = prev
 	if err == nil {
 		post = s.capture()
 	}
@@ -503,11 +389,11 @@ const maxRepairCandidates = 48
 
 // searchRepairs finds the smallest suspect subsets whose removal from the
 // change-set restores every newly violated invariant, by re-verifying
-// each candidate through the shadow pipeline (read-through over the
-// propose overlay keeps candidates warm). Suspects are the
+// each candidate through the shadow pipeline (the verdict cache already
+// holds the proposal's, which keeps candidates warm). Suspects are the
 // network-mutating changes; invariant additions are never dropped (the
 // operator asked for them).
-func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, changes []Change, parent *overlayCacheView, res *ProposeResult) {
+func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, changes []Change, res *ProposeResult) {
 	var suspects []int
 	for i, ch := range changes {
 		switch ch.Kind {
@@ -535,7 +421,7 @@ func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, change
 				remaining = append(remaining, ch)
 			}
 		}
-		reports, _, err := s.runShadow(base, newOverlayView(s, parent, false), remaining)
+		reports, _, err := s.runShadow(base, remaining)
 		if err != nil {
 			return false
 		}

@@ -1,13 +1,16 @@
 package incr_test
 
 // Unit tests for the transactional layer (Propose/Commit/Rollback):
-// ordering errors, rollback bit-identity against a never-proposed twin,
+// ordering errors, rollback restoring the session state beside a
+// never-proposed twin, verdicts a rolled-back proposal leaves cached,
 // commit equivalence against a direct-Apply twin, verified minimal-repair
 // suggestions, budget degradation, and session-level panic containment.
 // The twins reuse the fuzz targets (fuzz_test.go) so the change alphabet
 // and mirror bookkeeping stay in one place.
 
 import (
+	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -24,13 +27,72 @@ import (
 )
 
 // compareStats asserts two ApplyStats are identical modulo wall-clock
-// duration. Cache hit/miss equality on applies AFTER a rollback is what
-// proves the rollback did not perturb verdict-cache contents or recency.
+// duration.
 func compareStats(t *testing.T, step string, got, want incr.ApplyStats) {
 	t.Helper()
 	got.Duration, want.Duration = 0, 0
 	if got != want {
 		t.Fatalf("%s: apply stats mismatch:\n got %+v\nwant %+v", step, got, want)
+	}
+}
+
+// compareStatsModuloCache is compareStats for a session whose verdict
+// cache may hold more than want's: the same checks ran (hits plus misses),
+// at least as many of them were hits, and every other counter is equal.
+func compareStatsModuloCache(t *testing.T, step string, got, want incr.ApplyStats) {
+	t.Helper()
+	if got.CacheHits+got.CacheMisses != want.CacheHits+want.CacheMisses || got.CacheHits < want.CacheHits {
+		t.Fatalf("%s: cache accounting: %d hits + %d misses, want %d + %d with no fewer hits",
+			step, got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
+	}
+	got.CacheHits, got.CacheMisses, got.CanonHits = want.CacheHits, want.CacheMisses, want.CanonHits
+	compareStats(t, step, got, want)
+}
+
+// sessionState is everything Rollback restores: all of the session but
+// its verdict cache.
+type sessionState struct {
+	last    incr.ApplyStats
+	totals  incr.Totals
+	explain []incr.ExplainRecord
+	invs    []inv.Invariant
+	scens   []topo.FailureScenario
+	keys    []string
+	engines []*tf.Engine
+	dump    []byte
+}
+
+func stateOf(t *testing.T, s *incr.Session) sessionState {
+	t.Helper()
+	st := sessionState{
+		last: s.LastApply(), totals: s.TotalStats(), explain: s.Explain(),
+		invs: s.Invariants(), scens: s.EffectiveScenarios(),
+		keys: s.GroupKeys(), engines: s.HeldEngines(),
+	}
+	st.last.Duration = 0
+	st.dump = canonicalDump(t, s.Network(), st.invs)
+	return st
+}
+
+// compareState asserts got is want, the held engines pointer for pointer.
+func compareState(t *testing.T, step string, got, want sessionState) {
+	t.Helper()
+	for _, f := range []struct {
+		name  string
+		equal bool
+	}{
+		{"last apply stats", got.last == want.last},
+		{"totals", got.totals == want.totals},
+		{"explain records", reflect.DeepEqual(got.explain, want.explain)},
+		{"invariants", reflect.DeepEqual(got.invs, want.invs)},
+		{"effective scenarios", reflect.DeepEqual(got.scens, want.scens)},
+		{"group keys", slices.Equal(got.keys, want.keys)},
+		{"held engines", slices.Equal(got.engines, want.engines)},
+		{"network", string(got.dump) == string(want.dump)},
+	} {
+		if !f.equal {
+			t.Fatalf("%s: %s moved", step, f.name)
+		}
 	}
 }
 
@@ -74,20 +136,23 @@ func TestTxnOrderingErrors(t *testing.T) {
 	}
 }
 
-// TestProposeRollbackBitIdentical drives twin sessions through an
+// TestProposeRollbackRestoresState drives twin sessions through an
 // identical change stream; one takes a violating (and a topology-only)
-// Propose/Rollback detour before every step. After each step the
-// detouring session must be bit-identical to the clean twin: verdicts,
-// witnesses, and the full apply stats — cache hits included, so a single
-// leaked cache write or recency touch fails the test.
-func TestProposeRollbackBitIdentical(t *testing.T) {
-	// The id keeps the name it had while a node-granularity row ran beside it.
+// Propose/Rollback detour before every step. Each Rollback must leave the
+// detouring session's state exactly as it was before its Propose. After
+// each step the two must agree on verdicts, witnesses and every apply
+// counter but the cache's: the detouring session's verdict cache also
+// holds what its proposals verified, so it may hit where the twin solves.
+func TestProposeRollbackRestoresState(t *testing.T) {
+	// The subtest keeps the name it had while a node-granularity row ran
+	// beside it.
 	t.Run("prefix", func(t *testing.T) {
 		a := newDCTarget(t, false, incr.Options{}) // detours
 		b := newDCTarget(t, false, incr.Options{}) // never proposes
 
 		// On the pristine network the fw-hole probe must be rejected
 		// with the one verified repair: drop the offending change.
+		before := stateOf(t, a.session())
 		pr, err := a.session().Propose(a.probe(0))
 		if err != nil {
 			t.Fatalf("violating Propose failed: %v", err)
@@ -101,21 +166,24 @@ func TestProposeRollbackBitIdentical(t *testing.T) {
 		if err := a.session().Rollback(); err != nil {
 			t.Fatalf("Rollback failed: %v", err)
 		}
+		compareState(t, "pristine rollback", stateOf(t, a.session()), before)
 
 		// Interleave probes (violating or not — under churn the hole
 		// may be moot, e.g. with the firewall already down; the bar
-		// here is bit-identity, not the decision) with real churn.
+		// here is the restored state, not the decision) with real churn.
 		stream := [][2]byte{{0, 2}, {3, 1}, {1, 0}, {0, 2}, {5, 1}}
 		for i, p := range stream {
 			op, arg := p[0], p[1]
 			step := "step " + string(rune('0'+i))
 
+			before := stateOf(t, a.session())
 			if _, err := a.session().Propose(a.probe(arg)); err != nil {
 				t.Fatalf("%s: Propose failed: %v", step, err)
 			}
 			if err := a.session().Rollback(); err != nil {
 				t.Fatalf("%s: Rollback failed: %v", step, err)
 			}
+			compareState(t, step+" rollback", stateOf(t, a.session()), before)
 
 			ra, errA := a.session().Apply(a.changes(op, arg))
 			rb, errB := b.session().Apply(b.changes(op, arg))
@@ -127,9 +195,36 @@ func TestProposeRollbackBitIdentical(t *testing.T) {
 			}
 			compareReports(t, step, ra, rb)
 			compareWitnesses(t, step, ra, rb)
-			compareStats(t, step, a.session().LastApply(), b.session().LastApply())
+			compareStatsModuloCache(t, step, a.session().LastApply(), b.session().LastApply())
 		}
 	})
+}
+
+// TestRollbackKeepsVerifiedVerdicts: what a rolled-back proposal verified
+// stays in the verdict cache, so applying the rejected change afterwards
+// solves nothing.
+func TestRollbackKeepsVerifiedVerdicts(t *testing.T) {
+	a := newDCTarget(t, false, incr.Options{})
+	pr, err := a.session().Propose(a.probe(0))
+	if err != nil {
+		t.Fatalf("Propose failed: %v", err)
+	}
+	if pr.Decision != incr.Reject || pr.Stats.CacheMisses == 0 {
+		t.Fatalf("the allow hole was not rejected after solving: %+v", pr)
+	}
+	if err := a.session().Rollback(); err != nil {
+		t.Fatalf("Rollback failed: %v", err)
+	}
+	got, err := a.session().Apply(a.probe(0))
+	if err != nil {
+		t.Fatalf("Apply failed: %v", err)
+	}
+	if n := a.session().LastApply().CacheMisses; n != 0 {
+		t.Fatalf("applying the rolled-back change solved %d checks, want 0", n)
+	}
+	want := baseline(t, a.session(), core.Options{Engine: core.EngineSAT}, true)
+	compareReports(t, "after rollback", got, want)
+	compareWitnesses(t, "after rollback", got, want)
 }
 
 // TestProposeCommitEqualsApply: committing a proposed change-set must
@@ -308,6 +403,78 @@ func TestFaultHookContainment(t *testing.T) {
 	want := baseline(t, a.session(), core.Options{Engine: core.EngineSAT}, true)
 	compareReports(t, "post-fault", got, want)
 	compareWitnesses(t, "post-fault", got, want)
+}
+
+// TestInvalidatedSessionAnswersCurrentVerdicts: after a failed Apply
+// dropped the incremental state, every read of the report set answers with
+// the current verdicts — a replayed id's ack, CurrentReports and Propose's
+// baseline — re-verifying first, as the next Apply would.
+func TestInvalidatedSessionAnswersCurrentVerdicts(t *testing.T) {
+	// invalidated applies the fw1 allow hole as request "hole", fails the
+	// next Apply with a panic mid-solve, and returns the session and the
+	// verdicts a from-scratch run gives its network.
+	invalidated := func(t *testing.T) (*incr.Session, []core.Report) {
+		var armed atomic.Bool
+		a := newDCTarget(t, false, incr.Options{FaultHook: func(string) {
+			if armed.CompareAndSwap(true, false) {
+				panic("injected test fault")
+			}
+		}})
+		s := a.session()
+		if _, _, err := s.ApplyID("hole", a.probe(0)); err != nil {
+			t.Fatal(err)
+		}
+		armed.Store(true)
+		if _, err := s.Apply([]incr.Change{incr.NodeDown(a.d.Hosts[2][0])}); err == nil {
+			t.Fatal("Apply swallowed an injected panic")
+		}
+		want := baseline(t, s, core.Options{Engine: core.EngineSAT}, true)
+		unsat := 0
+		for _, r := range want {
+			if !r.Satisfied {
+				unsat++
+			}
+		}
+		if unsat != 2 {
+			t.Fatalf("the allow hole leaves %d checks unsatisfied, want 2", unsat)
+		}
+		return s, want
+	}
+	t.Run("replayed id", func(t *testing.T) {
+		s, want := invalidated(t)
+		got, dup, err := s.ApplyID("hole", nil)
+		if err != nil || !dup {
+			t.Fatalf("replayed id: duplicate=%v err=%v", dup, err)
+		}
+		compareReports(t, "replayed id", got, want)
+		compareWitnesses(t, "replayed id", got, want)
+		var ack struct {
+			Unsatisfied int
+			Reports     []json.RawMessage
+		}
+		if err := json.Unmarshal(s.AppendResult(nil, "hole", true), &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Unsatisfied != 2 || len(ack.Reports) != len(want) {
+			t.Fatalf("ack: %d unsatisfied, %d reports; want 2, %d", ack.Unsatisfied, len(ack.Reports), len(want))
+		}
+	})
+	t.Run("current reports", func(t *testing.T) {
+		s, want := invalidated(t)
+		got := s.CurrentReports()
+		compareReports(t, "current reports", got, want)
+		compareWitnesses(t, "current reports", got, want)
+	})
+	t.Run("propose baseline", func(t *testing.T) {
+		s, _ := invalidated(t)
+		pr, err := s.Propose(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Decision != incr.Accept || pr.NewViolations != 0 {
+			t.Fatalf("an empty proposal was judged against an empty baseline: %s, %d new violations", pr.Decision, pr.NewViolations)
+		}
+	})
 }
 
 // TestRefusedValuelessChanges: a change carries its value. A FIB update

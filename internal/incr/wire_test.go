@@ -299,9 +299,14 @@ func vpcFlip(tb testing.TB, tenants int) (sess *incr.Session, flip [2][]incr.Cha
 	return sess, flip
 }
 
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops items at random.
+var raceEnabled bool
+
 // TestReplyRenderFollowsTheChange: after an Apply, rendering the reply
 // costs what the Apply changed, not what the network holds — the same
-// allocations at 256 and at 2 048 tenants, and little memory.
+// allocations at 256 and at 2 048 tenants (not compared under the race
+// detector), and little memory.
 func TestReplyRenderFollowsTheChange(t *testing.T) {
 	cost := func(tenants int) (allocs, bytes uint64) {
 		sess, flip := vpcFlip(t, tenants)
@@ -328,7 +333,7 @@ func TestReplyRenderFollowsTheChange(t *testing.T) {
 	}
 	smallAllocs, _ := cost(256)
 	allocs, bytes := cost(2048)
-	if allocs != smallAllocs {
+	if allocs != smallAllocs && !raceEnabled {
 		t.Errorf("render allocations follow the network: %d at 256 tenants, %d at 2048", smallAllocs, allocs)
 	}
 	if bytes >= 64<<10 {
