@@ -50,7 +50,7 @@ func main() {
 		noSlices  = flag.Bool("no-slices", false, "verify against the whole network")
 		engine    = flag.String("engine", "auto", "auto | sat | explicit")
 		seed      = flag.Int64("seed", 0, "solver seed")
-		workers   = flag.Int("workers", 0, "explicit-engine search workers (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "verification workers: check pool and explicit-engine search (0 = GOMAXPROCS)")
 
 		topology = flag.String("topology", "", "verify a vmn-topology/1 description file instead of a built-in network")
 		check    = flag.Bool("check", false, "with -topology: validate and build only, print a summary, skip verification")

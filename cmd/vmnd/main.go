@@ -559,7 +559,7 @@ func main() {
 		withCache = flag.Bool("with-caches", false, "add caches and data servers (datacenter)")
 		engine    = flag.String("engine", "auto", "auto | sat | explicit")
 		seed      = flag.Int64("seed", 0, "solver seed")
-		workers   = flag.Int("workers", 0, "re-verification pool size (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "verification workers: check pool and explicit-engine search (0 = GOMAXPROCS)")
 		noSym     = flag.Bool("no-symmetry", false, "verify every invariant individually")
 		timeout   = flag.Duration("timeout", 0,
 			"per-request wall-clock budget (0 = none); checks past the deadline degrade to budget_exceeded verdicts")
@@ -586,7 +586,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	opts := core.Options{Engine: eng, Seed: *seed, MaxConflicts: *maxConflicts}
+	opts := core.Options{Engine: eng, Seed: *seed, MaxConflicts: *maxConflicts, Workers: *workers}
 
 	// A topology file replaces the built-in network wholesale. Loading is
 	// all-or-nothing: a malformed or adversarial file produces exactly one
@@ -624,7 +624,7 @@ func main() {
 	// the nil (disabled) default unless they opt in.
 	o := obs.New(*traceBuf)
 	sopts := incr.Options{
-		Workers: *workers, NoSymmetry: *noSym,
+		NoSymmetry:     *noSym,
 		RequestTimeout: *timeout,
 		Obs:            o, SlowSolve: *slowSolve,
 	}

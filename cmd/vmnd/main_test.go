@@ -59,12 +59,12 @@ func normalize(b []byte) []byte {
 // wire loop with the given input lines.
 func exchange(t *testing.T, lines []string) []byte {
 	t.Helper()
-	return exchangeOpts(t, lines, incr.Options{Workers: 1}, false)
+	return exchangeOpts(t, lines, 1, incr.Options{}, false)
 }
 
-// exchangeOpts is exchange with explicit session options and optional
-// fault injection (the inject_panic op).
-func exchangeOpts(t *testing.T, lines []string, sopts incr.Options, faultInj bool) []byte {
+// exchangeOpts is exchange with an explicit worker count and session
+// options, and optional fault injection (the inject_panic op).
+func exchangeOpts(t *testing.T, lines []string, workers int, sopts incr.Options, faultInj bool) []byte {
 	t.Helper()
 	net, invs, err := buildNetwork(netConfig{network: "datacenter", groups: 3})
 	if err != nil {
@@ -74,7 +74,7 @@ func exchangeOpts(t *testing.T, lines []string, sopts incr.Options, faultInj boo
 	if faultInj {
 		hooks = wireFaultInjection(&sopts)
 	}
-	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT, Workers: workers}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestGoldenWireProtocol(t *testing.T) {
 // trace (drained span tree of the preceding applies), and explain
 // (dirtying provenance down to the witness read atom, plus how each
 // re-verified verdict was obtained). Sessions run with observability on
-// and Workers:1, which makes span ids, orders, and all counters
+// and one worker, which makes span ids, orders, and all counters
 // deterministic; wall-clock fields are normalized to 0.
 func TestGoldenObservability(t *testing.T) {
 	cases := []struct {
@@ -282,7 +282,7 @@ func TestGoldenObservability(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			got := exchangeOpts(t, c.lines,
-				incr.Options{Workers: 1, Obs: obs.New(256)}, false)
+				1, incr.Options{Obs: obs.New(256)}, false)
 			path := filepath.Join("testdata", "golden", c.name+".ndjson")
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -342,8 +342,8 @@ func exchangePersist(t *testing.T, lines []string, dir string, kill bool) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	sopts := incr.Options{Workers: 1, Persist: &incr.PersistOptions{Dir: dir}}
-	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sopts := incr.Options{Persist: &incr.PersistOptions{Dir: dir}}
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT, Workers: 1}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestGoldenBudgetExceeded(t *testing.T) {
 		`{"op":"node_down","node":"fw1"}`,
 		`{"op":"propose","id":"b1","changes":[{"op":"node_up","node":"fw1"}]}`,
 		`{"op":"rollback","id":"b2"}`,
-	}, incr.Options{Workers: 1, RequestTimeout: 1, NoRepair: true}, false)
+	}, 1, incr.Options{RequestTimeout: 1, NoRepair: true}, false)
 	path := filepath.Join("testdata", "golden", "budget_exceeded.ndjson")
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -437,7 +437,7 @@ func TestGoldenTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, incr.Options{Workers: 1})
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT, Workers: 1}, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestFaultInjection(t *testing.T) {
 		`{"op":"inject_panic","id":"f1"}`,
 		`{"op":"node_down","node":"fw1"}`, // solve panics here
 		`{"op":"node_up","node":"fw1"}`,   // must answer correctly
-	}, incr.Options{Workers: 2}, true)
+	}, 2, incr.Options{}, true)
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	if len(lines) != 4 {
 		t.Fatalf("want init + ack + error + result lines, got %d:\n%s", len(lines), out)
@@ -572,9 +572,9 @@ func TestCrashResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sopts := incr.Options{Workers: 2}
+	var sopts incr.Options
 	hooks := wireFaultInjection(&sopts)
-	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT}, invs, sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT, Workers: 2}, invs, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}

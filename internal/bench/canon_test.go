@@ -24,7 +24,7 @@ import (
 func runCanonDiff(t *testing.T, net *core.Network, opts core.Options, invs []inv.Invariant, workers int, label string) {
 	t.Helper()
 	canonOpts := opts
-	canonOpts.InvWorkers = workers
+	canonOpts.Workers = workers
 	vc, err := core.NewVerifier(net, canonOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestCanonMatchesNoCanonExplicitEngine(t *testing.T) {
 			}
 		}
 	}
-	opts := core.Options{Engine: core.EngineExplicit, Seed: 0, Workers: 2}
+	opts := core.Options{Engine: core.EngineExplicit, Seed: 0}
 	runCanonDiff(t, m.Net, opts, invs, 2, "multitenant explicit")
 }
 
@@ -142,19 +142,19 @@ func TestCanonMatchesNoCanonExplicitEngine(t *testing.T) {
 // a NoCanon session and requires bit-identical reports after every Apply.
 func sessionPair(t *testing.T, mkNet func() (*core.Network, []inv.Invariant),
 	changes func(step int, net *core.Network) []incr.Change, steps int,
-	opts core.Options, sopts incr.Options, label string) {
+	opts core.Options, label string) {
 	t.Helper()
 
 	netC, invs := mkNet()
 	canonOpts := opts
-	sessC, repC, err := incr.NewSession(netC, canonOpts, invs, sopts)
+	sessC, repC, err := incr.NewSession(netC, canonOpts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	netP, invsP := mkNet()
 	plainOpts := opts
 	plainOpts.NoCanon = true
-	sessP, repP, err := incr.NewSession(netP, plainOpts, invsP, sopts)
+	sessP, repP, err := incr.NewSession(netP, plainOpts, invsP, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,7 @@ func TestCanonSessionMatchesNoCanonMultiTenant(t *testing.T) {
 		}
 	}
 	sessionPair(t, mk, changes, 6,
-		core.Options{Engine: core.EngineSAT, Seed: 1},
-		incr.Options{Workers: 3}, "session multitenant")
+		core.Options{Engine: core.EngineSAT, Seed: 1, Workers: 3}, "session multitenant")
 }
 
 // TestCanonVerdictCacheAcrossIsomorphicFootprints pins the cross-footprint
@@ -286,6 +285,5 @@ func TestCanonSessionMatchesNoCanonDatacenter(t *testing.T) {
 		}
 	}
 	sessionPair(t, mk, changes, 6,
-		core.Options{Engine: core.EngineSAT, Seed: 2},
-		incr.Options{Workers: 2}, "session datacenter")
+		core.Options{Engine: core.EngineSAT, Seed: 2, Workers: 2}, "session datacenter")
 }

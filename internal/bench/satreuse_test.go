@@ -5,7 +5,7 @@ package bench
 // AND traces bit-identical to fresh-per-invariant solving, across seeds,
 // scenarios (fault-free and failure), violated and holding invariants, and
 // every worker count — `go test -race` exercises the concurrent sharing of
-// one encoding by several InvWorkers.
+// one encoding by several check-pool workers.
 
 import (
 	"fmt"
@@ -54,7 +54,7 @@ func runBoth(t *testing.T, net *core.Network, opts core.Options, invs []inv.Inva
 	// suite in canon_test.go).
 	opts.NoCanon = true
 	sharedOpts := opts
-	sharedOpts.InvWorkers = workers
+	sharedOpts.Workers = workers
 	vs, err := core.NewVerifier(net, sharedOpts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/netverify/vmn/internal/encode"
@@ -98,15 +100,11 @@ type Options struct {
 	MaxConflicts     int64
 	// MaxStates bounds the explicit engine.
 	MaxStates int
-	// Workers sets the explicit engine's search parallelism (0 =
-	// GOMAXPROCS). Verdicts and traces are identical for every value.
+	// Workers bounds core's parallelism: VerifyAll's and VerifyInvariant's
+	// check pool and the explicit engine's search (0 = GOMAXPROCS); reports
+	// are identical for every value, up to the work they measure (Duration,
+	// SolverConflicts).
 	Workers int
-	// InvWorkers parallelizes VerifyAll across invariants (or symmetry
-	// groups): 0 or 1 verifies sequentially, N > 1 uses N concurrent
-	// verifications. Report content and order are identical for every
-	// value. Invariant-level parallelism composes with Workers, the
-	// explicit engine's intra-search parallelism.
-	InvWorkers int
 	// NoSolverReuse disables the SAT engine's incremental path (cached
 	// slice encodings solved per invariant under activation-literal
 	// assumptions): every check then builds and solves a fresh encoding.
@@ -222,11 +220,11 @@ type Verifier struct {
 
 // encSlot is one encoding-cache entry. The slot is inserted before the
 // encoding is built and the build runs under the once, so concurrent
-// first-touches of one key (InvWorkers, the incremental re-verification
-// pool) share a single construction instead of racing to build duplicates.
-// Build errors are cached too: they are deterministic functions of the
-// keyed content, and the auto-engine path treats them as "use the explicit
-// engine" consistently.
+// first-touches of one key (core's check pool, the incremental
+// re-verification pool) share a single construction instead of racing to
+// build duplicates. Build errors are cached too: they are deterministic
+// functions of the keyed content, and the auto-engine path treats them as
+// "use the explicit engine" consistently.
 type encSlot struct {
 	once sync.Once
 	// enc, err, exact and ren are written once, under the verifier's mu,
@@ -564,33 +562,31 @@ func (v *Verifier) scenarios() []topo.FailureScenario {
 }
 
 // VerifyInvariant verifies one invariant under every configured failure
-// scenario and returns one report per scenario.
+// scenario and returns one report per scenario, in scenario order. The
+// scenarios' checks run on the Options.Workers pool.
 func (v *Verifier) VerifyInvariant(i inv.Invariant) ([]Report, error) {
-	return v.verifyInvariantOn(i, nil)
-}
-
-// verifyInvariantOn runs one invariant under every configured scenario,
-// against pre-compiled per-scenario engines when given (position-aligned
-// with scenarios()). VerifyAll compiles each scenario's engine once and
-// passes it down — recompiling per invariant used to be a visible slice of
-// multi-invariant runs even with the content-addressed engine cache, since
-// deduplication still rebuilds the forwarding tables to fingerprint them.
-func (v *Verifier) verifyInvariantOn(i inv.Invariant, engines []*tf.Engine) ([]Report, error) {
-	var out []Report
-	for si, sc := range v.scenarios() {
-		var eng *tf.Engine
-		if si < len(engines) {
-			eng = engines[si]
-		} else {
-			eng = v.EngineFor(sc)
-		}
-		r, err := v.verifyOn(i, sc, eng)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	scens := v.scenarios()
+	engines := v.enginesFor(scens)
+	out := make([]Report, len(scens))
+	err := ForEachIndexed(len(scens), v.opts.Workers, func(si int) error {
+		var err error
+		out[si], err = v.verifyOn(i, scens[si], engines[si])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// enginesFor compiles one engine per scenario, in order and before any
+// check runs, so the network's FIBFor is never called concurrently.
+func (v *Verifier) enginesFor(scens []topo.FailureScenario) []*tf.Engine {
+	engines := make([]*tf.Engine, len(scens))
+	for si, sc := range scens {
+		engines[si] = v.EngineFor(sc)
+	}
+	return engines
 }
 
 // VerifyAll verifies a set of invariants, optionally collapsing symmetric
@@ -605,8 +601,8 @@ func (v *Verifier) verifyInvariantOn(i inv.Invariant, engines []*tf.Engine) ([]R
 // renamings, marked CanonShared. Unlike §4.2 symmetry this requires no
 // symmetric-network assumption: the class key equality is the proof.
 //
-// With Options.InvWorkers > 1 the representative checks run concurrently;
-// report content and order are identical to the sequential run.
+// Planning and the representative checks run on the Options.Workers pool;
+// report content and order are identical to a one-worker run.
 func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, error) {
 	var groups []symmetry.Group
 	if useSymmetry {
@@ -621,10 +617,7 @@ func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, 
 	// One engine per scenario for the whole batch; the network is frozen
 	// for the duration of a VerifyAll by contract.
 	scens := v.scenarios()
-	engines := make([]*tf.Engine, 0, len(scens))
-	for _, sc := range scens {
-		engines = append(engines, v.EngineFor(sc))
-	}
+	engines := v.enginesFor(scens)
 
 	// Plan every (group representative, scenario) check: slice, problem
 	// and canonical identity. Planning parallelizes alongside solving —
@@ -635,7 +628,7 @@ func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, 
 		plans[gi] = make([]*checkPlan, len(scens))
 	}
 	nChecks := len(groups) * len(scens)
-	err := ForEachIndexed(nChecks, v.opts.InvWorkers, func(i int) error {
+	err := ForEachIndexed(nChecks, v.opts.Workers, func(i int) error {
 		gi, si := i/len(scens), i%len(scens)
 		plan, err := v.buildPlan(groups[gi].Representative, scens[si], engines[si])
 		if err != nil {
@@ -656,7 +649,7 @@ func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, 
 
 	// Solve one representative per class.
 	leadReports := make([]Report, len(classes))
-	err = ForEachIndexed(len(classes), v.opts.InvWorkers, func(ci int) error {
+	err = ForEachIndexed(len(classes), v.opts.Workers, func(ci int) error {
 		lead := classes[ci].Members[0]
 		r, err := v.solvePlan(plans[lead.Group][lead.Scenario])
 		if err != nil {
@@ -723,11 +716,12 @@ func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, 
 	return out, nil
 }
 
-// ForEachIndexed runs f(0..n-1), across min(workers, n) goroutines when
-// workers > 1, failing fast on the first error (a worker that has seen an
-// error skips its remaining items). With workers <= 1 it is a plain loop.
-// Shared by VerifyAll's plan/solve phases and the incremental layer's
-// re-verification pool.
+// ForEachIndexed runs f(0..n-1) across min(workers, n) goroutines
+// (workers <= 0 means GOMAXPROCS; 1 is a plain loop). Items are handed out
+// in index order and none after the first error, and the error returned is
+// that of the lowest failing index, so it matches a one-worker run. Shared
+// by VerifyAll's and VerifyInvariant's check pool and the incremental
+// layer's re-verification pool.
 func ForEachIndexed(n, workers int, f func(int) error) error {
 	// A panic in f must surface as an error, not kill the process: in the
 	// parallel path it fires on a pool goroutine where no caller-side
@@ -741,6 +735,9 @@ func ForEachIndexed(n, workers int, f func(int) error) error {
 		}()
 		return f(i)
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -752,25 +749,27 @@ func ForEachIndexed(n, workers int, f func(int) error) error {
 		}
 		return nil
 	}
-	work := make(chan int)
-	errs := make([]error, workers)
+	// Every item below a failing one was handed out before it and runs to
+	// completion, so the lowest failing index is the one a plain loop hits.
+	var next atomic.Int64
+	var failed atomic.Bool
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := range work {
-				if errs[w] != nil {
-					continue
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-				errs[w] = call(i)
+				if errs[i] = call(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
-		}(w)
+		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -807,11 +806,6 @@ func (v *Verifier) sliceFor(keep []topo.NodeID, engine *tf.Engine) (slices.Resul
 
 // VerifyOne runs one (invariant, scenario) check.
 func (v *Verifier) VerifyOne(i inv.Invariant, sc topo.FailureScenario) (Report, error) {
-	return v.verifyOne(i, sc)
-}
-
-// verifyOne runs one (invariant, scenario) check.
-func (v *Verifier) verifyOne(i inv.Invariant, sc topo.FailureScenario) (Report, error) {
 	return v.verifyOn(i, sc, v.EngineFor(sc))
 }
 

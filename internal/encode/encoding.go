@@ -55,7 +55,7 @@ const maxEncodingInvariants = 512
 // transfer engine's behaviour fingerprint, failure scenario, hop bound,
 // ordered middlebox configurations, packet alphabet, schedule bound and
 // solver options. Verify calls are serialized internally, so one encoding
-// may be shared by concurrent verifications (core's InvWorkers, the
+// may be shared by concurrent verifications (core's check pool, the
 // incremental layer's re-verification pool).
 type SliceEncoding struct {
 	mu   sync.Mutex

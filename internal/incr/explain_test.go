@@ -227,8 +227,8 @@ func TestExplainChurnCompleteness(t *testing.T) {
 func TestTotalsAccounting(t *testing.T) {
 	build := func() (*bench.Datacenter, *incr.Session) {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
-		s, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT},
-			d.AllIsolationInvariants(), incr.Options{Workers: 1})
+		s, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT, Workers: 1},
+			d.AllIsolationInvariants(), incr.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,9 +316,9 @@ func TestProposeSurfacesRefinedClean(t *testing.T) {
 func TestSlowSolveLog(t *testing.T) {
 	var buf bytes.Buffer
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
-	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT},
+	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT, Workers: 1},
 		d.AllIsolationInvariants(), incr.Options{
-			Workers: 1, SlowSolve: time.Nanosecond, SlowSolveWriter: &buf,
+			SlowSolve: time.Nanosecond, SlowSolveWriter: &buf,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +351,8 @@ func TestSlowSolveLog(t *testing.T) {
 	buf.Reset()
 	sess2, _, err := incr.NewSession(
 		bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1}).Net,
-		core.Options{Engine: core.EngineSAT}, d.AllIsolationInvariants(),
-		incr.Options{Workers: 1, SlowSolve: time.Hour, SlowSolveWriter: &buf})
+		core.Options{Engine: core.EngineSAT, Workers: 1}, d.AllIsolationInvariants(),
+		incr.Options{SlowSolve: time.Hour, SlowSolveWriter: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +369,8 @@ func TestSlowSolveLog(t *testing.T) {
 func TestSessionInstrumentation(t *testing.T) {
 	o := obs.New(128)
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
-	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT},
-		d.AllIsolationInvariants(), incr.Options{Workers: 1, Obs: o})
+	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT, Workers: 1},
+		d.AllIsolationInvariants(), incr.Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

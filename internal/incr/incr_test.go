@@ -6,9 +6,9 @@ package incr_test
 // outcomes, same satisfied bits, same symmetry reuse. The randomized
 // streams below drive every change kind (liveness toggles, FIB updates,
 // middlebox reconfiguration, relabels, invariant add/remove) over two
-// bench scenarios, with both the re-verification pool and VerifyAll's
-// invariant-level parallelism enabled so `go test -race` exercises the
-// concurrent paths.
+// bench scenarios, with the re-verification pool and the from-scratch
+// VerifyAll's check pool both several workers wide so `go test -race`
+// exercises the concurrent paths.
 
 import (
 	"fmt"
@@ -110,10 +110,10 @@ func TestSessionSoundnessDatacenter(t *testing.T) {
 	// exercises the by-position representative skip and the 't'
 	// fingerprint branch.
 	invs = append(invs, d.TraversalInvariant(0, 1), d.TraversalInvariant(2, 3))
-	opts := core.Options{Engine: core.EngineSAT, InvWorkers: 2}
+	opts := core.Options{Engine: core.EngineSAT, Workers: 3}
 	baseFIB := d.Net.FIBFor
 
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 3})
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,9 @@ func TestSessionSoundnessDatacenterCaches(t *testing.T) {
 		invs = append(invs, d.DataIsolationInvariant(g))
 	}
 	invs = append(invs, d.IsolationInvariant(0, 1), d.IsolationInvariant(1, 0))
-	opts := core.Options{Engine: core.EngineSAT, InvWorkers: 2}
+	opts := core.Options{Engine: core.EngineSAT, Workers: 2}
 
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2})
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +248,9 @@ func TestSessionSoundnessMultiTenant(t *testing.T) {
 			}
 		}
 	}
-	opts := core.Options{InvWorkers: 2, Workers: 2} // auto engine
+	opts := core.Options{Workers: 3} // auto engine
 
-	sess, reports, err := incr.NewSession(m.Net, opts, invs, incr.Options{Workers: 3})
+	sess, reports, err := incr.NewSession(m.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +311,9 @@ func TestSessionSoundnessExplicitEngine(t *testing.T) {
 	invs := []inv.Invariant{
 		d.IsolationInvariant(0, 1), d.IsolationInvariant(1, 0), d.IsolationInvariant(1, 2),
 	}
-	opts := core.Options{Engine: core.EngineExplicit, MaxSends: 2, Workers: 2, InvWorkers: 2}
+	opts := core.Options{Engine: core.EngineExplicit, MaxSends: 2, Workers: 2}
 
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2})
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +352,9 @@ func TestSessionNoSymmetry(t *testing.T) {
 	const G = 3
 	d := bench.NewDatacenter(bench.DCConfig{Groups: G, HostsPerGroup: 1, PolicyTiers: 1})
 	invs := d.AllIsolationInvariants()
-	opts := core.Options{Engine: core.EngineSAT}
+	opts := core.Options{Engine: core.EngineSAT, Workers: 2}
 
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2, NoSymmetry: true})
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{NoSymmetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}

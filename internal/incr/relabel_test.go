@@ -120,8 +120,8 @@ func TestRelabelNonRepresentativeDirtiesNothing(t *testing.T) {
 			}
 		}
 	}
-	opts := core.Options{Engine: core.EngineSAT, InvWorkers: 2}
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2})
+	opts := core.Options{Engine: core.EngineSAT, Workers: 2}
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestRelabelPureRenameScopedDirty(t *testing.T) {
 		invs = append(invs, d.DataIsolationInvariant(g))
 	}
 	invs = append(invs, d.IsolationInvariant(0, 1), d.IsolationInvariant(1, 0))
-	opts := core.Options{Engine: core.EngineSAT, InvWorkers: 2}
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2})
+	opts := core.Options{Engine: core.EngineSAT, Workers: 2}
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestRelabelFreshClassDirtiesAll(t *testing.T) {
 		invs = append(invs, d.DataIsolationInvariant(g))
 	}
 	invs = append(invs, d.IsolationInvariant(0, 1), d.IsolationInvariant(1, 0))
-	opts := core.Options{Engine: core.EngineSAT, InvWorkers: 2}
-	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{Workers: 2})
+	opts := core.Options{Engine: core.EngineSAT, Workers: 2}
+	sess, reports, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

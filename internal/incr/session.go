@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -27,9 +26,6 @@ import (
 
 // Options tune a Session.
 type Options struct {
-	// Workers bounds the re-verification pool (0 = GOMAXPROCS). Composes
-	// with core.Options.Workers (explicit-engine intra-search workers).
-	Workers int
 	// NoSymmetry disables §4.2 grouping: every invariant is its own
 	// group. With symmetry on (default), a dirtied representative re-runs
 	// once for its whole group.
@@ -1011,17 +1007,13 @@ func (s *Session) reverify(root obs.Span, dirty []slot, scens []topo.FailureScen
 	if len(dirty) == 0 {
 		return nil, origins, nil
 	}
-	workers := s.sopts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Plan in parallel: in canonical mode most dirty groups never
 	// reach a solver, so key construction would otherwise serialize
 	// the Apply.
 	canonSpan := root.Child("canonicalize")
 	gplans := make([]*groupPlan, len(dirty))
-	err := core.ForEachIndexed(len(dirty), workers, func(di int) error {
+	err := core.ForEachIndexed(len(dirty), s.opts.Workers, func(di int) error {
 		g := s.table.recs[dirty[di]].group
 		gp, err := s.planGroup(g.Representative, scens, s.engs)
 		if gp != nil {
@@ -1052,7 +1044,7 @@ func (s *Session) reverify(root obs.Span, dirty []slot, scens []topo.FailureScen
 	results := make([]*groupEntry, len(dirty))
 	stat := make([]verifyStats, len(dirty))
 	m := s.metrics
-	err = core.ForEachIndexed(len(clusters), workers, func(ci int) error {
+	err = core.ForEachIndexed(len(clusters), s.opts.Workers, func(ci int) error {
 		// One span per canonical class; each class is one pool work
 		// unit, so these double as per-worker busy intervals
 		// (worker_busy_ns sums them).
