@@ -322,8 +322,8 @@ func (v *Verifier) registerMetrics() {
 }
 
 // SolverStats aggregates SAT solver work counters (decisions,
-// propagations, conflicts, restarts, learnt clauses) across every slice
-// encoding this verifier has built — live cached encodings plus the
+// propagations, conflicts, restarts, learnt clauses, solves) across every
+// slice encoding this verifier has built — live cached encodings plus the
 // retired tally of evicted ones. Explicit-engine checks contribute
 // nothing.
 func (v *Verifier) SolverStats() sat.Stats {
@@ -347,6 +347,7 @@ func addSolverStats(a, b sat.Stats) sat.Stats {
 	a.Learnt += b.Learnt
 	a.DeletedCls += b.DeletedCls
 	a.MinimizedLit += b.MinimizedLit
+	a.Solves += b.Solves
 	return a
 }
 

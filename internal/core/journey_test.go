@@ -14,12 +14,14 @@ import (
 // packet alphabet, so the second verification must reuse the first's
 // journey enumerations. NoSolverReuse isolates the journey layer — with
 // solver reuse on, the encoding cache absorbs same-slice re-solves one
-// level higher (see TestEncodingReuseAcrossInvariants).
+// level higher (see TestEncodingReuseAcrossInvariants). One worker: the
+// journey cache has no single-flight, so two checks that first touch an
+// alphabet concurrently both miss.
 func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	aA, aB := pkt.MustParseAddr("10.0.0.1"), pkt.MustParseAddr("10.0.0.2")
 	net, hA, hB, _ := pairNet(mbox.NewLearningFirewall("fw",
 		mbox.AllowEntry(pkt.HostPrefix(aA), pkt.HostPrefix(aB))))
-	v, err := NewVerifier(net, Options{Engine: EngineSAT, NoSolverReuse: true})
+	v, err := NewVerifier(net, Options{Engine: EngineSAT, NoSolverReuse: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,12 @@ package encode
 // activation literal outright.
 //
 // Violation witnesses are canonical: on Sat the engine extracts the
-// lexicographically least violating schedule (fixing one step at a time
-// with incremental assumption solves), which is a function of the formula
-// alone. A warm shared encoding and a cold fresh one therefore return
-// bit-identical traces — solver history can never leak into results, which
-// is what keeps core's encoding cache and the incremental layer
-// verdict-transparent.
+// lexicographically least violating schedule (step by step, each step's
+// least feasible choice found by a binary search of assumption solves),
+// which is a function of the formula alone. A warm shared encoding and a
+// cold fresh one therefore return bit-identical traces — solver history can
+// never leak into results, which is what keeps core's encoding cache and
+// the incremental layer verdict-transparent.
 
 import (
 	"fmt"
@@ -321,51 +321,9 @@ func (e *SliceEncoding) Verify(p *inv.Problem, opts Options) (inv.Result, error)
 	defer e.mu.Unlock()
 	ctx := e.ctx
 	e.solves++
-
-	bad := p.Invariant.Bad(p)
-	grounded := logic.Ground(ctx, bad, e.K, func(a *logic.Atom, t int) smt.Form {
-		hits := e.hitsBuf[:0]
-		for _, ge := range e.eventsAt[t] {
-			if a.Pred(ge.ev) {
-				hits = append(hits, ge.guard)
-			}
-		}
-		e.hitsBuf = hits // Or copies what it keeps; reuse the scratch
-		return ctx.Or(hits...)
-	})
-	badForm := ctx.Or(grounded...)
-	if badForm.IsFalse() {
-		// bad is unreachable within the bound: holds without solving (and
-		// without poisoning the shared solver with an empty clause, which
-		// is what asserting false on a fresh context used to do).
-		return inv.Result{Outcome: inv.Holds}, nil
-	}
-
-	act, ok := e.acts[badForm.ID()]
+	act, ok := e.activate(p)
 	if !ok {
-		if len(e.acts) >= maxEncodingInvariants {
-			rel := make([]smt.Form, 0, len(e.acts))
-			for _, a := range e.acts {
-				rel = append(rel, a)
-			}
-			ctx.ReleaseGuard(rel...)
-			e.acts = map[smt.FormID]smt.Form{}
-		}
-		act = ctx.FreshBool()
-		ctx.AssertGuarded(act, badForm)
-		e.acts[badForm.ID()] = act
-	}
-
-	// Neutralize selector phase memory from earlier invariants: with
-	// cold-like phases the first model lands near the lexicographic
-	// minimum, so canonical witness extraction needs few (often zero)
-	// refinement solves on warm encodings too.
-	if e.solves > 1 {
-		for t := 0; t < e.K; t++ {
-			for _, s := range e.sel[t] {
-				ctx.PreferPhase(ctx.Not(s))
-			}
-		}
+		return inv.Result{Outcome: inv.Holds}, nil
 	}
 
 	// The conflict budget is per Solve call on the shared solver; witness
@@ -388,64 +346,113 @@ func (e *SliceEncoding) Verify(p *inv.Problem, opts Options) (inv.Result, error)
 	return res, nil
 }
 
+// activate grounds p's bad formula and returns its activation literal,
+// asserting the guarded formula on first use. ok=false means bad is
+// unreachable within the bound: the invariant holds without a solve (and
+// without poisoning the shared solver with an empty clause, which is what
+// asserting false on a fresh context used to do).
+func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
+	ctx := e.ctx
+	bad := p.Invariant.Bad(p)
+	grounded := logic.Ground(ctx, bad, e.K, func(a *logic.Atom, t int) smt.Form {
+		hits := e.hitsBuf[:0]
+		for _, ge := range e.eventsAt[t] {
+			if a.Pred(ge.ev) {
+				hits = append(hits, ge.guard)
+			}
+		}
+		e.hitsBuf = hits // Or copies what it keeps; reuse the scratch
+		return ctx.Or(hits...)
+	})
+	badForm := ctx.Or(grounded...)
+	if badForm.IsFalse() {
+		return act, false
+	}
+	if act, ok = e.acts[badForm.ID()]; ok {
+		return act, true
+	}
+	if len(e.acts) >= maxEncodingInvariants {
+		rel := make([]smt.Form, 0, len(e.acts))
+		for _, a := range e.acts {
+			rel = append(rel, a)
+		}
+		ctx.ReleaseGuard(rel...)
+		e.acts = map[smt.FormID]smt.Form{}
+	}
+	act = ctx.FreshBool()
+	ctx.AssertGuarded(act, badForm)
+	e.acts[badForm.ID()] = act
+	return act, true
+}
+
 // extractTrace derives the canonical violating schedule after a Sat
 // verdict: the lexicographically least (step-major, choices in alphabet
 // order, "do nothing" last) selector assignment satisfying the active bad
-// formula, found by fixing one step at a time with incremental assumption
-// solves seeded from the current model. The schedule fully determines the
-// state bits (the frame axioms are equivalences from an all-false boot
-// state), so the extracted trace is a function of the formula alone —
-// independent of solver history, learnt state or which engine path built
-// the encoding.
+// formula. With the earlier steps fixed, each step's least feasible choice
+// is found by binary search: the selector row is exactly-one, so "some
+// choice ≤ mid" is the assumption ¬sel[t][c] for every c > mid, and a step
+// costs at most ⌈log₂(|choices|+1)⌉ solves without adding a clause. The
+// schedule fully determines the state bits (the frame axioms are
+// equivalences from an all-false boot state), so the extracted trace is a
+// function of the formula alone — independent of solver history, learnt
+// state or which engine path built the encoding.
 func (e *SliceEncoding) extractTrace(act smt.Form) []logic.Event {
-	ctx := e.ctx
-	none := len(e.choices)
-	cur := make([]int, e.K)
-	e.readSchedule(cur)
-	assume := make([]smt.Form, 0, e.K+1)
-	assume = append(assume, act)
-	refined := false
-	for t := 0; t < e.K; t++ {
-		for c := 0; c < cur[t]; c++ {
-			refined = true
-			if ctx.SolveAssuming(append(assume, e.sel[t][c])...) == sat.Sat {
-				e.readSchedule(cur) // improves later steps too
-				break
-			}
-		}
-		assume = append(assume, e.sel[t][cur[t]])
-	}
-	// Rematerialize the canonical schedule's model (refinement solves
-	// discarded it); when the first model was already lex-minimal, it is
-	// still current and no extra solve is needed. The assumptions are
-	// satisfiable by construction.
-	if refined && ctx.SolveAssuming(assume...) != sat.Sat {
-		return nil // unreachable
-	}
+	cur, path := e.lexMinSchedule(act)
 	var out []logic.Event
-	for t := 0; t < e.K; t++ {
-		ci := cur[t]
-		if ci == none {
-			continue
-		}
-		base := t*e.nPaths + e.pathOff[ci]
-		for pi := range e.choices[ci].paths {
-			if ctx.EvalForm(e.guards[base+pi]) == sat.True {
-				out = append(out, e.choices[ci].paths[pi].events...)
-				break
-			}
+	for t, ci := range cur {
+		if ci < len(e.choices) {
+			out = append(out, e.choices[ci].paths[path[t]].events...)
 		}
 	}
 	return out
 }
 
-// readSchedule reads the selected choice per step from the current model.
-func (e *SliceEncoding) readSchedule(cur []int) {
+// lexMinSchedule returns the canonical schedule's choice per step and the
+// path each chosen packet took, starting from the current (satisfying)
+// model.
+func (e *SliceEncoding) lexMinSchedule(act smt.Form) (cur, path []int) {
+	ctx := e.ctx
+	cur, path = make([]int, e.K), make([]int, e.K)
+	e.readSchedule(cur, path)
+	assume := make([]smt.Form, 1, e.K+len(e.choices)+1)
+	assume[0] = act
+	for t := 0; t < e.K; t++ {
+		for lo := 0; lo < cur[t]; {
+			mid := (lo + cur[t] - 1) / 2
+			probe := assume // a probe's exclusions fill assume's spare capacity
+			for c := mid + 1; c < len(e.sel[t]); c++ {
+				probe = append(probe, ctx.Not(e.sel[t][c]))
+			}
+			if ctx.SolveAssuming(probe...) == sat.Sat {
+				e.readSchedule(cur, path) // cur[t] ≤ mid; later steps improve too
+			} else {
+				lo = mid + 1
+			}
+		}
+		assume = append(assume, e.sel[t][cur[t]])
+	}
+	return cur, path
+}
+
+// readSchedule reads the selected choice per step, and the path its packet
+// took, from the current model. cur only changes here, so the final
+// schedule's paths are those of the last satisfying model.
+func (e *SliceEncoding) readSchedule(cur, path []int) {
 	for t := 0; t < e.K; t++ {
 		cur[t] = len(e.choices)
-		for c := 0; c <= len(e.choices); c++ {
+		for c := 0; c < len(e.choices); c++ {
 			if e.ctx.EvalForm(e.sel[t][c]) == sat.True {
 				cur[t] = c
+				break
+			}
+		}
+		if cur[t] == len(e.choices) {
+			continue
+		}
+		base := t*e.nPaths + e.pathOff[cur[t]]
+		for pi := range e.choices[cur[t]].paths {
+			if e.ctx.EvalForm(e.guards[base+pi]) == sat.True {
+				path[t] = pi
 				break
 			}
 		}

@@ -1,11 +1,17 @@
 package encode
 
 import (
+	"fmt"
+	"math/bits"
+	"reflect"
 	"testing"
 
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/logic"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/sat"
+	"github.com/netverify/vmn/internal/smt"
 	"github.com/netverify/vmn/internal/testnet"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -138,4 +144,156 @@ func TestEncodingKeyDistinguishesContent(t *testing.T) {
 	if key(f.Problem(inv.SimpleIsolation{Dst: f.HA, SrcAddr: f.AddrB}, topo.Failures(f.FW)), Options{}) == k0 {
 		t.Fatal("the failure scenario must perturb the key")
 	}
+}
+
+// violatedFamilies lists fixture problems whose invariants are all
+// violated, one family per fixture: the problems of a family differ only in
+// the invariant, so they share an encoding.
+func violatedFamilies() [][]*inv.Problem {
+	allow := func() *mbox.LearningFirewall { return &mbox.LearningFirewall{InstanceName: "fw", DefaultAllow: true} }
+	fw := testnet.NewFirewallPair(allow())
+	cg := testnet.NewCacheGroup(mbox.NewContentCache("cache"), allow())
+	ids := testnet.NewIDSFragment(testnet.NewIDSRegistry())
+	// wide puts 29 more hA→hB flows in front of the pair's alphabet, so the
+	// violating choices sit at the end of a 32-choice row.
+	wide := func(i inv.Invariant) *inv.Problem {
+		p := fw.Problem(i, topo.NoFailures())
+		var flows []inv.Sample
+		for port := pkt.Port(3000); port < 3029; port++ {
+			flows = append(flows, inv.Sample{Sender: fw.HA, Hdr: pkt.Header{Src: fw.AddrA, Dst: fw.AddrB, SrcPort: port, DstPort: 80, Proto: pkt.TCP}})
+		}
+		p.Samples = append(flows, p.Samples...)
+		return p
+	}
+	return [][]*inv.Problem{{
+		fw.Problem(inv.SimpleIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}, topo.NoFailures()),
+		fw.Problem(inv.FlowIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}, topo.NoFailures()),
+		fw.Problem(inv.Reachability{Dst: fw.HB, SrcAddr: fw.AddrA}, topo.NoFailures()),
+		fw.Problem(inv.SimpleIsolation{Dst: fw.HB, SrcAddr: fw.AddrA}, topo.NoFailures()),
+	}, {
+		cg.Problem(inv.DataIsolation{Dst: cg.H2, Origin: cg.AddrS}),
+		cg.Problem(inv.DataIsolation{Dst: cg.H1, Origin: cg.AddrS}),
+		cg.Problem(inv.SimpleIsolation{Dst: cg.H2, SrcAddr: cg.AddrS}),
+	}, {
+		ids.Problem(inv.SimpleIsolation{Dst: ids.Host, SrcAddr: ids.AddrPeer}, 3),
+		ids.Problem(inv.Reachability{Dst: ids.Host, SrcAddr: ids.AddrPeer}, 3),
+	}, {
+		wide(inv.SimpleIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}),
+		wide(inv.FlowIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}),
+	}}
+}
+
+// eachViolated verifies every violatedFamilies problem at seeds 0, 7 and
+// 991, each on a cold encoding of its own and on one warm encoding that
+// served the family's earlier problems first, and hands each Violated
+// result to check with the encoding's Solves delta for the call.
+func eachViolated(t *testing.T, check func(label string, enc *SliceEncoding, p *inv.Problem, r inv.Result, solves int64)) {
+	t.Helper()
+	for fi, fam := range violatedFamilies() {
+		for _, seed := range []int64{0, 7, 991} {
+			opts := Options{Seed: seed, RandomBranchFreq: 0.05}
+			warm, err := NewSliceEncoding(fam[0], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range fam {
+				cold, err := NewSliceEncoding(p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ei, enc := range []*SliceEncoding{cold, warm} {
+					label := fmt.Sprintf("family %d seed %d %s %s", fi, seed, []string{"cold", "warm"}[ei], p.Invariant.Name())
+					before := enc.SolverStats().Solves
+					r, err := enc.Verify(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Outcome != inv.Violated {
+						t.Fatalf("%s: %v, want violated", label, r.Outcome)
+					}
+					check(label, enc, p, r, enc.SolverStats().Solves-before)
+				}
+			}
+		}
+	}
+}
+
+// TestWitnessExtractionSolveBound: a violated check costs its deciding
+// solve plus at most ⌈log₂(|choices|+1)⌉ solves per schedule step, whatever
+// the seed or solver history.
+func TestWitnessExtractionSolveBound(t *testing.T) {
+	eachViolated(t, func(label string, _ *SliceEncoding, p *inv.Problem, _ inv.Result, solves int64) {
+		choices := len(p.Samples) * len(p.ClassAssignments())
+		if bound := int64(1 + p.MaxSends*bits.Len(uint(choices))); solves > bound {
+			t.Fatalf("%s: %d solves, bound 1 + %d·⌈log₂(%d+1)⌉ = %d", label, solves, p.MaxSends, choices, bound)
+		}
+	})
+}
+
+// linearLexMin is the reference canonical witness: from a fresh model of
+// act, try each step's choices in order below the current one and keep the
+// first feasible one given the steps already fixed; then solve once more
+// with the whole schedule fixed and read the trace from that model.
+func linearLexMin(t *testing.T, e *SliceEncoding, act smt.Form) ([]int, []logic.Event) {
+	t.Helper()
+	ctx := e.ctx
+	sched := make([]int, e.K)
+	read := func() {
+		for s := range sched {
+			for c, sel := range e.sel[s] {
+				if ctx.EvalForm(sel) == sat.True {
+					sched[s] = c
+					break
+				}
+			}
+		}
+	}
+	if ctx.SolveAssuming(act) != sat.Sat {
+		t.Fatal("reference: bad is unsatisfiable")
+	}
+	read()
+	assume := []smt.Form{act}
+	for s := range sched {
+		for c := 0; c < sched[s]; c++ {
+			if ctx.SolveAssuming(append(assume, e.sel[s][c])...) == sat.Sat {
+				read()
+				break
+			}
+		}
+		assume = append(assume, e.sel[s][sched[s]])
+	}
+	if ctx.SolveAssuming(assume...) != sat.Sat {
+		t.Fatal("reference: the scanned schedule is unsatisfiable")
+	}
+	var trace []logic.Event
+	for s, c := range sched {
+		if c == len(e.choices) {
+			continue
+		}
+		for pi, pth := range e.choices[c].paths {
+			if ctx.EvalForm(e.guards[s*e.nPaths+e.pathOff[c]+pi]) == sat.True {
+				trace = append(trace, pth.events...)
+				break
+			}
+		}
+	}
+	return sched, trace
+}
+
+// TestExtractTraceMatchesLinearLexMin checks the binary-search extraction
+// against the linear reference: the same schedule from a fresh model, and
+// Verify's trace equal to the reference's, on cold and warm encodings.
+func TestExtractTraceMatchesLinearLexMin(t *testing.T) {
+	eachViolated(t, func(label string, enc *SliceEncoding, p *inv.Problem, r inv.Result, _ int64) {
+		act, ok := enc.activate(p)
+		if !ok || enc.ctx.SolveAssuming(act) != sat.Sat {
+			t.Fatalf("%s: bad is unsatisfiable", label)
+		}
+		got, _ := enc.lexMinSchedule(act)
+		want, trace := linearLexMin(t, enc, act)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: schedule %v, reference %v", label, got, want)
+		}
+		sameResult(t, label, r, inv.Result{Outcome: inv.Violated, Trace: trace})
+	})
 }

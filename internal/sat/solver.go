@@ -41,6 +41,7 @@ type Stats struct {
 	Learnt       int64
 	DeletedCls   int64
 	MinimizedLit int64
+	Solves       int64 // SolveAssuming calls, Solve included
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
@@ -132,14 +133,6 @@ func (s *Solver) budgetExceeded() bool {
 
 // Stats returns a copy of the work counters.
 func (s *Solver) Stats() Stats { return s.stats }
-
-// PreferPhase biases future branching on l's variable toward the phase
-// that makes l true, overriding the saved phase. Callers reusing one
-// solver across many queries use this to neutralize phase memory from
-// earlier queries where a cold-start-like search is preferable (e.g.
-// canonical witness extraction benefits from first models close to the
-// lexicographic minimum).
-func (s *Solver) PreferPhase(l Lit) { s.polarity[l.Var()] = l.Sign() }
 
 // NumVars returns the number of variables allocated so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
@@ -655,6 +648,7 @@ func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
 // literal). Callers may therefore interleave SolveAssuming calls for many
 // related queries on one instance and each query warms up the next.
 func (s *Solver) SolveAssuming(assumps []Lit) Status {
+	s.stats.Solves++
 	if !s.ok {
 		return Unsat
 	}

@@ -368,15 +368,6 @@ func (c *Ctx) assertGuarded(notGuard satpkg.Lit, f Form) {
 	}
 }
 
-// PreferPhase biases the solver's branching toward making f true (f is
-// Tseitin-encoded if composite). See sat.Solver.PreferPhase.
-func (c *Ctx) PreferPhase(f Form) {
-	if f.id == 0 || f.id == 1 {
-		return
-	}
-	c.solver.PreferPhase(c.lit(f))
-}
-
 // ReleaseGuard permanently retires a guard used with AssertGuarded: ¬guard
 // becomes a level-0 fact and the underlying solver garbage-collects every
 // clause the guard carried (including learnt clauses conditioned on it).
