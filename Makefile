@@ -60,12 +60,10 @@ bench-harness:
 # One iteration of every Fig2 benchmark (SAT and explicit engines) and one
 # run of the same points through the vmnbench CLI's figure table: a fast
 # sanity check that the measured paths still run. BenchmarkReplyRender
-# keeps the daemon's reply path (one-flip Apply, spliced line) exercised,
-# BenchmarkWitnessExtraction a leak's canonical witness (solves/op).
+# keeps the daemon's reply path (one-flip Apply, spliced line) exercised.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench ReplyRender -benchtime 1x ./internal/incr
-	$(GO) test -run '^$$' -bench WitnessExtraction -benchtime 1x ./internal/bench
 	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 1 -json > /dev/null
 
 # A short coverage-guided run of each fuzz target beyond its checked-in

@@ -322,10 +322,10 @@ func (v *Verifier) registerMetrics() {
 }
 
 // SolverStats aggregates SAT solver work counters (decisions,
-// propagations, conflicts, restarts, learnt clauses, solves) across every
-// slice encoding this verifier has built — live cached encodings plus the
-// retired tally of evicted ones. Explicit-engine checks contribute
-// nothing.
+// propagations, conflicts, restarts, learnt clauses, solve calls) across
+// every slice encoding this verifier has built — live cached encodings
+// plus the retired tally of evicted ones. Explicit-engine checks
+// contribute nothing.
 func (v *Verifier) SolverStats() sat.Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -347,7 +347,7 @@ func addSolverStats(a, b sat.Stats) sat.Stats {
 	a.Learnt += b.Learnt
 	a.DeletedCls += b.DeletedCls
 	a.MinimizedLit += b.MinimizedLit
-	a.Solves += b.Solves
+	a.SolveCalls += b.SolveCalls
 	return a
 }
 

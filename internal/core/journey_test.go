@@ -14,9 +14,10 @@ import (
 // packet alphabet, so the second verification must reuse the first's
 // journey enumerations. NoSolverReuse isolates the journey layer — with
 // solver reuse on, the encoding cache absorbs same-slice re-solves one
-// level higher (see TestEncodingReuseAcrossInvariants). One worker: the
-// journey cache has no single-flight, so two checks that first touch an
-// alphabet concurrently both miss.
+// level higher (see TestEncodingReuseAcrossInvariants). It covers the
+// sequential path only (Workers: 1): the journey cache has no
+// single-flight yet, so two checks that first touch an alphabet
+// concurrently both miss.
 func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	aA, aB := pkt.MustParseAddr("10.0.0.1"), pkt.MustParseAddr("10.0.0.2")
 	net, hA, hB, _ := pairNet(mbox.NewLearningFirewall("fw",

@@ -26,7 +26,7 @@ func TestWitnessExtractionSolveBoundThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := v.SolverStats().Solves
+	before := v.SolverStats().SolveCalls
 	r, err := v.VerifyPlanned(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestWitnessExtractionSolveBoundThroughCore(t *testing.T) {
 	p := cp.Problem()
 	choices := len(p.Samples) * len(p.ClassAssignments())
 	bound := int64(1 + p.MaxSends*bits.Len(uint(choices)))
-	if solves := v.SolverStats().Solves - before; solves > bound {
+	if solves := v.SolverStats().SolveCalls - before; solves > bound {
 		t.Fatalf("%d solves, bound 1 + %d·⌈log₂(%d+1)⌉ = %d", solves, p.MaxSends, choices, bound)
 	}
 }

@@ -203,7 +203,7 @@ func eachViolated(t *testing.T, check func(label string, enc *SliceEncoding, p *
 				}
 				for ei, enc := range []*SliceEncoding{cold, warm} {
 					label := fmt.Sprintf("family %d seed %d %s %s", fi, seed, []string{"cold", "warm"}[ei], p.Invariant.Name())
-					before := enc.SolverStats().Solves
+					before := enc.SolverStats().SolveCalls
 					r, err := enc.Verify(p, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -211,7 +211,7 @@ func eachViolated(t *testing.T, check func(label string, enc *SliceEncoding, p *
 					if r.Outcome != inv.Violated {
 						t.Fatalf("%s: %v, want violated", label, r.Outcome)
 					}
-					check(label, enc, p, r, enc.SolverStats().Solves-before)
+					check(label, enc, p, r, enc.SolverStats().SolveCalls-before)
 				}
 			}
 		}

@@ -41,7 +41,7 @@ type Stats struct {
 	Learnt       int64
 	DeletedCls   int64
 	MinimizedLit int64
-	Solves       int64 // SolveAssuming calls, Solve included
+	SolveCalls   int64 // SolveAssuming calls, Solve included
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
@@ -648,7 +648,7 @@ func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
 // literal). Callers may therefore interleave SolveAssuming calls for many
 // related queries on one instance and each query warms up the next.
 func (s *Solver) SolveAssuming(assumps []Lit) Status {
-	s.stats.Solves++
+	s.stats.SolveCalls++
 	if !s.ok {
 		return Unsat
 	}
