@@ -7,6 +7,7 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 // TestJourneyMemoAcrossInvariants pins the SAT engine's cross-invariant
@@ -14,15 +15,15 @@ import (
 // packet alphabet, so the second verification must reuse the first's
 // journey enumerations. NoSolverReuse isolates the journey layer — with
 // solver reuse on, the encoding cache absorbs same-slice re-solves one
-// level higher (see TestEncodingReuseAcrossInvariants). It covers the
-// sequential path only (Workers: 1): the journey cache has no
-// single-flight yet, so two checks that first touch an alphabet
-// concurrently both miss.
+// level higher (see TestEncodingReuseAcrossInvariants). It runs at the
+// default worker count: the two checks may first touch the alphabet
+// concurrently, and single-flight makes the later asker of each key wait
+// for the one enumeration and count a hit, so the counts are exact.
 func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	aA, aB := pkt.MustParseAddr("10.0.0.1"), pkt.MustParseAddr("10.0.0.2")
 	net, hA, hB, _ := pairNet(mbox.NewLearningFirewall("fw",
 		mbox.AllowEntry(pkt.HostPrefix(aA), pkt.HostPrefix(aB))))
-	v, err := NewVerifier(net, Options{Engine: EngineSAT, NoSolverReuse: true, Workers: 1})
+	v, err := NewVerifier(net, Options{Engine: EngineSAT, NoSolverReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +40,15 @@ func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	if reports[0].Result.Outcome != inv.Violated || reports[1].Result.Outcome != inv.Holds {
 		t.Fatalf("unexpected verdicts: %v %v", reports[0].Result.Outcome, reports[1].Result.Outcome)
 	}
-	hits, misses := v.JourneyCacheStats()
-	if misses == 0 {
-		t.Fatal("first verification must populate the journey cache")
+	// Both checks enumerate the same alphabet: one miss per choice, then
+	// one hit per choice.
+	cp, err := v.PlanOn(invs[0], topo.NoFailures(), v.EngineFor(topo.NoFailures()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hits == 0 {
-		t.Fatalf("second invariant over the same slice must hit the journey cache (hits=%d misses=%d)", hits, misses)
+	choices := int64(len(cp.p.prob.Samples) * len(cp.p.prob.ClassAssignments()))
+	if hits, misses := v.JourneyCacheStats(); hits != choices || misses != choices {
+		t.Fatalf("journey cache hits=%d misses=%d, want %d and %d", hits, misses, choices, choices)
 	}
 
 	// A fresh verifier starts cold — the cache never crosses the frozen-

@@ -1,6 +1,6 @@
 // Package encode is VMN's SAT-based verification engine — the analogue of
 // the paper's Z3 pipeline. It grounds the middlebox and network axioms of
-// §3.4–§3.5 over a bounded schedule into a finite-domain formula
+// §3.4–§3.5 over a bounded schedule into a propositional formula
 // (internal/smt → internal/sat) whose satisfying assignments are violating
 // schedules, exactly mirroring the paper's "satisfying assignment ⇔
 // invariant violated" setup.
@@ -32,6 +32,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
@@ -112,6 +113,14 @@ func Verify(p *inv.Problem, opts Options) (inv.Result, error) {
 
 // journeys symbolically executes the packet's journey, forking on state
 // reads, and returns all resolved paths.
+//
+// A partial path carries no per-hop maps: the state bits it assumed are
+// exactly those its conds name, and the bits it derived are exactly those
+// its sets name, so both are short slice scans. Between forks a path is
+// the only writer of its queue, conds, sets and events, so they grow by
+// append in place; at a fork every branch gets capacity-limited slices, so
+// its first append copies instead of overwriting a sibling's. A finished
+// path keeps the arrays it grew, which no one writes again.
 func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.ClassSet) ([]jpath, error) {
 	type flight struct {
 		Hdr     pkt.Header
@@ -128,23 +137,19 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 	}
 
 	var out []jpath
-	var rec func(queue []flight, assumed map[keyRef]bool, derived map[keyRef]bool, conds []keyCond, sets []keyRef, events []logic.Event) error
-	rec = func(queue []flight, assumed, derived map[keyRef]bool, conds []keyCond, sets []keyRef, events []logic.Event) error {
+	var rec func(queue []flight, conds []keyCond, sets []keyRef, events []logic.Event) error
+	rec = func(queue []flight, conds []keyCond, sets []keyRef, events []logic.Event) error {
 		if len(queue) == 0 {
-			out = append(out, jpath{
-				conds:  append([]keyCond(nil), conds...),
-				sets:   append([]keyRef(nil), sets...),
-				events: append([]logic.Event(nil), events...),
-			})
+			out = append(out, jpath{conds: conds, sets: sets, events: events})
 			return nil
 		}
 		fl := queue[0]
-		rest := append([]flight(nil), queue[1:]...)
+		rest := queue[1:]
 		node := p.Topo.Node(fl.At)
 
 		if node.Kind == topo.Host || node.Kind == topo.External {
 			rcv := logic.Event{Kind: logic.EvRecv, Dst: fl.At, Src: fl.From, Hdr: fl.Hdr, Classes: fl.Classes}
-			return rec(rest, assumed, derived, conds, sets, append(events, rcv))
+			return rec(rest, conds, sets, append(events, rcv))
 		}
 		if node.Kind != topo.Middlebox {
 			return fmt.Errorf("encode: packet surfaced at switch %s", node.Name)
@@ -171,14 +176,14 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		}
 
 		if failed && model.FailMode() == mbox.FailClosed {
-			return rec(rest, assumed, derived, conds, sets, events)
+			return rec(rest, conds, sets, events)
 		}
 		if failed && model.FailMode() == mbox.FailOpen {
 			q, err := forwardTo(fl.Hdr, fl.Classes, fl.Hops+1, rest)
 			if err != nil {
 				return err
 			}
-			return rec(q, assumed, derived, conds, sets, events)
+			return rec(q, conds, sets, events)
 		}
 
 		// Healthy (or fail-explicit) processing.
@@ -195,33 +200,24 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		var unknown []keyRef
 		for _, k := range reads {
 			r := keyRef{bi, k}
-			if _, known := assumed[r]; known {
-				continue
+			if !assumes(conds, r) && !slices.Contains(sets, r) {
+				unknown = append(unknown, r)
 			}
-			if derived[r] {
-				continue
-			}
-			unknown = append(unknown, r)
 		}
 
-		var runWith func(vals map[keyRef]bool, conds []keyCond) error
-		runWith = func(valuation map[keyRef]bool, conds []keyCond) error {
+		runWith := func(conds []keyCond, queue []flight, sets []keyRef, events []logic.Event) error {
 			// Construct the box state visible to this packet: every key of
 			// this box known true (assumed or derived).
 			var trueKeys []string
-			add := func(r keyRef, v bool) {
-				if v && r.box == bi {
-					trueKeys = append(trueKeys, r.key)
+			for _, c := range conds {
+				if c.val && c.ref.box == bi {
+					trueKeys = append(trueKeys, c.ref.key)
 				}
 			}
-			for r, v := range assumed {
-				add(r, v)
-			}
-			for r, v := range valuation {
-				add(r, v)
-			}
-			for r, v := range derived {
-				add(r, v)
+			for _, r := range sets {
+				if r.box == bi {
+					trueKeys = append(trueKeys, r.key)
+				}
 			}
 			st := mbox.SetStateWith(trueKeys...)
 			branches := model.Process(st, input)
@@ -235,23 +231,12 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 				return fmt.Errorf("encode: middlebox %s produced non-boolean state", node.Name)
 			}
 			// Diff: keys now true that were not before.
-			before := map[string]bool{}
-			for _, k := range trueKeys {
-				before[k] = true
-			}
-			newAssumed := mergeRefs(assumed, valuation)
-			newDerived := copyRefs(derived)
-			newSets := append([]keyRef(nil), sets...)
 			for _, k := range newKeys {
-				if !before[k] {
-					r := keyRef{bi, k}
-					newDerived[r] = true
-					newSets = append(newSets, r)
+				if !slices.Contains(trueKeys, k) {
+					sets = append(sets, keyRef{bi, k})
 				}
 			}
-			rcv := logic.Event{Kind: logic.EvRecv, Dst: fl.At, Src: fl.From, Hdr: fl.Hdr, Classes: fl.Classes}
-			newEvents := append(append([]logic.Event(nil), events...), rcv)
-			q := append([]flight(nil), rest...)
+			events = append(events, logic.Event{Kind: logic.EvRecv, Dst: fl.At, Src: fl.From, Hdr: fl.Hdr, Classes: fl.Classes})
 			for _, o := range br.Out {
 				snd := logic.Event{Kind: logic.EvSend, Src: fl.At, Hdr: o.Hdr, Classes: o.Classes}
 				if n, ok := p.Topo.HostByAddr(o.Hdr.Dst); ok {
@@ -259,28 +244,28 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 				} else {
 					snd.Dst = topo.NodeNone
 				}
-				newEvents = append(newEvents, snd)
+				events = append(events, snd)
 				var err error
-				q, err = forwardTo(o.Hdr, o.Classes, fl.Hops+1, q)
+				queue, err = forwardTo(o.Hdr, o.Classes, fl.Hops+1, queue)
 				if err != nil {
 					return err
 				}
 			}
-			return rec(q, newAssumed, newDerived, conds, newSets, newEvents)
+			return rec(queue, conds, sets, events)
 		}
 
 		// Enumerate assignments over the unknown bits (2^|unknown|, with
 		// |unknown| ≤ 1 for all shipped models).
 		n := len(unknown)
+		if n == 0 {
+			return runWith(conds, rest, sets, events)
+		}
 		for m := 0; m < 1<<uint(n); m++ {
-			valuation := map[keyRef]bool{}
-			forkConds := append([]keyCond(nil), conds...)
+			forkConds := conds[:len(conds):len(conds)]
 			for i, r := range unknown {
-				v := m>>uint(i)&1 == 1
-				valuation[r] = v
-				forkConds = append(forkConds, keyCond{ref: r, val: v})
+				forkConds = append(forkConds, keyCond{ref: r, val: m>>uint(i)&1 == 1})
 			}
-			if err := runWith(valuation, forkConds); err != nil {
+			if err := runWith(forkConds, rest[:len(rest):len(rest)], sets[:len(sets):len(sets)], events[:len(events):len(events)]); err != nil {
 				return err
 			}
 		}
@@ -296,32 +281,23 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 	if ok {
 		queue = append(queue, flight{Hdr: s.Hdr, Classes: cls, From: s.Sender, At: to})
 	}
-	if err := rec(queue, map[keyRef]bool{}, map[keyRef]bool{}, nil, nil, []logic.Event{sendEv}); err != nil {
+	if err := rec(queue, nil, nil, []logic.Event{sendEv}); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// assumes reports whether conds assumes a value for r.
+func assumes(conds []keyCond, r keyRef) bool {
+	for _, c := range conds {
+		if c.ref == r {
+			return true
+		}
+	}
+	return false
+}
+
 func mustKeys(st mbox.State) []string {
 	keys, _ := mbox.SetStateKeys(st)
 	return keys
-}
-
-func mergeRefs(a, b map[keyRef]bool) map[keyRef]bool {
-	out := make(map[keyRef]bool, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-func copyRefs(a map[keyRef]bool) map[keyRef]bool {
-	out := make(map[keyRef]bool, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }

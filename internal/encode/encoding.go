@@ -6,7 +6,7 @@ package encode
 // checked over one slice amortize a single solver context. This file is
 // that mechanism for VMN's built-in solver: everything the encoding shares
 // between invariants — selector variables, state bits, frame/transition
-// axioms, the guarded event sets — is built exactly once per
+// axioms, the per-step path guards — is built exactly once per
 // (slice × samples × schedule bound), and each invariant then only grounds
 // its own "bad" formula, asserts it under an activation literal and decides
 // it with SolveAssuming. Learnt clauses, saved phases and VSIDS activity
@@ -25,6 +25,7 @@ package encode
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -35,13 +36,6 @@ import (
 	"github.com/netverify/vmn/internal/smt"
 	"github.com/netverify/vmn/internal/topo"
 )
-
-// guardedEvent is one trace event and the condition under which its path
-// runs at a given step.
-type guardedEvent struct {
-	ev    logic.Event
-	guard smt.Form
-}
 
 // maxEncodingInvariants bounds the activation literals kept live on one
 // encoding; overflowing releases all of them (their guarded clauses and any
@@ -63,7 +57,8 @@ type SliceEncoding struct {
 	opts Options
 
 	// K is the schedule bound; choices the (sample, class) alphabet with
-	// enumerated journeys.
+	// enumerated journeys, which may be shared through the journey cache
+	// and are read-only.
 	K       int
 	choices []choice
 	nPaths  int   // total journey paths across all choices
@@ -78,9 +73,9 @@ type SliceEncoding struct {
 	// guards[t*nPaths+gp] memoizes the path condition of global path gp at
 	// step t (selector ∧ assumed state bits) — shared by the frame axioms,
 	// event grounding and trace extraction, which previously each rebuilt
-	// identical And nodes.
-	guards   []smt.Form
-	eventsAt [][]guardedEvent
+	// identical And nodes. A path's events are stored once, in its jpath:
+	// an event of path gp happens at step t under guards[t*nPaths+gp].
+	guards []smt.Form
 
 	// acts maps a grounded bad formula (by interned ID, which is identical
 	// for structurally identical formulas) to its activation literal, so
@@ -95,8 +90,10 @@ type SliceEncoding struct {
 // NewSliceEncoding enumerates the problem's journeys (through
 // opts.Journeys when set) and grounds the invariant-independent axioms:
 // selector constraints, boot state, frame/transition axioms and the
-// guarded event sets. The returned encoding serves any invariant whose
-// problem has identical AppendEncodingKey content.
+// per-step path guards. The returned encoding serves any invariant whose
+// problem has identical AppendEncodingKey content. Construction allocates
+// in proportion to what it keeps (see journeys and the sat package's
+// slabs); the CNF it emits is pinned by TestSliceEncodingCNFPinned.
 func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	opts = opts.withDefaults()
 	if p.MaxSends <= 0 {
@@ -235,65 +232,50 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 		}
 	}
 
-	// Events per step with guards.
-	nEvents := 0
-	for _, c := range choices {
-		for _, pth := range c.paths {
-			nEvents += len(pth.events)
-		}
-	}
-	e.eventsAt = make([][]guardedEvent, e.K)
-	for t := 0; t < e.K; t++ {
-		evs := make([]guardedEvent, 0, nEvents)
-		for ci, c := range choices {
-			for pi, pth := range c.paths {
-				g := e.guards[t*e.nPaths+e.pathOff[ci]+pi]
-				for _, ev := range pth.events {
-					evs = append(evs, guardedEvent{ev, g})
-				}
-			}
-		}
-		e.eventsAt[t] = evs
-	}
 	return e, nil
 }
 
 // enumerateChoices expands the (sample, class assignment) alphabet and
 // enumerates each choice's journeys, sharing enumerations across
-// invariants and encodings through the optional cache.
+// invariants and encodings through the optional cache. Every choice's
+// cache key is built in one buffer behind the problem's key prefix.
 func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) ([]choice, error) {
-	var keyPrefix []byte
+	var key []byte
 	if opts.Journeys != nil {
 		var ok bool
-		if keyPrefix, ok = appendProblemKey(nil, p, opts); !ok {
+		if key, ok = appendProblemKey(nil, p, opts); !ok {
 			opts.Journeys = nil // unfingerprintable box: no memoization
 		}
 	}
-	var choices []choice
+	prefix := len(key)
+	classes := p.ClassAssignments()
+	choices := make([]choice, 0, len(p.Samples)*len(classes))
 	for _, s := range p.Samples {
-		for _, cls := range p.ClassAssignments() {
+		for _, cls := range classes {
 			c := choice{sample: s, classes: cls}
-			var key string
+			enumerate := func() ([]jpath, error) { return journeys(p, opts, boxIdx, s, cls) }
+			var err error
 			if opts.Journeys != nil {
-				key = string(appendChoiceKey(append([]byte(nil), keyPrefix...), s, cls))
-				if paths, ok := opts.Journeys.get(key); ok {
-					c.paths = paths
-					choices = append(choices, c)
-					continue
-				}
+				key = appendChoiceKey(key[:prefix], s, cls)
+				c.paths, err = opts.Journeys.paths(string(key), enumerate)
+			} else {
+				c.paths, err = enumerate()
 			}
-			paths, err := journeys(p, opts, boxIdx, s, cls)
 			if err != nil {
 				return nil, err
 			}
-			if opts.Journeys != nil {
-				opts.Journeys.put(key, paths)
-			}
-			c.paths = paths
 			choices = append(choices, c)
 		}
 	}
 	return choices, nil
+}
+
+// WriteDIMACS writes the encoding's CNF in DIMACS format: the shared
+// axioms, plus the activation clauses of the invariants it has served.
+func (e *SliceEncoding) WriteDIMACS(w io.Writer) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ctx.Solver().WriteDIMACS(w)
 }
 
 // Solves reports how many invariant checks this encoding has served.
@@ -356,9 +338,14 @@ func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
 	bad := p.Invariant.Bad(p)
 	grounded := logic.Ground(ctx, bad, e.K, func(a *logic.Atom, t int) smt.Form {
 		hits := e.hitsBuf[:0]
-		for _, ge := range e.eventsAt[t] {
-			if a.Pred(ge.ev) {
-				hits = append(hits, ge.guard)
+		guards := e.guards[t*e.nPaths:]
+		for ci, c := range e.choices {
+			for pi, pth := range c.paths {
+				for _, ev := range pth.events {
+					if a.Pred(ev) {
+						hits = append(hits, guards[e.pathOff[ci]+pi])
+					}
+				}
 			}
 		}
 		e.hitsBuf = hits // Or copies what it keeps; reuse the scratch

@@ -11,6 +11,7 @@ package encode
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"sync"
 
@@ -27,20 +28,35 @@ import (
 // configuration mutations between calls miss cleanly instead of returning
 // stale journeys; problems containing a middlebox without a configuration
 // description (mbox.ExactKey reports false) skip memoization entirely. Safe for
-// concurrent use. Cached paths are handed out shared; Verify treats them
-// as immutable.
+// concurrent use, and single-flight: a miss registers its enumeration as
+// in flight, and concurrent askers for the same key wait for it instead of
+// enumerating again. Cached paths are handed out shared; Verify treats
+// them as immutable.
 type JourneyCache struct {
 	mu           sync.Mutex
 	m            *lru.Cache[string, []jpath]
+	flights      map[string]*journeyFlight // enumerations in progress
 	hits, misses int64
 }
+
+// journeyFlight is one enumeration in progress. Askers for its key wait on
+// wg, then read its outcome.
+type journeyFlight struct {
+	wg    sync.WaitGroup
+	paths []jpath
+	err   error
+}
+
+// errEnumerationPanicked is what waiters read when the enumeration they
+// waited for panicked instead of returning.
+var errEnumerationPanicked = errors.New("encode: journey enumeration panicked")
 
 // journeyCacheCap bounds the cache (DESIGN.md, "Bounded memory").
 const journeyCacheCap = 1 << 16
 
 // NewJourneyCache creates an empty cache.
 func NewJourneyCache() *JourneyCache {
-	return &JourneyCache{m: lru.New[string, []jpath](journeyCacheCap, nil)}
+	return &JourneyCache{m: lru.New[string, []jpath](journeyCacheCap, nil), flights: map[string]*journeyFlight{}}
 }
 
 // Len is the number of journey enumerations held.
@@ -50,7 +66,8 @@ func (c *JourneyCache) Len() int {
 	return c.m.Len()
 }
 
-// Stats reports cache hits and misses so far.
+// Stats reports cache hits and misses so far. An asker that waited for a
+// concurrent enumeration of its key counts as a hit.
 func (c *JourneyCache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
@@ -60,22 +77,39 @@ func (c *JourneyCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-func (c *JourneyCache) get(key string) ([]jpath, bool) {
+// paths returns the journeys under key: cached, from a concurrent
+// enumeration of the same key, or from running enumerate, whose outcome —
+// an error included — every waiter reads. Only successful enumerations
+// are cached.
+func (c *JourneyCache) paths(key string, enumerate func() ([]jpath, error)) ([]jpath, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	paths, ok := c.m.Get(key)
-	if ok {
+	if paths, ok := c.m.Get(key); ok {
 		c.hits++
-	} else {
-		c.misses++
+		c.mu.Unlock()
+		return paths, nil
 	}
-	return paths, ok
-}
-
-func (c *JourneyCache) put(key string, paths []jpath) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m.Put(key, paths)
+	if f, ok := c.flights[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		f.wg.Wait()
+		return f.paths, f.err
+	}
+	f := &journeyFlight{err: errEnumerationPanicked}
+	f.wg.Add(1)
+	c.flights[key] = f
+	c.misses++
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.m.Put(key, f.paths)
+		}
+		c.mu.Unlock()
+		f.wg.Done()
+	}()
+	f.paths, f.err = enumerate()
+	return f.paths, f.err
 }
 
 // appendProblemKey encodes the per-problem part of a journey key: the

@@ -1,7 +1,7 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver. It is the bottom layer of VMN's verification stack, standing in
-// for Z3's propositional core: internal/smt grounds finite-domain
-// first-order formulas into CNF which this package decides.
+// for Z3's propositional core: internal/smt converts the encoder's
+// hash-consed boolean formulas into CNF, which this package decides.
 //
 // The solver implements the standard modern architecture: two-literal
 // watching for unit propagation, VSIDS variable activity with phase saving,
@@ -9,6 +9,16 @@
 // restarts, and activity-driven deletion of learnt clauses. Solving under
 // assumptions is supported so callers can reuse one solver instance across
 // related queries.
+//
+// Problem clauses are carved, struct and literals, out of slabs, and watch
+// lists grow into segments of a shared slab: loading clauses allocates a
+// few slabs rather than an object per clause and per watch-list growth.
+// Slabs start small and double up to a bound, so a solver of a few clauses
+// pays for a few. The price is retention: a slab is freed with the last clause
+// or watch segment carved from it, so the space of a clause Release
+// deletes (or of a segment a watch list outgrew) is reclaimed with the
+// solver, not before. Learnt clauses are allocated individually, since
+// reduceDB deletes them throughout a solver's life.
 package sat
 
 import "fmt"

@@ -51,6 +51,13 @@ type Solver struct {
 	learnts []*clause
 	watches [][]watcher // indexed by Lit
 
+	// Problem clauses (struct and literals) and watch-list storage are
+	// carved out of slabs; see carve.
+	clauseSlab []clause
+	litSlab    []Lit
+	watchSlab  []watcher
+	addBuf     []Lit // AddClause's sort-and-dedupe scratch
+
 	assigns  []Tribool // per Var
 	polarity []bool    // saved phase per Var: last assigned sign
 	activity []float64
@@ -188,7 +195,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Sort, dedupe, drop level-0 false literals, detect tautology/satisfied.
 	// Clauses are overwhelmingly short, so insertion sort beats the
 	// reflection-based sort.Slice that used to dominate clause loading.
-	ls := append([]Lit(nil), lits...)
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
 	if len(ls) <= 16 {
 		for i := 1; i < len(ls); i++ {
 			for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
@@ -226,15 +234,53 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = s.propagate() == nil
 		return s.ok
 	}
-	c := &clause{lits: out}
+	c := &carve(&s.clauseSlab, 1)[0]
+	c.lits = carve(&s.litSlab, len(out))
+	copy(c.lits, out)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
+// slabMin is the size of a solver's first slab of each kind. Every later
+// slab doubles the last, up to slabMax elements, so a solver of a handful
+// of clauses pays for a handful, a big one allocates a few slabs instead
+// of one object per clause and per watch-list growth, and a long-lived one
+// never starts a slab much larger than what it still needs.
+const (
+	slabMin = 16
+	slabMax = 1 << 14
+)
+
+// carve returns n fresh elements of *slab, capacity-limited so that an
+// append to them can never run into a neighbour's, starting a new slab
+// when the current one is short. A slab lives as long as anything carved
+// from it: the space of a clause Release deleted, or of a segment a watch
+// list outgrew, is reclaimed with its whole slab, in practice with the
+// solver.
+func carve[T any](slab *[]T, n int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(min(2*cap(*slab), slabMax), slabMin, n))
+	}
+	i := len(*slab)
+	*slab = (*slab)[:i+n]
+	return (*slab)[i : i+n : i+n]
+}
+
+// watch appends w to l's watch list. A full list moves to a segment of
+// twice its capacity carved from the watch slab.
+func (s *Solver) watch(l Lit, w watcher) {
+	ws := s.watches[l]
+	if len(ws) == cap(ws) {
+		grown := carve(&s.watchSlab, max(2*cap(ws), 4))
+		ws = grown[:copy(grown, ws)]
+	}
+	s.watches[l] = append(ws, w)
+}
+
 func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0]] = append(s.watches[c.lits[0]], watcher{c, c.lits[1]})
-	s.watches[c.lits[1]] = append(s.watches[c.lits[1]], watcher{c, c.lits[0]})
+	s.watch(c.lits[0], watcher{c, c.lits[1]})
+	s.watch(c.lits[1], watcher{c, c.lits[0]})
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
@@ -284,7 +330,7 @@ func (s *Solver) propagate() *clause {
 			for k := 2; k < len(c.lits); k++ {
 				if s.litValue(c.lits[k]) != False {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], watcher{c, first})
+					s.watch(c.lits[1], watcher{c, first})
 					continue scan
 				}
 			}

@@ -519,3 +519,27 @@ func BenchmarkSolverRandom3SAT(b *testing.B) {
 		s.Solve()
 	}
 }
+
+// TestAddClauseAllocatesSlabs: loading problem clauses allocates slabs —
+// for clause structs, literals and watch segments — not objects per
+// clause and per watch-list growth. These 1 996 clauses cost 38
+// allocations on linux/amd64; with a clause struct, a literal array, a
+// sort copy and watch-list growths of their own they cost 7 996.
+func TestAddClauseAllocatesSlabs(t *testing.T) {
+	const n = 1000
+	load := func(clauses bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := New()
+			for i := 0; i < n; i++ {
+				s.NewVar()
+			}
+			for i := 0; clauses && i+2 < n; i++ {
+				s.AddClause(PosLit(Var(i)), NegLit(Var(i+1)), PosLit(Var(i+2)))
+				s.AddClause(NegLit(Var(i)), PosLit(Var(i+2)))
+			}
+		})
+	}
+	if extra := load(true) - load(false); extra > 100 {
+		t.Fatalf("%d clauses made %.0f allocations beyond their variables'", 2*(n-2), extra)
+	}
+}

@@ -18,11 +18,16 @@ const (
 	formNot
 )
 
+// formNode is one interned formula: an atom's literal, or the position of
+// an And/Or/Not node's children in Ctx.kids.
 type formNode struct {
-	kind     formKind
-	lit      satpkg.Lit // for formAtom
-	children []FormID
+	kind   formKind
+	lit    satpkg.Lit // for formAtom
+	off, n int32      // children: kids[off : off+n]
 }
+
+// children returns the child IDs of node n.
+func (c *Ctx) children(n *formNode) []FormID { return c.kids[n.off : n.off+n.n] }
 
 // FormID identifies an interned formula node within a Ctx.
 type FormID int32
@@ -31,12 +36,6 @@ type FormID int32
 type Form struct {
 	id  FormID
 	ctx *Ctx
-}
-
-type formKey struct {
-	kind formKind
-	lit  satpkg.Lit
-	sig  string
 }
 
 // ID returns the formula's intern identifier. Hash-consing makes it a
@@ -56,29 +55,86 @@ func (f Form) IsTrue() bool { return f.id == 1 }
 // IsFalse reports whether f is the constant false.
 func (f Form) IsFalse() bool { return f.id == 0 }
 
+// atomLit returns the atom node of SAT literal l, creating it on first use.
 func (c *Ctx) atomLit(l satpkg.Lit) Form {
-	k := formKey{kind: formAtom, lit: l}
-	if id, ok := c.formCache[k]; ok {
+	if n := int(l) + 1; n > len(c.atoms) {
+		c.atoms = append(c.atoms, make([]FormID, n-len(c.atoms))...)
+	}
+	if id := c.atoms[l]; id != 0 {
 		return Form{id, c}
 	}
 	id := FormID(len(c.forms))
 	c.forms = append(c.forms, formNode{kind: formAtom, lit: l})
 	c.gateLits = append(c.gateLits, litNone)
-	c.formCache[k] = id
+	c.atoms[l] = id
 	return Form{id, c}
 }
 
-// childSig builds the hash-consing key of an n-ary node. The signature is
-// the varint encoding of the (sorted) child IDs into a reusable scratch
-// buffer — formula construction is the encoder's hot path, so this must
-// not go through fmt.
-func (c *Ctx) childSig(kind formKind, ch []FormID) formKey {
-	b := c.sigBuf[:0]
+// intern returns the node of the given kind over the children ch (sorted
+// for And/Or), creating it on first use. The hash-consing key is the kind
+// byte and the varint encoding of the child IDs in a reusable scratch
+// buffer, so a lookup that hits allocates nothing — formula construction
+// is the encoder's hot path. A new node's children go to the end of c.kids.
+func (c *Ctx) intern(kind formKind, ch []FormID) Form {
+	b := append(c.sigBuf[:0], byte(kind))
 	for _, id := range ch {
 		b = binary.AppendVarint(b, int64(id))
 	}
 	c.sigBuf = b
-	return formKey{kind: kind, sig: string(b)}
+	if id, ok := c.formCache[string(b)]; ok {
+		return Form{id, c}
+	}
+	id := FormID(len(c.forms))
+	c.forms = append(c.forms, formNode{kind: kind, off: int32(len(c.kids)), n: int32(len(ch))})
+	c.kids = append(c.kids, ch...)
+	c.gateLits = append(c.gateLits, litNone)
+	c.formCache[string(b)] = id
+	return Form{id, c}
+}
+
+// naryAdd adds f to the child set of a kind node under construction in
+// c.naryBuf: it flattens nested nodes of the same kind, drops neutral
+// elements and duplicates, and reports false when the node collapses to
+// its absorbing element (an absorbing child or a complementary pair). The
+// linear dedup/complement scans beat a per-call map and a reflection-based
+// sort on the encoder's small child sets.
+func (c *Ctx) naryAdd(kind formKind, neutral, absorbing FormID, f Form) bool {
+	if f.ctx != nil && f.ctx != c {
+		panic("smt: mixing formulas from different contexts")
+	}
+	n := &c.forms[f.id]
+	switch {
+	case f.id == absorbing:
+		return false
+	case f.id == neutral:
+		return true
+	case n.kind == kind:
+		for _, ch := range c.children(n) {
+			if !c.naryAdd(kind, neutral, absorbing, Form{ch, c}) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, id := range c.naryBuf {
+		if id == f.id {
+			return true // duplicate
+		}
+		g := &c.forms[id]
+		// Complements: ¬x with x present (either orientation), and
+		// complementary raw atoms.
+		if g.kind == formNot && c.kids[g.off] == f.id {
+			return false
+		}
+		if n.kind == formNot && c.kids[n.off] == id {
+			return false
+		}
+		if n.kind == formAtom && g.kind == formAtom && g.lit == n.lit.Neg() {
+			return false
+		}
+	}
+	c.naryBuf = append(c.naryBuf, f.id)
+	return true
 }
 
 func (c *Ctx) mkNary(kind formKind, fs []Form) Form {
@@ -86,58 +142,13 @@ func (c *Ctx) mkNary(kind formKind, fs []Form) Form {
 	if kind == formOr {
 		neutral, absorbing = c.False(), c.True()
 	}
-	// Flatten, drop neutral elements, detect absorbing elements and
-	// complementary pairs. The child set is collected into a reusable
-	// scratch buffer with linear dedup/complement scans — formula
-	// construction is the encoder's hot path, and the per-call map plus
-	// reflection-based sort this used to do dominated encoding builds.
-	flat := c.naryBuf[:0]
-	var add func(Form) bool // returns false if result collapses to absorbing
-	add = func(f Form) bool {
-		if f.ctx != nil && f.ctx != c {
-			panic("smt: mixing formulas from different contexts")
-		}
-		n := &c.forms[f.id]
-		switch {
-		case f.id == absorbing.id:
-			return false
-		case f.id == neutral.id:
-			return true
-		case n.kind == kind:
-			for _, ch := range n.children {
-				if !add(Form{ch, c}) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, id := range flat {
-			if id == f.id {
-				return true // duplicate
-			}
-			g := &c.forms[id]
-			// Complements: ¬x with x present (either orientation), and
-			// complementary raw atoms.
-			if g.kind == formNot && g.children[0] == f.id {
-				return false
-			}
-			if n.kind == formNot && n.children[0] == id {
-				return false
-			}
-			if n.kind == formAtom && g.kind == formAtom && g.lit == n.lit.Neg() {
-				return false
-			}
-		}
-		flat = append(flat, f.id)
-		return true
-	}
+	c.naryBuf = c.naryBuf[:0]
 	for _, f := range fs {
-		if !add(f) {
-			c.naryBuf = flat
+		if !c.naryAdd(kind, neutral.id, absorbing.id, f) {
 			return absorbing
 		}
 	}
-	c.naryBuf = flat
+	flat := c.naryBuf
 	switch len(flat) {
 	case 0:
 		return neutral
@@ -145,15 +156,7 @@ func (c *Ctx) mkNary(kind formKind, fs []Form) Form {
 		return Form{flat[0], c}
 	}
 	slices.Sort(flat)
-	k := c.childSig(kind, flat)
-	if id, ok := c.formCache[k]; ok {
-		return Form{id, c}
-	}
-	id := FormID(len(c.forms))
-	c.forms = append(c.forms, formNode{kind: kind, children: append([]FormID(nil), flat...)})
-	c.gateLits = append(c.gateLits, litNone)
-	c.formCache[k] = id
-	return Form{id, c}
+	return c.intern(kind, flat)
 }
 
 // And returns the conjunction of fs (True when empty).
@@ -172,20 +175,12 @@ func (c *Ctx) Not(f Form) Form {
 	}
 	n := c.forms[f.id]
 	if n.kind == formNot {
-		return Form{n.children[0], c}
+		return Form{c.kids[n.off], c}
 	}
 	if n.kind == formAtom {
 		return c.atomLit(n.lit.Neg())
 	}
-	k := c.childSig(formNot, []FormID{f.id})
-	if id, ok := c.formCache[k]; ok {
-		return Form{id, c}
-	}
-	id := FormID(len(c.forms))
-	c.forms = append(c.forms, formNode{kind: formNot, children: []FormID{f.id}})
-	c.gateLits = append(c.gateLits, litNone)
-	c.formCache[k] = id
-	return Form{id, c}
+	return c.intern(formNot, []FormID{f.id})
 }
 
 // Implies returns (a → b).
@@ -196,60 +191,36 @@ func (c *Ctx) Iff(a, b Form) Form {
 	return c.And(c.Implies(a, b), c.Implies(b, a))
 }
 
-// Ite returns (cond ∧ then) ∨ (¬cond ∧ els).
-func (c *Ctx) Ite(cond, then, els Form) Form {
-	return c.Or(c.And(cond, then), c.And(c.Not(cond), els))
-}
-
-// Eq returns the atom (a == b) for two terms of the same sort.
-func (c *Ctx) Eq(a, b Term) Form {
-	l := c.eqLit(a.id, b.id)
-	switch l {
-	case c.trueLit():
-		return c.True()
-	case c.falseLit():
-		return c.False()
-	}
-	return c.atomLit(l)
-}
-
-// Neq returns ¬(a == b).
-func (c *Ctx) Neq(a, b Term) Form { return c.Not(c.Eq(a, b)) }
-
-// Distinct asserts pairwise disequality of the given terms.
-func (c *Ctx) Distinct(ts ...Term) Form {
-	var fs []Form
-	for i := 0; i < len(ts); i++ {
-		for j := i + 1; j < len(ts); j++ {
-			fs = append(fs, c.Neq(ts[i], ts[j]))
-		}
-	}
-	return c.And(fs...)
-}
-
-// constLit returns a literal fixed to the given truth value, allocating the
-// backing variable on first use.
-var constLitName = [2]string{"$false", "$true"}
-
+// constSATLit returns a literal fixed to the given truth value, allocating
+// the backing variable (and its unit clause) on first use.
 func (c *Ctx) constSATLit(val bool) satpkg.Lit {
-	name := constLitName[0]
+	i := 0
 	if val {
-		name = constLitName[1]
+		i = 1
 	}
-	v, ok := c.bools[name]
-	if !ok {
-		v = c.solver.NewVar()
-		c.bools[name] = v
+	if c.constLits[i] == litNone {
+		v := c.solver.NewVar()
 		if val {
 			c.solver.AddClause(satpkg.PosLit(v))
 		} else {
 			c.solver.AddClause(satpkg.NegLit(v))
 		}
+		c.constLits[i] = satpkg.PosLit(v)
 	}
-	if val {
-		return satpkg.PosLit(v)
+	return c.constLits[i]
+}
+
+// pushLits pushes the literals of fs onto c.litStk and returns the stack
+// height before them. Encoding a child may recurse into pushLits; every
+// caller pops back to the returned height once its clause is added, so
+// the literals of one clause sit contiguously at c.litStk[base:].
+func (c *Ctx) pushLits(fs []FormID) (base int) {
+	base = len(c.litStk)
+	for _, f := range fs {
+		l := c.lit(Form{f, c})
+		c.litStk = append(c.litStk, l)
 	}
-	return satpkg.PosLit(v)
+	return base
 }
 
 // lit encodes f as a SAT literal via hash-consed Tseitin transformation.
@@ -269,31 +240,27 @@ func (c *Ctx) lit(f Form) satpkg.Lit {
 	case formAtom:
 		l = n.lit
 	case formNot:
-		l = c.lit(Form{n.children[0], c}).Neg()
+		l = c.lit(Form{c.kids[n.off], c}).Neg()
 	case formAnd, formOr:
 		g := c.solver.NewVar()
 		l = satpkg.PosLit(g)
-		kids := make([]satpkg.Lit, len(n.children))
-		for i, ch := range n.children {
-			kids[i] = c.lit(Form{ch, c})
-		}
+		base := c.pushLits(c.children(&n))
+		kids := c.litStk[base:]
 		if n.kind == formAnd {
-			long := make([]satpkg.Lit, 0, len(kids)+1)
-			long = append(long, satpkg.PosLit(g))
+			c.litStk = append(c.litStk, satpkg.PosLit(g))
 			for _, k := range kids {
 				c.solver.AddClause(satpkg.NegLit(g), k) // g → k
-				long = append(long, k.Neg())
+				c.litStk = append(c.litStk, k.Neg())
 			}
-			c.solver.AddClause(long...) // ∧k → g
 		} else {
-			long := make([]satpkg.Lit, 0, len(kids)+1)
-			long = append(long, satpkg.NegLit(g))
+			c.litStk = append(c.litStk, satpkg.NegLit(g))
 			for _, k := range kids {
 				c.solver.AddClause(satpkg.PosLit(g), k.Neg()) // k → g
-				long = append(long, k)
+				c.litStk = append(c.litStk, k)
 			}
-			c.solver.AddClause(long...) // g → ∨k
 		}
+		c.solver.AddClause(c.litStk[base+len(kids):]...) // ∧k → g, g → ∨k
+		c.litStk = c.litStk[:base]
 	default:
 		panic("smt: unknown formula kind")
 	}
@@ -316,15 +283,13 @@ func (c *Ctx) Assert(f Form) {
 	n := c.forms[f.id]
 	switch n.kind {
 	case formAnd:
-		for _, ch := range n.children {
+		for _, ch := range c.children(&n) {
 			c.Assert(Form{ch, c})
 		}
 	case formOr:
-		clause := make([]satpkg.Lit, len(n.children))
-		for i, ch := range n.children {
-			clause[i] = c.lit(Form{ch, c})
-		}
-		c.solver.AddClause(clause...)
+		base := c.pushLits(c.children(&n))
+		c.solver.AddClause(c.litStk[base:]...)
+		c.litStk = c.litStk[:base]
 	default:
 		c.solver.AddClause(c.lit(f))
 	}
@@ -353,16 +318,15 @@ func (c *Ctx) assertGuarded(notGuard satpkg.Lit, f Form) {
 	n := c.forms[f.id]
 	switch n.kind {
 	case formAnd:
-		for _, ch := range n.children {
+		for _, ch := range c.children(&n) {
 			c.assertGuarded(notGuard, Form{ch, c})
 		}
 	case formOr:
-		clause := make([]satpkg.Lit, 0, len(n.children)+1)
-		clause = append(clause, notGuard)
-		for _, ch := range n.children {
-			clause = append(clause, c.lit(Form{ch, c}))
-		}
-		c.solver.AddClause(clause...)
+		base := len(c.litStk)
+		c.litStk = append(c.litStk, notGuard)
+		c.pushLits(c.children(&n))
+		c.solver.AddClause(c.litStk[base:]...)
+		c.litStk = c.litStk[:base]
 	default:
 		c.solver.AddClause(notGuard, c.lit(f))
 	}
@@ -380,6 +344,16 @@ func (c *Ctx) ReleaseGuard(guards ...Form) {
 	c.solver.Release(lits...)
 }
 
+// formIDs returns the IDs of fs in a scratch slice of c.naryBuf.
+func (c *Ctx) formIDs(fs []Form) []FormID {
+	ids := c.naryBuf[:0]
+	for _, f := range fs {
+		ids = append(ids, f.id)
+	}
+	c.naryBuf = ids
+	return ids
+}
+
 // AssertAtMostK constrains at most k of the formulas to hold, using a
 // sequential-counter encoding (linear in len(fs)*k).
 func (c *Ctx) AssertAtMostK(fs []Form, k int) {
@@ -389,10 +363,9 @@ func (c *Ctx) AssertAtMostK(fs []Form, k int) {
 	if len(fs) <= k {
 		return
 	}
-	lits := make([]satpkg.Lit, len(fs))
-	for i, f := range fs {
-		lits[i] = c.lit(f)
-	}
+	base := c.pushLits(c.formIDs(fs))
+	defer func() { c.litStk = c.litStk[:base] }()
+	lits := c.litStk[base:]
 	if k == 0 {
 		for _, l := range lits {
 			c.solver.AddClause(l.Neg())
@@ -400,36 +373,32 @@ func (c *Ctx) AssertAtMostK(fs []Form, k int) {
 		return
 	}
 	n := len(lits)
-	// reg[i][j]: among lits[0..i], at least j+1 are true.
-	reg := make([][]satpkg.Var, n)
-	for i := range reg {
-		reg[i] = make([]satpkg.Var, k)
-		for j := range reg[i] {
-			reg[i][j] = c.solver.NewVar()
-		}
+	// reg(i, j): among lits[0..i], at least j+1 are true. One block, i-major.
+	regs := make([]satpkg.Var, n*k)
+	for i := range regs {
+		regs[i] = c.solver.NewVar()
 	}
-	c.solver.AddClause(lits[0].Neg(), satpkg.PosLit(reg[0][0]))
+	reg := func(i, j int) satpkg.Lit { return satpkg.PosLit(regs[i*k+j]) }
+	c.solver.AddClause(lits[0].Neg(), reg(0, 0))
 	for j := 1; j < k; j++ {
-		c.solver.AddClause(satpkg.NegLit(reg[0][j]))
+		c.solver.AddClause(reg(0, j).Neg())
 	}
 	for i := 1; i < n; i++ {
-		c.solver.AddClause(lits[i].Neg(), satpkg.PosLit(reg[i][0]))
-		c.solver.AddClause(satpkg.NegLit(reg[i-1][0]), satpkg.PosLit(reg[i][0]))
+		c.solver.AddClause(lits[i].Neg(), reg(i, 0))
+		c.solver.AddClause(reg(i-1, 0).Neg(), reg(i, 0))
 		for j := 1; j < k; j++ {
-			c.solver.AddClause(lits[i].Neg(), satpkg.NegLit(reg[i-1][j-1]), satpkg.PosLit(reg[i][j]))
-			c.solver.AddClause(satpkg.NegLit(reg[i-1][j]), satpkg.PosLit(reg[i][j]))
+			c.solver.AddClause(lits[i].Neg(), reg(i-1, j-1).Neg(), reg(i, j))
+			c.solver.AddClause(reg(i-1, j).Neg(), reg(i, j))
 		}
-		c.solver.AddClause(lits[i].Neg(), satpkg.NegLit(reg[i-1][k-1]))
+		c.solver.AddClause(lits[i].Neg(), reg(i-1, k-1).Neg())
 	}
 }
 
 // AssertExactlyOne constrains exactly one of fs to hold. Small sets use
 // the pairwise encoding; larger ones the linear sequential counter.
 func (c *Ctx) AssertExactlyOne(fs []Form) {
-	lits := make([]satpkg.Lit, len(fs))
-	for i, f := range fs {
-		lits[i] = c.lit(f)
-	}
+	base := c.pushLits(c.formIDs(fs))
+	lits := c.litStk[base:]
 	c.solver.AddClause(lits...)
 	if len(lits) <= 8 {
 		for i := 0; i < len(lits); i++ {
@@ -437,9 +406,11 @@ func (c *Ctx) AssertExactlyOne(fs []Form) {
 				c.solver.AddClause(lits[i].Neg(), lits[j].Neg())
 			}
 		}
-		return
 	}
-	c.AssertAtMostK(fs, 1)
+	c.litStk = c.litStk[:base]
+	if len(fs) > 8 {
+		c.AssertAtMostK(fs, 1)
+	}
 }
 
 // Solve decides the asserted constraints.
@@ -448,25 +419,10 @@ func (c *Ctx) Solve() satpkg.Status { return c.solver.Solve() }
 // SolveAssuming decides the asserted constraints under temporary
 // assumptions.
 func (c *Ctx) SolveAssuming(assumps ...Form) satpkg.Status {
-	lits := make([]satpkg.Lit, len(assumps))
-	for i, f := range assumps {
-		lits[i] = c.lit(f)
-	}
-	return c.solver.SolveAssuming(lits)
-}
-
-// EvalTerm returns the element index assigned to t in the last model.
-func (c *Ctx) EvalTerm(t Term) int {
-	n := c.terms[t.id]
-	if n.kind == termConst {
-		return n.constIdx
-	}
-	for i, b := range n.bits {
-		if c.solver.Value(b) == satpkg.True {
-			return i
-		}
-	}
-	return -1
+	base := c.pushLits(c.formIDs(assumps))
+	st := c.solver.SolveAssuming(c.litStk[base:])
+	c.litStk = c.litStk[:base]
+	return st
 }
 
 // EvalForm structurally evaluates f against the last model. Atoms not
@@ -488,10 +444,10 @@ func (c *Ctx) EvalForm(f Form) satpkg.Tribool {
 		}
 		return v
 	case formNot:
-		return c.EvalForm(Form{n.children[0], c}).Not()
+		return c.EvalForm(Form{c.kids[n.off], c}).Not()
 	case formAnd:
 		res := satpkg.True
-		for _, ch := range n.children {
+		for _, ch := range c.children(&n) {
 			switch c.EvalForm(Form{ch, c}) {
 			case satpkg.False:
 				return satpkg.False
@@ -502,7 +458,7 @@ func (c *Ctx) EvalForm(f Form) satpkg.Tribool {
 		return res
 	case formOr:
 		res := satpkg.False
-		for _, ch := range n.children {
+		for _, ch := range c.children(&n) {
 			switch c.EvalForm(Form{ch, c}) {
 			case satpkg.True:
 				return satpkg.True

@@ -1,125 +1,36 @@
-// Package smt implements a small finite-domain SMT layer on top of
-// internal/sat. It plays the role Z3 plays in the paper: VMN's encoder
-// grounds the (decidable) middlebox and network axioms over a slice into a
-// quantifier-free formula with equality and uninterpreted functions over
-// finite sorts, which this package bit-blasts to CNF and decides.
+// Package smt is the boolean formula layer between VMN's encoder and
+// internal/sat. It plays the role Z3's front end plays in the paper: the
+// encoder grounds the (decidable) middlebox and network axioms over a
+// slice into a quantifier-free propositional formula, which this package
+// hash-conses and converts to CNF with a Tseitin transformation.
 //
-// The design follows the classical eager approach: every non-constant term
-// of a finite sort is assigned a one-hot vector of SAT variables, equality
-// atoms become cached literals constrained against those vectors, function
-// applications get Ackermann-style congruence clauses, and the boolean
-// skeleton is converted with a hash-consed Tseitin transformation.
+// Formulas are interned: structurally identical And/Or/Not nodes share one
+// FormID, so a subformula the encoder builds twice (the same path guard at
+// one step, the same grounded atom) gets one Tseitin gate. Top-level
+// conjunctions and disjunctions of asserted formulas become plain clauses
+// without a gate, and AssertGuarded asserts a formula under an activation
+// literal that ReleaseGuard later retires.
 package smt
 
 import (
-	"fmt"
-
 	"github.com/netverify/vmn/internal/sat"
 )
 
-// Sort is a finite domain. Two sorts are identical only if they come from
-// the same Ctx.SortOf call (pointer identity).
-type Sort struct {
-	Name string
-	Card int // number of elements, > 0
-
-	elems []string // optional element names (len == Card when set)
-}
-
-// ElemName returns the display name of element i.
-func (s *Sort) ElemName(i int) string {
-	if s.elems != nil && i >= 0 && i < len(s.elems) {
-		return s.elems[i]
-	}
-	return fmt.Sprintf("%s!%d", s.Name, i)
-}
-
-// Fn is an uninterpreted function symbol with a fixed signature.
-type Fn struct {
-	Name   string
-	Params []*Sort
-	Result *Sort
-
-	id int32
-}
-
-type termKind int8
-
-const (
-	termConst termKind = iota
-	termVar
-	termApp
-)
-
-type termNode struct {
-	kind     termKind
-	sort     *Sort
-	name     string // for vars
-	constIdx int    // for consts
-	fn       *Fn    // for apps
-	args     []TermID
-	bits     []sat.Var // one-hot value bits (nil for consts)
-}
-
-// TermID identifies an interned term within a Ctx.
-type TermID int32
-
-// Term is a handle to an interned term.
-type Term struct {
-	id  TermID
-	ctx *Ctx
-}
-
-// ID returns the term's intern identifier.
-func (t Term) ID() TermID { return t.id }
-
-// Sort returns the term's sort.
-func (t Term) Sort() *Sort { return t.ctx.terms[t.id].sort }
-
-// String renders the term for diagnostics.
-func (t Term) String() string {
-	n := t.ctx.terms[t.id]
-	switch n.kind {
-	case termConst:
-		return n.sort.ElemName(n.constIdx)
-	case termVar:
-		return n.name
-	default:
-		s := n.fn.Name + "("
-		for i, a := range n.args {
-			if i > 0 {
-				s += ","
-			}
-			s += Term{a, t.ctx}.String()
-		}
-		return s + ")"
-	}
-}
-
-// Ctx owns sorts, terms, formulas and the underlying SAT solver.
-// It is not safe for concurrent use.
+// Ctx owns formulas and the underlying SAT solver. It is not safe for
+// concurrent use.
 type Ctx struct {
 	solver *sat.Solver
-
-	sorts   map[string]*Sort
-	terms   []termNode
-	fns     []*Fn
-	fnApps  [][]TermID // per fn id: application terms, for congruence
-	varSeq  int
-	eqCache map[[2]TermID]sat.Lit
-	bools   map[string]sat.Var
+	bools  map[string]sat.Var // BoolVar's named atoms
 
 	forms     []formNode
-	formCache map[formKey]FormID
-	gateLits  []sat.Lit // Tseitin literal per form node; litNone if not made
-	consts    map[constKey]TermID
-	sigBuf    []byte   // scratch for childSig key encoding
-	naryBuf   []FormID // scratch for mkNary child collection
-}
-
-type constKey struct {
-	sort *Sort
-	idx  int
+	formCache map[string]FormID // And/Or/Not nodes by kind and children
+	atoms     []FormID          // atom node per SAT literal; 0 if not made
+	gateLits  []sat.Lit         // Tseitin literal per form node; litNone if not made
+	constLits [2]sat.Lit        // the fixed false/true literals; litNone if not made
+	kids      []FormID          // children of interned nodes, node after node
+	sigBuf    []byte            // scratch for formCache keys
+	naryBuf   []FormID          // scratch for mkNary child collection
+	litStk    []sat.Lit         // stack of clause literals under construction
 }
 
 const litNone sat.Lit = -2
@@ -128,11 +39,8 @@ const litNone sat.Lit = -2
 func NewCtx() *Ctx {
 	c := &Ctx{
 		solver:    sat.New(),
-		sorts:     map[string]*Sort{},
-		eqCache:   map[[2]TermID]sat.Lit{},
-		bools:     map[string]sat.Var{},
-		formCache: map[formKey]FormID{},
-		consts:    map[constKey]TermID{},
+		formCache: map[string]FormID{},
+		constLits: [2]sat.Lit{litNone, litNone},
 	}
 	// Reserve form IDs 0/1 for false/true.
 	c.forms = append(c.forms, formNode{kind: formFalse}, formNode{kind: formTrue})
@@ -143,129 +51,14 @@ func NewCtx() *Ctx {
 // Solver exposes the underlying SAT solver (for seeding, budgets, stats).
 func (c *Ctx) Solver() *sat.Solver { return c.solver }
 
-// SortOf creates (or returns the existing) sort with the given name and
-// cardinality. Optional element names may be supplied; len(names) must be
-// either 0 or card.
-func (c *Ctx) SortOf(name string, card int, names ...string) *Sort {
-	if s, ok := c.sorts[name]; ok {
-		if s.Card != card {
-			panic(fmt.Sprintf("smt: sort %s redeclared with different cardinality %d != %d", name, card, s.Card))
-		}
-		return s
-	}
-	if card <= 0 {
-		panic("smt: sort cardinality must be positive")
-	}
-	if len(names) != 0 && len(names) != card {
-		panic("smt: element name count must match cardinality")
-	}
-	s := &Sort{Name: name, Card: card}
-	if len(names) == card {
-		s.elems = append([]string(nil), names...)
-	}
-	c.sorts[name] = s
-	return s
-}
-
-// Const returns the term denoting element idx of sort s.
-func (c *Ctx) Const(s *Sort, idx int) Term {
-	if idx < 0 || idx >= s.Card {
-		panic(fmt.Sprintf("smt: element %d out of range for sort %s (card %d)", idx, s.Name, s.Card))
-	}
-	k := constKey{s, idx}
-	if id, ok := c.consts[k]; ok {
-		return Term{id, c}
-	}
-	id := TermID(len(c.terms))
-	c.terms = append(c.terms, termNode{kind: termConst, sort: s, constIdx: idx})
-	c.consts[k] = id
-	return Term{id, c}
-}
-
-// FreshVar allocates a new free variable of sort s. The name is for
-// diagnostics only; distinct calls always produce distinct variables.
-func (c *Ctx) FreshVar(s *Sort, name string) Term {
-	c.varSeq++
-	id := TermID(len(c.terms))
-	n := termNode{kind: termVar, sort: s, name: fmt.Sprintf("%s#%d", name, c.varSeq)}
-	n.bits = c.allocBits(s)
-	c.terms = append(c.terms, n)
-	return Term{id, c}
-}
-
-// FnOf declares an uninterpreted function symbol.
-func (c *Ctx) FnOf(name string, params []*Sort, result *Sort) *Fn {
-	f := &Fn{Name: name, Params: params, Result: result, id: int32(len(c.fns))}
-	c.fns = append(c.fns, f)
-	c.fnApps = append(c.fnApps, nil)
-	return f
-}
-
-// App applies f to args, adding congruence constraints against all previous
-// applications of f (Ackermann expansion).
-func (c *Ctx) App(f *Fn, args ...Term) Term {
-	if len(args) != len(f.Params) {
-		panic(fmt.Sprintf("smt: %s expects %d args, got %d", f.Name, len(f.Params), len(args)))
-	}
-	ids := make([]TermID, len(args))
-	for i, a := range args {
-		if a.Sort() != f.Params[i] {
-			panic(fmt.Sprintf("smt: %s arg %d has sort %s, want %s", f.Name, i, a.Sort().Name, f.Params[i].Name))
-		}
-		ids[i] = a.id
-	}
-	// Reuse an identical application if one exists.
-	for _, prev := range c.fnApps[f.id] {
-		pn := &c.terms[prev]
-		same := true
-		for i := range ids {
-			if pn.args[i] != ids[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return Term{prev, c}
-		}
-	}
-	id := TermID(len(c.terms))
-	n := termNode{kind: termApp, sort: f.Result, fn: f, args: ids}
-	n.bits = c.allocBits(f.Result)
-	c.terms = append(c.terms, n)
-	// Congruence: for every earlier application, equal args force equal results.
-	for _, prev := range c.fnApps[f.id] {
-		pn := c.terms[prev]
-		clause := make([]sat.Lit, 0, len(ids)+1)
-		trivially := false
-		for i := range ids {
-			eq := c.eqLit(ids[i], pn.args[i])
-			switch eq {
-			case c.trueLit():
-				continue // args identical: contributes nothing
-			case c.falseLit():
-				trivially = true
-			default:
-				clause = append(clause, eq.Neg())
-			}
-			if trivially {
-				break
-			}
-		}
-		if trivially {
-			continue
-		}
-		clause = append(clause, c.eqLit(id, prev))
-		c.solver.AddClause(clause...)
-	}
-	c.fnApps[f.id] = append(c.fnApps[f.id], id)
-	return Term{id, c}
-}
-
 // BoolVar returns a boolean atom with the given name, creating it on first
 // use. The same name always maps to the same atom.
 func (c *Ctx) BoolVar(name string) Form {
 	v, ok := c.bools[name]
 	if !ok {
+		if c.bools == nil {
+			c.bools = map[string]sat.Var{}
+		}
 		v = c.solver.NewVar()
 		c.bools[name] = v
 	}
@@ -275,72 +68,4 @@ func (c *Ctx) BoolVar(name string) Form {
 // FreshBool returns a new anonymous boolean atom.
 func (c *Ctx) FreshBool() Form {
 	return c.atomLit(sat.PosLit(c.solver.NewVar()))
-}
-
-// allocBits creates the one-hot value encoding for a term of sort s.
-func (c *Ctx) allocBits(s *Sort) []sat.Var {
-	bits := make([]sat.Var, s.Card)
-	for i := range bits {
-		bits[i] = c.solver.NewVar()
-	}
-	// At least one value.
-	all := make([]sat.Lit, s.Card)
-	for i, b := range bits {
-		all[i] = sat.PosLit(b)
-	}
-	c.solver.AddClause(all...)
-	// At most one value (pairwise; sorts in VMN encodings are small).
-	for i := 0; i < len(bits); i++ {
-		for j := i + 1; j < len(bits); j++ {
-			c.solver.AddClause(sat.NegLit(bits[i]), sat.NegLit(bits[j]))
-		}
-	}
-	return bits
-}
-
-func (c *Ctx) trueLit() sat.Lit  { return sat.Lit(-3) } // sentinel: constant true
-func (c *Ctx) falseLit() sat.Lit { return sat.Lit(-4) } // sentinel: constant false
-
-// eqLit returns a literal equivalent to (a == b), using sentinels for
-// trivially true/false cases.
-func (c *Ctx) eqLit(a, b TermID) sat.Lit {
-	if a == b {
-		return c.trueLit()
-	}
-	if a > b {
-		a, b = b, a
-	}
-	na, nb := &c.terms[a], &c.terms[b]
-	if na.sort != nb.sort {
-		panic(fmt.Sprintf("smt: equality between sorts %s and %s", na.sort.Name, nb.sort.Name))
-	}
-	if na.kind == termConst && nb.kind == termConst {
-		if na.constIdx == nb.constIdx {
-			return c.trueLit()
-		}
-		return c.falseLit()
-	}
-	if l, ok := c.eqCache[[2]TermID{a, b}]; ok {
-		return l
-	}
-	var l sat.Lit
-	switch {
-	case na.kind == termConst:
-		l = sat.PosLit(nb.bits[na.constIdx])
-	case nb.kind == termConst:
-		l = sat.PosLit(na.bits[nb.constIdx])
-	default:
-		e := c.solver.NewVar()
-		l = sat.PosLit(e)
-		for v := 0; v < na.sort.Card; v++ {
-			b1, b2 := na.bits[v], nb.bits[v]
-			// b1v ∧ b2v → e
-			c.solver.AddClause(sat.NegLit(b1), sat.NegLit(b2), sat.PosLit(e))
-			// e ∧ b1v → b2v ; e ∧ b2v → b1v
-			c.solver.AddClause(sat.NegLit(e), sat.NegLit(b1), sat.PosLit(b2))
-			c.solver.AddClause(sat.NegLit(e), sat.NegLit(b2), sat.PosLit(b1))
-		}
-	}
-	c.eqCache[[2]TermID{a, b}] = l
-	return l
 }

