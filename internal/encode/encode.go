@@ -23,6 +23,15 @@
 // guards of matching journey events. Asserting ⋁_t bad[t] and solving
 // yields either a violating schedule (model) or a bounded proof (UNSAT).
 //
+// What is grounded when: building an encoding enumerates the journeys and
+// asserts the selector rows, nothing more. Each invariant then grounds
+// its cone of influence: the guards of the paths its atoms match, the
+// state bits those guards read, each such bit's boot unit and frame
+// axioms, and the guards of the paths setting it, to a fixpoint. What is
+// left out would only define variables no asserted clause mentions, so
+// verdicts and witnesses are those of the full encoding, which
+// GroundAllReadKeys (the whole-network baseline) grounds up front.
+//
 // Serializing each packet's journey within its step is an abstraction: the
 // explicit engine (internal/explore) additionally interleaves partial
 // deliveries. For flow-parallel and origin-agnostic middleboxes with
@@ -54,10 +63,10 @@ type Options struct {
 	// Unknown, the analogue of an SMT timeout.
 	MaxConflicts int64
 	// GroundAllReadKeys grounds the state axioms of every middlebox for
-	// every alphabet packet, even state no journey touches. This is the
-	// whole-network baseline of Figs. 7–9: like handing Z3 the axioms of
-	// the entire network, formula size grows with network size instead of
-	// slice size.
+	// every alphabet packet when the encoding is built, even state no
+	// journey or invariant touches. This is the whole-network baseline of
+	// Figs. 7–9: like handing Z3 the axioms of the entire network, formula
+	// size grows with network size instead of with the invariant's cone.
 	GroundAllReadKeys bool
 	// Journeys, when non-nil, memoizes journey enumeration across Verify
 	// calls over one frozen network (see JourneyCache).
@@ -129,12 +138,13 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		At      topo.NodeID
 		Hops    int
 	}
-	sendEv := logic.Event{Kind: logic.EvSend, Src: s.Sender, Hdr: s.Hdr, Classes: cls}
-	if n, ok := p.Topo.HostByAddr(s.Hdr.Dst); ok {
-		sendEv.Dst = n.ID
-	} else {
-		sendEv.Dst = topo.NodeNone
+	dstOf := func(h pkt.Header) topo.NodeID {
+		if n, ok := p.Topo.HostByAddr(h.Dst); ok {
+			return n.ID
+		}
+		return topo.NodeNone
 	}
+	sendEv := logic.Event{Kind: logic.EvSend, Src: s.Sender, Dst: dstOf(s.Hdr), Hdr: s.Hdr, Classes: cls}
 
 	var out []jpath
 	var rec func(queue []flight, conds []keyCond, sets []keyRef, events []logic.Event) error
@@ -192,7 +202,7 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		var reads []string
 		if reader != nil {
 			reads = reader.ReadKeys(input)
-		} else if keys := mustKeys(model.InitState()); len(keys) > 0 {
+		} else if keys, _ := mbox.SetStateKeys(model.InitState()); len(keys) > 0 {
 			return fmt.Errorf("encode: middlebox %s has state but no KeyReader", node.Name)
 		}
 
@@ -200,7 +210,7 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		var unknown []keyRef
 		for _, k := range reads {
 			r := keyRef{bi, k}
-			if !assumes(conds, r) && !slices.Contains(sets, r) {
+			if !slices.ContainsFunc(conds, func(c keyCond) bool { return c.ref == r }) && !slices.Contains(sets, r) {
 				unknown = append(unknown, r)
 			}
 		}
@@ -238,13 +248,7 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 			}
 			events = append(events, logic.Event{Kind: logic.EvRecv, Dst: fl.At, Src: fl.From, Hdr: fl.Hdr, Classes: fl.Classes})
 			for _, o := range br.Out {
-				snd := logic.Event{Kind: logic.EvSend, Src: fl.At, Hdr: o.Hdr, Classes: o.Classes}
-				if n, ok := p.Topo.HostByAddr(o.Hdr.Dst); ok {
-					snd.Dst = n.ID
-				} else {
-					snd.Dst = topo.NodeNone
-				}
-				events = append(events, snd)
+				events = append(events, logic.Event{Kind: logic.EvSend, Src: fl.At, Dst: dstOf(o.Hdr), Hdr: o.Hdr, Classes: o.Classes})
 				var err error
 				queue, err = forwardTo(o.Hdr, o.Classes, fl.Hops+1, queue)
 				if err != nil {
@@ -285,19 +289,4 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		return nil, err
 	}
 	return out, nil
-}
-
-// assumes reports whether conds assumes a value for r.
-func assumes(conds []keyCond, r keyRef) bool {
-	for _, c := range conds {
-		if c.ref == r {
-			return true
-		}
-	}
-	return false
-}
-
-func mustKeys(st mbox.State) []string {
-	keys, _ := mbox.SetStateKeys(st)
-	return keys
 }

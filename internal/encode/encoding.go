@@ -1,19 +1,17 @@
 package encode
 
-// SliceEncoding: the build-once / solve-many split of the SAT engine.
+// SliceEncoding: the ground-on-demand / solve-many split of the SAT engine.
 //
 // The paper leans on Z3's incremental interface so that the many invariants
 // checked over one slice amortize a single solver context. This file is
-// that mechanism for VMN's built-in solver: everything the encoding shares
-// between invariants — selector variables, state bits, frame/transition
-// axioms, the per-step path guards — is built exactly once per
-// (slice × samples × schedule bound), and each invariant then only grounds
-// its own "bad" formula, asserts it under an activation literal and decides
-// it with SolveAssuming. Learnt clauses, saved phases and VSIDS activity
-// persist across those solves, so invariant k+1 starts from everything the
-// solver discovered about the shared structure while solving invariants
-// 1..k, and a re-verification of a previously seen invariant reuses its
-// activation literal outright.
+// that mechanism for VMN's built-in solver. An encoding is built once per
+// (slice × samples × schedule bound) with only the journeys and selector
+// rows; each invariant grounds what its cone of influence reaches that no
+// earlier invariant did (see activate), then its own "bad" formula, which
+// it asserts under an activation literal and decides with SolveAssuming.
+// The grounding, learnt clauses, saved phases and VSIDS activity persist
+// across those solves, and a re-verification of a previously seen
+// invariant reuses its activation literal outright.
 //
 // Violation witnesses are canonical: on Sat the engine extracts the
 // lexicographically least violating schedule (step by step, each step's
@@ -24,9 +22,11 @@ package encode
 // the incremental layer verdict-transparent.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/netverify/vmn/internal/inv"
@@ -44,38 +44,45 @@ import (
 const maxEncodingInvariants = 512
 
 // SliceEncoding is the invariant-independent part of a bounded
-// verification problem, grounded once and solved many times. It is valid
-// for exactly the problem content captured by AppendEncodingKey: the
-// transfer engine's behaviour fingerprint, failure scenario, hop bound,
-// ordered middlebox configurations, packet alphabet, schedule bound and
-// solver options. Verify calls are serialized internally, so one encoding
-// may be shared by concurrent verifications (core's check pool, the
-// incremental layer's re-verification pool).
+// verification problem, grounded on demand and solved many times. It is
+// valid for exactly the problem content captured by AppendEncodingKey:
+// the transfer engine's behaviour fingerprint, failure scenario, hop
+// bound, ordered middlebox configurations, packet alphabet, schedule bound
+// and solver options. Verify calls are serialized internally, so one
+// encoding may be shared by concurrent verifications (core's check pool,
+// the incremental layer's re-verification pool).
 type SliceEncoding struct {
-	mu   sync.Mutex
-	ctx  *smt.Ctx
-	opts Options
+	mu  sync.Mutex
+	ctx *smt.Ctx
 
 	// K is the schedule bound; choices the (sample, class) alphabet with
 	// enumerated journeys, which may be shared through the journey cache
 	// and are read-only.
 	K       int
 	choices []choice
-	nPaths  int   // total journey paths across all choices
-	pathOff []int // per choice: offset of its first path in flat order
+	// paths lists every choice's journeys in choice order; global path gp
+	// is paths[gp], a journey of choice pathChoice[gp].
+	paths      []*jpath
+	pathChoice []int32
 
 	// sel[t][c] selects choice c at step t; index len(choices) is the
 	// scheduler's "do nothing" option.
 	sel [][]smt.Form
-	// refs is the sorted state-bit universe; bits[ri][t] is S[refs[ri], t].
-	refs []keyRef
-	bits [][]smt.Form
-	// guards[t*nPaths+gp] memoizes the path condition of global path gp at
-	// step t (selector ∧ assumed state bits) — shared by the frame axioms,
-	// event grounding and trace extraction, which previously each rebuilt
-	// identical And nodes. A path's events are stored once, in its jpath:
-	// an event of path gp happens at step t under guards[t*nPaths+gp].
-	guards []smt.Form
+	// refs is the sorted state-bit universe, refIdx its inverse, and
+	// setters[ri] the global paths that set refs[ri].
+	refs    []keyRef
+	refIdx  map[keyRef]int32
+	setters [][]int32
+	// bits[ri][t] is S[refs[ri], t] and guards[gp][t] the path condition
+	// of global path gp at step t (selector ∧ assumed state bits), each nil
+	// until grounded. An event of path gp happens at step t under
+	// guards[gp][t]. grounded lists the grounded bits in grounding order;
+	// closeCone has asserted the boot units and frame axioms of the first
+	// closed of them.
+	bits     [][]smt.Form
+	guards   [][]smt.Form
+	grounded []int32
+	closed   int
 
 	// acts maps a grounded bad formula (by interned ID, which is identical
 	// for structurally identical formulas) to its activation literal, so
@@ -83,17 +90,19 @@ type SliceEncoding struct {
 	// conditioned on it.
 	acts map[smt.FormID]smt.Form
 
-	hitsBuf []smt.Form // scratch for atom grounding
+	formBuf []smt.Form // scratch for guards, frame axioms and atom hits
 	solves  int64
 }
 
 // NewSliceEncoding enumerates the problem's journeys (through
-// opts.Journeys when set) and grounds the invariant-independent axioms:
-// selector constraints, boot state, frame/transition axioms and the
-// per-step path guards. The returned encoding serves any invariant whose
-// problem has identical AppendEncodingKey content. Construction allocates
-// in proportion to what it keeps (see journeys and the sat package's
-// slabs); the CNF it emits is pinned by TestSliceEncodingCNFPinned.
+// opts.Journeys when set) and builds what every invariant needs: the
+// selector rows, the sorted state-bit universe and the per-ref setter
+// index. State bits, frame axioms and path guards are grounded later, as
+// invariants reach them (see activate); with opts.GroundAllReadKeys every
+// state bit and all it needs are grounded here. The returned encoding
+// serves any invariant whose problem has identical AppendEncodingKey
+// content. The CNF it emits after serving the fixtures' invariants is
+// pinned by TestSliceEncodingCNFPinned.
 func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	opts = opts.withDefaults()
 	if p.MaxSends <= 0 {
@@ -117,14 +126,15 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	ctx.Solver().SetRandomBranchFreq(opts.RandomBranchFreq)
 	e := &SliceEncoding{
 		ctx:     ctx,
-		opts:    opts,
 		K:       p.MaxSends,
 		choices: choices,
 		acts:    map[smt.FormID]smt.Form{},
 	}
-	for _, c := range choices {
-		e.pathOff = append(e.pathOff, e.nPaths)
-		e.nPaths += len(c.paths)
+	for ci := range choices {
+		for pi := range choices[ci].paths {
+			e.paths = append(e.paths, &choices[ci].paths[pi])
+			e.pathChoice = append(e.pathChoice, int32(ci))
+		}
 	}
 
 	// Selector variables: sel[t][c] plus an implicit "none" choice.
@@ -138,17 +148,15 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 		ctx.AssertExactlyOne(row)
 	}
 
-	// State bits. Universe = all refs mentioned by any path, in sorted
-	// order so variable numbering is deterministic per build.
-	universe := map[keyRef]bool{}
-	for _, c := range choices {
-		for _, pth := range c.paths {
-			for _, cond := range pth.conds {
-				universe[cond.ref] = true
-			}
-			for _, s := range pth.sets {
-				universe[s] = true
-			}
+	// The state-bit universe (refIdx's keys) is every ref a path mentions,
+	// sorted so grounding order, and so variable numbering, is deterministic.
+	e.refIdx = map[keyRef]int32{}
+	for _, pth := range e.paths {
+		for _, cond := range pth.conds {
+			e.refIdx[cond.ref] = 0
+		}
+		for _, s := range pth.sets {
+			e.refIdx[s] = 0
 		}
 	}
 	if opts.GroundAllReadKeys {
@@ -160,79 +168,104 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 			for _, c := range choices {
 				in := mbox.Input{From: c.sample.Sender, Hdr: c.sample.Hdr, Classes: c.classes}
 				for _, k := range reader.ReadKeys(in) {
-					universe[keyRef{bi, k}] = true
+					e.refIdx[keyRef{bi, k}] = 0
 				}
 			}
 		}
 	}
-	e.refs = make([]keyRef, 0, len(universe))
-	for r := range universe {
+	for r := range e.refIdx {
 		e.refs = append(e.refs, r)
 	}
-	sort.Slice(e.refs, func(i, j int) bool {
-		if e.refs[i].box != e.refs[j].box {
-			return e.refs[i].box < e.refs[j].box
-		}
-		return e.refs[i].key < e.refs[j].key
+	slices.SortFunc(e.refs, func(a, b keyRef) int {
+		return cmp.Or(cmp.Compare(a.box, b.box), strings.Compare(a.key, b.key))
 	})
-	refIdx := make(map[keyRef]int32, len(e.refs))
-	e.bits = make([][]smt.Form, len(e.refs))
 	for ri, r := range e.refs {
-		refIdx[r] = int32(ri)
-		row := make([]smt.Form, e.K+1)
-		for t := range row {
-			row[t] = ctx.FreshBool()
-		}
-		e.bits[ri] = row
-		ctx.Assert(ctx.Not(row[0])) // boot state: empty sets
+		e.refIdx[r] = int32(ri)
 	}
-
-	// Path guards, memoized per (step, path): selector ∧ assumed bits.
-	e.guards = make([]smt.Form, e.K*e.nPaths)
-	parts := make([]smt.Form, 0, 8)
-	for t := 0; t < e.K; t++ {
-		for ci, c := range choices {
-			for pi, pth := range c.paths {
-				parts = parts[:0]
-				parts = append(parts, e.sel[t][ci])
-				for _, cond := range pth.conds {
-					b := e.bits[refIdx[cond.ref]][t]
-					if !cond.val {
-						b = ctx.Not(b)
-					}
-					parts = append(parts, b)
-				}
-				e.guards[t*e.nPaths+e.pathOff[ci]+pi] = ctx.And(parts...)
-			}
+	e.setters = make([][]int32, len(e.refs))
+	for gp, pth := range e.paths {
+		for _, s := range pth.sets {
+			ri := e.refIdx[s]
+			e.setters[ri] = append(e.setters[ri], int32(gp))
 		}
 	}
-
-	// Frame/transition axioms, from a per-ref setter index instead of the
-	// old full rescan of every path per (ref, step).
-	setters := make([][]int32, len(e.refs))
-	for ci, c := range choices {
-		for pi, pth := range c.paths {
-			gp := int32(e.pathOff[ci] + pi)
-			for _, s := range pth.sets {
-				ri := refIdx[s]
-				setters[ri] = append(setters[ri], gp)
-			}
+	e.bits = make([][]smt.Form, len(e.refs))
+	e.guards = make([][]smt.Form, len(e.paths))
+	if opts.GroundAllReadKeys {
+		for ri := range e.refs {
+			e.groundBit(int32(ri))
 		}
+		e.closeCone()
 	}
-	disj := make([]smt.Form, 0, 8)
-	for ri := range e.refs {
-		for t := 0; t < e.K; t++ {
-			disj = disj[:0]
-			disj = append(disj, e.bits[ri][t])
-			for _, gp := range setters[ri] {
-				disj = append(disj, e.guards[t*e.nPaths+int(gp)])
-			}
-			next := e.bits[ri][t+1]
-			ctx.Assert(ctx.Iff(next, ctx.Or(disj...)))
-		}
-	}
-
 	return e, nil
+}
+
+// groundBit creates the variables of state bit ri at every step, once, and
+// leaves its boot unit and frame axioms to closeCone.
+func (e *SliceEncoding) groundBit(ri int32) {
+	if e.bits[ri] != nil {
+		return
+	}
+	row := make([]smt.Form, e.K+1)
+	for t := range row {
+		row[t] = e.ctx.FreshBool()
+	}
+	e.bits[ri] = row
+	e.grounded = append(e.grounded, ri)
+}
+
+// groundPath builds the guards of global path gp at every step, once,
+// grounding the state bits its conds read.
+func (e *SliceEncoding) groundPath(gp int32) {
+	if e.guards[gp] != nil {
+		return
+	}
+	pth := e.paths[gp]
+	for _, c := range pth.conds {
+		e.groundBit(e.refIdx[c.ref])
+	}
+	row := make([]smt.Form, e.K)
+	parts := e.formBuf
+	for t := range row {
+		parts = append(parts[:0], e.sel[t][e.pathChoice[gp]])
+		for _, c := range pth.conds {
+			b := e.bits[e.refIdx[c.ref]][t]
+			if !c.val {
+				b = e.ctx.Not(b)
+			}
+			parts = append(parts, b)
+		}
+		row[t] = e.ctx.And(parts...)
+	}
+	e.guards[gp], e.formBuf = row, parts
+}
+
+// closeCone asserts the boot unit and frame axioms
+//
+//	¬S[r,0],  S[r,t+1] ↔ S[r,t] ∨ ⋁ guards of the paths setting r at t
+//
+// of every grounded bit not closed yet, grounding those setter paths
+// (and, through their conds, more bits) until all are closed. Afterwards
+// every grounded bit and guard is defined by asserted clauses from the
+// selectors alone, exactly as in a fully grounded encoding, and everything
+// not grounded only defines variables no asserted clause mentions.
+func (e *SliceEncoding) closeCone() {
+	for ; e.closed < len(e.grounded); e.closed++ {
+		ri := e.grounded[e.closed]
+		for _, gp := range e.setters[ri] {
+			e.groundPath(gp)
+		}
+		row := e.bits[ri]
+		e.ctx.Assert(e.ctx.Not(row[0]))
+		for t := 0; t < e.K; t++ {
+			disj := append(e.formBuf[:0], row[t])
+			for _, gp := range e.setters[ri] {
+				disj = append(disj, e.guards[gp][t])
+			}
+			e.formBuf = disj
+			e.ctx.AssertIffOr(row[t+1], disj...)
+		}
+	}
 }
 
 // enumerateChoices expands the (sample, class assignment) alphabet and
@@ -285,6 +318,14 @@ func (e *SliceEncoding) Solves() int64 {
 	return e.solves
 }
 
+// Grounded reports how many state bits the encoding's invariants have
+// grounded so far, out of how many it has.
+func (e *SliceEncoding) Grounded() (bits, of int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.grounded), len(e.refs)
+}
+
 // SolverStats exposes the shared solver's accumulated work counters.
 func (e *SliceEncoding) SolverStats() sat.Stats {
 	e.mu.Lock()
@@ -329,29 +370,39 @@ func (e *SliceEncoding) Verify(p *inv.Problem, opts Options) (inv.Result, error)
 }
 
 // activate grounds p's bad formula and returns its activation literal,
-// asserting the guarded formula on first use. ok=false means bad is
-// unreachable within the bound: the invariant holds without a solve (and
-// without poisoning the shared solver with an empty clause, which is what
-// asserting false on a fresh context used to do).
+// asserting the guarded formula on first use. Grounding an atom grounds
+// the paths with a matching event, and closeCone then grounds the cone of
+// influence those guards reach. ok=false means bad is unreachable within
+// the bound: the invariant holds without a solve (and without poisoning
+// the shared solver with an empty clause, which is what asserting false on
+// a fresh context used to do).
 func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
 	ctx := e.ctx
 	bad := p.Invariant.Bad(p)
-	grounded := logic.Ground(ctx, bad, e.K, func(a *logic.Atom, t int) smt.Form {
-		hits := e.hitsBuf[:0]
-		guards := e.guards[t*e.nPaths:]
-		for ci, c := range e.choices {
-			for pi, pth := range c.paths {
+	matches := map[*logic.Atom][]int32{} // per atom: the paths it matches
+	perStep := logic.Ground(ctx, bad, e.K, func(a *logic.Atom, t int) smt.Form {
+		gps, ok := matches[a]
+		if !ok {
+			for gp, pth := range e.paths {
 				for _, ev := range pth.events {
 					if a.Pred(ev) {
-						hits = append(hits, guards[e.pathOff[ci]+pi])
+						e.groundPath(int32(gp))
+						gps = append(gps, int32(gp))
+						break
 					}
 				}
 			}
+			matches[a] = gps
 		}
-		e.hitsBuf = hits // Or copies what it keeps; reuse the scratch
+		hits := e.formBuf[:0]
+		for _, gp := range gps {
+			hits = append(hits, e.guards[gp][t])
+		}
+		e.formBuf = hits // Or copies what it keeps; reuse the scratch
 		return ctx.Or(hits...)
 	})
-	badForm := ctx.Or(grounded...)
+	e.closeCone()
+	badForm := ctx.Or(perStep...)
 	if badForm.IsFalse() {
 		return act, false
 	}
@@ -384,23 +435,15 @@ func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
 // function of the formula alone — independent of solver history, learnt
 // state or which engine path built the encoding.
 func (e *SliceEncoding) extractTrace(act smt.Form) []logic.Event {
-	cur, path := e.lexMinSchedule(act)
-	var out []logic.Event
-	for t, ci := range cur {
-		if ci < len(e.choices) {
-			out = append(out, e.choices[ci].paths[path[t]].events...)
-		}
-	}
-	return out
+	return e.replay(e.lexMinSchedule(act))
 }
 
-// lexMinSchedule returns the canonical schedule's choice per step and the
-// path each chosen packet took, starting from the current (satisfying)
-// model.
-func (e *SliceEncoding) lexMinSchedule(act smt.Form) (cur, path []int) {
+// lexMinSchedule returns the canonical schedule's choice per step,
+// starting from the current (satisfying) model.
+func (e *SliceEncoding) lexMinSchedule(act smt.Form) []int {
 	ctx := e.ctx
-	cur, path = make([]int, e.K), make([]int, e.K)
-	e.readSchedule(cur, path)
+	cur := make([]int, e.K)
+	e.readSchedule(cur)
 	assume := make([]smt.Form, 1, e.K+len(e.choices)+1)
 	assume[0] = act
 	for t := 0; t < e.K; t++ {
@@ -411,21 +454,19 @@ func (e *SliceEncoding) lexMinSchedule(act smt.Form) (cur, path []int) {
 				probe = append(probe, ctx.Not(e.sel[t][c]))
 			}
 			if ctx.SolveAssuming(probe...) == sat.Sat {
-				e.readSchedule(cur, path) // cur[t] ≤ mid; later steps improve too
+				e.readSchedule(cur) // cur[t] ≤ mid; later steps improve too
 			} else {
 				lo = mid + 1
 			}
 		}
 		assume = append(assume, e.sel[t][cur[t]])
 	}
-	return cur, path
+	return cur
 }
 
-// readSchedule reads the selected choice per step, and the path its packet
-// took, from the current model. cur only changes here, so the final
-// schedule's paths are those of the last satisfying model.
-func (e *SliceEncoding) readSchedule(cur, path []int) {
-	for t := 0; t < e.K; t++ {
+// readSchedule reads the selected choice per step from the current model.
+func (e *SliceEncoding) readSchedule(cur []int) {
+	for t := range cur {
 		cur[t] = len(e.choices)
 		for c := 0; c < len(e.choices); c++ {
 			if e.ctx.EvalForm(e.sel[t][c]) == sat.True {
@@ -433,15 +474,34 @@ func (e *SliceEncoding) readSchedule(cur, path []int) {
 				break
 			}
 		}
-		if cur[t] == len(e.choices) {
+	}
+}
+
+// replay runs the schedule from the all-false boot state and returns its
+// trace: at each step, the events of the first path of the chosen packet
+// whose conds hold, whose sets then hold too. The schedule fully
+// determines the state bits, so that is the path whose guard any model of
+// the schedule makes true, whether or not the guard was grounded.
+func (e *SliceEncoding) replay(sched []int) []logic.Event {
+	state := make([]bool, len(e.refs))
+	var out []logic.Event
+	for _, ci := range sched {
+		if ci == len(e.choices) {
 			continue
 		}
-		base := t*e.nPaths + e.pathOff[cur[t]]
-		for pi := range e.choices[cur[t]].paths {
-			if e.ctx.EvalForm(e.guards[base+pi]) == sat.True {
-				path[t] = pi
-				break
+	paths:
+		for _, pth := range e.choices[ci].paths {
+			for _, c := range pth.conds {
+				if state[e.refIdx[c.ref]] != c.val {
+					continue paths
+				}
 			}
+			for _, r := range pth.sets {
+				state[e.refIdx[r]] = true
+			}
+			out = append(out, pth.events...)
+			break
 		}
 	}
+	return out
 }

@@ -232,8 +232,8 @@ func TestWitnessExtractionSolveBound(t *testing.T) {
 
 // linearLexMin is the reference canonical witness: from a fresh model of
 // act, try each step's choices in order below the current one and keep the
-// first feasible one given the steps already fixed; then solve once more
-// with the whole schedule fixed and read the trace from that model.
+// first feasible one given the steps already fixed; then check the whole
+// schedule is satisfiable and read its trace by replaying it.
 func linearLexMin(t *testing.T, e *SliceEncoding, act smt.Form) ([]int, []logic.Event) {
 	t.Helper()
 	ctx := e.ctx
@@ -265,19 +265,7 @@ func linearLexMin(t *testing.T, e *SliceEncoding, act smt.Form) ([]int, []logic.
 	if ctx.SolveAssuming(assume...) != sat.Sat {
 		t.Fatal("reference: the scanned schedule is unsatisfiable")
 	}
-	var trace []logic.Event
-	for s, c := range sched {
-		if c == len(e.choices) {
-			continue
-		}
-		for pi, pth := range e.choices[c].paths {
-			if ctx.EvalForm(e.guards[s*e.nPaths+e.pathOff[c]+pi]) == sat.True {
-				trace = append(trace, pth.events...)
-				break
-			}
-		}
-	}
-	return sched, trace
+	return sched, e.replay(sched)
 }
 
 // TestExtractTraceMatchesLinearLexMin checks the binary-search extraction
@@ -289,7 +277,7 @@ func TestExtractTraceMatchesLinearLexMin(t *testing.T) {
 		if !ok || enc.ctx.SolveAssuming(act) != sat.Sat {
 			t.Fatalf("%s: bad is unsatisfiable", label)
 		}
-		got, _ := enc.lexMinSchedule(act)
+		got := enc.lexMinSchedule(act)
 		want, trace := linearLexMin(t, enc, act)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: schedule %v, reference %v", label, got, want)

@@ -175,10 +175,6 @@ func (s *Solver) Value(v Var) Tribool {
 	return s.model[v]
 }
 
-// Model returns the assignment found by the last successful Solve. The
-// slice is indexed by Var and owned by the solver.
-func (s *Solver) Model() []Tribool { return s.model }
-
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a clause over the given literals. It returns false if the
@@ -775,7 +771,3 @@ func (s *Solver) gcSatisfied() {
 		}
 	}
 }
-
-// Okay reports whether the solver is still consistent (no empty clause has
-// been derived at level 0).
-func (s *Solver) Okay() bool { return s.ok }

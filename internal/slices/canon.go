@@ -103,24 +103,6 @@ func NewRenamingFromTables(nodes []topo.NodeID, addrs []pkt.Addr, pfxs []pkt.Pre
 	return r
 }
 
-// NodeNum returns the canonical number of n, if assigned.
-func (r *Renaming) NodeNum(n topo.NodeID) (uint32, bool) {
-	i, ok := r.nodeNum[n]
-	return i, ok
-}
-
-// AddrNum returns the canonical number of a, if assigned.
-func (r *Renaming) AddrNum(a pkt.Addr) (uint32, bool) {
-	i, ok := r.addrNum[a]
-	return i, ok
-}
-
-// PrefixNum returns the canonical number of p, if assigned.
-func (r *Renaming) PrefixNum(p pkt.Prefix) (uint32, bool) {
-	i, ok := r.pfxNum[p]
-	return i, ok
-}
-
 // NodeAt returns the concrete node behind canonical number i, if any.
 func (r *Renaming) NodeAt(i uint32) (topo.NodeID, bool) {
 	if int(i) >= len(r.nodeInv) {

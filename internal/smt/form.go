@@ -183,14 +183,6 @@ func (c *Ctx) Not(f Form) Form {
 	return c.intern(formNot, []FormID{f.id})
 }
 
-// Implies returns (a → b).
-func (c *Ctx) Implies(a, b Form) Form { return c.Or(c.Not(a), b) }
-
-// Iff returns (a ↔ b).
-func (c *Ctx) Iff(a, b Form) Form {
-	return c.And(c.Implies(a, b), c.Implies(b, a))
-}
-
 // constSATLit returns a literal fixed to the given truth value, allocating
 // the backing variable (and its unit clause) on first use.
 func (c *Ctx) constSATLit(val bool) satpkg.Lit {
@@ -354,63 +346,61 @@ func (c *Ctx) formIDs(fs []Form) []FormID {
 	return ids
 }
 
-// AssertAtMostK constrains at most k of the formulas to hold, using a
-// sequential-counter encoding (linear in len(fs)*k).
-func (c *Ctx) AssertAtMostK(fs []Form, k int) {
-	if k < 0 {
-		panic("smt: negative cardinality bound")
-	}
-	if len(fs) <= k {
-		return
-	}
-	base := c.pushLits(c.formIDs(fs))
-	defer func() { c.litStk = c.litStk[:base] }()
-	lits := c.litStk[base:]
-	if k == 0 {
-		for _, l := range lits {
-			c.solver.AddClause(l.Neg())
-		}
-		return
-	}
-	n := len(lits)
-	// reg(i, j): among lits[0..i], at least j+1 are true. One block, i-major.
-	regs := make([]satpkg.Var, n*k)
-	for i := range regs {
-		regs[i] = c.solver.NewVar()
-	}
-	reg := func(i, j int) satpkg.Lit { return satpkg.PosLit(regs[i*k+j]) }
-	c.solver.AddClause(lits[0].Neg(), reg(0, 0))
-	for j := 1; j < k; j++ {
-		c.solver.AddClause(reg(0, j).Neg())
-	}
-	for i := 1; i < n; i++ {
-		c.solver.AddClause(lits[i].Neg(), reg(i, 0))
-		c.solver.AddClause(reg(i-1, 0).Neg(), reg(i, 0))
-		for j := 1; j < k; j++ {
-			c.solver.AddClause(lits[i].Neg(), reg(i-1, j-1).Neg(), reg(i, j))
-			c.solver.AddClause(reg(i-1, j).Neg(), reg(i, j))
-		}
-		c.solver.AddClause(lits[i].Neg(), reg(i-1, k-1).Neg())
-	}
-}
-
-// AssertExactlyOne constrains exactly one of fs to hold. Small sets use
-// the pairwise encoding; larger ones the linear sequential counter.
+// AssertExactlyOne constrains exactly one of fs to hold: one clause that
+// some holds, and at most one by atMostOne.
 func (c *Ctx) AssertExactlyOne(fs []Form) {
 	base := c.pushLits(c.formIDs(fs))
-	lits := c.litStk[base:]
-	c.solver.AddClause(lits...)
-	if len(lits) <= 8 {
-		for i := 0; i < len(lits); i++ {
-			for j := i + 1; j < len(lits); j++ {
+	c.solver.AddClause(c.litStk[base:]...)
+	c.atMostOne(c.litStk[base:])
+	c.litStk = c.litStk[:base]
+}
+
+// atMostOne constrains at most one of lits to hold: pairwise up to 8
+// literals, else by Chen's product encoding. Literal k sits at row k/q and
+// column k%q of a p×q grid (q = ⌈√n⌉) and implies a fresh variable for
+// each; at most one row and at most one column variable may hold,
+// recursively. Two true literals differ in row or column, so they are
+// caught there, with O(√n) new variables and 2n + o(n) binary clauses.
+func (c *Ctx) atMostOne(lits []satpkg.Lit) {
+	n := len(lits)
+	if n <= 8 {
+		for i := range lits {
+			for j := i + 1; j < n; j++ {
 				c.solver.AddClause(lits[i].Neg(), lits[j].Neg())
 			}
 		}
+		return
 	}
+	q := 1
+	for q*q < n {
+		q++
+	}
+	p := (n + q - 1) / q
+	top := len(c.litStk)
+	for range p + q {
+		c.litStk = append(c.litStk, satpkg.PosLit(c.solver.NewVar()))
+	}
+	grid := c.litStk[top:] // stays valid if the recursion regrows litStk
+	for k, x := range lits {
+		c.solver.AddClause(x.Neg(), grid[k/q])
+		c.solver.AddClause(x.Neg(), grid[p+k%q])
+	}
+	c.atMostOne(grid[:p])
+	c.atMostOne(grid[p:])
+	c.litStk = c.litStk[:top]
+}
+
+// AssertIffOr asserts x ↔ ⋁ys as clauses, without a gate for the
+// disjunction: ¬y ∨ x for each y, and ¬x ∨ ⋁ys.
+func (c *Ctx) AssertIffOr(x Form, ys ...Form) {
+	xl := c.lit(x)
+	base := c.pushLits(c.formIDs(ys))
+	for _, y := range c.litStk[base:] {
+		c.solver.AddClause(y.Neg(), xl)
+	}
+	c.litStk = append(c.litStk, xl.Neg())
+	c.solver.AddClause(c.litStk[base:]...)
 	c.litStk = c.litStk[:base]
-	if len(fs) > 8 {
-		c.AssertAtMostK(fs, 1)
-	}
 }
 
 // Solve decides the asserted constraints.
@@ -436,41 +426,27 @@ func (c *Ctx) EvalForm(f Form) satpkg.Tribool {
 		return satpkg.True
 	case formAtom:
 		v := c.solver.Value(n.lit.Var())
-		if v == satpkg.Undef {
-			return satpkg.Undef
-		}
 		if n.lit.Sign() {
 			return v.Not()
 		}
 		return v
 	case formNot:
 		return c.EvalForm(Form{c.kids[n.off], c}).Not()
-	case formAnd:
-		res := satpkg.True
-		for _, ch := range c.children(&n) {
-			switch c.EvalForm(Form{ch, c}) {
-			case satpkg.False:
-				return satpkg.False
-			case satpkg.Undef:
-				res = satpkg.Undef
-			}
-		}
-		return res
-	case formOr:
-		res := satpkg.False
-		for _, ch := range c.children(&n) {
-			switch c.EvalForm(Form{ch, c}) {
-			case satpkg.True:
-				return satpkg.True
-			case satpkg.Undef:
-				res = satpkg.Undef
-			}
-		}
-		return res
 	}
-	return satpkg.Undef
+	// An And is False if a child is, an Or True if a child is; else Undef
+	// if a child is, else the other value.
+	absorb := satpkg.False
+	if n.kind == formOr {
+		absorb = satpkg.True
+	}
+	res := absorb.Not()
+	for _, ch := range c.children(&n) {
+		switch c.EvalForm(Form{ch, c}) {
+		case absorb:
+			return absorb
+		case satpkg.Undef:
+			res = satpkg.Undef
+		}
+	}
+	return res
 }
-
-// NumForms returns the number of distinct formula nodes built (a proxy for
-// encoding size in benchmarks).
-func (c *Ctx) NumForms() int { return len(c.forms) }

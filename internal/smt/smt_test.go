@@ -9,7 +9,7 @@ import (
 func TestBoolConnectives(t *testing.T) {
 	c := NewCtx()
 	p, q := c.BoolVar("p"), c.BoolVar("q")
-	c.Assert(c.Implies(p, q))
+	c.Assert(c.Or(c.Not(p), q))
 	c.Assert(p)
 	c.Assert(c.Not(q))
 	if c.Solve() != sat.Unsat {
@@ -17,16 +17,23 @@ func TestBoolConnectives(t *testing.T) {
 	}
 }
 
-func TestIff(t *testing.T) {
+func TestAssertIffOr(t *testing.T) {
 	c := NewCtx()
-	p, q := c.BoolVar("p"), c.BoolVar("q")
-	c.Assert(c.Iff(p, q))
-	c.Assert(p)
-	if c.Solve() != sat.Sat {
-		t.Fatal("should be SAT")
+	p, q, r := c.BoolVar("p"), c.BoolVar("q"), c.BoolVar("r")
+	before := c.Solver().NumClauses()
+	c.AssertIffOr(p, q, r)
+	// One binary clause per disjunct and one long clause, no gate.
+	if got := c.Solver().NumClauses() - before; got != 3 {
+		t.Fatalf("p ↔ q ∨ r emitted %d clauses, want 3", got)
 	}
-	if c.EvalForm(q) != sat.True {
-		t.Fatal("q must be true when p↔q and p")
+	if c.SolveAssuming(c.Not(q), c.Not(r), p) != sat.Unsat {
+		t.Fatal("p must not hold without q or r")
+	}
+	if c.SolveAssuming(r) != sat.Sat || c.EvalForm(p) != sat.True {
+		t.Fatal("r must force p")
+	}
+	if c.SolveAssuming(c.Not(p), q) != sat.Unsat {
+		t.Fatal("q must force p")
 	}
 }
 
@@ -93,56 +100,37 @@ func TestSolveAssuming(t *testing.T) {
 	}
 }
 
-func TestAtMostK(t *testing.T) {
-	for k := 0; k <= 3; k++ {
-		c := NewCtx()
-		var fs []Form
-		for i := 0; i < 5; i++ {
-			fs = append(fs, c.BoolVar(string(rune('a'+i))))
-		}
-		c.AssertAtMostK(fs, k)
-		// Force k+1 of them true: must be UNSAT.
-		for i := 0; i <= k; i++ {
-			c.Assert(fs[i])
-		}
-		if got := c.Solve(); got != sat.Unsat {
-			t.Fatalf("k=%d: forcing %d true should be UNSAT, got %v", k, k+1, got)
-		}
-	}
-}
-
-func TestAtMostKSatWithinBound(t *testing.T) {
-	c := NewCtx()
-	var fs []Form
-	for i := 0; i < 5; i++ {
-		fs = append(fs, c.BoolVar(string(rune('a'+i))))
-	}
-	c.AssertAtMostK(fs, 2)
-	c.Assert(fs[0])
-	c.Assert(fs[1])
-	if c.Solve() != sat.Sat {
-		t.Fatal("2 of 5 with bound 2 should be SAT")
-	}
-	if c.EvalForm(fs[2]) == sat.True && c.EvalForm(fs[3]) == sat.True {
-		t.Fatal("bound violated in model")
-	}
-}
-
+// TestExactlyOne checks exactly-one on both sides of the switch from
+// pairwise to the product encoding: any one literal may hold alone, no two
+// may, and some must.
 func TestExactlyOne(t *testing.T) {
-	c := NewCtx()
-	fs := []Form{c.BoolVar("a"), c.BoolVar("b"), c.BoolVar("c")}
-	c.AssertExactlyOne(fs)
-	if c.Solve() != sat.Sat {
-		t.Fatal("should be SAT")
-	}
-	count := 0
-	for _, f := range fs {
-		if c.EvalForm(f) == sat.True {
-			count++
+	for n := 1; n <= 40; n++ {
+		c := NewCtx()
+		fs := make([]Form, n)
+		for i := range fs {
+			fs[i] = c.FreshBool()
 		}
-	}
-	if count != 1 {
-		t.Fatalf("exactly-one violated: %d true", count)
+		c.AssertExactlyOne(fs)
+		for i := range fs {
+			if c.SolveAssuming(fs[i]) != sat.Sat {
+				t.Fatalf("n=%d: literal %d alone must be satisfiable", n, i)
+			}
+			for j := range fs {
+				if (c.EvalForm(fs[j]) == sat.True) != (i == j) {
+					t.Fatalf("n=%d: with literal %d, literal %d is %v", n, i, j, c.EvalForm(fs[j]))
+				}
+				if j > i && c.SolveAssuming(fs[i], fs[j]) != sat.Unsat {
+					t.Fatalf("n=%d: literals %d and %d together must be UNSAT", n, i, j)
+				}
+			}
+		}
+		none := make([]Form, n)
+		for i, f := range fs {
+			none[i] = c.Not(f)
+		}
+		if c.SolveAssuming(none...) != sat.Unsat {
+			t.Fatalf("n=%d: some literal must hold", n)
+		}
 	}
 }
 
@@ -169,7 +157,7 @@ func TestSolverAccessor(t *testing.T) {
 	c.Solver().SetSeed(7)
 	p, q := c.BoolVar("p"), c.BoolVar("q")
 	c.Assert(p)
-	c.Assert(c.Implies(p, q))
+	c.Assert(c.Or(c.Not(p), q))
 	if c.Solve() != sat.Sat {
 		t.Fatal("SAT expected")
 	}
