@@ -85,7 +85,7 @@ func BenchmarkAblationSlicing(b *testing.B) {
 func benchSymmetry(b *testing.B, useSymmetry bool) {
 	for i := 0; i < b.N; i++ {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 8, HostsPerGroup: 1, PolicyTiers: 2})
-		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Seed: int64(i)})
+		v, _ := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT})
 		if _, err := v.VerifyAll(d.AllIsolationInvariants(), useSymmetry); err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkAblationEngineSAT(b *testing.B) {
 	f := testnet.NewFirewallPair(mbox.NewLearningFirewall("fw"))
 	for i := 0; i < b.N; i++ {
 		p := f.Problem(inv.SimpleIsolation{Dst: f.HA, SrcAddr: f.AddrB}, topo.NoFailures())
-		if _, err := encode.Verify(p, encode.Options{Seed: int64(i)}); err != nil {
+		if _, err := encode.Verify(p, encode.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,7 +49,7 @@ func main() {
 		failures  = flag.Bool("failures", false, "also verify under single middlebox failures")
 		noSlices  = flag.Bool("no-slices", false, "verify against the whole network")
 		engine    = flag.String("engine", "auto", "auto | sat | explicit")
-		seed      = flag.Int64("seed", 0, "solver seed")
+		seed      = flag.Int64("seed", 0, "which deny rules -break-rules deletes")
 		workers   = flag.Int("workers", 0, "verification workers: check pool and explicit-engine search (0 = GOMAXPROCS)")
 
 		topology = flag.String("topology", "", "verify a vmn-topology/1 description file instead of a built-in network")
@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	opts := core.Options{Engine: eng, Seed: *seed, NoSlices: *noSlices, Workers: *workers}
+	opts := core.Options{Engine: eng, NoSlices: *noSlices, Workers: *workers}
 
 	var (
 		net  *core.Network

@@ -558,7 +558,6 @@ func main() {
 		peerings  = flag.Int("peerings", 2, "peering points (isp)")
 		withCache = flag.Bool("with-caches", false, "add caches and data servers (datacenter)")
 		engine    = flag.String("engine", "auto", "auto | sat | explicit")
-		seed      = flag.Int64("seed", 0, "solver seed")
 		workers   = flag.Int("workers", 0, "verification workers: check pool and explicit-engine search (0 = GOMAXPROCS)")
 		noSym     = flag.Bool("no-symmetry", false, "verify every invariant individually")
 		timeout   = flag.Duration("timeout", 0,
@@ -586,7 +585,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	opts := core.Options{Engine: eng, Seed: *seed, MaxConflicts: *maxConflicts, Workers: *workers}
+	opts := core.Options{Engine: eng, MaxConflicts: *maxConflicts, Workers: *workers}
 
 	// A topology file replaces the built-in network wholesale. Loading is
 	// all-or-nothing: a malformed or adversarial file produces exactly one

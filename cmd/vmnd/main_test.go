@@ -401,13 +401,15 @@ func TestGoldenPersistence(t *testing.T) {
 // TestGoldenBudgetExceeded pins the degraded-verdict wire shape: with a
 // (deliberately immediate) request deadline every solve is cut off, each
 // report carries outcome "unknown" with budget_exceeded, and the result
-// line counts them. Deterministic because no solver ever runs.
+// line counts them; the rejected proposal's repair search is cut off by the
+// same deadline and says so (repair_truncated). Deterministic because no
+// solver ever runs.
 func TestGoldenBudgetExceeded(t *testing.T) {
 	got := exchangeOpts(t, []string{
 		`{"op":"node_down","node":"fw1"}`,
 		`{"op":"propose","id":"b1","changes":[{"op":"node_up","node":"fw1"}]}`,
 		`{"op":"rollback","id":"b2"}`,
-	}, 1, incr.Options{RequestTimeout: 1, NoRepair: true}, false)
+	}, 1, incr.Options{RequestTimeout: 1}, false)
 	path := filepath.Join("testdata", "golden", "budget_exceeded.ndjson")
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -58,22 +58,19 @@ func runCanonDiff(t *testing.T, net *core.Network, opts core.Options, invs []inv
 }
 
 func TestCanonMatchesNoCanonMultiTenant(t *testing.T) {
-	for _, seed := range []int64{0, 1} {
-		for _, workers := range []int{1, 4} {
-			m := NewMultiTenant(MTConfig{Tenants: 5, PubPerTenant: 1, PrivPerTenant: 1})
-			var invs []inv.Invariant
-			for a := 0; a < 5; a++ {
-				for b := 0; b < 5; b++ {
-					if a != b {
-						invs = append(invs, m.PrivPrivInvariant(a, b),
-							m.PubPrivInvariant(a, b), m.PrivPubInvariant(a, b))
-					}
+	for _, workers := range []int{1, 4} {
+		m := NewMultiTenant(MTConfig{Tenants: 5, PubPerTenant: 1, PrivPerTenant: 1})
+		var invs []inv.Invariant
+		for a := 0; a < 5; a++ {
+			for b := 0; b < 5; b++ {
+				if a != b {
+					invs = append(invs, m.PrivPrivInvariant(a, b),
+						m.PubPrivInvariant(a, b), m.PrivPubInvariant(a, b))
 				}
 			}
-			opts := core.Options{Engine: core.EngineSAT, Seed: seed}
-			runCanonDiff(t, m.Net, opts, invs, workers,
-				fmt.Sprintf("multitenant seed=%d workers=%d", seed, workers))
 		}
+		opts := core.Options{Engine: core.EngineSAT}
+		runCanonDiff(t, m.Net, opts, invs, workers, fmt.Sprintf("multitenant workers=%d", workers))
 	}
 }
 
@@ -83,7 +80,7 @@ func TestCanonMatchesNoCanonDatacenter(t *testing.T) {
 		// Punch holes so a mix of violated (traced) and holding invariants
 		// is verified — witness translation must reproduce the traces.
 		d.DeleteRandomDenyRules(rand.New(rand.NewSource(seed)), 2)
-		opts := core.Options{Engine: core.EngineSAT, Seed: seed, RandomBranchFreq: 0.02}
+		opts := core.Options{Engine: core.EngineSAT}
 		runCanonDiff(t, d.Net, opts, d.AllIsolationInvariants(), 3,
 			fmt.Sprintf("datacenter seed=%d", seed))
 	}
@@ -94,7 +91,6 @@ func TestCanonMatchesNoCanonUnderFailures(t *testing.T) {
 	d.DeleteBackupDenyRules(rand.New(rand.NewSource(5)), 1)
 	opts := core.Options{
 		Engine:    core.EngineSAT,
-		Seed:      5,
 		Scenarios: []topo.FailureScenario{topo.NoFailures(), topo.Failures(d.FW1)},
 	}
 	runCanonDiff(t, d.Net, opts, d.AllIsolationInvariants(), 3, "datacenter failure scenarios")
@@ -116,7 +112,7 @@ func TestCanonMatchesNoCanonCaches(t *testing.T) {
 		invs = append(invs, d.DataIsolationInvariant(g))
 	}
 	invs = append(invs, d.DataIsolationInvariant(0)) // violated: trace shared
-	opts := core.Options{Engine: core.EngineSAT, Seed: 3}
+	opts := core.Options{Engine: core.EngineSAT}
 	runCanonDiff(t, d.Net, opts, invs, 2, "datacenter caches")
 }
 
@@ -134,7 +130,7 @@ func TestCanonMatchesNoCanonExplicitEngine(t *testing.T) {
 			}
 		}
 	}
-	opts := core.Options{Engine: core.EngineExplicit, Seed: 0}
+	opts := core.Options{Engine: core.EngineExplicit}
 	runCanonDiff(t, m.Net, opts, invs, 2, "multitenant explicit")
 }
 
@@ -200,7 +196,7 @@ func TestCanonSessionMatchesNoCanonMultiTenant(t *testing.T) {
 		}
 	}
 	sessionPair(t, mk, changes, 6,
-		core.Options{Engine: core.EngineSAT, Seed: 1, Workers: 3}, "session multitenant")
+		core.Options{Engine: core.EngineSAT, Workers: 3}, "session multitenant")
 }
 
 // TestCanonVerdictCacheAcrossIsomorphicFootprints pins the cross-footprint
@@ -285,5 +281,5 @@ func TestCanonSessionMatchesNoCanonDatacenter(t *testing.T) {
 		}
 	}
 	sessionPair(t, mk, changes, 6,
-		core.Options{Engine: core.EngineSAT, Seed: 2, Workers: 2}, "session datacenter")
+		core.Options{Engine: core.EngineSAT, Workers: 2}, "session datacenter")
 }

@@ -17,7 +17,9 @@ import (
 // b.Run, so both time the same closure. Prep does one repetition's untimed
 // set-up (network, verifier, invariants) and returns the timed body, which
 // reports the product states it explored (0 on the SAT engine) and panics
-// on a verdict the figure does not expect.
+// on a verdict the figure does not expect. The seed only picks which rules
+// a figure that breaks the network deletes (Fig. 2); both engines are
+// deterministic, so repeated runs of a point differ in timing alone.
 type Point struct {
 	Label string
 	X     int
@@ -113,7 +115,7 @@ func mustVerifier(net *core.Network, opts core.Options) *core.Verifier {
 	return v
 }
 
-func satOpts(seed int64) core.Options { return core.Options{Engine: core.EngineSAT, Seed: seed} }
+func satOpts() core.Options { return core.Options{Engine: core.EngineSAT} }
 
 // verifyOne builds the verifier (untimed) and returns the timed body that
 // checks iv once and panics unless the verdict is holds.
@@ -184,7 +186,7 @@ func Fig2(groups int) Figure {
 		f.Points = append(f.Points, Point{Label: sc.label, X: groups, Prep: func(seed int64) func() int {
 			d := NewDatacenter(DCConfig{Groups: groups, HostsPerGroup: 1, OpenGroups: sc.openGroups})
 			failures, iv := sc.instance(d, rand.New(rand.NewSource(seed)))
-			opts := core.Options{Engine: core.EngineSAT, Seed: seed, Scenarios: failures}
+			opts := core.Options{Engine: core.EngineSAT, Scenarios: failures}
 			return verifyOne(d.Net, opts, iv, sc.holds)
 		}})
 	}
@@ -197,7 +199,7 @@ func Fig2(groups int) Figure {
 func Fig3(classCounts []int) Figure {
 	f := Figure{Fig: "fig3", Title: "time to verify all invariants vs policy classes"}
 	for _, c := range classCounts {
-		f.Points = append(f.Points, Point{Label: "all-invariants", X: c, Prep: func(seed int64) func() int {
+		f.Points = append(f.Points, Point{Label: "all-invariants", X: c, Prep: func(int64) func() int {
 			d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1})
 			// One representative invariant per policy class: class i
 			// isolated from class i+1.
@@ -205,7 +207,7 @@ func Fig3(classCounts []int) Figure {
 			for g := 0; g < c; g++ {
 				invs = append(invs, d.IsolationInvariant(g, (g+1)%c))
 			}
-			return verifyAll(d.Net, satOpts(seed), invs)
+			return verifyAll(d.Net, satOpts(), invs)
 		}})
 	}
 	return f
@@ -221,12 +223,12 @@ func Fig4(classCounts []int) Figure {
 			if !holds {
 				label = "violated"
 			}
-			f.Points = append(f.Points, Point{Label: label, X: c, Prep: func(seed int64) func() int {
+			f.Points = append(f.Points, Point{Label: label, X: c, Prep: func(int64) func() int {
 				d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1, WithCaches: true})
 				if !holds {
 					d.DeleteCacheACLs(0, 0)
 				}
-				return verifyOne(d.Net, satOpts(seed), d.DataIsolationInvariant(0), holds)
+				return verifyOne(d.Net, satOpts(), d.DataIsolationInvariant(0), holds)
 			}})
 		}
 	}
@@ -237,13 +239,13 @@ func Fig4(classCounts []int) Figure {
 func Fig5(classCounts []int) Figure {
 	f := Figure{Fig: "fig5", Title: "data isolation: all invariants vs policy classes"}
 	for _, c := range classCounts {
-		f.Points = append(f.Points, Point{Label: "all-data-isolation", X: c, Prep: func(seed int64) func() int {
+		f.Points = append(f.Points, Point{Label: "all-data-isolation", X: c, Prep: func(int64) func() int {
 			d := NewDatacenter(DCConfig{Groups: c, HostsPerGroup: 1, WithCaches: true})
 			var invs []inv.Invariant
 			for g := 0; g < c; g++ {
 				invs = append(invs, d.DataIsolationInvariant(g))
 			}
-			return verifyAll(d.Net, satOpts(seed), invs)
+			return verifyAll(d.Net, satOpts(), invs)
 		}})
 	}
 	return f
@@ -266,9 +268,9 @@ func sliceVsWhole(xs []int, kinds []string, build func(x, kind int) (*core.Netwo
 				continue
 			}
 			for k, kind := range kinds {
-				pts = append(pts, Point{Label: kind + mode, X: x, Prep: func(seed int64) func() int {
+				pts = append(pts, Point{Label: kind + mode, X: x, Prep: func(int64) func() int {
 					net, iv := build(x, k)
-					opts := core.Options{Engine: core.EngineSAT, Seed: seed, NoSlices: whole}
+					opts := core.Options{Engine: core.EngineSAT, NoSlices: whole}
 					return verifyOne(net, opts, iv, true)
 				}})
 			}

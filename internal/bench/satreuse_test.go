@@ -86,7 +86,7 @@ func TestSATReuseMatchesFreshDatacenter(t *testing.T) {
 			// Punch holes so a mix of violated (traced) and holding
 			// invariants is verified.
 			d.DeleteRandomDenyRules(rand.New(rand.NewSource(seed)), 2)
-			opts := core.Options{Engine: core.EngineSAT, Seed: seed, RandomBranchFreq: 0.02}
+			opts := core.Options{Engine: core.EngineSAT}
 			runBoth(t, d.Net, opts, d.AllIsolationInvariants(), workers,
 				fmt.Sprintf("datacenter seed=%d workers=%d", seed, workers))
 		}
@@ -98,7 +98,6 @@ func TestSATReuseMatchesFreshUnderFailures(t *testing.T) {
 	d.DeleteBackupDenyRules(rand.New(rand.NewSource(5)), 1)
 	opts := core.Options{
 		Engine:    core.EngineSAT,
-		Seed:      5,
 		Scenarios: []topo.FailureScenario{topo.NoFailures(), topo.Failures(d.FW1)},
 	}
 	runBoth(t, d.Net, opts, d.AllIsolationInvariants(), 3, "datacenter failure scenarios")
@@ -114,6 +113,6 @@ func TestSATReuseMatchesFreshMultiTenant(t *testing.T) {
 			}
 		}
 	}
-	opts := core.Options{Engine: core.EngineSAT, Seed: 2}
+	opts := core.Options{Engine: core.EngineSAT}
 	runBoth(t, m.Net, opts, invs, 4, "multitenant")
 }

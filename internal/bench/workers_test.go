@@ -8,6 +8,7 @@ import (
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/sat"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -98,5 +99,44 @@ func TestVerifyAllWorkersBitIdentical(t *testing.T) {
 	}
 	if violated == 0 {
 		t.Fatal("no candidate violates an invariant: the witnesses go unchecked")
+	}
+}
+
+// TestSolverDeterministicAtOneWorker pins the verification core as free of
+// randomness: fresh verifiers at one worker, run over the same broken cache
+// datacenter, do the same solver work down to the decision and return
+// equal reports, SolverConflicts included. With more workers, checks that
+// share a warm encoding solve it in the order the pool runs them, so the
+// counts (not the verdicts) vary from run to run.
+func TestSolverDeterministicAtOneWorker(t *testing.T) {
+	want := sat.Stats{Decisions: 24050, Propagations: 550672, Conflicts: 39, Learnt: 39, SolveCalls: 132}
+	var first []core.Report
+	for run := 0; run < 3; run++ {
+		d := NewDatacenter(DCConfig{Groups: 4, HostsPerGroup: 1, WithCaches: true})
+		d.DeleteRandomDenyRules(rand.New(rand.NewSource(3)), 2)
+		d.DeleteCacheACLs(0, 0)
+		invs := d.AllIsolationInvariants()
+		for g := 0; g < 4; g++ {
+			invs = append(invs, d.DataIsolationInvariant(g))
+		}
+		v, err := core.NewVerifier(d.Net, core.Options{Engine: core.EngineSAT, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := v.VerifyAll(invs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.SolverStats(); got != want {
+			t.Fatalf("run %d: solver stats %+v, want %+v", run, got, want)
+		}
+		for i := range reps {
+			reps[i].Duration = 0
+		}
+		if run == 0 {
+			first = reps
+		} else if !reflect.DeepEqual(reps, first) {
+			t.Fatalf("run %d: reports differ from run 0:\ngot  %+v\nwant %+v", run, reps, first)
+		}
 	}
 }

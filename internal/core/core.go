@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -94,12 +93,8 @@ type Options struct {
 	// Scenarios are the failure scenarios to verify under; empty means
 	// just the fault-free network.
 	Scenarios []topo.FailureScenario
-	// Seed / RandomBranchFreq / MaxConflicts configure the SAT engine.
-	Seed             int64
-	RandomBranchFreq float64
-	MaxConflicts     int64
-	// MaxStates bounds the explicit engine.
-	MaxStates int
+	// MaxConflicts bounds the SAT engine's work per solve (0 = unlimited).
+	MaxConflicts int64
 	// Workers bounds core's parallelism: VerifyAll's and VerifyInvariant's
 	// check pool and the explicit engine's search (0 = GOMAXPROCS); reports
 	// are identical for every value, up to the work they measure (Duration,
@@ -131,9 +126,9 @@ type Options struct {
 
 // AppendVerdictKey appends the options a verdict is a function of — the
 // prologue of every verdict key (canonical class and encoding keys, exact
-// fingerprints, the state directory's configuration hash). Seed and solver
-// tuning are included because violation witnesses are canonical but Unknown
-// outcomes under a conflict budget are not.
+// fingerprints, the state directory's configuration hash). The conflict
+// budget is included because violation witnesses are canonical but Unknown
+// outcomes under a budget are not.
 func (o Options) AppendVerdictKey(b []byte) []byte {
 	b = append(b, byte(o.Engine))
 	b = binary.AppendUvarint(b, uint64(o.MaxSends))
@@ -142,10 +137,7 @@ func (o Options) AppendVerdictKey(b []byte) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = binary.AppendVarint(b, o.Seed)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(o.RandomBranchFreq))
-	b = binary.AppendVarint(b, o.MaxConflicts)
-	return binary.AppendUvarint(b, uint64(o.MaxStates))
+	return binary.AppendVarint(b, o.MaxConflicts)
 }
 
 // Report is the verdict for one (invariant, scenario) pair.
@@ -794,7 +786,7 @@ func (v *Verifier) keepSet(i inv.Invariant) []topo.NodeID {
 
 func (v *Verifier) sliceFor(keep []topo.NodeID, engine *tf.Engine) (slices.Result, error) {
 	if v.opts.NoSlices {
-		return wholeSlice(v.net), nil
+		return slices.Whole(v.net.Topo, v.net.Boxes), nil
 	}
 	return slices.Compute(slices.Input{
 		Topo:        v.net.Topo,
@@ -855,13 +847,11 @@ func (v *Verifier) solvePlan(plan *checkPlan) (Report, error) {
 func (v *Verifier) dispatch(plan *checkPlan) (inv.Result, string, error) {
 	p := plan.prob
 	encOpts := encode.Options{
-		Seed:              v.opts.Seed,
-		RandomBranchFreq:  v.opts.RandomBranchFreq,
 		MaxConflicts:      v.opts.MaxConflicts,
 		GroundAllReadKeys: v.opts.NoSlices,
 		Journeys:          v.journeys,
 	}
-	expOpts := explore.Options{MaxStates: v.opts.MaxStates, Workers: v.opts.Workers}
+	expOpts := explore.Options{Workers: v.opts.Workers}
 	switch v.opts.Engine {
 	case EngineSAT:
 		r, err := v.verifySAT(p, encOpts, plan)
@@ -995,15 +985,4 @@ func (v *Verifier) genSamples(i inv.Invariant, sl slices.Result, keep []topo.Nod
 		}
 	}
 	return out
-}
-
-// wholeSlice is the no-slicing baseline: all hosts and boxes.
-func wholeSlice(net *Network) slices.Result {
-	var hosts []topo.NodeID
-	for _, n := range net.Topo.Nodes() {
-		if n.Kind == topo.Host || n.Kind == topo.External {
-			hosts = append(hosts, n.ID)
-		}
-	}
-	return slices.Result{Hosts: hosts, Boxes: append([]mbox.Instance(nil), net.Boxes...), Whole: true}
 }

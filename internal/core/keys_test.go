@@ -75,12 +75,12 @@ func keyedNets(t *testing.T) []keyedNet {
 		mtInvs = append(mtInvs, mt.PrivPrivInvariant(a, b), mt.PubPrivInvariant(a, b), mt.PrivPubInvariant(a, b))
 	}
 	out := []keyedNet{
-		{"datacenter", dc.Net, dcInvs, core.Options{Engine: core.EngineSAT, Seed: 3, RandomBranchFreq: 0.02,
+		{"datacenter", dc.Net, dcInvs, core.Options{Engine: core.EngineSAT,
 			Scenarios: []topo.FailureScenario{topo.NoFailures(), topo.Failures(dc.FW1)}}},
 		{"datacenter-caches", cdc.Net, cdcInvs, core.Options{Engine: core.EngineSAT}},
-		{"enterprise", ent.Net, ent.AllInvariants(), core.Options{MaxConflicts: 5000, MaxStates: 100000}},
+		{"enterprise", ent.Net, ent.AllInvariants(), core.Options{MaxConflicts: 5000}},
 		{"isp", isp.Net, ispInvs, core.Options{Engine: core.EngineExplicit, MaxSends: 3, NoSlices: true}},
-		{"multitenant", mt.Net, mtInvs, core.Options{Seed: -7, RandomBranchFreq: 0.05}},
+		{"multitenant", mt.Net, mtInvs, core.Options{}},
 	}
 	for _, g := range []struct {
 		name string
@@ -118,15 +118,15 @@ func (d digest) String() string { return hex.EncodeToString(d.h.Sum(nil))[:16] }
 
 func TestKeysByteIdentical(t *testing.T) {
 	want := map[string]string{
-		"cloudvpc":          "checks=19 canonical=19 boxes=38 exact=45fa62938591b226 read=9286f96987c6c118 class=16efd982b9c55b6b enc=75a6ea08232e2484 encx=a7e955df22c1de52",
-		"datacenter":        "checks=30 canonical=30 boxes=66 exact=bcf88e875a167b5b read=c38999f60959f4df class=e017a7330f4d6705 enc=944cd356c5ba05a0 encx=35641f03c23aece5",
-		"datacenter-caches": "checks=3 canonical=3 boxes=15 exact=6e606ba9303fd23a read=6e606ba9303fd23a class=5fb05eb6c9d203d0 enc=aa21a65a8faf9c10 encx=57e3b7ce5dacf46a",
-		"enterprise":        "checks=6 canonical=6 boxes=12 exact=aa3d65a1f99d77f6 read=a97174351c1de40d class=57e6cd3f3bee71dd enc=48fa6ba7c1f1c100 encx=bf14d3a5811aa0e6",
-		"fattree":           "checks=8 canonical=8 boxes=16 exact=73ddf4a4d1bd3d44 read=73ddf4a4d1bd3d44 class=4d69867d2a8f9e93 enc=1d09a6454e2e7eff encx=ab64678027ee5b35",
-		"isp":               "checks=6 canonical=0 boxes=30 exact=6995030ad8248d11 read=1d0d0664cd745c93 class=b0f66adc83641586 enc=b0f66adc83641586 encx=be3835f3fe5b38b0",
-		"ispbackbone":       "checks=6 canonical=6 boxes=21 exact=cde17d3fb95999fe read=087a9ff5dbafac5a class=7d19c9944945b24b enc=b474b4074138d62d encx=92bceb5a38f35cec",
+		"cloudvpc":          "checks=19 canonical=19 boxes=38 exact=45fa62938591b226 read=9286f96987c6c118 class=1c7ab7f58e4c4979 enc=05878533e3cb96a1 encx=fb9d5f8c5f299b9f",
+		"datacenter":        "checks=30 canonical=30 boxes=66 exact=bcf88e875a167b5b read=c38999f60959f4df class=6c42862cb4005ed2 enc=9542a4d7d8b97945 encx=a42411d500a70858",
+		"datacenter-caches": "checks=3 canonical=3 boxes=15 exact=6e606ba9303fd23a read=6e606ba9303fd23a class=44ecb28489f18ef9 enc=8aec9e65dcf4884a encx=2c1aa82831a5f9ad",
+		"enterprise":        "checks=6 canonical=6 boxes=12 exact=aa3d65a1f99d77f6 read=a97174351c1de40d class=dce63e3064352a91 enc=2335b54e7c12d38c encx=61633ce0e20f3b8d",
+		"fattree":           "checks=8 canonical=8 boxes=16 exact=73ddf4a4d1bd3d44 read=73ddf4a4d1bd3d44 class=4b60e8ec93e9c39f enc=d0983ef7ceaa5b0c encx=61ff912ff371d876",
+		"isp":               "checks=6 canonical=0 boxes=30 exact=6995030ad8248d11 read=1d0d0664cd745c93 class=b0f66adc83641586 enc=b0f66adc83641586 encx=5d982ff890ac6be1",
+		"ispbackbone":       "checks=6 canonical=6 boxes=21 exact=cde17d3fb95999fe read=087a9ff5dbafac5a class=62941e075443a1ef enc=581f627fdf39df0d encx=7e9d6403704aaa54",
 		"models":            "exact=27a39e332b6d587c read=2febd4c70ce43edc canon=be786ea1b1b15181",
-		"multitenant":       "checks=9 canonical=9 boxes=18 exact=8600ff49e800bb69 read=3ba2d3bf2a6c9cd4 class=9cdbc7ad4ad6fdb2 enc=18c94eb62d9a44fc encx=e6c5408ceea8c631",
+		"multitenant":       "checks=9 canonical=9 boxes=18 exact=8600ff49e800bb69 read=3ba2d3bf2a6c9cd4 class=8af7b124f5b73a75 enc=cdf21ac2dd2eaa70 encx=65bb4925e11b9fed",
 	}
 	got := map[string]string{}
 	for _, kn := range keyedNets(t) {
@@ -155,8 +155,7 @@ func TestKeysByteIdentical(t *testing.T) {
 				class.add(cp.CanonKey(), cp.CanonKey() != nil)
 				enc.add(cp.EncKey(), cp.EncKey() != nil)
 				p := cp.Problem()
-				encx.add(encode.AppendEncodingKey(nil, p, encode.Options{Seed: kn.opts.Seed,
-					RandomBranchFreq: kn.opts.RandomBranchFreq, MaxConflicts: kn.opts.MaxConflicts}))
+				encx.add(encode.AppendEncodingKey(nil, p, encode.Options{MaxConflicts: kn.opts.MaxConflicts}))
 				universe := slices.ComputeReadSet(kn.net.Topo, eng, cp.Slice()).Universe
 				for _, b := range cp.Slice().Boxes {
 					exact.add(exactKey(b.Model))

@@ -52,13 +52,6 @@ import (
 
 // Options tune the solver-backed engine.
 type Options struct {
-	// MaxHops bounds middlebox chains per journey (loop guard).
-	MaxHops int
-	// Seed seeds the SAT solver's randomized branching; distinct seeds
-	// reproduce the run-to-run variance the paper reports for Z3.
-	Seed int64
-	// RandomBranchFreq is the solver's random-decision frequency.
-	RandomBranchFreq float64
 	// MaxConflicts bounds solver work (0 = unlimited); exceeding it yields
 	// Unknown, the analogue of an SMT timeout.
 	MaxConflicts int64
@@ -71,13 +64,6 @@ type Options struct {
 	// Journeys, when non-nil, memoizes journey enumeration across Verify
 	// calls over one frozen network (see JourneyCache).
 	Journeys *JourneyCache
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxHops == 0 {
-		o.MaxHops = 12
-	}
-	return o
 }
 
 // keyRef names one middlebox state bit.
@@ -130,7 +116,7 @@ func Verify(p *inv.Problem, opts Options) (inv.Result, error) {
 // append in place; at a fork every branch gets capacity-limited slices, so
 // its first append copies instead of overwriting a sibling's. A finished
 // path keeps the arrays it grew, which no one writes again.
-func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.ClassSet) ([]jpath, error) {
+func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.ClassSet) ([]jpath, error) {
 	type flight struct {
 		Hdr     pkt.Header
 		Classes pkt.ClassSet
@@ -172,7 +158,7 @@ func journeys(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, s inv.Sa
 		failed := p.Scenario.Failed(fl.At)
 
 		forwardTo := func(hdr pkt.Header, classes pkt.ClassSet, hops int, q []flight) ([]flight, error) {
-			if hops > opts.MaxHops {
+			if hops > inv.MaxHops {
 				return nil, fmt.Errorf("encode: middlebox hop bound exceeded at %s", node.Name)
 			}
 			to, fok, err := p.TF.Next(fl.At, hdr.RouteAddr())

@@ -104,7 +104,6 @@ type SliceEncoding struct {
 // content. The CNF it emits after serving the fixtures' invariants is
 // pinned by TestSliceEncodingCNFPinned.
 func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
-	opts = opts.withDefaults()
 	if p.MaxSends <= 0 {
 		return nil, fmt.Errorf("encode: MaxSends must be positive")
 	}
@@ -122,8 +121,6 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	}
 
 	ctx := smt.NewCtx()
-	ctx.Solver().SetSeed(opts.Seed)
-	ctx.Solver().SetRandomBranchFreq(opts.RandomBranchFreq)
 	e := &SliceEncoding{
 		ctx:     ctx,
 		K:       p.MaxSends,
@@ -276,7 +273,7 @@ func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) 
 	var key []byte
 	if opts.Journeys != nil {
 		var ok bool
-		if key, ok = appendProblemKey(nil, p, opts); !ok {
+		if key, ok = appendProblemKey(nil, p); !ok {
 			opts.Journeys = nil // unfingerprintable box: no memoization
 		}
 	}
@@ -286,7 +283,7 @@ func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) 
 	for _, s := range p.Samples {
 		for _, cls := range classes {
 			c := choice{sample: s, classes: cls}
-			enumerate := func() ([]jpath, error) { return journeys(p, opts, boxIdx, s, cls) }
+			enumerate := func() ([]jpath, error) { return journeys(p, boxIdx, s, cls) }
 			var err error
 			if opts.Journeys != nil {
 				key = appendChoiceKey(key[:prefix], s, cls)
@@ -339,7 +336,6 @@ func (e *SliceEncoding) SolverStats() sat.Stats {
 // solves under that assumption. Result.SolverConflicts counts only this
 // call's work. Safe for concurrent use; calls serialize on the encoding.
 func (e *SliceEncoding) Verify(p *inv.Problem, opts Options) (inv.Result, error) {
-	opts = opts.withDefaults()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ctx := e.ctx

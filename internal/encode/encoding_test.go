@@ -50,30 +50,28 @@ func TestSliceEncodingSharedSolvesMatchFresh(t *testing.T) {
 		inv.SimpleIsolation{Dst: f.HA, SrcAddr: f.AddrB}, // repeat: activation reuse
 		inv.SimpleIsolation{Dst: f.HB, SrcAddr: f.AddrA}, // violated the other way
 	}
-	for _, seed := range []int64{0, 7, 991} {
-		opts := Options{Seed: seed, RandomBranchFreq: 0.05}
-		enc, err := NewSliceEncoding(mk(seq[0]), opts)
+	opts := Options{}
+	enc, err := NewSliceEncoding(mk(seq[0]), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, iv := range seq {
+		p := mk(iv)
+		shared, err := enc.Verify(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, iv := range seq {
-			p := mk(iv)
-			shared, err := enc.Verify(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := Verify(mk(iv), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, iv.Name(), shared, fresh)
-			if i > 0 && shared.Outcome == inv.Violated && len(shared.Trace) == 0 {
-				t.Fatalf("%s: violated without a trace", iv.Name())
-			}
+		fresh, err := Verify(mk(iv), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if enc.Solves() != int64(len(seq)) {
-			t.Fatalf("encoding served %d solves, want %d", enc.Solves(), len(seq))
+		sameResult(t, iv.Name(), shared, fresh)
+		if i > 0 && shared.Outcome == inv.Violated && len(shared.Trace) == 0 {
+			t.Fatalf("%s: violated without a trace", iv.Name())
 		}
+	}
+	if enc.Solves() != int64(len(seq)) {
+		t.Fatalf("encoding served %d solves, want %d", enc.Solves(), len(seq))
 	}
 }
 
@@ -111,7 +109,7 @@ func TestSliceEncodingHoldsDoNotPoison(t *testing.T) {
 }
 
 // TestEncodingKeyDistinguishesContent: problems differing in schedule
-// bound, seed or samples must not share an encoding key; identical
+// bound, conflict budget or samples must not share an encoding key; identical
 // problems must.
 func TestEncodingKeyDistinguishesContent(t *testing.T) {
 	fw := mbox.NewLearningFirewall("fw")
@@ -133,8 +131,8 @@ func TestEncodingKeyDistinguishesContent(t *testing.T) {
 	if key(bumped, Options{}) == k0 {
 		t.Fatal("schedule bound must perturb the key")
 	}
-	if key(base, Options{Seed: 3}) == k0 {
-		t.Fatal("solver seed must perturb the key")
+	if key(base, Options{MaxConflicts: 3}) == k0 {
+		t.Fatal("conflict budget must perturb the key")
 	}
 	fewer := f.Problem(inv.SimpleIsolation{Dst: f.HA, SrcAddr: f.AddrB}, topo.NoFailures())
 	fewer.Samples = fewer.Samples[:len(fewer.Samples)-1]
@@ -183,36 +181,34 @@ func violatedFamilies() [][]*inv.Problem {
 	}}
 }
 
-// eachViolated verifies every violatedFamilies problem at seeds 0, 7 and
-// 991, each on a cold encoding of its own and on one warm encoding that
-// served the family's earlier problems first, and hands each Violated
-// result to check with the encoding's Solves delta for the call.
+// eachViolated verifies every violatedFamilies problem on a cold encoding
+// of its own and on one warm encoding that served the family's earlier
+// problems first, and hands each Violated result to check with the
+// encoding's Solves delta for the call.
 func eachViolated(t *testing.T, check func(label string, enc *SliceEncoding, p *inv.Problem, r inv.Result, solves int64)) {
 	t.Helper()
 	for fi, fam := range violatedFamilies() {
-		for _, seed := range []int64{0, 7, 991} {
-			opts := Options{Seed: seed, RandomBranchFreq: 0.05}
-			warm, err := NewSliceEncoding(fam[0], opts)
+		opts := Options{}
+		warm, err := NewSliceEncoding(fam[0], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range fam {
+			cold, err := NewSliceEncoding(p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range fam {
-				cold, err := NewSliceEncoding(p, opts)
+			for ei, enc := range []*SliceEncoding{cold, warm} {
+				label := fmt.Sprintf("family %d %s %s", fi, []string{"cold", "warm"}[ei], p.Invariant.Name())
+				before := enc.SolverStats().SolveCalls
+				r, err := enc.Verify(p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for ei, enc := range []*SliceEncoding{cold, warm} {
-					label := fmt.Sprintf("family %d seed %d %s %s", fi, seed, []string{"cold", "warm"}[ei], p.Invariant.Name())
-					before := enc.SolverStats().SolveCalls
-					r, err := enc.Verify(p, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r.Outcome != inv.Violated {
-						t.Fatalf("%s: %v, want violated", label, r.Outcome)
-					}
-					check(label, enc, p, r, enc.SolverStats().SolveCalls-before)
+				if r.Outcome != inv.Violated {
+					t.Fatalf("%s: %v, want violated", label, r.Outcome)
 				}
+				check(label, enc, p, r, enc.SolverStats().SolveCalls-before)
 			}
 		}
 	}
@@ -220,7 +216,7 @@ func eachViolated(t *testing.T, check func(label string, enc *SliceEncoding, p *
 
 // TestWitnessExtractionSolveBound: a violated check costs its deciding
 // solve plus at most ⌈log₂(|choices|+1)⌉ solves per schedule step, whatever
-// the seed or solver history.
+// the solver history.
 func TestWitnessExtractionSolveBound(t *testing.T) {
 	eachViolated(t, func(label string, _ *SliceEncoding, p *inv.Problem, _ inv.Result, solves int64) {
 		choices := len(p.Samples) * len(p.ClassAssignments())

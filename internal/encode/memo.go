@@ -12,7 +12,6 @@ package encode
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"sync"
 
 	"github.com/netverify/vmn/internal/inv"
@@ -114,20 +113,19 @@ func (c *JourneyCache) paths(key string, enumerate func() ([]jpath, error)) ([]j
 
 // appendProblemKey encodes the per-problem part of a journey key: the
 // transfer engine's behaviour fingerprint (forwarding state + failure
-// scenario), the hop bound, and the ordered middlebox node list with
-// per-box configuration fingerprints (p.Boxes is sorted by node for
-// sliced problems, and box order determines the keyRef box indices inside
-// jpaths, so the order must be part of the key). ok is false when some
-// box has no configuration fingerprint — such problems must not be
-// memoized, because a reconfiguration would not perturb the key.
-func appendProblemKey(b []byte, p *inv.Problem, opts Options) ([]byte, bool) {
+// scenario) and the ordered middlebox node list with per-box configuration
+// fingerprints (p.Boxes is sorted by node for sliced problems, and box
+// order determines the keyRef box indices inside jpaths, so the order must
+// be part of the key). ok is false when some box has no configuration
+// fingerprint — such problems must not be memoized, because a
+// reconfiguration would not perturb the key.
+func appendProblemKey(b []byte, p *inv.Problem) ([]byte, bool) {
 	b = binary.BigEndian.AppendUint64(b, p.TF.Fingerprint())
 	fail := p.Scenario.Nodes()
 	b = binary.AppendUvarint(b, uint64(len(fail)))
 	for _, n := range fail {
 		b = binary.AppendVarint(b, int64(n))
 	}
-	b = binary.AppendUvarint(b, uint64(opts.MaxHops))
 	b = binary.AppendUvarint(b, uint64(len(p.Boxes)))
 	var seg []byte
 	for _, box := range p.Boxes {
@@ -145,23 +143,20 @@ func appendProblemKey(b []byte, p *inv.Problem, opts Options) ([]byte, bool) {
 // AppendEncodingKey appends the canonical content key of the build-once
 // slice encoding for p: everything NewSliceEncoding's output is a function
 // of — the journey problem key (transfer-engine behaviour fingerprint,
-// failure scenario, hop bound, ordered middleboxes with configuration
-// fingerprints), the schedule bound, the solver options baked into the
-// encoding, and the full ordered (sample, class assignment) alphabet.
+// failure scenario, ordered middleboxes with configuration fingerprints),
+// the schedule bound, the conflict budget and grounding mode, and the full
+// ordered (sample, class assignment) alphabet.
 // Like the journey keys it assumes one fixed topology per cache (the
 // core.Verifier scope, whose address→host mapping is invariant). ok is
 // false when some middlebox lacks a configuration fingerprint; such
 // encodings must not be reused, since a reconfiguration would not perturb
 // the key.
 func AppendEncodingKey(b []byte, p *inv.Problem, opts Options) ([]byte, bool) {
-	opts = opts.withDefaults()
-	b, ok := appendProblemKey(b, p, opts)
+	b, ok := appendProblemKey(b, p)
 	if !ok {
 		return nil, false
 	}
 	b = binary.AppendUvarint(b, uint64(p.MaxSends))
-	b = binary.AppendVarint(b, opts.Seed)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(opts.RandomBranchFreq))
 	b = binary.AppendVarint(b, opts.MaxConflicts)
 	if opts.GroundAllReadKeys {
 		b = append(b, 1)

@@ -56,9 +56,10 @@ var ErrHopBound = errors.New("explore: middlebox hop bound exceeded")
 
 // Options tune the search.
 type Options struct {
-	// MaxHops bounds middlebox-to-middlebox forwarding chains per packet;
-	// exceeding it indicates a middlebox forwarding loop and is an error
-	// (the static fabric is already loop-checked by internal/tf).
+	// MaxHops bounds middlebox-to-middlebox forwarding chains per packet
+	// (0 means inv.MaxHops, the SAT engine's bound); exceeding it indicates
+	// a middlebox forwarding loop and is an error (the static fabric is
+	// already loop-checked by internal/tf).
 	MaxHops int
 	// MaxStates bounds the number of distinct product states explored;
 	// exceeding it yields Unknown.
@@ -71,7 +72,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxHops == 0 {
-		o.MaxHops = 12
+		o.MaxHops = inv.MaxHops
 	}
 	if o.MaxStates == 0 {
 		o.MaxStates = 500000

@@ -51,12 +51,12 @@ func keyedNets(t *testing.T) []keyedNet {
 		mtInvs = append(mtInvs, mt.PrivPrivInvariant(a, b), mt.PubPrivInvariant(a, b), mt.PrivPubInvariant(a, b))
 	}
 	out := []keyedNet{
-		{"datacenter", dc.Net, dcInvs, core.Options{Engine: core.EngineSAT, Seed: 3, RandomBranchFreq: 0.02,
+		{"datacenter", dc.Net, dcInvs, core.Options{Engine: core.EngineSAT,
 			Scenarios: []topo.FailureScenario{topo.NoFailures(), topo.Failures(dc.FW1)}}},
 		{"datacenter-caches", cdc.Net, cdcInvs, core.Options{Engine: core.EngineSAT}},
-		{"enterprise", ent.Net, ent.AllInvariants(), core.Options{MaxConflicts: 5000, MaxStates: 100000}},
+		{"enterprise", ent.Net, ent.AllInvariants(), core.Options{MaxConflicts: 5000}},
 		{"isp", isp.Net, ispInvs, core.Options{Engine: core.EngineExplicit, MaxSends: 3, NoSlices: true}},
-		{"multitenant", mt.Net, mtInvs, core.Options{Seed: -7, RandomBranchFreq: 0.05}},
+		{"multitenant", mt.Net, mtInvs, core.Options{}},
 	}
 	for _, g := range []struct {
 		name string
@@ -77,14 +77,14 @@ func keyedNets(t *testing.T) []keyedNet {
 
 func TestKeysByteIdentical(t *testing.T) {
 	want := map[string]string{
-		"cloudvpc":          "checks=19 x=844f58e3a0488752",
-		"datacenter":        "checks=30 x=7680d7db791612d2",
-		"datacenter-caches": "checks=3 x=22ad6ef4c9a12b51",
-		"enterprise":        "checks=6 x=2a158bcf54aa8955",
-		"fattree":           "checks=8 x=432e8808d028d489",
-		"isp":               "checks=6 x=e134e7c99f586e52",
-		"ispbackbone":       "checks=6 x=b4fc2593184b39f8",
-		"multitenant":       "checks=9 x=00f4be580e1ef30a",
+		"cloudvpc":          "checks=19 x=f730ca0554d5c557",
+		"datacenter":        "checks=30 x=054cbc4a9c78c770",
+		"datacenter-caches": "checks=3 x=3b2e06fb1851117e",
+		"enterprise":        "checks=6 x=7e34b50900173730",
+		"fattree":           "checks=8 x=cbec3ebc2b5cc068",
+		"isp":               "checks=6 x=6e63cf8e69edcbdc",
+		"ispbackbone":       "checks=6 x=a87c50e420c8e09b",
+		"multitenant":       "checks=9 x=6ed7e51e9130f4e7",
 	}
 	for _, kn := range keyedNets(t) {
 		v, err := core.NewVerifier(kn.net, kn.opts)

@@ -222,9 +222,9 @@ type persistRenaming struct {
 // configuration. A restored store whose hash differs was written by a
 // differently configured session — its verdicts do not transfer.
 func (s *Session) configHash() uint64 {
-	// codec version: 4 = the options are core.Options.AppendVerdictKey
-	// (RandomBranchFreq by its float bits, where 3 truncated it to 0)
-	b := s.opts.AppendVerdictKey([]byte{4})
+	// codec version: 5 = core.Options.AppendVerdictKey without the solver
+	// seed, random-branch frequency and explicit-state budget
+	b := s.opts.AppendVerdictKey([]byte{5})
 	put := func(vs ...int64) {
 		for _, v := range vs {
 			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))

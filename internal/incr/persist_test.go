@@ -364,7 +364,10 @@ func writeStore(t testing.TB, dir string, snapshot []byte, records ...[]byte) {
 // why. A third is the snapshot (verdict store included) and journal the
 // revision before the options entered the fingerprint through
 // core.Options.AppendVerdictKey wrote (version 2, codec 3): same version,
-// so only the codec byte stands between its verdicts and this session.
+// so only the codec byte stands between its verdicts and this session. A
+// fourth is what the revision whose options still carried the solver seed,
+// random-branch frequency and explicit-state budget wrote (codec 4), which
+// that revision restores warm.
 func TestParentFormatStateColdStarts(t *testing.T) {
 	const acl = `{"src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"src":"10.0.0.0/24","dst":"10.2.0.0/24"},` +
 		`{"src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"src":"10.1.0.0/24","dst":"10.2.0.0/24"},` +
@@ -397,6 +400,8 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 	}
 	const snapshot3 = `{"version":2,"config":15811521706933809941,"seq":3,"applied":{"a1":2},"changes":[{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.9.0.0/24","dst":"*"},{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"action":"deny","src":"10.0.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.1.0.0/24"}],"default_allow":true}}],"cache":[{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgEAAAFBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQBAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8AAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYARgC","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[8,6,1,3],"a":[167772161,167837697],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}},{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgABAQBBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQAAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8BAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYAhgB","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[6,8,1,3],"a":[167837697,167772161],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}}]}`
 	records3 := [][]byte{[]byte(`{"seq":4,"changes":[{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`)}
+	const snapshot4 = `{"version":2,"config":3895081803663002182,"seq":2,"applied":{"a1":2},"changes":[{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.9.0.0/24","dst":"*"},{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"action":"deny","src":"10.0.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.1.0.0/24"}],"default_allow":true}}],"cache":[{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgEAAAFBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQBAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8AAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYARgC","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[8,6,1,3],"a":[167772161,167837697],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}},{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgABAQBBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQAAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8BAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYAhgB","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[6,8,1,3],"a":[167837697,167772161],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}}]}`
+	records4 := [][]byte{[]byte(`{"seq":3,"changes":[{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`)}
 	fresh, _, want := newPersistDC(t, incr.Options{})
 	for _, tc := range []struct {
 		name     string
@@ -408,6 +413,7 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 		{"parent snapshot and journal", []byte(snapshot2), records2},
 		{"parent snapshot claiming version 2", []byte(strings.Replace(snapshot2, `"version":1`, `"version":2`, 1)), records2},
 		{"codec 3 snapshot and journal", []byte(snapshot3), records3},
+		{"codec 4 snapshot and journal", []byte(snapshot4), records4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -438,35 +444,35 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 	}
 }
 
-// The configuration fingerprint must tell two branching frequencies apart:
-// it used to hash int64(RandomBranchFreq), which is 0 for every frequency
-// in [0,1), so a store written under 0.02 warm-started a session solving
-// under 0.05. Restarting under the writer's own frequency stays warm.
-func TestBranchFreqChangeColdStarts(t *testing.T) {
+// A store written under one conflict budget must not warm-start a session
+// solving under another: Unknown outcomes depend on the budget, so the
+// configuration fingerprint covers it. Restarting under the writer's own
+// budget stays warm.
+func TestConflictBudgetChangeColdStarts(t *testing.T) {
 	dir := t.TempDir()
-	open := func(freq float64) *incr.Session {
+	open := func(budget int64) *incr.Session {
 		t.Helper()
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
-		s, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT, RandomBranchFreq: freq},
+		s, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT, MaxConflicts: budget},
 			d.AllIsolationInvariants(), persistOpts(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	if err := open(0.02).Shutdown(); err != nil {
+	if err := open(5000).Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	same := open(0.02)
+	same := open(5000)
 	if rec := same.Recovery(); !rec.Recovered || rec.ColdStart {
-		t.Fatalf("same frequency: recovery = %+v, want a warm start", rec)
+		t.Fatalf("same budget: recovery = %+v, want a warm start", rec)
 	}
 	if err := same.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	rec := open(0.05).Recovery()
+	rec := open(6000).Recovery()
 	if !rec.ColdStart || rec.Recovered || !strings.Contains(rec.Reason, "different configuration or codec version") {
-		t.Fatalf("0.02 -> 0.05: recovery = %+v, want a cold start naming the configuration", rec)
+		t.Fatalf("5000 -> 6000: recovery = %+v, want a cold start naming the configuration", rec)
 	}
 }
 

@@ -36,8 +36,6 @@ type Options struct {
 	// instead of hanging the daemon; exceeded groups stay dirty and
 	// re-verify on the next request. 0 disables the deadline.
 	RequestTimeout time.Duration
-	// NoRepair disables minimal-repair search on violating proposes.
-	NoRepair bool
 	// FaultHook, when non-nil, is called at the entry of every group
 	// solve ("solve" stage) on the worker that runs it. Test-only fault
 	// injection: a hook that panics exercises the containment path
@@ -438,15 +436,6 @@ func (s *Session) hasOriginAgnosticBox() bool {
 	return false
 }
 
-// policyClassOf mirrors the slice computation's class lookup (an
-// unlabeled node is a singleton class of its own).
-func (s *Session) policyClassOf(n topo.NodeID) string {
-	if c, ok := s.net.PolicyClass[n]; ok {
-		return c
-	}
-	return fmt.Sprintf("singleton-%d", n)
-}
-
 // relabelImpact scopes the dirtying a policy relabel of node n to class
 // newClass needs. It must run against the class map as it stands BEFORE
 // the relabel is installed.
@@ -487,10 +476,10 @@ func (s *Session) relabelImpact(n topo.NodeID, newClass string) (full bool, witn
 	if node.Kind != topo.Host && node.Kind != topo.External {
 		return false, []topo.NodeID{n}
 	}
-	oldC := s.policyClassOf(n)
+	oldC := slices.ClassOf(s.net.PolicyClass, n)
 	newC := newClass
 	if newC == "" {
-		newC = fmt.Sprintf("singleton-%d", n)
+		newC = slices.ClassOf(nil, n)
 	}
 	if oldC == newC {
 		return false, nil
@@ -501,7 +490,7 @@ func (s *Session) relabelImpact(n topo.NodeID, newClass string) (full bool, witn
 		if other.ID == n || (other.Kind != topo.Host && other.Kind != topo.External) {
 			continue
 		}
-		switch s.policyClassOf(other.ID) {
+		switch slices.ClassOf(s.net.PolicyClass, other.ID) {
 		case oldC:
 			memA = true
 		case newC:

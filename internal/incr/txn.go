@@ -231,7 +231,7 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	if res.NewViolations > 0 || res.BudgetExceeded > 0 {
 		res.Decision = Reject
 	}
-	if res.NewViolations > 0 && !s.sopts.NoRepair {
+	if res.NewViolations > 0 {
 		s.searchRepairs(base, baseUnsat, changes, res)
 	}
 

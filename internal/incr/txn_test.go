@@ -553,8 +553,7 @@ func TestProposeCommitEveryKind(t *testing.T) {
 			incr.RemoveInvariant(d.IsolationInvariant(0, 1).Name()),
 		}
 	}
-	sopts := incr.Options{NoRepair: true}
-	a, b := newDCTarget(t, false, sopts), newDCTarget(t, false, sopts)
+	a, b := newDCTarget(t, false, incr.Options{}), newDCTarget(t, false, incr.Options{})
 	pr, err := a.session().Propose(every(a))
 	if err != nil {
 		t.Fatalf("Propose failed: %v", err)

@@ -25,6 +25,11 @@ type Sample struct {
 	Hdr    pkt.Header
 }
 
+// MaxHops bounds a packet's middlebox-to-middlebox forwarding chain; a
+// longer chain is a middlebox forwarding loop and an error. Both engines
+// read it, so their verdicts on a problem compare like for like.
+const MaxHops = 12
+
 // Problem is a bounded verification instance over a (possibly sliced)
 // network. MaxSends bounds the number of host-send events in a schedule;
 // the §4 slicing argument keeps the needed bound small and independent of

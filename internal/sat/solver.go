@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"math/rand/v2"
 	"slices"
 	"sort"
 )
@@ -45,7 +44,9 @@ type Stats struct {
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
-// instances with New. A Solver is not safe for concurrent use.
+// instances with New. A Solver is not safe for concurrent use. It has no
+// source of randomness: its search depends only on its clauses and the
+// order of its assumptions.
 type Solver struct {
 	clauses []*clause
 	learnts []*clause
@@ -78,8 +79,6 @@ type Solver struct {
 	minimStk  []Lit
 	toClear   []Lit
 	confLits  []Lit // final conflict clause over assumptions
-	rng       *rand.Rand
-	randFreq  float64
 	ok        bool
 	model     []Tribool
 	maxLearnt float64
@@ -100,29 +99,11 @@ func New() *Solver {
 		varDecay: 0.95,
 		claInc:   1.0,
 		claDecay: 0.999,
-		randFreq: 0.0,
 		ok:       true,
-		rng:      newRng(91648253),
 	}
 	s.order = newVarOrder(&s.activity)
 	return s
 }
-
-// newRng builds the branching rng. PCG has two words of state, so seeding
-// is free — the legacy math/rand source initialized a 607-word table per
-// solver, which showed up as real time when an encoding cache constructs
-// many solver instances.
-func newRng(seed int64) *rand.Rand {
-	return rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15))
-}
-
-// SetSeed reseeds the random source used for randomized branching. Distinct
-// seeds give the run-to-run variance that the paper observes across Z3 runs.
-func (s *Solver) SetSeed(seed int64) { s.rng = newRng(seed) }
-
-// SetRandomBranchFreq sets the fraction of decisions taken at random
-// instead of by VSIDS activity (0 disables; typical values are <= 0.05).
-func (s *Solver) SetRandomBranchFreq(f float64) { s.randFreq = f }
 
 // SetMaxConflicts bounds the number of conflicts explored by each
 // subsequent Solve call; when a call exceeds the budget it returns Unknown.
@@ -502,13 +483,6 @@ func (s *Solver) cancelUntil(level int) {
 }
 
 func (s *Solver) pickBranchLit() Lit {
-	// Occasional random decision for search diversity.
-	if s.randFreq > 0 && s.rng.Float64() < s.randFreq && !s.order.empty() {
-		v := s.order.heap[s.rng.IntN(len(s.order.heap))]
-		if s.assigns[v] == Undef {
-			return MkLit(v, s.polarity[v])
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop()
 		if s.assigns[v] == Undef {

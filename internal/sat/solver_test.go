@@ -334,21 +334,6 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	}
 }
 
-func TestDeterministicWithSameSeed(t *testing.T) {
-	run := func(seed int64) Stats {
-		s := New()
-		s.SetSeed(seed)
-		s.SetRandomBranchFreq(0.1)
-		pigeonhole(s, 5)
-		s.Solve()
-		return s.Stats()
-	}
-	a, b := run(42), run(42)
-	if a != b {
-		t.Fatalf("same seed should give identical statistics: %+v vs %+v", a, b)
-	}
-}
-
 func TestMaxConflictsGivesUnknown(t *testing.T) {
 	s := New()
 	pigeonhole(s, 8) // hard enough to exceed a tiny conflict budget

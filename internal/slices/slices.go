@@ -184,7 +184,7 @@ func Compute(in Input) (Result, error) {
 		switch b.Model.Discipline() {
 		case mbox.General:
 			// No slice smaller than the network is sound.
-			return wholeNetwork(in), nil
+			return Whole(in.Topo, in.Boxes), nil
 		case mbox.OriginAgnostic:
 			originAgnostic = true
 		}
@@ -272,13 +272,13 @@ func Compute(in Input) (Result, error) {
 		if originAgnostic {
 			have := map[string]bool{}
 			for _, h := range hosts {
-				have[classOf(in, h)] = true
+				have[ClassOf(in.PolicyClass, h)] = true
 			}
 			for _, n := range in.Topo.Nodes() {
 				if n.Kind != topo.Host && n.Kind != topo.External {
 					continue
 				}
-				c := classOf(in, n.ID)
+				c := ClassOf(in.PolicyClass, n.ID)
 				if !have[c] {
 					addNode(n.ID)
 					have[c] = true
@@ -318,19 +318,23 @@ func boxAt(in Input, id topo.NodeID) (mbox.Instance, bool) {
 	return mbox.Instance{}, false
 }
 
-func classOf(in Input, id topo.NodeID) string {
-	if c, ok := in.PolicyClass[id]; ok {
+// ClassOf is id's policy class under classes; an unlabeled node is a
+// singleton class of its own.
+func ClassOf(classes map[topo.NodeID]string, id topo.NodeID) string {
+	if c, ok := classes[id]; ok {
 		return c
 	}
 	return fmt.Sprintf("singleton-%d", id)
 }
 
-func wholeNetwork(in Input) Result {
+// Whole is the no-slicing result: every host and external node of t and
+// every box.
+func Whole(t *topo.Topology, boxes []mbox.Instance) Result {
 	var hosts []topo.NodeID
-	for _, n := range in.Topo.Nodes() {
+	for _, n := range t.Nodes() {
 		if n.Kind == topo.Host || n.Kind == topo.External {
 			hosts = append(hosts, n.ID)
 		}
 	}
-	return Result{Hosts: hosts, Boxes: append([]mbox.Instance(nil), in.Boxes...), Whole: true}
+	return Result{Hosts: hosts, Boxes: append([]mbox.Instance(nil), boxes...), Whole: true}
 }

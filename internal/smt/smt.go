@@ -48,7 +48,7 @@ func NewCtx() *Ctx {
 	return c
 }
 
-// Solver exposes the underlying SAT solver (for seeding, budgets, stats).
+// Solver exposes the underlying SAT solver (for budgets and stats).
 func (c *Ctx) Solver() *sat.Solver { return c.solver }
 
 // BoolVar returns a boolean atom with the given name, creating it on first

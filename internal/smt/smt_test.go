@@ -154,7 +154,6 @@ func TestEvalFormOnComposite(t *testing.T) {
 // union-find reachability check.
 func TestSolverAccessor(t *testing.T) {
 	c := NewCtx()
-	c.Solver().SetSeed(7)
 	p, q := c.BoolVar("p"), c.BoolVar("q")
 	c.Assert(p)
 	c.Assert(c.Or(c.Not(p), q))

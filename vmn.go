@@ -43,7 +43,7 @@ type (
 	Network = core.Network
 	// Verifier checks invariants over a Network.
 	Verifier = core.Verifier
-	// Options tune verification (engine, slicing, schedule bound, seeds).
+	// Options tune verification (engine, slicing, schedule bound, budgets).
 	Options = core.Options
 	// Report is the verdict for one (invariant, failure scenario) pair.
 	Report = core.Report
