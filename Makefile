@@ -61,7 +61,9 @@ bench-harness:
 # One iteration of every Fig2 benchmark (SAT and explicit engines) and one
 # run of the same points through the vmnbench CLI's figure table: a fast
 # sanity check that the measured paths still run. BenchmarkReplyRender
-# keeps the daemon's reply path (one-flip Apply, spliced line) exercised.
+# keeps the daemon's apply call (AppendApply: apply, spliced line)
+# exercised on each of its cases: a firewall flip, a relabel moving a
+# member out of its group and back, a firewall down and up, a dead allow.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench ReplyRender -benchtime 1x ./internal/incr

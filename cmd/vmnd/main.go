@@ -407,23 +407,16 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line, buf [
 			if err != nil {
 				return fail(err)
 			}
-			if _, err := sess.Propose(changes); err != nil {
-				return fail(err)
-			}
-			return sess.AppendProposeResult(buf, id)
-		case "commit":
-			reports, dup, err := sess.CommitID(id)
+			out, err := sess.AppendPropose(buf, id, changes)
 			if err != nil {
 				return fail(err)
 			}
-			ack := incr.WireTxAck{Op: "commit", Id: id, Seq: sess.LastApply().Seq, Committed: true, Duplicate: dup}
-			for _, r := range reports {
-				if !r.Satisfied {
-					ack.Unsatisfied++
-				}
+			return out
+		case "commit":
+			ack, err := sess.CommitAck(id)
+			if err != nil {
+				return fail(err)
 			}
-			totals := incr.EncodeTotals(sess.TotalStats())
-			ack.Totals = &totals
 			return ack
 		case "rollback":
 			if err := sess.Rollback(); err != nil {
@@ -472,28 +465,27 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line, buf [
 	// A change-set — an apply_batch's list, coalesced, or a plain line (a
 	// single object or an array): decode and apply. Decoding is pure, so
 	// nothing needs deciding before it: a pending propose is refused by the
-	// apply, under the session's lock. A replayed request id is acked by
-	// ApplyID(id, nil) before its body is decoded: against the state the
+	// apply, under the session's lock. A replayed request id is acked with
+	// an empty body before its own is decoded: against the state the
 	// first delivery produced it may no longer decode, and an
 	// at-least-once client is still owed the ack it missed.
 	var changes []incr.Change
-	apply := sess.ApplyID
+	batch := op == "apply_batch"
 	switch {
 	case sess.IsApplied(id):
-	case op == "apply_batch":
+	case batch:
 		changes, err = incr.DecodeChanges(net, req.Changes)
-		apply = sess.ApplyBatchID
 	default:
 		changes, err = incr.DecodeChangeSet(net, line)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	_, dup, err := apply(id, changes)
+	out, err := sess.AppendApply(buf, id, changes, batch)
 	if err != nil {
 		return fail(err)
 	}
-	return sess.AppendResult(buf, id, dup)
+	return out
 }
 
 // statsResponse assembles the "stats" introspection answer from the

@@ -314,7 +314,7 @@ func (v *Verifier) PlanOn(i inv.Invariant, sc topo.FailureScenario, engine *tf.E
 }
 
 // VerifyPlanned solves a planned check (see PlanOn); the verdict and trace
-// are identical to VerifyOne for the same (invariant, scenario, engine).
+// are identical to an unplanned check of the same (invariant, scenario, engine).
 func (v *Verifier) VerifyPlanned(cp *CheckPlan) (Report, error) {
 	return v.solvePlan(cp.p)
 }

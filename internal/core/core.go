@@ -600,7 +600,11 @@ func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, 
 	var groups []symmetry.Group
 	if useSymmetry {
 		cls := symmetry.Classifier{HostClass: v.net.PolicyClass, Topo: v.net.Topo}
-		groups = symmetry.Groups(cls, invs)
+		sigs := make([]string, len(invs))
+		for ii, i := range invs {
+			sigs[ii] = cls.Signature(i)
+		}
+		groups = symmetry.Groups(sigs, invs)
 	} else {
 		for _, i := range invs {
 			groups = append(groups, symmetry.Group{Representative: i, Members: []inv.Invariant{i}})
@@ -795,11 +799,6 @@ func (v *Verifier) sliceFor(keep []topo.NodeID, engine *tf.Engine) (slices.Resul
 		PolicyClass: v.net.PolicyClass,
 		Keep:        keep,
 	})
-}
-
-// VerifyOne runs one (invariant, scenario) check.
-func (v *Verifier) VerifyOne(i inv.Invariant, sc topo.FailureScenario) (Report, error) {
-	return v.verifyOn(i, sc, v.EngineFor(sc))
 }
 
 func (v *Verifier) verifyOn(i inv.Invariant, sc topo.FailureScenario, engine *tf.Engine) (Report, error) {

@@ -1,6 +1,7 @@
 package hsa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -221,4 +222,52 @@ func TestAuditLoopAndBlackhole(t *testing.T) {
 	if len(a.Blackholes) != 1 {
 		t.Fatalf("want 1 blackhole, got %+v", a)
 	}
+}
+
+// Audit is a network-wide static health report in the HSA/VeriFlow style.
+type Audit struct {
+	Loops      []string // descriptions of forwarding loops
+	Blackholes []string // src->dst pairs dropped by the fabric
+	Reachable  int      // number of (src host, dst host) pairs that connect
+	Pairs      int      // number of pairs checked
+}
+
+// AuditNetwork sweeps all host-to-host pairs through the transfer function
+// and tabulates loops, blackholes and reachability.
+func AuditNetwork(t *topo.Topology, e *tf.Engine) Audit {
+	var a Audit
+	hosts := append(t.NodesOfKind(topo.Host), t.NodesOfKind(topo.External)...)
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			a.Pairs++
+			_, err := e.Path(src, t.Node(dst).Addr)
+			switch {
+			case err == nil:
+				a.Reachable++
+			case isLoopErr(err):
+				a.Loops = append(a.Loops, err.Error())
+			default:
+				a.Blackholes = append(a.Blackholes,
+					fmt.Sprintf("%s -> %s", t.Node(src).Name, t.Node(dst).Name))
+			}
+		}
+	}
+	return a
+}
+
+func isLoopErr(err error) bool {
+	for e := err; e != nil; {
+		if e == tf.ErrLoop {
+			return true
+		}
+		u, ok := e.(interface{ Unwrap() error })
+		if !ok {
+			return false
+		}
+		e = u.Unwrap()
+	}
+	return false
 }

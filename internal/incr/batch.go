@@ -125,17 +125,14 @@ func (s *Session) ApplyBatch(changes []Change) ([]core.Report, error) {
 func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replayed(id) {
-		return s.duplicate()
-	}
-	if s.pending != nil {
-		return nil, false, ErrProposePending
-	}
-	s.armDeadline()
+	return s.reportsAfter(s.applyRequest(id, changes, true))
+}
+
+// applyBatchLocked is ApplyBatchID's body past the request prologue.
+func (s *Session) applyBatchLocked(id string, changes []Change) error {
 	co, from := Coalesce(changes)
-	reports, err := s.applyLocked(co)
-	if err != nil {
-		return nil, false, err
+	if err := s.applyLocked(co); err != nil {
+		return err
 	}
 	// Explain names the dirtying change by its place in the request.
 	for i := range s.lastExplain {
@@ -156,5 +153,5 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 		m.coalesced.Add(int64(dropped))
 		m.batchSize.Observe(float64(len(changes)))
 	}
-	return reports, false, nil
+	return nil
 }

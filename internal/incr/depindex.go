@@ -58,12 +58,6 @@ func (s elemSet) addAll(nodes []topo.NodeID) {
 	}
 }
 
-// intersects reports whether any of nodes is in the set.
-func (s elemSet) intersects(nodes []topo.NodeID) bool {
-	_, ok := s.firstOf(nodes)
-	return ok
-}
-
 // firstOf returns the first of nodes present in the set — the dirtying
 // witness element for provenance records.
 func (s elemSet) firstOf(nodes []topo.NodeID) (topo.NodeID, bool) {
@@ -114,13 +108,6 @@ func newFIBDelta(td tf.TableDelta) *fibDelta {
 		}
 	}
 	return d
-}
-
-// dirtyFor reports whether any read atom resolves differently under the
-// new table (dirtyAtom without the provenance witness).
-func (d *fibDelta) dirtyFor(atoms topo.AtomSet) bool {
-	_, dirty := d.dirtyAtom(atoms)
-	return dirty
 }
 
 // dirtyAtom reports whether any read atom resolves differently under the

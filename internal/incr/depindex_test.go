@@ -28,24 +28,28 @@ func TestFIBDeltaDirtyFor(t *testing.T) {
 	a2 := pkt.MustParseAddr("10.2.0.7")
 
 	atoms := func(as ...pkt.Addr) topo.AtomSet { return topo.NewAtomSet(as) }
+	dirtyFor := func(d *fibDelta, set topo.AtomSet) bool {
+		_, dirty := d.dirtyAtom(set)
+		return dirty
+	}
 
 	// Adding a more-specific rule over a covering default dirties exactly
 	// the atoms the new prefix covers (the negative-read case).
 	d := newFIBDelta(tf.NewTableDelta(0, []tf.Rule{deflt}, []tf.Rule{r0, deflt}))
-	if !d.dirtyFor(atoms(a0)) {
+	if !dirtyFor(d, atoms(a0)) {
 		t.Fatal("atom under the new prefix must be dirty")
 	}
-	if d.dirtyFor(atoms(a1)) || d.dirtyFor(atoms(a2)) {
+	if dirtyFor(d, atoms(a1)) || dirtyFor(d, atoms(a2)) {
 		t.Fatal("atoms outside the new prefix must stay clean")
 	}
 
 	// Removing an unrelated rule leaves other atoms' subsequences intact
 	// even though every position shifted.
 	d = newFIBDelta(tf.NewTableDelta(0, []tf.Rule{r0, r1, deflt}, []tf.Rule{r1, deflt}))
-	if !d.dirtyFor(atoms(a0)) {
+	if !dirtyFor(d, atoms(a0)) {
 		t.Fatal("atom of the removed rule must be dirty")
 	}
-	if d.dirtyFor(atoms(a1)) || d.dirtyFor(atoms(a2)) {
+	if dirtyFor(d, atoms(a1)) || dirtyFor(d, atoms(a2)) {
 		t.Fatal("shifted-but-identical subsequences must stay clean")
 	}
 
@@ -53,23 +57,23 @@ func TestFIBDeltaDirtyFor(t *testing.T) {
 	// semantics), while atoms matching neither stay clean.
 	wide := rule(pfx("10.0.0.0", 16), 4, 10)
 	d = newFIBDelta(tf.NewTableDelta(0, []tf.Rule{r0, wide, deflt}, []tf.Rule{wide, r0, deflt}))
-	if !d.dirtyFor(atoms(a0)) {
+	if !dirtyFor(d, atoms(a0)) {
 		t.Fatal("reorder of matching rules must dirty the atom")
 	}
-	if d.dirtyFor(atoms(a2)) {
+	if dirtyFor(d, atoms(a2)) {
 		t.Fatal("reorder outside the atom's matches must stay clean")
 	}
 
 	// A priority change on a matching rule dirties (the rule differs).
 	r0hot := rule(pfx("10.0.0.0", 24), 2, 50)
 	d = newFIBDelta(tf.NewTableDelta(0, []tf.Rule{r0, deflt}, []tf.Rule{r0hot, deflt}))
-	if !d.dirtyFor(atoms(a0)) {
+	if !dirtyFor(d, atoms(a0)) {
 		t.Fatal("priority change must dirty the matching atom")
 	}
 
 	// Identical tables produce an empty prescreen and no dirt at all.
 	d = newFIBDelta(tf.NewTableDelta(0, []tf.Rule{r0, deflt}, []tf.Rule{r0, deflt}))
-	if len(d.changed) != 0 || d.dirtyFor(atoms(a0, a1, a2)) {
+	if len(d.changed) != 0 || dirtyFor(d, atoms(a0, a1, a2)) {
 		t.Fatalf("identical tables must be clean (changed=%v)", d.changed)
 	}
 }

@@ -158,7 +158,8 @@ func (f *dcTarget) changes(op, arg byte) []incr.Change {
 		return []incr.Change{incr.Relabel(h, fmt.Sprintf("fz-%d", g))}
 	case 6: // invariant add/remove toggle
 		a, b := g, (g+1)%G
-		label := fmt.Sprintf("probe-%d-%d", a, b)
+		// A label with every kind of character encoding/json escapes.
+		label := fmt.Sprintf("probe-%d-%d <&\"\\\u2028\xff", a, b)
 		if f.probes[label] {
 			delete(f.probes, label)
 			return []incr.Change{incr.RemoveInvariant(label)}
@@ -408,6 +409,15 @@ func checkLine(t *testing.T, step string, s *incr.Session, reports []core.Report
 	}
 }
 
+// checkGroups demands that the session's groups be the ones
+// symmetry.Groups gives from scratch.
+func checkGroups(t *testing.T, step string, s *incr.Session) {
+	t.Helper()
+	if err := s.GroupsAgree(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
 // checkProposeLine is checkLine for the pending proposal's line.
 func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr.Change, pr *incr.ProposeResult) {
 	t.Helper()
@@ -434,6 +444,9 @@ func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr
 //	mode 2: drive the step's change-set through Propose+Commit instead
 //	        of Apply; committed state must still match the from-scratch
 //	        baseline bit-identically.
+//	mode 3: apply through the daemon's call (AppendApply), whose line
+//	        must be the one EncodeResult renders for the reports ApplyID
+//	        would have returned.
 //
 // A second session consumes the SAME change
 // stream through ApplyBatch: steps accumulate and flush at boundaries
@@ -441,7 +454,9 @@ func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr
 // partitions — and at every batch boundary the batched session's verdicts
 // and witnesses must be bit-identical to the one-at-a-time session's.
 // After every step each session's spliced reply line must equal the one
-// EncodeResult (EncodeProposeResult for a proposal) renders.
+// EncodeResult (EncodeProposeResult for a proposal) renders, and its
+// groups the ones symmetry.Groups gives from scratch — after a Propose
+// and its Rollback too.
 // This is the coalescing soundness bar: batching may only move WHERE
 // verification happens, never what it concludes. After the first
 // sequential apply error the batched lane goes dead for the rest of the
@@ -465,6 +480,7 @@ func FuzzSessionDifferential(f *testing.F) {
 		f.Add([]byte{net, 64 + 0, 2, 128 + 1, 0, 64 + 2, 1, 128 + 0, 2}) // mixed tx modes
 		f.Add([]byte{net, 1, 1, 1, 1, 1, 1, 2, 2})                       // repeated overlay toggles: heavy FIB coalescing in one batch
 		f.Add([]byte{net, 3, 2, 3, 2, 0, 1, 4, 1, 3, 2})                 // ACL toggle pairs annihilating inside a batch
+		f.Add([]byte{net, 192 + 5, 0, 192 + 6, 1, 192 + 0, 2})           // the daemon's apply call: relabel, invariant, liveness
 	}
 	// The representative leaves its group, then the next member's slice is
 	// edited — and again through Propose+Commit, and with the member back.
@@ -505,11 +521,27 @@ func FuzzSessionDifferential(f *testing.F) {
 		// failed Propose never poisons the session, so a plain Apply then
 		// surfaces the same error as today.
 		applyTx := func(step string, s *incr.Session, cs []incr.Change, mode byte) ([]core.Report, error) {
-			if mode == 2 {
+			switch mode {
+			case 2:
 				if pr, err := s.Propose(cs); err == nil {
 					checkProposeLine(t, step, s, cs, pr)
+					checkGroups(t, step+" [proposed]", s)
 					return s.Commit()
 				}
+			case 3:
+				line, err := s.AppendApply(nil, "", cs, false)
+				if err != nil {
+					return nil, err
+				}
+				reports := s.CurrentReports()
+				want, err := json.Marshal(incr.EncodeResult(s.Network().Topo, s.LastApply(), reports))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(line, append(want, '\n')) {
+					t.Fatalf("%s: the daemon's apply line differs\n--- got ---\n%s--- want ---\n%s", step, line, want)
+				}
+				return reports, nil
 			}
 			return s.Apply(cs)
 		}
@@ -525,6 +557,7 @@ func FuzzSessionDifferential(f *testing.F) {
 					t.Fatalf("%s: Propose returned nil result without error", step)
 				}
 				checkProposeLine(t, step, s, probe, pr)
+				checkGroups(t, step+" [proposed]", s)
 				if _, err2 := s.Propose(nil); err2 != incr.ErrProposePending {
 					t.Fatalf("%s: double propose: got %v, want ErrProposePending", step, err2)
 				}
@@ -535,6 +568,7 @@ func FuzzSessionDifferential(f *testing.F) {
 					t.Fatalf("%s: rollback of pending propose failed: %v", step, err2)
 				}
 			}
+			checkGroups(t, step+" [rolled back]", s)
 			if err2 := s.Rollback(); err2 != incr.ErrNoPropose {
 				t.Fatalf("%s: rollback without propose: got %v, want ErrNoPropose", step, err2)
 			}
@@ -576,6 +610,7 @@ func FuzzSessionDifferential(f *testing.F) {
 			compareReports(t, step+" [vs scratch]", got, want)
 			compareWitnesses(t, step+" [vs scratch]", got, want)
 			checkLine(t, step, single.session(), got)
+			checkGroups(t, step, single.session())
 
 			// Flush the batched lane at input-derived boundaries and at the
 			// end of the stream, and demand bit-identical verdicts AND
@@ -590,6 +625,7 @@ func FuzzSessionDifferential(f *testing.F) {
 				compareReports(t, step+" [batch vs sequential]", gotB, got)
 				compareWitnesses(t, step+" [batch vs sequential]", gotB, got)
 				checkLine(t, step+" [batch]", batch.session(), gotB)
+				checkGroups(t, step+" [batch]", batch.session())
 			}
 		}
 	})

@@ -1,0 +1,191 @@
+package incr
+
+// Result lines. Every reply lists every report, so a verdict is rendered
+// once and spliced: per group record, a template of its entry's reports
+// without their invariant, its members' quoted names, and the fragment
+// joined from the two (DESIGN.md, "Replies").
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"unicode/utf8"
+
+	"github.com/netverify/vmn/internal/core"
+	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/topo"
+)
+
+// template is a group entry's reports rendered for one scenario
+// generation, per scenario and from the byte after `"invariant":<name>`
+// on: rows[0] the representative's, rows[1] a member's (reused, duration
+// 0). unsat counts a member's unsatisfied reports. Immutable: a shadow's
+// clone shares it.
+type template struct {
+	entry   *groupEntry
+	scenGen uint64
+	rows    [2][][]byte
+	unsat   int
+}
+
+// AppendResult appends the current result line to buf: byte for byte
+// json.Encoder's line for EncodeResult(topology, LastApply(), reports) of
+// the current reports, id and duplicate set. A duplicate did no work: its
+// change, dirty, cache and canon counters and duration read 0.
+func (s *Session) AppendResult(buf []byte, id string, duplicate bool) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendResult(buf, id, duplicate)
+}
+
+// appendResult is AppendResult under s.mu.
+func (s *Session) appendResult(buf []byte, id string, duplicate bool) []byte {
+	stats := s.last
+	if duplicate {
+		stats = ApplyStats{Seq: stats.Seq, Invariants: stats.Invariants, Groups: stats.Groups, BudgetExceeded: stats.BudgetExceeded}
+	}
+	res := EncodeResult(s.net.Topo, stats, nil)
+	res.Id, res.Duplicate = id, duplicate
+	return s.splice(buf, &res, &res)
+}
+
+// reportsHole is the report list of a result marshalled without reports.
+var reportsHole = []byte(`"reports":null`)
+
+// splice appends head's line (a result, or a propose line with its result
+// last) with the groups' fragments in place of res's nil report list, and
+// fills in res's unsatisfied tally. A stale template is rendered anew, a
+// missing fragment joined anew. The bytes cannot pass through a
+// json.Marshaler: encoding/json re-validates and compacts its output.
+func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
+	t := s.table
+	var scens []topo.FailureScenario
+	for _, sl := range t.order {
+		r := &t.recs[sl]
+		if tp := r.tmpl; tp == nil || tp.entry != r.entry || tp.scenGen != s.scenGen {
+			if scens == nil {
+				scens = s.effectiveScenarios()
+			}
+			r.tmpl, r.frag = s.newTemplate(r, scens), nil
+		}
+		if r.frag == nil {
+			r.frag = r.join()
+		}
+		res.Unsatisfied += r.tmpl.unsat * len(r.group.Members)
+	}
+	b, _ := json.Marshal(head) // strings, integers and booleans only
+	i := bytes.Index(b, reportsHole) + len(`"reports":`)
+	buf = append(buf, b[:i]...)
+	if len(t.order) > 0 { // no report leaves the list null, as EncodeResult does
+		sep := byte('[')
+		for _, sl := range t.order {
+			buf = append(append(buf, sep), t.recs[sl].frag...)
+			sep = ','
+		}
+		buf = append(buf, ']')
+		i += len("null")
+	}
+	return append(append(buf, b[i:]...), '\n')
+}
+
+// invariantHole is the head of a report rendered with an empty invariant.
+const invariantHole = `{"invariant":""`
+
+// newTemplate renders the template of r's entry under scens.
+func (s *Session) newTemplate(r *groupRecord, scens []topo.FailureScenario) *template {
+	e := r.entry
+	tp := &template{entry: e, scenGen: s.scenGen}
+	reps := make([]core.Report, 0, 2*len(e.reports))
+	for _, reused := range []bool{false, true} {
+		for si, rep := range e.reports {
+			rep.Invariant, rep.Scenario = r.group.Representative, scens[si]
+			if reused {
+				rep.Reused, rep.Duration = true, 0
+			} else if !rep.Satisfied {
+				tp.unsat++
+			}
+			reps = append(reps, rep)
+		}
+	}
+	for i, wr := range EncodeResult(s.net.Topo, ApplyStats{}, reps).Reports {
+		wr.Invariant = ""
+		b, _ := json.Marshal(&wr) // strings, integers and booleans only
+		tp.rows[i/len(e.reports)] = append(tp.rows[i/len(e.reports)], b[len(invariantHole):])
+	}
+	return tp
+}
+
+// join renders r's fragment — the comma-joined wire JSON of its reports
+// in assemble order — from its template and names, quoting the names first
+// when regroup dropped them. The representative is told apart by position.
+func (r *groupRecord) join() []byte {
+	if r.names == nil {
+		r.names = quoteNames(r.group.Members)
+	}
+	tp, size := r.tmpl, 0
+	for mi, name := range r.names {
+		for _, rep := range tp.rows[min(mi, 1)] {
+			size += len(name) + len(rep) + 1
+		}
+	}
+	b := make([]byte, 0, size)
+	for mi, name := range r.names {
+		for _, rep := range tp.rows[min(mi, 1)] {
+			if len(b) > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(b, name...), rep...)
+		}
+	}
+	return b
+}
+
+// quoteNames renders each member's `{"invariant":<name>` into one slab.
+func quoteNames(members []inv.Invariant) [][]byte {
+	size := 0
+	for _, m := range members {
+		size += len(invariantHole) + len(m.Name())
+	}
+	names, slab := make([][]byte, len(members)), make([]byte, 0, size)
+	for mi, m := range members {
+		start := len(slab)
+		slab = appendJSONString(append(slab, invariantHole[:len(invariantHole)-2]...), m.Name())
+		names[mi] = slab[start:len(slab):len(slab)]
+	}
+	return names
+}
+
+// appendJSONString appends str quoted as encoding/json quotes a string:
+// '"', '\\' and control characters escaped, '<', '>', '&', U+2028 and
+// U+2029 escaped as \uXXXX, and each byte of invalid UTF-8 replaced by
+// U+FFFD.
+func appendJSONString(b []byte, str string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(str); {
+		if c := str[i]; c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(str[i:])
+		if r >= utf8.RuneSelf && r != '\u2028' && r != '\u2029' && (r != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, str[start:i]...)
+		switch k := strings.IndexRune("\b\f\n\r\t", r); {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case k >= 0:
+			b = append(b, '\\', "bfnrt"[k])
+		case r == utf8.RuneError:
+			b = append(b, `\ufffd`...)
+		default:
+			b = append(b, '\\', 'u', hex[r>>12], hex[r>>8&15], hex[r>>4&15], hex[r&15])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, str[start:]...), '"')
+}

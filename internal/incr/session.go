@@ -1,13 +1,13 @@
 package incr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -257,6 +257,7 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		sopts: sopts,
 		sessState: sessState{
 			invs:     append([]inv.Invariant(nil), invs...),
+			sigs:     make([]string, len(invs)),
 			down:     map[topo.NodeID]bool{},
 			needFull: true,
 			table:    newGroupTable(),
@@ -388,26 +389,30 @@ func (s *Session) TotalStats() Totals {
 	return s.totals
 }
 
-// grouping partitions the current invariant set. With symmetry, groups
-// and keys are the §4.2 signature groups. Without, every invariant is its
-// own group, keyed by its canonical parameter encoding (plus an
-// occurrence index for exact duplicates) — NOT by list position or
-// class-based signature, either of which would shift across invariant
-// removal or coarse labels and hand a surviving invariant a neighbour's
-// cached entry.
+// grouping partitions the current invariant set, signing first the
+// invariants whose signature a change cleared. With symmetry, groups and
+// keys are the §4.2 signature groups. Without, every invariant is its own
+// group, keyed by its canonical parameter encoding (plus an occurrence
+// index for exact duplicates) — NOT by list position or class-based
+// signature, either of which would shift across invariant removal or
+// coarse labels and hand a surviving invariant a neighbour's cached entry.
 func (s *Session) grouping() ([]symmetry.Group, []string) {
 	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
+	for i, sig := range s.sigs {
+		if sig == "" {
+			s.sigs[i] = cls.Signature(s.invs[i])
+		}
+	}
 	if s.sopts.NoSymmetry {
 		groups := make([]symmetry.Group, 0, len(s.invs))
 		keys := make([]string, 0, len(s.invs))
 		seen := map[string]int{}
-		for _, i := range s.invs {
-			sig := cls.Signature(i)
-			base := invIdentity(i, sig)
+		for ii, i := range s.invs {
+			base := invIdentity(i, s.sigs[ii])
 			n := seen[base]
 			seen[base] = n + 1
 			groups = append(groups, symmetry.Group{
-				Signature:      sig,
+				Signature:      s.sigs[ii],
 				Representative: i,
 				Members:        []inv.Invariant{i},
 			})
@@ -415,12 +420,35 @@ func (s *Session) grouping() ([]symmetry.Group, []string) {
 		}
 		return groups, keys
 	}
-	groups := symmetry.Groups(cls, s.invs)
+	groups := symmetry.Groups(s.sigs, s.invs)
 	keys := make([]string, len(groups))
 	for gi, g := range groups {
 		keys[gi] = g.Signature
 	}
 	return groups, keys
+}
+
+// unsign clears the signatures a relabel of n can move: those of the
+// invariants that name n, or an address n owns. It runs before the
+// relabel lands: a signature that does not spell n's class yet cannot
+// depend on n.
+func (s *Session) unsign(n topo.NodeID) {
+	class := symmetry.Classifier{HostClass: s.net.PolicyClass}.NodeClass(n)
+	for i, iv := range s.invs {
+		if !strings.Contains(s.sigs[i], class) {
+			continue
+		}
+		for _, m := range iv.Nodes() {
+			if m == n {
+				s.sigs[i] = ""
+			}
+		}
+		for _, a := range iv.RefAddrs() {
+			if h, ok := s.net.Topo.HostByAddr(a); ok && h.ID == n {
+				s.sigs[i] = ""
+			}
+		}
+	}
 }
 
 // hasOriginAgnosticBox reports whether any middlebox in the network is
@@ -544,20 +572,12 @@ func (s *Session) invalidate() {
 // settle re-verifies everything, as the next Apply would, when a failed
 // Apply dropped the incremental state: every read of the report set goes
 // through it, so none answers from the emptied group table.
-func (s *Session) settle() (err error) {
+func (s *Session) settle() error {
 	if s.needFull {
 		s.armDeadline()
-		_, err = s.applyLocked(nil)
+		return s.applyLocked(nil)
 	}
-	return err
-}
-
-// duplicate acks a replayed request id with the current report set.
-func (s *Session) duplicate() ([]core.Report, bool, error) {
-	if err := s.settle(); err != nil {
-		return nil, false, err
-	}
-	return s.assemble(s.effectiveScenarios()), true, nil
+	return nil
 }
 
 // Apply atomically applies a change-set, re-verifies exactly the
@@ -585,19 +605,51 @@ func (s *Session) Apply(changes []Change) ([]core.Report, error) {
 func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.reportsAfter(s.applyRequest(id, changes, false))
+}
+
+// AppendApply is the daemon's apply call: ApplyID (ApplyBatchID when
+// batch) and AppendResult's line for its outcome, under one lock. It
+// assembles no report set: the line is spliced from the group table.
+func (s *Session) AppendApply(buf []byte, id string, changes []Change, batch bool) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	duplicate, err := s.applyRequest(id, changes, batch)
+	if err != nil {
+		return buf, err
+	}
+	return s.appendResult(buf, id, duplicate), nil
+}
+
+// applyRequest is what ApplyID, ApplyBatchID and AppendApply share, under
+// s.mu: a replayed id is acked with the settled current state, a pending
+// Propose refuses the change-set, anything else is applied (coalesced
+// first when batch) and journaled.
+func (s *Session) applyRequest(id string, changes []Change, batch bool) (duplicate bool, err error) {
 	if s.replayed(id) {
-		return s.duplicate()
+		return true, s.settle()
 	}
 	if s.pending != nil {
-		return nil, false, ErrProposePending
+		return false, ErrProposePending
 	}
 	s.armDeadline()
-	reports, err := s.applyLocked(changes)
+	if batch {
+		return false, s.applyBatchLocked(id, changes)
+	}
+	if err := s.applyLocked(changes); err != nil {
+		return false, err
+	}
+	s.persistApply(id, changes)
+	return false, nil
+}
+
+// reportsAfter assembles the current report set after a request that
+// succeeded: the library's entry points return it, the daemon's do not.
+func (s *Session) reportsAfter(duplicate bool, err error) ([]core.Report, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s.persistApply(id, changes)
-	return reports, false, nil
+	return s.assemble(s.effectiveScenarios()), duplicate, nil
 }
 
 // armDeadline starts the per-request wall clock (zero deadline = none).
@@ -615,12 +667,13 @@ func (s *Session) expired() bool {
 }
 
 // applyLocked is Apply's body, shared with the shadow (Propose) path: it
-// runs against whatever state is currently installed in s, under s.mu. Any
-// error past validation — and any panic in the pipeline, contained here and
-// converted to one — drops the incremental state.
-func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
+// runs against whatever state is currently installed in s, under s.mu, and
+// ends when the group table holds the new verdicts — it assembles no
+// report set. Any error past validation — and any panic in the pipeline,
+// contained here and converted to one — drops the incremental state.
+func (s *Session) applyLocked(changes []Change) (err error) {
 	if err := s.validate(changes); err != nil {
-		return nil, err // refused before anything moved: no state to drop
+		return err // refused before anything moved: no state to drop
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -681,23 +734,23 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	// Phase 4: re-verify dirty groups.
 	entries, origins, err := s.reverify(root, dirty, scens, &stats)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Phase 5: install the fresh entries — only re-verified groups move
-	// their postings — and assemble the full report set.
+	// their postings. A budget-degraded verdict re-verifies on every Apply,
+	// so the report set's are all among the fresh ones, one per member.
 	installSpan := root.Child("cache-install")
 	for di, sl := range dirty {
 		t.install(sl, entries[di])
-	}
-	s.needFull = false
-	out := s.assemble(scens)
-	installSpan.End()
-	for _, r := range out {
-		if r.BudgetExceeded {
-			stats.BudgetExceeded++
+		for _, r := range entries[di].reports {
+			if r.BudgetExceeded {
+				stats.BudgetExceeded += len(t.recs[sl].group.Members)
+			}
 		}
 	}
+	s.needFull = false
+	installSpan.End()
 
 	// Provenance: one record per re-verified group, naming the dirtying
 	// change (rendered lazily — only dirty groups pay) and how each
@@ -723,8 +776,8 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	s.lastExplain = recs
 
 	stats.Duration = time.Since(start)
-	s.account(stats, len(out)-len(t.order)*len(scens))
-	return out, nil
+	s.account(stats, (len(s.invs)-len(t.order))*len(scens))
+	return nil
 }
 
 // validate checks every precondition mutate relies on, each against the
@@ -852,6 +905,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			// before this relabel lands (the old class's surviving members
 			// decide who the displaced representatives are).
 			relabelFull, witnesses := s.relabelImpact(ch.Node, ch.Class)
+			s.unsign(ch.Node)
 			if ch.Class == "" {
 				delete(s.net.PolicyClass, ch.Node)
 			} else {
@@ -864,15 +918,16 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			}
 		case KindInvAdd:
 			s.invs = append(s.invs, ch.Invariant)
+			s.sigs = append(s.sigs, "")
 			regroup = true
 		case KindInvRemove:
-			kept := s.invs[:0]
-			for _, i := range s.invs {
+			kept, sigs := s.invs[:0], s.sigs[:0]
+			for ii, i := range s.invs {
 				if i.Name() != ch.Name {
-					kept = append(kept, i)
+					kept, sigs = append(kept, i), append(sigs, s.sigs[ii])
 				}
 			}
-			s.invs = kept
+			s.invs, s.sigs = kept, sigs
 			regroup = true
 		}
 	}
@@ -1464,86 +1519,29 @@ func (s *Session) translateGroup(lead *groupEntry, leadPlan, memPlan *groupPlan,
 	return e, vs, nil
 }
 
-// assemble renders the complete report set in core.VerifyAll order.
+// assemble renders the complete report set in core.VerifyAll order: per
+// group the representative's reports first, then symmetry copies per
+// member. Scenario fields are rewritten to the current effective
+// scenarios (entries reused across a liveness toggle carried stale ones;
+// verdicts are position-aligned with the configured scenario list).
 func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
 	// The groups partition the invariant set and an entry holds one report
 	// per scenario, so this is the exact size.
 	out := make([]core.Report, 0, len(s.invs)*len(scens))
 	for _, sl := range s.table.order {
-		out = appendReports(out, &s.table.recs[sl], scens)
-	}
-	return out
-}
-
-// appendReports appends one group's reports: the representative's first,
-// then symmetry copies per member. Scenario fields are rewritten to the
-// current effective scenarios (entries reused across a liveness toggle
-// carried stale ones; verdicts are position-aligned with the configured
-// scenario list).
-func appendReports(out []core.Report, rec *groupRecord, scens []topo.FailureScenario) []core.Report {
-	// Members[0] is the representative (told apart by position: invariants
-	// may be uncomparable types, so interface equality would panic).
-	for mi, m := range rec.group.Members {
-		for si, r := range rec.entry.reports {
-			r.Invariant, r.Scenario = m, scens[si]
-			if mi > 0 {
-				r.Reused, r.Duration = true, 0
+		rec := &s.table.recs[sl]
+		// Members[0] is the representative (told apart by position:
+		// invariants may be uncomparable types, so interface equality
+		// would panic).
+		for mi, m := range rec.group.Members {
+			for si, r := range rec.entry.reports {
+				r.Invariant, r.Scenario = m, scens[si]
+				if mi > 0 {
+					r.Reused, r.Duration = true, 0
+				}
+				out = append(out, r)
 			}
-			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// AppendResult appends the current result line to buf: byte for byte
-// json.Encoder's line for EncodeResult(topology, LastApply(), reports) of
-// the current reports, id and duplicate set. A duplicate did no work: its
-// change, dirty, cache and canon counters and duration read 0.
-func (s *Session) AppendResult(buf []byte, id string, duplicate bool) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stats := s.last
-	if duplicate {
-		stats = ApplyStats{Seq: stats.Seq, Invariants: stats.Invariants, Groups: stats.Groups, BudgetExceeded: stats.BudgetExceeded}
-	}
-	res := EncodeResult(s.net.Topo, stats, nil)
-	res.Id, res.Duplicate = id, duplicate
-	return s.splice(buf, &res, &res)
-}
-
-// reportsHole is the report list of a result marshalled without reports.
-var reportsHole = []byte(`"reports":null`)
-
-// splice appends head's line (a result, or a propose line with its result
-// last) with the groups' fragments in place of res's nil report list, and
-// fills in res's unsatisfied tally. A missing or stale fragment is
-// rendered anew through EncodeResult, the one report-to-wire mapping.
-// The bytes cannot pass through a json.Marshaler: encoding/json
-// re-validates and compacts its output.
-func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
-	t, scens := s.table, s.effectiveScenarios()
-	var reps []core.Report
-	for _, sl := range t.order {
-		r := &t.recs[sl]
-		if f := r.frag; f == nil || f.entry != r.entry || f.scenGen != s.scenGen {
-			reps = appendReports(reps[:0], r, scens)
-			w := EncodeResult(s.net.Topo, ApplyStats{}, reps)
-			b, _ := json.Marshal(w.Reports) // strings, integers and booleans only
-			r.frag = &fragment{entry: r.entry, scenGen: s.scenGen, json: b[1 : len(b)-1], unsat: w.Unsatisfied}
-		}
-		res.Unsatisfied += r.frag.unsat
-	}
-	b, _ := json.Marshal(head) // strings, integers and booleans only
-	i := bytes.Index(b, reportsHole) + len(`"reports":`)
-	buf = append(buf, b[:i]...)
-	if len(t.order) > 0 { // no report leaves the list null, as EncodeResult does
-		sep := byte('[')
-		for _, sl := range t.order {
-			buf = append(append(buf, sep), t.recs[sl].frag.json...)
-			sep = ','
-		}
-		buf = append(buf, ']')
-		i += len("null")
-	}
-	return append(append(buf, b[i:]...), '\n')
 }

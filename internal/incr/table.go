@@ -61,21 +61,15 @@ type groupRecord struct {
 	entry *groupEntry
 	// pos is the group's position in the report order.
 	pos int
-	// frag is the group's share of a reply, rendered when one needs it.
-	frag *fragment
+	// tmpl, names and frag are the group's share of a reply (reply.go),
+	// rendered when one needs it: the entry's reports without their
+	// invariant, each member's quoted name, and the joined reports. A
+	// shadow's clone shares them; they are never written in place.
+	tmpl  *template
+	names [][]byte
+	frag  []byte
 	// mark is resolve's scratch, zero between calls.
 	mark uint8
-}
-
-// fragment is the comma-joined wire JSON of a group's reports in assemble
-// order and how many are unsatisfied. It holds for its entry and scenario
-// generation, and until regroup changes the membership: nothing else moves
-// a report's bytes. Immutable: a shadow's clone shares it.
-type fragment struct {
-	entry   *groupEntry
-	scenGen uint64
-	json    []byte
-	unsat   int
 }
 
 // groupTable is mutated only under the session mutex and deep-copied for a
@@ -183,10 +177,10 @@ func (t *groupTable) regroup(groups []symmetry.Group, keys []string) {
 			t.unsettled = insertSlot(t.unsettled, s)
 		}
 		// A report carries its invariant's name: a group whose member
-		// names move renders its fragment anew.
+		// names move quotes them and joins its fragment anew.
 		r := &t.recs[s]
 		if !slices.EqualFunc(r.group.Members, groups[gi].Members, func(a, b inv.Invariant) bool { return a.Name() == b.Name() }) {
-			r.frag = nil
+			r.names, r.frag = nil, nil
 		}
 		r.group, r.pos = groups[gi], gi
 		t.order = append(t.order, s)

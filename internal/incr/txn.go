@@ -116,6 +116,10 @@ type sessState struct {
 	fibFor func(topo.FailureScenario) tf.FIB
 
 	invs []inv.Invariant
+	// sigs holds each invariant's symmetry signature, aligned with invs;
+	// "" until grouping signs it, and again after a relabel of a node it
+	// names.
+	sigs []string
 	down map[topo.NodeID]bool
 	// scenGen counts liveness toggles: the effective scenario list, and
 	// with it every report's scenario, changes exactly when it does.
@@ -152,13 +156,14 @@ func (s *Session) install(st sessState) {
 }
 
 // shadowOf copies the containers the apply pipeline mutates in place
-// (boxes slice, policy and liveness maps, invariant list) so a shadow run
+// (boxes slice, policy and liveness maps, invariant and signature lists) so a shadow run
 // cannot leak into the base state.
 func shadowOf(st sessState) sessState {
 	sh := st
 	sh.boxes = append([]mbox.Instance(nil), st.boxes...)
 	sh.policy, sh.down = maps.Clone(st.policy), maps.Clone(st.down)
 	sh.invs = append([]inv.Invariant(nil), st.invs...)
+	sh.sigs = append([]string(nil), st.sigs...)
 	// The group table is edited in place (regroup, install, universe
 	// refinement), so the shadow needs its own copy — a rolled-back
 	// propose must leave the base table untouched.
@@ -208,6 +213,30 @@ func (s *Session) ProposePending() bool {
 func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	res, err := s.proposeLocked(changes)
+	if err != nil {
+		return nil, err
+	}
+	s.inPending(func() { res.Reports = s.assemble(s.effectiveScenarios()) })
+	return res, nil
+}
+
+// AppendPropose is the daemon's propose call: Propose, and the line
+// json.Encoder writes for EncodeProposeResult of its result spliced from
+// the shadow's fragments, under one lock, with no report set assembled.
+func (s *Session) AppendPropose(buf []byte, id string, changes []Change) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.proposeLocked(changes); err != nil {
+		return buf, err
+	}
+	return s.appendProposeLine(buf, id), nil
+}
+
+// proposeLocked is Propose's body, under s.mu: the result it leaves
+// pending carries no reports. New violations are counted from the base's
+// and the shadow's unsatisfied tallies, both read off their group tables.
+func (s *Session) proposeLocked(changes []Change) (*ProposeResult, error) {
 	if s.pending != nil {
 		return nil, ErrProposePending
 	}
@@ -219,15 +248,13 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	base := s.capture()
 	baseUnsat := s.unsatTally()
 
-	reports, post, err := s.runShadow(base, changes)
+	post, unsat, err := s.runShadow(base, changes)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ProposeResult{Reports: reports, Stats: post.last}
-	res.BudgetExceeded = post.last.BudgetExceeded
-	res.RefinedClean = post.last.RefinedClean
-	res.NewViolations = countNew(baseUnsat, unsatCounts(reports))
+	res := &ProposeResult{Stats: post.last, BudgetExceeded: post.last.BudgetExceeded,
+		RefinedClean: post.last.RefinedClean, NewViolations: countNew(baseUnsat, unsat)}
 	if res.NewViolations > 0 || res.BudgetExceeded > 0 {
 		res.Decision = Reject
 	}
@@ -239,23 +266,23 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	return res, nil
 }
 
-// AppendProposeResult is AppendResult for the pending Propose: its line is
-// EncodeProposeResult's, spliced from the shadow's fragments, which Commit
-// adopts and Rollback drops. buf comes back unchanged when none is pending.
-func (s *Session) AppendProposeResult(buf []byte, id string) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// inPending runs f with the pending shadow's state installed, and the base
+// state back afterwards.
+func (s *Session) inPending(f func()) {
+	base := s.capture()
+	s.install(s.pending.state)
+	defer s.install(base)
+	f()
+}
+
+// appendProposeLine appends the pending Propose's line, under s.mu.
+func (s *Session) appendProposeLine(buf []byte, id string) []byte {
 	p := s.pending
-	if p == nil {
-		return buf
-	}
 	pr := *p.result
 	pr.Reports = nil
 	head := EncodeProposeResult(s.net.Topo, id, p.changes, &pr)
-	base := s.capture()
-	s.install(p.state)
-	defer s.install(base)
-	return s.splice(buf, &head, &head.Result)
+	s.inPending(func() { buf = s.splice(buf, &head, &head.Result) })
+	return buf
 }
 
 // Commit promotes the pending shadow: its state, fully computed at Propose
@@ -274,17 +301,40 @@ func (s *Session) Commit() ([]core.Report, error) {
 func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.reportsAfter(s.commitLocked(id))
+}
+
+// CommitAck is the daemon's commit call: CommitID acknowledged on the
+// wire, its unsatisfied count tallied off the committed group table and
+// its totals the installed shadow run's.
+func (s *Session) CommitAck(id string) (WireTxAck, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	duplicate, err := s.commitLocked(id)
+	if err != nil {
+		return WireTxAck{}, err
+	}
+	totals := EncodeTotals(s.totals)
+	ack := WireTxAck{Op: "commit", Id: id, Seq: s.last.Seq, Committed: true, Duplicate: duplicate, Totals: &totals}
+	for _, n := range s.unsatTally() {
+		ack.Unsatisfied += n
+	}
+	return ack, nil
+}
+
+// commitLocked is what CommitID and CommitAck share, under s.mu.
+func (s *Session) commitLocked(id string) (duplicate bool, err error) {
 	if s.replayed(id) {
-		return s.duplicate()
+		return true, s.settle()
 	}
 	if s.pending == nil {
-		return nil, false, ErrNoPropose
+		return false, ErrNoPropose
 	}
 	p := s.pending
 	s.pending = nil
 	s.install(p.state)
 	s.persistApply(id, p.changes)
-	return p.result.Reports, false, nil
+	return false, nil
 }
 
 // Rollback discards the pending shadow: the session state (sessState and
@@ -302,17 +352,16 @@ func (s *Session) Rollback() error {
 }
 
 // runShadow installs a shadow of base, runs the apply pipeline on it,
-// captures the post state, and restores base — on every path, including
-// pipeline errors (applyLocked contains panics itself, so none escape past
-// it).
-func (s *Session) runShadow(base sessState, changes []Change) (reports []core.Report, post sessState, err error) {
+// captures the post state and its unsatisfied tally, and restores base —
+// on every path, including pipeline errors (applyLocked contains panics
+// itself, so none escape past it).
+func (s *Session) runShadow(base sessState, changes []Change) (post sessState, unsat map[string]int, err error) {
 	s.install(shadowOf(base))
-	reports, err = s.applyLocked(changes)
-	if err == nil {
-		post = s.capture()
+	if err = s.applyLocked(changes); err == nil {
+		post, unsat = s.capture(), s.unsatTally()
 	}
 	s.install(base)
-	return reports, post, err
+	return post, unsat, err
 }
 
 // checkKey identifies one (invariant, scenario) check across report sets
@@ -329,20 +378,10 @@ func checkKey(i inv.Invariant, sc topo.FailureScenario) string {
 	return b.String()
 }
 
-// unsatCounts tallies unsatisfied checks per check key (counts, not sets:
-// duplicate invariant names stay comparable across regroupings).
-func unsatCounts(reports []core.Report) map[string]int {
-	m := map[string]int{}
-	for _, r := range reports {
-		if !r.Satisfied {
-			m[checkKey(r.Invariant, r.Scenario)]++
-		}
-	}
-	return m
-}
-
-// unsatTally is unsatCounts of the current report set, read off the
-// group table: only unsatisfied verdicts are visited, once per member.
+// unsatTally tallies the current report set's unsatisfied checks per check
+// key (counts, not sets: duplicate invariant names stay comparable across
+// regroupings), read off the group table: only unsatisfied verdicts are
+// visited, once per member.
 func (s *Session) unsatTally() map[string]int {
 	m := map[string]int{}
 	scens := s.effectiveScenarios()
@@ -369,17 +408,6 @@ func countNew(base, after map[string]int) int {
 		}
 	}
 	return n
-}
-
-// repairGreen reports whether a candidate's reports leave no invariant
-// worse off than base and contain no budget-degraded verdict.
-func repairGreen(baseUnsat map[string]int, reports []core.Report) bool {
-	for _, r := range reports {
-		if r.BudgetExceeded {
-			return false
-		}
-	}
-	return countNew(baseUnsat, unsatCounts(reports)) == 0
 }
 
 // Repair search bounds: subsets up to pairs, and a hard cap on candidate
@@ -421,11 +449,10 @@ func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, change
 				remaining = append(remaining, ch)
 			}
 		}
-		reports, _, err := s.runShadow(base, remaining)
-		if err != nil {
-			return false
-		}
-		return repairGreen(baseUnsat, reports)
+		// Green: no invariant worse off than base, no budget-degraded
+		// verdict.
+		post, unsat, err := s.runShadow(base, remaining)
+		return err == nil && post.last.BudgetExceeded == 0 && countNew(baseUnsat, unsat) == 0
 	}
 	for _, i := range suspects {
 		if res.RepairTruncated {

@@ -96,11 +96,6 @@ func (r *Registry) DeclareExclusive(names ...string) {
 	r.exclusive = append(r.exclusive, set)
 }
 
-// ExclusiveGroups returns the declared mutual-exclusion groups.
-func (r *Registry) ExclusiveGroups() []ClassSet {
-	return append([]ClassSet(nil), r.exclusive...)
-}
-
 // Consistent reports whether a class assignment respects all declared
 // exclusivity constraints.
 func (r *Registry) Consistent(s ClassSet) bool {

@@ -1,7 +1,7 @@
 // Package pkt defines VMN's packet model: headers with the intrinsic
 // fields the paper's invariants reference (src, dst, ports, origin),
-// directional flows with symmetric hashing (in the style of gopacket's
-// Flow/Endpoint), and abstract packet classes assigned by the
+// directional flows with a direction-insensitive canonical form (in the
+// style of gopacket's Flow/Endpoint), and abstract packet classes assigned by the
 // classification oracle (§2.2 of the paper).
 package pkt
 
@@ -83,7 +83,9 @@ func (p Prefix) Matches(a Addr) bool {
 func HostPrefix(a Addr) Prefix { return Prefix{a, 32} }
 
 // String renders the prefix in CIDR notation.
-func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.Addr, p.Len) }
+func (p Prefix) String() string {
+	return string(strconv.AppendInt(append(p.Addr.AppendString(make([]byte, 0, 18)), '/'), int64(p.Len), 10))
+}
 
 // Port is a transport port number.
 type Port uint16
@@ -236,29 +238,6 @@ func (f Flow) Canonical() Flow {
 		return f.Reverse()
 	}
 	return f
-}
-
-// FastHash returns a direction-insensitive 64-bit hash (equal for a flow
-// and its reverse), in the style of gopacket's Flow.FastHash.
-func (f Flow) FastHash() uint64 {
-	h1 := endpointHash(f.Src)
-	h2 := endpointHash(f.Dst)
-	// Commutative mix keeps the hash symmetric under direction reversal.
-	return (h1 ^ h2) + mix(h1+h2) + uint64(f.Proto)
-}
-
-func endpointHash(e Endpoint) uint64 {
-	return mix(uint64(e.Addr)<<16 | uint64(e.Port))
-}
-
-func mix(x uint64) uint64 {
-	// splitmix64 finalizer.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // String renders "src->dst/proto".

@@ -4,67 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
-
-// ParseDIMACS reads a CNF formula in DIMACS format into a fresh solver.
-// Comment lines ("c ...") are skipped; the "p cnf V C" header is optional
-// but, when present, pre-allocates variables. Literals are 1-based signed
-// integers; each clause is terminated by 0.
-func ParseDIMACS(r io.Reader) (*Solver, error) {
-	s := New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var cur []Lit
-	ensure := func(v int) {
-		for s.NumVars() < v {
-			s.NewVar()
-		}
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		if strings.HasPrefix(line, "p") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("sat: malformed DIMACS header %q", line)
-			}
-			nv, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("sat: bad variable count in %q", line)
-			}
-			ensure(nv)
-			continue
-		}
-		for _, tok := range strings.Fields(line) {
-			n, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("sat: bad literal %q", tok)
-			}
-			if n == 0 {
-				s.AddClause(cur...)
-				cur = cur[:0]
-				continue
-			}
-			v := n
-			if v < 0 {
-				v = -v
-			}
-			ensure(v)
-			cur = append(cur, MkLit(Var(v-1), n < 0))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(cur) > 0 {
-		s.AddClause(cur...)
-	}
-	return s, nil
-}
 
 // WriteDIMACS serializes the solver's problem clauses (not learnt clauses)
 // in DIMACS format. Level-0 unit assignments are emitted as unit clauses so

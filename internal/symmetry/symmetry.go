@@ -24,7 +24,9 @@ type Classifier struct {
 	Topo *topo.Topology
 }
 
-func (c Classifier) nodeClass(id topo.NodeID) string {
+// NodeClass names the policy class of a node. A signature spells the
+// class of every node it depends on.
+func (c Classifier) NodeClass(id topo.NodeID) string {
 	if cl, ok := c.HostClass[id]; ok {
 		return cl
 	}
@@ -34,7 +36,7 @@ func (c Classifier) nodeClass(id topo.NodeID) string {
 func (c Classifier) addrClass(a pkt.Addr) string {
 	if c.Topo != nil {
 		if n, ok := c.Topo.HostByAddr(a); ok {
-			return c.nodeClass(n.ID)
+			return c.NodeClass(n.ID)
 		}
 	}
 	return "addr-" + a.String()
@@ -46,20 +48,20 @@ func (c Classifier) addrClass(a pkt.Addr) string {
 func (c Classifier) Signature(i inv.Invariant) string {
 	switch v := i.(type) {
 	case inv.SimpleIsolation:
-		return "simple|" + c.nodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
+		return "simple|" + c.NodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
 	case inv.Reachability:
-		return "reach|" + c.nodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
+		return "reach|" + c.NodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
 	case inv.FlowIsolation:
-		return "flow|" + c.nodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
+		return "flow|" + c.NodeClass(v.Dst) + "|" + c.addrClass(v.SrcAddr)
 	case inv.DataIsolation:
-		return "data|" + c.nodeClass(v.Dst) + "|" + c.addrClass(v.Origin)
+		return "data|" + c.NodeClass(v.Dst) + "|" + c.addrClass(v.Origin)
 	case inv.Traversal:
 		vias := make([]string, len(v.Vias))
 		for j, m := range v.Vias {
-			vias[j] = c.nodeClass(m)
+			vias[j] = c.NodeClass(m)
 		}
 		sort.Strings(vias)
-		return fmt.Sprintf("trav|%s|%s|%v", c.nodeClass(v.Dst), v.SrcPrefix, vias)
+		return fmt.Sprintf("trav|%s|%s|%v", c.NodeClass(v.Dst), v.SrcPrefix, vias)
 	default:
 		return fmt.Sprintf("opaque|%s", i.Name())
 	}
@@ -72,15 +74,16 @@ type Group struct {
 	Members        []inv.Invariant
 }
 
-// Groups partitions invariants into symmetry groups, preserving first-seen
-// order of groups and members. The representative is always Members[0];
-// consumers skip it by position rather than by interface equality, since
-// invariants may be uncomparable types (Traversal holds a slice).
-func Groups(c Classifier, invs []inv.Invariant) []Group {
+// Groups partitions invariants into symmetry groups by their signatures
+// (position-aligned with invs), preserving first-seen order of groups and
+// members. The representative is always Members[0]; consumers skip it by
+// position rather than by interface equality, since invariants may be
+// uncomparable types (Traversal holds a slice).
+func Groups(sigs []string, invs []inv.Invariant) []Group {
 	index := map[string]int{}
 	var out []Group
-	for _, i := range invs {
-		sig := c.Signature(i)
+	for ii, i := range invs {
+		sig := sigs[ii]
 		gi, ok := index[sig]
 		if !ok {
 			gi = len(out)
@@ -90,16 +93,6 @@ func Groups(c Classifier, invs []inv.Invariant) []Group {
 		out[gi].Members = append(out[gi].Members, i)
 	}
 	return out
-}
-
-// Reduction reports how many checks symmetry saves: total members minus
-// number of groups.
-func Reduction(groups []Group) int {
-	total := 0
-	for _, g := range groups {
-		total += len(g.Members)
-	}
-	return total - len(groups)
 }
 
 // CheckRef names one (invariant group, scenario) check in a batch.

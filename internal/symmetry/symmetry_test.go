@@ -84,12 +84,12 @@ func TestGroupsAndReduction(t *testing.T) {
 		inv.SimpleIsolation{Dst: hosts[1], SrcAddr: addrOf(3)}, // symmetric to #0
 		inv.SimpleIsolation{Dst: hosts[2], SrcAddr: addrOf(0)},
 	}
-	gs := Groups(c, invs)
+	gs := Groups([]string{c.Signature(invs[0]), c.Signature(invs[1]), c.Signature(invs[2])}, invs)
 	if len(gs) != 2 {
 		t.Fatalf("groups = %d, want 2", len(gs))
 	}
-	if Reduction(gs) != 1 {
-		t.Fatalf("reduction = %d, want 1", Reduction(gs))
+	if saved := len(invs) - len(gs); saved != 1 {
+		t.Fatalf("reduction = %d, want 1", saved)
 	}
 	if gs[0].Representative != invs[0] || len(gs[0].Members) != 2 {
 		t.Fatalf("group structure wrong: %+v", gs[0])

@@ -6,8 +6,6 @@
 package testnet
 
 import (
-	"fmt"
-
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
@@ -262,10 +260,4 @@ func (f *IDSFragment) Problem(invariant inv.Invariant, maxSends int) *inv.Proble
 		MaxSends:  maxSends,
 		Invariant: invariant,
 	}
-}
-
-// Describe summarizes a problem (for examples and debugging).
-func Describe(p *inv.Problem) string {
-	return fmt.Sprintf("%d nodes, %d middleboxes, %d samples, bound %d",
-		p.Topo.NumNodes(), len(p.Boxes), len(p.Samples), p.MaxSends)
 }

@@ -328,3 +328,39 @@ func TestMemoization(t *testing.T) {
 		t.Fatal("memoized result differs")
 	}
 }
+
+// Entry is one row of the compiled pseudo-switch: packets at From destined
+// to an address owned by DstHost surface next at Via.
+type Entry struct {
+	From    topo.NodeID
+	DstHost topo.NodeID
+	Via     topo.NodeID
+	Dropped bool
+}
+
+// Matrix compiles the transfer function into explicit rows, one per
+// (edge node, destination host) pair, through Next. It fails on any
+// forwarding loop.
+func (e *Engine) Matrix() ([]Entry, error) {
+	var dests []topo.NodeID
+	for _, id := range e.topo.EdgeNodes() {
+		n := e.topo.Node(id)
+		if n.Kind == topo.Host || n.Kind == topo.External {
+			dests = append(dests, id)
+		}
+	}
+	var out []Entry
+	for _, from := range e.topo.EdgeNodes() {
+		for _, d := range dests {
+			if from == d {
+				continue
+			}
+			via, ok, err := e.Next(from, e.topo.Node(d).Addr)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Entry{From: from, DstHost: d, Via: via, Dropped: !ok})
+		}
+	}
+	return out, nil
+}
