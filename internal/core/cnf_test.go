@@ -3,12 +3,16 @@ package core_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/encode"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/sat"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -62,29 +66,69 @@ var datacenterCases = []struct {
 	{"cacheacl/r0/t0", func(d *bench.Datacenter) { d.DeleteCacheACLs(0, 0) }},
 }
 
+// cnfHash is the SHA-256 of the canonical DIMACS dumps of the encodings'
+// CNF, one after another: per encoding the variable count, the clause
+// count and the clauses, each with its literals sorted (as AddClause sorts
+// them), in sorted order.
+func cnfHash(encs []*encode.SliceEncoding) string {
+	h := sha256.New()
+	for _, e := range encs {
+		var cls [][]sat.Lit
+		nv := e.Clauses(func(lits []sat.Lit) {
+			c := slices.Clone(lits)
+			slices.Sort(c)
+			cls = append(cls, c)
+		})
+		slices.SortFunc(cls, slices.Compare[[]sat.Lit])
+		fmt.Fprintf(h, "p cnf %d %d\n", nv, len(cls))
+		for _, c := range cls {
+			for _, l := range c {
+				fmt.Fprintf(h, "%v ", l)
+			}
+			io.WriteString(h, "0\n")
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestSliceEncodingCNFPinnedDatacenter extends encode's
 // TestSliceEncodingCNFPinned to the problems core assembles for the
-// datacenterCases: one SHA-256 runs over the DIMACS dumps of the six
-// encodings, each after verifying its invariant. The two networks differ:
-// the deleted ACLs change which journey events reach the guest, and so
-// which paths and state bits the invariant's cone grounds.
+// datacenterCases: one SHA-256 runs over the canonical dumps of the six
+// encodings, each after verifying its invariant, and the search counts are
+// the six encodings' solver stats summed. The two networks differ: the
+// deleted ACLs change which journey events reach the guest, and so which
+// paths and state bits the invariant's cone grounds.
 func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
-	want := []string{
-		"6193779220b35c9e6a725a63f6ddf7598cf9d00962b406659c8dcb8d00b98e69",
-		"0daa39bf53a79effd0401d06c7cd93e01c0efcad25754221255021fd590d4dbc",
+	want := []struct {
+		cnf   string
+		stats sat.Stats
+	}{
+		{"efdc88ee16d1c6d88c6feb9088c2423d96f74dc55674457bfe7dfae897f1ad6f",
+			sat.Stats{Propagations: 84, SolveCalls: 6}},
+		{"8cf73f5d9b589eb5ddd08090052c3a3ddb2b85e61f70045307e741f8431a0236",
+			sat.Stats{Decisions: 1668, Propagations: 83748, Conflicts: 39, Learnt: 39, SolveCalls: 72}},
 	}
 	for i, c := range datacenterCases {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
 		c.mutate(d)
 		encs, _ := datacenterEncodings(t, d, encode.Options{})
-		h := sha256.New()
-		for _, e := range encs {
-			if err := e.WriteDIMACS(h); err != nil {
-				t.Fatal(err)
-			}
+		if got := cnfHash(encs); got != want[i].cnf {
+			t.Errorf("%s: CNF sha256 %s, want %s", c.name, got, want[i].cnf)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[i] {
-			t.Errorf("%s: CNF sha256 %s, want %s", c.name, got, want[i])
+		var st sat.Stats
+		for _, e := range encs {
+			es := e.SolverStats()
+			st.Decisions += es.Decisions
+			st.Propagations += es.Propagations
+			st.Conflicts += es.Conflicts
+			st.Restarts += es.Restarts
+			st.Learnt += es.Learnt
+			st.DeletedCls += es.DeletedCls
+			st.MinimizedLit += es.MinimizedLit
+			st.SolveCalls += es.SolveCalls
+		}
+		if st != want[i].stats {
+			t.Errorf("%s: solver stats %#v, want %#v", c.name, st, want[i].stats)
 		}
 	}
 }

@@ -3,34 +3,53 @@ package encode
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/sat"
 	"github.com/netverify/vmn/internal/testnet"
 	"github.com/netverify/vmn/internal/topo"
 )
 
-// cnfHash is the SHA-256 of the DIMACS dump of the encoding's solver:
-// variable count, clause count, and every clause's literals in order.
-func cnfHash(t *testing.T, e *SliceEncoding) string {
-	t.Helper()
+// cnfHash is the SHA-256 of the canonical DIMACS dump of the encoding's
+// CNF: the variable count, the clause count and the clauses, each with its
+// literals sorted (as AddClause sorts them), in sorted order. It hashes the
+// CNF, not the order in which propagation left literals or the solver
+// stores clauses.
+func cnfHash(e *SliceEncoding) string {
+	var cls [][]sat.Lit
+	nv := e.Clauses(func(lits []sat.Lit) {
+		c := slices.Clone(lits)
+		slices.Sort(c)
+		cls = append(cls, c)
+	})
+	slices.SortFunc(cls, slices.Compare[[]sat.Lit])
 	h := sha256.New()
-	if err := e.ctx.Solver().WriteDIMACS(h); err != nil {
-		t.Fatal(err)
+	fmt.Fprintf(h, "p cnf %d %d\n", nv, len(cls))
+	for _, c := range cls {
+		for _, l := range c {
+			fmt.Fprintf(h, "%v ", l)
+		}
+		io.WriteString(h, "0\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestSliceEncodingCNFPinned pins the exact CNF a SliceEncoding holds on
-// the shared fixtures once it has verified the fixture's invariant: the
-// same variables in the same order and the same clauses in the same order.
-// An encoding grounds what its invariants reach, so its CNF is a function
-// of what it has served. Solver search, verdicts, witnesses and conflict
-// counts are functions of that CNF, so a change that only makes building
-// it cheaper leaves these hashes alone. A change that means to alter the
-// encoding updates them on purpose and says so.
+// the shared fixtures once it has verified the fixture's invariant, and
+// the solver work that verification took. An encoding grounds what its
+// invariants reach, so its CNF is a function of what it has served: the
+// same variables in the same order and the same clauses. Solver search,
+// verdicts, witnesses and conflict counts are functions of that CNF and of
+// the order clauses were added in, which the search counts pin. A change
+// that only makes building or storing the CNF cheaper leaves both alone.
+// A change that means to alter the encoding or the search updates them on
+// purpose and says so.
 func TestSliceEncodingCNFPinned(t *testing.T) {
 	fwPair := testnet.NewFirewallPair(mbox.NewLearningFirewall("fw",
 		mbox.AllowEntry(pkt.HostPrefix(pkt.MustParseAddr("10.0.0.1")), pkt.HostPrefix(pkt.MustParseAddr("10.0.0.2")))))
@@ -38,16 +57,20 @@ func TestSliceEncodingCNFPinned(t *testing.T) {
 		&mbox.LearningFirewall{InstanceName: "fw", DefaultAllow: true})
 	ids := testnet.NewIDSFragment(testnet.NewIDSRegistry())
 	cases := []struct {
-		name string
-		p    *inv.Problem
-		want string
+		name  string
+		p     *inv.Problem
+		want  string
+		stats sat.Stats
 	}{
 		{"firewall-pair", fwPair.Problem(inv.FlowIsolation{Dst: fwPair.HA, SrcAddr: fwPair.AddrB}, topo.NoFailures()),
-			"3acff16d72b303cfc4d4ee51ae9f5b81d90e72eb557414b6c057220674ca0b70"},
+			"7b1ca1bb110b854429a3839b48a88a2108c5f847bee7a42eca954f6d36c7f990",
+			sat.Stats{Decisions: 1, Propagations: 36, Conflicts: 2, Learnt: 1, SolveCalls: 1}},
 		{"cache-group", cache.Problem(inv.DataIsolation{Dst: cache.H2, Origin: cache.AddrS}),
-			"6d44bce90965bae3964cdbaf8526745f6a229c3b368600ef1e4d8f337bb91243"},
+			"47d28a8dbca30eb347ecdc1f722b5cd6e8d91756e62b53a023301dec68c148c9",
+			sat.Stats{Decisions: 35, Propagations: 363, Conflicts: 1, Learnt: 1, SolveCalls: 6}},
 		{"ids-fragment", ids.Problem(inv.Traversal{Dst: ids.Host, SrcPrefix: pkt.HostPrefix(ids.AddrPeer), Vias: []topo.NodeID{ids.IDSNode}}, 3),
-			"807c0fbfd90afa940ebe587dc0043c2dc56e1d2280b8f16e599c1b43da132891"},
+			"dbaf0235092196f5433471e37db5265ffe35355e61e8dcf696f9f475f180bd7b",
+			sat.Stats{Decisions: 10, Propagations: 89, Conflicts: 5, Learnt: 2, SolveCalls: 1}},
 	}
 	for _, c := range cases {
 		e, err := NewSliceEncoding(c.p, Options{})
@@ -57,8 +80,11 @@ func TestSliceEncodingCNFPinned(t *testing.T) {
 		if _, err := e.Verify(c.p, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if got := cnfHash(t, e); got != c.want {
+		if got := cnfHash(e); got != c.want {
 			t.Errorf("%s: CNF sha256 %s, want %s", c.name, got, c.want)
+		}
+		if got := e.SolverStats(); got != c.stats {
+			t.Errorf("%s: solver stats %#v, want %#v", c.name, got, c.stats)
 		}
 	}
 }

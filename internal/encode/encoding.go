@@ -24,7 +24,6 @@ package encode
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -300,12 +299,14 @@ func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) 
 	return choices, nil
 }
 
-// WriteDIMACS writes the encoding's CNF in DIMACS format: the shared
-// axioms, plus the activation clauses of the invariants it has served.
-func (e *SliceEncoding) WriteDIMACS(w io.Writer) error {
+// Clauses calls fn with each clause of the encoding's CNF (see
+// sat.Solver.Clauses), the shared axioms plus the activation clauses of
+// the invariants it has served, and returns its variable count.
+func (e *SliceEncoding) Clauses(fn func(lits []sat.Lit)) (vars int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.ctx.Solver().WriteDIMACS(w)
+	e.ctx.Solver().Clauses(fn)
+	return e.ctx.Solver().NumVars()
 }
 
 // Solves reports how many invariant checks this encoding has served.

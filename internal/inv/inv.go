@@ -291,17 +291,17 @@ func (i FlowIsolation) Name() string {
 
 // Bad implements Invariant.
 func (i FlowIsolation) Bad(p *Problem) logic.Formula {
-	// Collect the canonical flows of alphabet packets with source SrcAddr
-	// that could arrive at Dst.
+	// One disjunct per canonical flow of an alphabet packet with source
+	// SrcAddr, in sample order, so the formula (and the encoding grounded
+	// from it) does not depend on map iteration order.
 	flows := map[pkt.Flow]bool{}
-	for _, s := range p.Samples {
-		if s.Hdr.Src == i.SrcAddr {
-			flows[pkt.FlowOf(s.Hdr).Canonical()] = true
-		}
-	}
 	var disjuncts []logic.Formula
-	for fl := range flows {
-		fl := fl
+	for _, s := range p.Samples {
+		fl := pkt.FlowOf(s.Hdr).Canonical()
+		if s.Hdr.Src != i.SrcAddr || flows[fl] {
+			continue
+		}
+		flows[fl] = true
 		rcv := logic.RcvAt(i.Dst, fmt.Sprintf("flow=%s,src=%s", fl, i.SrcAddr), func(e logic.Event) bool {
 			return e.Hdr.Src == i.SrcAddr && pkt.FlowOf(e.Hdr).Canonical() == fl
 		})

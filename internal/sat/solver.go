@@ -128,6 +128,23 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
+// Clauses calls fn with each problem clause (learnt clauses excluded),
+// level-0 assignments first as unit clauses, so that the clauses are
+// equisatisfiable with the solver state. The order of the clauses, and of
+// the literals within one, is unspecified; fn must not keep or modify lits.
+func (s *Solver) Clauses(fn func(lits []Lit)) {
+	units := len(s.trail)
+	if len(s.trailLim) > 0 {
+		units = s.trailLim[0]
+	}
+	for i := range units {
+		fn(s.trail[i : i+1])
+	}
+	for _, c := range s.clauses {
+		fn(c.lits)
+	}
+}
+
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))

@@ -528,3 +528,40 @@ func TestAddClauseAllocatesSlabs(t *testing.T) {
 		t.Fatalf("%d clauses made %.0f allocations beyond their variables'", 2*(n-2), extra)
 	}
 }
+
+// TestSearchPinned pins the full work counters of searches that restart,
+// delete learnt clauses in reduceDB, minimize and release guarded queries.
+// The solver has no randomness, so they are a function of the clauses and
+// the order they were added in; a change to how clauses are stored leaves
+// them alone.
+func TestSearchPinned(t *testing.T) {
+	php := New()
+	pigeonhole(php, 7)
+	php.Solve()
+
+	rng := rand.New(rand.NewSource(11))
+	r3 := newSolverWithVars(150)
+	for c := 0; c < 639; c++ {
+		r3.AddClause(MkLit(Var(rng.Intn(150)), rng.Intn(2) == 0),
+			MkLit(Var(rng.Intn(150)), rng.Intn(2) == 0), MkLit(Var(rng.Intn(150)), rng.Intn(2) == 0))
+	}
+	r3.Solve()
+
+	rel := New()
+	for round := 0; round < 40; round++ {
+		g := rel.NewVar()
+		guardedPigeonhole(rel, g, 3+round%4)
+		rel.SolveAssuming([]Lit{PosLit(g)})
+		rel.Release(NegLit(g))
+	}
+	want := []Stats{
+		{Decisions: 6707, Propagations: 71782, Conflicts: 5402, Restarts: 28, Learnt: 5394, DeletedCls: 5032, MinimizedLit: 11495, SolveCalls: 1},
+		{Decisions: 1890, Propagations: 48856, Conflicts: 1546, Restarts: 9, Learnt: 1538, DeletedCls: 1201, MinimizedLit: 4342, SolveCalls: 1},
+		{Decisions: 22720, Propagations: 168483, Conflicts: 11178, Restarts: 70, Learnt: 11138, DeletedCls: 11358, MinimizedLit: 23187, SolveCalls: 40},
+	}
+	for i, s := range []*Solver{php, r3, rel} {
+		if got := s.Stats(); got != want[i] {
+			t.Errorf("search %d: stats %#v, want %#v", i, got, want[i])
+		}
+	}
+}
