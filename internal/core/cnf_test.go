@@ -117,15 +117,7 @@ func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
 		}
 		var st sat.Stats
 		for _, e := range encs {
-			es := e.SolverStats()
-			st.Decisions += es.Decisions
-			st.Propagations += es.Propagations
-			st.Conflicts += es.Conflicts
-			st.Restarts += es.Restarts
-			st.Learnt += es.Learnt
-			st.DeletedCls += es.DeletedCls
-			st.MinimizedLit += es.MinimizedLit
-			st.SolveCalls += es.SolveCalls
+			st = st.Add(e.SolverStats())
 		}
 		if st != want[i].stats {
 			t.Errorf("%s: solver stats %#v, want %#v", c.name, st, want[i].stats)

@@ -251,7 +251,7 @@ func NewVerifier(net *Network, opts Options) (*Verifier, error) {
 	// An evicted encoding's solver work stays in the lifetime aggregate.
 	v.encodings = lru.New(encodingCacheCap, func(_ string, slot *encSlot) {
 		if slot.enc != nil {
-			v.retiredSolver = addSolverStats(v.retiredSolver, slot.enc.SolverStats())
+			v.retiredSolver = v.retiredSolver.Add(slot.enc.SolverStats())
 		}
 	})
 	v.registerMetrics()
@@ -324,23 +324,11 @@ func (v *Verifier) SolverStats() sat.Stats {
 	total := v.retiredSolver
 	v.encodings.Walk(func(_ string, slot *encSlot) bool {
 		if slot.enc != nil {
-			total = addSolverStats(total, slot.enc.SolverStats())
+			total = total.Add(slot.enc.SolverStats())
 		}
 		return true
 	})
 	return total
-}
-
-func addSolverStats(a, b sat.Stats) sat.Stats {
-	a.Decisions += b.Decisions
-	a.Propagations += b.Propagations
-	a.Conflicts += b.Conflicts
-	a.Restarts += b.Restarts
-	a.Learnt += b.Learnt
-	a.DeletedCls += b.DeletedCls
-	a.MinimizedLit += b.MinimizedLit
-	a.SolveCalls += b.SolveCalls
-	return a
 }
 
 // engineCacheCap and encodingCacheCap bound the engine and encoding

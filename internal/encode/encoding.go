@@ -134,15 +134,7 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	}
 
 	// Selector variables: sel[t][c] plus an implicit "none" choice.
-	e.sel = make([][]smt.Form, e.K)
-	for t := 0; t < e.K; t++ {
-		row := make([]smt.Form, len(choices)+1)
-		for c := range row {
-			row[c] = ctx.FreshBool()
-		}
-		e.sel[t] = row
-		ctx.AssertExactlyOne(row)
-	}
+	e.sel = ctx.ExactlyOneRows(e.K, len(choices)+1)
 
 	// The state-bit universe (refIdx's keys) is every ref a path mentions,
 	// sorted so grounding order, and so variable numbering, is deterministic.
@@ -307,13 +299,6 @@ func (e *SliceEncoding) Clauses(fn func(lits []sat.Lit)) (vars int) {
 	defer e.mu.Unlock()
 	e.ctx.Solver().Clauses(fn)
 	return e.ctx.Solver().NumVars()
-}
-
-// Solves reports how many invariant checks this encoding has served.
-func (e *SliceEncoding) Solves() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.solves
 }
 
 // Grounded reports how many state bits the encoding's invariants have

@@ -70,8 +70,8 @@ func TestSliceEncodingSharedSolvesMatchFresh(t *testing.T) {
 			t.Fatalf("%s: violated without a trace", iv.Name())
 		}
 	}
-	if enc.Solves() != int64(len(seq)) {
-		t.Fatalf("encoding served %d solves, want %d", enc.Solves(), len(seq))
+	if enc.solves != int64(len(seq)) {
+		t.Fatalf("encoding served %d solves, want %d", enc.solves, len(seq))
 	}
 }
 

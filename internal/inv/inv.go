@@ -297,8 +297,11 @@ func (i FlowIsolation) Bad(p *Problem) logic.Formula {
 	flows := map[pkt.Flow]bool{}
 	var disjuncts []logic.Formula
 	for _, s := range p.Samples {
+		if s.Hdr.Src != i.SrcAddr {
+			continue
+		}
 		fl := pkt.FlowOf(s.Hdr).Canonical()
-		if s.Hdr.Src != i.SrcAddr || flows[fl] {
+		if flows[fl] {
 			continue
 		}
 		flows[fl] = true

@@ -1,9 +1,20 @@
 package sat
 
-// clause is a disjunction of literals. The first two literal positions are
-// the watched positions maintained by propagation. Learnt clauses carry an
-// activity score used by reduceDB and an LBD ("glue") score used to protect
-// high-quality clauses from deletion.
+// cref is a clause's index in Solver.cls. A reason (or a conflict) is a
+// cref, noClause for a decision or a unit, or binReason(l) for an
+// implicit binary clause whose other, false literal is l.
+type cref int32
+
+// noClause is no clause record; a watcher with it is an implicit binary.
+const noClause cref = -1
+
+func binReason(l Lit) cref { return -2 - cref(l) }
+
+// clause is a problem clause of three or more literals, or a learnt
+// clause. The first two literal positions are the watched positions
+// maintained by propagation. Learnt clauses carry an activity score used
+// by reduceDB and an LBD ("glue") score used to protect high-quality
+// clauses from deletion. deleted marks a clause for collect.
 type clause struct {
 	lits     []Lit
 	activity float64
@@ -12,13 +23,13 @@ type clause struct {
 	deleted  bool
 }
 
-func (c *clause) len() int { return len(c.lits) }
-
 // watcher is an entry in a literal's watch list: the watching clause plus a
 // "blocker" literal whose satisfaction lets propagation skip the clause
-// without touching its memory.
+// without touching its memory. A binary problem clause is only its two
+// watchers (cref noClause), each one's blocker the other literal. No
+// pointer: the GC does not scan watch storage.
 type watcher struct {
-	c       *clause
+	cref    cref
 	blocker Lit
 }
 
@@ -33,12 +44,6 @@ type varOrder struct {
 
 func newVarOrder(activity *[]float64) *varOrder {
 	return &varOrder{activity: activity}
-}
-
-func (o *varOrder) grow(n int) {
-	for len(o.indices) < n {
-		o.indices = append(o.indices, -1)
-	}
 }
 
 func (o *varOrder) contains(v Var) bool { return o.indices[v] >= 0 }

@@ -10,15 +10,14 @@
 // assumptions is supported so callers can reuse one solver instance across
 // related queries.
 //
-// Problem clauses are carved, struct and literals, out of slabs, and watch
-// lists grow into segments of a shared slab: loading clauses allocates a
-// few slabs rather than an object per clause and per watch-list growth.
-// Slabs start small and double up to a bound, so a solver of a few clauses
-// pays for a few. The price is retention: a slab is freed with the last clause
-// or watch segment carved from it, so the space of a clause Release
-// deletes (or of a segment a watch list outgrew) is reclaimed with the
-// solver, not before. Learnt clauses are allocated individually, since
-// reduceDB deletes them throughout a solver's life.
+// A clause costs its literals. A binary problem clause is only its two
+// watchers, and the reason it gives is the other literal. Longer problem
+// clauses' literals are carved out of slabs, and watch lists grow into
+// segments of a shared slab, which start small and double up to a bound;
+// a slab is freed with the last thing carved from it. Watchers name their
+// clause by index, so the GC does not scan them. reduceDB and Release
+// compact the clause index and drop the watchers of what they delete.
+// Learnt clauses' literals are allocated one by one.
 package sat
 
 import "fmt"
@@ -34,9 +33,6 @@ type Lit int32
 
 // LitUndef is a sentinel literal distinct from every real literal.
 const LitUndef Lit = -1
-
-// VarUndef is a sentinel variable distinct from every real variable.
-const VarUndef Var = -1
 
 // MkLit constructs a literal for v, negated if neg is true.
 func MkLit(v Var, neg bool) Lit {
@@ -84,28 +80,10 @@ const (
 )
 
 // String returns "false", "true" or "undef".
-func (t Tribool) String() string {
-	switch t {
-	case False:
-		return "false"
-	case True:
-		return "true"
-	default:
-		return "undef"
-	}
-}
+func (t Tribool) String() string { return [...]string{"false", "true", "undef"}[t] }
 
 // Not negates a tribool; Undef stays Undef.
-func (t Tribool) Not() Tribool {
-	switch t {
-	case False:
-		return True
-	case True:
-		return False
-	default:
-		return Undef
-	}
-}
+func (t Tribool) Not() Tribool { return t.xorSign(true) }
 
 // xorSign flips t when sign is true, used to evaluate a literal from its
 // variable's assignment.
@@ -113,5 +91,5 @@ func (t Tribool) xorSign(sign bool) Tribool {
 	if t == Undef || !sign {
 		return t
 	}
-	return t.Not()
+	return t ^ 1
 }

@@ -19,16 +19,7 @@ const (
 )
 
 // String returns "UNSAT", "SAT" or "UNKNOWN".
-func (s Status) String() string {
-	switch s {
-	case Unsat:
-		return "UNSAT"
-	case Sat:
-		return "SAT"
-	default:
-		return "UNKNOWN"
-	}
-}
+func (s Status) String() string { return [...]string{"UNSAT", "SAT", "UNKNOWN"}[s] }
 
 // Stats counts solver work. It is reset by Reset but accumulates across
 // Solve calls on the same instance.
@@ -43,21 +34,34 @@ type Stats struct {
 	SolveCalls   int64 // SolveAssuming calls, Solve included
 }
 
+// Add returns the sum of two sets of counters.
+func (a Stats) Add(b Stats) Stats {
+	a.Decisions += b.Decisions
+	a.Propagations += b.Propagations
+	a.Conflicts += b.Conflicts
+	a.Restarts += b.Restarts
+	a.Learnt += b.Learnt
+	a.DeletedCls += b.DeletedCls
+	a.MinimizedLit += b.MinimizedLit
+	a.SolveCalls += b.SolveCalls
+	return a
+}
+
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // instances with New. A Solver is not safe for concurrent use. It has no
 // source of randomness: its search depends only on its clauses and the
 // order of its assumptions.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	cls     []clause // clause records by cref: long problem clauses and learnts
+	learnts []cref
+	nBin    int         // binary problem clauses, which live only in watches
 	watches [][]watcher // indexed by Lit
 
-	// Problem clauses (struct and literals) and watch-list storage are
-	// carved out of slabs; see carve.
-	clauseSlab []clause
-	litSlab    []Lit
-	watchSlab  []watcher
-	addBuf     []Lit // AddClause's sort-and-dedupe scratch
+	// Problem clauses' literals and watch-list storage are carved out of
+	// slabs; see carve.
+	litSlab   []Lit
+	watchSlab []watcher
+	addBuf    []Lit // AddClause's sort-and-dedupe scratch
 
 	assigns  []Tribool // per Var
 	polarity []bool    // saved phase per Var: last assigned sign
@@ -71,11 +75,14 @@ type Solver struct {
 
 	trail    []Lit
 	trailLim []int
-	reason   []*clause
+	reason   []cref // per Var
 	level    []int32
 	qhead    int
 
 	seen      []byte
+	binTail   [1]Lit   // reasonTail's result for an implicit binary
+	lbdStamp  []uint32 // per decision level: the computeLBD call that last saw it
+	lbdCalls  uint32
 	minimStk  []Lit
 	toClear   []Lit
 	confLits  []Lit // final conflict clause over assumptions
@@ -126,22 +133,28 @@ func (s *Solver) Stats() Stats { return s.stats }
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return len(s.cls) - len(s.learnts) + s.nBin }
 
 // Clauses calls fn with each problem clause (learnt clauses excluded),
 // level-0 assignments first as unit clauses, so that the clauses are
 // equisatisfiable with the solver state. The order of the clauses, and of
 // the literals within one, is unspecified; fn must not keep or modify lits.
+// Call it between solves, at decision level 0.
 func (s *Solver) Clauses(fn func(lits []Lit)) {
-	units := len(s.trail)
-	if len(s.trailLim) > 0 {
-		units = s.trailLim[0]
-	}
-	for i := range units {
+	for i := range s.trail {
 		fn(s.trail[i : i+1])
 	}
-	for _, c := range s.clauses {
-		fn(c.lits)
+	for i := range s.cls {
+		if !s.cls[i].learnt {
+			fn(s.cls[i].lits)
+		}
+	}
+	for l, ws := range s.watches {
+		for _, w := range ws {
+			if w.cref == noClause && Lit(l) < w.blocker {
+				fn([]Lit{Lit(l), w.blocker})
+			}
+		}
 	}
 }
 
@@ -151,13 +164,28 @@ func (s *Solver) NewVar() Var {
 	s.assigns = append(s.assigns, Undef)
 	s.polarity = append(s.polarity, true) // default phase: false
 	s.activity = append(s.activity, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.level = append(s.level, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
-	s.order.grow(len(s.assigns))
+	s.order.indices = append(s.order.indices, -1)
 	s.order.push(v)
 	return v
+}
+
+// Reserve makes room for n more variables: the next n NewVar calls grow
+// no per-variable array.
+func (s *Solver) Reserve(n int) {
+	s.assigns = slices.Grow(s.assigns, n)
+	s.polarity = slices.Grow(s.polarity, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.level = slices.Grow(s.level, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.trail = slices.Grow(s.trail, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.indices = slices.Grow(s.order.indices, n)
 }
 
 func (s *Solver) litValue(l Lit) Tribool {
@@ -187,19 +215,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called above decision level 0")
 	}
 	// Sort, dedupe, drop level-0 false literals, detect tautology/satisfied.
-	// Clauses are overwhelmingly short, so insertion sort beats the
-	// reflection-based sort.Slice that used to dominate clause loading.
 	ls := append(s.addBuf[:0], lits...)
 	s.addBuf = ls
-	if len(ls) <= 16 {
-		for i := 1; i < len(ls); i++ {
-			for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
-				ls[j], ls[j-1] = ls[j-1], ls[j]
-			}
-		}
-	} else {
-		slices.Sort(ls)
-	}
+	slices.Sort(ls) // insertion sort, for the short clauses most are
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
@@ -224,15 +242,20 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], noClause)
+		_, head := s.propagate()
+		s.ok = head == LitUndef
 		return s.ok
+	case 2:
+		s.watch(out[0], watcher{noClause, out[1]})
+		s.watch(out[1], watcher{noClause, out[0]})
+		s.nBin++
+		return true
 	}
-	c := &carve(&s.clauseSlab, 1)[0]
-	c.lits = carve(&s.litSlab, len(out))
-	copy(c.lits, out)
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	cl := carve(&s.litSlab, len(out))
+	copy(cl, out)
+	s.cls = append(s.cls, clause{lits: cl})
+	s.attach(cref(len(s.cls) - 1))
 	return true
 }
 
@@ -272,12 +295,13 @@ func (s *Solver) watch(l Lit, w watcher) {
 	s.watches[l] = append(ws, w)
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watch(c.lits[0], watcher{c, c.lits[1]})
-	s.watch(c.lits[1], watcher{c, c.lits[0]})
+func (s *Solver) attach(cr cref) {
+	lits := s.cls[cr].lits
+	s.watch(lits[0], watcher{cr, lits[1]})
+	s.watch(lits[1], watcher{cr, lits[0]})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Sign() {
 		s.assigns[v] = False
@@ -289,9 +313,11 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation over the watch lists and returns the
-// conflicting clause, or nil if a fixpoint was reached without conflict.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation over the watch lists. It returns the
+// conflicting clause as head, its first literal, and confl, whose
+// reasonTail is the rest; head is LitUndef at a fixpoint without conflict.
+// An implicit binary's watcher acts as its clause would.
+func (s *Solver) propagate() (confl cref, head Lit) {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is now true
 		s.qhead++
@@ -299,7 +325,7 @@ func (s *Solver) propagate() *clause {
 		falseLit := p.Neg()
 		ws := s.watches[falseLit]
 		kept := ws[:0]
-		var confl *clause
+		head = LitUndef
 	scan:
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
@@ -307,44 +333,55 @@ func (s *Solver) propagate() *clause {
 				kept = append(kept, w)
 				continue
 			}
-			c := w.c
-			if c.deleted {
-				continue // drop watcher of a removed clause
-			}
-			// Normalize: the false literal sits at position 1.
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == True {
-				kept = append(kept, watcher{c, first})
-				continue
-			}
-			// Look for a replacement watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watch(c.lits[1], watcher{c, first})
-					continue scan
+			first, from := w.blocker, binReason(falseLit)
+			if w.cref != noClause {
+				c := &s.cls[w.cref]
+				// Normalize: the false literal sits at position 1.
+				if c.lits[0] == falseLit {
+					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+				}
+				first, from = c.lits[0], w.cref
+				if first != w.blocker && s.litValue(first) == True {
+					kept = append(kept, watcher{w.cref, first})
+					continue
+				}
+				// Look for a replacement watch.
+				for k := 2; k < len(c.lits); k++ {
+					if s.litValue(c.lits[k]) != False {
+						c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
+						s.watch(c.lits[1], watcher{w.cref, first})
+						continue scan
+					}
 				}
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
+			kept = append(kept, watcher{w.cref, first})
 			if s.litValue(first) == False {
-				confl = c
+				confl, head = from, first
 				s.qhead = len(s.trail)
 				// Keep the remaining watchers untouched.
 				kept = append(kept, ws[wi+1:]...)
 				break
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(first, from)
 		}
 		s.watches[falseLit] = kept
-		if confl != nil {
-			return confl
+		if head != LitUndef {
+			return confl, head
 		}
 	}
-	return nil
+	return noClause, LitUndef
+}
+
+// reasonTail returns the literals of reason r other than the one it
+// implied: a clause's lits[1:], or an implicit binary's other literal, in
+// scratch storage valid until the next call.
+func (s *Solver) reasonTail(r cref) []Lit {
+	if r >= 0 {
+		return s.cls[r].lits[1:]
+	}
+	s.binTail[0] = Lit(-2 - r)
+	return s.binTail[:]
 }
 
 func (s *Solver) varBump(v Var) {
@@ -360,11 +397,16 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecayActivity() { s.varInc /= s.varDecay }
 
-func (s *Solver) claBump(c *clause) {
+// claBump raises the activity of a learnt clause; other reasons have none.
+func (s *Solver) claBump(cr cref) {
+	if cr < 0 || !s.cls[cr].learnt {
+		return
+	}
+	c := &s.cls[cr]
 	c.activity += s.claInc
 	if c.activity > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.cls[lc].activity *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -372,32 +414,31 @@ func (s *Solver) claBump(c *clause) {
 
 func (s *Solver) claDecayActivity() { s.claInc /= s.claDecay }
 
-// analyze derives a first-UIP learnt clause from the conflict confl.
-// It returns the learnt literals (asserting literal first) and the level to
-// backjump to.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+// analyze derives a first-UIP learnt clause from the conflict propagate
+// returned. It returns the learnt literals (asserting literal first) and
+// the level to backjump to.
+func (s *Solver) analyze(confl cref, head Lit) ([]Lit, int) {
 	learnt := []Lit{LitUndef} // slot 0 reserved for the asserting literal
 	pathC := 0
-	p := LitUndef
+	var p Lit
 	idx := len(s.trail) - 1
-
+	visit := func(q Lit) {
+		v := q.Var()
+		if s.seen[v] == 0 && s.level[v] > 0 {
+			s.varBump(v)
+			s.seen[v] = 1
+			if int(s.level[v]) >= s.decisionLevel() {
+				pathC++
+			} else {
+				learnt = append(learnt, q)
+			}
+		}
+	}
+	visit(head)
 	for {
 		s.claBump(confl)
-		start := 0
-		if p != LitUndef {
-			start = 1 // lits[0] of a reason clause is the propagated literal
-		}
-		for _, q := range confl.lits[start:] {
-			v := q.Var()
-			if s.seen[v] == 0 && s.level[v] > 0 {
-				s.varBump(v)
-				s.seen[v] = 1
-				if int(s.level[v]) >= s.decisionLevel() {
-					pathC++
-				} else {
-					learnt = append(learnt, q)
-				}
-			}
+		for _, q := range s.reasonTail(confl) {
+			visit(q)
 		}
 		for s.seen[s.trail[idx].Var()] == 0 {
 			idx--
@@ -421,7 +462,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	}
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
-		if s.reason[l.Var()] == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()] == noClause || !s.litRedundant(l) {
 			out = append(out, l)
 		} else {
 			s.stats.MinimizedLit++
@@ -458,13 +499,12 @@ func (s *Solver) litRedundant(l Lit) bool {
 	for len(s.minimStk) > 0 {
 		p := s.minimStk[len(s.minimStk)-1]
 		s.minimStk = s.minimStk[:len(s.minimStk)-1]
-		c := s.reason[p.Var()]
-		for _, q := range c.lits[1:] {
+		for _, q := range s.reasonTail(s.reason[p.Var()]) {
 			v := q.Var()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil {
+			if s.reason[v] == noClause {
 				// Reached a decision not in the clause: l is needed.
 				for _, r := range s.toClear[top:] {
 					s.seen[r.Var()] = 0
@@ -491,7 +531,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assigns[v] == False
 		s.assigns[v] = Undef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		s.order.push(v)
 	}
 	s.trail = s.trail[:bound]
@@ -509,42 +549,107 @@ func (s *Solver) pickBranchLit() Lit {
 	return LitUndef
 }
 
-// locked reports whether c is the reason for its first literal's current
-// assignment (such clauses must not be deleted).
-func (s *Solver) locked(c *clause) bool {
-	l := c.lits[0]
-	return s.litValue(l) == True && s.reason[l.Var()] == c
+// locked reports whether clause cr is the reason for its first literal's
+// current assignment (such clauses must not be deleted).
+func (s *Solver) locked(cr cref) bool {
+	l := s.cls[cr].lits[0]
+	return s.litValue(l) == True && s.reason[l.Var()] == cr
 }
 
 // reduceDB removes roughly half of the learnt clauses, preferring
 // low-activity, high-LBD ones. Binary and locked clauses are kept.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
-		a, b := s.learnts[i], s.learnts[j]
+		a, b := &s.cls[s.learnts[i]], &s.cls[s.learnts[j]]
 		if (a.lbd <= 2) != (b.lbd <= 2) {
 			return a.lbd <= 2 // glue clauses first (kept)
 		}
 		return a.activity > b.activity
 	})
-	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
-	for i, c := range s.learnts {
-		if i < limit || c.len() == 2 || c.lbd <= 2 || s.locked(c) {
-			keep = append(keep, c)
-			continue
+	for i, cr := range s.learnts {
+		if c := &s.cls[cr]; i >= limit && len(c.lits) > 2 && c.lbd > 2 && !s.locked(cr) {
+			c.deleted = true
+			s.stats.DeletedCls++
 		}
-		c.deleted = true
-		s.stats.DeletedCls++
 	}
-	s.learnts = keep
+	s.collect(false)
 }
 
-func (s *Solver) computeLBD(lits []Lit) int32 {
-	levels := map[int32]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+// collect removes the clauses marked deleted and, with satisfied (at
+// level 0 only), every clause satisfied at level 0, implicit binaries
+// included, counting each once. Their watchers go; the survivors, and the
+// reasons naming them, are renumbered in order. Analysis never reads a
+// level-0 reason, so one into a removed clause does no harm. Surviving
+// watchers keep their order, so propagation visits them as before.
+func (s *Solver) collect(satisfied bool) {
+	isTrue := func(l Lit) bool { return s.litValue(l) == True }
+	remap := make([]cref, len(s.cls))
+	n := cref(0)
+	for i := range s.cls {
+		c := &s.cls[i]
+		if satisfied && !c.deleted && slices.ContainsFunc(c.lits, isTrue) {
+			c.deleted = true
+			s.stats.DeletedCls++
+		}
+		remap[i] = noClause
+		if !c.deleted {
+			remap[i] = n
+			s.cls[n] = *c
+			n++
+		}
 	}
-	return int32(len(levels))
+	clear(s.cls[n:])
+	s.cls = s.cls[:n]
+	learnts := s.learnts[:0]
+	for _, cr := range s.learnts {
+		if remap[cr] != noClause {
+			learnts = append(learnts, remap[cr])
+		}
+	}
+	s.learnts = learnts
+	for l, ws := range s.watches {
+		kept := ws[:0]
+		for _, w := range ws {
+			switch {
+			case w.cref != noClause:
+				if w.cref = remap[w.cref]; w.cref == noClause {
+					continue
+				}
+			case satisfied && (isTrue(Lit(l)) || isTrue(w.blocker)):
+				if Lit(l) < w.blocker {
+					s.nBin--
+					s.stats.DeletedCls++
+				}
+				continue
+			}
+			kept = append(kept, w)
+		}
+		s.watches[l] = kept
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r >= 0 {
+			s.reason[l.Var()] = remap[r]
+		}
+	}
+}
+
+// computeLBD counts the distinct decision levels of lits, stamping each
+// level with the call's number instead of collecting them in a set.
+func (s *Solver) computeLBD(lits []Lit) int32 {
+	s.lbdCalls++
+	n := int32(0)
+	for _, l := range lits {
+		lv := int(s.level[l.Var()])
+		if lv >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]uint32, lv+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lv] != s.lbdCalls {
+			s.lbdStamp[lv] = s.lbdCalls
+			n++
+		}
+	}
+	return n
 }
 
 // luby returns the i-th element (1-based) of the Luby restart sequence
@@ -569,36 +674,32 @@ func luby(i int64) int64 {
 func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 	conflicts := int64(0)
 	for {
-		confl := s.propagate()
-		if confl != nil {
+		if confl, head := s.propagate(); head != LitUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
 				s.ok = false
 				return Unsat
 			}
-			learnt, btLevel := s.analyze(confl)
+			learnt, btLevel := s.analyze(confl, head)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)}
-				s.learnts = append(s.learnts, c)
+				cr := cref(len(s.cls))
+				s.cls = append(s.cls, clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)})
+				s.learnts = append(s.learnts, cr)
 				s.stats.Learnt++
-				s.attach(c)
-				s.claBump(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				s.attach(cr)
+				s.claBump(cr)
+				s.uncheckedEnqueue(learnt[0], cr)
 			}
 			s.varDecayActivity()
 			s.claDecayActivity()
 			continue
 		}
 		// No conflict.
-		if conflicts >= nConflicts {
-			s.cancelUntil(0)
-			return Unknown
-		}
-		if s.budgetExceeded() {
+		if conflicts >= nConflicts || s.budgetExceeded() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -632,7 +733,7 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 			s.stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noClause)
 	}
 }
 
@@ -650,10 +751,10 @@ func (s *Solver) analyzeFinal(p Lit) {
 		if s.seen[v] == 0 {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == noClause {
 			s.confLits = append(s.confLits, s.trail[i].Neg())
 		} else {
-			for _, l := range s.reason[v].lits[1:] {
+			for _, l := range s.reasonTail(s.reason[v]) {
 				if s.level[l.Var()] > 0 {
 					s.seen[l.Var()] = 1
 				}
@@ -682,23 +783,19 @@ func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
 // related queries on one instance and each query warms up the next.
 func (s *Solver) SolveAssuming(assumps []Lit) Status {
 	s.stats.SolveCalls++
+	s.confLits = s.confLits[:0] // an inconsistent formula clashes with no assumption
 	if !s.ok {
 		return Unsat
 	}
 	s.model = s.model[:0]
 	s.conflBase = s.stats.Conflicts
-	s.maxLearnt = float64(len(s.clauses))/3 + 100
+	s.maxLearnt = float64(s.NumClauses())/3 + 100
 	var restarts int64
 	for {
 		budget := 100 * luby(restarts+1)
-		st := s.search(budget, assumps)
-		if st != Unknown {
+		if st := s.search(budget, assumps); st != Unknown || s.budgetExceeded() {
 			s.cancelUntil(0)
 			return st
-		}
-		if s.budgetExceeded() {
-			s.cancelUntil(0)
-			return Unknown
 		}
 		restarts++
 		s.stats.Restarts++
@@ -720,45 +817,6 @@ func (s *Solver) Release(lits ...Lit) bool {
 			return false
 		}
 	}
-	s.gcSatisfied()
+	s.collect(true)
 	return s.ok
-}
-
-// gcSatisfied removes all clauses satisfied at decision level 0 from the
-// clause database. Watch lists drop their watchers lazily (propagation
-// skips and discards deleted clauses), matching reduceDB's mechanism.
-func (s *Solver) gcSatisfied() {
-	if s.decisionLevel() != 0 {
-		panic("sat: gcSatisfied called above decision level 0")
-	}
-	satisfied := func(c *clause) bool {
-		for _, l := range c.lits {
-			if s.litValue(l) == True {
-				return true
-			}
-		}
-		return false
-	}
-	sweep := func(cls []*clause) []*clause {
-		keep := cls[:0]
-		for _, c := range cls {
-			if satisfied(c) {
-				c.deleted = true
-				s.stats.DeletedCls++
-				continue
-			}
-			keep = append(keep, c)
-		}
-		return keep
-	}
-	s.clauses = sweep(s.clauses)
-	s.learnts = sweep(s.learnts)
-	// Level-0 assignments are permanent facts; clear reason pointers into
-	// deleted clauses (conflict analysis never resolves on level-0
-	// variables, so the reasons are unused anyway).
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil && r.deleted {
-			s.reason[l.Var()] = nil
-		}
-	}
 }

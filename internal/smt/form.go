@@ -183,23 +183,16 @@ func (c *Ctx) Not(f Form) Form {
 	return c.intern(formNot, []FormID{f.id})
 }
 
-// constSATLit returns a literal fixed to the given truth value, allocating
-// the backing variable (and its unit clause) on first use.
-func (c *Ctx) constSATLit(val bool) satpkg.Lit {
-	i := 0
-	if val {
-		i = 1
-	}
-	if c.constLits[i] == litNone {
+// constSATLit returns a literal fixed to constant form id's value (0
+// false, 1 true), allocating the backing variable (and its unit clause)
+// on first use.
+func (c *Ctx) constSATLit(id FormID) satpkg.Lit {
+	if c.constLits[id] == litNone {
 		v := c.solver.NewVar()
-		if val {
-			c.solver.AddClause(satpkg.PosLit(v))
-		} else {
-			c.solver.AddClause(satpkg.NegLit(v))
-		}
-		c.constLits[i] = satpkg.PosLit(v)
+		c.solver.AddClause(satpkg.MkLit(v, id == 0))
+		c.constLits[id] = satpkg.PosLit(v)
 	}
-	return c.constLits[i]
+	return c.constLits[id]
 }
 
 // pushLits pushes the literals of fs onto c.litStk and returns the stack
@@ -217,11 +210,8 @@ func (c *Ctx) pushLits(fs []FormID) (base int) {
 
 // lit encodes f as a SAT literal via hash-consed Tseitin transformation.
 func (c *Ctx) lit(f Form) satpkg.Lit {
-	if f.id == 0 {
-		return c.constSATLit(false)
-	}
-	if f.id == 1 {
-		return c.constSATLit(true)
+	if f.id <= 1 {
+		return c.constSATLit(f.id)
 	}
 	if l := c.gateLits[f.id]; l != litNone {
 		return l
@@ -263,29 +253,7 @@ func (c *Ctx) lit(f Form) satpkg.Lit {
 // Assert adds f as a hard constraint. Top-level conjunctions are split and
 // top-level disjunctions of literals become plain clauses, avoiding
 // unnecessary Tseitin variables.
-func (c *Ctx) Assert(f Form) {
-	switch f.id {
-	case 1:
-		return
-	case 0:
-		// Assert false: make the instance unsatisfiable.
-		c.solver.AddClause()
-		return
-	}
-	n := c.forms[f.id]
-	switch n.kind {
-	case formAnd:
-		for _, ch := range c.children(&n) {
-			c.Assert(Form{ch, c})
-		}
-	case formOr:
-		base := c.pushLits(c.children(&n))
-		c.solver.AddClause(c.litStk[base:]...)
-		c.litStk = c.litStk[:base]
-	default:
-		c.solver.AddClause(c.lit(f))
-	}
-}
+func (c *Ctx) Assert(f Form) { c.assert(litNone, f) }
 
 // AssertGuarded adds f as a constraint active only while guard holds:
 // every emitted clause carries ¬guard, so solving with guard assumed
@@ -295,33 +263,36 @@ func (c *Ctx) Assert(f Form) {
 // and disjunctions become plain guarded clauses (no Tseitin gate for the
 // outermost connective), exactly mirroring Assert.
 func (c *Ctx) AssertGuarded(guard, f Form) {
-	c.assertGuarded(c.lit(guard).Neg(), f)
+	c.assert(c.lit(guard).Neg(), f)
 }
 
-func (c *Ctx) assertGuarded(notGuard satpkg.Lit, f Form) {
-	switch f.id {
-	case 1:
-		return
-	case 0:
-		// guard → false: the guard can simply never hold.
-		c.solver.AddClause(notGuard)
+// assert adds the clauses of f, each with notGuard unless it is litNone.
+// Asserting false adds the clause of notGuard alone: the guard can never
+// hold, or, unguarded, the instance is unsatisfiable.
+func (c *Ctx) assert(notGuard satpkg.Lit, f Form) {
+	if f.id == 1 {
 		return
 	}
-	n := c.forms[f.id]
-	switch n.kind {
-	case formAnd:
-		for _, ch := range c.children(&n) {
-			c.assertGuarded(notGuard, Form{ch, c})
-		}
-	case formOr:
-		base := len(c.litStk)
+	base := len(c.litStk)
+	if notGuard != litNone {
 		c.litStk = append(c.litStk, notGuard)
-		c.pushLits(c.children(&n))
-		c.solver.AddClause(c.litStk[base:]...)
-		c.litStk = c.litStk[:base]
-	default:
-		c.solver.AddClause(notGuard, c.lit(f))
 	}
+	switch n := c.forms[f.id]; {
+	case f.id == 0:
+	case n.kind == formAnd:
+		for _, ch := range c.children(&n) {
+			c.assert(notGuard, Form{ch, c})
+		}
+		c.litStk = c.litStk[:base]
+		return
+	case n.kind == formOr:
+		c.pushLits(c.children(&n))
+	default:
+		l := c.lit(f)
+		c.litStk = append(c.litStk, l)
+	}
+	c.solver.AddClause(c.litStk[base:]...)
+	c.litStk = c.litStk[:base]
 }
 
 // ReleaseGuard permanently retires a guard used with AssertGuarded: ¬guard
@@ -371,11 +342,7 @@ func (c *Ctx) atMostOne(lits []satpkg.Lit) {
 		}
 		return
 	}
-	q := 1
-	for q*q < n {
-		q++
-	}
-	p := (n + q - 1) / q
+	p, q := productGrid(n)
 	top := len(c.litStk)
 	for range p + q {
 		c.litStk = append(c.litStk, satpkg.PosLit(c.solver.NewVar()))
@@ -388,6 +355,51 @@ func (c *Ctx) atMostOne(lits []satpkg.Lit) {
 	c.atMostOne(grid[:p])
 	c.atMostOne(grid[p:])
 	c.litStk = c.litStk[:top]
+}
+
+// productGrid returns the p×q grid atMostOne places n > 8 literals on.
+func productGrid(n int) (p, q int) {
+	q = 1
+	for q*q < n {
+		q++
+	}
+	return (n + q - 1) / q, q
+}
+
+// ExactlyOneRows returns k rows of n fresh atoms, each row constrained by
+// AssertExactlyOne. It grows the per-variable arrays of the context and
+// its solver once, by exactly what the rows take: k·n atoms, and the
+// grid variables of atMostOne (see atMostOneVars) besides.
+func (c *Ctx) ExactlyOneRows(k, n int) [][]Form {
+	c.reserve(k*n, k*(n+atMostOneVars(n)))
+	rows := make([][]Form, k)
+	for t := range rows {
+		rows[t] = make([]Form, n)
+		for i := range rows[t] {
+			rows[t][i] = c.FreshBool()
+		}
+		c.AssertExactlyOne(rows[t])
+	}
+	return rows
+}
+
+// reserve makes room for atoms more fresh atoms and vars more variables,
+// the atoms' included.
+func (c *Ctx) reserve(atoms, vars int) {
+	c.solver.Reserve(vars)
+	c.forms = slices.Grow(c.forms, atoms)
+	c.gateLits = slices.Grow(c.gateLits, atoms)
+	c.atoms = slices.Grow(c.atoms, 2*(c.solver.NumVars()+vars)-len(c.atoms))
+}
+
+// atMostOneVars returns how many fresh variables atMostOne adds for n
+// literals: the grid's, recursively.
+func atMostOneVars(n int) int {
+	if n <= 8 {
+		return 0
+	}
+	p, q := productGrid(n)
+	return p + q + atMostOneVars(p) + atMostOneVars(q)
 }
 
 // AssertIffOr asserts x ↔ ⋁ys as clauses, without a gate for the

@@ -247,3 +247,34 @@ func TestAssertGuardedFalseKillsGuardOnly(t *testing.T) {
 		t.Fatal("instance without the guard must stay satisfiable")
 	}
 }
+
+// TestExactlyOneRowsSizesOnce: ExactlyOneRows reserves exactly what its
+// rows take. Building the rows after that reservation creates exactly the
+// reserved variables and grows none of the context's per-variable or
+// per-node arrays (the solver's are covered by sat's TestReserve).
+func TestExactlyOneRowsSizesOnce(t *testing.T) {
+	const k = 4
+	for _, n := range []int{1, 2, 8, 9, 10, 64, 65, 100, 253, 1000} {
+		c := NewCtx()
+		vars := k * (n + atMostOneVars(n))
+		c.reserve(k*n, vars)
+		caps := [3]int{cap(c.forms), cap(c.gateLits), cap(c.atoms)}
+		for range k {
+			row := make([]Form, n)
+			for i := range row {
+				row[i] = c.FreshBool()
+			}
+			c.AssertExactlyOne(row)
+		}
+		if got := c.Solver().NumVars(); got != vars {
+			t.Errorf("n=%d: rows made %d variables, reserved %d", n, got, vars)
+		}
+		if got := [3]int{cap(c.forms), cap(c.gateLits), cap(c.atoms)}; got != caps {
+			t.Errorf("n=%d: forms/gateLits/atoms grew from capacity %v to %v", n, caps, got)
+		}
+		rows := NewCtx().ExactlyOneRows(k, n)
+		if len(rows) != k || len(rows[k-1]) != n {
+			t.Fatalf("n=%d: ExactlyOneRows made %d rows, the last of %d", n, len(rows), len(rows[k-1]))
+		}
+	}
+}
