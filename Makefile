@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22059
+LOC_CEILING = 22058
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -64,11 +64,14 @@ bench-harness:
 # keeps the daemon's apply call (AppendApply: apply, spliced line)
 # exercised on each of its cases: a firewall flip, a relabel moving a
 # member out of its group and back, a firewall down and up, a dead allow.
+# BenchmarkPropose does the same for the daemon's propose call and a
+# rollback: a dead allow, a relabel (accepted) and a relabel with a deny
+# (rejected, repair searched).
 # BenchmarkColdVerifyAll runs one cold VerifyAll of a cachefarm-cold
 # candidate: six slice encodings built and solved from nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
-	$(GO) test -run '^$$' -bench ReplyRender -benchtime 1x ./internal/incr
+	$(GO) test -run '^$$' -bench 'ReplyRender|Propose' -benchtime 1x ./internal/incr
 	$(GO) test -run '^$$' -bench ColdVerifyAll -benchtime 1x ./internal/core
 	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 1 -json > /dev/null
 

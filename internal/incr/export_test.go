@@ -40,6 +40,13 @@ func (s *Session) GroupsReading(n topo.NodeID) int {
 	return count
 }
 
+// Signatures returns the cached per-invariant signatures ("" = unsigned).
+func (s *Session) Signatures() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.sigs)
+}
+
 // GroupKeys lists the group table's keys in report order.
 func (s *Session) GroupKeys() []string {
 	s.mu.Lock()

@@ -179,7 +179,7 @@ func (f *dcTarget) changes(op, arg byte) []incr.Change {
 func (f *dcTarget) probe(arg byte) []incr.Change {
 	d := f.d
 	g := int(arg) % d.Cfg.Groups
-	switch arg % 3 {
+	switch arg % 5 {
 	case 0: // violating: punch an allow hole above the isolation denies
 		fw := cloneFirewall(d.FWPrimary)
 		fw.ACL = append([]mbox.ACLEntry{
@@ -189,9 +189,26 @@ func (f *dcTarget) probe(arg byte) []incr.Change {
 	case 1: // topology-only: lose firewall redundancy (always verifiable,
 		// unlike a ToR failure whose reroute can escape slice closure)
 		return []incr.Change{incr.NodeDown(d.FW2)}
-	default: // mixed relabel + liveness
+	case 2: // mixed relabel + liveness
 		return []incr.Change{incr.Relabel(d.Hosts[g][0], "probe-class"), incr.NodeDown(d.IDS1)}
+	case 3: // the IDS's box out and back in, as the last box
+		return []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxAdd(d.IDS2, boxAt(d.Net, d.IDS2))}
+	default: // an invariant in, and another out
+		return []incr.Change{
+			incr.AddInvariant(inv.Reachability{Dst: d.Hosts[g][0], SrcAddr: bench.HostAddr((g+1)%d.Cfg.Groups, 0), Label: "probe-tx"}),
+			incr.RemoveInvariant(d.IsolationInvariant(g, (g+1)%d.Cfg.Groups).Name()),
+		}
 	}
+}
+
+// boxAt is the model bound at n in net, nil when none is.
+func boxAt(net *core.Network, n topo.NodeID) mbox.Model {
+	for _, b := range net.Boxes {
+		if b.Node == n {
+			return b.Model
+		}
+	}
+	return nil
 }
 
 // --- multitenant target ---
@@ -365,7 +382,18 @@ func (f *vpcTarget) changes(op, arg byte) []incr.Change {
 
 // probe builds pure transactional change-sets (see dcTarget.probe).
 func (f *vpcTarget) probe(arg byte) []incr.Change {
-	return []incr.Change{incr.NodeDown(f.firewall(arg))}
+	fw := f.firewall(arg)
+	switch arg % 4 {
+	case 1: // the firewall's box out and back in, as the last box
+		return []incr.Change{incr.BoxRemove(fw), incr.BoxAdd(fw, boxAt(f.net, fw))}
+	case 2: // a member out of its class, and the group's representative gone
+		pub := f.net.Topo.MustByName(fmt.Sprintf("t%d-pub", int(arg)%vpcTenants)).ID
+		return []incr.Change{incr.Relabel(pub, "probe-class"), incr.RemoveInvariant(f.reach[0].Name())}
+	case 3: // the representative out, and back in as the last member
+		return []incr.Change{incr.RemoveInvariant(f.reach[0].Name()), incr.AddInvariant(f.reach[0])}
+	default:
+		return []incr.Change{incr.NodeDown(fw)}
+	}
 }
 
 // maxFuzzOps bounds the per-input change stream (every op costs two
@@ -486,6 +514,12 @@ func FuzzSessionDifferential(f *testing.F) {
 	// edited — and again through Propose+Commit, and with the member back.
 	f.Add([]byte{3, 1, 0, 0, 1})
 	f.Add([]byte{3, 128 + 1, 0, 128 + 0, 1, 128 + 1, 0, 128 + 0, 2})
+	// Box and invariant probes rolled back on every network, and every VPC
+	// probe around a representative toggle.
+	for net := byte(0); net < 4; net++ {
+		f.Add([]byte{net, 64 + 7, 3, 64 + 7, 4, 64 + 6, 8})
+	}
+	f.Add([]byte{3, 64 + 2, 1, 64 + 2, 2, 64 + 1, 3, 64 + 2, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -548,9 +582,10 @@ func FuzzSessionDifferential(f *testing.F) {
 		// detour runs a pure probe through Propose+Rollback with the full
 		// ordering-error alphabet; any residue is caught by the scratch
 		// comparison after the step's real change.
-		detour := func(step string, tgt fuzzTarget, arg byte) {
+		detour := func(step string, tgt fuzzTarget, arg byte, settled bool) {
 			s := tgt.session()
 			probe := tgt.probe(arg)
+			sigs := s.Signatures()
 			pr, err := s.Propose(probe)
 			if err == nil {
 				if pr == nil {
@@ -569,6 +604,11 @@ func FuzzSessionDifferential(f *testing.F) {
 				}
 			}
 			checkGroups(t, step+" [rolled back]", s)
+			// After a failed Apply the Propose re-verifies first, which
+			// signs what that Apply left unsigned.
+			if got := s.Signatures(); settled && !reflect.DeepEqual(got, sigs) {
+				t.Fatalf("%s: signatures moved across a rollback:\n got %q\nwant %q", step, got, sigs)
+			}
 			if err2 := s.Rollback(); err2 != incr.ErrNoPropose {
 				t.Fatalf("%s: rollback without propose: got %v, want ErrNoPropose", step, err2)
 			}
@@ -578,13 +618,14 @@ func FuzzSessionDifferential(f *testing.F) {
 		}
 
 		ops := data[1:]
+		settled := true // the last step's Apply succeeded
 		for i := 0; i+1 < len(ops) && i/2 < maxFuzzOps; i += 2 {
 			op, arg := ops[i], ops[i+1]
 			mode := op >> 6
 			step := fmt.Sprintf("net %d step %d (op %d arg %d mode %d)", sel, i/2, op, arg, mode)
 
 			if mode == 1 {
-				detour(step+" [detour]", single, arg)
+				detour(step+" [detour]", single, arg, settled)
 			}
 
 			if !batchDead {
@@ -595,7 +636,7 @@ func FuzzSessionDifferential(f *testing.F) {
 			}
 
 			got, err := applyTx(step, single.session(), single.changes(op, arg), mode)
-			if err != nil {
+			if settled = err == nil; !settled {
 				// Fuzzing can assemble configurations the engines reject
 				// incrementally and from scratch alike (e.g. steering
 				// into a failed middlebox that slice closure cannot

@@ -375,17 +375,20 @@ func (s *Session) encodeSnapshot() ([]byte, error) {
 	return json.Marshal(&snap)
 }
 
-// restoreState rebuilds the persisted session state on a shadow of the
-// freshly built one. The snapshot's change-set is record zero; it and each
-// journal record are decoded by the wire decoder and installed by mutate,
-// exactly as when first applied. Any error reinstalls the untouched base
-// (the caller degrades to a cold start).
+// restoreState rebuilds the persisted session state over the freshly
+// built one. The snapshot's change-set is record zero; it and each journal
+// record are decoded by the wire decoder and installed by mutate, exactly
+// as when first applied, with a trail armed. Any error undoes the trail and
+// reinstalls the base's scalars (the caller degrades to a cold start).
 func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
-	base := s.capture()
-	s.install(shadowOf(base))
+	var tr trail
+	base := s.sessState
+	s.trail = &tr
 	defer func() {
+		s.trail = nil
 		if err != nil {
-			s.install(base)
+			tr.undo()
+			s.sessState = base
 		}
 	}()
 

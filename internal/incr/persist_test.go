@@ -585,6 +585,11 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add(folded, recs[2], []byte(`{"seq":5,"changes":[{"op":"inv_remove","name":"iso g1->g0"}]}`), []byte(nil))
 	f.Add(bytes.Replace(folded, []byte(`"op":"box_remove"`), []byte(`"op":"box_state"`), 1), []byte(nil), []byte(nil), []byte(nil))
 	f.Add([]byte(`{"version":2}`), []byte(`{"seq":2,"changes":[{"op":"box_state","node":"fw1"}]}`), []byte(nil), []byte(`not json`))
+	// A relabel and an invariant addition replay, then the last record
+	// does not: recovery must undo both and cold-start.
+	f.Add([]byte(nil), []byte(`{"seq":1,"changes":[{"op":"relabel","node":"h0-0","class":"x"}]}`),
+		[]byte(`{"seq":2,"changes":[{"op":"inv_add","invariant":{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.0/24","vias":["ids1"]}}]}`),
+		[]byte(`{"seq":3,"changes":[{"op":"box_remove","node":"h0-0"}]}`))
 
 	initial, _ := newDC(f, incr.Options{})
 	want := canonicalDump(f, initial.Net, initial.AllIsolationInvariants())

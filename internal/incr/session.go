@@ -154,9 +154,19 @@ type Session struct {
 	opts  core.Options
 	sopts Options
 
-	// sessState is everything a change-set moves, as one value (txn.go):
-	// what a Propose shadows and a Commit installs.
+	// sessState is the scalars a change-set moves, as one value (txn.go):
+	// what a shadow run saves and a Commit installs.
 	sessState
+	// invs, sigs and down are containers a change-set edits in place, as
+	// it does the network's boxes, policy classes and FIB provider: only
+	// through set and setKey, which record each write on trail while a
+	// shadow run arms one (txn.go). sigs holds each invariant's symmetry
+	// signature, aligned with invs; "" until grouping signs it, and again
+	// after a relabel of a node it names.
+	invs  []inv.Invariant
+	sigs  []string
+	down  map[topo.NodeID]bool
+	trail *trail
 
 	// verifier lives as long as the session: all its caches (interned
 	// engines, SAT journey memoization, slice encodings) are keyed by
@@ -252,16 +262,13 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		return nil, nil, err
 	}
 	s := &Session{
-		net:   net,
-		opts:  opts,
-		sopts: sopts,
-		sessState: sessState{
-			invs:     append([]inv.Invariant(nil), invs...),
-			sigs:     make([]string, len(invs)),
-			down:     map[topo.NodeID]bool{},
-			needFull: true,
-			table:    newGroupTable(),
-		},
+		net:        net,
+		opts:       opts,
+		sopts:      sopts,
+		sessState:  sessState{needFull: true, table: newGroupTable()},
+		invs:       append([]inv.Invariant(nil), invs...),
+		sigs:       make([]string, len(invs)),
+		down:       map[topo.NodeID]bool{},
 		verifier:   v,
 		cache:      newVerdictCache(),
 		appliedIDs: newAppliedIDs(),
@@ -400,7 +407,7 @@ func (s *Session) grouping() ([]symmetry.Group, []string) {
 	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
 	for i, sig := range s.sigs {
 		if sig == "" {
-			s.sigs[i] = cls.Signature(s.invs[i])
+			set(s.trail, &s.sigs[i], cls.Signature(s.invs[i]))
 		}
 	}
 	if s.sopts.NoSymmetry {
@@ -440,12 +447,12 @@ func (s *Session) unsign(n topo.NodeID) {
 		}
 		for _, m := range iv.Nodes() {
 			if m == n {
-				s.sigs[i] = ""
+				set(s.trail, &s.sigs[i], "")
 			}
 		}
 		for _, a := range iv.RefAddrs() {
 			if h, ok := s.net.Topo.HostByAddr(a); ok && h.ID == n {
-				s.sigs[i] = ""
+				set(s.trail, &s.sigs[i], "")
 			}
 		}
 	}
@@ -786,18 +793,12 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 // is therefore refused whole, before anything is installed.
 func (s *Session) validate(changes []Change) error {
 	// present overrides findBox for the nodes this set has bound or unbound.
-	var present map[topo.NodeID]bool
+	present := map[topo.NodeID]bool{}
 	hasBox := func(n topo.NodeID) bool {
 		if p, ok := present[n]; ok {
 			return p
 		}
 		return s.findBox(n) >= 0
-	}
-	setBox := func(n topo.NodeID, p bool) {
-		if present == nil {
-			present = map[topo.NodeID]bool{}
-		}
-		present[n] = p
 	}
 	for _, ch := range changes {
 		switch ch.Kind {
@@ -829,14 +830,12 @@ func (s *Session) validate(changes []Change) error {
 			if hasBox(ch.Node) {
 				return fmt.Errorf("incr: node %s already has a middlebox model", name())
 			}
-			setBox(ch.Node, true)
+			present[ch.Node] = true
 		case KindBoxRemove, KindBoxReconfig:
 			if !hasBox(ch.Node) {
 				return fmt.Errorf("incr: no middlebox model at %q", name())
 			}
-			if ch.Kind == KindBoxRemove {
-				setBox(ch.Node, false)
-			}
+			present[ch.Node] = ch.Kind == KindBoxReconfig
 		}
 	}
 	return nil
@@ -856,18 +855,15 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
 			if down := ch.Kind == KindNodeDown; down != s.down[ch.Node] {
-				if down {
-					s.down[ch.Node] = true
-				} else {
-					delete(s.down, ch.Node)
-				}
+				setKey(s.trail, s.down, ch.Node, down)
 				s.scenGen++
 				im.addNode(ch.Node, ci)
 			}
 		case KindFIB:
-			s.net.FIBFor = ch.FIBFor
+			set(s.trail, &s.net.FIBFor, ch.FIBFor)
 		case KindBoxAdd:
-			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
+			n := len(s.net.Boxes)
+			set(s.trail, &s.net.Boxes, append(s.net.Boxes[:n:n], mbox.Instance{Node: ch.Node, Model: ch.Model}))
 			if ch.Model.Discipline() != mbox.FlowParallel {
 				// A new origin-agnostic box changes the class-representative
 				// rule of every slice; a new General box widens every slice
@@ -882,7 +878,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 				// Losing the last origin-agnostic box shrinks every slice.
 				full = true
 			}
-			s.net.Boxes = append(s.net.Boxes[:bi], s.net.Boxes[bi+1:]...)
+			set(s.trail, &s.net.Boxes, append(s.net.Boxes[:bi:bi], s.net.Boxes[bi+1:]...))
 			im.addNode(ch.Node, ci)
 		case KindBoxReconfig:
 			bi := s.findBox(ch.Node)
@@ -891,7 +887,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
 				full = true
 			}
-			s.net.Boxes[bi].Model = ch.Model
+			set(s.trail, &s.net.Boxes[bi].Model, ch.Model)
 			// Reconfigurations flow through the refined channel: groups
 			// whose rule-read projection of this box is unchanged stay
 			// clean (classify falls back to node granularity when no
@@ -899,35 +895,33 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			im.addBox(ch.Node, ci)
 		case KindRelabel:
 			if s.net.PolicyClass == nil {
-				s.net.PolicyClass = map[topo.NodeID]string{}
+				set(s.trail, &s.net.PolicyClass, map[topo.NodeID]string{})
 			}
 			// Impact must be assessed against the class map as it stands
 			// before this relabel lands (the old class's surviving members
 			// decide who the displaced representatives are).
 			relabelFull, witnesses := s.relabelImpact(ch.Node, ch.Class)
 			s.unsign(ch.Node)
-			if ch.Class == "" {
-				delete(s.net.PolicyClass, ch.Node)
-			} else {
-				s.net.PolicyClass[ch.Node] = ch.Class
-			}
+			setKey(s.trail, s.net.PolicyClass, ch.Node, ch.Class)
 			full = full || relabelFull
 			regroup = true
 			for _, w := range witnesses {
 				im.addNode(w, ci)
 			}
 		case KindInvAdd:
-			s.invs = append(s.invs, ch.Invariant)
-			s.sigs = append(s.sigs, "")
+			n := len(s.invs)
+			set(s.trail, &s.invs, append(s.invs[:n:n], ch.Invariant))
+			set(s.trail, &s.sigs, append(s.sigs[:n:n], ""))
 			regroup = true
 		case KindInvRemove:
-			kept, sigs := s.invs[:0], s.sigs[:0]
+			kept, sigs := make([]inv.Invariant, 0, len(s.invs)), make([]string, 0, len(s.sigs))
 			for ii, i := range s.invs {
 				if i.Name() != ch.Name {
 					kept, sigs = append(kept, i), append(sigs, s.sigs[ii])
 				}
 			}
-			s.invs, s.sigs = kept, sigs
+			set(s.trail, &s.invs, kept)
+			set(s.trail, &s.sigs, sigs)
 			regroup = true
 		}
 	}

@@ -1,33 +1,35 @@
 package incr
 
 // Transactional what-if verification. Propose runs the ordinary Apply
-// pipeline against a shadow copy of the session's mutable state — the one
-// sessState value. Commit installs the shadow state; Rollback drops it,
-// leaving that state bit-identical to never having proposed (group entries
-// are immutable after construction, so base and shadow can share them
-// safely). The shadow reads and fills the live verdict cache exactly as
-// Apply does: a cached verdict is a function of its check's content, not
-// of session state, so what a rolled-back proposal verified stays cached,
-// as it does in the verifier's engine, encoding and journey caches.
+// pipeline on the live state with an undo trail armed: every write the
+// pipeline makes in place — to a policy class, a liveness entry, a
+// signature, a box's model, and the slice headers box and invariant edits
+// swap — goes through set or setKey, which record it on the trail. The
+// group table, which the pipeline rewrites wholesale, runs on a clone.
+// When the run ends the trail is undone and the base's scalars (sessState)
+// are reinstalled, so a proposal costs what it changes, not what the
+// session holds. The pending transaction keeps the trail and the post
+// state's scalars: Commit redoes the one and installs the other, Rollback
+// drops both, leaving the session bit-identical to never having proposed.
+// The shadow reads and fills the live verdict cache exactly as Apply does:
+// a cached verdict is a function of its check's content, not of session
+// state, so what a rolled-back proposal verified stays cached, as it does
+// in the verifier's engine, encoding and journey caches.
 //
 // On a rejected propose the session derives minimal-repair suggestions:
 // candidate sub-change-sets (the proposed set minus a small suspect
-// subset) are re-verified through the same shadow pipeline — every
-// suggestion reported was actually verified green, never guessed. The
-// candidates run over those warm caches, the proposal's own verdicts
-// included, so each costs no more than an incremental Apply.
+// subset) are each run and undone the same way — every suggestion reported
+// was actually verified green, never guessed. The candidates run over
+// those warm caches, the proposal's own verdicts included, so each costs
+// no more than an incremental Apply.
 
 import (
 	"errors"
-	"maps"
-	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/lru"
-	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -101,36 +103,24 @@ type ProposeResult struct {
 	RepairTruncated bool
 }
 
-// sessState is the session's mutable state as one value: what Propose
-// snapshots, shadows, and Commit installs. The Session embeds the live one.
-// Group entries, groups and the held engines are shared between base and
-// shadow (entries and compiled tables are immutable, the engine slice is
-// replaced, never written in place), so capture/install are a struct copy
-// — and a rolled-back or failed shadow leaves the base holding exactly the
-// engines that match its restored FIB provider.
+// sessState is the scalar half of the session's mutable state, as one
+// value: what a shadow run saves before it starts and keeps when it ends,
+// and Commit installs. The Session embeds the live one. The containers the
+// pipeline edits in place (the network's boxes, policy classes and FIB
+// provider; the liveness set; the invariant and signature lists) are not
+// in it: their edits go on the trail.
 type sessState struct {
-	// The network's mutable fields live in Session.net while installed;
-	// capture fills these in and install puts them back.
-	boxes  []mbox.Instance
-	policy map[topo.NodeID]string
-	fibFor func(topo.FailureScenario) tf.FIB
-
-	invs []inv.Invariant
-	// sigs holds each invariant's symmetry signature, aligned with invs;
-	// "" until grouping signs it, and again after a relabel of a node it
-	// names.
-	sigs []string
-	down map[topo.NodeID]bool
 	// scenGen counts liveness toggles: the effective scenario list, and
 	// with it every report's scenario, changes exactly when it does.
 	scenGen  uint64
 	needFull bool
 	// engs holds one engine per effective scenario, current as of the last
-	// Apply (nil before the first and after invalidate).
+	// Apply (nil before the first and after invalidate). Replaced, never
+	// written in place.
 	engs []*tf.Engine
 	// table is the symmetry partition of invs and what is known about each
 	// group (table.go); regrouped only when the invariant list or the
-	// policy classes change.
+	// policy classes change. A shadow run edits a clone.
 	table *groupTable
 
 	seq    int
@@ -141,39 +131,61 @@ type sessState struct {
 	lastExplain []ExplainRecord
 }
 
-// capture snapshots the current state (by reference; pair with shadowOf
-// before running the pipeline against it).
-func (s *Session) capture() sessState {
-	st := s.sessState
-	st.boxes, st.policy, st.fibFor = s.net.Boxes, s.net.PolicyClass, s.net.FIBFor
-	return st
+// trail is an undo log of in-place writes. Each entry swaps the location
+// it wrote with the value it holds, so the entries run backwards undo the
+// writes and run forwards redo them.
+type trail []func()
+
+func (tr trail) undo() {
+	for i := len(tr) - 1; i >= 0; i-- {
+		tr[i]()
+	}
 }
 
-// install makes st the session's current state.
-func (s *Session) install(st sessState) {
-	s.sessState = st
-	s.net.Boxes, s.net.PolicyClass, s.net.FIBFor = st.boxes, st.policy, st.fibFor
+func (tr trail) redo() {
+	for _, f := range tr {
+		f()
+	}
 }
 
-// shadowOf copies the containers the apply pipeline mutates in place
-// (boxes slice, policy and liveness maps, invariant and signature lists) so a shadow run
-// cannot leak into the base state.
-func shadowOf(st sessState) sessState {
-	sh := st
-	sh.boxes = append([]mbox.Instance(nil), st.boxes...)
-	sh.policy, sh.down = maps.Clone(st.policy), maps.Clone(st.down)
-	sh.invs = append([]inv.Invariant(nil), st.invs...)
-	sh.sigs = append([]string(nil), st.sigs...)
-	// The group table is edited in place (regroup, install, universe
-	// refinement), so the shadow needs its own copy — a rolled-back
-	// propose must leave the base table untouched.
-	sh.table = st.table.clone()
-	return sh
+// set is the pipeline's one way to write a location in place: *p = v,
+// recorded on tr when a trail is armed (nil costs nothing). A structural
+// edit builds a fresh slice and sets the header: it never appends into
+// capacity a recorded header still covers.
+func set[T any](tr *trail, p *T, v T) {
+	if tr != nil {
+		old := *p
+		*tr = append(*tr, func() { *p, old = old, *p })
+	}
+	*p = v
 }
 
-// pendingTx is a proposed-but-undecided transaction.
+// setKey is set for the entry k of m; the zero value deletes it.
+func setKey[K, V comparable](tr *trail, m map[K]V, k K, v V) {
+	var zero V
+	old, had := swapKey(m, k, v, v != zero)
+	if tr != nil {
+		o, h := old, had
+		*tr = append(*tr, func() { o, h = swapKey(m, k, o, h) })
+	}
+}
+
+// swapKey makes m[k] v, or absent unless keep, and returns what it was.
+func swapKey[K comparable, V any](m map[K]V, k K, v V, keep bool) (V, bool) {
+	old, had := m[k]
+	if keep {
+		m[k] = v
+	} else {
+		delete(m, k)
+	}
+	return old, had
+}
+
+// pendingTx is a proposed-but-undecided transaction: the shadow run's
+// trail, undone, and the scalars it ended with.
 type pendingTx struct {
-	state  sessState // post-shadow state, installed by Commit
+	state  sessState
+	trail  trail
 	result *ProposeResult
 	// changes is the proposed change-set, kept so Commit can append it
 	// to the durable journal (persist.go) after installing the shadow.
@@ -245,10 +257,8 @@ func (s *Session) proposeLocked(changes []Change) (*ProposeResult, error) {
 	}
 	s.armDeadline()
 
-	base := s.capture()
 	baseUnsat := s.unsatTally()
-
-	post, unsat, err := s.runShadow(base, changes)
+	tr, post, unsat, err := s.runShadow(changes)
 	if err != nil {
 		return nil, err
 	}
@@ -259,19 +269,25 @@ func (s *Session) proposeLocked(changes []Change) (*ProposeResult, error) {
 		res.Decision = Reject
 	}
 	if res.NewViolations > 0 {
-		s.searchRepairs(base, baseUnsat, changes, res)
+		s.searchRepairs(baseUnsat, changes, res)
 	}
 
-	s.pending = &pendingTx{state: post, result: res, changes: changes}
+	s.pending = &pendingTx{state: post, trail: tr, result: res, changes: changes}
 	return res, nil
 }
 
 // inPending runs f with the pending shadow's state installed, and the base
-// state back afterwards.
+// state back afterwards. Its trail is armed while f runs, so what f writes
+// in place is undone with it.
 func (s *Session) inPending(f func()) {
-	base := s.capture()
-	s.install(s.pending.state)
-	defer s.install(base)
+	p, base := s.pending, s.sessState
+	p.trail.redo()
+	s.sessState, s.trail = p.state, &p.trail
+	defer func() {
+		s.trail = nil
+		p.trail.undo()
+		s.sessState = base
+	}()
 	f()
 }
 
@@ -332,15 +348,16 @@ func (s *Session) commitLocked(id string) (duplicate bool, err error) {
 	}
 	p := s.pending
 	s.pending = nil
-	s.install(p.state)
+	p.trail.redo()
+	s.sessState = p.state
 	s.persistApply(id, p.changes)
 	return false, nil
 }
 
-// Rollback discards the pending shadow: the session state (sessState and
-// the network) is bit-identical to never having proposed. The verdict
-// cache keeps what the shadow verified, so a rejected change proposed or
-// applied again is answered from it.
+// Rollback discards the pending shadow and its trail: the session state
+// (sessState, the containers and the network) is bit-identical to never
+// having proposed. The verdict cache keeps what the shadow verified, so a
+// rejected change proposed or applied again is answered from it.
 func (s *Session) Rollback() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,31 +368,30 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// runShadow installs a shadow of base, runs the apply pipeline on it,
-// captures the post state and its unsatisfied tally, and restores base —
-// on every path, including pipeline errors (applyLocked contains panics
-// itself, so none escape past it).
-func (s *Session) runShadow(base sessState, changes []Change) (post sessState, unsat map[string]int, err error) {
-	s.install(shadowOf(base))
+// runShadow runs the apply pipeline with a trail armed and the group table
+// cloned, keeps the post state's scalars and its unsatisfied tally, then
+// undoes the trail and reinstalls the base's scalars — on every path,
+// including pipeline errors (applyLocked contains panics itself, so none
+// escape past it).
+func (s *Session) runShadow(changes []Change) (tr trail, post sessState, unsat map[string]int, err error) {
+	base := s.sessState
+	s.table, s.trail = base.table.clone(), &tr
 	if err = s.applyLocked(changes); err == nil {
-		post, unsat = s.capture(), s.unsatTally()
+		post, unsat = s.sessState, s.unsatTally()
 	}
-	s.install(base)
-	return post, unsat, err
+	s.trail = nil
+	tr.undo()
+	s.sessState = base
+	return tr, post, unsat, err
 }
 
-// checkKey identifies one (invariant, scenario) check across report sets
-// (scenario node order normalized).
+// checkKey identifies one (invariant, scenario) check across report sets.
 func checkKey(i inv.Invariant, sc topo.FailureScenario) string {
-	nodes := append([]topo.NodeID(nil), sc.Nodes()...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	var b strings.Builder
-	b.WriteString(i.Name())
-	for _, n := range nodes {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(int(n)))
+	b := []byte(i.Name())
+	for _, n := range sc.Nodes() { // sorted
+		b = strconv.AppendInt(append(b, '|'), int64(n), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // unsatTally tallies the current report set's unsatisfied checks per check
@@ -421,7 +437,7 @@ const maxRepairCandidates = 48
 // holds the proposal's, which keeps candidates warm). Suspects are the
 // network-mutating changes; invariant additions are never dropped (the
 // operator asked for them).
-func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, changes []Change, res *ProposeResult) {
+func (s *Session) searchRepairs(baseUnsat map[string]int, changes []Change, res *ProposeResult) {
 	var suspects []int
 	for i, ch := range changes {
 		switch ch.Kind {
@@ -429,50 +445,36 @@ func (s *Session) searchRepairs(base sessState, baseUnsat map[string]int, change
 			suspects = append(suspects, i)
 		}
 	}
-	if len(suspects) == 0 {
-		return
-	}
 	tried := 0
-	evaluate := func(drop ...int) bool {
-		if tried >= maxRepairCandidates || s.expired() {
+	// try re-verifies the change-set without drop (one index or two) and
+	// keeps drop when that is green: no invariant worse off than base, no
+	// budget-degraded verdict.
+	try := func(drop ...int) {
+		if res.RepairTruncated || tried >= maxRepairCandidates || s.expired() {
 			res.RepairTruncated = true
-			return false
+			return
 		}
 		tried++
-		skip := map[int]bool{}
-		for _, i := range drop {
-			skip[i] = true
-		}
 		remaining := make([]Change, 0, len(changes)-len(drop))
 		for i, ch := range changes {
-			if !skip[i] {
+			if i != drop[0] && i != drop[len(drop)-1] {
 				remaining = append(remaining, ch)
 			}
 		}
-		// Green: no invariant worse off than base, no budget-degraded
-		// verdict.
-		post, unsat, err := s.runShadow(base, remaining)
-		return err == nil && post.last.BudgetExceeded == 0 && countNew(baseUnsat, unsat) == 0
+		_, post, unsat, err := s.runShadow(remaining)
+		if err == nil && post.last.BudgetExceeded == 0 && countNew(baseUnsat, unsat) == 0 {
+			res.Repairs = append(res.Repairs, Repair{Drop: drop})
+		}
 	}
 	for _, i := range suspects {
-		if res.RepairTruncated {
-			return
-		}
-		if evaluate(i) {
-			res.Repairs = append(res.Repairs, Repair{Drop: []int{i}})
-		}
+		try(i)
 	}
 	if len(res.Repairs) > 0 {
 		return
 	}
-	for a := 0; a < len(suspects); a++ {
-		for b := a + 1; b < len(suspects); b++ {
-			if res.RepairTruncated {
-				return
-			}
-			if evaluate(suspects[a], suspects[b]) {
-				res.Repairs = append(res.Repairs, Repair{Drop: []int{suspects[a], suspects[b]}})
-			}
+	for a, i := range suspects {
+		for _, j := range suspects[a+1:] {
+			try(i, j)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package incr_test
 
 import (
 	"encoding/json"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -56,6 +58,8 @@ type sessionState struct {
 	totals  incr.Totals
 	explain []incr.ExplainRecord
 	invs    []inv.Invariant
+	sigs    []string
+	classes map[topo.NodeID]string
 	scens   []topo.FailureScenario
 	keys    []string
 	engines []*tf.Engine
@@ -66,8 +70,11 @@ func stateOf(t *testing.T, s *incr.Session) sessionState {
 	t.Helper()
 	st := sessionState{
 		last: s.LastApply(), totals: s.TotalStats(), explain: s.Explain(),
-		invs: s.Invariants(), scens: s.EffectiveScenarios(),
+		invs: s.Invariants(), sigs: s.Signatures(), scens: s.EffectiveScenarios(),
 		keys: s.GroupKeys(), engines: s.HeldEngines(),
+		// nil and empty differ: a relabel on a network without classes
+		// makes the map.
+		classes: maps.Clone(s.Network().PolicyClass),
 	}
 	st.last.Duration = 0
 	st.dump = canonicalDump(t, s.Network(), st.invs)
@@ -85,6 +92,8 @@ func compareState(t *testing.T, step string, got, want sessionState) {
 		{"totals", got.totals == want.totals},
 		{"explain records", reflect.DeepEqual(got.explain, want.explain)},
 		{"invariants", reflect.DeepEqual(got.invs, want.invs)},
+		{"signatures", slices.Equal(got.sigs, want.sigs)},
+		{"policy classes", reflect.DeepEqual(got.classes, want.classes)},
 		{"effective scenarios", reflect.DeepEqual(got.scens, want.scens)},
 		{"group keys", slices.Equal(got.keys, want.keys)},
 		{"held engines", slices.Equal(got.engines, want.engines)},
@@ -197,6 +206,101 @@ func TestProposeRollbackRestoresState(t *testing.T) {
 			compareWitnesses(t, step, ra, rb)
 			compareStatsModuloCache(t, step, a.session().LastApply(), b.session().LastApply())
 		}
+	})
+
+	// One proposal per change kind, then a rejected one whose repair search
+	// runs a candidate per change. While each is pending, every read of
+	// the session but explain answers from the base; its Rollback restores
+	// the base, signatures included.
+	t.Run("every kind", func(t *testing.T) {
+		o := obs.New(0)
+		a := newDCTarget(t, false, incr.Options{Obs: o}) // detours
+		b := newDCTarget(t, false, incr.Options{})       // never proposes
+		// A node down and a host labelled first, for node_up and a
+		// relabel to "" to act on.
+		for _, f := range []*dcTarget{a, b} {
+			if _, err := f.session().Apply([]incr.Change{incr.NodeDown(f.d.IDS1), incr.Relabel(f.d.Hosts[1][0], "blue")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := a.d
+		var ids2 mbox.Model
+		for _, bx := range d.Net.Boxes {
+			if bx.Node == d.IDS2 {
+				ids2 = bx.Model
+			}
+		}
+		fw := cloneFirewall(d.FWPrimary)
+		fw.ACL = fw.ACL[1:]
+		rows := []struct {
+			name    string
+			changes []incr.Change
+		}{
+			{"relabel to a new class", []incr.Change{incr.Relabel(d.Hosts[2][0], "canary")}},
+			{"relabel to no class", []incr.Change{incr.Relabel(d.Hosts[1][0], "")}},
+			{"node down", []incr.Change{incr.NodeDown(d.FW2)}},
+			{"node up", []incr.Change{incr.NodeUp(d.IDS1)}},
+			{"fib", []incr.Change{shadowRule(d, d.Agg, tf.Rule{Match: bench.ClientPrefix(1), In: topo.NodeNone, Out: d.FW1, Priority: 9})}},
+			{"box remove", []incr.Change{incr.BoxRemove(d.IDS1)}},
+			{"box add", []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxAdd(d.IDS2, ids2)}},
+			{"box reconfig", []incr.Change{incr.BoxSwap(d.FW1, fw)}},
+			{"inv add", []incr.Change{incr.AddInvariant(inv.Reachability{Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "probe"})}},
+			{"inv remove", []incr.Change{incr.RemoveInvariant(d.IsolationInvariant(0, 1).Name())}},
+			{"rejected", append(a.probe(0), incr.Relabel(d.Hosts[2][0], "canary"), incr.NodeDown(d.FW2))},
+		}
+		applies := o.Metrics.Counter("vmn_incr_applies_total")
+		for _, row := range rows {
+			before, reports := stateOf(t, a.session()), a.session().CurrentReports()
+			ran := applies.Value()
+			pr, err := a.session().Propose(row.changes)
+			if err != nil {
+				t.Fatalf("%s: Propose failed: %v", row.name, err)
+			}
+			ran = applies.Value() - ran
+			// Explain shows the pending run by design.
+			pending := stateOf(t, a.session())
+			pending.explain = before.explain
+			compareState(t, row.name+" pending", pending, before)
+			compareReports(t, row.name+" pending", a.session().CurrentReports(), reports)
+			compareWitnesses(t, row.name+" pending", a.session().CurrentReports(), reports)
+			if row.name == "rejected" && (pr.Decision != incr.Reject || pr.RepairTruncated || ran < 4) {
+				t.Fatalf("rejected: %s after %d shadow runs (truncated %v), want a reject after the proposal and 3 candidates", pr.Decision, ran, pr.RepairTruncated)
+			}
+			if err := a.session().Rollback(); err != nil {
+				t.Fatalf("%s: Rollback failed: %v", row.name, err)
+			}
+			compareState(t, row.name+" rollback", stateOf(t, a.session()), before)
+		}
+		for i, p := range [][2]byte{{5, 2}, {6, 0}, {0, 3}, {3, 1}} {
+			step := "after the detours " + string(rune('0'+i))
+			ra, errA := a.session().Apply(a.changes(p[0], p[1]))
+			rb, errB := b.session().Apply(b.changes(p[0], p[1]))
+			if errA != nil || errB != nil {
+				t.Fatalf("%s: apply failed: %v / %v", step, errA, errB)
+			}
+			compareReports(t, step, ra, rb)
+			compareWitnesses(t, step, ra, rb)
+			compareStatsModuloCache(t, step, a.session().LastApply(), b.session().LastApply())
+		}
+	})
+
+	// A relabel on a network built without a class map makes one; its
+	// Rollback takes it away again.
+	t.Run("no classes", func(t *testing.T) {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
+		d.Net.PolicyClass = nil
+		s, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, d.AllIsolationInvariants(), incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := stateOf(t, s)
+		if _, err := s.Propose([]incr.Change{incr.Relabel(d.Hosts[0][0], "canary")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		compareState(t, "rollback", stateOf(t, s), before)
 	})
 }
 
@@ -405,6 +509,42 @@ func TestFaultHookContainment(t *testing.T) {
 	compareWitnesses(t, "post-fault", got, want)
 }
 
+// TestFailedShadowLeavesNoTrace: a panic mid-solve, after the proposal's
+// relabel and invariant addition were installed, fails the Propose and
+// leaves the session as it was — state, signatures and network — so the
+// next Apply is bit-identical to a twin's that never proposed.
+func TestFailedShadowLeavesNoTrace(t *testing.T) {
+	var armed atomic.Bool
+	a := newDCTarget(t, false, incr.Options{FaultHook: func(string) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected test fault")
+		}
+	}})
+	b := newDCTarget(t, false, incr.Options{})
+	d := a.d
+	before := stateOf(t, a.session())
+	armed.Store(true)
+	_, err := a.session().Propose([]incr.Change{
+		incr.Relabel(d.Hosts[2][0], "canary"),
+		incr.AddInvariant(inv.Reachability{Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "probe"}),
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected test fault") {
+		t.Fatalf("Propose over a panicking solve: got %v, want the injected fault", err)
+	}
+	if armed.Load() || a.session().ProposePending() {
+		t.Fatal("the fault never fired, or the failed Propose left a transaction pending")
+	}
+	compareState(t, "failed propose", stateOf(t, a.session()), before)
+	ra, errA := a.session().Apply(a.changes(3, 1))
+	rb, errB := b.session().Apply(b.changes(3, 1))
+	if errA != nil || errB != nil {
+		t.Fatalf("apply after the failed propose: %v / %v", errA, errB)
+	}
+	compareReports(t, "after the failed propose", ra, rb)
+	compareWitnesses(t, "after the failed propose", ra, rb)
+	compareStatsModuloCache(t, "after the failed propose", a.session().LastApply(), b.session().LastApply())
+}
+
 // TestInvalidatedSessionAnswersCurrentVerdicts: after a failed Apply
 // dropped the incremental state, every read of the report set answers with
 // the current verdicts — a replayed id's ack, CurrentReports and Propose's
@@ -573,4 +713,72 @@ func TestProposeCommitEveryKind(t *testing.T) {
 	want := baseline(t, b.session(), core.Options{Engine: core.EngineSAT}, true)
 	compareReports(t, "every kind vs scratch", direct, want)
 	compareWitnesses(t, "every kind vs scratch", direct, want)
+}
+
+// proposeCases are BenchmarkPropose's proposals on the last tenant of a
+// vpcPairs session: a firewall allow no slice reads, a relabel out of its
+// class (accepted, regrouped), and that relabel with a deny of the public
+// prefix (rejected, repair searched).
+func proposeCases(pairs map[string][2][]incr.Change) map[string][]incr.Change {
+	return map[string][]incr.Change{
+		"dead":   pairs["dead"][0],
+		"live":   pairs["relabel"][0][:1],
+		"reject": pairs["relabel"][0],
+	}
+}
+
+// TestProposeFollowsTheChange: a proposal costs what it changes. After the
+// base reply is rendered once, a dead edit proposed through the daemon's
+// call and rolled back allocates about the same at 256 and at 2 048
+// tenants, and under 32 KiB: the shadow run copies no container.
+func TestProposeFollowsTheChange(t *testing.T) {
+	cost := func(tenants int) uint64 {
+		sess, pairs := vpcPairs(t, tenants)
+		dead := proposeCases(pairs)["dead"]
+		buf := sess.AppendResult(nil, "", false)
+		round := func() {
+			var err error
+			if buf, err = sess.AppendPropose(buf[:0], "", dead); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // a round first: the universe refines once
+		_, bytes := measure(round)
+		return bytes
+	}
+	small, bytes := cost(256), cost(2048)
+	t.Logf("dead-edit propose+rollback: %d bytes at 256 tenants, %d at 2048", small, bytes)
+	if float64(bytes) > 1.1*float64(small) {
+		t.Errorf("a dead-edit proposal's bytes follow the network: %d at 256 tenants, %d at 2048", small, bytes)
+	}
+	if bytes >= 32<<10 {
+		t.Errorf("a dead-edit proposal allocated %d bytes at 2048 tenants, want < 32 KiB", bytes)
+	}
+}
+
+// BenchmarkPropose is the daemon's propose call and a rollback on a 2 048-
+// tenant VPC whose base reply was rendered first, one case per
+// proposeCases entry.
+func BenchmarkPropose(b *testing.B) {
+	for _, name := range []string{"dead", "live", "reject"} {
+		b.Run(name, func(b *testing.B) {
+			sess, pairs := vpcPairs(b, 2048)
+			cs := proposeCases(pairs)[name]
+			buf := sess.AppendResult(nil, "", false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = sess.AppendPropose(buf[:0], "", cs); err != nil {
+					b.Fatal(err)
+				}
+				if err := sess.Rollback(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
