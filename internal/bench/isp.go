@@ -5,9 +5,8 @@ import (
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
-	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
-	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -26,7 +25,6 @@ type ISPConfig struct {
 // to a central scrubbing box.
 type ISP struct {
 	Net *core.Network
-	Cfg ISPConfig
 
 	Peers     []topo.NodeID
 	IDSNodes  []topo.NodeID
@@ -38,124 +36,34 @@ type ISP struct {
 // PeerAddr returns peering point i's representative outside address.
 func PeerAddr(i int) pkt.Addr { return pkt.Addr(8)<<24 | pkt.Addr(i)<<16 | 1 }
 
-// ScrubberAddr is the scrubbing box's service address.
-var ScrubberAddr = pkt.MustParseAddr("100.0.0.9")
-
-// NewISP builds the network.
+// NewISP builds the network from its description, netdesc.ISPBackbone:
+// the one definition of the topology, its boxes and its routing.
 func NewISP(cfg ISPConfig) *ISP {
-	if cfg.Peerings < 1 {
-		cfg.Peerings = 1
-	}
-	if cfg.Subnets < 1 {
-		cfg.Subnets = 3
-	}
-	isp := &ISP{Cfg: cfg}
-	t := topo.New()
-	backbone := t.AddSwitch("backbone")
-	isp.ScrubNode = t.AddMiddlebox("sb", "scrubber")
-	t.AddLink(isp.ScrubNode, backbone)
-
-	reg := pkt.NewRegistry()
-	reg.Register(mbox.ClassMalicious)
-	reg.Register(mbox.ClassAttack)
-
-	policy := map[topo.NodeID]string{}
-	// Subnets.
-	var subnetPrefixes []pkt.Prefix
-	for s := 0; s < cfg.Subnets; s++ {
-		swC := t.AddSwitch(fmt.Sprintf("swC%d", s))
-		t.AddLink(swC, backbone)
-		h := t.AddHost(fmt.Sprintf("h%d", s), SubnetHostAddr(s, 0))
-		t.AddLink(h, swC)
-		policy[h] = KindOf(s).String()
-		isp.Hosts = append(isp.Hosts, h)
-		subnetPrefixes = append(subnetPrefixes, SubnetPrefix(s))
-	}
-
-	// Firewall policy (§5.3.1 kinds), shared by every peering firewall.
-	var acl []mbox.ACLEntry
-	for s := 0; s < cfg.Subnets; s++ {
-		switch KindOf(s) {
-		case PublicSubnet:
-			acl = append(acl,
-				mbox.AllowEntry(pkt.Prefix{Addr: pkt.Addr(8) << 24, Len: 8}, SubnetPrefix(s)),
-				mbox.AllowEntry(SubnetPrefix(s), pkt.Prefix{Addr: pkt.Addr(8) << 24, Len: 8}))
-		case PrivateSubnet:
-			acl = append(acl,
-				mbox.AllowEntry(SubnetPrefix(s), pkt.Prefix{Addr: pkt.Addr(8) << 24, Len: 8}))
+	d := netdesc.ISPBackbone(netdesc.ISPBackboneConfig{Peerings: cfg.Peerings, Subnets: cfg.Subnets})
+	if cfg.ScrubberBypassesFW {
+		// The k-th rule for scrubber-released traffic is subnet k's:
+		// deliver it to the subnet's switch, past every firewall.
+		k := 0
+		for i, r := range d.FIB["backbone"] {
+			if r.In == "sb" {
+				d.FIB["backbone"][i].Out = fmt.Sprintf("swC%d", k)
+				k++
+			}
 		}
 	}
-
-	fib := tf.FIB{}
-	inside := pkt.Prefix{Addr: pkt.Addr(10) << 24, Len: 8}
-	boxes := []mbox.Instance{{Node: isp.ScrubNode, Model: mbox.NewScrubber("sb", reg)}}
-	for i := 0; i < cfg.Peerings; i++ {
-		peer := t.AddExternal(fmt.Sprintf("peer%d", i), PeerAddr(i))
-		swP := t.AddSwitch(fmt.Sprintf("swP%d", i))
-		ids := t.AddMiddlebox(fmt.Sprintf("ids%d", i), "idps")
-		swM := t.AddSwitch(fmt.Sprintf("swM%d", i))
-		fw := t.AddMiddlebox(fmt.Sprintf("fw%d", i), "firewall")
-		t.AddLink(peer, swP)
-		t.AddLink(swP, ids)
-		t.AddLink(ids, swM)
-		t.AddLink(swM, fw)
-		t.AddLink(fw, backbone)
-		// The IDS's reroute path to the scrubber does NOT cross the
-		// firewall — that is precisely what makes the §5.3.3
-		// misconfiguration possible.
-		t.AddLink(swM, backbone)
-		isp.Peers = append(isp.Peers, peer)
-		isp.IDSNodes = append(isp.IDSNodes, ids)
-		isp.FWNodes = append(isp.FWNodes, fw)
-		policy[peer] = "peer"
-
-		boxes = append(boxes,
-			mbox.Instance{Node: ids, Model: mbox.NewIDPS(fmt.Sprintf("ids%d", i), reg, ScrubberAddr, subnetPrefixes...)},
-			mbox.Instance{Node: fw, Model: &mbox.LearningFirewall{InstanceName: fmt.Sprintf("fw%d", i), ACL: acl}},
-		)
-
-		// Peering pipeline routing (ingress and egress).
-		scrub := pkt.HostPrefix(ScrubberAddr)
-		fib.Add(swP, tf.Rule{Match: inside, In: peer, Out: ids, Priority: 10})
-		fib.Add(swP, tf.Rule{Match: scrub, In: peer, Out: ids, Priority: 10})
-		fib.Add(swP, tf.Rule{Match: pkt.HostPrefix(PeerAddr(i)), In: topo.NodeNone, Out: peer, Priority: 10})
-		fib.Add(ids, tf.Rule{Match: inside, In: topo.NodeNone, Out: swM, Priority: 10})
-		fib.Add(ids, tf.Rule{Match: scrub, In: topo.NodeNone, Out: swM, Priority: 10})
-		fib.Add(ids, tf.Rule{Match: pkt.Prefix{}, In: topo.NodeNone, Out: swP, Priority: 5})
-		fib.Add(swM, tf.Rule{Match: inside, In: ids, Out: fw, Priority: 10})
-		// Tunnelled (to-scrubber) traffic skips the firewall: that is the
-		// physical pipeline of Fig 9a — protection depends on what happens
-		// after scrubbing.
-		fib.Add(swM, tf.Rule{Match: scrub, In: ids, Out: backbone, Priority: 20})
-		fib.Add(swM, tf.Rule{Match: pkt.Prefix{}, In: fw, Out: ids, Priority: 5})
-		fib.Add(fw, tf.Rule{Match: inside, In: topo.NodeNone, Out: backbone, Priority: 10})
-		fib.Add(fw, tf.Rule{Match: scrub, In: topo.NodeNone, Out: backbone, Priority: 10})
-		fib.Add(fw, tf.Rule{Match: pkt.Prefix{}, In: topo.NodeNone, Out: swM, Priority: 5})
-		fib.Add(backbone, tf.Rule{Match: pkt.HostPrefix(PeerAddr(i)), In: topo.NodeNone, Out: fw, Priority: 10})
+	net, _, err := netdesc.Build(d, "")
+	if err != nil {
+		panic(err)
 	}
-	// Backbone: scrubber service address, subnets, and the §5.3.3 knob —
-	// where does scrubber-released traffic go?
-	fib.Add(backbone, tf.Rule{Match: pkt.HostPrefix(ScrubberAddr), In: topo.NodeNone, Out: isp.ScrubNode, Priority: 20})
-	for s := 0; s < cfg.Subnets; s++ {
-		swCID := t.MustByName(fmt.Sprintf("swC%d", s)).ID
-		if cfg.ScrubberBypassesFW {
-			fib.Add(backbone, tf.Rule{Match: SubnetPrefix(s), In: isp.ScrubNode, Out: swCID, Priority: 30})
-		} else if cfg.Peerings > 0 {
-			// Correct config: released traffic re-enters through a
-			// stateful firewall before delivery.
-			fib.Add(backbone, tf.Rule{Match: SubnetPrefix(s), In: isp.ScrubNode, Out: isp.FWNodes[0], Priority: 30})
-		}
-		fib.Add(backbone, tf.Rule{Match: SubnetPrefix(s), In: topo.NodeNone, Out: swCID, Priority: 10})
-		fib.Add(swCID, tf.Rule{Match: pkt.HostPrefix(SubnetHostAddr(s, 0)), In: topo.NodeNone, Out: isp.Hosts[s], Priority: 10})
-		fib.Add(swCID, tf.Rule{Match: pkt.Prefix{}, In: topo.NodeNone, Out: backbone, Priority: 1})
+	isp := &ISP{Net: net, ScrubNode: net.Topo.MustByName("sb").ID}
+	node := func(format string, i int) topo.NodeID { return net.Topo.MustByName(fmt.Sprintf(format, i)).ID }
+	for i := range net.Topo.NodesOfKind(topo.External) {
+		isp.Peers = append(isp.Peers, node("peer%d", i))
+		isp.IDSNodes = append(isp.IDSNodes, node("ids%d", i))
+		isp.FWNodes = append(isp.FWNodes, node("fw%d", i))
 	}
-
-	isp.Net = &core.Network{
-		Topo:        t,
-		Boxes:       boxes,
-		Registry:    reg,
-		PolicyClass: policy,
-		FIBFor:      func(topo.FailureScenario) tf.FIB { return fib },
+	for s := range net.Topo.NodesOfKind(topo.Host) {
+		isp.Hosts = append(isp.Hosts, node("h%d", s))
 	}
 	return isp
 }

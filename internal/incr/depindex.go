@@ -40,8 +40,6 @@ package incr
 // channel.
 
 import (
-	"sort"
-
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -67,12 +65,6 @@ func (s elemSet) firstOf(nodes []topo.NodeID) (topo.NodeID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// containsNode reports membership in a sorted node slice.
-func containsNode(sorted []topo.NodeID, n topo.NodeID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= n })
-	return i < len(sorted) && sorted[i] == n
 }
 
 // fibDelta is one changed forwarding table: the old and new rule lists of
@@ -110,21 +102,34 @@ func newFIBDelta(td tf.TableDelta) *fibDelta {
 	return d
 }
 
+// meets is the set-level prescreen: whether any prefix the delta names
+// meets a read atom, one AtomSet.IntersectsPrefix binary search each.
+func (d *fibDelta) meets(atoms topo.AtomSet) bool {
+	for _, p := range d.changed {
+		if atoms.IntersectsPrefix(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// readsChanged reports whether any of one table's deltas meets atoms.
+func readsChanged(atoms topo.AtomSet, deltas []*fibDelta) bool {
+	for _, d := range deltas {
+		if d.meets(atoms) {
+			return true
+		}
+	}
+	return false
+}
+
 // dirtyAtom reports whether any read atom resolves differently under the
 // new table, returning the first such atom as the provenance witness. The
 // common case — a change entirely outside the group's address space —
-// exits on the set-level prescreen: one AtomSet.IntersectsPrefix binary
-// search per changed prefix. Only groups that survive it pay for per-atom
+// exits on the prescreen; only groups that survive it pay for per-atom
 // matching-subsequence comparison.
 func (d *fibDelta) dirtyAtom(atoms topo.AtomSet) (pkt.Addr, bool) {
-	hit := false
-	for _, p := range d.changed {
-		if atoms.IntersectsPrefix(p) {
-			hit = true
-			break
-		}
-	}
-	if !hit {
+	if !d.meets(atoms) {
 		return 0, false
 	}
 	for _, a := range atoms {
@@ -257,14 +262,17 @@ const (
 // classify decides whether the changes recorded in the impact can affect a
 // group with the given read-set memory. On groupDirty the returned cause
 // names the channel, the witness element (and read atom, for refined FIB
-// dirtying), and the attributable change index.
+// dirtying), and the attributable change index. Each channel is visited
+// in the footprint's ascending node order, so the cause is the same
+// whatever order the impact's maps iterate in.
 func (im *impact) classify(e *groupEntry, boxKey func(n topo.NodeID, universe topo.AtomSet) (string, bool)) (groupVerdict, DirtyCause) {
 	if n, ok := im.nodes.firstOf(e.touched); ok {
 		return groupDirty, DirtyCause{Reason: CauseNode, Node: n, HasNode: true, Change: srcOf(im.nodeSrc, n)}
 	}
 	refined := false
-	for n, deltas := range im.fib {
-		if !containsNode(e.touched, n) {
+	for _, n := range e.touched {
+		deltas, ok := im.fib[n]
+		if !ok {
 			continue
 		}
 		if e.coarse {
@@ -288,8 +296,8 @@ func (im *impact) classify(e *groupEntry, boxKey func(n topo.NodeID, universe to
 		}
 		refined = true
 	}
-	for n := range im.boxes {
-		if !containsNode(e.touched, n) {
+	for _, n := range e.touched {
+		if !im.boxes[n] {
 			continue
 		}
 		if e.coarse {

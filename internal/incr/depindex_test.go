@@ -113,6 +113,26 @@ func positionalFIBDelta(old, new []tf.Rule) *fibDelta {
 	return d
 }
 
+// TestFIBDeltaNamesTheEdit: trimming the lists' common head and tail
+// leaves one inserted or removed rule as the only prefix a delta names,
+// wherever it sits in a 128-rule table — the positional diff would name
+// every rule it shifted.
+func TestFIBDeltaNamesTheEdit(t *testing.T) {
+	table := make([]tf.Rule, 128)
+	for i := range table {
+		table[i] = rule(pkt.Prefix{Addr: pkt.Addr(20<<24 | uint32(i)<<8), Len: 24}, 1, 10)
+	}
+	edit := rule(pfx("30.0.0.0", 24), 2, 10)
+	for _, at := range []int{0, 1, 64, 127, 128} {
+		grown := slices.Insert(slices.Clone(table), at, edit)
+		for _, td := range []tf.TableDelta{tf.NewTableDelta(0, table, grown), tf.NewTableDelta(0, grown, table)} {
+			if got := newFIBDelta(td).changed; len(got) != 1 || got[0] != edit.Match {
+				t.Fatalf("one rule at %d of %d (old %d, new %d rules) names %v", at, len(table), len(td.Old), len(td.New), got)
+			}
+		}
+	}
+}
+
 // FuzzTrimmedDelta is the soundness argument for the head/tail trim as a
 // property: on random rule-list pairs — nested prefixes, two priorities,
 // so lists are full of rules that tie — the trimmed delta gives the

@@ -10,14 +10,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
+	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/obs"
+	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -148,6 +154,81 @@ func TestExplainCauses(t *testing.T) {
 	// name are the ones element-level dirtying would have re-verified too.
 	if st := sp.LastApply(); st.RefinedClean == 0 || st.RefinedClean != st.Groups-st.DirtyGroups {
 		t.Fatalf("every group without a cause should be refined-clean: %+v", st)
+	}
+}
+
+// TestExplainCauseIsDeterministic: when two changed tables, or two edited
+// boxes, in one footprint both dirty a group, the cause names the one with
+// the lower NodeID on every run — not whichever an impact's map visits
+// first. Each change-set runs on fresh sessions over the ISP backbone,
+// where a peering's traffic crosses ids<i> then fw<i>.
+func TestExplainCauseIsDeterministic(t *testing.T) {
+	open := func(t *testing.T) (*core.Network, *incr.Session, topo.NodeID, topo.NodeID) {
+		net, invs, err := netdesc.Build(netdesc.ISPBackbone(netdesc.ISPBackboneConfig{Peerings: 2, Subnets: 3}), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, _, err := incr.NewSession(net, core.Options{}, invs, incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, sess, net.Topo.MustByName("ids0").ID, net.Topo.MustByName("fw0").ID
+	}
+	model := func(net *core.Network, n topo.NodeID) mbox.Model {
+		return net.Boxes[slices.IndexFunc(net.Boxes, func(b mbox.Instance) bool { return b.Node == n })].Model
+	}
+	subnet0 := pkt.Prefix{Addr: pkt.MustParseAddr("10.0.0.0"), Len: 16}
+	for name, tc := range map[string]struct {
+		reason  string
+		changes func(net *core.Network, ids, fw topo.NodeID) []incr.Change
+	}{
+		"boxes": {incr.CauseBoxConfig, func(net *core.Network, ids, fw topo.NodeID) []incr.Change {
+			idps := *model(net, ids).(*mbox.IDPS)
+			idps.Watched = nil
+			lfw := cloneFirewall(model(net, fw).(*mbox.LearningFirewall))
+			lfw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(pkt.Prefix{Addr: pkt.MustParseAddr("8.0.0.0"), Len: 8}, subnet0)}, lfw.ACL...)
+			return []incr.Change{incr.BoxSwap(fw, lfw), incr.BoxSwap(ids, &idps)}
+		}},
+		"tables": {incr.CauseFIBAtom, func(net *core.Network, ids, fw topo.NodeID) []incr.Change {
+			fib := maps.Clone(net.FIBFor(topo.NoFailures()))
+			for _, n := range []topo.NodeID{ids, fw} {
+				// The same next hop under a rule of its own: the matching
+				// subsequence for the subnet's addresses changes, the walk
+				// does not.
+				out := fib[n][0].Out
+				fib[n] = append([]tf.Rule{{Match: subnet0, In: topo.NodeNone, Out: out, Priority: 15}}, fib[n]...)
+			}
+			return []incr.Change{incr.FIBUpdate(func(topo.FailureScenario) tf.FIB { return fib })}
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want map[string]incr.DirtyCause
+			for run := 0; run < 16; run++ {
+				net, sess, ids, fw := open(t)
+				if _, err := sess.Apply(tc.changes(net, ids, fw)); err != nil {
+					t.Fatal(err)
+				}
+				got := map[string]incr.DirtyCause{}
+				both := 0
+				for _, r := range sess.Explain() {
+					got[r.GroupKey] = r.Cause
+					if r.Cause.Reason != tc.reason {
+						t.Fatalf("run %d: %q dirtied by %+v, want %s", run, r.GroupKey, r.Cause, tc.reason)
+					}
+					if r.Cause.Node == ids {
+						both++
+					}
+				}
+				if both == 0 {
+					t.Fatalf("run %d: no group names ids0 (%v): the change-set does not test the order", run, got)
+				}
+				if run == 0 {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d: causes %v, run 0 had %v", run, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ func (s *Session) GroupsReading(n topo.NodeID) int {
 	defer s.mu.Unlock()
 	count := 0
 	for _, sl := range s.table.order {
-		if containsNode(s.table.recs[sl].entry.touched, n) {
+		if slices.Contains(s.table.recs[sl].entry.touched, n) {
 			count++
 		}
 	}

@@ -82,7 +82,7 @@ func TestKeysByteIdentical(t *testing.T) {
 		"datacenter-caches": "checks=3 x=3b2e06fb1851117e",
 		"enterprise":        "checks=6 x=7e34b50900173730",
 		"fattree":           "checks=8 x=cbec3ebc2b5cc068",
-		"isp":               "checks=6 x=6e63cf8e69edcbdc",
+		"isp":               "checks=6 x=0fdc743feb3c7386",
 		"ispbackbone":       "checks=6 x=a87c50e420c8e09b",
 		"multitenant":       "checks=9 x=6ed7e51e9130f4e7",
 	}

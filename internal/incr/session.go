@@ -296,11 +296,6 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		})
 		// Size gauges for the structures that only grow with the change
 		// stream; walked at scrape time, never on the apply path.
-		sopts.Obs.Metrics.RegisterFunc("vmn_incr_atom_intervals", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.table.u.NumAtoms())
-		})
 		sopts.Obs.Metrics.RegisterFunc("vmn_incr_posting_entries", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -571,8 +566,7 @@ func (s *Session) validNode(n topo.NodeID) error {
 func (s *Session) invalidate() {
 	s.needFull = true
 	s.engs = nil
-	// A fresh table: the next Apply regroups into it and the universe
-	// re-refines from the change stream that follows.
+	// A fresh table: the next Apply regroups into it.
 	s.table = newGroupTable()
 }
 
@@ -981,10 +975,11 @@ func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fw
 // report order) must re-verify, with a cause per dirty group
 // (position-aligned with dirty). The table first resolves the change-set
 // to its candidate groups wholesale — one posting-list lookup per changed
-// element and per affected universe atom — so only candidates pay for
-// classify's precision checks, and only they and the unsettled groups are
-// visited at all; every other group is clean or refined-clean by
-// construction, with counts identical to a full per-group scan.
+// element, each group under a changed table screened by its reads there —
+// so only candidates pay for classify's precision checks, and only they
+// and the unsettled groups are visited at all; every other group is clean
+// or refined-clean by construction, with counts identical to a full
+// per-group scan.
 func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool) (dirty []slot, causes []DirtyCause, refinedClean int) {
 	t := s.table
 	var candidates []slot

@@ -5,23 +5,16 @@ package incr
 // group; its record holds the group itself, its key, the representative
 // its entry was verified for and that entry — the representative's
 // reports and the reads its slices made. Beside the records sit the report
-// order and the posting lists over the session-lifetime shared atom
-// universe (Delta-net style) that answer, wholesale, which groups a
-// change-set can affect at all:
+// order and one posting list per node, nodePost: node -> sorted slots of
+// the groups whose footprint contains it. One lookup per changed element
+// replaces the per-group footprint scan: a group absent from every
+// changed element's list is clean, with no classify call at all.
 //
-//   - nodePost: node -> sorted slots of the groups whose footprint
-//     contains it. One lookup per changed element replaces the per-group
-//     footprint scan: a group absent from every changed element's list
-//     is clean, with no classify call at all.
-//
-//   - atomPost: universe atom -> sorted slots of the groups that read a
-//     concrete address inside that interval at ANY node. A forwarding
-//     update resolves to its dirty candidates by refining the universe
-//     with the changed prefixes (splitting at most two intervals each,
-//     every reader of a split interval following its reads) and unioning
-//     the posting lists of the covered atoms. Groups touched by a changed
-//     table but absent from every affected atom's list are refined-clean
-//     by construction — the set-level prescreen, without per-group work.
+// A changed forwarding table n screens the groups on nodePost[n] by their
+// own reads: a group is a candidate when its entry is coarse or when the
+// addresses it read at n (entry.fib[n]) meet a prefix one of n's deltas
+// names — the set-level prescreen fibDelta.dirtyAtom opens with. Every
+// other group on the list is refined-clean without classify.
 //
 // The table is edited in place, never rebuilt and reconciled: regroup
 // retires and allocates records when the partition moves, install swaps
@@ -29,11 +22,8 @@ package incr
 // select CANDIDATES; impact.classify remains the per-candidate precision
 // check (matching-subsequence comparison, rule-read projections), so
 // verdicts and the RefinedClean accounting are bit-identical to a full
-// scan. The invariant, kept by install and by every split: a slot is on an
-// atom's list exactly when its entry read an address inside that interval —
-// so if a changed prefix covers a read, the reader's slot is on the list of
-// a covering universe atom after refinement, and a route for address space
-// nobody reads resolves to no candidate at all.
+// scan. The invariant, kept by install: a slot is on a node's list exactly
+// when that node is in its entry's footprint.
 
 import (
 	"slices"
@@ -57,7 +47,7 @@ type groupRecord struct {
 	// that survives a regroup under another representative is a new record.
 	rep string
 	// entry is nil until the group's first verification installs one; the
-	// slot is posted under entry.touched and the atoms of entry.fib.
+	// slot is posted under entry.touched.
 	entry *groupEntry
 	// pos is the group's position in the report order.
 	pos int
@@ -85,9 +75,7 @@ type groupTable struct {
 	// entry yet, or one with a budget-degraded verdict. Sorted.
 	unsettled []slot
 
-	u        *topo.AtomUniverse
 	nodePost map[topo.NodeID][]slot
-	atomPost map[topo.AtomID][]slot
 	// touched is resolve's scratch list, kept for its capacity.
 	touched []slot
 }
@@ -95,9 +83,7 @@ type groupTable struct {
 func newGroupTable() *groupTable {
 	return &groupTable{
 		slotOf:   map[string]slot{},
-		u:        topo.NewAtomUniverse(),
 		nodePost: map[topo.NodeID][]slot{},
-		atomPost: map[topo.AtomID][]slot{},
 	}
 }
 
@@ -133,15 +119,6 @@ func removeSlot(list []slot, s slot) []slot {
 		return list
 	}
 	return append(list[:i], list[i+1:]...)
-}
-
-// setPost makes list the posting list of k; an empty list takes no key.
-func setPost[K comparable](post map[K][]slot, k K, list []slot) {
-	if len(list) > 0 {
-		post[k] = list
-	} else {
-		delete(post, k)
-	}
 }
 
 // regroup makes groups (keyed by keys, position-aligned) the table's
@@ -203,12 +180,10 @@ func (t *groupTable) post(s slot, e *groupEntry) {
 	r := &t.recs[s]
 	if old := r.entry; old != nil {
 		for _, n := range old.touched {
-			setPost(t.nodePost, n, removeSlot(t.nodePost[n], s))
-		}
-		for _, atoms := range old.fib {
-			for _, a := range atoms {
-				id := t.u.AtomOf(a)
-				setPost(t.atomPost, id, removeSlot(t.atomPost[id], s))
+			if list := removeSlot(t.nodePost[n], s); len(list) > 0 {
+				t.nodePost[n] = list
+			} else {
+				delete(t.nodePost, n)
 			}
 		}
 	}
@@ -219,17 +194,11 @@ func (t *groupTable) post(s slot, e *groupEntry) {
 	for _, n := range e.touched {
 		t.nodePost[n] = insertSlot(t.nodePost[n], s)
 	}
-	for _, atoms := range e.fib {
-		for _, a := range atoms {
-			id := t.u.AtomOf(a)
-			t.atomPost[id] = insertSlot(t.atomPost[id], s)
-		}
-	}
 }
 
 // resolve's marks: the footprint intersects a changed element; and some
-// read could be affected (node/box channel, coarse entry, or a read atom
-// under a changed prefix).
+// read could be affected (node/box channel, coarse entry, or a read at a
+// changed table under one of its changed prefixes).
 const (
 	markTouched uint8 = 1 << iota
 	markCandidate
@@ -238,70 +207,33 @@ const (
 // resolve screens an impact against the posting lists: candidates are the
 // settled groups that must run classify for the precise verdict and its
 // provenance, refined counts those whose footprint intersects a changed
-// element while no posted read can be affected — refined-clean without
-// classify. Every other group is clean. It refines the shared universe by
-// every changed prefix, so the per-atom lookup is exact for posted reads.
-// The candidate list is valid until the next resolve.
+// element while no read can be affected — refined-clean without classify.
+// Every other group is clean. The candidate list is valid until the next
+// resolve.
 func (t *groupTable) resolve(im *impact) (candidates []slot, refined int) {
 	touched := t.touched[:0]
-	mark := func(n topo.NodeID, fibOnly bool) {
+	// mark takes n's readers; with deltas nil (the node and box channels)
+	// every one of them is a candidate.
+	mark := func(n topo.NodeID, deltas []*fibDelta) {
 		for _, s := range t.nodePost[n] {
 			r := &t.recs[s]
 			if r.mark == 0 {
 				touched = append(touched, s)
 			}
 			r.mark |= markTouched
-			if !fibOnly || r.entry.coarse {
+			if r.mark&markCandidate == 0 && (deltas == nil || r.entry.coarse || readsChanged(r.entry.fib[n], deltas)) {
 				r.mark |= markCandidate
 			}
 		}
 	}
 	for n := range im.nodes {
-		mark(n, false)
+		mark(n, nil)
 	}
 	for n := range im.boxes {
-		mark(n, false)
+		mark(n, nil)
 	}
-	for n := range im.fib {
-		mark(n, true)
-	}
-	onSplit := func(sp topo.AtomSplit) {
-		// Parent kept the lower half of its interval, Child is the upper:
-		// each reader goes where its reads are.
-		lower, upper := t.atomPost[sp.Parent][:0], []slot(nil)
-		for _, s := range t.atomPost[sp.Parent] {
-			var lo, hi bool
-			for _, atoms := range t.recs[s].entry.fib {
-				for _, a := range atoms {
-					id := t.u.AtomOf(a)
-					lo, hi = lo || id == sp.Parent, hi || id == sp.Child
-				}
-			}
-			if lo {
-				lower = append(lower, s)
-			}
-			if hi {
-				upper = append(upper, s)
-			}
-		}
-		setPost(t.atomPost, sp.Parent, lower)
-		setPost(t.atomPost, sp.Child, upper)
-	}
-	var ids []topo.AtomID
-	for _, deltas := range im.fib {
-		for _, d := range deltas {
-			for _, pfx := range d.changed {
-				t.u.RefinePrefix(pfx, onSplit)
-				ids = t.u.AtomsOfPrefix(pfx, ids[:0])
-				for _, id := range ids {
-					for _, s := range t.atomPost[id] {
-						if r := &t.recs[s]; r.mark != 0 {
-							r.mark |= markCandidate
-						}
-					}
-				}
-			}
-		}
+	for n, deltas := range im.fib {
+		mark(n, deltas)
 	}
 	candidates = touched[:0]
 	for _, s := range touched {
@@ -319,21 +251,18 @@ func (t *groupTable) resolve(im *impact) (candidates []slot, refined int) {
 	return candidates, refined
 }
 
-// postings counts the slots held across all node and atom posting lists.
+// postings counts the slots held across all posting lists.
 func (t *groupTable) postings() int {
 	n := 0
 	for _, list := range t.nodePost {
-		n += len(list)
-	}
-	for _, list := range t.atomPost {
 		n += len(list)
 	}
 	return n
 }
 
 // clone deep-copies the table for a transactional shadow run: the shadow
-// regroups, installs and refines the universe without the base ever
-// observing it. Entries and groups are immutable and shared.
+// regroups and installs without the base ever observing it. Entries and
+// groups are immutable and shared.
 func (t *groupTable) clone() *groupTable {
 	c := &groupTable{
 		recs:      append([]groupRecord(nil), t.recs...),
@@ -341,18 +270,13 @@ func (t *groupTable) clone() *groupTable {
 		slotOf:    make(map[string]slot, len(t.slotOf)),
 		order:     append([]slot(nil), t.order...),
 		unsettled: append([]slot(nil), t.unsettled...),
-		u:         t.u.Clone(),
 		nodePost:  make(map[topo.NodeID][]slot, len(t.nodePost)),
-		atomPost:  make(map[topo.AtomID][]slot, len(t.atomPost)),
 	}
 	for k, s := range t.slotOf {
 		c.slotOf[k] = s
 	}
 	for n, list := range t.nodePost {
 		c.nodePost[n] = append([]slot(nil), list...)
-	}
-	for id, list := range t.atomPost {
-		c.atomPost[id] = append([]slot(nil), list...)
 	}
 	return c
 }

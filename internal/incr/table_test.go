@@ -19,9 +19,9 @@ import (
 // per /8), and after every step
 //
 //   - the posting lists are exactly what a recount from the records says:
-//     no list names a freed slot, a slot is under a node or atom exactly
-//     when its entry's footprint or reads say so, and postings() — the
-//     vmn_incr_posting_entries gauge — is that recount's size;
+//     no list names a freed slot, a slot is under a node exactly when its
+//     entry's footprint says so, and postings() — the vmn_incr_posting_entries
+//     gauge — is that recount's size;
 //   - resolve's candidates hold every group a naive per-record classify
 //     scan calls dirty, every settled group outside them classifies clean
 //     or refined-clean, and the refined-clean count markDirty would report
@@ -39,17 +39,14 @@ func tableAddr(b byte) pkt.Addr { return pkt.Addr(b%16)<<24 | 1 }
 // tableDump renders everything observable about t.
 func tableDump(t *groupTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "order=%v free=%v unsettled=%v atoms=%d\n", t.order, t.free, t.unsettled, t.u.NumAtoms())
+	fmt.Fprintf(&b, "order=%v free=%v unsettled=%v\n", t.order, t.free, t.unsettled)
 	for s, r := range t.recs {
 		fmt.Fprintf(&b, "%d: %q %q %p pos=%d mark=%d slotOf=%d\n", s, r.key, r.rep, r.entry, r.pos, r.mark, t.slotOf[r.key])
 	}
-	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&b, "%d ", t.u.AtomOf(tableAddr(byte(i))))
-	}
-	return b.String() + renderPosts(t.nodePost) + renderPosts(t.atomPost)
+	return b.String() + renderPosts(t.nodePost)
 }
 
-func renderPosts[K ~int32](post map[K][]slot) string {
+func renderPosts(post map[topo.NodeID][]slot) string {
 	keys := make([]int, 0, len(post))
 	for k := range post {
 		keys = append(keys, int(k))
@@ -57,7 +54,7 @@ func renderPosts[K ~int32](post map[K][]slot) string {
 	sort.Ints(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "\n%d:%v", k, post[K(k)])
+		fmt.Fprintf(&b, "\n%d:%v", k, post[topo.NodeID(k)])
 	}
 	return b.String() + "\n"
 }
@@ -65,7 +62,7 @@ func renderPosts[K ~int32](post map[K][]slot) string {
 // checkTable recounts the posting lists from the records.
 func checkTable(t *testing.T, step string, tab *groupTable) {
 	t.Helper()
-	nodes, atoms, count := map[topo.NodeID][]slot{}, map[topo.AtomID][]slot{}, 0
+	nodes, count := map[topo.NodeID][]slot{}, 0
 	live := map[slot]bool{}
 	for gi, s := range tab.order {
 		r := tab.recs[s]
@@ -83,16 +80,6 @@ func checkTable(t *testing.T, step string, tab *groupTable) {
 			nodes[n] = append(nodes[n], s)
 			count++
 		}
-		seen := map[topo.AtomID]bool{}
-		for _, as := range r.entry.fib {
-			for _, a := range as {
-				if id := tab.u.AtomOf(a); !seen[id] {
-					seen[id] = true
-					atoms[id] = append(atoms[id], s)
-					count++
-				}
-			}
-		}
 	}
 	for _, s := range tab.free {
 		if r := tab.recs[s]; live[s] || r.key != "" || r.entry != nil {
@@ -105,14 +92,8 @@ func checkTable(t *testing.T, step string, tab *groupTable) {
 	for _, list := range nodes {
 		slices.Sort(list)
 	}
-	for _, list := range atoms {
-		slices.Sort(list)
-	}
 	if got, want := renderPosts(tab.nodePost), renderPosts(nodes); got != want {
 		t.Fatalf("%s: node postings%swant%s", step, got, want)
-	}
-	if got, want := renderPosts(tab.atomPost), renderPosts(atoms); got != want {
-		t.Fatalf("%s: atom postings%swant%s", step, got, want)
 	}
 	if tab.postings() != count {
 		t.Fatalf("%s: postings() = %d, the records hold %d", step, tab.postings(), count)

@@ -745,7 +745,7 @@ func TestProposeFollowsTheChange(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		round() // a round first: the universe refines once
+		round() // a round first: lazily built state settles
 		_, bytes := measure(round)
 		return bytes
 	}

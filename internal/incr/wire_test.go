@@ -420,7 +420,7 @@ func TestDeadEditFollowsTheChange(t *testing.T) {
 		sess, pairs := vpcPairs(t, tenants)
 		dead := pairs["dead"]
 		buf := sess.AppendResult(nil, "", false)
-		for _, cs := range dead { // a round first: the universe refines once
+		for _, cs := range dead { // a round first: lazily built state settles
 			var err error
 			if buf, err = sess.AppendApply(buf[:0], "", cs, false); err != nil {
 				t.Fatal(err)

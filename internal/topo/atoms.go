@@ -69,9 +69,8 @@ func (s AtomSet) IntersectsPrefix(p pkt.Prefix) bool {
 
 // Union returns the union of s and o (s or o themselves when one contains
 // the other end-to-end, a fresh set otherwise). The subset fast path is
-// what lets the shared-universe build in internal/incr union a group's
-// per-scenario read sets without allocating when the scenarios read the
-// same atoms — the common case.
+// what lets internal/incr union a group's per-scenario read sets without
+// allocating when the scenarios read the same atoms — the common case.
 func (s AtomSet) Union(o AtomSet) AtomSet {
 	if len(o) == 0 {
 		return s

@@ -63,3 +63,44 @@ func TestAtomSetUnion(t *testing.T) {
 		t.Fatal("empty union must return the other set")
 	}
 }
+
+func TestAtomSetUnionSubsetReuse(t *testing.T) {
+	a := NewAtomSet([]pkt.Addr{addr("10.0.0.1"), addr("10.0.0.3"), addr("10.0.0.5")})
+	sub := NewAtomSet([]pkt.Addr{addr("10.0.0.1"), addr("10.0.0.5")})
+	if got := a.Union(sub); &got[0] != &a[0] {
+		t.Fatal("union with a subset must return the superset unchanged")
+	}
+	if got := sub.Union(a); &got[0] != &a[0] {
+		t.Fatal("subset.Union(superset) must return the superset unchanged")
+	}
+	dis := NewAtomSet([]pkt.Addr{addr("10.0.0.2")})
+	if got := a.Union(dis); len(got) != 4 {
+		t.Fatalf("non-subset union wrong: %v", got)
+	}
+}
+
+// BenchmarkAtomSetUnionSubset is the allocation regression guard for the
+// Union fast paths: a union where one side contains the other must not
+// allocate.
+func BenchmarkAtomSetUnionSubset(b *testing.B) {
+	var addrs []pkt.Addr
+	for i := 0; i < 64; i++ {
+		addrs = append(addrs, pkt.Addr(0x0a000000+i*7))
+	}
+	super := NewAtomSet(addrs)
+	sub := NewAtomSet(addrs[:32])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := super.Union(sub); len(got) != len(super) {
+			b.Fatal("union wrong")
+		}
+		if got := sub.Union(super); len(got) != len(super) {
+			b.Fatal("union wrong")
+		}
+	}
+	b.StopTimer()
+	if testing.AllocsPerRun(100, func() { super.Union(sub) }) != 0 {
+		b.Fatal("subset union must not allocate")
+	}
+}
