@@ -101,6 +101,13 @@ func TestGoldenWireProtocol(t *testing.T) {
 		{"fw_deny", []string{`{"op":"fw_deny","node":"fw1","src":"10.2.0.0/24","dst":"*"}`}},
 		{"fw_del", []string{`{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}`}},
 		{"box_remove", []string{`{"op":"box_remove","node":"ids2"}`}},
+		// box_state binds a box at a middlebox whether or not one is bound
+		// there: a removed box comes back, and a host is refused.
+		{"box_rebind", []string{
+			`{"op":"box_remove","node":"ids2"}`,
+			`{"op":"box_state","node":"h0-0","box":{"type":"idps"}}`,
+			`{"op":"box_state","node":"ids2","box":{"type":"idps"}}`,
+		}},
 		{"inv_add", []string{
 			`{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"leak?"}}`,
 		}},

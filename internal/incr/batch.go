@@ -22,17 +22,18 @@ package incr
 //     updates in one batch still dirty each table independently —
 //     coalescing never merges diffs across tables, it only removes
 //     superseded providers.
-//   - BoxSwap: last writer wins per node and run — the last
-//     swapped-in model is the box's configuration. A BoxAdd or BoxRemove
-//     of the same node ends the run (ordering against the swap is
-//     semantic there); other nodes' membership changes do not. BoxRemove
-//     drops the run it ends: the box is gone whatever it was last
-//     configured as.
+//   - BoxSwap (a bind) drops the node's open bind and opens its own,
+//     unless the node holds no model at that point: such a first bind
+//     goes last in the box list and keeps its place, opening nothing, so
+//     a later unbind still has a model to unbind. bound says which nodes
+//     hold one before the list; the list tells the rest.
+//   - BoxRemove (the unbind) drops the node's open bind: the box is gone
+//     whatever it was last configured as.
 //   - Relabel: last writer wins per node.
 //   - InvRemove drops every earlier InvAdd/InvRemove of its name: it
 //     removes all invariants so named, whichever change put them there.
-//   - BoxAdd/InvAdd: never coalesced — their validation and ordering
-//     semantics are order-sensitive.
+//   - InvAdd: never coalesced — its validation and ordering semantics are
+//     order-sensitive.
 //
 // Survivors keep their relative order (by the index of the retained
 // occurrence), so order-sensitive kinds interleave exactly as given.
@@ -44,8 +45,9 @@ import (
 
 // Coalesce reduces a change list to an equivalent one (same final
 // session state, hence identical verdicts), returning the survivors and,
-// for each, its index in changes.
-func Coalesce(changes []Change) (out []Change, from []int) {
+// for each, its index in changes. bound reports whether a node holds a
+// model before the list applies.
+func Coalesce(changes []Change, bound func(topo.NodeID) bool) (out []Change, from []int) {
 	keep := make([]bool, len(changes))
 	for i := range keep {
 		keep[i] = true
@@ -59,8 +61,10 @@ func Coalesce(changes []Change) (out []Change, from []int) {
 
 	lastLive := map[topo.NodeID]int{}
 	lastRelab := map[topo.NodeID]int{}
-	// openReconf is the surviving swap of each node's open run.
-	openReconf := map[topo.NodeID]int{}
+	// open is each node's open bind; held, whether a node the list has
+	// touched holds a model at this point.
+	open := map[topo.NodeID]int{}
+	held := map[topo.NodeID]bool{}
 	lastFIB := -1
 	// invOps lists, per invariant name, the surviving adds and removes.
 	invOps := map[string][]int{}
@@ -78,12 +82,14 @@ func Coalesce(changes []Change) (out []Change, from []int) {
 			}
 			lastFIB = i
 		case KindBoxReconfig:
-			drop(openReconf, ch.Node)
-			openReconf[ch.Node] = i
-		case KindBoxAdd:
-			delete(openReconf, ch.Node)
+			drop(open, ch.Node)
+			if h, seen := held[ch.Node]; h || !seen && bound(ch.Node) {
+				open[ch.Node] = i
+			}
+			held[ch.Node] = true
 		case KindBoxRemove:
-			drop(openReconf, ch.Node)
+			drop(open, ch.Node)
+			held[ch.Node] = false
 		case KindInvAdd:
 			if ch.Invariant != nil { // validate refuses a nil one
 				invOps[ch.Invariant.Name()] = append(invOps[ch.Invariant.Name()], i)
@@ -130,7 +136,7 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 
 // applyBatchLocked is ApplyBatchID's body past the request prologue.
 func (s *Session) applyBatchLocked(id string, changes []Change) error {
-	co, from := Coalesce(changes)
+	co, from := Coalesce(changes, func(n topo.NodeID) bool { return findBox(s.net, n) >= 0 })
 	if err := s.applyLocked(co); err != nil {
 		return err
 	}

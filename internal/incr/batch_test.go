@@ -1,7 +1,7 @@
 package incr_test
 
 // Batching/coalescing tests: the Coalesce unit rules (last-writer-wins,
-// FIB collapse, per-node reconfiguration runs, invariant names, survivor
+// FIB collapse, per-node bind runs, invariant names, survivor
 // ordering) and the session-level guarantees — an add-then-delete pair nets out to zero
 // dirtied groups, N priority rewrites of one rule dirty once, and a
 // batch spanning two tables dirties both (coalescing merges providers,
@@ -19,6 +19,9 @@ import (
 	"github.com/netverify/vmn/internal/topo"
 )
 
+// allBound says every node holds a model before the list.
+func allBound(topo.NodeID) bool { return true }
+
 func TestCoalesceLastWriterWins(t *testing.T) {
 	a, b := topo.NodeID(1), topo.NodeID(2)
 	out, from := incr.Coalesce([]incr.Change{
@@ -27,7 +30,7 @@ func TestCoalesceLastWriterWins(t *testing.T) {
 		incr.NodeUp(a),
 		incr.NodeDown(b),
 		incr.Relabel(a, "y"),
-	})
+	}, allBound)
 	want := []incr.Change{incr.NodeUp(a), incr.NodeDown(b), incr.Relabel(a, "y")}
 	if len(out) != len(want) {
 		t.Fatalf("survivors %v, want %v", out, want)
@@ -50,7 +53,7 @@ func TestCoalesceFIBCollapse(t *testing.T) {
 		incr.FIBUpdate(p1),
 		incr.NodeDown(n1),
 		incr.FIBUpdate(p2),
-	})
+	}, allBound)
 	if len(out) != 2 {
 		t.Fatalf("got %d survivors, want 2", len(out))
 	}
@@ -72,7 +75,7 @@ func TestCoalesceReconfigMerge(t *testing.T) {
 	out, _ := incr.Coalesce([]incr.Change{
 		incr.BoxSwap(n, first),
 		incr.BoxSwap(n, last),
-	})
+	}, allBound)
 	if len(out) != 1 {
 		t.Fatalf("got %d survivors, want 1", len(out))
 	}
@@ -81,8 +84,10 @@ func TestCoalesceReconfigMerge(t *testing.T) {
 	}
 
 	// Membership changes end a run only at their own node: another node's
-	// box_remove leaves n's run whole, n's own box_add splits it, and n's
-	// box_remove drops what it was last configured as.
+	// box_remove leaves n's run whole, and n's own box_remove drops what it
+	// was last configured as. A bind at a node holding no model — after its
+	// box_remove, or before the list — is a first bind: it keeps its place
+	// and opens no run, so it is never dropped.
 	other := topo.NodeID(4)
 	kinds := func(cs []incr.Change) (ks []incr.Kind) {
 		for _, c := range cs {
@@ -91,25 +96,29 @@ func TestCoalesceReconfigMerge(t *testing.T) {
 		return ks
 	}
 	for _, tc := range []struct {
-		name string
-		in   []incr.Change
-		want []incr.Kind
+		name  string
+		bound bool // whether n holds a model before the list
+		in    []incr.Change
+		want  []incr.Kind
 	}{
-		{"other node's remove", []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(other), incr.BoxSwap(n, last)},
+		{"other node's remove", true, []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(other), incr.BoxSwap(n, last)},
 			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxReconfig}},
-		{"own remove drops the run", []incr.Change{incr.BoxSwap(n, first), incr.BoxSwap(n, last), incr.BoxRemove(n)},
+		{"own remove drops the run", true, []incr.Change{incr.BoxSwap(n, first), incr.BoxSwap(n, last), incr.BoxRemove(n)},
 			[]incr.Kind{incr.KindBoxRemove}},
-		{"own add splits the run", []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(n), incr.BoxAdd(n, first), incr.BoxSwap(n, first), incr.BoxSwap(n, last)},
-			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxAdd, incr.KindBoxReconfig}},
+		{"own remove makes the next bind a first bind", true, []incr.Change{incr.BoxSwap(n, first), incr.BoxRemove(n), incr.BoxSwap(n, first), incr.BoxSwap(n, first), incr.BoxSwap(n, last)},
+			[]incr.Kind{incr.KindBoxRemove, incr.KindBoxReconfig, incr.KindBoxReconfig}},
+		{"unbound node's first bind stays", false, []incr.Change{incr.BoxSwap(n, first), incr.BoxSwap(n, last), incr.BoxRemove(n)},
+			[]incr.Kind{incr.KindBoxReconfig, incr.KindBoxRemove}},
 	} {
-		out, _ := incr.Coalesce(tc.in)
+		bound := func(m topo.NodeID) bool { return m != n || tc.bound }
+		out, _ := incr.Coalesce(tc.in, bound)
 		if got := kinds(out); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: survivors %v, want %v", tc.name, got, tc.want)
 		}
 		if k := len(out) - 1; out[k].Kind == incr.KindBoxReconfig && out[k].Model != last {
 			t.Errorf("%s: the run's last swapped-in model was lost: %+v", tc.name, out[k])
 		}
-		if again, _ := incr.Coalesce(out); !reflect.DeepEqual(kinds(again), tc.want) {
+		if again, _ := incr.Coalesce(out, bound); !reflect.DeepEqual(kinds(again), tc.want) {
 			t.Errorf("%s: not idempotent: %v", tc.name, kinds(again))
 		}
 	}
@@ -125,7 +134,7 @@ func TestCoalesceInvariantNames(t *testing.T) {
 	out, _ := incr.Coalesce([]incr.Change{
 		incr.RemoveInvariant("a"), add("a"), add("b"), add("a"), incr.RemoveInvariant("a"), add("a"),
 		{Kind: incr.KindInvAdd}, // refused by validate, not Coalesce's to judge
-	})
+	}, allBound)
 	if len(out) != 4 {
 		t.Fatalf("got %d survivors, want 4: %+v", len(out), out)
 	}

@@ -1,7 +1,7 @@
 // Package incr is VMN's incremental verification subsystem. It layers a
 // long-lived Session on top of internal/core: the caller submits
 // change-sets (node/link up or down, forwarding-state updates, middlebox
-// add/remove/reconfigure, policy-class relabels, invariant add/remove) and
+// bind/unbind, policy-class relabels, invariant add/remove) and
 // the session re-verifies only the invariants a change can affect,
 // returning a full, fresh report set after every Apply.
 //
@@ -51,11 +51,10 @@ const (
 	// Changed table owners are found by diffing its tables against the
 	// previous provider's.
 	KindFIB
-	// KindBoxAdd binds Model to the middlebox node Node.
-	KindBoxAdd
 	// KindBoxRemove unbinds the middlebox model at Node.
 	KindBoxRemove
-	// KindBoxReconfig replaces the model at Node with Model.
+	// KindBoxReconfig binds Model at the middlebox node Node, replacing
+	// the model bound there if there is one.
 	KindBoxReconfig
 	// KindRelabel sets Node's policy equivalence class to Class (empty
 	// Class makes the node a singleton again).
@@ -75,8 +74,6 @@ func (k Kind) String() string {
 		return "node-up"
 	case KindFIB:
 		return "fib"
-	case KindBoxAdd:
-		return "box-add"
 	case KindBoxRemove:
 		return "box-remove"
 	case KindBoxReconfig:
@@ -117,16 +114,12 @@ func FIBUpdate(fibFor func(topo.FailureScenario) tf.FIB) Change {
 	return Change{Kind: KindFIB, FIBFor: fibFor}
 }
 
-// BoxAdd binds model to the middlebox node n.
-func BoxAdd(n topo.NodeID, model mbox.Model) Change {
-	return Change{Kind: KindBoxAdd, Node: n, Model: model}
-}
-
 // BoxRemove unbinds the middlebox model at n.
 func BoxRemove(n topo.NodeID) Change { return Change{Kind: KindBoxRemove, Node: n} }
 
-// BoxSwap replaces the model at n: the one way to reconfigure a box. To
-// edit a configuration, clone the model, edit the clone and swap it in.
+// BoxSwap binds model at the middlebox node n, whether or not a model is
+// bound there: the one way to add or reconfigure a box. To edit a
+// configuration, clone the model, edit the clone and swap it in.
 func BoxSwap(n topo.NodeID, model mbox.Model) Change {
 	return Change{Kind: KindBoxReconfig, Node: n, Model: model}
 }

@@ -164,7 +164,7 @@ func TestCrashMidChurnRecovers(t *testing.T) {
 
 // durableStep draws one change-set from every durable change kind — liveness,
 // a swapped-in firewall, a clone of the live firewall edited, a relabel,
-// a box removal, and adds and removes of both added and initial invariant
+// a box removal and its re-bind, and adds and removes of both added and initial invariant
 // names — against the lane's own network, so lanes seeded alike stay in
 // lockstep. initial is the configuration's invariant list.
 func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []incr.Change {
@@ -212,10 +212,12 @@ func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []i
 			out = append(out, incr.RemoveInvariant(initial[r.Intn(len(initial))].Name()))
 		case op == 8:
 			out = append(out, incr.AddInvariant(initial[r.Intn(len(initial))]))
-		case op == 9 && r.Intn(4) == 0: // rare: every later step runs without the box
-			if modelAt(d.IDS2) != nil && !removed {
+		case op == 9 && r.Intn(4) == 0: // rare: the box leaves, or comes back as the last box
+			if ids2 := modelAt(d.IDS2); ids2 != nil && !removed {
 				removed = true
 				out = append(out, incr.BoxRemove(d.IDS2))
+			} else if ids2 == nil {
+				out = append(out, incr.BoxSwap(d.IDS2, mbox.NewIDPS("ids2", d.Net.Registry, pkt.AddrNone)))
 			}
 		}
 	}
@@ -303,11 +305,13 @@ func TestCompactionIsInvisible(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		dU, sU, all := lane(t, seed, incr.Options{})
 		want := sU.CurrentReports()
-		once, _ := incr.Coalesce(all)
+		// Every middlebox of the datacenter starts bound.
+		bound := func(n topo.NodeID) bool { return dU.Net.Topo.Node(n).Kind == topo.Middlebox }
+		once, _ := incr.Coalesce(all, bound)
 		if len(once) == len(all) {
 			t.Fatalf("seed %d: a %d-change stream with nothing to coalesce tests nothing", seed, len(all))
 		}
-		if twice, _ := incr.Coalesce(once); len(twice) != len(once) || wire(dU.Net, twice) != wire(dU.Net, once) {
+		if twice, _ := incr.Coalesce(once, bound); len(twice) != len(once) || wire(dU.Net, twice) != wire(dU.Net, once) {
 			t.Fatalf("seed %d: Coalesce is not idempotent: a second pass dropped %d", seed, len(once)-len(twice))
 		}
 		for _, every := range []int{1, 3, -1} {

@@ -192,7 +192,7 @@ func (f *dcTarget) probe(arg byte) []incr.Change {
 	case 2: // mixed relabel + liveness
 		return []incr.Change{incr.Relabel(d.Hosts[g][0], "probe-class"), incr.NodeDown(d.IDS1)}
 	case 3: // the IDS's box out and back in, as the last box
-		return []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxAdd(d.IDS2, boxAt(d.Net, d.IDS2))}
+		return []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxSwap(d.IDS2, boxAt(d.Net, d.IDS2))}
 	default: // an invariant in, and another out
 		return []incr.Change{
 			incr.AddInvariant(inv.Reachability{Dst: d.Hosts[g][0], SrcAddr: bench.HostAddr((g+1)%d.Cfg.Groups, 0), Label: "probe-tx"}),
@@ -385,7 +385,7 @@ func (f *vpcTarget) probe(arg byte) []incr.Change {
 	fw := f.firewall(arg)
 	switch arg % 4 {
 	case 1: // the firewall's box out and back in, as the last box
-		return []incr.Change{incr.BoxRemove(fw), incr.BoxAdd(fw, boxAt(f.net, fw))}
+		return []incr.Change{incr.BoxRemove(fw), incr.BoxSwap(fw, boxAt(f.net, fw))}
 	case 2: // a member out of its class, and the group's representative gone
 		pub := f.net.Topo.MustByName(fmt.Sprintf("t%d-pub", int(arg)%vpcTenants)).ID
 		return []incr.Change{incr.Relabel(pub, "probe-class"), incr.RemoveInvariant(f.reach[0].Name())}
@@ -747,6 +747,8 @@ func FuzzDecodeChangeSet(f *testing.F) {
 		`{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.0.0.77/24","dst":"*"}]}}`,
 		`{"op":"box_state","node":"ids1","box":{"type":"appfirewall","blocked":["never-registered"]}}`,
 		`{"op":"box_state","node":"fw1","box":{"type":"mdl","bundle":"/etc/passwd"}}`,
+		`[{"op":"box_remove","node":"ids2"},{"op":"box_state","node":"ids2","box":{"type":"idps"}}]`,
+		`{"op":"box_state","node":"h0-0","box":{"type":"idps"}}`,
 	})
 }
 

@@ -10,8 +10,8 @@ package incr
 // change-sets (EncodeChange writes each change as the WireChange that
 // reproduces it, netdesc spells box state and invariants), and recovery
 // runs both through the wire decoder and Session.mutate, the path every
-// live change takes. A change with no written form (a FIBFor closure, an
-// added box, a custom model or invariant) poisons the journal with an
+// live change takes. A change with no written form (a FIBFor closure, a
+// custom model or invariant) poisons the journal with an
 // explicit opaque tombstone so recovery degrades to a cold start rather
 // than silently restoring a state that diverged.
 // The recovery path additionally re-verifies a sampled subset of the
@@ -32,6 +32,7 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
 	"github.com/netverify/vmn/internal/lru"
+	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
@@ -141,6 +142,9 @@ type sessStore struct {
 	// initial names the invariants of that configuration: removing one of
 	// them is the only inv_remove a snapshot has to remember.
 	initial map[string]bool
+	// boxes names the nodes that configuration binds a model at: the log
+	// is coalesced from there.
+	boxes map[topo.NodeID]bool
 	// log is the change-set that takes that configuration to the current
 	// durable state: every change journaled since, compacted whenever it
 	// has doubled past compacted, its length after the last compaction —
@@ -217,63 +221,60 @@ type persistRenaming struct {
 }
 
 // configHash fingerprints everything outside the store that verdicts
-// depend on: solver options, scenarios, the grouping mode, and
-// the initial network shape the caller rebuilds from its own
-// configuration. A restored store whose hash differs was written by a
-// differently configured session — its verdicts do not transfer.
+// depend on: solver options, scenarios, the grouping mode, and the whole
+// initial network the caller rebuilds from its own configuration. A store
+// whose hash differs was written by a differently configured session: its
+// verdicts do not transfer, and its journal would replay onto a network it
+// was not written for.
 func (s *Session) configHash() uint64 {
-	// codec version: 5 = core.Options.AppendVerdictKey without the solver
-	// seed, random-branch frequency and explicit-state budget
-	b := s.opts.AppendVerdictKey([]byte{5})
-	put := func(vs ...int64) {
-		for _, v := range vs {
-			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-		}
-	}
-	puts := func(ss ...string) {
-		for _, v := range ss {
-			put(int64(len(v)))
-			b = append(b, v...)
-		}
-	}
-	putb := func(vs ...bool) {
-		for _, v := range vs {
-			if v {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-		}
-	}
-	o := s.opts
-	putb(o.NoSolverReuse, o.NoCanon, s.sopts.NoSymmetry)
-	put(int64(len(o.Scenarios)))
+	// codec version: 6 = 5 plus links, forwarding rules, box configurations
+	// and invariant slots; 5 = core.Options.AppendVerdictKey without the
+	// solver seed, random-branch frequency and explicit-state budget
+	o, t := s.opts, s.net.Topo
+	k := mbox.Key{B: o.AppendVerdictKey([]byte{6})}
+	mbox.PutString(&k, fmt.Sprint(o.NoSolverReuse, o.NoCanon, s.sopts.NoSymmetry))
+	k.Uint(uint64(len(o.Scenarios)))
 	for _, sc := range o.Scenarios {
-		puts(sc.Key())
+		mbox.PutString(&k, sc.Key())
 	}
-	t := s.net.Topo
-	put(int64(t.NumNodes()))
-	for i := 0; i < t.NumNodes(); i++ {
-		n := t.Node(topo.NodeID(i))
-		puts(n.Name)
-		put(int64(n.Kind), int64(n.Addr))
+	fib := s.net.FIBFor(topo.NoFailures())
+	k.Uint(uint64(t.NumNodes()))
+	for _, n := range t.Nodes() {
+		mbox.PutString(&k, n.Name)
+		k.Uint(uint64(n.Kind))
+		k.Addr(n.Addr)
+		mbox.PutString(&k, s.net.PolicyClass[n.ID]) // "" is a singleton
+		k.Uint(uint64(len(t.Neighbors(n.ID))))
+		for _, m := range t.Neighbors(n.ID) {
+			k.Node(m)
+		}
+		k.Uint(uint64(len(fib[n.ID])))
+		for _, r := range fib[n.ID] {
+			k.Prefix(r.Match)
+			k.Node(r.In)
+			k.Node(r.Out)
+			k.Uint(uint64(r.Priority))
+		}
 	}
-	put(int64(len(s.net.Boxes)))
+	k.Uint(uint64(len(s.net.Boxes)))
+	var cfg []byte
 	for _, bx := range s.net.Boxes {
-		put(int64(bx.Node))
-		puts(bx.Model.Type())
+		k.Node(bx.Node)
+		mbox.PutString(&k, bx.Model.Type())
+		// Empty for a model without a configuration description.
+		cfg, _ = mbox.ExactKey(cfg[:0], bx.Model)
+		k.Opaque(cfg)
 	}
-	pol := make([]string, 0, len(s.net.PolicyClass))
-	for n, c := range s.net.PolicyClass {
-		pol = append(pol, fmt.Sprintf("%d=%s", n, c))
-	}
-	sort.Strings(pol)
-	puts(pol...)
-	put(int64(len(s.invs)))
+	k.Uint(uint64(len(s.invs)))
 	for _, i := range s.invs {
-		puts(i.Name())
+		mbox.PutString(&k, i.Name())
+		if si, ok := i.(inv.Slotted); ok {
+			si.Slots(&k) // never empty: a type tag comes first
+		} else {
+			k.Byte(0)
+		}
 	}
-	return fnv64.Sum(b)
+	return fnv64.Sum(k.B)
 }
 
 // report / renaming codecs -------------------------------------------------
@@ -330,7 +331,7 @@ func decodeRenaming(p *persistRenaming) *slices.Renaming {
 // writer and every node starts up; a surviving inv_remove has no earlier
 // add of its name left, so it matters only if the configuration had one.
 func (st *sessStore) compact() {
-	log, _ := Coalesce(st.log)
+	log, _ := Coalesce(st.log, func(n topo.NodeID) bool { return st.boxes[n] })
 	kept := log[:0]
 	for _, ch := range log {
 		if ch.Kind == KindNodeUp || (ch.Kind == KindInvRemove && !st.initial[ch.Name]) {
@@ -486,9 +487,12 @@ func (s *Session) openStore() error {
 	if err := os.MkdirAll(po.Dir, 0o755); err != nil {
 		return err
 	}
-	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs))}
+	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs)), boxes: make(map[topo.NodeID]bool, len(s.net.Boxes))}
 	for _, i := range s.invs {
 		st.initial[i.Name()] = true
+	}
+	for _, bx := range s.net.Boxes {
+		st.boxes[bx.Node] = true
 	}
 	s.recovery = RecoveryStats{Enabled: true}
 
@@ -590,7 +594,7 @@ func (st *sessStore) poison(seq int) {
 	if payload, err := json.Marshal(&rec); err == nil {
 		st.j.Append(payload)
 	}
-	st.degraded = "change-set outside the durable codec (fib provider, added box, custom model or custom invariant)"
+	st.degraded = "change-set outside the durable codec (fib provider, custom model or custom invariant)"
 }
 
 // fail disables persistence after an I/O error and removes the store:

@@ -10,9 +10,11 @@ package incr_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,6 +198,126 @@ func TestConfigDriftColdStart(t *testing.T) {
 	if !rec.ColdStart || rec.Recovered {
 		t.Fatalf("recovery = %+v, want cold start on config drift", rec)
 	}
+}
+
+// A restart over an edited description is a restart over a different
+// configuration: an ACL entry, a forwarding rule or a link changed in the
+// file must cold-start with a reason, never replay the journal onto it. The
+// journaled fw_deny is a box_state carrying the whole old ACL, so a warm
+// restart after the ACL edit would silently undo the file's edit.
+func TestEditedDescriptionColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	desc := netdesc.CloudVPC(netdesc.VPCConfig{Tenants: 4, Shapes: 2})
+	start := func() (*core.Network, *incr.Session) {
+		t.Helper()
+		net, invs, err := netdesc.Build(desc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := incr.NewSession(net, core.Options{}, invs, persistOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, s
+	}
+	// exported spells the firewall t1-fw holds in net as a description does.
+	exported := func(net *core.Network) string {
+		t.Helper()
+		box, err := netdesc.ExportBox("t1-fw", boxAt(net, net.Topo.MustByName("t1-fw").ID), net.Registry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	deny := func(net *core.Network, s *incr.Session) {
+		t.Helper()
+		changes, err := incr.DecodeChangeSet(net, []byte(`{"op":"fw_deny","node":"t1-fw","src":"10.9.0.0/24","dst":"*"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Apply(changes); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deny(start())
+	for _, edit := range []struct {
+		name string
+		edit func()
+	}{
+		{"acl entry", func() {
+			for i := range desc.Nodes {
+				if desc.Nodes[i].Name == "t1-fw" {
+					desc.Nodes[i].Box.ACL[2].Src = "9.2.0.0/16"
+				}
+			}
+		}},
+		{"fib rule", func() { desc.FIB["fab"][1].Priority = 11 }},
+		{"link", func() { desc.Links = append(desc.Links, [2]string{"t0-sw", "t1-sw"}) }},
+	} {
+		edit.edit()
+		file, _, err := netdesc.Build(desc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, s := start()
+		if rec := s.Recovery(); !rec.ColdStart || rec.Recovered || rec.Reason == "" {
+			t.Fatalf("%s: recovery = %+v, want a cold start with a reason", edit.name, rec)
+		}
+		if got, want := exported(net), exported(file); got != want {
+			t.Fatalf("%s: t1-fw holds %s, the file says %s", edit.name, got, want)
+		}
+		deny(net, s)
+	}
+}
+
+// A box removed and bound again through the library journals as box_remove
+// then box_state: the store stays healthy, and the restart comes back to
+// the same network, box order included, and the same reports.
+func TestDurableBoxRebind(t *testing.T) {
+	dir := t.TempDir()
+	d1, s1, _ := newPersistDC(t, persistOpts(dir))
+	ids2 := boxAt(d1.Net, d1.IDS2)
+	for _, ch := range []incr.Change{incr.BoxRemove(d1.IDS2), incr.BoxSwap(d1.IDS2, ids2)} {
+		if _, err := s1.Apply([]incr.Change{ch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ps := s1.PersistStatus(); ps.Degraded != "" {
+		t.Fatalf("a re-bound box degraded the store: %s", ps.Degraded)
+	}
+	order := func(net *core.Network) (nodes []topo.NodeID) {
+		for _, b := range net.Boxes {
+			nodes = append(nodes, b.Node)
+		}
+		return nodes
+	}
+	wantDump, wantOrder, want := canonicalDump(t, d1.Net, s1.Invariants()), order(d1.Net), s1.CurrentReports()
+	if err := s1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, s2, got := newPersistDC(t, persistOpts(dir))
+	if rec := s2.Recovery(); !rec.Recovered || rec.ColdStart {
+		t.Fatalf("recovery = %+v, want a warm restart", rec)
+	}
+	if ps := s2.PersistStatus(); ps.Degraded != "" {
+		t.Fatalf("restarted store degraded: %s", ps.Degraded)
+	}
+	if dump := canonicalDump(t, d2.Net, s2.Invariants()); !bytes.Equal(dump, wantDump) {
+		t.Fatalf("restart dump differs\n--- got ---\n%s\n--- want ---\n%s", dump, wantDump)
+	}
+	if got := order(d2.Net); !slices.Equal(got, wantOrder) {
+		t.Fatalf("restart box order %v, want %v", got, wantOrder)
+	}
+	compareReports(t, "re-bound restart", got, want)
+	compareWitnesses(t, "re-bound restart", got, want)
 }
 
 // A change outside the durable codec (a FIBFor closure) poisons the
@@ -402,6 +524,7 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 	records3 := [][]byte{[]byte(`{"seq":4,"changes":[{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`)}
 	const snapshot4 = `{"version":2,"config":3895081803663002182,"seq":2,"applied":{"a1":2},"changes":[{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.9.0.0/24","dst":"*"},{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"action":"deny","src":"10.0.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.1.0.0/24"}],"default_allow":true}}],"cache":[{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgEAAAFBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQBAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8AAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYARgC","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[8,6,1,3],"a":[167772161,167837697],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}},{"k":"YwEBAAAAAAAAAAAAAAAAAElpAABIAgABAQBBQgICCUYCAAEBAQABAQMJSf////8PAAEAUwQAAQDoB1AA/////w8A/////w8AAQBQ6AcA/////w8A/////w8BAAHoB1AA/////w8A/////w8BAAFQ6AcA/////w8A/////w8DTwIBAE0CAgABAgMDAQBOBAAAAAACAAIAUAIYAhgB","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[6,8,1,3],"a":[167837697,167772161],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}}]}`
 	records4 := [][]byte{[]byte(`{"seq":3,"changes":[{"op":"inv_add","invariant":{"type":"reachability","dst":"h1-0","src_addr":"10.0.0.1","label":"x"}}]}`)}
+	const snapshot5 = `{"version":2,"config":9100382811728366695,"seq":2,"applied":{"a1":2},"changes":[{"op":"box_state","node":"fw1","box":{"type":"firewall","acl":[{"action":"allow","src":"10.9.0.0/24","dst":"*"},{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"},{"action":"deny","src":"10.0.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.1.0.0/24","dst":"10.2.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.0.0.0/24"},{"action":"deny","src":"10.2.0.0/24","dst":"10.1.0.0/24"}],"default_allow":true}}],"cache":[{"k":"YwEBAAAASWkAAEgCAQAAAUFCAgIJRgIAAQEBAAEBAwlJ/////w8AAQBTBAEAAegHUAD/////DwD/////DwEAAVDoBwD/////DwD/////DwABAOgHUAD/////DwD/////DwABAFDoBwD/////DwD/////DwNPAgEATQICAAECAwMBAE4EAAAAAAIAAgBQAhgBGAI=","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[8,6,1,3],"a":[167772161,167837697],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}},{"k":"YwEBAAAASWkAAEgCAAEBAEFCAgIJRgIAAQEBAAEBAwlJ/////w8AAQBTBAABAOgHUAD/////DwD/////DwABAFDoBwD/////DwD/////DwEAAegHUAD/////DwD/////DwEAAVDoBwD/////DwD/////DwNPAgEATQICAAECAwMBAE4EAAAAAAIAAgBQAhgCGAE=","r":{"o":0,"s":true,"e":"sat","sh":2,"sb":2},"ren":{"n":[6,8,1,3],"a":[167837697,167772161],"p":[{"Addr":167772160,"Len":24},{"Addr":167837696,"Len":24}]}}]}`
 	fresh, _, want := newPersistDC(t, incr.Options{})
 	for _, tc := range []struct {
 		name     string
@@ -414,6 +537,7 @@ func TestParentFormatStateColdStarts(t *testing.T) {
 		{"parent snapshot claiming version 2", []byte(strings.Replace(snapshot2, `"version":1`, `"version":2`, 1)), records2},
 		{"codec 3 snapshot and journal", []byte(snapshot3), records3},
 		{"codec 4 snapshot and journal", []byte(snapshot4), records4},
+		{"codec 5 snapshot and journal", []byte(snapshot5), records4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

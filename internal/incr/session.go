@@ -542,15 +542,6 @@ func (s *Session) relabelImpact(n topo.NodeID, newClass string) (full bool, witn
 	return false, witnesses
 }
 
-func (s *Session) findBox(n topo.NodeID) int {
-	for i, b := range s.net.Boxes {
-		if b.Node == n {
-			return i
-		}
-	}
-	return -1
-}
-
 func (s *Session) validNode(n topo.NodeID) error {
 	if n < 0 || int(n) >= s.net.Topo.NumNodes() {
 		return fmt.Errorf("incr: unknown node id %d", n)
@@ -792,7 +783,7 @@ func (s *Session) validate(changes []Change) error {
 		if p, ok := present[n]; ok {
 			return p
 		}
-		return s.findBox(n) >= 0
+		return findBox(s.net, n) >= 0
 	}
 	for _, ch := range changes {
 		switch ch.Kind {
@@ -808,28 +799,28 @@ func (s *Session) validate(changes []Change) error {
 				return fmt.Errorf("incr: inv-add needs an invariant")
 			}
 			continue
-		case KindNodeDown, KindNodeUp, KindRelabel, KindBoxAdd, KindBoxRemove, KindBoxReconfig:
+		case KindNodeDown, KindNodeUp, KindRelabel, KindBoxRemove, KindBoxReconfig:
 			if err := s.validNode(ch.Node); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("incr: unknown change kind %d", ch.Kind)
 		}
-		name := func() string { return s.net.Topo.Node(ch.Node).Name }
-		if (ch.Kind == KindBoxAdd || ch.Kind == KindBoxReconfig) && ch.Model == nil {
-			return fmt.Errorf("incr: %s at %s needs a model", ch.Kind, name())
-		}
+		nd := s.net.Topo.Node(ch.Node)
 		switch ch.Kind {
-		case KindBoxAdd:
-			if hasBox(ch.Node) {
-				return fmt.Errorf("incr: node %s already has a middlebox model", name())
+		case KindBoxReconfig:
+			if ch.Model == nil {
+				return fmt.Errorf("incr: %s at %s needs a model", ch.Kind, nd.Name)
+			}
+			if nd.Kind != topo.Middlebox {
+				return fmt.Errorf("incr: node %q is not a middlebox", nd.Name)
 			}
 			present[ch.Node] = true
-		case KindBoxRemove, KindBoxReconfig:
+		case KindBoxRemove:
 			if !hasBox(ch.Node) {
-				return fmt.Errorf("incr: no middlebox model at %q", name())
+				return fmt.Errorf("incr: no middlebox model at %q", nd.Name)
 			}
-			present[ch.Node] = ch.Kind == KindBoxReconfig
+			present[ch.Node] = false
 		}
 	}
 	return nil
@@ -855,19 +846,8 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			}
 		case KindFIB:
 			set(s.trail, &s.net.FIBFor, ch.FIBFor)
-		case KindBoxAdd:
-			n := len(s.net.Boxes)
-			set(s.trail, &s.net.Boxes, append(s.net.Boxes[:n:n], mbox.Instance{Node: ch.Node, Model: ch.Model}))
-			if ch.Model.Discipline() != mbox.FlowParallel {
-				// A new origin-agnostic box changes the class-representative
-				// rule of every slice; a new General box widens every slice
-				// to the whole network. Neither is visible in stale
-				// footprints, so dirty everything.
-				full = true
-			}
-			im.addNode(ch.Node, ci)
 		case KindBoxRemove:
-			bi := s.findBox(ch.Node)
+			bi := findBox(s.net, ch.Node)
 			if s.net.Boxes[bi].Model.Discipline() == mbox.OriginAgnostic {
 				// Losing the last origin-agnostic box shrinks every slice.
 				full = true
@@ -875,18 +855,35 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			set(s.trail, &s.net.Boxes, append(s.net.Boxes[:bi:bi], s.net.Boxes[bi+1:]...))
 			im.addNode(ch.Node, ci)
 		case KindBoxReconfig:
-			bi := s.findBox(ch.Node)
-			oldD := s.net.Boxes[bi].Model.Discipline()
+			// An unbound node counts as a flow-parallel box: binding a
+			// model there is then judged by the same rule as replacing one.
+			bi := findBox(s.net, ch.Node)
+			oldD := mbox.FlowParallel
+			if bi >= 0 {
+				oldD = s.net.Boxes[bi].Model.Discipline()
+			}
 			newD := ch.Model.Discipline()
 			if oldD != newD && (oldD == mbox.OriginAgnostic || newD == mbox.OriginAgnostic || newD == mbox.General) {
+				// An origin-agnostic box gained or lost changes the
+				// class-representative rule of every slice; a General box
+				// widens every slice to the whole network. Neither is
+				// visible in stale footprints, so dirty everything.
 				full = true
 			}
-			set(s.trail, &s.net.Boxes[bi].Model, ch.Model)
-			// Reconfigurations flow through the refined channel: groups
-			// whose rule-read projection of this box is unchanged stay
-			// clean (classify falls back to node granularity when no
-			// projection was stored).
-			im.addBox(ch.Node, ci)
+			if bi >= 0 {
+				set(s.trail, &s.net.Boxes[bi].Model, ch.Model)
+				// A rebind flows through the refined channel: groups whose
+				// rule-read projection of this box is unchanged stay clean
+				// (classify falls back to node granularity when no
+				// projection was stored).
+				im.addBox(ch.Node, ci)
+			} else {
+				// A first bind goes last in the box list and on the node
+				// channel: no stored projection knows the node as a box.
+				n := len(s.net.Boxes)
+				set(s.trail, &s.net.Boxes, append(s.net.Boxes[:n:n], mbox.Instance{Node: ch.Node, Model: ch.Model}))
+				im.addNode(ch.Node, ci)
+			}
 		case KindRelabel:
 			if s.net.PolicyClass == nil {
 				set(s.trail, &s.net.PolicyClass, map[topo.NodeID]string{})
@@ -1222,7 +1219,7 @@ func (s *Session) planGroup(rep inv.Invariant, scens []topo.FailureScenario, eng
 // at n onto universe (mbox.ReadKey). ok=false when no such box exists or
 // its model has no description — the caller then dirties the group.
 func (s *Session) ruleReadKey(n topo.NodeID, universe topo.AtomSet) (string, bool) {
-	bi := s.findBox(n)
+	bi := findBox(s.net, n)
 	if bi < 0 {
 		return "", false
 	}

@@ -441,7 +441,7 @@ func (s *Session) searchRepairs(baseUnsat map[string]int, changes []Change, res 
 	var suspects []int
 	for i, ch := range changes {
 		switch ch.Kind {
-		case KindNodeDown, KindNodeUp, KindFIB, KindBoxAdd, KindBoxRemove, KindBoxReconfig, KindRelabel:
+		case KindNodeDown, KindNodeUp, KindFIB, KindBoxRemove, KindBoxReconfig, KindRelabel:
 			suspects = append(suspects, i)
 		}
 	}

@@ -242,7 +242,7 @@ func TestProposeRollbackRestoresState(t *testing.T) {
 			{"node up", []incr.Change{incr.NodeUp(d.IDS1)}},
 			{"fib", []incr.Change{shadowRule(d, d.Agg, tf.Rule{Match: bench.ClientPrefix(1), In: topo.NodeNone, Out: d.FW1, Priority: 9})}},
 			{"box remove", []incr.Change{incr.BoxRemove(d.IDS1)}},
-			{"box add", []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxAdd(d.IDS2, ids2)}},
+			{"box rebind", []incr.Change{incr.BoxRemove(d.IDS2), incr.BoxSwap(d.IDS2, ids2)}},
 			{"box reconfig", []incr.Change{incr.BoxSwap(d.FW1, fw)}},
 			{"inv add", []incr.Change{incr.AddInvariant(inv.Reachability{Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "probe"})}},
 			{"inv remove", []incr.Change{incr.RemoveInvariant(d.IsolationInvariant(0, 1).Name())}},
@@ -686,7 +686,7 @@ func TestProposeCommitEveryKind(t *testing.T) {
 			incr.NodeUp(d.Hosts[0][0]),
 			shadowRule(d, d.Agg, tf.Rule{Match: bench.ClientPrefix(1), In: topo.NodeNone, Out: d.FW1, Priority: 11}),
 			incr.BoxRemove(d.IDS2),
-			incr.BoxAdd(d.IDS2, ids2),
+			incr.BoxSwap(d.IDS2, ids2),
 			incr.BoxSwap(d.FW1, fw),
 			incr.Relabel(d.Hosts[2][0], "canary"),
 			incr.AddInvariant(inv.Reachability{Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "probe"}),

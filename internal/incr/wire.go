@@ -15,7 +15,8 @@ package incr
 //	  "acl":[{"action":"deny","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]}}
 //
 // Supported ops: node_down, node_up, relabel, box_remove, box_state
-// (replace a box's whole configuration), fw_allow, fw_deny, fw_del
+// (bind a whole box configuration at a middlebox, replacing the one bound
+// there if any), fw_allow, fw_deny, fw_del
 // (prepend/delete one firewall ACL entry), inv_add, inv_remove, noop.
 //
 // A change is data. Decoding reads the network and never writes it: the
@@ -23,7 +24,7 @@ package incr
 // swap, so a line that fails to decode, a change-set the session refuses
 // and a proposal that is rolled back all leave no trace. The same
 // vocabulary is the journal's: EncodeChange writes an applied change as
-// the wire change that reproduces it (a reconfiguration as box_state), and
+// the wire change that reproduces it (a bind as box_state), and
 // recovery replays records through this file's decoder.
 //
 // Transactional ops wrap a change-set in a request envelope:
@@ -46,6 +47,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/netverify/vmn/internal/core"
@@ -358,21 +360,17 @@ func EncodeExplain(t *topo.Topology, id string, seq int, recs []ExplainRecord) W
 	return out
 }
 
+// findBox is the index of the box bound at n in net.Boxes, -1 when none is.
+func findBox(net *core.Network, n topo.NodeID) int {
+	return slices.IndexFunc(net.Boxes, func(b mbox.Instance) bool { return b.Node == n })
+}
+
 func nodeByName(t *topo.Topology, name string) (topo.NodeID, error) {
 	n, ok := t.ByName(name)
 	if !ok {
 		return topo.NodeNone, fmt.Errorf("incr: no node named %q", name)
 	}
 	return n.ID, nil
-}
-
-func modelAt(net *core.Network, n topo.NodeID) mbox.Model {
-	for _, b := range net.Boxes {
-		if b.Node == n {
-			return b.Model
-		}
-	}
-	return nil
 }
 
 // wireErr renders a netdesc codec error in the wire's voice. The field
@@ -438,8 +436,8 @@ func decodeNodeChange(net *core.Network, w WireChange, n topo.NodeID, edited map
 	}
 	// The firewall ACL edits.
 	model, ok := edited[n]
-	if !ok {
-		model = modelAt(net, n)
+	if bi := findBox(net, n); !ok && bi >= 0 {
+		model = net.Boxes[bi].Model
 	}
 	if model == nil {
 		return Change{}, fmt.Errorf("incr: no middlebox model at %q", w.Node)
@@ -522,10 +520,10 @@ func DecodeProposeSet(net *core.Network, wires []WireChange) ([]Change, error) {
 }
 
 // EncodeChange writes an applied change as the wire change that reproduces
-// it: the inverse of the decoder and the journal's record format. A
-// reconfiguration becomes box_state, carrying the swapped-in model.
-// ok=false means the change has no written form: a FIB provider, an added
-// box, a model or invariant type outside the description format.
+// it: the inverse of the decoder and the journal's record format. A bind
+// becomes box_state, carrying the bound model. ok=false means the change
+// has no written form: a FIB provider, a model or invariant type outside
+// the description format.
 func EncodeChange(net *core.Network, ch Change) (w WireChange, ok bool) {
 	name := func() string { return net.Topo.Node(ch.Node).Name }
 	switch ch.Kind {

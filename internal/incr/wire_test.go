@@ -164,6 +164,7 @@ func TestEncodeChangeRoundTrip(t *testing.T) {
 	}
 
 	leak := inv.Reachability{Dst: a.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "leak?"}
+	ids2 := boxAt(a.Net, a.IDS2)
 	cases := []struct {
 		name string
 		make func() incr.Change // against a
@@ -185,6 +186,7 @@ func TestEncodeChangeRoundTrip(t *testing.T) {
 		{"inv_add", func() incr.Change { return incr.AddInvariant(leak) }},
 		{"inv_remove", func() incr.Change { return incr.RemoveInvariant(leak.Name()) }},
 		{"box_remove", func() incr.Change { return incr.BoxRemove(a.IDS2) }},
+		{"box_swap onto the removed box", func() incr.Change { return incr.BoxSwap(a.IDS2, ids2) }},
 	}
 	for _, c := range cases {
 		ch := c.make()
@@ -217,13 +219,62 @@ func TestEncodeChangeRoundTrip(t *testing.T) {
 
 	for _, ch := range []incr.Change{
 		incr.FIBUpdate(a.Net.FIBFor),
-		incr.BoxAdd(a.IDS2, mbox.NewPassthrough("ids2", "ids")),
 		incr.AddInvariant(customInvariant{leak}),
 	} {
 		if w, ok := incr.EncodeChange(a.Net, ch); ok {
 			t.Fatalf("%v change got a written form: %+v", ch.Kind, w)
 		}
 	}
+}
+
+// TestBoxBindNeedsAMiddlebox: a bind takes a model and a middlebox node,
+// bound or not. On the 2-group datacenter a model swapped onto a host is
+// refused by name and installs nothing; a box taken out over the wire comes
+// back with box_state, after which the session agrees with a fresh
+// VerifyAll over the re-bound network.
+func TestBoxBindNeedsAMiddlebox(t *testing.T) {
+	opts := core.Options{Engine: core.EngineSAT}
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+	invs := d.AllIsolationInvariants()
+	sess, _, err := incr.NewSession(d.Net, opts, invs, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, seq := canonicalDump(t, d.Net, invs), sess.LastApply().Seq
+	boxes := len(d.Net.Boxes)
+
+	const refusal = `incr: node "h0-0" is not a middlebox`
+	if _, err := sess.Apply([]incr.Change{incr.BoxSwap(d.Hosts[0][0], cloneFirewall(d.FWPrimary))}); err == nil || err.Error() != refusal {
+		t.Fatalf("bind onto a host: got %v, want %q", err, refusal)
+	}
+	if len(d.Net.Boxes) != boxes || sess.LastApply().Seq != seq || string(canonicalDump(t, d.Net, invs)) != string(initial) {
+		t.Fatalf("a refused bind installed something: %d boxes (want %d), seq %d (want %d)", len(d.Net.Boxes), boxes, sess.LastApply().Seq, seq)
+	}
+
+	state, ok := incr.EncodeChange(d.Net, incr.BoxSwap(d.IDS2, boxAt(d.Net, d.IDS2)))
+	if !ok {
+		t.Fatal("ids2's model has no written form")
+	}
+	rebind, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []core.Report
+	for _, line := range []string{`{"op":"box_remove","node":"ids2"}`, string(rebind)} {
+		changes, err := incr.DecodeChangeSet(d.Net, []byte(line))
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if reports, err = sess.Apply(changes); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+	}
+	if got := canonicalDump(t, d.Net, invs); string(got) != string(initial) {
+		t.Fatalf("the re-bound network differs from the initial one\n--- got ---\n%s\n--- want ---\n%s", got, initial)
+	}
+	want := baseline(t, sess, opts, true)
+	compareReports(t, "re-bound", reports, want)
+	compareWitnesses(t, "re-bound", reports, want)
 }
 
 // customInvariant is an invariant type outside the description format.

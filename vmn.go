@@ -71,7 +71,8 @@ func NewVerifier(net *Network, opts Options) (*Verifier, error) {
 type (
 	// Session is a long-lived incremental verifier over one Network.
 	Session = incr.Session
-	// SessionOptions tune a Session (pool size, symmetry, cache bound).
+	// SessionOptions tune a Session (symmetry grouping, request deadline,
+	// observability, durability).
 	SessionOptions = incr.Options
 	// Change is one element of a change-set.
 	Change = incr.Change
@@ -120,15 +121,14 @@ func NewSession(net *Network, opts Options, invs []Invariant, sopts SessionOptio
 
 // Change constructors. NodeDown/NodeUp model link and element failures
 // becoming real (node granularity); FIBUpdate swaps in recomputed
-// forwarding state; BoxAdd/BoxRemove/BoxSwap manage middlebox bindings
-// and configurations; Relabel moves a node between policy equivalence
-// classes; AddInvariant/RemoveInvariant edit the verified set. Every
-// change carries its new value.
+// forwarding state; BoxSwap binds a middlebox model (a new box or a new
+// configuration) and BoxRemove unbinds one; Relabel moves a node between
+// policy equivalence classes; AddInvariant/RemoveInvariant edit the
+// verified set. Every change carries its new value.
 var (
 	NodeDown        = incr.NodeDown
 	NodeUp          = incr.NodeUp
 	FIBUpdate       = incr.FIBUpdate
-	BoxAdd          = incr.BoxAdd
 	BoxRemove       = incr.BoxRemove
 	BoxSwap         = incr.BoxSwap
 	Relabel         = incr.Relabel
