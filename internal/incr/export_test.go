@@ -44,7 +44,19 @@ func (s *Session) GroupsReading(n topo.NodeID) int {
 func (s *Session) Signatures() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.sigs)
+	sigs := make([]string, len(s.invs))
+	for i, m := range s.invs {
+		sigs[i] = m.sig
+	}
+	return sigs
+}
+
+// RegroupWork is how many signatures regroup has computed and how many
+// group records it has rebuilt or created, over the session's lifetime.
+func (s *Session) RegroupWork() (signed, rewritten int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.signed, s.rewritten
 }
 
 // GroupKeys lists the group table's keys in report order.
@@ -56,6 +68,34 @@ func (s *Session) GroupKeys() []string {
 		keys = append(keys, s.table.recs[sl].key)
 	}
 	return keys
+}
+
+// GroupMembers maps each group key to its members' names, in order.
+func (s *Session) GroupMembers() map[string][]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.groupMembers()
+}
+
+// PendingGroupMembers is GroupMembers of the pending proposal's shadow.
+func (s *Session) PendingGroupMembers() (out map[string][]string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pending != nil {
+		s.inPending(func() { out = s.groupMembers() })
+	}
+	return out
+}
+
+func (s *Session) groupMembers() map[string][]string {
+	out := make(map[string][]string, len(s.table.order))
+	for _, sl := range s.table.order {
+		r := &s.table.recs[sl]
+		for _, m := range r.members {
+			out[r.key] = append(out[r.key], m.inv.Name())
+		}
+	}
+	return out
 }
 
 // ShrinkVerdictCache re-bounds the verdict cache to n entries, keeping the
@@ -87,9 +127,11 @@ func (s *Session) UnsatTallies() (table, assembled map[string]int) {
 }
 
 // GroupsAgree returns an error unless the group table's partition, and
-// the pending shadow's when a Propose is pending, is the one
-// symmetry.Groups gives from signatures computed from scratch, and every
-// cached signature is the one computed from scratch.
+// the pending shadow's when a Propose is pending, is the one computed from
+// scratch — symmetry.Groups over signatures computed from scratch, or
+// singletons keyed by identity and occurrence without symmetry — with the
+// same order, members and keys, and every cached signature and key is the
+// one computed from scratch.
 func (s *Session) GroupsAgree() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,25 +147,62 @@ func (s *Session) groupsAgree() error {
 		return nil // emptied by a failed Apply: the next one regroups
 	}
 	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
-	sigs := make([]string, len(s.invs))
-	for i, iv := range s.invs {
-		sigs[i] = cls.Signature(iv)
-	}
-	for i, sig := range s.sigs {
-		if sig != "" && sig != sigs[i] {
-			return fmt.Errorf("invariant %s: cached signature %q, from scratch %q", s.invs[i].Name(), sig, sigs[i])
+	sigs, invs := make([]string, len(s.invs)), make([]inv.Invariant, len(s.invs))
+	for i, m := range s.invs {
+		sigs[i], invs[i] = cls.Signature(m.inv), m.inv
+		if m.sig != sigs[i] {
+			return fmt.Errorf("invariant %s: cached signature %q, from scratch %q", m.inv.Name(), m.sig, sigs[i])
 		}
 	}
-	want := symmetry.Groups(sigs, s.invs)
-	if len(want) != len(s.table.order) {
-		return fmt.Errorf("%d groups, from scratch %d", len(s.table.order), len(want))
-	}
-	name := func(a, b inv.Invariant) bool { return a.Name() == b.Name() }
-	for gi, sl := range s.table.order {
-		g := s.table.recs[sl].group
-		if g.Signature != want[gi].Signature || !slices.EqualFunc(g.Members, want[gi].Members, name) {
-			return fmt.Errorf("group %d is %q %d members, from scratch %q %d members", gi, g.Signature, len(g.Members), want[gi].Signature, len(want[gi].Members))
+	return tableAgrees(s.table, s.invs, sigs, s.sopts.NoSymmetry)
+}
+
+// tableAgrees checks t against the partition of invs computed from scratch
+// under sigs (position-aligned): report order, member order, keys and
+// representatives, and that every member is in the record its key names.
+func tableAgrees(t *groupTable, invs []*member, sigs []string, noSymmetry bool) error {
+	var want []symmetry.Group
+	var keys []string
+	if noSymmetry {
+		seen := map[string]int{}
+		for i, m := range invs {
+			id := invIdentity(m.inv, sigs[i])
+			want = append(want, symmetry.Group{Signature: sigs[i], Representative: m.inv, Members: []inv.Invariant{m.inv}})
+			keys = append(keys, fmt.Sprintf("%s#%d", id, seen[id]))
+			seen[id]++
 		}
+	} else {
+		plain := make([]inv.Invariant, len(invs))
+		for i, m := range invs {
+			plain[i] = m.inv
+		}
+		want = symmetry.Groups(sigs, plain)
+		for _, g := range want {
+			keys = append(keys, g.Signature)
+		}
+	}
+	if len(want) != len(t.order) {
+		return fmt.Errorf("%d groups, from scratch %d", len(t.order), len(want))
+	}
+	name := func(a *member, b inv.Invariant) bool { return a.inv.Name() == b.Name() }
+	held := 0
+	for gi, sl := range t.order {
+		r := &t.recs[sl]
+		if r.key != keys[gi] || !slices.EqualFunc(r.members, want[gi].Members, name) {
+			return fmt.Errorf("group %d is %q %d members, from scratch %q %d members", gi, r.key, len(r.members), keys[gi], len(want[gi].Members))
+		}
+		if r.pos != gi || t.slotOf[r.key] != sl || r.rep != invIdentity(want[gi].Representative, want[gi].Signature) {
+			return fmt.Errorf("group %d (%q): pos %d, slot %d of %d, representative %q", gi, r.key, r.pos, sl, t.slotOf[r.key], r.rep)
+		}
+		for mi, m := range r.members {
+			if m.key != r.key || (mi > 0 && m.ord <= r.members[mi-1].ord) {
+				return fmt.Errorf("group %q: member %d keyed %q, ord %d", r.key, mi, m.key, m.ord)
+			}
+		}
+		held += len(r.members)
+	}
+	if held != len(invs) {
+		return fmt.Errorf("the groups hold %d members, the list %d", held, len(invs))
 	}
 	return nil
 }
@@ -138,4 +217,11 @@ func (s *Session) AppendProposeResult(buf []byte, id string) []byte {
 		return buf
 	}
 	return s.appendProposeLine(buf, id)
+}
+
+// ConfigHash is the fingerprint a store is opened against.
+func (s *Session) ConfigHash() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.configHash()
 }

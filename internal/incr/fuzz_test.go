@@ -56,6 +56,10 @@ type dcTarget struct {
 	down    map[topo.NodeID]bool
 	probes  map[string]bool
 	relab   map[topo.NodeID]bool
+	// boxes holds the models the box toggle unbinds and binds back, as
+	// first bound; unbound the nodes it left without one.
+	boxes   map[topo.NodeID]mbox.Model
+	unbound map[topo.NodeID]bool
 }
 
 func newDCTarget(t *testing.T, withCaches bool, sopts incr.Options) *dcTarget {
@@ -82,6 +86,8 @@ func newDCTarget(t *testing.T, withCaches bool, sopts incr.Options) *dcTarget {
 		down:    map[topo.NodeID]bool{},
 		probes:  map[string]bool{},
 		relab:   map[topo.NodeID]bool{},
+		boxes:   map[topo.NodeID]mbox.Model{d.IDS2: boxAt(d.Net, d.IDS2), d.FW2: boxAt(d.Net, d.FW2)},
+		unbound: map[topo.NodeID]bool{},
 	}
 }
 
@@ -108,7 +114,7 @@ func (f *dcTarget) changes(op, arg byte) []incr.Change {
 	d := f.d
 	G := d.Cfg.Groups
 	g := int(arg) % G
-	switch op % 8 {
+	switch op % 16 {
 	case 0: // liveness toggle over hosts, firewalls, IDSes and a ToR
 		cand := []topo.NodeID{d.Hosts[0][0], d.Hosts[1][0], d.FW1, d.FW2, d.IDS1, d.ToR[0]}
 		n := cand[int(arg)%len(cand)]
@@ -168,7 +174,15 @@ func (f *dcTarget) changes(op, arg byte) []incr.Change {
 		return []incr.Change{incr.AddInvariant(inv.Reachability{
 			Dst: d.Hosts[b][0], SrcAddr: bench.HostAddr(a, 0), Label: label,
 		})}
-	default: // noop refresh
+	case 8: // a box unbound, and bound back to its first model
+		n := []topo.NodeID{d.IDS2, d.FW2}[int(arg)%2]
+		if f.unbound[n] {
+			delete(f.unbound, n)
+			return []incr.Change{incr.BoxSwap(n, f.boxes[n])}
+		}
+		f.unbound[n] = true
+		return []incr.Change{incr.BoxRemove(n)}
+	default: // noop refresh (7 and 9-15)
 		return nil
 	}
 }
@@ -358,7 +372,7 @@ func (f *vpcTarget) firewall(arg byte) topo.NodeID {
 }
 
 func (f *vpcTarget) changes(op, arg byte) []incr.Change {
-	switch op % 3 {
+	switch op % 4 {
 	case 0: // tenant firewall liveness toggle: flips that tenant's reachability
 		n := f.firewall(arg)
 		if f.down[n] {
@@ -375,6 +389,11 @@ func (f *vpcTarget) changes(op, arg byte) []incr.Change {
 		}
 		f.gone, f.reach = f.reach[0], f.reach[1:]
 		return []incr.Change{incr.RemoveInvariant(f.gone.Name())}
+	case 2: // a tenant firewall unbound and bound back, as the last box,
+		// in one step: the explicit engine refuses a firewall without a
+		// model on the path, so the batched lane sees the pairs coalesce
+		fw := f.firewall(arg)
+		return []incr.Change{incr.BoxRemove(fw), incr.BoxSwap(fw, boxAt(f.net, fw))}
 	default: // noop refresh
 		return nil
 	}
@@ -496,12 +515,12 @@ func FuzzSessionDifferential(f *testing.F) {
 	// and transactional streams (propose/rollback detours, propose+commit
 	// replacing apply).
 	for net := byte(0); net < 4; net++ {
-		for op := byte(0); op < 8; op++ {
+		for op := byte(0); op < 9; op++ {
 			f.Add([]byte{net, op, 0})
 		}
 		f.Add([]byte{net, 1, 0, 1, 0, 0, 2})                             // overlay on/off around a liveness toggle
 		f.Add([]byte{net, 3, 1, 6, 0, 3, 1, 5, 2})                       // ACL + invariant churn + relabel
-		f.Add([]byte{net, 2, 0, 4, 0, 2, 0, 7, 0})                       // negative read + dead entry + revert
+		f.Add([]byte{net, 2, 0, 4, 0, 2, 0, 15, 0})                      // negative read + dead entry + revert
 		f.Add([]byte{net, 0, 2, 0, 2, 1, 1, 0, 2})                       // down/up + overlay under liveness
 		f.Add([]byte{net, 64 + 1, 0, 64 + 3, 1, 0, 2})                   // rollback detours (violating + topology probes) around churn
 		f.Add([]byte{net, 128 + 0, 1, 128 + 5, 0, 128 + 6, 1})           // propose+commit path for pure change-sets
@@ -517,9 +536,18 @@ func FuzzSessionDifferential(f *testing.F) {
 	// Box and invariant probes rolled back on every network, and every VPC
 	// probe around a representative toggle.
 	for net := byte(0); net < 4; net++ {
-		f.Add([]byte{net, 64 + 7, 3, 64 + 7, 4, 64 + 6, 8})
+		f.Add([]byte{net, 64 + 15, 3, 64 + 15, 4, 64 + 6, 8})
 	}
-	f.Add([]byte{3, 64 + 2, 1, 64 + 2, 2, 64 + 1, 3, 64 + 2, 0})
+	f.Add([]byte{3, 64 + 0, 1, 64 + 0, 2, 64 + 1, 3, 64 + 0, 0})
+	// Box binds in the batched lane: an unbind, bind and unbind of one box
+	// inside one batch, then an unbind flushed alone (by a noop step)
+	// before a bind and an unbind inside the next. On the VPC, three
+	// out-and-back-in steps inside one batch.
+	for _, net := range []byte{0, 2} {
+		f.Add([]byte{net, 8, 0, 8, 0, 8, 0})
+		f.Add([]byte{net, 8, 0, 15, 0, 8, 0, 8, 0})
+	}
+	f.Add([]byte{3, 2, 0, 2, 0, 2, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -605,7 +633,7 @@ func FuzzSessionDifferential(f *testing.F) {
 			}
 			checkGroups(t, step+" [rolled back]", s)
 			// After a failed Apply the Propose re-verifies first, which
-			// signs what that Apply left unsigned.
+			// re-signs every invariant.
 			if got := s.Signatures(); settled && !reflect.DeepEqual(got, sigs) {
 				t.Fatalf("%s: signatures moved across a rollback:\n got %q\nwant %q", step, got, sigs)
 			}

@@ -385,6 +385,22 @@ func TestSessionNoSymmetry(t *testing.T) {
 		t.Fatalf("pure removal must not dirty survivors (keys shifted?): %+v", st)
 	}
 	compareReports(t, "remove", reports, baseline(t, sess, opts, false))
+
+	// The singletons stay keyed by identity and occurrence through a
+	// duplicate arriving, a relabel and the original leaving.
+	for _, cs := range [][]incr.Change{
+		{incr.AddInvariant(invs[1])},
+		{incr.Relabel(d.Hosts[0][0], "isolated-0")},
+		{incr.RemoveInvariant(invs[1].Name())},
+	} {
+		if reports, err = sess.Apply(cs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.GroupsAgree(); err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, "churn", reports, baseline(t, sess, opts, false))
+	}
 }
 
 // deleteDeny removes the deny entry for client traffic srcGroup->dstGroup.

@@ -266,9 +266,9 @@ func (s *Session) configHash() uint64 {
 		k.Opaque(cfg)
 	}
 	k.Uint(uint64(len(s.invs)))
-	for _, i := range s.invs {
-		mbox.PutString(&k, i.Name())
-		if si, ok := i.(inv.Slotted); ok {
+	for _, m := range s.invs {
+		mbox.PutString(&k, m.inv.Name())
+		if si, ok := m.inv.(inv.Slotted); ok {
 			si.Slots(&k) // never empty: a type tag comes first
 		} else {
 			k.Byte(0)
@@ -488,8 +488,8 @@ func (s *Session) openStore() error {
 		return err
 	}
 	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs)), boxes: make(map[topo.NodeID]bool, len(s.net.Boxes))}
-	for _, i := range s.invs {
-		st.initial[i.Name()] = true
+	for _, m := range s.invs {
+		st.initial[m.inv.Name()] = true
 	}
 	for _, bx := range s.net.Boxes {
 		st.boxes[bx.Node] = true
@@ -697,7 +697,7 @@ func (s *Session) reverifySampleLocked() (checked int, ok bool) {
 		if e == nil || len(e.reports) != len(scens) {
 			return checked, false
 		}
-		gp, err := s.planGroup(rec.group.Representative, scens, s.engs)
+		gp, err := s.planGroup(rec.members[0].inv, scens, s.engs)
 		if err != nil {
 			return checked, false
 		}

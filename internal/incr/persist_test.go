@@ -200,6 +200,23 @@ func TestConfigDriftColdStart(t *testing.T) {
 	}
 }
 
+// The configuration hash of a fixed description is pinned: a store written
+// by an earlier build must open warm, so a faster key writer must write the
+// same bytes.
+func TestConfigHashPinned(t *testing.T) {
+	net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: 16, Shapes: 2}), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := incr.NewSession(net, core.Options{}, invs, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sess.ConfigHash(), uint64(0x915e310231d81641); got != want {
+		t.Fatalf("configHash = %#016x, want %#016x", got, want)
+	}
+}
+
 // A restart over an edited description is a restart over a different
 // configuration: an ACL entry, a forwarding rule or a link changed in the
 // file must cold-start with a reason, never replay the journal onto it. The

@@ -13,6 +13,8 @@ package incr_test
 // differential that guards the whole incremental path.
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -214,4 +216,82 @@ func TestRelabelFreshClassDirtiesAll(t *testing.T) {
 		}
 	}
 	compareReports(t, "relabel h1-0->quarantine", reports, baseline(t, sess, opts, true))
+}
+
+// TestRelabelFollowsItsInvariants: a relabel's partition work follows the
+// invariants that name the relabeled node, not the invariant count. On the
+// CloudVPC, relabeling one tenant's public host computes exactly one
+// signature per invariant naming it, itself or through its address, and
+// rebuilds exactly the group records whose membership moved — the same
+// counts at 256 and at 2 048 tenants, through Apply and through
+// Propose+Rollback alike.
+func TestRelabelFollowsItsInvariants(t *testing.T) {
+	type work struct{ signed, rewritten, naming, moved int }
+	measure := func(tenants int) (applied, proposed work) {
+		sess, pairs := vpcPairs(t, tenants)
+		relabel := pairs["relabel"][0][:1]
+		n := relabel[0].Node
+		naming := 0
+		for _, i := range sess.Invariants() {
+			names := slices.Contains(i.Nodes(), n)
+			for _, a := range i.RefAddrs() {
+				if h, ok := sess.Network().Topo.HostByAddr(a); ok && h.ID == n {
+					names = true
+				}
+			}
+			if names {
+				naming++
+			}
+		}
+		round := func(f func() error) work {
+			signed, rewritten := sess.RegroupWork()
+			before := sess.GroupMembers()
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			after := sess.GroupMembers()
+			w := work{naming: naming}
+			w.signed, w.rewritten = sess.RegroupWork()
+			w.signed -= signed
+			w.rewritten -= rewritten
+			for key, members := range after {
+				if !slices.Equal(members, before[key]) {
+					w.moved++
+				}
+			}
+			if err := sess.GroupsAgree(); err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		var shadow map[string][]string
+		proposed = round(func() error {
+			if _, err := sess.Propose(relabel); err != nil {
+				return err
+			}
+			shadow = sess.PendingGroupMembers()
+			return sess.Rollback()
+		})
+		applied = round(func() error {
+			_, err := sess.Apply(relabel)
+			return err
+		})
+		// The shadow's partition is the one the Apply reached.
+		if after := sess.GroupMembers(); !maps.EqualFunc(shadow, after, slices.Equal) {
+			t.Fatalf("%d tenants: the proposal's groups differ from the applied ones", tenants)
+		}
+		proposed.moved = applied.moved
+		return applied, proposed
+	}
+	small, _ := measure(256)
+	applied, proposed := measure(2048)
+	t.Logf("relabel at 2048 tenants: %+v applied, %+v proposed", applied, proposed)
+	for _, w := range []work{applied, proposed} {
+		if w.signed != w.naming || w.rewritten != w.moved || w.naming == 0 || w.moved == 0 {
+			t.Errorf("a relabel computed %d signatures for %d invariants naming the node and rebuilt %d records for %d that moved", w.signed, w.naming, w.rewritten, w.moved)
+		}
+	}
+	if applied != small || proposed != small {
+		t.Errorf("a relabel's partition work follows the network: %+v at 256 tenants, %+v applied and %+v proposed at 2048", small, applied, proposed)
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"unicode/utf8"
 
 	"github.com/netverify/vmn/internal/core"
-	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -46,7 +45,7 @@ func (s *Session) appendResult(buf []byte, id string, duplicate bool) []byte {
 	}
 	res := EncodeResult(s.net.Topo, stats, nil)
 	res.Id, res.Duplicate = id, duplicate
-	return s.splice(buf, &res, &res)
+	return s.splice(buf, &res, &res, true)
 }
 
 // reportsHole is the report list of a result marshalled without reports.
@@ -55,9 +54,11 @@ var reportsHole = []byte(`"reports":null`)
 // splice appends head's line (a result, or a propose line with its result
 // last) with the groups' fragments in place of res's nil report list, and
 // fills in res's unsatisfied tally. A stale template is rendered anew, a
-// missing fragment joined anew. The bytes cannot pass through a
-// json.Marshaler: encoding/json re-validates and compacts its output.
-func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
+// missing fragment joined anew when keep, and written straight into the
+// line otherwise (a shadow's table is read once). The bytes cannot pass
+// through a json.Marshaler: encoding/json re-validates and compacts its
+// output.
+func (s *Session) splice(buf []byte, head any, res *WireResult, keep bool) []byte {
 	t := s.table
 	var scens []topo.FailureScenario
 	for _, sl := range t.order {
@@ -68,10 +69,10 @@ func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
 			}
 			r.tmpl, r.frag = s.newTemplate(r, scens), nil
 		}
-		if r.frag == nil {
+		if r.frag == nil && keep {
 			r.frag = r.join()
 		}
-		res.Unsatisfied += r.tmpl.unsat * len(r.group.Members)
+		res.Unsatisfied += r.tmpl.unsat * len(r.members)
 	}
 	b, _ := json.Marshal(head) // strings, integers and booleans only
 	i := bytes.Index(b, reportsHole) + len(`"reports":`)
@@ -79,7 +80,11 @@ func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
 	if len(t.order) > 0 { // no report leaves the list null, as EncodeResult does
 		sep := byte('[')
 		for _, sl := range t.order {
-			buf = append(append(buf, sep), t.recs[sl].frag...)
+			if r := &t.recs[sl]; r.frag != nil {
+				buf = append(append(buf, sep), r.frag...)
+			} else {
+				buf = r.appendReports(append(buf, sep))
+			}
 			sep = ','
 		}
 		buf = append(buf, ']')
@@ -98,7 +103,7 @@ func (s *Session) newTemplate(r *groupRecord, scens []topo.FailureScenario) *tem
 	reps := make([]core.Report, 0, 2*len(e.reports))
 	for _, reused := range []bool{false, true} {
 		for si, rep := range e.reports {
-			rep.Invariant, rep.Scenario = r.group.Representative, scens[si]
+			rep.Invariant, rep.Scenario = r.members[0].inv, scens[si]
 			if reused {
 				rep.Reused, rep.Duration = true, 0
 			} else if !rep.Satisfied {
@@ -116,43 +121,39 @@ func (s *Session) newTemplate(r *groupRecord, scens []topo.FailureScenario) *tem
 }
 
 // join renders r's fragment — the comma-joined wire JSON of its reports
-// in assemble order — from its template and names, quoting the names first
-// when regroup dropped them. The representative is told apart by position.
+// in assemble order — into a slice of its size.
 func (r *groupRecord) join() []byte {
-	if r.names == nil {
-		r.names = quoteNames(r.group.Members)
-	}
-	tp, size := r.tmpl, 0
-	for mi, name := range r.names {
-		for _, rep := range tp.rows[min(mi, 1)] {
-			size += len(name) + len(rep) + 1
+	size := 0
+	for mi, m := range r.members {
+		for _, rep := range r.tmpl.rows[min(mi, 1)] {
+			size += len(m.quoted()) + len(rep) + 1
 		}
 	}
-	b := make([]byte, 0, size)
-	for mi, name := range r.names {
-		for _, rep := range tp.rows[min(mi, 1)] {
-			if len(b) > 0 {
+	return r.appendReports(make([]byte, 0, size))
+}
+
+// appendReports appends r's fragment to b: per member its quoted name and
+// its template rows, the representative told apart by position.
+func (r *groupRecord) appendReports(b []byte) []byte {
+	sep := false
+	for mi, m := range r.members {
+		for _, rep := range r.tmpl.rows[min(mi, 1)] {
+			if sep {
 				b = append(b, ',')
 			}
-			b = append(append(b, name...), rep...)
+			b, sep = append(append(b, m.quoted()...), rep...), true
 		}
 	}
 	return b
 }
 
-// quoteNames renders each member's `{"invariant":<name>` into one slab.
-func quoteNames(members []inv.Invariant) [][]byte {
-	size := 0
-	for _, m := range members {
-		size += len(invariantHole) + len(m.Name())
+// quoted returns `{"invariant":<quoted name>`, rendered on first need and
+// kept: a membership move re-joins a fragment without re-quoting it.
+func (m *member) quoted() []byte {
+	if m.name == nil {
+		m.name = appendJSONString([]byte(invariantHole[:len(invariantHole)-2]), m.inv.Name())
 	}
-	names, slab := make([][]byte, len(members)), make([]byte, 0, size)
-	for mi, m := range members {
-		start := len(slab)
-		slab = appendJSONString(append(slab, invariantHole[:len(invariantHole)-2]...), m.Name())
-		names[mi] = slab[start:len(slab):len(slab)]
-	}
-	return names
+	return m.name
 }
 
 // appendJSONString appends str quoted as encoding/json quotes a string:

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -157,16 +156,18 @@ type Session struct {
 	// sessState is the scalars a change-set moves, as one value (txn.go):
 	// what a shadow run saves and a Commit installs.
 	sessState
-	// invs, sigs and down are containers a change-set edits in place, as
+	// invs, byNode and down are containers a change-set edits in place, as
 	// it does the network's boxes, policy classes and FIB provider: only
 	// through set and setKey, which record each write on trail while a
-	// shadow run arms one (txn.go). sigs holds each invariant's symmetry
-	// signature, aligned with invs; "" until grouping signs it, and again
-	// after a relabel of a node it names.
-	invs  []inv.Invariant
-	sigs  []string
-	down  map[topo.NodeID]bool
-	trail *trail
+	// shadow run arms one (txn.go). invs is the invariant list, each with
+	// its signature and group key (table.go). byNode indexes it by the
+	// nodes each invariant names, itself or through an address the node
+	// owns: the invariants a relabel of the node can re-sign. An arrival or
+	// a departure edits the lists of the nodes it names, copy-on-write.
+	invs   []*member
+	byNode map[topo.NodeID][]*member
+	down   map[topo.NodeID]bool
+	trail  *trail
 
 	// verifier lives as long as the session: all its caches (interned
 	// engines, SAT journey memoization, slice encodings) are keyed by
@@ -202,8 +203,11 @@ type Session struct {
 	// Options.Obs carries no registry — the disabled mode).
 	metrics *sessMetrics
 	// classified counts the records markDirty has run classify on (tests
-	// pin "a zero-dirty Apply examines no group" with it).
-	classified int
+	// pin "a zero-dirty Apply examines no group" with it); signed the
+	// signatures regroup computed, and rewritten the group records it
+	// rebuilt or created (tests pin that a relabel costs the invariants it
+	// names with them).
+	classified, signed, rewritten int
 	// slowMu serializes slow-solve log lines across pool workers.
 	slowMu sync.Mutex
 }
@@ -265,13 +269,19 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		net:        net,
 		opts:       opts,
 		sopts:      sopts,
-		sessState:  sessState{needFull: true, table: newGroupTable()},
-		invs:       append([]inv.Invariant(nil), invs...),
-		sigs:       make([]string, len(invs)),
+		sessState:  sessState{needFull: true, table: newGroupTable(), nextOrd: uint64(len(invs))},
+		invs:       make([]*member, len(invs)),
+		byNode:     make(map[topo.NodeID][]*member, len(invs)),
 		down:       map[topo.NodeID]bool{},
 		verifier:   v,
 		cache:      newVerdictCache(),
 		appliedIDs: newAppliedIDs(),
+	}
+	members := make([]member, len(invs))
+	for ii, i := range invs {
+		members[ii] = member{inv: i, ord: uint64(ii)}
+		s.invs[ii] = &members[ii]
+		s.index(s.invs[ii], false)
 	}
 	if sopts.Persist != nil {
 		// Open the store and restore any previous session's state
@@ -344,7 +354,11 @@ func (s *Session) Network() *core.Network { return s.net }
 func (s *Session) Invariants() []inv.Invariant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]inv.Invariant(nil), s.invs...)
+	out := make([]inv.Invariant, len(s.invs))
+	for ii, m := range s.invs {
+		out[ii] = m.inv
+	}
+	return out
 }
 
 // EffectiveScenarios returns the failure scenarios currently verified
@@ -389,68 +403,6 @@ func (s *Session) TotalStats() Totals {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.totals
-}
-
-// grouping partitions the current invariant set, signing first the
-// invariants whose signature a change cleared. With symmetry, groups and
-// keys are the §4.2 signature groups. Without, every invariant is its own
-// group, keyed by its canonical parameter encoding (plus an occurrence
-// index for exact duplicates) — NOT by list position or class-based
-// signature, either of which would shift across invariant removal or
-// coarse labels and hand a surviving invariant a neighbour's cached entry.
-func (s *Session) grouping() ([]symmetry.Group, []string) {
-	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
-	for i, sig := range s.sigs {
-		if sig == "" {
-			set(s.trail, &s.sigs[i], cls.Signature(s.invs[i]))
-		}
-	}
-	if s.sopts.NoSymmetry {
-		groups := make([]symmetry.Group, 0, len(s.invs))
-		keys := make([]string, 0, len(s.invs))
-		seen := map[string]int{}
-		for ii, i := range s.invs {
-			base := invIdentity(i, s.sigs[ii])
-			n := seen[base]
-			seen[base] = n + 1
-			groups = append(groups, symmetry.Group{
-				Signature:      s.sigs[ii],
-				Representative: i,
-				Members:        []inv.Invariant{i},
-			})
-			keys = append(keys, fmt.Sprintf("%s#%d", base, n))
-		}
-		return groups, keys
-	}
-	groups := symmetry.Groups(s.sigs, s.invs)
-	keys := make([]string, len(groups))
-	for gi, g := range groups {
-		keys[gi] = g.Signature
-	}
-	return groups, keys
-}
-
-// unsign clears the signatures a relabel of n can move: those of the
-// invariants that name n, or an address n owns. It runs before the
-// relabel lands: a signature that does not spell n's class yet cannot
-// depend on n.
-func (s *Session) unsign(n topo.NodeID) {
-	class := symmetry.Classifier{HostClass: s.net.PolicyClass}.NodeClass(n)
-	for i, iv := range s.invs {
-		if !strings.Contains(s.sigs[i], class) {
-			continue
-		}
-		for _, m := range iv.Nodes() {
-			if m == n {
-				set(s.trail, &s.sigs[i], "")
-			}
-		}
-		for _, a := range iv.RefAddrs() {
-			if h, ok := s.net.Topo.HostByAddr(a); ok && h.ID == n {
-				set(s.trail, &s.sigs[i], "")
-			}
-		}
-	}
 }
 
 // hasOriginAgnosticBox reports whether any middlebox in the network is
@@ -683,9 +635,8 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 
 	// Phase 1: mutate the network and collect affected elements.
 	im := newImpact()
-	full, regroup := s.mutate(changes, im)
+	full, pd := s.mutate(changes, im)
 	dirtyAll := full || s.needFull
-	regroup = regroup || s.needFull
 
 	// Phase 2: bring the held engines up to date and put the tables that
 	// changed on the fib channel. Liveness toggles themselves dirty via
@@ -701,8 +652,8 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 	// dirty.
 	dirtySpan := root.Child("dirty")
 	t := s.table
-	if regroup {
-		t.regroup(s.grouping())
+	if s.needFull || len(pd.relabeled)+len(pd.added)+len(pd.removed) > 0 {
+		s.regroup(&pd)
 	}
 	dirty, causes, refinedClean := s.markDirty(dirtySpan, im, dirtyAll)
 	if dirtySpan.Enabled() {
@@ -720,7 +671,7 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 		TablesCompiled: fwd.compiled,
 	}
 	for _, sl := range dirty {
-		stats.DirtyInvariants += len(t.recs[sl].group.Members)
+		stats.DirtyInvariants += len(t.recs[sl].members)
 	}
 
 	// Phase 4: re-verify dirty groups.
@@ -737,7 +688,7 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 		t.install(sl, entries[di])
 		for _, r := range entries[di].reports {
 			if r.BudgetExceeded {
-				stats.BudgetExceeded += len(t.recs[sl].group.Members)
+				stats.BudgetExceeded += len(t.recs[sl].members)
 			}
 		}
 	}
@@ -755,10 +706,9 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 		} else {
 			c.Change = -1
 		}
-		g := t.recs[sl].group
-		members := make([]string, 0, len(g.Members))
-		for _, mi := range g.Members {
-			members = append(members, mi.Name())
+		members := make([]string, 0, len(t.recs[sl].members))
+		for _, m := range t.recs[sl].members {
+			members = append(members, m.inv.Name())
 		}
 		recs = append(recs, ExplainRecord{
 			Seq: s.seq, GroupKey: t.recs[sl].key, Members: members,
@@ -832,10 +782,10 @@ func (s *Session) validate(changes []Change) error {
 // sets, and records the affected elements in im, each attributed to the
 // change index that put it on its channel (provenance for explain). full
 // reports a change stale footprints cannot scope, so everything is dirty;
-// regroup one that moved an input of the symmetry partition (the invariant
-// list or the policy classes). The set must have passed validate: nothing
-// here can fail.
-func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
+// pd what moved an input of the symmetry partition (the invariant list or
+// the policy classes). The set must have passed validate: nothing here can
+// fail.
+func (s *Session) mutate(changes []Change, im *impact) (full bool, pd partitionDelta) {
 	for ci, ch := range changes {
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
@@ -892,31 +842,32 @@ func (s *Session) mutate(changes []Change, im *impact) (full, regroup bool) {
 			// before this relabel lands (the old class's surviving members
 			// decide who the displaced representatives are).
 			relabelFull, witnesses := s.relabelImpact(ch.Node, ch.Class)
-			s.unsign(ch.Node)
 			setKey(s.trail, s.net.PolicyClass, ch.Node, ch.Class)
 			full = full || relabelFull
-			regroup = true
+			pd.relabeled = append(pd.relabeled, ch.Node)
 			for _, w := range witnesses {
 				im.addNode(w, ci)
 			}
 		case KindInvAdd:
-			n := len(s.invs)
-			set(s.trail, &s.invs, append(s.invs[:n:n], ch.Invariant))
-			set(s.trail, &s.sigs, append(s.sigs[:n:n], ""))
-			regroup = true
+			n, m := len(s.invs), &member{inv: ch.Invariant, ord: s.nextOrd}
+			s.nextOrd++
+			set(s.trail, &s.invs, append(s.invs[:n:n], m))
+			s.index(m, false)
+			pd.added = append(pd.added, m)
 		case KindInvRemove:
-			kept, sigs := make([]inv.Invariant, 0, len(s.invs)), make([]string, 0, len(s.sigs))
-			for ii, i := range s.invs {
-				if i.Name() != ch.Name {
-					kept, sigs = append(kept, i), append(sigs, s.sigs[ii])
+			kept := make([]*member, 0, len(s.invs))
+			for _, m := range s.invs {
+				if m.inv.Name() != ch.Name {
+					kept = append(kept, m)
+				} else {
+					pd.remove(m)
+					s.index(m, true)
 				}
 			}
 			set(s.trail, &s.invs, kept)
-			set(s.trail, &s.sigs, sigs)
-			regroup = true
 		}
 	}
-	return full, regroup
+	return full, pd
 }
 
 // fwdSync is what bringing the session's engines up to date with a
@@ -1044,10 +995,10 @@ func (s *Session) reverify(root obs.Span, dirty []slot, scens []topo.FailureScen
 	canonSpan := root.Child("canonicalize")
 	gplans := make([]*groupPlan, len(dirty))
 	err := core.ForEachIndexed(len(dirty), s.opts.Workers, func(di int) error {
-		g := s.table.recs[dirty[di]].group
-		gp, err := s.planGroup(g.Representative, scens, s.engs)
+		members := s.table.recs[dirty[di]].members
+		gp, err := s.planGroup(members[0].inv, scens, s.engs)
 		if gp != nil {
-			gp.members = len(g.Members)
+			gp.members = len(members)
 		}
 		gplans[di] = gp
 		return err
@@ -1519,9 +1470,9 @@ func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
 		// Members[0] is the representative (told apart by position:
 		// invariants may be uncomparable types, so interface equality
 		// would panic).
-		for mi, m := range rec.group.Members {
+		for mi, m := range rec.members {
 			for si, r := range rec.entry.reports {
-				r.Invariant, r.Scenario = m, scens[si]
+				r.Invariant, r.Scenario = m.inv, scens[si]
 				if mi > 0 {
 					r.Reused, r.Duration = true, 0
 				}

@@ -2,7 +2,7 @@ package incr
 
 // The group table: everything the session knows about a symmetry group,
 // in one record under one identity. A dense, recyclable slot names the
-// group; its record holds the group itself, its key, the representative
+// group; its record holds the group's members, its key, the representative
 // its entry was verified for and that entry — the representative's
 // reports and the reads its slices made. Beside the records sit the report
 // order and one posting list per node, nodePost: node -> sorted slots of
@@ -17,7 +17,8 @@ package incr
 // other group on the list is refined-clean without classify.
 //
 // The table is edited in place, never rebuilt and reconciled: regroup
-// retires and allocates records when the partition moves, install swaps
+// moves the invariants a change-set re-signed, added or removed between
+// records, touching only the records they leave and enter, install swaps
 // one record's entry and its postings, resolve reads them. The lists
 // select CANDIDATES; impact.classify remains the per-candidate precision
 // check (matching-subsequence comparison, rule-read projections), so
@@ -26,8 +27,11 @@ package incr
 // when that node is in its entry's footprint.
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
@@ -40,8 +44,11 @@ type slot = int32
 
 // groupRecord is one group. A freed slot holds the zero record.
 type groupRecord struct {
-	group symmetry.Group
-	key   string
+	// members are the group's invariants in list order; members[0] is the
+	// representative. Rebuilt, never written in place: a shadow's clone
+	// shares the slice.
+	members []*member
+	key     string
 	// rep identifies the representative the entry is (or will be) verified
 	// for (invIdentity). A group's verdicts are its representative's: a key
 	// that survives a regroup under another representative is a new record.
@@ -51,13 +58,12 @@ type groupRecord struct {
 	entry *groupEntry
 	// pos is the group's position in the report order.
 	pos int
-	// tmpl, names and frag are the group's share of a reply (reply.go),
-	// rendered when one needs it: the entry's reports without their
-	// invariant, each member's quoted name, and the joined reports. A
-	// shadow's clone shares them; they are never written in place.
-	tmpl  *template
-	names [][]byte
-	frag  []byte
+	// tmpl and frag are the group's share of a reply (reply.go), rendered
+	// when one needs it: the entry's reports without their invariant, and
+	// the reports joined with the members' quoted names. A shadow's clone
+	// shares them; they are never written in place.
+	tmpl *template
+	frag []byte
 	// mark is resolve's scratch, zero between calls.
 	mark uint8
 }
@@ -68,8 +74,8 @@ type groupTable struct {
 	recs   []groupRecord
 	free   []slot
 	slotOf map[string]slot
-	// order is the grouping's order — core.VerifyAll's report order — as
-	// slots.
+	// order is the report order — core.VerifyAll's: the representatives'
+	// list order — as slots.
 	order []slot
 	// unsettled holds the slots that re-verify whatever the change-set: no
 	// entry yet, or one with a budget-degraded verdict. Sorted.
@@ -121,47 +127,330 @@ func removeSlot(list []slot, s slot) []slot {
 	return append(list[:i], list[i+1:]...)
 }
 
-// regroup makes groups (keyed by keys, position-aligned) the table's
-// partition, in that order: records whose key left or whose representative
-// changed are retired, keys without a record get a fresh unverified one,
-// every other record keeps its entry and postings.
-func (t *groupTable) regroup(groups []symmetry.Group, keys []string) {
-	reps := make(map[string]string, len(keys))
-	for gi, key := range keys {
-		reps[key] = invIdentity(groups[gi].Representative, groups[gi].Signature)
+// member is one invariant of the session as the group table holds it. The
+// session's list and the records share it, and so do a shadow's table and
+// its base: sig and key are written only through set, name is a cache
+// filled once.
+type member struct {
+	inv inv.Invariant
+	// ord is the invariant's place in list order: increasing along the
+	// list, never reused, so comparing ords compares positions.
+	ord uint64
+	// sig is the invariant's symmetry signature ("" until first signed);
+	// key the key of the group it is in: sig itself with symmetry, its
+	// identity and occurrence without.
+	sig, key string
+	// name is `{"invariant":<quoted name>`, rendered on a reply's first
+	// need (reply.go).
+	name []byte
+}
+
+// partitionDelta is what a change-set moved among the symmetry partition's
+// inputs: the nodes it relabeled, the invariants it added, and those it
+// removed that were there before it.
+type partitionDelta struct {
+	relabeled      []topo.NodeID
+	added, removed []*member
+}
+
+// remove records m's removal; one the change-set added leaves no trace.
+func (pd *partitionDelta) remove(m *member) {
+	if i := slices.Index(pd.added, m); i >= 0 {
+		pd.added = slices.Delete(pd.added, i, i+1)
+	} else {
+		pd.removed = append(pd.removed, m)
 	}
-	for _, s := range t.order {
-		if r := &t.recs[s]; reps[r.key] != r.rep {
-			t.post(s, nil)
-			delete(t.slotOf, r.key)
-			t.unsettled = removeSlot(t.unsettled, s)
-			*r = groupRecord{}
-			t.free = append(t.free, s)
-		}
-	}
-	t.order = t.order[:0]
-	for gi, key := range keys {
-		s, ok := t.slotOf[key]
-		if !ok {
-			if n := len(t.free); n > 0 {
-				s, t.free = t.free[n-1], t.free[:n-1]
-			} else {
-				s = slot(len(t.recs))
-				t.recs = append(t.recs, groupRecord{})
+}
+
+// regroup brings the group table's partition up to date with pd: it signs
+// the invariants that arrived, re-signs those a relabel can move — the ones
+// byNode lists under a relabeled node — and moves each whose group key
+// changed. After invalidate the table is empty and every invariant is
+// re-signed and arrives: the same path.
+func (s *Session) regroup(pd *partitionDelta) {
+	arrivals, departures := pd.added, pd.removed
+	var resign []*member
+	if s.needFull {
+		arrivals, departures = s.invs, nil
+	} else {
+		for _, n := range pd.relabeled {
+			for _, m := range s.byNode[n] {
+				if m.key != "" { // an arrival is signed below
+					resign = append(resign, m)
+				}
 			}
-			t.recs[s] = groupRecord{key: key, rep: reps[key]}
-			t.slotOf[key] = s
-			t.unsettled = insertSlot(t.unsettled, s)
 		}
-		// A report carries its invariant's name: a group whose member
-		// names move quotes them and joins its fragment anew.
-		r := &t.recs[s]
-		if !slices.EqualFunc(r.group.Members, groups[gi].Members, func(a, b inv.Invariant) bool { return a.Name() == b.Name() }) {
-			r.names, r.frag = nil, nil
-		}
-		r.group, r.pos = groups[gi], gi
-		t.order = append(t.order, s)
+		resign = slices.Compact(sortedByOrd(resign))
 	}
+	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
+	var moved []*member // present before and after, under a new signature
+	for i, m := range append(arrivals[:len(arrivals):len(arrivals)], resign...) {
+		s.signed++
+		if sig := cls.Signature(m.inv); sig != m.sig {
+			set(s.trail, &m.sig, sig)
+			if i >= len(arrivals) {
+				moved = append(moved, m)
+			}
+		}
+	}
+	moves := s.table.moves(arrivals, departures, moved, s.sopts.NoSymmetry)
+	for _, mv := range moves {
+		set(s.trail, &mv.m.key, mv.to)
+	}
+	s.rewritten += s.table.regroup(moves)
+}
+
+// moves turns the members that arrive, depart and were re-signed (their
+// sig already the new one, their key still the old) into the moves between
+// keys. With symmetry a group's key is the signature. Without, every
+// invariant is its own group, keyed by its identity (invIdentity) plus its
+// occurrence among the invariants of that identity in list order — NOT by
+// list position or class-based signature, either of which would shift
+// across invariant removal or coarse labels and hand a surviving invariant
+// a neighbour's cached entry. Only the identities a move names are
+// renumbered, their current holders read off the table's keys.
+func (t *groupTable) moves(arrivals, departures, moved []*member, noSymmetry bool) []move {
+	moves := make([]move, 0, len(arrivals)+len(departures)+len(moved))
+	if !noSymmetry {
+		for _, m := range moved {
+			moves = append(moves, move{m, m.key, m.sig})
+		}
+		for _, m := range arrivals {
+			moves = append(moves, move{m, "", m.sig})
+		}
+		for _, m := range departures {
+			moves = append(moves, move{m, m.key, ""})
+		}
+		return moves
+	}
+	leaving, entering := map[*member]bool{}, map[string][]move{} // entering by identity, to unset
+	var ids []string
+	renumber := func(id string, mvs ...move) {
+		if _, ok := entering[id]; !ok {
+			ids = append(ids, id)
+		}
+		entering[id] = append(entering[id], mvs...)
+	}
+	for _, m := range departures {
+		leaving[m] = true
+		renumber(occurrenceID(m.key))
+		moves = append(moves, move{m, m.key, ""})
+	}
+	for _, m := range moved {
+		if id := memberIdentity(m); id != occurrenceID(m.key) {
+			leaving[m] = true
+			renumber(occurrenceID(m.key))
+			renumber(id, move{m, m.key, ""})
+		}
+	}
+	for _, m := range arrivals {
+		renumber(memberIdentity(m), move{m, "", ""})
+	}
+	for _, id := range ids {
+		holders := entering[id]
+		for n := 0; ; n++ {
+			sl, ok := t.slotOf[occurrenceKey(id, n)]
+			if !ok {
+				break
+			}
+			if m := t.recs[sl].members[0]; !leaving[m] {
+				holders = append(holders, move{m, m.key, ""})
+			}
+		}
+		slices.SortFunc(holders, func(a, b move) int { return cmp.Compare(a.m.ord, b.m.ord) })
+		for n, mv := range holders {
+			if mv.to = occurrenceKey(id, n); mv.to != mv.from {
+				moves = append(moves, mv)
+			}
+		}
+	}
+	return moves
+}
+
+// occurrenceKey is the NoSymmetry key of the n-th invariant of identity id;
+// occurrenceID recovers id from it.
+func occurrenceKey(id string, n int) string { return id + "#" + strconv.Itoa(n) }
+
+func occurrenceID(key string) string { return key[:strings.LastIndexByte(key, '#')] }
+
+// index puts m on the byNode lists of the nodes it names, or takes it off
+// them when remove. Under a trail a list is replaced, never written in
+// place: the trail keeps the old one.
+func (s *Session) index(m *member, remove bool) {
+	at := func(n topo.NodeID) {
+		list := s.byNode[n]
+		if s.trail != nil {
+			list = list[:len(list):len(list)]
+		}
+		switch {
+		case remove:
+			list = slices.DeleteFunc(slices.Clone(list), func(x *member) bool { return x == m })
+		case len(list) > 0 && list[len(list)-1] == m:
+			return // named twice
+		default:
+			list = append(list, m)
+		}
+		setEntry(s.trail, s.byNode, n, list, len(list) > 0)
+	}
+	for _, n := range m.inv.Nodes() {
+		at(n)
+	}
+	for _, a := range m.inv.RefAddrs() {
+		if h, ok := s.net.Topo.HostByAddr(a); ok {
+			at(h.ID)
+		}
+	}
+}
+
+// move is one member changing group: out of the record keyed from ("" = it
+// enters the partition) into the one keyed to ("" = it leaves).
+type move struct {
+	m        *member
+	from, to string
+}
+
+// regroup applies moves to the table's partition. Only the records a move
+// names are touched: each gets its members rebuilt — a fresh slice, since a
+// shadow's clone shares the old one — in ord order, and a record whose
+// representative's identity changed, or that emptied, is retired (a key
+// that survives under another representative is a new record). Records
+// keep the report order, which is their representatives' list order. It
+// returns how many records it rebuilt or created.
+func (t *groupTable) regroup(moves []move) (rewritten int) {
+	type edit struct{ out, in []*member }
+	edits, keys := map[string]*edit{}, []string(nil)
+	at := func(k string) *edit {
+		e := edits[k]
+		if e == nil {
+			e = &edit{}
+			edits[k] = e
+			keys = append(keys, k)
+		}
+		return e
+	}
+	for _, mv := range moves {
+		if mv.from != "" {
+			at(mv.from).out = append(at(mv.from).out, mv.m)
+		}
+		if mv.to != "" {
+			at(mv.to).in = append(at(mv.to).in, mv.m)
+		}
+	}
+	var drop, add []slot
+	for _, k := range keys {
+		e := edits[k]
+		s, ok := t.slotOf[k]
+		var old []*member
+		if ok {
+			old = t.recs[s].members
+		}
+		members := mergeMembers(old, e.out, e.in)
+		if ok && (len(members) == 0 || members[0] != old[0] && memberIdentity(members[0]) != t.recs[s].rep) {
+			t.retire(s)
+			drop = append(drop, s)
+			ok = false
+		}
+		if len(members) == 0 {
+			continue
+		}
+		rewritten++
+		if ok {
+			// The same representative identity: the entry stands. A report
+			// carries its invariant's name, so the fragment is joined anew.
+			r := &t.recs[s]
+			if members[0] != old[0] { // an equal invariant earlier in the list
+				drop, add = append(drop, s), append(add, s)
+			}
+			r.members, r.frag = members, nil
+			continue
+		}
+		s = t.alloc()
+		t.recs[s] = groupRecord{key: k, rep: memberIdentity(members[0]), members: members}
+		t.slotOf[k] = s
+		t.unsettled = insertSlot(t.unsettled, s)
+		add = append(add, s)
+	}
+	t.reorder(drop, add)
+	return rewritten
+}
+
+// mergeMembers returns old without out and with in, in ord order: nil when
+// nothing is left, a fresh slice otherwise. old is ord-sorted and holds out;
+// out and in come in any order.
+func mergeMembers(old, out, in []*member) []*member {
+	if len(old)-len(out)+len(in) == 0 {
+		return nil
+	}
+	out, in = sortedByOrd(out), sortedByOrd(in)
+	merged := make([]*member, 0, len(old)-len(out)+len(in))
+	for _, m := range old {
+		if len(out) > 0 && out[0] == m {
+			out = out[1:]
+			continue
+		}
+		for len(in) > 0 && in[0].ord < m.ord {
+			merged, in = append(merged, in[0]), in[1:]
+		}
+		merged = append(merged, m)
+	}
+	return append(merged, in...)
+}
+
+// sortedByOrd sorts ms by ord, in place.
+func sortedByOrd(ms []*member) []*member {
+	slices.SortFunc(ms, func(a, b *member) int { return cmp.Compare(a.ord, b.ord) })
+	return ms
+}
+
+// memberIdentity is invIdentity of m under its current signature.
+func memberIdentity(m *member) string { return invIdentity(m.inv, m.sig) }
+
+// retire frees s: its postings, key and unsettled mark go with it.
+func (t *groupTable) retire(s slot) {
+	t.post(s, nil)
+	delete(t.slotOf, t.recs[s].key)
+	t.unsettled = removeSlot(t.unsettled, s)
+	t.recs[s] = groupRecord{}
+	t.free = append(t.free, s)
+}
+
+// alloc returns a zero record's slot, a freed one first.
+func (t *groupTable) alloc() slot {
+	if n := len(t.free); n > 0 {
+		s := t.free[n-1]
+		t.free = t.free[:n-1]
+		return s
+	}
+	t.recs = append(t.recs, groupRecord{})
+	return slot(len(t.recs) - 1)
+}
+
+// reorder takes drop's slots out of the report order and puts add's in,
+// each at its representative's place, then renumbers the positions. A slot
+// in both moves.
+func (t *groupTable) reorder(drop, add []slot) {
+	if len(drop) == 0 && len(add) == 0 {
+		return
+	}
+	repOrd := func(s slot) uint64 { return t.recs[s].members[0].ord }
+	slices.SortFunc(add, func(a, b slot) int { return cmp.Compare(repOrd(a), repOrd(b)) })
+	slices.Sort(drop)
+	old := t.order
+	order := make([]slot, 0, len(old)-len(drop)+len(add))
+	for _, s := range old {
+		if _, dropped := slices.BinarySearch(drop, s); dropped {
+			continue
+		}
+		for len(add) > 0 && repOrd(add[0]) < repOrd(s) {
+			order, add = append(order, add[0]), add[1:]
+		}
+		order = append(order, s)
+	}
+	order = append(order, add...)
+	for i, s := range order {
+		t.recs[s].pos = i
+	}
+	t.order = order
 }
 
 // install makes e the entry of s: the reads of the entry it replaces come
@@ -260,9 +549,9 @@ func (t *groupTable) postings() int {
 	return n
 }
 
-// clone deep-copies the table for a transactional shadow run: the shadow
+// clone copies the table for a transactional shadow run: the shadow
 // regroups and installs without the base ever observing it. Entries and
-// groups are immutable and shared.
+// member lists are immutable and shared.
 func (t *groupTable) clone() *groupTable {
 	c := &groupTable{
 		recs:      append([]groupRecord(nil), t.recs...),

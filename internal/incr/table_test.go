@@ -9,7 +9,6 @@ import (
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/pkt"
-	"github.com/netverify/vmn/internal/symmetry"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -18,6 +17,12 @@ import (
 // resolve / clone steps over small synthetic entries (8 nodes, one address
 // per /8), and after every step
 //
+//   - after a regroup (up to three members arriving, departing or
+//     re-signed, with or without symmetry), the partition is the one
+//     computed from scratch — symmetry.Groups, or identity-and-occurrence
+//     singletons — in group order, member order and keys, and a record
+//     kept its entry exactly when its key kept its representative's
+//     identity;
 //   - the posting lists are exactly what a recount from the records says:
 //     no list names a freed slot, a slot is under a node exactly when its
 //     entry's footprint says so, and postings() — the vmn_incr_posting_entries
@@ -100,10 +105,27 @@ func checkTable(t *testing.T, step string, tab *groupTable) {
 	}
 }
 
+// plainInv is an invariant type without slots: its identity is its name
+// under its signature, so a re-sign moves it even without symmetry.
+type plainInv struct {
+	inv.Invariant // nil: only the name is read
+	name          string
+}
+
+func (p plainInv) Name() string { return p.name }
+
+// Each seed opens with its mode byte (bit 0: no symmetry). A regroup step
+// is a count byte, then per member a kind (0 arrive, 1 depart, 2 re-sign),
+// a pick and an argument.
 func FuzzGroupTable(f *testing.F) {
-	f.Add([]byte{0, 0x3f, 0, 1, 0, 0x0f, 0x03, 1, 2, 2, 0x01, 0, 0x02, 1})
-	f.Add([]byte{0, 0x07, 0, 1, 1, 0xff, 0xff, 3, 4, 3, 1, 2, 0x0f, 5, 2, 0, 0, 0xf0, 3, 0, 0x05, 0x04})
-	f.Add([]byte{0, 0x3f, 0, 1, 0, 0x81, 0x00, 0, 0, 1, 1, 0x18, 0x18, 7, 9, 0, 0x3e, 0x01, 2, 0x10, 0x08, 0, 7, 1})
+	f.Add([]byte{0, 0, 2, 0, 0, 0x08, 0, 0, 0x11, 0, 1, 0x00, 1, 0, 0x0f, 0x03, 1, 2, 2, 0x01, 0, 0x02, 1})
+	// A representative leaves its group, another takes over, the group empties.
+	f.Add([]byte{0, 0, 2, 0, 0, 0x08, 0, 0, 0x0c, 1, 0, 0, 0xff, 0xff, 0, 0, 2, 0, 0, 0x08, 1, 1, 0, 0, 0, 1, 0, 0, 0})
+	// Re-signs into and out of a group ahead of its representative.
+	f.Add([]byte{0, 0, 2, 0, 0, 0x10, 0, 0, 0x18, 0, 1, 0, 0, 0x08, 0, 0, 2, 2, 1, 0, 2, 2, 0, 3, 1, 0x07, 0x07, 2, 0, 0, 0, 1, 2, 1, 1})
+	// Without symmetry: duplicate identities renumber across departures
+	// and re-signed identities.
+	f.Add([]byte{1, 0, 2, 0, 0, 0x04, 0, 0, 0x04, 0, 2, 0, 0, 0x44, 0, 0, 0x44, 1, 0, 0, 0x3f, 0x01, 0, 1, 1, 0, 0, 0, 1, 2, 2, 0x15, 3, 0, 0, 0, 2, 2, 1, 0x0b})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -121,6 +143,8 @@ func FuzzGroupTable(f *testing.F) {
 			}
 			return out
 		}
+		noSymmetry := next()&1 == 1
+		var list []*member
 		tab := newGroupTable()
 		type frozen struct {
 			tab  *groupTable
@@ -131,30 +155,59 @@ func FuzzGroupTable(f *testing.F) {
 			op := next() % 4
 			step := fmt.Sprintf("step %d (op %d)", i, op)
 			switch op {
-			case 0: // regroup: which keys, under which representatives, from where
-				present, variant, rot := next(), next(), int(next())
-				var groups []symmetry.Group
-				var keys []string
-				for j := 0; j < tableKeys; j++ {
-					k := (j + rot) % tableKeys
-					if present&(1<<k) == 0 {
-						continue
+			case 0: // regroup: members arrive, depart or are re-signed
+				var arrivals, departures, moved []*member
+				touched := map[*member]bool{}
+				for j, n := 0, 1+int(next()%3); j < n; j++ {
+					kind, pick, arg := next()%3, int(next()), next()
+					var m *member
+					if len(list) > 0 {
+						m = list[pick%len(list)]
 					}
-					rep := inv.SimpleIsolation{Dst: topo.NodeID(k), SrcAddr: tableAddr(variant >> k & 1)}
-					groups = append(groups, symmetry.Group{Signature: fmt.Sprintf("g%d", k), Representative: rep, Members: []inv.Invariant{rep}})
-					keys = append(keys, fmt.Sprintf("g%d", k))
+					sig := fmt.Sprintf("g%d", arg%tableKeys)
+					switch {
+					case kind == 0 || m == nil:
+						ord := uint64(0)
+						if len(list) > 0 {
+							ord = list[len(list)-1].ord + 1
+						}
+						var i inv.Invariant = plainInv{name: fmt.Sprintf("p%d", arg>>3%3)}
+						if arg&0x40 == 0 {
+							i = inv.SimpleIsolation{Dst: topo.NodeID(arg >> 3 % 3), SrcAddr: tableAddr(arg >> 5 & 1)}
+						}
+						m = &member{inv: i, ord: ord, sig: sig}
+						list = append(list, m)
+						arrivals = append(arrivals, m)
+					case touched[m]:
+					case kind == 1:
+						list = slices.DeleteFunc(slices.Clone(list), func(x *member) bool { return x == m })
+						departures = append(departures, m)
+					case sig != m.sig:
+						m.sig = sig
+						moved = append(moved, m)
+					}
+					touched[m] = true
 				}
 				was := map[string]groupRecord{}
 				for _, s := range tab.order {
 					was[tab.recs[s].key] = tab.recs[s]
 				}
-				tab.regroup(groups, keys)
-				for gi, s := range tab.order {
-					r, old := tab.recs[s], was[keys[gi]]
-					if r.key != keys[gi] || r.rep != invIdentity(groups[gi].Representative, "") {
-						t.Fatalf("%s: order[%d] holds %q/%q", step, gi, r.key, r.rep)
-					}
-					if kept := old.rep == r.rep; (kept && r.entry != old.entry) || (!kept && r.entry != nil) {
+				moves := tab.moves(arrivals, departures, moved, noSymmetry)
+				for _, mv := range moves {
+					mv.m.key = mv.to
+				}
+				tab.regroup(moves)
+				sigs := make([]string, len(list))
+				for i, m := range list {
+					sigs[i] = m.sig
+				}
+				if err := tableAgrees(tab, list, sigs, noSymmetry); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				for _, s := range tab.order {
+					r := tab.recs[s]
+					old, had := was[r.key]
+					if kept := had && old.rep == r.rep; (kept && r.entry != old.entry) || (!kept && r.entry != nil) {
 						t.Fatalf("%s: %q (representative kept: %v) has entry %p, had %p", step, r.key, kept, r.entry, old.entry)
 					}
 				}

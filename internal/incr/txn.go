@@ -114,6 +114,8 @@ type sessState struct {
 	// with it every report's scenario, changes exactly when it does.
 	scenGen  uint64
 	needFull bool
+	// nextOrd is the ord the next invariant added gets (table.go).
+	nextOrd uint64
 	// engs holds one engine per effective scenario, current as of the last
 	// Apply (nil before the first and after invalidate). Replaced, never
 	// written in place.
@@ -163,7 +165,12 @@ func set[T any](tr *trail, p *T, v T) {
 // setKey is set for the entry k of m; the zero value deletes it.
 func setKey[K, V comparable](tr *trail, m map[K]V, k K, v V) {
 	var zero V
-	old, had := swapKey(m, k, v, v != zero)
+	setEntry(tr, m, k, v, v != zero)
+}
+
+// setEntry is set for the entry k of m, deleted unless keep.
+func setEntry[K comparable, V any](tr *trail, m map[K]V, k K, v V, keep bool) {
+	old, had := swapKey(m, k, v, keep)
 	if tr != nil {
 		o, h := old, had
 		*tr = append(*tr, func() { o, h = swapKey(m, k, o, h) })
@@ -297,7 +304,7 @@ func (s *Session) appendProposeLine(buf []byte, id string) []byte {
 	pr := *p.result
 	pr.Reports = nil
 	head := EncodeProposeResult(s.net.Topo, id, p.changes, &pr)
-	s.inPending(func() { buf = s.splice(buf, &head, &head.Result) })
+	s.inPending(func() { buf = s.splice(buf, &head, &head.Result, false) })
 	return buf
 }
 
@@ -405,8 +412,8 @@ func (s *Session) unsatTally() map[string]int {
 		r := &s.table.recs[sl]
 		for si, rep := range r.entry.reports {
 			if !rep.Satisfied {
-				for _, i := range r.group.Members {
-					m[checkKey(i, scens[si])]++
+				for _, mem := range r.members {
+					m[checkKey(mem.inv, scens[si])]++
 				}
 			}
 		}

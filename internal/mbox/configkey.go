@@ -32,8 +32,10 @@ import (
 // implementation returns the renamed name); descriptions ignore the result.
 type KeyWriter interface {
 	// Byte writes a byte no renaming touches: tags, booleans, ports, class
-	// bits, type names. Uint writes a count.
+	// bits. Text writes the bytes of s the same way, in one call: names and
+	// type names. Uint writes a count.
 	Byte(x byte)
+	Text(s string)
 	Uint(x uint64)
 	Addr(a pkt.Addr) pkt.Addr
 	Prefix(p pkt.Prefix) pkt.Prefix
@@ -94,6 +96,7 @@ type Key struct {
 }
 
 func (k *Key) Byte(x byte)   { k.B = append(k.B, x) }
+func (k *Key) Text(s string) { k.B = append(k.B, s...) }
 func (k *Key) Uint(x uint64) { k.B = binary.AppendUvarint(k.B, x) }
 
 func (k *Key) Node(n topo.NodeID) topo.NodeID {
@@ -142,9 +145,7 @@ func SortSegments(buf *[]byte, n int, elem func(i int)) {
 // PutString writes a length-framed string of bytes no renaming touches.
 func PutString(w KeyWriter, s string) {
 	w.Uint(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		w.Byte(s[i])
-	}
+	w.Text(s)
 }
 
 // putFixed writes the low n bytes of x, big-endian.

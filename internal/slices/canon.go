@@ -413,6 +413,9 @@ func (c *Canonizer) Live(p pkt.Prefix) bool {
 // Byte appends a raw byte (section tags, booleans, small enums).
 func (c *Canonizer) Byte(x byte) { c.buf = append(c.buf, x) }
 
+// Text appends the bytes of s as Byte would, one call for all of them.
+func (c *Canonizer) Text(s string) { c.buf = append(c.buf, s...) }
+
 // Raw appends bytes that name nothing (the options prologue).
 func (c *Canonizer) Raw(b []byte) { c.buf = append(c.buf, b...) }
 
