@@ -2,6 +2,7 @@ package incr
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"github.com/netverify/vmn/internal/inv"
@@ -130,8 +131,8 @@ func (s *Session) UnsatTallies() (table, assembled map[string]int) {
 // the pending shadow's when a Propose is pending, is the one computed from
 // scratch — symmetry.Groups over signatures computed from scratch, or
 // singletons keyed by identity and occurrence without symmetry — with the
-// same order, members and keys, and every cached signature and key is the
-// one computed from scratch.
+// same order, members and keys, every cached signature and key is the one
+// computed from scratch, and so is the node index.
 func (s *Session) GroupsAgree() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,7 +155,45 @@ func (s *Session) groupsAgree() error {
 			return fmt.Errorf("invariant %s: cached signature %q, from scratch %q", m.inv.Name(), m.sig, sigs[i])
 		}
 	}
+	if err := s.indexAgrees(); err != nil {
+		return err
+	}
 	return tableAgrees(s.table, s.invs, sigs, s.sopts.NoSymmetry)
+}
+
+// indexAgrees checks byNode against the index built from the invariant
+// list: per node, the invariants naming it, in list order.
+func (s *Session) indexAgrees() error {
+	want := map[topo.NodeID][]*member{}
+	add := func(n topo.NodeID, m *member) {
+		if l := want[n]; len(l) == 0 || l[len(l)-1] != m {
+			want[n] = append(l, m)
+		}
+	}
+	for _, m := range s.invs {
+		for _, n := range m.inv.Nodes() {
+			add(n, m)
+		}
+		for _, a := range m.inv.RefAddrs() {
+			if h, ok := s.net.Topo.HostByAddr(a); ok {
+				add(h.ID, m)
+			}
+		}
+	}
+	if !maps.EqualFunc(want, s.byNode, slices.Equal) {
+		return fmt.Errorf("the node index lists %d nodes, from scratch %d, or their invariants differ", len(s.byNode), len(want))
+	}
+	return nil
+}
+
+// BreakNodeIndex takes n off the node index and drops the incremental
+// state, as a panic between an arrival's list edit and its index edit
+// would leave them.
+func (s *Session) BreakNodeIndex(n topo.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.byNode, n)
+	s.invalidate()
 }
 
 // tableAgrees checks t against the partition of invs computed from scratch

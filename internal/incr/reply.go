@@ -45,7 +45,7 @@ func (s *Session) appendResult(buf []byte, id string, duplicate bool) []byte {
 	}
 	res := EncodeResult(s.net.Topo, stats, nil)
 	res.Id, res.Duplicate = id, duplicate
-	return s.splice(buf, &res, &res, true)
+	return s.splice(buf, &res, &res)
 }
 
 // reportsHole is the report list of a result marshalled without reports.
@@ -54,12 +54,14 @@ var reportsHole = []byte(`"reports":null`)
 // splice appends head's line (a result, or a propose line with its result
 // last) with the groups' fragments in place of res's nil report list, and
 // fills in res's unsatisfied tally. A stale template is rendered anew, a
-// missing fragment joined anew when keep, and written straight into the
-// line otherwise (a shadow's table is read once). The bytes cannot pass
-// through a json.Marshaler: encoding/json re-validates and compacts its
-// output.
-func (s *Session) splice(buf []byte, head any, res *WireResult, keep bool) []byte {
-	t := s.table
+// missing fragment joined anew — but written straight into the line from a
+// shadow's table (a trail is armed), which is read once. With no shadow
+// pending either, no other table shares a fragment's buffer, and a re-join
+// writes over it. The bytes cannot pass through a json.Marshaler:
+// encoding/json re-validates and compacts its output.
+func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
+	t, keep := s.table, s.trail == nil
+	reuse := keep && s.pending == nil
 	var scens []topo.FailureScenario
 	for _, sl := range t.order {
 		r := &t.recs[sl]
@@ -67,10 +69,10 @@ func (s *Session) splice(buf []byte, head any, res *WireResult, keep bool) []byt
 			if scens == nil {
 				scens = s.effectiveScenarios()
 			}
-			r.tmpl, r.frag = s.newTemplate(r, scens), nil
+			r.tmpl, r.frag = s.newTemplate(r, scens), r.frag[:0]
 		}
-		if r.frag == nil && keep {
-			r.frag = r.join()
+		if len(r.frag) == 0 && keep {
+			r.frag = r.join(reuse)
 		}
 		res.Unsatisfied += r.tmpl.unsat * len(r.members)
 	}
@@ -80,7 +82,7 @@ func (s *Session) splice(buf []byte, head any, res *WireResult, keep bool) []byt
 	if len(t.order) > 0 { // no report leaves the list null, as EncodeResult does
 		sep := byte('[')
 		for _, sl := range t.order {
-			if r := &t.recs[sl]; r.frag != nil {
+			if r := &t.recs[sl]; len(r.frag) > 0 {
 				buf = append(append(buf, sep), r.frag...)
 			} else {
 				buf = r.appendReports(append(buf, sep))
@@ -121,15 +123,20 @@ func (s *Session) newTemplate(r *groupRecord, scens []topo.FailureScenario) *tem
 }
 
 // join renders r's fragment — the comma-joined wire JSON of its reports
-// in assemble order — into a slice of its size.
-func (r *groupRecord) join() []byte {
+// in assemble order — over the old buffer when reuse and it fits with at
+// most a quarter to spare, else into a fresh one with an eighth to spare:
+// a member that moves out and back in costs no allocation.
+func (r *groupRecord) join(reuse bool) []byte {
 	size := 0
 	for mi, m := range r.members {
 		for _, rep := range r.tmpl.rows[min(mi, 1)] {
 			size += len(m.quoted()) + len(rep) + 1
 		}
 	}
-	return r.appendReports(make([]byte, 0, size))
+	if !reuse || cap(r.frag) < size || cap(r.frag) > size+size/4 {
+		return r.appendReports(make([]byte, 0, size+size/8))
+	}
+	return r.appendReports(r.frag[:0])
 }
 
 // appendReports appends r's fragment to b: per member its quoted name and

@@ -162,8 +162,8 @@ type Session struct {
 	// shadow run arms one (txn.go). invs is the invariant list, each with
 	// its signature and group key (table.go). byNode indexes it by the
 	// nodes each invariant names, itself or through an address the node
-	// owns: the invariants a relabel of the node can re-sign. An arrival or
-	// a departure edits the lists of the nodes it names, copy-on-write.
+	// owns: the invariants a relabel of the node can re-sign. Arrivals and
+	// departures edit it copy-on-write; a needFull regroup rebuilds it.
 	invs   []*member
 	byNode map[topo.NodeID][]*member
 	down   map[topo.NodeID]bool
@@ -271,7 +271,7 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		sopts:      sopts,
 		sessState:  sessState{needFull: true, table: newGroupTable(), nextOrd: uint64(len(invs))},
 		invs:       make([]*member, len(invs)),
-		byNode:     make(map[topo.NodeID][]*member, len(invs)),
+		byNode:     map[topo.NodeID][]*member{}, // built by the first regroup
 		down:       map[topo.NodeID]bool{},
 		verifier:   v,
 		cache:      newVerdictCache(),
@@ -281,7 +281,6 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 	for ii, i := range invs {
 		members[ii] = member{inv: i, ord: uint64(ii)}
 		s.invs[ii] = &members[ii]
-		s.index(s.invs[ii], false)
 	}
 	if sopts.Persist != nil {
 		// Open the store and restore any previous session's state
@@ -509,7 +508,7 @@ func (s *Session) validNode(n topo.NodeID) error {
 func (s *Session) invalidate() {
 	s.needFull = true
 	s.engs = nil
-	// A fresh table: the next Apply regroups into it.
+	// A fresh table: the next Apply regroups into it, and rebuilds byNode.
 	s.table = newGroupTable()
 }
 

@@ -60,8 +60,9 @@ type groupRecord struct {
 	pos int
 	// tmpl and frag are the group's share of a reply (reply.go), rendered
 	// when one needs it: the entry's reports without their invariant, and
-	// the reports joined with the members' quoted names. A shadow's clone
-	// shares them; they are never written in place.
+	// the reports joined with the members' quoted names (empty when stale;
+	// the buffer is kept for the next join). A shadow's clone shares them:
+	// frag's bytes are written over only when no shadow is pending.
 	tmpl *template
 	frag []byte
 	// mark is resolve's scratch, zero between calls.
@@ -165,13 +166,17 @@ func (pd *partitionDelta) remove(m *member) {
 // regroup brings the group table's partition up to date with pd: it signs
 // the invariants that arrived, re-signs those a relabel can move — the ones
 // byNode lists under a relabeled node — and moves each whose group key
-// changed. After invalidate the table is empty and every invariant is
-// re-signed and arrives: the same path.
+// changed. After invalidate the table is empty, byNode is rebuilt from
+// the list, and every invariant is re-signed and arrives: the same path.
 func (s *Session) regroup(pd *partitionDelta) {
 	arrivals, departures := pd.added, pd.removed
 	var resign []*member
 	if s.needFull {
 		arrivals, departures = s.invs, nil
+		set(s.trail, &s.byNode, make(map[topo.NodeID][]*member, len(s.invs)))
+		for _, m := range s.invs {
+			s.index(m, false)
+		}
 	} else {
 		for _, n := range pd.relabeled {
 			for _, m := range s.byNode[n] {
@@ -361,7 +366,7 @@ func (t *groupTable) regroup(moves []move) (rewritten int) {
 			if members[0] != old[0] { // an equal invariant earlier in the list
 				drop, add = append(drop, s), append(add, s)
 			}
-			r.members, r.frag = members, nil
+			r.members, r.frag = members, r.frag[:0]
 			continue
 		}
 		s = t.alloc()

@@ -304,7 +304,7 @@ func (s *Session) appendProposeLine(buf []byte, id string) []byte {
 	pr := *p.result
 	pr.Reports = nil
 	head := EncodeProposeResult(s.net.Topo, id, p.changes, &pr)
-	s.inPending(func() { buf = s.splice(buf, &head, &head.Result, false) })
+	s.inPending(func() { buf = s.splice(buf, &head, &head.Result) })
 	return buf
 }
 
