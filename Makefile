@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22038
+LOC_CEILING = 22145
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -97,22 +97,23 @@ bench-smoke:
 # and witness of one grounded up front, in any order of invariants) and the
 # SAT solver (every verdict, model and assumption conflict agrees with brute
 # force over ≤ 12 variables, across interleaved clauses, solves and releases).
-# `go test -fuzz` takes one target per invocation. Recovery inputs are
-# whole snapshots, which the engine would spend the run minimizing.
+# `go test -fuzz` takes one target per invocation. Each minimizes a new
+# input for at most a second: the default minute would spend the rest of a
+# short run there, executing nothing new.
 fuzz-smoke:
-	$(GO) test ./internal/tf -run '^$$' -fuzz '^FuzzTablesPatch$$' -fuzztime 10s
-	$(GO) test ./internal/lru -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s
-	$(GO) test ./internal/mbox -run '^$$' -fuzz '^FuzzConfigKeys$$' -fuzztime 5s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzTrimmedDelta$$' -fuzztime 5s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzGroupTable$$' -fuzztime 5s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzSessionDifferential$$' -fuzztime 15s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeChangeSet$$' -fuzztime 5s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s
+	$(GO) test ./internal/tf -run '^$$' -fuzz '^FuzzTablesPatch$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/lru -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/mbox -run '^$$' -fuzz '^FuzzConfigKeys$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzTrimmedDelta$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzGroupTable$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzSessionDifferential$$' -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeChangeSet$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s -fuzzminimizetime 1s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 5s -fuzzminimizetime 1s
-	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 5s
-	$(GO) test ./internal/netdesc -run '^$$' -fuzz '^FuzzDecodeTopology$$' -fuzztime 5s
-	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzConeGrounding$$' -fuzztime 5s
-	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/netdesc -run '^$$' -fuzz '^FuzzDecodeTopology$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzConeGrounding$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Every committed example topology must validate and build (one structured
 # file:line:field error otherwise); byte-level canonical-form checking

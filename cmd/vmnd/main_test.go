@@ -33,6 +33,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/obs"
+	"github.com/netverify/vmn/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -630,6 +631,50 @@ func TestCrashResilience(t *testing.T) {
 		if !r.Satisfied {
 			t.Fatalf("final verdicts wrong after the crash corpus: %s", lines[len(lines)-1])
 		}
+	}
+}
+
+// TestGoldenCrashCorpusJournal pins, byte for byte, the journal records the
+// crash corpus leaves in a state directory (one per line): a store written
+// by one build replays in the next only while these bytes hold.
+func TestGoldenCrashCorpusJournal(t *testing.T) {
+	corpus, err := os.ReadFile(filepath.Join("testdata", "crash_corpus.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, invs, err := buildNetwork(netConfig{network: "datacenter", groups: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sopts := incr.Options{Persist: &incr.PersistOptions{Dir: dir, SnapshotEvery: -1}}
+	hooks := wireFaultInjection(&sopts)
+	sess, _, err := incr.NewSession(net, core.Options{Engine: core.EngineSAT, Workers: 1}, invs, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serve(sess, net, bytes.NewReader(corpus), io.Discard, hooks, nil); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, err := store.OpenJournal(filepath.Join(dir, "journal.wal"), store.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got := append(bytes.Join(recs, []byte("\n")), '\n')
+	path := filepath.Join("testdata", "golden", "crash_corpus_journal.ndjson")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("journal diverged from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
 

@@ -165,21 +165,15 @@ func TestCrashMidChurnRecovers(t *testing.T) {
 // durableStep draws one change-set from every durable change kind — liveness,
 // a swapped-in firewall, a clone of the live firewall edited, a relabel,
 // a box removal and its re-bind, and adds and removes of both added and initial invariant
-// names — against the lane's own network, so lanes seeded alike stay in
-// lockstep. initial is the configuration's invariant list.
-func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []incr.Change {
+// names, and the undoing edits: a host relabelled to its configured class, a
+// firewall given its configured ACL again — against the lane's own network,
+// so lanes seeded alike stay in lockstep. initial is the configuration's
+// invariant list, conf a network built from it.
+func durableStep(d *bench.Datacenter, initial []inv.Invariant, conf *core.Network, r *rand.Rand) []incr.Change {
 	t := d.Net.Topo
 	// ids1 stays up: traffic then never detours through ids2, whose model
 	// the stream may remove (a modelless box on a path fails the encoding).
 	nodes := []topo.NodeID{d.Hosts[0][0], d.Hosts[1][0], d.Hosts[2][0], d.FW1, d.FW2, d.IDS2}
-	modelAt := func(n topo.NodeID) mbox.Model {
-		for _, b := range d.Net.Boxes {
-			if b.Node == n {
-				return b.Model
-			}
-		}
-		return nil
-	}
 	deny := func() mbox.ACLEntry {
 		a, b := r.Intn(3), r.Intn(3)
 		return mbox.DenyEntry(pkt.HostPrefix(t.Node(d.Hosts[a][0]).Addr), pkt.HostPrefix(t.Node(d.Hosts[b][0]).Addr))
@@ -188,8 +182,8 @@ func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []i
 	removed := false // ids2, earlier in this very set
 	for n := 1 + r.Intn(3); n > 0; n-- {
 		fwNode := []topo.NodeID{d.FW1, d.FW2}[r.Intn(2)]
-		fw, _ := modelAt(fwNode).(*mbox.LearningFirewall)
-		switch op := r.Intn(10); {
+		fw, _ := boxAt(d.Net, fwNode).(*mbox.LearningFirewall)
+		switch op := r.Intn(12); {
 		case op == 0:
 			out = append(out, incr.NodeDown(nodes[r.Intn(len(nodes))]))
 		case op == 1:
@@ -213,12 +207,17 @@ func durableStep(d *bench.Datacenter, initial []inv.Invariant, r *rand.Rand) []i
 		case op == 8:
 			out = append(out, incr.AddInvariant(initial[r.Intn(len(initial))]))
 		case op == 9 && r.Intn(4) == 0: // rare: the box leaves, or comes back as the last box
-			if ids2 := modelAt(d.IDS2); ids2 != nil && !removed {
+			if ids2 := boxAt(d.Net, d.IDS2); ids2 != nil && !removed {
 				removed = true
 				out = append(out, incr.BoxRemove(d.IDS2))
 			} else if ids2 == nil {
 				out = append(out, incr.BoxSwap(d.IDS2, mbox.NewIDPS("ids2", d.Net.Registry, pkt.AddrNone)))
 			}
+		case op == 10:
+			h := d.Hosts[r.Intn(3)][0]
+			out = append(out, incr.Relabel(h, conf.PolicyClass[h]))
+		case op == 11 && fw != nil:
+			out = append(out, incr.BoxSwap(fwNode, cloneFirewall(boxAt(conf, fwNode).(*mbox.LearningFirewall))))
 		}
 	}
 	return out
@@ -281,8 +280,9 @@ func TestCompactionIsInvisible(t *testing.T) {
 		}
 		var all []incr.Change
 		r := rand.New(rand.NewSource(seed))
+		conf := bench.NewDatacenter(d.Cfg).Net
 		for k := 0; k < steps; k++ {
-			changes := durableStep(d, initial, r)
+			changes := durableStep(d, initial, conf, r)
 			if _, _, err := s.ApplyID(fmt.Sprintf("req-%d", k), changes); err != nil {
 				t.Fatalf("step %d: %v", k, err)
 			}

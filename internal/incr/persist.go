@@ -8,9 +8,10 @@ package incr
 // recovery is snapshot + journal-suffix replay instead of a cold
 // re-verify. Journal records and the snapshot's state are both wire
 // change-sets (EncodeChange writes each change as the WireChange that
-// reproduces it, netdesc spells box state and invariants), and recovery
-// runs both through the wire decoder and Session.mutate, the path every
-// live change takes. A change with no written form (a FIBFor closure, a
+// reproduces it, netdesc spells box state and invariants, and the snapshot
+// reuses the bytes each change was journaled as), and recovery runs both
+// through the wire decoder and Session.mutate, the path every live change
+// takes. A change with no written form (a FIBFor closure, a
 // custom model or invariant) poisons the journal with an
 // explicit opaque tombstone so recovery degrades to a cold start rather
 // than silently restoring a state that diverged.
@@ -26,6 +27,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/fnv64"
@@ -107,10 +110,16 @@ type PersistStatus struct {
 }
 
 // appliedIDsCap bounds the client-request dedup set (DESIGN.md, "Bounded
-// memory"); the set maps each id to the apply sequence that acked it.
+// memory"); the set maps each id to its entry in a snapshot's applied
+// object, `"<id>":<the apply sequence that acked it>`, written once.
 const appliedIDsCap = 4096
 
-func newAppliedIDs() *lru.Cache[string, int] { return lru.New[string, int](appliedIDsCap, nil) }
+func newAppliedIDs() *lru.Cache[string, []byte] { return lru.New[string, []byte](appliedIDsCap, nil) }
+
+// putID remembers id as acked by the apply at seq.
+func putID(applied *lru.Cache[string, []byte], id string, seq int) {
+	applied.Put(id, strconv.AppendInt(append(appendJSONString(nil, id), ':'), int64(seq), 10))
+}
 
 // reverifyGroups is how many restored groups are re-verified against
 // fresh solves before the restored verdicts are trusted.
@@ -142,15 +151,17 @@ type sessStore struct {
 	// initial names the invariants of that configuration: removing one of
 	// them is the only inv_remove a snapshot has to remember.
 	initial map[string]bool
-	// boxes names the nodes that configuration binds a model at: the log
-	// is coalesced from there.
-	boxes map[topo.NodeID]bool
+	// conf holds what that configuration has at each node the log names,
+	// noted before the node's first change: the log is coalesced from there.
+	conf map[topo.NodeID]configured
 	// log is the change-set that takes that configuration to the current
-	// durable state: every change journaled since, compacted whenever it
-	// has doubled past compacted, its length after the last compaction —
-	// so it follows the elements touched, not uptime. A snapshot is this
-	// log, written out.
+	// durable state, raw the bytes each change was journaled as: every
+	// change journaled since, compacted whenever it has doubled past
+	// compacted, its length after the last compaction — so it follows the
+	// elements that differ from the configuration, not uptime. A snapshot
+	// is raw, written out.
 	log       []Change
+	raw       [][]byte
 	compacted int
 	// snapSeq is the apply sequence the on-disk snapshot covers.
 	snapSeq int
@@ -162,31 +173,55 @@ type sessStore struct {
 	degraded string
 }
 
+// configured is what the configuration has at a node: its class-map entry
+// and the model bound there (nil: none).
+type configured struct {
+	class   string
+	classed bool
+	box     mbox.Model
+}
+
+// note records what the configuration has at ch's node, unless it is
+// noted already. mutate calls it before it installs ch, so what it reads is
+// the configuration's: the log names every node a change moved away from it.
+func (st *sessStore) note(net *core.Network, ch Change) {
+	if _, ok := st.conf[ch.Node]; ok || ch.Kind != KindRelabel && ch.Kind != KindBoxRemove && ch.Kind != KindBoxReconfig {
+		return
+	}
+	var c configured
+	c.class, c.classed = net.PolicyClass[ch.Node]
+	if bi := findBox(net, ch.Node); bi >= 0 {
+		c.box = net.Boxes[bi].Model
+	}
+	st.conf[ch.Node] = c
+}
+
 func (st *sessStore) journalPath() string  { return filepath.Join(st.dir, journalFile) }
 func (st *sessStore) snapshotPath() string { return filepath.Join(st.dir, snapshotFile) }
 
 // journal record / snapshot wire forms ------------------------------------
 
 // journalRecord is one applied (or committed) change-set, in the wire's
-// vocabulary. Op "opaque" is the poison tombstone for a change-set with no
-// written form.
+// vocabulary, each change kept as the bytes it was written as. Op "opaque"
+// is the poison tombstone for a change-set with no written form.
 type journalRecord struct {
-	Seq     int          `json:"seq"`
-	ID      string       `json:"id,omitempty"`
-	Op      string       `json:"op,omitempty"`
-	Changes []WireChange `json:"changes,omitempty"`
+	Seq     int               `json:"seq"`
+	ID      string            `json:"id,omitempty"`
+	Op      string            `json:"op,omitempty"`
+	Changes []json.RawMessage `json:"changes,omitempty"`
 }
 
-// snapshotPayload is record zero of a recovery: Changes takes the network
-// the caller rebuilds from its own configuration (Config guards that it is
-// the one the writer started from) to the state at Seq.
+// snapshotPayload is record zero of a recovery: its change-set takes the
+// network the caller rebuilds from its own configuration (Config guards
+// that it is the one the writer started from) to the state at Seq.
+// Applied maps each remembered request id to the apply sequence that acked
+// it. encodeSnapshot writes the same fields.
 type snapshotPayload struct {
-	Version int                 `json:"version"`
-	Config  uint64              `json:"config"`
-	Seq     int                 `json:"seq"`
-	Applied map[string]int      `json:"applied,omitempty"`
-	Changes []WireChange        `json:"changes,omitempty"`
-	Cache   []persistCacheEntry `json:"cache,omitempty"`
+	Version int            `json:"version"`
+	Config  uint64         `json:"config"`
+	Applied map[string]int `json:"applied,omitempty"`
+	journalRecord
+	Cache []persistCacheEntry `json:"cache,omitempty"`
 }
 
 // persistCacheEntry is one verdict-cache line, ordered oldest-first in
@@ -327,44 +362,71 @@ func decodeRenaming(p *persistRenaming) *slices.Renaming {
 // snapshot assembly / restore ----------------------------------------------
 
 // compact rewrites the log as the shortest change-set Coalesce and the
-// configuration allow: a surviving node_up is its node's last liveness
-// writer and every node starts up; a surviving inv_remove has no earlier
-// add of its name left, so it matters only if the configuration had one.
+// configuration allow. The configuration licenses four deletions: a
+// surviving node_up is its node's last liveness writer and every node
+// starts up; a surviving inv_remove has no earlier add of its name left, so
+// it matters only if the configuration had one; a surviving relabel to the
+// node's configured class, and a surviving bind of the configured model
+// (same type, same exact key) at a node no surviving unbind left — a bind
+// after one puts the box last in the list, and that order must replay —
+// leave the node as configured.
 func (st *sessStore) compact() {
-	log, _ := Coalesce(st.log, func(n topo.NodeID) bool { return st.boxes[n] })
-	kept := log[:0]
-	for _, ch := range log {
-		if ch.Kind == KindNodeUp || (ch.Kind == KindInvRemove && !st.initial[ch.Name]) {
+	log, from := Coalesce(st.log, func(n topo.NodeID) bool { return st.conf[n].box != nil })
+	kept, raw, conf, unbound := log[:0], st.raw[:0], map[topo.NodeID]configured{}, map[topo.NodeID]bool{}
+	for i, ch := range log {
+		c, noted := st.conf[ch.Node]
+		if ch.Kind == KindBoxRemove {
+			unbound[ch.Node] = true
+		}
+		if ch.Kind == KindNodeUp || ch.Kind == KindInvRemove && !st.initial[ch.Name] ||
+			ch.Kind == KindRelabel && c.classed && ch.Class == c.class ||
+			ch.Kind == KindBoxReconfig && !unbound[ch.Node] && sameConfig(ch.Model, c.box) {
 			continue
 		}
-		kept = append(kept, ch)
+		if noted {
+			conf[ch.Node] = c
+		}
+		kept, raw = append(kept, ch), append(raw, st.raw[from[i]])
 	}
-	st.log, st.compacted = kept, len(kept)
+	clear(st.raw[len(raw):])
+	st.log, st.raw, st.conf, st.compacted = kept, raw, conf, len(kept)
 }
 
-// encodeSnapshot serializes the compacted log and the verdict store.
-func (s *Session) encodeSnapshot() ([]byte, error) {
+// sameConfig reports whether a and b are models of one type with equal
+// exact configuration keys (a model without a description equals none).
+func sameConfig(a, b mbox.Model) bool {
+	if a == nil || b == nil || a.Type() != b.Type() {
+		return false
+	}
+	ka, okA := mbox.ExactKey(nil, a)
+	kb, okB := mbox.ExactKey(nil, b)
+	return okA && okB && string(ka) == string(kb)
+}
+
+// encodeSnapshot writes the compacted log's journaled bytes, the dedup set
+// oldest first and the verdict store as snapshotPayload's fields, in parts
+// whose concatenation is the payload: the verdict store, the largest, is
+// not copied again.
+func (s *Session) encodeSnapshot() [][]byte {
 	st := s.store
 	st.compact()
-	snap := snapshotPayload{Version: 2, Config: st.cfg, Seq: s.seq, Applied: make(map[string]int, s.appliedIDs.Len())}
-	s.appliedIDs.Walk(func(id string, seq int) bool {
-		snap.Applied[id] = seq
+	b := fmt.Appendf(nil, `{"version":2,"config":%d`, st.cfg)
+	sep := `,"applied":{`
+	s.appliedIDs.Walk(func(_ string, entry []byte) bool {
+		b, sep = append(append(b, sep...), entry...), ","
 		return true
 	})
-	for _, ch := range st.log {
-		w, ok := EncodeChange(s.net, ch)
-		if !ok {
-			// It had one when journaled: a model edited after it was handed over.
-			return nil, fmt.Errorf("incr: journaled %s has no written form any more", describeChange(s.net.Topo, ch))
-		}
-		snap.Changes = append(snap.Changes, w)
+	if sep == "," {
+		b = append(b, '}')
 	}
+	b = appendRecord(strconv.AppendInt(append(b, `,"seq":`...), int64(s.seq), 10), "", st.raw)
+	var cache []persistCacheEntry
 	s.cmu.Lock()
 	// Oldest first, so re-putting the entries in order on restore
 	// reproduces the recency order.
 	s.cache.Walk(func(key string, l cacheLine) bool {
 		if !l.report.BudgetExceeded {
-			snap.Cache = append(snap.Cache, persistCacheEntry{
+			cache = append(cache, persistCacheEntry{
 				Key: []byte(key),
 				R:   encodeReport(l.report),
 				Ren: encodeRenaming(l.ren),
@@ -373,7 +435,29 @@ func (s *Session) encodeSnapshot() ([]byte, error) {
 		return true
 	})
 	s.cmu.Unlock()
-	return json.Marshal(&snap)
+	if len(cache) == 0 {
+		return [][]byte{append(b, '}')}
+	}
+	c, _ := json.Marshal(cache) // integers, strings, booleans and bytes only
+	return [][]byte{append(b, `,"cache":`...), c, []byte("}")}
+}
+
+// appendRecord appends a journal record's fields after its seq: the
+// request id when there is one, then the change-set from each change's
+// journaled bytes, as encoding/json writes journalRecord.
+func appendRecord(b []byte, id string, changes [][]byte) []byte {
+	if id != "" {
+		b = appendJSONString(append(b, `,"id":`...), id)
+	}
+	sep := `,"changes":[`
+	for _, raw := range changes {
+		b = append(append(b, sep...), raw...)
+		sep = ","
+	}
+	if len(changes) > 0 {
+		b = append(b, ']')
+	}
+	return b
 }
 
 // restoreState rebuilds the persisted session state over the freshly
@@ -416,10 +500,10 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 		return a < b || a == b && ids[i] < ids[j]
 	})
 	for _, id := range ids {
-		applied.Put(id, snap.Applied[id])
+		putID(applied, id, snap.Applied[id])
 	}
 	records := make([]journalRecord, 1+len(recs))
-	records[0] = journalRecord{Seq: snap.Seq, Changes: snap.Changes}
+	records[0] = snap.journalRecord
 	for i, raw := range recs {
 		if err := json.Unmarshal(raw, &records[1+i]); err != nil {
 			return fmt.Errorf("incr: journal record undecodable: %w", err)
@@ -427,6 +511,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 	}
 
 	var log []Change
+	var raw [][]byte
 	prevSeq, replayed := snap.Seq, 0
 	for i, rec := range records {
 		if rec.Op == "opaque" {
@@ -443,7 +528,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 			}
 			replayed++
 		}
-		changes, err := DecodeChanges(s.net, rec.Changes)
+		changes, raws, err := s.decodeLogged(rec.Changes)
 		if err == nil {
 			err = s.validate(changes)
 		}
@@ -451,9 +536,9 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 			return fmt.Errorf("incr: change-set at seq %d does not replay: %w", rec.Seq, err)
 		}
 		s.mutate(changes, newImpact())
-		log = append(log, changes...)
+		log, raw = append(log, changes...), append(raw, raws...)
 		if rec.ID != "" {
-			applied.Put(rec.ID, rec.Seq)
+			putID(applied, rec.ID, rec.Seq)
 		}
 		prevSeq = rec.Seq
 	}
@@ -465,12 +550,37 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
 		s.cache.Put(string(e.Key), cacheLine{decodeReport(e.R), decodeRenaming(e.Ren)})
 	}
 	s.cmu.Unlock()
-	s.store.log = log
+	s.store.log, s.store.raw = log, raw
 	s.store.snapSeq = snap.Seq
 	s.recovery.Recovered = true
 	s.recovery.SnapshotSeq = snap.Seq
 	s.recovery.JournalRecords = replayed
 	return nil
+}
+
+// decodeLogged decodes a record's change-set one entry at a time and pairs
+// each change with the bytes it was written as — save a firewall edit's:
+// what it means depends on the changes before it, which compaction may
+// drop, so it is kept as the box_state it resolved to.
+func (s *Session) decodeLogged(entries []json.RawMessage) ([]Change, [][]byte, error) {
+	wires, raws := make([]WireChange, 0, len(entries)), make([][]byte, 0, len(entries))
+	for _, e := range entries {
+		var w WireChange
+		if err := json.Unmarshal(e, &w); err != nil {
+			return nil, nil, err
+		}
+		if w.Op != "noop" && w.Op != "" { // DecodeChanges drops these
+			wires, raws = append(wires, w), append(raws, e)
+		}
+	}
+	changes, err := DecodeChanges(s.net, wires)
+	for i, ch := range changes { // one per wire
+		if strings.HasPrefix(wires[i].Op, "fw_") {
+			w, _ := EncodeChange(s.net, ch) // a learning firewall always has one
+			raws[i], _ = json.Marshal(&w)
+		}
+	}
+	return changes, raws, err
 }
 
 // store lifecycle -----------------------------------------------------------
@@ -487,12 +597,9 @@ func (s *Session) openStore() error {
 	if err := os.MkdirAll(po.Dir, 0o755); err != nil {
 		return err
 	}
-	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs)), boxes: make(map[topo.NodeID]bool, len(s.net.Boxes))}
+	st := &sessStore{dir: po.Dir, opts: po, cfg: s.configHash(), initial: make(map[string]bool, len(s.invs)), conf: map[topo.NodeID]configured{}}
 	for _, m := range s.invs {
 		st.initial[m.inv.Name()] = true
-	}
-	for _, bx := range s.net.Boxes {
-		st.boxes[bx.Node] = true
 	}
 	s.recovery = RecoveryStats{Enabled: true}
 
@@ -559,26 +666,21 @@ func (s *Session) persistApply(id string, changes []Change) {
 	if len(changes) == 0 && id == "" {
 		return // pure refresh: nothing to make durable
 	}
-	rec := journalRecord{Seq: s.seq, ID: id, Changes: make([]WireChange, 0, len(changes))}
-	for _, ch := range changes {
+	raws := make([][]byte, len(changes))
+	for i, ch := range changes {
 		w, ok := EncodeChange(s.net, ch)
 		if !ok {
 			st.poison(s.seq)
 			return
 		}
-		rec.Changes = append(rec.Changes, w)
+		raws[i], _ = json.Marshal(&w) // strings, booleans and lists of them only
 	}
-	payload, err := json.Marshal(&rec)
-	if err != nil {
-		st.fail(err)
-		return
-	}
-	if err := st.j.Append(payload); err != nil {
+	if err := st.j.Append(append(appendRecord(fmt.Appendf(nil, `{"seq":%d`, s.seq), id, raws), '}')); err != nil {
 		st.fail(err)
 		return
 	}
 	st.records++
-	st.log = append(st.log, changes...)
+	st.log, st.raw = append(st.log, changes...), append(st.raw, raws...)
 	if every := st.opts.snapshotEvery(); every > 0 && st.records >= every {
 		s.snapshotLocked()
 	} else if len(st.log) >= 2*max(st.compacted, 32) {
@@ -590,10 +692,7 @@ func (s *Session) persistApply(id string, changes []Change) {
 // the durable state can no longer reach the live state by replay, and
 // the tombstone makes recovery say so explicitly.
 func (st *sessStore) poison(seq int) {
-	rec := journalRecord{Seq: seq, Op: "opaque"}
-	if payload, err := json.Marshal(&rec); err == nil {
-		st.j.Append(payload)
-	}
+	st.j.Append(fmt.Appendf(nil, `{"seq":%d,"op":"opaque"}`, seq))
 	st.degraded = "change-set outside the durable codec (fib provider, custom model or custom invariant)"
 }
 
@@ -617,11 +716,7 @@ func (s *Session) snapshotLocked() {
 	if st == nil || st.degraded != "" || st.j == nil {
 		return
 	}
-	payload, err := s.encodeSnapshot()
-	if err == nil {
-		err = store.WriteSnapshot(st.snapshotPath(), payload)
-	}
-	if err != nil {
+	if err := store.WriteSnapshot(st.snapshotPath(), s.encodeSnapshot()...); err != nil {
 		st.fail(err)
 		return
 	}
@@ -633,7 +728,7 @@ func (s *Session) snapshotLocked() {
 	st.records = 0
 }
 
-func (s *Session) rememberID(id string) { s.appliedIDs.Put(id, s.seq) }
+func (s *Session) rememberID(id string) { putID(s.appliedIDs, id, s.seq) }
 
 // recovery verification -----------------------------------------------------
 

@@ -295,8 +295,10 @@ func TestEditedDescriptionColdStarts(t *testing.T) {
 }
 
 // A box removed and bound again through the library journals as box_remove
-// then box_state: the store stays healthy, and the restart comes back to
-// the same network, box order included, and the same reports.
+// then box_state: the store stays healthy, the snapshot keeps both though
+// the model bound is the configured one (the box now comes last in the
+// list), and the restart comes back to the same network, box order
+// included, and the same reports.
 func TestDurableBoxRebind(t *testing.T) {
 	dir := t.TempDir()
 	d1, s1, _ := newPersistDC(t, persistOpts(dir))
@@ -319,6 +321,10 @@ func TestDurableBoxRebind(t *testing.T) {
 	if err := s1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := store.ReadSnapshot(filepath.Join(dir, "snapshot.vmn"))
+	if want := `"changes":[{"op":"box_remove","node":"ids2"},{"op":"box_state","node":"ids2",`; err != nil || !bytes.Contains(snap, []byte(want)) {
+		t.Fatalf("the shutdown snapshot does not keep the unbind and the rebind (%v):\n%s", err, snap)
+	}
 
 	d2, s2, got := newPersistDC(t, persistOpts(dir))
 	if rec := s2.Recovery(); !rec.Recovered || rec.ColdStart {
@@ -335,6 +341,32 @@ func TestDurableBoxRebind(t *testing.T) {
 	}
 	compareReports(t, "re-bound restart", got, want)
 	compareWitnesses(t, "re-bound restart", got, want)
+}
+
+// A journal record may carry firewall edits (fw_allow and the like), whose
+// meaning depends on the model bound before them. Recovery keeps each as the
+// box_state it resolved to, so once compaction has folded the first of two
+// edits of one firewall away, the second still restores both.
+func TestRecoveredFirewallEditsStayWhole(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, nil, []byte(`{"seq":1,"changes":[`+
+		`{"op":"fw_allow","node":"fw1","src":"10.8.0.0/24","dst":"*"},`+
+		`{"op":"fw_allow","node":"fw1","src":"10.9.0.0/24","dst":"*"}]}`))
+	d1, s1, _ := newPersistDC(t, persistOpts(dir))
+	if rec := s1.Recovery(); !rec.Recovered || rec.ColdStart {
+		t.Fatalf("recovery = %+v, want a warm restart", rec)
+	}
+	want := canonicalDump(t, d1.Net, s1.Invariants())
+	if err := s1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	d2, s2, _ := newPersistDC(t, persistOpts(dir))
+	if rec := s2.Recovery(); !rec.Recovered || rec.ColdStart {
+		t.Fatalf("second recovery = %+v, want a warm restart", rec)
+	}
+	if got := canonicalDump(t, d2.Net, s2.Invariants()); !bytes.Equal(got, want) {
+		t.Fatalf("the restart after the shutdown snapshot differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
 }
 
 // A change outside the durable codec (a FIBFor closure) poisons the
@@ -621,6 +653,10 @@ func TestConflictBudgetChangeColdStarts(t *testing.T) {
 // nodes, 522 invariants) the snapshot of a fresh directory holds the verdict
 // store and nothing about the network, and 64 edits of one firewall leave it
 // the size one edit did — the log coalesces to that firewall's last state.
+// Nor does it follow the history: once 200 tenants have each had a firewall
+// entry added and deleted and a host relabelled and relabelled back, it holds
+// no change, and is the size the first tenant's round left it (that round's
+// relabel adds the edited tenant's verdicts, ~1 KB, to the store).
 func TestSnapshotFollowsTheChange(t *testing.T) {
 	net, invs, err := netdesc.Build(netdesc.CloudVPC(netdesc.VPCConfig{Tenants: 256, Shapes: 8, Peerings: 2, CrossChecks: 8}), "")
 	if err != nil {
@@ -644,12 +680,8 @@ func TestSnapshotFollowsTheChange(t *testing.T) {
 	if fresh >= 64<<10 {
 		t.Fatalf("fresh-directory snapshot is %d bytes, want < 64 KB", fresh)
 	}
-	edit := func(i int) {
+	apply := func(line string) {
 		t.Helper()
-		// Alternate an allowance in and out: the ACL, hence the box_state the
-		// snapshot carries, is the same size after every odd edit.
-		op := []string{"fw_allow", "fw_del"}[i%2]
-		line := fmt.Sprintf(`{"op":%q,"node":"t100-fw","src":"8.0.0.0/8","dst":"10.0.100.128/25"}`, op)
 		changes, err := incr.DecodeChangeSet(net, []byte(line))
 		if err != nil {
 			t.Fatal(err)
@@ -658,6 +690,12 @@ func TestSnapshotFollowsTheChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fwEdit := func(op string, tenant int) string {
+		return fmt.Sprintf(`{"op":%q,"node":"t%d-fw","src":"8.0.0.0/8","dst":"10.0.%d.128/25"}`, op, tenant, tenant)
+	}
+	// Alternate an allowance in and out: the ACL, hence the box_state the
+	// snapshot carries, is the same size after every odd edit.
+	edit := func(i int) { t.Helper(); apply(fwEdit([]string{"fw_allow", "fw_del"}[i%2], 100)) }
 	edit(0)
 	one := snapshotSize()
 	if one <= fresh {
@@ -668,6 +706,25 @@ func TestSnapshotFollowsTheChange(t *testing.T) {
 	}
 	if many := snapshotSize(); many > one+one/10 || many < one-one/10 {
 		t.Fatalf("snapshot is %d bytes after 65 edits of one firewall, %d after one: want within 10 %%", many, one)
+	}
+	edit(65)
+	first := int64(0)
+	for tenant := 0; tenant < 200; tenant++ {
+		pub, _ := net.Topo.ByName(fmt.Sprintf("t%d-pub", tenant))
+		relabel, class := `{"op":"relabel","node":"t%d-pub","class":%q}`, net.PolicyClass[pub.ID]
+		apply(fwEdit("fw_allow", tenant))
+		apply(fwEdit("fw_del", tenant))
+		apply(fmt.Sprintf(relabel, tenant, "edit"))
+		apply(fmt.Sprintf(relabel, tenant, class))
+		if tenant == 0 {
+			first = snapshotSize()
+		}
+	}
+	if undone := snapshotSize(); undone > first+first/10 {
+		t.Fatalf("snapshot is %d bytes after 200 tenants were edited and undone, %d after the first: want within 10 %%", undone, first)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "snapshot.vmn")); err != nil || bytes.Contains(raw, []byte(`"changes"`)) {
+		t.Fatalf("the snapshot of a network back at its configuration holds a change-set (%v):\n%s", err, raw)
 	}
 }
 
@@ -687,13 +744,15 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	// Seed with a real store: the startup snapshot, then records of every
 	// durable op, left in the journal as after a kill; and what a clean
-	// shutdown makes of them.
+	// shutdown makes of them. The last record undoes the firewall edit and
+	// the relabel of the first.
 	seedDir := f.TempDir()
 	d, sess := newDC(f, incr.Options{Persist: &incr.PersistOptions{Dir: seedDir, SnapshotEvery: -1}})
 	for _, line := range []string{
 		`[{"op":"fw_allow","node":"fw1","src":"10.9.0.0/24","dst":"*"},{"op":"relabel","node":"h0-0","class":"x"}]`,
 		`[{"op":"node_down","node":"fw2"},{"op":"inv_add","invariant":{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.0/24","vias":["ids1"]}}]`,
-		`[{"op":"box_remove","node":"ids2"},{"op":"inv_remove","name":"iso g0->g1"},{"op":"node_up","node":"fw2"}]`,
+		`[{"op":"box_remove","node":"ids2"},{"op":"inv_remove","name":"iso g0->g1"},{"op":"node_up","node":"fw2"},` +
+			`{"op":"fw_del","node":"fw1","src":"10.9.0.0/24","dst":"*"},{"op":"relabel","node":"h0-0","class":"tier-0"}]`,
 	} {
 		changes, err := incr.DecodeChangeSet(d.Net, []byte(line))
 		if err != nil {
@@ -712,13 +771,14 @@ func FuzzRestoreState(f *testing.F) {
 		f.Fatalf("seed journal: %d records, %v", len(recs), err)
 	}
 	j.Close()
-	// The shutdown snapshot folds those records into its own change-set.
+	// The shutdown snapshot folds those records into its own change-set,
+	// the undone edits out.
 	if err := sess.Shutdown(); err != nil {
 		f.Fatal(err)
 	}
 	folded, err := store.ReadSnapshot(filepath.Join(seedDir, "snapshot.vmn"))
-	if err != nil || !bytes.Contains(folded, []byte(`"changes":[`)) {
-		f.Fatalf("seed snapshot carries no change-set: %v\n%s", err, folded)
+	if err != nil || !bytes.Contains(folded, []byte(`"changes":[`)) || bytes.Contains(folded, []byte(`"node":"fw1"`)) || bytes.Contains(folded, []byte(`"node":"h0-0"`)) {
+		f.Fatalf("seed snapshot does not carry exactly the changes left: %v\n%s", err, folded)
 	}
 	f.Add(snapshot, recs[0], recs[1], recs[2])
 	f.Add([]byte(nil), recs[0], recs[1], recs[2])

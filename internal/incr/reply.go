@@ -124,8 +124,9 @@ func (s *Session) newTemplate(r *groupRecord, scens []topo.FailureScenario) *tem
 
 // join renders r's fragment — the comma-joined wire JSON of its reports
 // in assemble order — over the old buffer when reuse and it fits with at
-// most a quarter to spare, else into a fresh one with an eighth to spare:
-// a member that moves out and back in costs no allocation.
+// most size to spare, else into a fresh one with a quarter to spare: a
+// member that moves out and back in costs no allocation, nor does a
+// scenario that every row gains and loses again (~13 % of a row).
 func (r *groupRecord) join(reuse bool) []byte {
 	size := 0
 	for mi, m := range r.members {
@@ -133,8 +134,8 @@ func (r *groupRecord) join(reuse bool) []byte {
 			size += len(m.quoted()) + len(rep) + 1
 		}
 	}
-	if !reuse || cap(r.frag) < size || cap(r.frag) > size+size/4 {
-		return r.appendReports(make([]byte, 0, size+size/8))
+	if !reuse || cap(r.frag) < size || cap(r.frag) > 2*size {
+		return r.appendReports(make([]byte, 0, size+size/4))
 	}
 	return r.appendReports(r.frag[:0])
 }

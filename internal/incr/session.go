@@ -196,7 +196,7 @@ type Session struct {
 	// at-least-once wire replay, oldest forgotten first; recovery
 	// describes what startup restored.
 	store      *sessStore
-	appliedIDs *lru.Cache[string, int]
+	appliedIDs *lru.Cache[string, []byte]
 	recovery   RecoveryStats
 
 	// metrics caches the session's registered metric handles (nil when
@@ -783,9 +783,13 @@ func (s *Session) validate(changes []Change) error {
 // reports a change stale footprints cannot scope, so everything is dirty;
 // pd what moved an input of the symmetry partition (the invariant list or
 // the policy classes). The set must have passed validate: nothing here can
-// fail.
+// fail. The store notes what the configuration had before a node's first
+// change.
 func (s *Session) mutate(changes []Change, im *impact) (full bool, pd partitionDelta) {
 	for ci, ch := range changes {
+		if s.store != nil {
+			s.store.note(s.net, ch)
+		}
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
 			if down := ch.Kind == KindNodeDown; down != s.down[ch.Node] {

@@ -730,7 +730,9 @@ func proposeCases(pairs map[string][2][]incr.Change) map[string][]incr.Change {
 // TestProposeFollowsTheChange: a proposal costs what it changes. After the
 // base reply is rendered once, a dead edit proposed through the daemon's
 // call and rolled back allocates about the same at 256 and at 2 048
-// tenants, and under 32 KiB: the shadow run copies no container.
+// tenants, and under 32 KiB: the shadow run copies no container. Under the
+// race detector, whose sync.Pool drops items at random (an encoding/json
+// state missed is ~1 KB more), a round costs the fewest bytes of three.
 func TestProposeFollowsTheChange(t *testing.T) {
 	cost := func(tenants int) uint64 {
 		sess, pairs := vpcPairs(t, tenants)
@@ -747,6 +749,10 @@ func TestProposeFollowsTheChange(t *testing.T) {
 		}
 		round() // a round first: lazily built state settles
 		_, bytes := measure(round)
+		for i := 1; raceEnabled && i < 3; i++ {
+			_, again := measure(round)
+			bytes = min(bytes, again)
+		}
 		return bytes
 	}
 	small, bytes := cost(256), cost(2048)

@@ -199,20 +199,27 @@ func (j *Journal) Close() error {
 // previous snapshot or the complete new one.
 var snapMagic = []byte("VMNSNAP1")
 
-// WriteSnapshot atomically replaces the snapshot at path with payload; on
-// an error it may not be durable, so the journal behind it must be kept.
-func WriteSnapshot(path string, payload []byte) error {
+// WriteSnapshot atomically replaces the snapshot at path with a payload,
+// the concatenation of parts, written as they are (a large payload is not
+// copied into one buffer); on an error it may not be durable, so the
+// journal behind it must be kept.
+func WriteSnapshot(path string, parts ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	buf := binary.LittleEndian.AppendUint32(append([]byte(nil), snapMagic...), uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	if _, err := tmp.Write(append(buf, payload...)); err != nil {
-		tmp.Close()
-		return err
+	n, crc := 0, uint32(0)
+	for _, p := range parts {
+		n, crc = n+len(p), crc32.Update(crc, crc32.IEEETable, p)
+	}
+	hdr := binary.LittleEndian.AppendUint32(append([]byte(nil), snapMagic...), uint32(n))
+	for _, p := range append([][]byte{binary.LittleEndian.AppendUint32(hdr, crc)}, parts...) {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -192,6 +192,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got, _ := ReadSnapshot(path); !bytes.Equal(got, []byte("v2")) {
 		t.Fatalf("after replace: %q", got)
 	}
+	// A payload written in parts is framed and read back as one.
+	if err := WriteSnapshot(path, []byte(`{"version":1,`), nil, []byte(`"seq":7}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadSnapshot(path); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("parts read = %q, %v", got, err)
+	}
 }
 
 func TestSnapshotCorruption(t *testing.T) {
