@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22145
+LOC_CEILING = 22137
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -67,8 +67,10 @@ bench-harness:
 # BenchmarkPropose does the same for the daemon's propose call and a
 # rollback: a dead allow, a relabel (accepted) and a relabel with a deny
 # (rejected, repair searched).
-# BenchmarkColdVerifyAll runs one cold VerifyAll of a cachefarm-cold
-# candidate: six slice encodings built and solved from nothing.
+# BenchmarkColdVerifyAll and BenchmarkColdVerifyAllFile run one cold
+# VerifyAll of the 2-group cache datacenter, in memory (two slice
+# encodings, four checks shared canonically) and exported and built back
+# as cachefarm-cold verifies it (six encodings).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'ReplyRender|Propose' -benchtime 1x ./internal/incr

@@ -109,7 +109,7 @@ func TestVerifyAllWorkersBitIdentical(t *testing.T) {
 // share a warm encoding solve it in the order the pool runs them, so the
 // counts (not the verdicts) vary from run to run.
 func TestSolverDeterministicAtOneWorker(t *testing.T) {
-	want := sat.Stats{Decisions: 24050, Propagations: 550672, Conflicts: 39, Learnt: 39, SolveCalls: 132}
+	want := sat.Stats{Decisions: 1288, Propagations: 82289, Conflicts: 16, Learnt: 16, MinimizedLit: 4, SolveCalls: 97}
 	var first []core.Report
 	for run := 0; run < 3; run++ {
 		d := NewDatacenter(DCConfig{Groups: 4, HostsPerGroup: 1, WithCaches: true})

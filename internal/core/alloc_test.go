@@ -7,6 +7,7 @@ import (
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -14,27 +15,30 @@ import (
 var raceEnabled bool
 
 // TestColdVerifyAllAllocs is a ceiling on the allocations, and on the
-// bytes allocated, of one cold VerifyAll (see coldCandidate): six slice
-// encodings, nothing shared, which is one cachefarm-cold candidate.
-// Building the encodings dominates both. Each ceiling is the measured
-// figure (15 821 allocations and 2.42 MB on linux/amd64, go1.24) plus 5 %.
-// A clause struct per binary clause, 16-byte watchers holding a pointer
-// and per-variable arrays grown one NewVar at a time made 16 090 and
-// 3.69 MB. Grounding every state bit, frame axiom and path guard up front,
-// before knowing the invariant, made 21 691 allocations; per-object
-// construction before that made 92 941: one clause struct and literal
-// array per problem clause, one allocation per watch-list growth, a map
-// entry per atom, per-hop map copies in journey enumeration and K copies
-// of every journey event. Not compared under the race detector, which
-// adds allocations of its own.
+// bytes allocated, of one cold VerifyAll of coldCandidate: the in-memory
+// 2-group cache datacenter, whose six checks build two slice encodings and
+// share the other four canonically (cachefarm-cold's file-described
+// candidates build six; see BenchmarkColdVerifyAllFile). Building the
+// encodings dominates both. Each ceiling is the measured figure (15 373
+// allocations and 1.59 MB on linux/amd64, go1.24) plus 5 %. A selector
+// row over the whole 253-position alphabet at every step, with its
+// product-encoding grid, made 15 821 and 2.42 MB; a clause struct per
+// binary clause, 16-byte watchers holding a pointer and per-variable
+// arrays grown one NewVar at a time made 16 090 and 3.69 MB. Grounding
+// every state bit, frame axiom and path guard up front, before knowing the
+// invariant, made 21 691 allocations; per-object construction before that
+// made 92 941: one clause struct and literal array per problem clause, one
+// allocation per watch-list growth, a map entry per atom, per-hop map
+// copies in journey enumeration and K copies of every journey event. Not
+// compared under the race detector, which adds allocations of its own.
 func TestColdVerifyAllAllocs(t *testing.T) {
 	verifyAll := coldCandidate(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(3, verifyAll)
+	allocs := testing.AllocsPerRun(3, func() { verifyAll() })
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 4 // AllocsPerRun's warm-up run and its 3
-	const ceiling, byteCeiling = 16612, 2_542_000
+	const ceiling, byteCeiling = 16142, 1_669_300
 	if raceEnabled {
 		return
 	}
@@ -47,8 +51,8 @@ func TestColdVerifyAllAllocs(t *testing.T) {
 }
 
 // BenchmarkColdVerifyAll times the cold VerifyAll TestColdVerifyAllAllocs
-// counts: one cachefarm-cold candidate, six slice encodings built and
-// solved from nothing.
+// counts: the in-memory candidate, two slice encodings built and solved
+// from nothing.
 func BenchmarkColdVerifyAll(b *testing.B) {
 	verifyAll := coldCandidate(b)
 	b.ReportAllocs()
@@ -57,28 +61,85 @@ func BenchmarkColdVerifyAll(b *testing.B) {
 	}
 }
 
-// coldCandidate returns a function that runs one cold VerifyAll (a fresh
-// verifier, Workers: 1) of both data-isolation invariants of the intact
-// 2-group cache datacenter under no failure and the single failures of
-// fw1 and ids1. The network is built once, outside it.
-func coldCandidate(tb testing.TB) func() {
+// BenchmarkColdVerifyAllFile times the cold VerifyAll of
+// coldFileCandidate, the shape cachefarm-cold verifies: six encodings.
+func BenchmarkColdVerifyAllFile(b *testing.B) {
+	verifyAll := coldFileCandidate(b)
+	b.ReportAllocs()
+	for range b.N {
+		verifyAll()
+	}
+}
+
+// coldCandidate returns coldVerifyAll of both data-isolation invariants of
+// the intact, in-memory 2-group cache datacenter. Its fw1→fw2 failover
+// keeps the failure slices isomorphic, so the six checks canonicalize to
+// two classes: two encodings, four checks shared.
+func coldCandidate(tb testing.TB) func() *core.Verifier {
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
+	return coldVerifyAll(tb, d.Net, []inv.Invariant{d.DataIsolationInvariant(0), d.DataIsolationInvariant(1)})
+}
+
+// coldFileCandidate returns coldVerifyAll of the same invariants and
+// datacenter exported to a description and built back (netdesc.FromNetwork,
+// then netdesc.Build), as cachefarm-cold verifies it: the description
+// cannot express failover, so the failure slices differ and each of the
+// six checks builds an encoding of its own.
+func coldFileCandidate(tb testing.TB) func() *core.Verifier {
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
+	desc, err := netdesc.FromNetwork("cold", d.Net, []inv.Invariant{d.DataIsolationInvariant(0), d.DataIsolationInvariant(1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net, invs, err := netdesc.Build(desc, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return coldVerifyAll(tb, net, invs)
+}
+
+// TestColdCandidateEncodings pins the shapes coldCandidate and
+// coldFileCandidate's comments state: two encodings and four shared checks
+// in memory, six encodings and none shared from the description.
+func TestColdCandidateEncodings(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		verifyAll      func() *core.Verifier
+		builds, shared int64
+	}{
+		{"in-memory", coldCandidate(t), 2, 4},
+		{"file", coldFileCandidate(t), 6, 0},
+	} {
+		v := c.verifyAll()
+		_, builds := v.EncodingCacheStats()
+		_, shared, _ := v.CanonStats()
+		if builds != c.builds || shared != c.shared {
+			t.Errorf("%s: %d encodings built and %d checks shared, want %d and %d", c.name, builds, shared, c.builds, c.shared)
+		}
+	}
+}
+
+// coldVerifyAll returns a function that runs one cold VerifyAll (a fresh
+// verifier, Workers: 1) of invs on net under no failure and the single
+// failures of fw1 and ids1, as cachefarm-cold does, and returns the
+// verifier. The network is built once, outside it.
+func coldVerifyAll(tb testing.TB, net *core.Network, invs []inv.Invariant) func() *core.Verifier {
 	opts := core.Options{Engine: core.EngineSAT, Workers: 1, Scenarios: []topo.FailureScenario{topo.NoFailures()}}
 	for _, name := range []string{"fw1", "ids1"} {
-		n, ok := d.Net.Topo.ByName(name)
+		n, ok := net.Topo.ByName(name)
 		if !ok {
 			tb.Fatalf("no node %s", name)
 		}
 		opts.Scenarios = append(opts.Scenarios, topo.Failures(n.ID))
 	}
-	invs := []inv.Invariant{d.DataIsolationInvariant(0), d.DataIsolationInvariant(1)}
-	return func() {
-		v, err := core.NewVerifier(d.Net, opts)
+	return func() *core.Verifier {
+		v, err := core.NewVerifier(net, opts)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := v.VerifyAll(invs, false); err != nil {
+		if _, err := v.VerifyAll(invs, true); err != nil {
 			tb.Fatal(err)
 		}
+		return v
 	}
 }

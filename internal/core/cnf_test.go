@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -103,10 +104,10 @@ func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
 		cnf   string
 		stats sat.Stats
 	}{
-		{"efdc88ee16d1c6d88c6feb9088c2423d96f74dc55674457bfe7dfae897f1ad6f",
+		{"3e91bb96e6cb12a090a7a952b0c146089458a2a61a3c62ee70e5b483e6e8a5e0",
 			sat.Stats{Propagations: 84, SolveCalls: 6}},
-		{"8cf73f5d9b589eb5ddd08090052c3a3ddb2b85e61f70045307e741f8431a0236",
-			sat.Stats{Decisions: 1668, Propagations: 83748, Conflicts: 39, Learnt: 39, SolveCalls: 72}},
+		{"900edb54c1e84af7d15d3bce0ed71d10bca69350bec74ed028674b26fdb33852",
+			sat.Stats{Decisions: 213, Propagations: 6021, Conflicts: 9, Learnt: 9, SolveCalls: 42}},
 	}
 	for i, c := range datacenterCases {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
@@ -126,26 +127,39 @@ func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
 }
 
 // TestSliceEncodingConeDatacenter pins the cone of influence each of the
-// six encodings grounds for its data-isolation invariant, out of 50 state
-// bits: a holding invariant's bad formula reaches one, group 0's leak
-// three. The whole-network baseline grounds all 50 whatever the verdict,
-// and agrees on it.
+// six encodings grounds for its data-isolation invariant: out of 50 state
+// bits, a holding invariant's bad formula reaches one, group 0's leak
+// three; out of 252 choices, it admits 2 and 12; and the variables the
+// encoding holds. The whole-network baseline grounds all 50 bits and
+// admits all 252 choices whatever the verdict, and agrees on the verdict
+// and, byte for byte, on the witness.
 func TestSliceEncodingConeDatacenter(t *testing.T) {
-	want := [][]int{{1, 1, 1, 1, 1, 1}, {3, 3, 3, 1, 1, 1}}
+	want := []struct{ bits, choices, vars []int }{
+		{[]int{1, 1, 1, 1, 1, 1}, []int{2, 2, 2, 2, 2, 2}, []int{30, 30, 30, 30, 30, 30}},
+		{[]int{3, 3, 3, 1, 1, 1}, []int{12, 12, 12, 2, 2, 2}, []int{168, 168, 168, 30, 30, 30}},
+	}
 	for i, c := range datacenterCases {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
 		c.mutate(d)
 		lazy, lazyRes := datacenterEncodings(t, d, encode.Options{})
 		eager, eagerRes := datacenterEncodings(t, d, encode.Options{GroundAllReadKeys: true})
 		for j := range lazy {
-			if bits, of := lazy[j].Grounded(); bits != want[i][j] || of != 50 {
-				t.Errorf("%s encoding %d: grounded %d of %d state bits, want %d of 50", c.name, j, bits, of, want[i][j])
+			bits, ofBits, choices, ofChoices := lazy[j].Grounded()
+			vars := lazy[j].Clauses(func([]sat.Lit) {})
+			if bits != want[i].bits[j] || ofBits != 50 {
+				t.Errorf("%s encoding %d: grounded %d of %d state bits, want %d of 50", c.name, j, bits, ofBits, want[i].bits[j])
 			}
-			if bits, of := eager[j].Grounded(); bits != of || of < 50 {
-				t.Errorf("%s encoding %d: whole-network baseline grounded %d of %d state bits", c.name, j, bits, of)
+			if choices != want[i].choices[j] || ofChoices != 252 {
+				t.Errorf("%s encoding %d: admitted %d of %d choices, want %d of 252", c.name, j, choices, ofChoices, want[i].choices[j])
 			}
-			if lazyRes[j].Outcome != eagerRes[j].Outcome {
-				t.Errorf("%s encoding %d: %v, whole-network baseline %v", c.name, j, lazyRes[j].Outcome, eagerRes[j].Outcome)
+			if vars != want[i].vars[j] {
+				t.Errorf("%s encoding %d: %d variables, want %d", c.name, j, vars, want[i].vars[j])
+			}
+			if bits, ofBits, choices, ofChoices := eager[j].Grounded(); bits != ofBits || ofBits < 50 || choices != ofChoices || ofChoices != 252 {
+				t.Errorf("%s encoding %d: whole-network baseline grounded %d of %d state bits and admitted %d of %d choices", c.name, j, bits, ofBits, choices, ofChoices)
+			}
+			if lazyRes[j].Outcome != eagerRes[j].Outcome || !reflect.DeepEqual(lazyRes[j].Trace, eagerRes[j].Trace) {
+				t.Errorf("%s encoding %d: %v %v, whole-network baseline %v %v", c.name, j, lazyRes[j].Outcome, lazyRes[j].Trace, eagerRes[j].Outcome, eagerRes[j].Trace)
 			}
 		}
 	}

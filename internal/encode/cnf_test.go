@@ -63,14 +63,14 @@ func TestSliceEncodingCNFPinned(t *testing.T) {
 		stats sat.Stats
 	}{
 		{"firewall-pair", fwPair.Problem(inv.FlowIsolation{Dst: fwPair.HA, SrcAddr: fwPair.AddrB}, topo.NoFailures()),
-			"7b1ca1bb110b854429a3839b48a88a2108c5f847bee7a42eca954f6d36c7f990",
-			sat.Stats{Decisions: 1, Propagations: 36, Conflicts: 2, Learnt: 1, SolveCalls: 1}},
+			"e219c0906248f07c4b59cb2a110ca15d5ca7888d8c5926304cbda7c91d25dac1",
+			sat.Stats{Decisions: 3, Propagations: 37, Conflicts: 3, Learnt: 1, SolveCalls: 1}},
 		{"cache-group", cache.Problem(inv.DataIsolation{Dst: cache.H2, Origin: cache.AddrS}),
-			"47d28a8dbca30eb347ecdc1f722b5cd6e8d91756e62b53a023301dec68c148c9",
-			sat.Stats{Decisions: 35, Propagations: 363, Conflicts: 1, Learnt: 1, SolveCalls: 6}},
+			"53526bab593a4c3b8721e3d5728371635085a36d469ca7be61c144ff1495f5ed",
+			sat.Stats{Decisions: 53, Propagations: 691, Conflicts: 9, Learnt: 9, MinimizedLit: 2, SolveCalls: 7}},
 		{"ids-fragment", ids.Problem(inv.Traversal{Dst: ids.Host, SrcPrefix: pkt.HostPrefix(ids.AddrPeer), Vias: []topo.NodeID{ids.IDSNode}}, 3),
-			"dbaf0235092196f5433471e37db5265ffe35355e61e8dcf696f9f475f180bd7b",
-			sat.Stats{Decisions: 10, Propagations: 89, Conflicts: 5, Learnt: 2, SolveCalls: 1}},
+			"e0f6eb8e101b98bf398b2b2266299a67611644976fc39f8339e2d3b7240e402f",
+			sat.Stats{Decisions: 10, Propagations: 93, Conflicts: 5, Learnt: 2, SolveCalls: 1}},
 	}
 	for _, c := range cases {
 		e, err := NewSliceEncoding(c.p, Options{})

@@ -23,13 +23,14 @@
 // guards of matching journey events. Asserting ⋁_t bad[t] and solving
 // yields either a violating schedule (model) or a bounded proof (UNSAT).
 //
-// What is grounded when: building an encoding enumerates the journeys and
-// asserts the selector rows, nothing more. Each invariant then grounds
-// its cone of influence: the guards of the paths its atoms match, the
-// state bits those guards read, each such bit's boot unit and frame
-// axioms, and the guards of the paths setting it, to a fixpoint. What is
-// left out would only define variables no asserted clause mentions, so
-// verdicts and witnesses are those of the full encoding, which
+// What is grounded when: building an encoding enumerates the journeys,
+// nothing more. Each invariant then grounds its cone of influence: the
+// guards of the paths its atoms match, the state bits those guards read,
+// each such bit's boot unit and frame axioms, and the guards of the paths
+// setting it, to a fixpoint, with a selector per step for each choice
+// those paths belong to. What is left out would only define variables no
+// asserted clause mentions, and a choice left out acts as doing nothing,
+// so verdicts and witnesses are those of the full encoding, which
 // GroundAllReadKeys (the whole-network baseline) grounds up front.
 //
 // Serializing each packet's journey within its step is an abstraction: the

@@ -5,9 +5,10 @@ package encode
 // The paper leans on Z3's incremental interface so that the many invariants
 // checked over one slice amortize a single solver context. This file is
 // that mechanism for VMN's built-in solver. An encoding is built once per
-// (slice × samples × schedule bound) with only the journeys and selector
-// rows; each invariant grounds what its cone of influence reaches that no
-// earlier invariant did (see activate), then its own "bad" formula, which
+// (slice × samples × schedule bound) with only the journeys; each
+// invariant grounds what its cone of influence reaches that no earlier
+// invariant did (see activate), selectors of the choices it reaches
+// included (see admit), then its own "bad" formula, which
 // it asserts under an activation literal and decides with SolveAssuming.
 // The grounding, learnt clauses, saved phases and VSIDS activity persist
 // across those solves, and a re-verification of a previously seen
@@ -64,9 +65,15 @@ type SliceEncoding struct {
 	paths      []*jpath
 	pathChoice []int32
 
-	// sel[t][c] selects choice c at step t; index len(choices) is the
-	// scheduler's "do nothing" option.
-	sel [][]smt.Form
+	// sel[c][t] selects choice c at step t once c is admitted (nil before);
+	// admitted lists the admitted choices in alphabet order. rest[t] is
+	// step t doing nothing or picking a choice not admitted (see admit),
+	// and stands for alphabet position idle, the least choice not
+	// admitted, or len(choices) ("do nothing") when all are.
+	sel      [][]smt.Form
+	admitted []int32
+	rest     []smt.Form
+	idle     int
 	// refs is the sorted state-bit universe, refIdx its inverse, and
 	// setters[ri] the global paths that set refs[ri].
 	refs    []keyRef
@@ -95,13 +102,13 @@ type SliceEncoding struct {
 
 // NewSliceEncoding enumerates the problem's journeys (through
 // opts.Journeys when set) and builds what every invariant needs: the
-// selector rows, the sorted state-bit universe and the per-ref setter
-// index. State bits, frame axioms and path guards are grounded later, as
-// invariants reach them (see activate); with opts.GroundAllReadKeys every
-// state bit and all it needs are grounded here. The returned encoding
-// serves any invariant whose problem has identical AppendEncodingKey
-// content. The CNF it emits after serving the fixtures' invariants is
-// pinned by TestSliceEncodingCNFPinned.
+// sorted state-bit universe and the per-ref setter index. Selectors, state
+// bits, frame axioms and path guards are grounded later, as invariants
+// reach them (see activate); with opts.GroundAllReadKeys every choice is
+// admitted and every state bit and all it needs grounded here. The
+// returned encoding serves any invariant whose problem has identical
+// AppendEncodingKey content. The CNF it emits after serving the fixtures'
+// invariants is pinned by TestSliceEncodingCNFPinned.
 func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	if p.MaxSends <= 0 {
 		return nil, fmt.Errorf("encode: MaxSends must be positive")
@@ -124,7 +131,12 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 		ctx:     ctx,
 		K:       p.MaxSends,
 		choices: choices,
+		sel:     make([][]smt.Form, len(choices)),
+		rest:    make([]smt.Form, p.MaxSends),
 		acts:    map[smt.FormID]smt.Form{},
+	}
+	for t := range e.rest {
+		e.rest[t] = ctx.True() // admit splits selectors off
 	}
 	for ci := range choices {
 		for pi := range choices[ci].paths {
@@ -132,9 +144,6 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 			e.pathChoice = append(e.pathChoice, int32(ci))
 		}
 	}
-
-	// Selector variables: sel[t][c] plus an implicit "none" choice.
-	e.sel = ctx.ExactlyOneRows(e.K, len(choices)+1)
 
 	// The state-bit universe (refIdx's keys) is every ref a path mentions,
 	// sorted so grounding order, and so variable numbering, is deterministic.
@@ -180,12 +189,46 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	e.bits = make([][]smt.Form, len(e.refs))
 	e.guards = make([][]smt.Form, len(e.paths))
 	if opts.GroundAllReadKeys {
+		for ci := range choices {
+			e.admit(int32(ci))
+		}
 		for ri := range e.refs {
 			e.groundBit(int32(ri))
 		}
 		e.closeCone()
 	}
 	return e, nil
+}
+
+// admit gives choice c its selectors, once: at each step a fresh sel and
+// a fresh rest' split the step's rest, with rest ↔ sel ∨ rest' and
+// ¬(sel ∧ rest'), so exactly one of the step's admitted selectors and its
+// rest holds. A choice not admitted sets no grounded bit (closeCone admits
+// every setter of one) and matches no grounded atom (activate admits every
+// path an atom matches), so for every asserted clause picking it is
+// picking rest, and rest stands for the least such choice, idle.
+func (e *SliceEncoding) admit(c int32) {
+	if e.sel[c] != nil {
+		return
+	}
+	ctx := e.ctx
+	row := make([]smt.Form, e.K)
+	for t := range row {
+		sel, rest := ctx.FreshBool(), ctx.FreshBool()
+		if e.rest[t].IsTrue() {
+			ctx.AssertClause(sel, rest)
+		} else {
+			ctx.AssertIffOr(e.rest[t], sel, rest)
+		}
+		ctx.AssertClause(ctx.Not(sel), ctx.Not(rest))
+		row[t], e.rest[t] = sel, rest
+	}
+	e.sel[c] = row
+	i, _ := slices.BinarySearch(e.admitted, c)
+	e.admitted = slices.Insert(e.admitted, i, c)
+	for e.idle < len(e.sel) && e.sel[e.idle] != nil {
+		e.idle++
+	}
 }
 
 // groundBit creates the variables of state bit ri at every step, once, and
@@ -203,19 +246,20 @@ func (e *SliceEncoding) groundBit(ri int32) {
 }
 
 // groundPath builds the guards of global path gp at every step, once,
-// grounding the state bits its conds read.
+// admitting its choice and grounding the state bits its conds read.
 func (e *SliceEncoding) groundPath(gp int32) {
 	if e.guards[gp] != nil {
 		return
 	}
-	pth := e.paths[gp]
+	pth, ci := e.paths[gp], e.pathChoice[gp]
+	e.admit(ci)
 	for _, c := range pth.conds {
 		e.groundBit(e.refIdx[c.ref])
 	}
 	row := make([]smt.Form, e.K)
 	parts := e.formBuf
 	for t := range row {
-		parts = append(parts[:0], e.sel[t][e.pathChoice[gp]])
+		parts = append(parts[:0], e.sel[ci][t])
 		for _, c := range pth.conds {
 			b := e.bits[e.refIdx[c.ref]][t]
 			if !c.val {
@@ -258,17 +302,17 @@ func (e *SliceEncoding) closeCone() {
 
 // enumerateChoices expands the (sample, class assignment) alphabet and
 // enumerates each choice's journeys, sharing enumerations across
-// invariants and encodings through the optional cache. Every choice's
-// cache key is built in one buffer behind the problem's key prefix.
+// invariants and encodings through the optional cache, where the problem
+// is interned once and each choice looked up under its journeyKey.
 func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) ([]choice, error) {
-	var key []byte
+	var problem uint64
 	if opts.Journeys != nil {
-		var ok bool
-		if key, ok = appendProblemKey(nil, p); !ok {
+		if key, ok := appendProblemKey(nil, p); ok {
+			problem = opts.Journeys.problem(key)
+		} else {
 			opts.Journeys = nil // unfingerprintable box: no memoization
 		}
 	}
-	prefix := len(key)
 	classes := p.ClassAssignments()
 	choices := make([]choice, 0, len(p.Samples)*len(classes))
 	for _, s := range p.Samples {
@@ -277,8 +321,7 @@ func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) 
 			enumerate := func() ([]jpath, error) { return journeys(p, boxIdx, s, cls) }
 			var err error
 			if opts.Journeys != nil {
-				key = appendChoiceKey(key[:prefix], s, cls)
-				c.paths, err = opts.Journeys.paths(string(key), enumerate)
+				c.paths, err = opts.Journeys.paths(journeyKey{problem, s, cls}, enumerate)
 			} else {
 				c.paths, err = enumerate()
 			}
@@ -302,11 +345,12 @@ func (e *SliceEncoding) Clauses(fn func(lits []sat.Lit)) (vars int) {
 }
 
 // Grounded reports how many state bits the encoding's invariants have
-// grounded so far, out of how many it has.
-func (e *SliceEncoding) Grounded() (bits, of int) {
+// grounded and how many choices they have admitted so far, each out of
+// how many it has.
+func (e *SliceEncoding) Grounded() (bits, ofBits, choices, ofChoices int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.grounded), len(e.refs)
+	return len(e.grounded), len(e.refs), len(e.admitted), len(e.choices)
 }
 
 // SolverStats exposes the shared solver's accumulated work counters.
@@ -407,56 +451,69 @@ func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
 
 // extractTrace derives the canonical violating schedule after a Sat
 // verdict: the lexicographically least (step-major, choices in alphabet
-// order, "do nothing" last) selector assignment satisfying the active bad
-// formula. With the earlier steps fixed, each step's least feasible choice
-// is found by binary search: the selector row is exactly-one, so "some
-// choice ≤ mid" is the assumption ¬sel[t][c] for every c > mid, and a step
-// costs at most ⌈log₂(|choices|+1)⌉ solves without adding a clause. The
-// schedule fully determines the state bits (the frame axioms are
+// order, "do nothing" last) schedule over the whole alphabet satisfying
+// the active bad formula. A step's candidates are its admitted choices and
+// rest, which stands for idle, the least choice it covers (see admit).
+// With the earlier steps fixed, each step's least feasible candidate is
+// found by binary search: exactly one candidate holds, so "some candidate
+// ≤ mid" is the assumption that every candidate above mid does not, and a
+// step costs at most ⌈log₂(|candidates|)⌉ solves without adding a clause.
+// The schedule fully determines the state bits (the frame axioms are
 // equivalences from an all-false boot state), so the extracted trace is a
 // function of the formula alone — independent of solver history, learnt
-// state or which engine path built the encoding.
+// state, which engine path built the encoding or which choices its
+// earlier invariants admitted.
 func (e *SliceEncoding) extractTrace(act smt.Form) []logic.Event {
 	return e.replay(e.lexMinSchedule(act))
 }
 
-// lexMinSchedule returns the canonical schedule's choice per step,
-// starting from the current (satisfying) model.
+// lexMinSchedule returns the canonical schedule's alphabet position per
+// step, starting from the current (satisfying) model. A step's candidates
+// are cands: the admitted choices and idle, whose selector is rest.
 func (e *SliceEncoding) lexMinSchedule(act smt.Form) []int {
 	ctx := e.ctx
-	cur := make([]int, e.K)
-	e.readSchedule(cur)
-	assume := make([]smt.Form, 1, e.K+len(e.choices)+1)
+	cands := slices.Insert(slices.Clone(e.admitted), e.idle, int32(e.idle)) // every choice below idle is admitted
+	selector := func(t, i int) smt.Form {
+		if i == e.idle {
+			return e.rest[t]
+		}
+		return e.sel[cands[i]][t]
+	}
+	cur := make([]int, e.K) // each step's candidate in the current model
+	read := func() {
+		for t := range cur {
+			cur[t] = e.idle
+			for i := range cands {
+				if i != e.idle && ctx.EvalForm(selector(t, i)) == sat.True {
+					cur[t] = i
+					break
+				}
+			}
+		}
+	}
+	read()
+	assume := make([]smt.Form, 1, e.K+len(cands)+1)
 	assume[0] = act
-	for t := 0; t < e.K; t++ {
+	sched := make([]int, e.K)
+	for t := range cur {
 		for lo := 0; lo < cur[t]; {
 			mid := (lo + cur[t] - 1) / 2
 			probe := assume // a probe's exclusions fill assume's spare capacity
-			for c := mid + 1; c < len(e.sel[t]); c++ {
-				probe = append(probe, ctx.Not(e.sel[t][c]))
+			for i := mid + 1; i < len(cands); i++ {
+				probe = append(probe, ctx.Not(selector(t, i)))
 			}
 			if ctx.SolveAssuming(probe...) == sat.Sat {
-				e.readSchedule(cur) // cur[t] ≤ mid; later steps improve too
+				read() // cur[t] ≤ mid; later steps improve too
 			} else {
 				lo = mid + 1
 			}
 		}
-		assume = append(assume, e.sel[t][cur[t]])
-	}
-	return cur
-}
-
-// readSchedule reads the selected choice per step from the current model.
-func (e *SliceEncoding) readSchedule(cur []int) {
-	for t := range cur {
-		cur[t] = len(e.choices)
-		for c := 0; c < len(e.choices); c++ {
-			if e.ctx.EvalForm(e.sel[t][c]) == sat.True {
-				cur[t] = c
-				break
-			}
+		if f := selector(t, cur[t]); !f.IsTrue() { // true: nothing admitted
+			assume = append(assume, f)
 		}
+		sched[t] = int(cands[cur[t]])
 	}
+	return sched
 }
 
 // replay runs the schedule from the all-false boot state and returns its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/inv"
@@ -226,37 +227,56 @@ func TestWitnessExtractionSolveBound(t *testing.T) {
 	})
 }
 
-// linearLexMin is the reference canonical witness: from a fresh model of
-// act, try each step's choices in order below the current one and keep the
-// first feasible one given the steps already fixed; then check the whole
-// schedule is satisfiable and read its trace by replaying it.
-func linearLexMin(t *testing.T, e *SliceEncoding, act smt.Form) ([]int, []logic.Event) {
+// linearLexMin is the reference canonical witness over the whole
+// alphabet, sharing nothing with the idle mapping: on an eager encoding of
+// p, every choice admitted and rest meaning "do nothing", it takes a fresh
+// model of p's bad formula, tries each step's choices in alphabet order
+// below the current one and keeps the first feasible one given the steps
+// already fixed; then it checks the whole schedule is satisfiable and
+// reads its trace by replaying it.
+func linearLexMin(t *testing.T, p *inv.Problem) ([]int, []logic.Event) {
 	t.Helper()
+	e, err := NewSliceEncoding(p, Options{GroundAllReadKeys: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := len(e.choices)
+	if e.idle != none {
+		t.Fatalf("reference: eager encoding admitted %d of %d choices", len(e.admitted), none)
+	}
 	ctx := e.ctx
+	selector := func(s, c int) smt.Form {
+		if c == none {
+			return e.rest[s]
+		}
+		return e.sel[c][s]
+	}
 	sched := make([]int, e.K)
 	read := func() {
 		for s := range sched {
-			for c, sel := range e.sel[s] {
-				if ctx.EvalForm(sel) == sat.True {
+			sched[s] = none
+			for c := range none {
+				if ctx.EvalForm(e.sel[c][s]) == sat.True {
 					sched[s] = c
 					break
 				}
 			}
 		}
 	}
-	if ctx.SolveAssuming(act) != sat.Sat {
+	act, ok := e.activate(p)
+	if !ok || ctx.SolveAssuming(act) != sat.Sat {
 		t.Fatal("reference: bad is unsatisfiable")
 	}
 	read()
 	assume := []smt.Form{act}
 	for s := range sched {
 		for c := 0; c < sched[s]; c++ {
-			if ctx.SolveAssuming(append(assume, e.sel[s][c])...) == sat.Sat {
+			if ctx.SolveAssuming(append(assume, selector(s, c))...) == sat.Sat {
 				read()
 				break
 			}
 		}
-		assume = append(assume, e.sel[s][sched[s]])
+		assume = append(assume, selector(s, sched[s]))
 	}
 	if ctx.SolveAssuming(assume...) != sat.Sat {
 		t.Fatal("reference: the scanned schedule is unsatisfiable")
@@ -265,8 +285,9 @@ func linearLexMin(t *testing.T, e *SliceEncoding, act smt.Form) ([]int, []logic.
 }
 
 // TestExtractTraceMatchesLinearLexMin checks the binary-search extraction
-// against the linear reference: the same schedule from a fresh model, and
-// Verify's trace equal to the reference's, on cold and warm encodings.
+// over a cone's candidates against the whole-alphabet linear reference:
+// the same schedule from a fresh model, and Verify's trace equal to the
+// reference's, on cold and warm encodings.
 func TestExtractTraceMatchesLinearLexMin(t *testing.T) {
 	eachViolated(t, func(label string, enc *SliceEncoding, p *inv.Problem, r inv.Result, _ int64) {
 		act, ok := enc.activate(p)
@@ -274,10 +295,86 @@ func TestExtractTraceMatchesLinearLexMin(t *testing.T) {
 			t.Fatalf("%s: bad is unsatisfiable", label)
 		}
 		got := enc.lexMinSchedule(act)
-		want, trace := linearLexMin(t, enc, act)
+		want, trace := linearLexMin(t, p)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: schedule %v, reference %v", label, got, want)
 		}
 		sameResult(t, label, r, inv.Result{Outcome: inv.Violated, Trace: trace})
 	})
+}
+
+// TestDontCareStepPicksIdle: a witness step the violation does not need
+// picks the least choice outside the invariant's cone, as the
+// whole-alphabet witness does, and the trace replays that choice's
+// journey. On violatedFamilies' wide firewall pair, B reaching A needs one
+// step, and the 29 flows in front of the pair's alphabet set state no
+// guard reads.
+func TestDontCareStepPicksIdle(t *testing.T) {
+	p := violatedFamilies()[3][0]
+	enc, err := NewSliceEncoding(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := enc.Verify(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	act, _ := enc.activate(p)
+	if enc.ctx.SolveAssuming(act) != sat.Sat {
+		t.Fatal("bad is unsatisfiable")
+	}
+	got := enc.lexMinSchedule(act)
+	want, trace := linearLexMin(t, p)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("schedule %v, reference %v", got, want)
+	}
+	if enc.idle == len(enc.choices) || !slices.Contains(got, enc.idle) {
+		t.Fatalf("schedule %v has no don't-care step on idle choice %d of %d", got, enc.idle, len(enc.choices))
+	}
+	sameResult(t, "don't-care", r, inv.Result{Outcome: inv.Violated, Trace: trace})
+}
+
+// TestAdmitLadderExactlyOne: whatever order choices are admitted in,
+// exactly one of a step's admitted selectors and its rest holds: each
+// alone is satisfiable, with every other one false; no two hold
+// together; and not all are false. admitted stays in alphabet order, and
+// idle is the least choice not admitted.
+func TestAdmitLadderExactlyOne(t *testing.T) {
+	enc, err := NewSliceEncoding(violatedFamilies()[3][0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := enc.ctx
+	for n, c := range []int32{5, 0, 31, 2, 1, 5, 3} {
+		enc.admit(c)
+		for t0 := range enc.K {
+			row := []smt.Form{enc.rest[t0]}
+			for _, a := range enc.admitted {
+				row = append(row, enc.sel[a][t0])
+			}
+			none := make([]smt.Form, len(row))
+			for i, f := range row {
+				none[i] = ctx.Not(f)
+				if ctx.SolveAssuming(f) != sat.Sat {
+					t.Fatalf("after %d admissions, step %d: candidate %d alone is unsatisfiable", n+1, t0, i)
+				}
+				for j, g := range row {
+					if (ctx.EvalForm(g) == sat.True) != (i == j) {
+						t.Fatalf("after %d admissions, step %d: with candidate %d, candidate %d is %v", n+1, t0, i, j, ctx.EvalForm(g))
+					}
+				}
+				for j := i + 1; j < len(row); j++ {
+					if ctx.SolveAssuming(f, row[j]) != sat.Unsat {
+						t.Fatalf("after %d admissions, step %d: candidates %d and %d hold together", n+1, t0, i, j)
+					}
+				}
+			}
+			if ctx.SolveAssuming(none...) != sat.Unsat {
+				t.Fatalf("after %d admissions, step %d: no candidate holds", n+1, t0)
+			}
+		}
+	}
+	if want := []int32{0, 1, 2, 3, 5, 31}; !reflect.DeepEqual(enc.admitted, want) || enc.idle != 4 {
+		t.Fatalf("admitted %v idle %d, want %v and 4", enc.admitted, enc.idle, want)
+	}
 }

@@ -22,20 +22,35 @@ import (
 
 // JourneyCache memoizes journey enumeration across Verify calls over one
 // fixed topology (the lifetime scope of a core.Verifier, the intended
-// owner). Keys embed the transfer engine's behaviour fingerprint and the
-// configuration fingerprints of every middlebox, so forwarding-state or
-// configuration mutations between calls miss cleanly instead of returning
-// stale journeys; problems containing a middlebox without a configuration
-// description (mbox.ExactKey reports false) skip memoization entirely. Safe for
+// owner). A problem's key embeds the transfer engine's behaviour
+// fingerprint and the configuration fingerprints of every middlebox, so
+// forwarding-state or configuration mutations between calls miss cleanly
+// instead of returning stale journeys; problems containing a middlebox
+// without a configuration description (mbox.ExactKey reports false) skip
+// memoization entirely. Each encoding interns its problem key once, and
+// its choices are then looked up by a fixed-size journeyKey. Safe for
 // concurrent use, and single-flight: a miss registers its enumeration as
 // in flight, and concurrent askers for the same key wait for it instead of
 // enumerating again. Cached paths are handed out shared; Verify treats
 // them as immutable.
 type JourneyCache struct {
-	mu           sync.Mutex
-	m            *lru.Cache[string, []jpath]
-	flights      map[string]*journeyFlight // enumerations in progress
+	mu sync.Mutex
+	// problems interns full problem keys to ids, which are never reused:
+	// a problem evicted here comes back under a fresh id, so its journeys
+	// are enumerated again, and no id ever names two problems.
+	problems     *lru.Cache[string, uint64]
+	lastID       uint64
+	m            *lru.Cache[journeyKey, []jpath]
+	flights      map[journeyKey]*journeyFlight // enumerations in progress
 	hits, misses int64
+}
+
+// journeyKey names one choice's journeys: the interned problem and the
+// (sample, class assignment) pair.
+type journeyKey struct {
+	problem uint64
+	sample  inv.Sample
+	classes pkt.ClassSet
 }
 
 // journeyFlight is one enumeration in progress. Askers for its key wait on
@@ -50,12 +65,30 @@ type journeyFlight struct {
 // waited for panicked instead of returning.
 var errEnumerationPanicked = errors.New("encode: journey enumeration panicked")
 
-// journeyCacheCap bounds the cache (DESIGN.md, "Bounded memory").
-const journeyCacheCap = 1 << 16
+// journeyCacheCap and journeyProblemCap bound the cache's journeys and
+// interned problem keys (DESIGN.md, "Bounded memory").
+const journeyCacheCap, journeyProblemCap = 1 << 16, 1 << 10
 
 // NewJourneyCache creates an empty cache.
 func NewJourneyCache() *JourneyCache {
-	return &JourneyCache{m: lru.New[string, []jpath](journeyCacheCap, nil), flights: map[string]*journeyFlight{}}
+	return &JourneyCache{
+		problems: lru.New[string, uint64](journeyProblemCap, nil),
+		m:        lru.New[journeyKey, []jpath](journeyCacheCap, nil),
+		flights:  map[journeyKey]*journeyFlight{},
+	}
+}
+
+// problem returns the id of the problem key, interning it on first use.
+func (c *JourneyCache) problem(key []byte) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, ok := c.problems.Get(string(key))
+	if !ok {
+		c.lastID++
+		id = c.lastID
+		c.problems.Put(string(key), id)
+	}
+	return id
 }
 
 // Len is the number of journey enumerations held.
@@ -80,7 +113,7 @@ func (c *JourneyCache) Stats() (hits, misses int64) {
 // enumeration of the same key, or from running enumerate, whose outcome —
 // an error included — every waiter reads. Only successful enumerations
 // are cached.
-func (c *JourneyCache) paths(key string, enumerate func() ([]jpath, error)) ([]jpath, error) {
+func (c *JourneyCache) paths(key journeyKey, enumerate func() ([]jpath, error)) ([]jpath, error) {
 	c.mu.Lock()
 	if paths, ok := c.m.Get(key); ok {
 		c.hits++
@@ -189,11 +222,4 @@ func appendSampleKey(b []byte, s inv.Sample) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(s.Hdr.Origin))
 	b = binary.BigEndian.AppendUint32(b, s.Hdr.ContentID)
 	return binary.BigEndian.AppendUint32(b, uint32(s.Hdr.Tunnel))
-}
-
-// appendChoiceKey encodes the per-choice part: the sample plus the class
-// assignment.
-func appendChoiceKey(b []byte, s inv.Sample, cls pkt.ClassSet) []byte {
-	b = appendSampleKey(b, s)
-	return binary.BigEndian.AppendUint64(b, uint64(cls))
 }

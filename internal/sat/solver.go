@@ -173,21 +173,6 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// Reserve makes room for n more variables: the next n NewVar calls grow
-// no per-variable array.
-func (s *Solver) Reserve(n int) {
-	s.assigns = slices.Grow(s.assigns, n)
-	s.polarity = slices.Grow(s.polarity, n)
-	s.activity = slices.Grow(s.activity, n)
-	s.reason = slices.Grow(s.reason, n)
-	s.level = slices.Grow(s.level, n)
-	s.seen = slices.Grow(s.seen, n)
-	s.trail = slices.Grow(s.trail, n)
-	s.watches = slices.Grow(s.watches, 2*n)
-	s.order.heap = slices.Grow(s.order.heap, n)
-	s.order.indices = slices.Grow(s.order.indices, n)
-}
-
 func (s *Solver) litValue(l Lit) Tribool {
 	return s.assigns[l.Var()].xorSign(l.Sign())
 }

@@ -568,25 +568,6 @@ func TestSearchPinned(t *testing.T) {
 	}
 }
 
-// TestReserve: after Reserve(n), n NewVar calls allocate nothing.
-func TestReserve(t *testing.T) {
-	var solvers []*Solver // AllocsPerRun runs its function twice
-	for range 2 {
-		s := newSolverWithVars(3)
-		s.Reserve(1000)
-		solvers = append(solvers, s)
-	}
-	if allocs := testing.AllocsPerRun(1, func() {
-		s := solvers[0]
-		solvers = solvers[1:]
-		for range 1000 {
-			s.NewVar()
-		}
-	}); allocs != 0 {
-		t.Fatalf("1000 reserved variables made %.0f allocations", allocs)
-	}
-}
-
 // watchers counts the entries of every watch list.
 func (s *Solver) watchers() int {
 	n := 0

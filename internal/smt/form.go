@@ -317,89 +317,12 @@ func (c *Ctx) formIDs(fs []Form) []FormID {
 	return ids
 }
 
-// AssertExactlyOne constrains exactly one of fs to hold: one clause that
-// some holds, and at most one by atMostOne.
-func (c *Ctx) AssertExactlyOne(fs []Form) {
+// AssertClause asserts the disjunction of fs as one clause, without a
+// gate or an interned node for it.
+func (c *Ctx) AssertClause(fs ...Form) {
 	base := c.pushLits(c.formIDs(fs))
 	c.solver.AddClause(c.litStk[base:]...)
-	c.atMostOne(c.litStk[base:])
 	c.litStk = c.litStk[:base]
-}
-
-// atMostOne constrains at most one of lits to hold: pairwise up to 8
-// literals, else by Chen's product encoding. Literal k sits at row k/q and
-// column k%q of a p×q grid (q = ⌈√n⌉) and implies a fresh variable for
-// each; at most one row and at most one column variable may hold,
-// recursively. Two true literals differ in row or column, so they are
-// caught there, with O(√n) new variables and 2n + o(n) binary clauses.
-func (c *Ctx) atMostOne(lits []satpkg.Lit) {
-	n := len(lits)
-	if n <= 8 {
-		for i := range lits {
-			for j := i + 1; j < n; j++ {
-				c.solver.AddClause(lits[i].Neg(), lits[j].Neg())
-			}
-		}
-		return
-	}
-	p, q := productGrid(n)
-	top := len(c.litStk)
-	for range p + q {
-		c.litStk = append(c.litStk, satpkg.PosLit(c.solver.NewVar()))
-	}
-	grid := c.litStk[top:] // stays valid if the recursion regrows litStk
-	for k, x := range lits {
-		c.solver.AddClause(x.Neg(), grid[k/q])
-		c.solver.AddClause(x.Neg(), grid[p+k%q])
-	}
-	c.atMostOne(grid[:p])
-	c.atMostOne(grid[p:])
-	c.litStk = c.litStk[:top]
-}
-
-// productGrid returns the p×q grid atMostOne places n > 8 literals on.
-func productGrid(n int) (p, q int) {
-	q = 1
-	for q*q < n {
-		q++
-	}
-	return (n + q - 1) / q, q
-}
-
-// ExactlyOneRows returns k rows of n fresh atoms, each row constrained by
-// AssertExactlyOne. It grows the per-variable arrays of the context and
-// its solver once, by exactly what the rows take: k·n atoms, and the
-// grid variables of atMostOne (see atMostOneVars) besides.
-func (c *Ctx) ExactlyOneRows(k, n int) [][]Form {
-	c.reserve(k*n, k*(n+atMostOneVars(n)))
-	rows := make([][]Form, k)
-	for t := range rows {
-		rows[t] = make([]Form, n)
-		for i := range rows[t] {
-			rows[t][i] = c.FreshBool()
-		}
-		c.AssertExactlyOne(rows[t])
-	}
-	return rows
-}
-
-// reserve makes room for atoms more fresh atoms and vars more variables,
-// the atoms' included.
-func (c *Ctx) reserve(atoms, vars int) {
-	c.solver.Reserve(vars)
-	c.forms = slices.Grow(c.forms, atoms)
-	c.gateLits = slices.Grow(c.gateLits, atoms)
-	c.atoms = slices.Grow(c.atoms, 2*(c.solver.NumVars()+vars)-len(c.atoms))
-}
-
-// atMostOneVars returns how many fresh variables atMostOne adds for n
-// literals: the grid's, recursively.
-func atMostOneVars(n int) int {
-	if n <= 8 {
-		return 0
-	}
-	p, q := productGrid(n)
-	return p + q + atMostOneVars(p) + atMostOneVars(q)
 }
 
 // AssertIffOr asserts x ↔ ⋁ys as clauses, without a gate for the

@@ -100,40 +100,6 @@ func TestSolveAssuming(t *testing.T) {
 	}
 }
 
-// TestExactlyOne checks exactly-one on both sides of the switch from
-// pairwise to the product encoding: any one literal may hold alone, no two
-// may, and some must.
-func TestExactlyOne(t *testing.T) {
-	for n := 1; n <= 40; n++ {
-		c := NewCtx()
-		fs := make([]Form, n)
-		for i := range fs {
-			fs[i] = c.FreshBool()
-		}
-		c.AssertExactlyOne(fs)
-		for i := range fs {
-			if c.SolveAssuming(fs[i]) != sat.Sat {
-				t.Fatalf("n=%d: literal %d alone must be satisfiable", n, i)
-			}
-			for j := range fs {
-				if (c.EvalForm(fs[j]) == sat.True) != (i == j) {
-					t.Fatalf("n=%d: with literal %d, literal %d is %v", n, i, j, c.EvalForm(fs[j]))
-				}
-				if j > i && c.SolveAssuming(fs[i], fs[j]) != sat.Unsat {
-					t.Fatalf("n=%d: literals %d and %d together must be UNSAT", n, i, j)
-				}
-			}
-		}
-		none := make([]Form, n)
-		for i, f := range fs {
-			none[i] = c.Not(f)
-		}
-		if c.SolveAssuming(none...) != sat.Unsat {
-			t.Fatalf("n=%d: some literal must hold", n)
-		}
-	}
-}
-
 func TestEvalFormOnComposite(t *testing.T) {
 	c := NewCtx()
 	p, q := c.BoolVar("p"), c.BoolVar("q")
@@ -245,36 +211,5 @@ func TestAssertGuardedFalseKillsGuardOnly(t *testing.T) {
 	}
 	if c.Solve() != sat.Sat {
 		t.Fatal("instance without the guard must stay satisfiable")
-	}
-}
-
-// TestExactlyOneRowsSizesOnce: ExactlyOneRows reserves exactly what its
-// rows take. Building the rows after that reservation creates exactly the
-// reserved variables and grows none of the context's per-variable or
-// per-node arrays (the solver's are covered by sat's TestReserve).
-func TestExactlyOneRowsSizesOnce(t *testing.T) {
-	const k = 4
-	for _, n := range []int{1, 2, 8, 9, 10, 64, 65, 100, 253, 1000} {
-		c := NewCtx()
-		vars := k * (n + atMostOneVars(n))
-		c.reserve(k*n, vars)
-		caps := [3]int{cap(c.forms), cap(c.gateLits), cap(c.atoms)}
-		for range k {
-			row := make([]Form, n)
-			for i := range row {
-				row[i] = c.FreshBool()
-			}
-			c.AssertExactlyOne(row)
-		}
-		if got := c.Solver().NumVars(); got != vars {
-			t.Errorf("n=%d: rows made %d variables, reserved %d", n, got, vars)
-		}
-		if got := [3]int{cap(c.forms), cap(c.gateLits), cap(c.atoms)}; got != caps {
-			t.Errorf("n=%d: forms/gateLits/atoms grew from capacity %v to %v", n, caps, got)
-		}
-		rows := NewCtx().ExactlyOneRows(k, n)
-		if len(rows) != k || len(rows[k-1]) != n {
-			t.Fatalf("n=%d: ExactlyOneRows made %d rows, the last of %d", n, len(rows), len(rows[k-1]))
-		}
 	}
 }
