@@ -187,7 +187,7 @@ type wireTopology struct {
 // it. The export can fail (MDL-interpreted boxes are not exportable) —
 // that is a structured error, not a dead session.
 func topologyResponse(sess *incr.Session, net *core.Network, hooks serveHooks, id string, dump bool) (any, error) {
-	reports := sess.CurrentReports() // first: after a failed apply it re-verifies, moving Seq
+	reports := sess.CurrentReports()
 	w := wireTopology{
 		Op:     "topology",
 		Id:     id,
@@ -236,8 +236,8 @@ func topologyResponse(sess *incr.Session, net *core.Network, hooks serveHooks, i
 
 // wireFaultInjection connects the inject_panic wire op to the session's
 // fault hook: arming makes the next group solve panic, exercising the
-// whole containment path (worker recover → Apply error → invalidate →
-// structured error line, correct verdicts on the next request).
+// whole containment path (worker recover → Apply error, the change undone
+// → structured error line, the session as before the request).
 func wireFaultInjection(sopts *incr.Options) serveHooks {
 	var armed atomic.Bool
 	sopts.FaultHook = func(string) {

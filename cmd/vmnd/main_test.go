@@ -526,8 +526,8 @@ func TestTopologyStartupRejectsMalformed(t *testing.T) {
 
 // TestFaultInjection forces a panic inside a solve path (worker pool) and
 // asserts the containment contract: the request that hit the panic gets a
-// structured error line, and the next request re-verifies from scratch
-// with correct verdicts.
+// structured error line and leaves the session as before it, so the next
+// request finds fw1 still up and answers with correct verdicts.
 func TestFaultInjection(t *testing.T) {
 	out := exchangeOpts(t, []string{
 		`{"op":"inject_panic","id":"f1"}`,
@@ -554,15 +554,16 @@ func TestFaultInjection(t *testing.T) {
 	}
 	var res struct {
 		Seq         int
+		DirtyGroups int `json:"dirty_groups"`
 		Unsatisfied int
 		Reports     []struct{ Satisfied bool }
 	}
 	if err := json.Unmarshal(lines[3], &res); err != nil {
 		t.Fatalf("result line not JSON: %s (%v)", lines[3], err)
 	}
-	// The panicked Apply consumed seq 2 (error path); node_up is seq 3,
-	// re-verified from scratch and all-green again.
-	if res.Seq != 3 || res.Unsatisfied != 0 || len(res.Reports) != 6 {
+	// The panicked Apply was undone, its seq with it: node_up is seq 2,
+	// finds fw1 up (nothing to re-verify) and answers all-green.
+	if res.Seq != 2 || res.DirtyGroups != 0 || res.Unsatisfied != 0 || len(res.Reports) != 6 {
 		t.Fatalf("daemon did not answer correctly after the panic: %s", lines[3])
 	}
 }
@@ -610,7 +611,7 @@ func TestCrashResilience(t *testing.T) {
 	}
 	// The corpus ends by applying request cr1, failing the next apply with
 	// an injected panic and replaying cr1: the replay's ack must carry the
-	// current verdicts, not the emptied group table the failure left.
+	// verdicts of the state the failed apply left as it was.
 	var last struct {
 		Seq       int
 		Id        string

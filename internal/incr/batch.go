@@ -137,7 +137,7 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 // applyBatchLocked is ApplyBatchID's body past the request prologue.
 func (s *Session) applyBatchLocked(id string, changes []Change) error {
 	co, from := Coalesce(changes, func(n topo.NodeID) bool { return findBox(s.net, n) >= 0 })
-	if err := s.applyLocked(co); err != nil {
+	if _, err := s.transact(false, func() error { return s.applyLocked(co) }); err != nil {
 		return err
 	}
 	// Explain names the dirtying change by its place in the request.

@@ -25,8 +25,8 @@ import (
 // that fails) leaves exactly the pre-propose engines in place — were the
 // proposed ones to survive, the next Apply would re-verify against a
 // forwarding state that no longer exists. A refused Apply moves nothing
-// either; one that fails past validation drops them with the rest of the
-// incremental state.
+// either, and neither does one that fails past validation: it is undone
+// whole, its provider and engines with it.
 func TestRollbackKeepsHeldEngines(t *testing.T) {
 	const G = 3
 	opts := core.Options{Engine: core.EngineSAT}
@@ -100,24 +100,24 @@ func TestRollbackKeepsHeldEngines(t *testing.T) {
 		t.Fatalf("a refused Apply left work behind: %+v", st)
 	}
 
-	// An Apply that fails past validation has installed its changes (the
-	// provider is swapped, the session says so) and must drop the engines
-	// with the rest: the next Apply compiles and verifies from scratch.
+	// An Apply that fails past validation had swapped the provider and
+	// patched the engines: both are undone, so the next Apply has nothing
+	// to compile or re-verify.
 	failSolves = true
 	if _, err := sess.Apply([]incr.Change{bypass}); err == nil {
 		t.Fatal("the injected solve failure must fail the Apply")
 	}
 	failSolves = false
-	if got := sess.HeldEngines(); got != nil {
-		t.Fatal("a failed Apply kept its engines")
+	if got := sess.HeldEngines(); !slices.Equal(got, before) {
+		t.Fatal("a failed Apply replaced its engines")
 	}
 	reports, err = sess.Apply(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareReports(t, "after failed apply", reports, baseline(t, sess, opts, true))
-	if st := sess.LastApply(); st.TablesCompiled == 0 || len(sess.HeldEngines()) != 1 {
-		t.Fatalf("recovery did not recompile: %+v", st)
+	if st := sess.LastApply(); st.TablesCompiled != 0 || st.DirtyGroups != 0 {
+		t.Fatalf("a failed Apply left work behind: %+v", st)
 	}
 }
 

@@ -144,9 +144,6 @@ func (s *Session) GroupsAgree() error {
 }
 
 func (s *Session) groupsAgree() error {
-	if s.needFull {
-		return nil // emptied by a failed Apply: the next one regroups
-	}
 	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
 	sigs, invs := make([]string, len(s.invs)), make([]inv.Invariant, len(s.invs))
 	for i, m := range s.invs {
@@ -186,16 +183,6 @@ func (s *Session) indexAgrees() error {
 	return nil
 }
 
-// BreakNodeIndex takes n off the node index and drops the incremental
-// state, as a panic between an arrival's list edit and its index edit
-// would leave them.
-func (s *Session) BreakNodeIndex(n topo.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.byNode, n)
-	s.invalidate()
-}
-
 // tableAgrees checks t against the partition of invs computed from scratch
 // under sigs (position-aligned): report order, member order, keys and
 // representatives, and that every member is in the record its key names.
@@ -230,8 +217,8 @@ func tableAgrees(t *groupTable, invs []*member, sigs []string, noSymmetry bool) 
 		if r.key != keys[gi] || !slices.EqualFunc(r.members, want[gi].Members, name) {
 			return fmt.Errorf("group %d is %q %d members, from scratch %q %d members", gi, r.key, len(r.members), keys[gi], len(want[gi].Members))
 		}
-		if r.pos != gi || t.slotOf[r.key] != sl || r.rep != invIdentity(want[gi].Representative, want[gi].Signature) {
-			return fmt.Errorf("group %d (%q): pos %d, slot %d of %d, representative %q", gi, r.key, r.pos, sl, t.slotOf[r.key], r.rep)
+		if t.slotOf[r.key] != sl || r.rep != invIdentity(want[gi].Representative, want[gi].Signature) {
+			return fmt.Errorf("group %d (%q): slot %d of %d, representative %q", gi, r.key, sl, t.slotOf[r.key], r.rep)
 		}
 		for mi, m := range r.members {
 			if m.key != r.key || (mi > 0 && m.ord <= r.members[mi-1].ord) {

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -484,9 +485,11 @@ func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr
 }
 
 // FuzzSessionDifferential is the differential churn fuzzer (see the file
-// comment). data[0] selects the network, the rest decodes as (op, arg)
-// pairs. The op byte's low bits pick the change kind; its high two bits
-// pick a transaction mode for the step:
+// comment). data[0]'s low two bits select the network, and its high six a
+// fault: k > 0 makes the one-at-a-time session's k-th solve after it was
+// built panic. The rest decodes as (op, arg) pairs. The op byte's low bits
+// pick the change kind; its high two bits pick a transaction mode for the
+// step:
 //
 //	mode 1: before applying, Propose a pure probe and
 //	        Roll it back (plus ordering-error assertions). Any leak of
@@ -511,10 +514,11 @@ func checkProposeLine(t *testing.T, step string, s *incr.Session, changes []incr
 // groups the ones symmetry.Groups gives from scratch — after a Propose
 // and its Rollback too.
 // This is the coalescing soundness bar: batching may only move WHERE
-// verification happens, never what it concludes. After the first
-// sequential apply error the batched lane goes dead for the rest of the
-// input: a failed step leaves partial sequential state that a batch
-// (which aborts atomically) cannot replicate.
+// verification happens, never what it concludes. A step that fails — the
+// injected fault, or a configuration the engines reject — leaves the
+// session as it was: its reports are the ones before the step, its groups
+// still the ones from scratch, and the batched lane never sees the step's
+// changes.
 func FuzzSessionDifferential(f *testing.F) {
 	// Seed corpus: every op kind on every network, plus mixed streams
 	// (toggle on/off, negative-read then liveness, relabel then revert)
@@ -554,6 +558,15 @@ func FuzzSessionDifferential(f *testing.F) {
 		f.Add([]byte{net, 8, 0, 7, 2, 8, 0, 8, 0})
 	}
 	f.Add([]byte{3, 8, 0, 8, 0, 8, 0})
+	// The fault at the first few solves after the session was built: in a
+	// plain Apply, a detour's Propose, a Propose before its Commit, the
+	// daemon's call and a batch window, on every network.
+	for net := byte(0); net < 4; net++ {
+		for k := byte(1); k < 4; k++ {
+			f.Add([]byte{net + 4*k, 3, 1, 6, 0, 3, 1, 5, 2})
+			f.Add([]byte{net + 4*k, 64 + 0, 2, 128 + 1, 0, 64 + 2, 1, 192 + 0, 2})
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -576,13 +589,20 @@ func FuzzSessionDifferential(f *testing.F) {
 				return newDCTarget(t, false, sopts)
 			}
 		}
-		single := mk(incr.Options{})
+		// faultAt is k, set once the session is built; solves counts from
+		// there. The hook runs on pool workers.
+		var faultAt, solves atomic.Int64
+		single := mk(incr.Options{FaultHook: func(string) {
+			if k := faultAt.Load(); k > 0 && solves.Add(1) == k {
+				panic("injected fuzz fault")
+			}
+		}})
+		faultAt.Store(int64(data[0] >> 2))
 		// The batched lane: an independent target (sessions own their
 		// networks and mirror state) fed the same op stream, applied in
 		// input-derived batches instead of one change-set per step.
 		batch := mk(incr.Options{})
 		var pend []incr.Change
-		batchDead := false
 
 		// applyTx drives one step through Propose+Commit in mode 2;
 		// committed state must be undistinguishable from a direct Apply. A
@@ -616,7 +636,7 @@ func FuzzSessionDifferential(f *testing.F) {
 		// detour runs a pure probe through Propose+Rollback with the full
 		// ordering-error alphabet; any residue is caught by the scratch
 		// comparison after the step's real change.
-		detour := func(step string, tgt fuzzTarget, arg byte, settled bool) {
+		detour := func(step string, tgt fuzzTarget, arg byte) {
 			s := tgt.session()
 			probe := tgt.probe(arg)
 			sigs := s.Signatures()
@@ -638,9 +658,7 @@ func FuzzSessionDifferential(f *testing.F) {
 				}
 			}
 			checkGroups(t, step+" [rolled back]", s)
-			// After a failed Apply the Propose re-verifies first, which
-			// re-signs every invariant.
-			if got := s.Signatures(); settled && !reflect.DeepEqual(got, sigs) {
+			if got := s.Signatures(); !reflect.DeepEqual(got, sigs) {
 				t.Fatalf("%s: signatures moved across a rollback:\n got %q\nwant %q", step, got, sigs)
 			}
 			if err2 := s.Rollback(); err2 != incr.ErrNoPropose {
@@ -652,46 +670,48 @@ func FuzzSessionDifferential(f *testing.F) {
 		}
 
 		ops := data[1:]
-		settled := true // the last step's Apply succeeded
+		prev := single.session().CurrentReports()
 		for i := 0; i+1 < len(ops) && i/2 < maxFuzzOps; i += 2 {
 			op, arg := ops[i], ops[i+1]
 			mode := op >> 6
 			step := fmt.Sprintf("net %d step %d (op %d arg %d mode %d)", sel, i/2, op, arg, mode)
 
 			if mode == 1 {
-				detour(step+" [detour]", single, arg, settled)
+				detour(step+" [detour]", single, arg)
 			}
 
-			if !batchDead {
-				// Mirror the step into the batched lane's pending window;
-				// the session hears about it at the flush — exactly the
-				// apply_batch contract.
-				pend = append(pend, batch.changes(op, arg)...)
-			}
+			// Mirror the step into the batched lane's pending window; the
+			// session hears about it at the flush — exactly the apply_batch
+			// contract.
+			queued := len(pend)
+			pend = append(pend, batch.changes(op, arg)...)
 
 			got, err := applyTx(step, single.session(), single.changes(op, arg), mode)
-			if settled = err == nil; !settled {
+			if err != nil {
 				// Fuzzing can assemble configurations the engines reject
-				// incrementally and from scratch alike (e.g. steering
-				// into a failed middlebox that slice closure cannot
-				// reach). The session has dropped its incremental state
-				// and recovers on the next Apply. The batched lane
-				// cannot replicate a partial failure and goes dead.
-				batchDead = true
-				continue
+				// incrementally and from scratch alike (e.g. steering into
+				// a failed middlebox that slice closure cannot reach), and
+				// the fault fires mid-step. Either way the step is undone
+				// whole, and the batched lane does not queue it.
+				pend = pend[:queued]
+				got = single.session().CurrentReports()
+				compareReports(t, step+" [failed, vs before]", got, prev)
+				compareWitnesses(t, step+" [failed, vs before]", got, prev)
+				checkGroups(t, step+" [failed]", single.session())
+			} else {
+				want := baseline(t, single.session(), opts, true)
+				compareReports(t, step+" [vs scratch]", got, want)
+				compareWitnesses(t, step+" [vs scratch]", got, want)
+				checkLine(t, step, single.session(), got)
+				checkGroups(t, step, single.session())
 			}
-
-			want := baseline(t, single.session(), opts, true)
-			compareReports(t, step+" [vs scratch]", got, want)
-			compareWitnesses(t, step+" [vs scratch]", got, want)
-			checkLine(t, step, single.session(), got)
-			checkGroups(t, step, single.session())
+			prev = got
 
 			// Flush the batched lane at input-derived boundaries and at the
 			// end of the stream, and demand bit-identical verdicts AND
 			// witnesses against the one-at-a-time sessions.
 			last := !(i+3 < len(ops) && i/2+1 < maxFuzzOps)
-			if !batchDead && ((int(op)+int(arg))%3 == 0 || last) {
+			if (int(op)+int(arg))%3 == 0 || last {
 				gotB, errB := batch.session().ApplyBatch(pend)
 				if errB != nil {
 					t.Fatalf("%s: batched apply failed where sequential succeeded: %v", step, errB)

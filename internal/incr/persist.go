@@ -461,22 +461,11 @@ func appendRecord(b []byte, id string, changes [][]byte) []byte {
 }
 
 // restoreState rebuilds the persisted session state over the freshly
-// built one. The snapshot's change-set is record zero; it and each journal
-// record are decoded by the wire decoder and installed by mutate, exactly
-// as when first applied, with a trail armed. Any error undoes the trail and
-// reinstalls the base's scalars (the caller degrades to a cold start).
-func (s *Session) restoreState(snapRaw []byte, recs [][]byte) (err error) {
-	var tr trail
-	base := s.sessState
-	s.trail = &tr
-	defer func() {
-		s.trail = nil
-		if err != nil {
-			tr.undo()
-			s.sessState = base
-		}
-	}()
-
+// built one, as one transaction (the caller runs it through transact, and
+// degrades to a cold start when it fails). The snapshot's change-set is
+// record zero; it and each journal record are decoded by the wire decoder
+// and installed by mutate, exactly as when first applied.
+func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 	var snap snapshotPayload // stays zero without a snapshot
 	if snapRaw != nil {
 		if err := json.Unmarshal(snapRaw, &snap); err != nil {
@@ -644,7 +633,7 @@ func (s *Session) openStore() error {
 	if snapRaw == nil && len(recs) == 0 {
 		return nil // fresh directory
 	}
-	if err := s.restoreState(snapRaw, recs); err != nil {
+	if _, err := s.transact(false, func() error { return s.restoreState(snapRaw, recs) }); err != nil {
 		return degrade(err.Error())
 	}
 	return nil
@@ -769,7 +758,7 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 	s.cmu.Lock()
 	s.cache = newVerdictCache()
 	s.cmu.Unlock()
-	s.invalidate()
+	s.table, s.needFull = newGroupTable(), true
 	s.mu.Unlock()
 	return s.Apply(nil)
 }
@@ -870,15 +859,10 @@ func (s *Session) replayed(id string) bool {
 }
 
 // CurrentReports returns the current full report set without applying
-// anything. After a failed Apply it first re-verifies, as the next Apply
-// would, and panics with the error if that fails too: it never answers
-// from the emptied group table.
+// anything.
 func (s *Session) CurrentReports() []core.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.settle(); err != nil {
-		panic(err)
-	}
 	return s.assemble(s.effectiveScenarios())
 }
 

@@ -295,28 +295,3 @@ func TestRelabelFollowsItsInvariants(t *testing.T) {
 		t.Errorf("a relabel's partition work follows the network: %+v at 256 tenants, %+v applied and %+v proposed at 2048", small, applied, proposed)
 	}
 }
-
-// A failed Apply drops all incremental state, the node index too: a list
-// left out of step with the invariants is rebuilt by the next Apply, so a
-// relabel after it re-signs every invariant naming the node.
-func TestInvalidateRebuildsTheNodeIndex(t *testing.T) {
-	sess, pairs := vpcPairs(t, 16)
-	relabel := pairs["relabel"][0][:1]
-	sess.BreakNodeIndex(relabel[0].Node)
-	if _, err := sess.Apply(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.GroupsAgree(); err != nil {
-		t.Fatal(err)
-	}
-	signed, _ := sess.RegroupWork()
-	if _, err := sess.Apply(relabel); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.GroupsAgree(); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := sess.RegroupWork(); after == signed {
-		t.Fatal("the relabel re-signed no invariant")
-	}
-}

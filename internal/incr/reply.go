@@ -18,8 +18,7 @@ import (
 // template is a group entry's reports rendered for one scenario
 // generation, per scenario and from the byte after `"invariant":<name>`
 // on: rows[0] the representative's, rows[1] a member's (reused, duration
-// 0). unsat counts a member's unsatisfied reports. Immutable: a shadow's
-// clone shares it.
+// 0). unsat counts a member's unsatisfied reports. Immutable.
 type template struct {
 	entry   *groupEntry
 	scenGen uint64
@@ -53,12 +52,13 @@ var reportsHole = []byte(`"reports":null`)
 
 // splice appends head's line (a result, or a propose line with its result
 // last) with the groups' fragments in place of res's nil report list, and
-// fills in res's unsatisfied tally. A stale template is rendered anew, a
-// missing fragment joined anew — but written straight into the line from a
-// shadow's table (a trail is armed), which is read once. With no shadow
-// pending either, no other table shares a fragment's buffer, and a re-join
-// writes over it. The bytes cannot pass through a json.Marshaler:
-// encoding/json re-validates and compacts its output.
+// fills in res's unsatisfied tally. A stale template is rendered anew (on
+// the trail, when one is armed), a missing fragment joined anew — but
+// written straight into the line from a pending shadow's table (a trail is
+// armed), which is read once. With no shadow pending either, no trail
+// holds a fragment's buffer, and a re-join writes over it. The bytes
+// cannot pass through a json.Marshaler: encoding/json re-validates and
+// compacts its output.
 func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
 	t, keep := s.table, s.trail == nil
 	reuse := keep && s.pending == nil
@@ -69,10 +69,11 @@ func (s *Session) splice(buf []byte, head any, res *WireResult) []byte {
 			if scens == nil {
 				scens = s.effectiveScenarios()
 			}
-			r.tmpl, r.frag = s.newTemplate(r, scens), r.frag[:0]
+			set(s.trail, &r.tmpl, s.newTemplate(r, scens))
+			set(s.trail, &r.frag, r.frag[:0])
 		}
 		if len(r.frag) == 0 && keep {
-			r.frag = r.join(reuse)
+			set(s.trail, &r.frag, r.join(reuse))
 		}
 		res.Unsatisfied += r.tmpl.unsat * len(r.members)
 	}

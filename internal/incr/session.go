@@ -37,9 +37,9 @@ type Options struct {
 	RequestTimeout time.Duration
 	// FaultHook, when non-nil, is called at the entry of every group
 	// solve ("solve" stage) on the worker that runs it. Test-only fault
-	// injection: a hook that panics exercises the containment path
-	// (worker recover → Apply error → invalidate, or propose shadow
-	// discard) without a real solver bug.
+	// injection: a hook that panics exercises the containment path (worker
+	// recover → the run's error, its writes undone) without a real solver
+	// bug.
 	FaultHook func(stage string)
 	// Obs, when non-nil, receives phase spans (dirty → atom-prescreen →
 	// canonicalize → per-class solve → cache-install, per Apply/Propose)
@@ -154,20 +154,29 @@ type Session struct {
 	sopts Options
 
 	// sessState is the scalars a change-set moves, as one value (txn.go):
-	// what a shadow run saves and a Commit installs.
+	// what a run saves and a failed one reinstalls, and a Commit installs.
 	sessState
-	// invs, byNode and down are containers a change-set edits in place, as
-	// it does the network's boxes, policy classes and FIB provider: only
-	// through set and setKey, which record each write on trail while a
-	// shadow run arms one (txn.go). invs is the invariant list, each with
-	// its signature and group key (table.go). byNode indexes it by the
+	// invs, byNode, down and table are containers a change-set edits in
+	// place, as it does the network's boxes, policy classes and FIB
+	// provider: only through set and setEntry, which record each
+	// write on trail while a run arms one (txn.go). invs is the invariant
+	// list, each with its signature and group key. byNode indexes it by the
 	// nodes each invariant names, itself or through an address the node
 	// owns: the invariants a relabel of the node can re-sign. Arrivals and
 	// departures edit it copy-on-write; a needFull regroup rebuilds it.
+	// table is the symmetry partition of invs and what is known about each
+	// group (table.go).
 	invs   []*member
 	byNode map[topo.NodeID][]*member
 	down   map[topo.NodeID]bool
+	table  *groupTable
 	trail  *trail
+	// spare is the trail's buffer, reused from one live run to the next.
+	spare trail
+	// needFull marks a run from the empty table: it regroups and verifies
+	// everything, and arms no trail (NewSession's first run, and the cold
+	// restart finishRecovery runs inside it).
+	needFull bool
 
 	// verifier lives as long as the session: all its caches (interned
 	// engines, SAT journey memoization, slice encodings) are keyed by
@@ -269,8 +278,9 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		net:        net,
 		opts:       opts,
 		sopts:      sopts,
-		sessState:  sessState{needFull: true, table: newGroupTable(), nextOrd: uint64(len(invs))},
+		sessState:  sessState{nextOrd: uint64(len(invs))},
 		invs:       make([]*member, len(invs)),
+		table:      newGroupTable(),
 		byNode:     map[topo.NodeID][]*member{}, // built by the first regroup
 		down:       map[topo.NodeID]bool{},
 		verifier:   v,
@@ -321,6 +331,9 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 			return float64(s.cache.Len())
 		})
 	}
+	// A failed first run discards the session: it has no state to go back
+	// to, so it arms no trail.
+	s.needFull = true
 	reports, err := s.Apply(nil)
 	if err != nil {
 		return nil, nil, err
@@ -366,16 +379,21 @@ func (s *Session) Invariants() []inv.Invariant {
 func (s *Session) EffectiveScenarios() []topo.FailureScenario {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.effectiveScenarios()
+	return append([]topo.FailureScenario(nil), s.effectiveScenarios()...)
 }
 
+// noFailures is the scenario list of a session configured with none.
+var noFailures = []topo.FailureScenario{topo.NoFailures()}
+
+// effectiveScenarios is EffectiveScenarios without the copy: with no node
+// down it is the configured list itself, which no caller writes.
 func (s *Session) effectiveScenarios() []topo.FailureScenario {
 	base := s.opts.Scenarios
 	if len(base) == 0 {
-		base = []topo.FailureScenario{topo.NoFailures()}
+		base = noFailures
 	}
 	if len(s.down) == 0 {
-		return append([]topo.FailureScenario(nil), base...)
+		return base
 	}
 	out := make([]topo.FailureScenario, len(base))
 	for i, sc := range base {
@@ -500,39 +518,17 @@ func (s *Session) validNode(n topo.NodeID) error {
 	return nil
 }
 
-// invalidate drops all incremental state so the next Apply re-verifies
-// everything — the recovery path after a failed Apply left mutations
-// half-applied. The held engines go too (the forwarding state they were
-// patched to may be half-installed); the verifier survives (its caches
-// are content-validated).
-func (s *Session) invalidate() {
-	s.needFull = true
-	s.engs = nil
-	// A fresh table: the next Apply regroups into it, and rebuilds byNode.
-	s.table = newGroupTable()
-}
-
-// settle re-verifies everything, as the next Apply would, when a failed
-// Apply dropped the incremental state: every read of the report set goes
-// through it, so none answers from the emptied group table.
-func (s *Session) settle() error {
-	if s.needFull {
-		s.armDeadline()
-		return s.applyLocked(nil)
-	}
-	return nil
-}
-
 // Apply atomically applies a change-set, re-verifies exactly the
 // invariants the changes can affect, and returns a complete report set
 // for the current invariant set — byte-for-byte the verdicts a fresh
 // core.VerifyAll over the mutated network would produce, in the same
 // order. An empty change-set is a cheap refresh (no re-verification).
 // A change-set that cannot apply (an unknown node, a box that is not
-// there) is refused whole and leaves the session as it was; after an error
-// later in the pipeline the session drops its incremental state and the
-// next Apply re-verifies from scratch. While a Propose is pending, Apply
-// fails with ErrProposePending (decide the transaction first).
+// there) is refused whole, and one that fails later in the pipeline (a
+// solver error, or a panic it contains) is undone whole: either way the
+// session is left as it was, and nothing is journaled. While a Propose is
+// pending, Apply fails with ErrProposePending (decide the transaction
+// first).
 func (s *Session) Apply(changes []Change) ([]core.Report, error) {
 	reports, _, err := s.ApplyID("", changes)
 	return reports, err
@@ -565,12 +561,12 @@ func (s *Session) AppendApply(buf []byte, id string, changes []Change, batch boo
 }
 
 // applyRequest is what ApplyID, ApplyBatchID and AppendApply share, under
-// s.mu: a replayed id is acked with the settled current state, a pending
-// Propose refuses the change-set, anything else is applied (coalesced
-// first when batch) and journaled.
+// s.mu: a replayed id is acked with the current state, a pending Propose
+// refuses the change-set, anything else is applied as one transaction
+// (coalesced first when batch) and journaled.
 func (s *Session) applyRequest(id string, changes []Change, batch bool) (duplicate bool, err error) {
 	if s.replayed(id) {
-		return true, s.settle()
+		return true, nil
 	}
 	if s.pending != nil {
 		return false, ErrProposePending
@@ -579,7 +575,7 @@ func (s *Session) applyRequest(id string, changes []Change, batch bool) (duplica
 	if batch {
 		return false, s.applyBatchLocked(id, changes)
 	}
-	if err := s.applyLocked(changes); err != nil {
+	if _, err := s.transact(false, func() error { return s.applyLocked(changes) }); err != nil {
 		return false, err
 	}
 	s.persistApply(id, changes)
@@ -609,23 +605,15 @@ func (s *Session) expired() bool {
 	return !s.deadline.IsZero() && !time.Now().Before(s.deadline)
 }
 
-// applyLocked is Apply's body, shared with the shadow (Propose) path: it
-// runs against whatever state is currently installed in s, under s.mu, and
+// applyLocked is the apply pipeline, for a live Apply and a shadow
+// (Propose) alike, run under s.mu by transact, which undoes it when it
+// fails: it runs against whatever state is currently installed in s, and
 // ends when the group table holds the new verdicts — it assembles no
-// report set. Any error past validation — and any panic in the pipeline,
-// contained here and converted to one — drops the incremental state.
-func (s *Session) applyLocked(changes []Change) (err error) {
+// report set.
+func (s *Session) applyLocked(changes []Change) error {
 	if err := s.validate(changes); err != nil {
-		return err // refused before anything moved: no state to drop
+		return err // refused before anything moved
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("incr: panic during apply: %v", r)
-		}
-		if err != nil {
-			s.invalidate()
-		}
-	}()
 	start := time.Now()
 	s.seq++
 
@@ -684,7 +672,7 @@ func (s *Session) applyLocked(changes []Change) (err error) {
 	// so the report set's are all among the fresh ones, one per member.
 	installSpan := root.Child("cache-install")
 	for di, sl := range dirty {
-		t.install(sl, entries[di])
+		t.install(s.trail, sl, entries[di])
 		for _, r := range entries[di].reports {
 			if r.BudgetExceeded {
 				stats.BudgetExceeded += len(t.recs[sl].members)
@@ -793,7 +781,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full bool, pd partitionD
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp:
 			if down := ch.Kind == KindNodeDown; down != s.down[ch.Node] {
-				setKey(s.trail, s.down, ch.Node, down)
+				setEntry(s.trail, s.down, ch.Node, down, down)
 				s.scenGen++
 				im.addNode(ch.Node, ci)
 			}
@@ -845,7 +833,7 @@ func (s *Session) mutate(changes []Change, im *impact) (full bool, pd partitionD
 			// before this relabel lands (the old class's surviving members
 			// decide who the displaced representatives are).
 			relabelFull, witnesses := s.relabelImpact(ch.Node, ch.Class)
-			setKey(s.trail, s.net.PolicyClass, ch.Node, ch.Class)
+			setEntry(s.trail, s.net.PolicyClass, ch.Node, ch.Class, ch.Class != "")
 			full = full || relabelFull
 			pd.relabeled = append(pd.relabeled, ch.Node)
 			for _, w := range witnesses {
@@ -891,7 +879,7 @@ type fwdSync struct {
 // identical slices first — and only the differing tables are compiled. A
 // liveness toggle whose FIB does not depend on the scenario therefore
 // compiles nothing and yields a new view over the same tables. With no
-// engines held (first Apply, or after invalidate) everything is compiled,
+// engines held (the first Apply) everything is compiled,
 // each scenario patched from the one before it so that scenarios with
 // equal tables share them.
 func (s *Session) syncEngines(changes []Change, scens []topo.FailureScenario) fwdSync {
@@ -945,16 +933,7 @@ func (s *Session) markDirty(dirtySpan obs.Span, im *impact, dirtyAll bool) (dirt
 		}
 		return t.order, causes, 0
 	}
-	var visit []int
-	for _, sl := range t.unsettled {
-		visit = append(visit, t.recs[sl].pos)
-	}
-	for _, sl := range candidates {
-		visit = append(visit, t.recs[sl].pos)
-	}
-	sort.Ints(visit)
-	for _, gi := range visit {
-		sl := t.order[gi]
+	for _, sl := range t.inReportOrder(t.unsettled, candidates) {
 		cause := DirtyCause{Reason: CauseNewGroup, Change: -1}
 		if e := t.recs[sl].entry; e != nil && e.exceeded {
 			// Entries holding budget-degraded verdicts re-run

@@ -19,7 +19,11 @@ package incr
 // The table is edited in place, never rebuilt and reconciled: regroup
 // moves the invariants a change-set re-signed, added or removed between
 // records, touching only the records they leave and enter, install swaps
-// one record's entry and its postings, resolve reads them. The lists
+// one record's entry and its postings, resolve reads them. Every edit goes
+// through set or setEntry, on the run's trail (txn.go): a record field, a
+// map entry or a list header. A list is replaced, never written in place,
+// since a trail may hold its old header; the records grow only by zero
+// records, which is what every trail expects past their length. The lists
 // select CANDIDATES; impact.classify remains the per-candidate precision
 // check (matching-subsequence comparison, rule-read projections), so
 // verdicts and the RefinedClean accounting are bit-identical to a full
@@ -29,7 +33,6 @@ package incr
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -45,8 +48,7 @@ type slot = int32
 // groupRecord is one group. A freed slot holds the zero record.
 type groupRecord struct {
 	// members are the group's invariants in list order; members[0] is the
-	// representative. Rebuilt, never written in place: a shadow's clone
-	// shares the slice.
+	// representative. Rebuilt, never written in place.
 	members []*member
 	key     string
 	// rep identifies the representative the entry is (or will be) verified
@@ -56,21 +58,18 @@ type groupRecord struct {
 	// entry is nil until the group's first verification installs one; the
 	// slot is posted under entry.touched.
 	entry *groupEntry
-	// pos is the group's position in the report order.
-	pos int
 	// tmpl and frag are the group's share of a reply (reply.go), rendered
 	// when one needs it: the entry's reports without their invariant, and
 	// the reports joined with the members' quoted names (empty when stale;
-	// the buffer is kept for the next join). A shadow's clone shares them:
-	// frag's bytes are written over only when no shadow is pending.
+	// the buffer is kept for the next join). A pending shadow's trail may
+	// hold a frag: its bytes are written over only when none is pending.
 	tmpl *template
 	frag []byte
 	// mark is resolve's scratch, zero between calls.
 	mark uint8
 }
 
-// groupTable is mutated only under the session mutex and deep-copied for a
-// transactional shadow.
+// groupTable is mutated only under the session mutex.
 type groupTable struct {
 	recs   []groupRecord
 	free   []slot
@@ -107,31 +106,30 @@ func invIdentity(i inv.Invariant, signature string) string {
 	return "o:" + signature + "|" + i.Name()
 }
 
-// insertSlot adds s to a sorted slot list (no-op when present).
-func insertSlot(list []slot, s slot) []slot {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= s })
-	if i < len(list) && list[i] == s {
-		return list
+// withSlot returns the sorted slot list with s in it when in, without it
+// otherwise, and whether that changed it. A changed list is a fresh one
+// when a trail is armed (it may hold the old one), and list edited in place
+// when none is: a needFull run posts every group, and a list then grows by
+// appends.
+func withSlot(tr *trail, list []slot, s slot, in bool) ([]slot, bool) {
+	i, found := slices.BinarySearch(list, s)
+	switch {
+	case found == in:
+		return list, false
+	case tr == nil && in:
+		return slices.Insert(list, i, s), true
+	case tr == nil:
+		return slices.Delete(list, i, i+1), true
+	case in:
+		return slices.Concat(list[:i], []slot{s}, list[i:]), true
+	default:
+		return slices.Concat(list[:i], list[i+1:]), true
 	}
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = s
-	return list
-}
-
-// removeSlot deletes s from a sorted slot list (no-op when absent).
-func removeSlot(list []slot, s slot) []slot {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= s })
-	if i >= len(list) || list[i] != s {
-		return list
-	}
-	return append(list[:i], list[i+1:]...)
 }
 
 // member is one invariant of the session as the group table holds it. The
-// session's list and the records share it, and so do a shadow's table and
-// its base: sig and key are written only through set, name is a cache
-// filled once.
+// session's list and the records share it: sig and key are written only
+// through set, name is a cache filled once.
 type member struct {
 	inv inv.Invariant
 	// ord is the invariant's place in list order: increasing along the
@@ -166,17 +164,22 @@ func (pd *partitionDelta) remove(m *member) {
 // regroup brings the group table's partition up to date with pd: it signs
 // the invariants that arrived, re-signs those a relabel can move — the ones
 // byNode lists under a relabeled node — and moves each whose group key
-// changed. After invalidate the table is empty, byNode is rebuilt from
-// the list, and every invariant is re-signed and arrives: the same path.
+// changed. On a needFull run the table is empty, byNode is built from the
+// list, and every invariant is signed and arrives: the same path.
 func (s *Session) regroup(pd *partitionDelta) {
 	arrivals, departures := pd.added, pd.removed
 	var resign []*member
 	if s.needFull {
 		arrivals, departures = s.invs, nil
-		set(s.trail, &s.byNode, make(map[topo.NodeID][]*member, len(s.invs)))
+		byNode := make(map[topo.NodeID][]*member, len(s.invs))
 		for _, m := range s.invs {
-			s.index(m, false)
+			s.named(m, func(n topo.NodeID) {
+				if list := byNode[n]; len(list) == 0 || list[len(list)-1] != m { // named twice
+					byNode[n] = append(list, m)
+				}
+			})
 		}
+		set(s.trail, &s.byNode, byNode)
 	} else {
 		for _, n := range pd.relabeled {
 			for _, m := range s.byNode[n] {
@@ -202,7 +205,7 @@ func (s *Session) regroup(pd *partitionDelta) {
 	for _, mv := range moves {
 		set(s.trail, &mv.m.key, mv.to)
 	}
-	s.rewritten += s.table.regroup(moves)
+	s.rewritten += s.table.regroup(s.trail, moves)
 }
 
 // moves turns the members that arrive, depart and were re-signed (their
@@ -279,24 +282,26 @@ func occurrenceKey(id string, n int) string { return id + "#" + strconv.Itoa(n) 
 func occurrenceID(key string) string { return key[:strings.LastIndexByte(key, '#')] }
 
 // index puts m on the byNode lists of the nodes it names, or takes it off
-// them when remove. Under a trail a list is replaced, never written in
-// place: the trail keeps the old one.
+// them when remove. A list is replaced, never written in place: a trail may
+// hold the old one.
 func (s *Session) index(m *member, remove bool) {
-	at := func(n topo.NodeID) {
+	s.named(m, func(n topo.NodeID) {
 		list := s.byNode[n]
-		if s.trail != nil {
-			list = list[:len(list):len(list)]
-		}
 		switch {
 		case remove:
 			list = slices.DeleteFunc(slices.Clone(list), func(x *member) bool { return x == m })
 		case len(list) > 0 && list[len(list)-1] == m:
 			return // named twice
 		default:
-			list = append(list, m)
+			list = append(list[:len(list):len(list)], m)
 		}
 		setEntry(s.trail, s.byNode, n, list, len(list) > 0)
-	}
+	})
+}
+
+// named calls at on each node m names, itself or through an address the
+// node owns, in order: a node may come twice in a row.
+func (s *Session) named(m *member, at func(topo.NodeID)) {
 	for _, n := range m.inv.Nodes() {
 		at(n)
 	}
@@ -314,14 +319,13 @@ type move struct {
 	from, to string
 }
 
-// regroup applies moves to the table's partition. Only the records a move
-// names are touched: each gets its members rebuilt — a fresh slice, since a
-// shadow's clone shares the old one — in ord order, and a record whose
-// representative's identity changed, or that emptied, is retired (a key
-// that survives under another representative is a new record). Records
-// keep the report order, which is their representatives' list order. It
-// returns how many records it rebuilt or created.
-func (t *groupTable) regroup(moves []move) (rewritten int) {
+// regroup applies moves to the table's partition, on tr. Only the records a
+// move names are touched: each gets its members rebuilt in ord order, and a
+// record whose representative's identity changed, or that emptied, is
+// retired (a key that survives under another representative is a new
+// record). Records keep the report order, which is their representatives'
+// list order. It returns how many records it rebuilt or created.
+func (t *groupTable) regroup(tr *trail, moves []move) (rewritten int) {
 	type edit struct{ out, in []*member }
 	edits, keys := map[string]*edit{}, []string(nil)
 	at := func(k string) *edit {
@@ -351,7 +355,7 @@ func (t *groupTable) regroup(moves []move) (rewritten int) {
 		}
 		members := mergeMembers(old, e.out, e.in)
 		if ok && (len(members) == 0 || members[0] != old[0] && memberIdentity(members[0]) != t.recs[s].rep) {
-			t.retire(s)
+			t.retire(tr, s)
 			drop = append(drop, s)
 			ok = false
 		}
@@ -366,16 +370,17 @@ func (t *groupTable) regroup(moves []move) (rewritten int) {
 			if members[0] != old[0] { // an equal invariant earlier in the list
 				drop, add = append(drop, s), append(add, s)
 			}
-			r.members, r.frag = members, r.frag[:0]
+			set(tr, &r.members, members)
+			set(tr, &r.frag, r.frag[:0])
 			continue
 		}
-		s = t.alloc()
-		t.recs[s] = groupRecord{key: k, rep: memberIdentity(members[0]), members: members}
-		t.slotOf[k] = s
-		t.unsettled = insertSlot(t.unsettled, s)
+		s = t.alloc(tr)
+		set(tr, &t.recs[s], groupRecord{key: k, rep: memberIdentity(members[0]), members: members})
+		setEntry(tr, t.slotOf, k, s, true)
+		t.setUnsettled(tr, s, true)
 		add = append(add, s)
 	}
-	t.reorder(drop, add)
+	t.reorder(tr, drop, add)
 	return rewritten
 }
 
@@ -411,29 +416,35 @@ func sortedByOrd(ms []*member) []*member {
 func memberIdentity(m *member) string { return invIdentity(m.inv, m.sig) }
 
 // retire frees s: its postings, key and unsettled mark go with it.
-func (t *groupTable) retire(s slot) {
-	t.post(s, nil)
-	delete(t.slotOf, t.recs[s].key)
-	t.unsettled = removeSlot(t.unsettled, s)
-	t.recs[s] = groupRecord{}
-	t.free = append(t.free, s)
+func (t *groupTable) retire(tr *trail, s slot) {
+	t.post(tr, s, nil)
+	setEntry(tr, t.slotOf, t.recs[s].key, 0, false)
+	t.setUnsettled(tr, s, false)
+	set(tr, &t.recs[s], groupRecord{})
+	set(tr, &t.free, append(t.free[:len(t.free):len(t.free)], s))
 }
 
 // alloc returns a zero record's slot, a freed one first.
-func (t *groupTable) alloc() slot {
+func (t *groupTable) alloc(tr *trail) slot {
 	if n := len(t.free); n > 0 {
 		s := t.free[n-1]
-		t.free = t.free[:n-1]
+		set(tr, &t.free, t.free[:n-1])
 		return s
 	}
-	t.recs = append(t.recs, groupRecord{})
+	set(tr, &t.recs, append(t.recs, groupRecord{}))
 	return slot(len(t.recs) - 1)
 }
 
+// setUnsettled puts s on the unsettled list, or takes it off.
+func (t *groupTable) setUnsettled(tr *trail, s slot, on bool) {
+	if list, changed := withSlot(tr, t.unsettled, s, on); changed {
+		set(tr, &t.unsettled, list)
+	}
+}
+
 // reorder takes drop's slots out of the report order and puts add's in,
-// each at its representative's place, then renumbers the positions. A slot
-// in both moves.
-func (t *groupTable) reorder(drop, add []slot) {
+// each at its representative's place. A slot in both moves.
+func (t *groupTable) reorder(tr *trail, drop, add []slot) {
 	if len(drop) == 0 && len(add) == 0 {
 		return
 	}
@@ -451,42 +462,50 @@ func (t *groupTable) reorder(drop, add []slot) {
 		}
 		order = append(order, s)
 	}
-	order = append(order, add...)
-	for i, s := range order {
-		t.recs[s].pos = i
-	}
-	t.order = order
+	set(tr, &t.order, append(order, add...))
 }
 
-// install makes e the entry of s: the reads of the entry it replaces come
-// off the posting lists, e's go on.
-func (t *groupTable) install(s slot, e *groupEntry) {
-	t.post(s, e)
-	if e.exceeded {
-		t.unsettled = insertSlot(t.unsettled, s)
-	} else {
-		t.unsettled = removeSlot(t.unsettled, s)
-	}
+// inReportOrder returns the slots of lists, which are disjoint, in report
+// order: their representatives' list order.
+func (t *groupTable) inReportOrder(lists ...[]slot) []slot {
+	out := slices.Concat(lists...)
+	slices.SortFunc(out, func(a, b slot) int { return cmp.Compare(t.recs[a].members[0].ord, t.recs[b].members[0].ord) })
+	return out
 }
 
-// post replaces the entry of s and its postings (e nil = none).
-func (t *groupTable) post(s slot, e *groupEntry) {
-	r := &t.recs[s]
-	if old := r.entry; old != nil {
-		for _, n := range old.touched {
-			if list := removeSlot(t.nodePost[n], s); len(list) > 0 {
-				t.nodePost[n] = list
-			} else {
-				delete(t.nodePost, n)
-			}
+// install makes e the entry of s, on tr: the reads of the entry it replaces
+// come off the posting lists, e's go on.
+func (t *groupTable) install(tr *trail, s slot, e *groupEntry) {
+	t.post(tr, s, e)
+	t.setUnsettled(tr, s, e.exceeded)
+}
+
+// post replaces the entry of s (e nil = none) and moves s on the posting
+// lists of the nodes in one footprint and not the other: a group
+// re-verified with the footprint it had edits none.
+func (t *groupTable) post(tr *trail, s slot, e *groupEntry) {
+	var was, now []topo.NodeID
+	if old := t.recs[s].entry; old != nil {
+		was = old.touched
+	}
+	if e != nil {
+		now = e.touched
+	}
+	for _, n := range was {
+		if _, kept := slices.BinarySearch(now, n); !kept {
+			t.postAt(tr, n, s, false)
 		}
 	}
-	r.entry = e
-	if e == nil {
-		return
+	for _, n := range now {
+		t.postAt(tr, n, s, true)
 	}
-	for _, n := range e.touched {
-		t.nodePost[n] = insertSlot(t.nodePost[n], s)
+	set(tr, &t.recs[s].entry, e)
+}
+
+// postAt puts s on n's posting list, or takes it off.
+func (t *groupTable) postAt(tr *trail, n topo.NodeID, s slot, in bool) {
+	if list, changed := withSlot(tr, t.nodePost[n], s, in); changed {
+		setEntry(tr, t.nodePost, n, list, len(list) > 0)
 	}
 }
 
@@ -552,25 +571,4 @@ func (t *groupTable) postings() int {
 		n += len(list)
 	}
 	return n
-}
-
-// clone copies the table for a transactional shadow run: the shadow
-// regroups and installs without the base ever observing it. Entries and
-// member lists are immutable and shared.
-func (t *groupTable) clone() *groupTable {
-	c := &groupTable{
-		recs:      append([]groupRecord(nil), t.recs...),
-		free:      append([]slot(nil), t.free...),
-		slotOf:    make(map[string]slot, len(t.slotOf)),
-		order:     append([]slot(nil), t.order...),
-		unsettled: append([]slot(nil), t.unsettled...),
-		nodePost:  make(map[topo.NodeID][]slot, len(t.nodePost)),
-	}
-	for k, s := range t.slotOf {
-		c.slotOf[k] = s
-	}
-	for n, list := range t.nodePost {
-		c.nodePost[n] = append([]slot(nil), list...)
-	}
-	return c
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // The group table on its own: bytes decode into regroup / install /
-// resolve / clone steps over small synthetic entries (8 nodes, one address
+// resolve / freeze steps over small synthetic entries (8 nodes, one address
 // per /8), and after every step
 //
 //   - after a regroup (up to three members arriving, departing or
@@ -31,8 +31,9 @@ import (
 //     scan calls dirty, every settled group outside them classifies clean
 //     or refined-clean, and the refined-clean count markDirty would report
 //     is the naive scan's;
-//   - a table that was cloned stays as it was while the steps go on
-//     against its clone.
+//   - the first freeze arms a trail, and at the end undoing it back to
+//     each freeze restores the table as that freeze saw it, and redoing it
+//     restores the final one.
 
 const (
 	tableNodes = 8
@@ -46,7 +47,11 @@ func tableDump(t *groupTable) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "order=%v free=%v unsettled=%v\n", t.order, t.free, t.unsettled)
 	for s, r := range t.recs {
-		fmt.Fprintf(&b, "%d: %q %q %p pos=%d mark=%d slotOf=%d\n", s, r.key, r.rep, r.entry, r.pos, r.mark, t.slotOf[r.key])
+		ords := make([]uint64, len(r.members))
+		for i, m := range r.members {
+			ords[i] = m.ord
+		}
+		fmt.Fprintf(&b, "%d: %q %q %v %p mark=%d slotOf=%d\n", s, r.key, r.rep, ords, r.entry, r.mark, t.slotOf[r.key])
 	}
 	return b.String() + renderPosts(t.nodePost)
 }
@@ -71,7 +76,7 @@ func checkTable(t *testing.T, step string, tab *groupTable) {
 	live := map[slot]bool{}
 	for gi, s := range tab.order {
 		r := tab.recs[s]
-		if live[s] || r.key == "" || r.pos != gi || tab.slotOf[r.key] != s {
+		if live[s] || r.key == "" || tab.slotOf[r.key] != s {
 			t.Fatalf("%s: order[%d]=%d is not a live record of its own: %+v", step, gi, s, r)
 		}
 		live[s] = true
@@ -146,11 +151,12 @@ func FuzzGroupTable(f *testing.F) {
 		noSymmetry := next()&1 == 1
 		var list []*member
 		tab := newGroupTable()
+		var tr *trail // nil until the first freeze
 		type frozen struct {
-			tab  *groupTable
+			at   int // the trail's length
 			dump string
 		}
-		var clones []frozen
+		var freezes []frozen
 		for i := 0; i < 64 && len(data) > 0; i++ {
 			op := next() % 4
 			step := fmt.Sprintf("step %d (op %d)", i, op)
@@ -196,7 +202,7 @@ func FuzzGroupTable(f *testing.F) {
 				for _, mv := range moves {
 					mv.m.key = mv.to
 				}
-				tab.regroup(moves)
+				tab.regroup(tr, moves)
 				sigs := make([]string, len(list))
 				for i, m := range list {
 					sigs[i] = m.sig
@@ -223,7 +229,7 @@ func FuzzGroupTable(f *testing.F) {
 						e.fib[n] = topo.NewAtomSet([]pkt.Addr{tableAddr(a1 + byte(n)), tableAddr(a2)})
 					}
 				}
-				tab.install(tab.order[int(at)%len(tab.order)], e)
+				tab.install(tr, tab.order[int(at)%len(tab.order)], e)
 			case 2: // resolve an impact against a naive classify scan
 				im := newImpact()
 				im.nodes.addAll(nodesOf(next() & next()))
@@ -257,19 +263,28 @@ func FuzzGroupTable(f *testing.F) {
 				if refined != refinedClean {
 					t.Fatalf("%s: refined-clean %d, a full scan says %d", step, refined, refinedClean)
 				}
-			default: // freeze the table and go on against its clone
-				clones = append(clones, frozen{tab, tableDump(tab)})
-				tab = tab.clone()
-				if got := tableDump(tab); got != clones[len(clones)-1].dump {
-					t.Fatalf("%s: clone differs:\n%s\nfrom\n%s", step, got, clones[len(clones)-1].dump)
+			default: // freeze: note the table, and go on with a trail armed
+				if tr == nil {
+					tr = new(trail)
 				}
+				freezes = append(freezes, frozen{len(*tr), tableDump(tab)})
 			}
 			checkTable(t, step, tab)
 		}
-		for ci, c := range clones {
-			if got := tableDump(c.tab); got != c.dump {
-				t.Fatalf("clone %d's original changed:\n%s\nwas\n%s", ci, got, c.dump)
+		if tr == nil {
+			return
+		}
+		final, end := tableDump(tab), len(*tr)
+		for i := len(freezes) - 1; i >= 0; i-- {
+			(*tr)[freezes[i].at:end].undo()
+			end = freezes[i].at
+			if got := tableDump(tab); got != freezes[i].dump {
+				t.Fatalf("undone to freeze %d:\n%s\nwas\n%s", i, got, freezes[i].dump)
 			}
+		}
+		(*tr)[end:].redo()
+		if got := tableDump(tab); got != final {
+			t.Fatalf("redone:\n%s\nwas\n%s", got, final)
 		}
 	})
 }

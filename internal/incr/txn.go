@@ -1,13 +1,14 @@
 package incr
 
-// Transactional what-if verification. Propose runs the ordinary Apply
-// pipeline on the live state with an undo trail armed: every write the
-// pipeline makes in place — to a policy class, a liveness entry, a
-// signature, a box's model, and the slice headers box and invariant edits
-// swap — goes through set or setKey, which record it on the trail. The
-// group table, which the pipeline rewrites wholesale, runs on a clone.
-// When the run ends the trail is undone and the base's scalars (sessState)
-// are reinstalled, so a proposal costs what it changes, not what the
+// Transactions. Every run of the apply pipeline — a live Apply or
+// ApplyBatch, a Propose's shadow, a repair candidate, journal recovery —
+// runs through transact with an undo trail armed: every write the pipeline
+// makes in place — to a policy class, a liveness entry, a signature, a
+// box's model, a group record, a posting list, and the slice headers box
+// and invariant edits swap — goes through set or setEntry, which record it
+// on the trail. A failed run is undone and the base's scalars (sessState)
+// reinstalled; a live run that succeeds drops its trail. A shadow is
+// undone either way, so a proposal costs what it changes, not what the
 // session holds. The pending transaction keeps the trail and the post
 // state's scalars: Commit redoes the one and installs the other, Rollback
 // drops both, leaving the session bit-identical to never having proposed.
@@ -25,6 +26,7 @@ package incr
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 
 	"github.com/netverify/vmn/internal/core"
@@ -104,26 +106,21 @@ type ProposeResult struct {
 }
 
 // sessState is the scalar half of the session's mutable state, as one
-// value: what a shadow run saves before it starts and keeps when it ends,
-// and Commit installs. The Session embeds the live one. The containers the
-// pipeline edits in place (the network's boxes, policy classes and FIB
-// provider; the liveness set; the invariant and signature lists) are not
-// in it: their edits go on the trail.
+// value: what a run saves before it starts and reinstalls when it fails, a
+// shadow keeps when it ends, and Commit installs. The Session embeds the
+// live one. The containers the pipeline edits in place (the network's
+// boxes, policy classes and FIB provider; the liveness set; the invariant
+// list, its signatures and node index; the group table) are not in it:
+// their edits go on the trail.
 type sessState struct {
 	// scenGen counts liveness toggles: the effective scenario list, and
 	// with it every report's scenario, changes exactly when it does.
-	scenGen  uint64
-	needFull bool
+	scenGen uint64
 	// nextOrd is the ord the next invariant added gets (table.go).
 	nextOrd uint64
 	// engs holds one engine per effective scenario, current as of the last
-	// Apply (nil before the first and after invalidate). Replaced, never
-	// written in place.
+	// Apply (nil before the first). Replaced, never written in place.
 	engs []*tf.Engine
-	// table is the symmetry partition of invs and what is known about each
-	// group (table.go); regrouped only when the invariant list or the
-	// policy classes change. A shadow run edits a clone.
-	table *groupTable
 
 	seq    int
 	last   ApplyStats
@@ -136,18 +133,78 @@ type sessState struct {
 // trail is an undo log of in-place writes. Each entry swaps the location
 // it wrote with the value it holds, so the entries run backwards undo the
 // writes and run forwards redo them.
-type trail []func()
+type trail []swapper
+
+// swapper is one trail entry: one allocation, a cell or a mapEntry.
+type swapper interface{ swap() }
 
 func (tr trail) undo() {
 	for i := len(tr) - 1; i >= 0; i-- {
-		tr[i]()
+		tr[i].swap()
 	}
 }
 
 func (tr trail) redo() {
-	for _, f := range tr {
-		f()
+	for _, e := range tr {
+		e.swap()
 	}
+}
+
+// cell is a written location and the value it swaps in.
+type cell[T any] struct {
+	p *T
+	v T
+}
+
+func (c *cell[T]) swap() { *c.p, c.v = c.v, *c.p }
+
+// mapEntry is a written map entry and the entry it swaps in (absent unless
+// had).
+type mapEntry[K comparable, V any] struct {
+	m   map[K]V
+	k   K
+	v   V
+	had bool
+}
+
+func (e *mapEntry[K, V]) swap() {
+	v, had := e.m[e.k]
+	if e.had {
+		e.m[e.k] = e.v
+	} else {
+		delete(e.m, e.k)
+	}
+	e.v, e.had = v, had
+}
+
+// transact runs run, one run of the apply pipeline, as a transaction over
+// one trail, under s.mu; a panic in run is contained and becomes its error.
+// A failed run, live or shadow, leaves the session as before: its trail is
+// undone and the base's scalars reinstalled. A live run that succeeds keeps
+// what it did and drops its trail; a shadow is undone either way and
+// returns its trail, for Commit to redo. A needFull run arms no trail.
+func (s *Session) transact(shadow bool, run func() error) (tr trail, err error) {
+	base := s.sessState
+	if !s.needFull {
+		s.trail = &s.spare
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("incr: panic during apply: %v", r)
+		}
+		s.trail = nil
+		if err != nil || shadow {
+			s.spare.undo()
+			s.sessState = base
+		}
+		if err == nil && shadow {
+			tr, s.spare = s.spare, nil // the pending transaction keeps it
+			return
+		}
+		clear(s.spare)
+		s.spare = s.spare[:0]
+	}()
+	return nil, run()
 }
 
 // set is the pipeline's one way to write a location in place: *p = v,
@@ -156,36 +213,19 @@ func (tr trail) redo() {
 // capacity a recorded header still covers.
 func set[T any](tr *trail, p *T, v T) {
 	if tr != nil {
-		old := *p
-		*tr = append(*tr, func() { *p, old = old, *p })
+		*tr = append(*tr, &cell[T]{p, *p})
 	}
 	*p = v
 }
 
-// setKey is set for the entry k of m; the zero value deletes it.
-func setKey[K, V comparable](tr *trail, m map[K]V, k K, v V) {
-	var zero V
-	setEntry(tr, m, k, v, v != zero)
-}
-
 // setEntry is set for the entry k of m, deleted unless keep.
 func setEntry[K comparable, V any](tr *trail, m map[K]V, k K, v V, keep bool) {
-	old, had := swapKey(m, k, v, keep)
+	e := mapEntry[K, V]{m, k, v, keep}
+	e.swap()
 	if tr != nil {
-		o, h := old, had
-		*tr = append(*tr, func() { o, h = swapKey(m, k, o, h) })
+		recorded := e // e itself stays on the stack
+		*tr = append(*tr, &recorded)
 	}
-}
-
-// swapKey makes m[k] v, or absent unless keep, and returns what it was.
-func swapKey[K comparable, V any](m map[K]V, k K, v V, keep bool) (V, bool) {
-	old, had := m[k]
-	if keep {
-		m[k] = v
-	} else {
-		delete(m, k)
-	}
-	return old, had
 }
 
 // pendingTx is a proposed-but-undecided transaction: the shadow run's
@@ -227,8 +267,8 @@ func (s *Session) ProposePending() bool {
 // minimal-repair suggestions. Only the verdict cache sees the shadow run;
 // follow with Commit to promote the shadow atomically or Rollback to
 // discard it. Propose accepts every change-set Apply accepts; a failed
-// Propose leaves the session as before (no poisoning — the shadow is
-// simply discarded). Its baseline is the current report set, settled.
+// Propose leaves the session as before. Its baseline is the current report
+// set.
 func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,9 +298,6 @@ func (s *Session) AppendPropose(buf []byte, id string, changes []Change) ([]byte
 func (s *Session) proposeLocked(changes []Change) (*ProposeResult, error) {
 	if s.pending != nil {
 		return nil, ErrProposePending
-	}
-	if err := s.settle(); err != nil {
-		return nil, err
 	}
 	s.armDeadline()
 
@@ -348,7 +385,7 @@ func (s *Session) CommitAck(id string) (WireTxAck, error) {
 // commitLocked is what CommitID and CommitAck share, under s.mu.
 func (s *Session) commitLocked(id string) (duplicate bool, err error) {
 	if s.replayed(id) {
-		return true, s.settle()
+		return true, nil
 	}
 	if s.pending == nil {
 		return false, ErrNoPropose
@@ -375,20 +412,16 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// runShadow runs the apply pipeline with a trail armed and the group table
-// cloned, keeps the post state's scalars and its unsatisfied tally, then
-// undoes the trail and reinstalls the base's scalars — on every path,
-// including pipeline errors (applyLocked contains panics itself, so none
-// escape past it).
+// runShadow runs the apply pipeline as a shadow: it keeps the post state's
+// scalars and its unsatisfied tally, and returns the trail transact undid.
 func (s *Session) runShadow(changes []Change) (tr trail, post sessState, unsat map[string]int, err error) {
-	base := s.sessState
-	s.table, s.trail = base.table.clone(), &tr
-	if err = s.applyLocked(changes); err == nil {
+	tr, err = s.transact(true, func() error {
+		if err := s.applyLocked(changes); err != nil {
+			return err
+		}
 		post, unsat = s.sessState, s.unsatTally()
-	}
-	s.trail = nil
-	tr.undo()
-	s.sessState = base
+		return nil
+	})
 	return tr, post, unsat, err
 }
 

@@ -9,8 +9,9 @@ package incr_test
 // and mirror bookkeeping stay in one place.
 
 import (
-	"encoding/json"
+	"bytes"
 	"maps"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/obs"
+	"github.com/netverify/vmn/internal/store"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -480,16 +482,13 @@ func TestProposeBudgetExceeded(t *testing.T) {
 
 // TestFaultHookContainment: a panic in the middle of a group solve (the
 // fault vmnd's inject_panic arms) must surface as an Apply error, not a
-// crash, and the next Apply must recover to verdicts identical to a
-// from-scratch verification.
+// crash, and leave the session as it was: the next Apply is bit-identical
+// to a twin's that never failed, and to a from-scratch verification.
 func TestFaultHookContainment(t *testing.T) {
-	var armed atomic.Bool
-	sopts := incr.Options{FaultHook: func(string) {
-		if armed.CompareAndSwap(true, false) {
-			panic("injected test fault")
-		}
-	}}
-	a := newDCTarget(t, false, sopts)
+	hook, armed := faultOnce()
+	a := newDCTarget(t, false, incr.Options{FaultHook: hook})
+	b := newDCTarget(t, false, incr.Options{})
+	before := stateOf(t, a.session())
 
 	armed.Store(true)
 	_, err := a.session().Apply(a.changes(0, 2)) // fail FW1: dirties groups, triggers the hook
@@ -499,14 +498,129 @@ func TestFaultHookContainment(t *testing.T) {
 	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "injected test fault") {
 		t.Fatalf("panic not surfaced in error: %v", err)
 	}
+	compareState(t, "failed apply", stateOf(t, a.session()), before)
 
-	got, err := a.session().Apply(a.changes(0, 2)) // revert toggle: FW1 back up
+	got, err := a.session().Apply(a.changes(3, 1))
 	if err != nil {
 		t.Fatalf("Apply after contained panic failed: %v", err)
 	}
+	twin, err := b.session().Apply(b.changes(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareReports(t, "post-fault vs twin", got, twin)
+	compareWitnesses(t, "post-fault vs twin", got, twin)
+	compareStatsModuloCache(t, "post-fault vs twin", a.session().LastApply(), b.session().LastApply())
 	want := baseline(t, a.session(), core.Options{Engine: core.EngineSAT}, true)
 	compareReports(t, "post-fault", got, want)
 	compareWitnesses(t, "post-fault", got, want)
+}
+
+// faultOnce returns a FaultHook and its switch: once armed, the hook's
+// next call disarms it and panics.
+func faultOnce() (hook func(string), armed *atomic.Bool) {
+	armed = new(atomic.Bool)
+	return func(string) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected test fault")
+		}
+	}, armed
+}
+
+// TestFailedApplyLeavesNoTrace: a live Apply that fails past validation —
+// a panic mid-solve after NodeDown(fw1) was installed — returns the error
+// and is undone whole, through Apply, ApplyBatch and the daemon's call
+// alike. The session, a restart on its directory and a twin that never
+// failed then all report fw1 up, with the same reports, witnesses,
+// sequence number, groups and journal. And a failed edit of fw1 is not
+// read as fw1's configuration: an edit and its undo after it leave fw1 out
+// of the next snapshot.
+func TestFailedApplyLeavesNoTrace(t *testing.T) {
+	durable := func(dir string, hook func(string)) *dcTarget {
+		return newDCTarget(t, false, incr.Options{FaultHook: hook, Persist: &incr.PersistOptions{Dir: dir}})
+	}
+	dir := t.TempDir()
+	hook, armed := faultOnce()
+	a, b := durable(dir, hook), durable(t.TempDir(), nil)
+	for _, x := range []*dcTarget{a, b} {
+		if _, err := x.session().Apply(x.changes(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, down := a.session(), []incr.Change{incr.NodeDown(a.d.FW1)}
+	for _, c := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"Apply", func() error { _, err := s.Apply(down); return err }},
+		{"ApplyBatch", func() error { _, err := s.ApplyBatch(down); return err }},
+		{"AppendApply", func() error { _, err := s.AppendApply(nil, "", down, false); return err }},
+	} {
+		armed.Store(true)
+		if err := c.apply(); err == nil || !strings.Contains(err.Error(), "injected test fault") {
+			t.Fatalf("%s of node_down fw1 over a panicking solve: got %v, want the injected fault", c.name, err)
+		}
+		if armed.Load() {
+			t.Fatalf("%s: the fault never fired", c.name)
+		}
+	}
+	r := durable(dir, nil) // a restart, as after a crash
+	if rec := r.session().Recovery(); !rec.Recovered || rec.ColdStart {
+		t.Fatalf("restart: %+v, want a warm restart", rec)
+	}
+	want := b.session().CurrentReports()
+	for _, x := range []struct {
+		name string
+		f    *dcTarget
+		runs int // runs past the twin's: a restart's own first run
+	}{{"live", a, 0}, {"restart", r, 1}, {"twin", b, 0}} {
+		s := x.f.session()
+		for _, sc := range s.EffectiveScenarios() {
+			if sc.Failed(x.f.d.FW1) {
+				t.Fatalf("%s: fw1 is down in %v", x.name, sc.Nodes())
+			}
+		}
+		got := s.CurrentReports()
+		compareReports(t, x.name, got, want)
+		compareWitnesses(t, x.name, got, want)
+		if seq, twin := s.LastApply().Seq, b.session().LastApply().Seq; seq != twin+x.runs {
+			t.Fatalf("%s: seq %d, the twin's %d", x.name, seq, twin)
+		}
+		if keys, twin := s.GroupKeys(), b.session().GroupKeys(); !slices.Equal(keys, twin) {
+			t.Fatalf("%s: groups %q, the twin's %q", x.name, keys, twin)
+		}
+		// A restart replayed the journal, and snapshotted.
+		n := s.PersistStatus().JournalRecords + s.Recovery().JournalRecords
+		if twin := b.session().PersistStatus().JournalRecords; n != twin || n == 0 {
+			t.Fatalf("%s: %d journal records, the twin's %d", x.name, n, twin)
+		}
+	}
+
+	dir = t.TempDir()
+	c := durable(dir, hook)
+	fw1 := c.d.FW1
+	edited := func(e mbox.ACLEntry) incr.Change {
+		fw := cloneFirewall(boxAt(c.d.Net, fw1).(*mbox.LearningFirewall))
+		fw.ACL = append([]mbox.ACLEntry{e}, fw.ACL...)
+		return incr.BoxSwap(fw1, fw)
+	}
+	armed.Store(true)
+	if _, err := c.session().Apply([]incr.Change{edited(mbox.AllowEntry(bench.ClientPrefix(0), bench.ClientPrefix(1)))}); err == nil {
+		t.Fatal("the injected solve failure must fail the edit")
+	}
+	before := boxAt(c.d.Net, fw1)
+	for _, ch := range []incr.Change{edited(mbox.DenyEntry(bench.ClientPrefix(1), bench.ClientPrefix(2))), incr.BoxSwap(fw1, before)} {
+		if _, err := c.session().Apply([]incr.Change{ch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.session().Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.ReadSnapshot(filepath.Join(dir, "snapshot.vmn"))
+	if state, _, _ := bytes.Cut(snap, []byte(`,"cache":`)); err != nil || bytes.Contains(state, []byte(`"node":"fw1"`)) {
+		t.Fatalf("fw1 is back at its configuration, and the snapshot holds a record of it (%v):\n%s", err, state)
+	}
 }
 
 // TestFailedShadowLeavesNoTrace: a panic mid-solve, after the proposal's
@@ -514,12 +628,8 @@ func TestFaultHookContainment(t *testing.T) {
 // leaves the session as it was — state, signatures and network — so the
 // next Apply is bit-identical to a twin's that never proposed.
 func TestFailedShadowLeavesNoTrace(t *testing.T) {
-	var armed atomic.Bool
-	a := newDCTarget(t, false, incr.Options{FaultHook: func(string) {
-		if armed.CompareAndSwap(true, false) {
-			panic("injected test fault")
-		}
-	}})
+	hook, armed := faultOnce()
+	a := newDCTarget(t, false, incr.Options{FaultHook: hook})
 	b := newDCTarget(t, false, incr.Options{})
 	d := a.d
 	before := stateOf(t, a.session())
@@ -543,78 +653,6 @@ func TestFailedShadowLeavesNoTrace(t *testing.T) {
 	compareReports(t, "after the failed propose", ra, rb)
 	compareWitnesses(t, "after the failed propose", ra, rb)
 	compareStatsModuloCache(t, "after the failed propose", a.session().LastApply(), b.session().LastApply())
-}
-
-// TestInvalidatedSessionAnswersCurrentVerdicts: after a failed Apply
-// dropped the incremental state, every read of the report set answers with
-// the current verdicts — a replayed id's ack, CurrentReports and Propose's
-// baseline — re-verifying first, as the next Apply would.
-func TestInvalidatedSessionAnswersCurrentVerdicts(t *testing.T) {
-	// invalidated applies the fw1 allow hole as request "hole", fails the
-	// next Apply with a panic mid-solve, and returns the session and the
-	// verdicts a from-scratch run gives its network.
-	invalidated := func(t *testing.T) (*incr.Session, []core.Report) {
-		var armed atomic.Bool
-		a := newDCTarget(t, false, incr.Options{FaultHook: func(string) {
-			if armed.CompareAndSwap(true, false) {
-				panic("injected test fault")
-			}
-		}})
-		s := a.session()
-		if _, _, err := s.ApplyID("hole", a.probe(0)); err != nil {
-			t.Fatal(err)
-		}
-		armed.Store(true)
-		if _, err := s.Apply([]incr.Change{incr.NodeDown(a.d.Hosts[2][0])}); err == nil {
-			t.Fatal("Apply swallowed an injected panic")
-		}
-		want := baseline(t, s, core.Options{Engine: core.EngineSAT}, true)
-		unsat := 0
-		for _, r := range want {
-			if !r.Satisfied {
-				unsat++
-			}
-		}
-		if unsat != 2 {
-			t.Fatalf("the allow hole leaves %d checks unsatisfied, want 2", unsat)
-		}
-		return s, want
-	}
-	t.Run("replayed id", func(t *testing.T) {
-		s, want := invalidated(t)
-		got, dup, err := s.ApplyID("hole", nil)
-		if err != nil || !dup {
-			t.Fatalf("replayed id: duplicate=%v err=%v", dup, err)
-		}
-		compareReports(t, "replayed id", got, want)
-		compareWitnesses(t, "replayed id", got, want)
-		var ack struct {
-			Unsatisfied int
-			Reports     []json.RawMessage
-		}
-		if err := json.Unmarshal(s.AppendResult(nil, "hole", true), &ack); err != nil {
-			t.Fatal(err)
-		}
-		if ack.Unsatisfied != 2 || len(ack.Reports) != len(want) {
-			t.Fatalf("ack: %d unsatisfied, %d reports; want 2, %d", ack.Unsatisfied, len(ack.Reports), len(want))
-		}
-	})
-	t.Run("current reports", func(t *testing.T) {
-		s, want := invalidated(t)
-		got := s.CurrentReports()
-		compareReports(t, "current reports", got, want)
-		compareWitnesses(t, "current reports", got, want)
-	})
-	t.Run("propose baseline", func(t *testing.T) {
-		s, _ := invalidated(t)
-		pr, err := s.Propose(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pr.Decision != incr.Accept || pr.NewViolations != 0 {
-			t.Fatalf("an empty proposal was judged against an empty baseline: %s, %d new violations", pr.Decision, pr.NewViolations)
-		}
-	})
 }
 
 // TestRefusedValuelessChanges: a change carries its value. A FIB update
