@@ -295,6 +295,9 @@ type CheckPlan struct {
 // Slice returns the planned check's computed slice.
 func (cp *CheckPlan) Slice() slices.Result { return cp.p.sl }
 
+// Problem returns the planned check's assembled problem.
+func (cp *CheckPlan) Problem() *inv.Problem { return cp.p.prob }
+
 // CanonKey returns the check's canonical class key, nil when the check is
 // not canonicalizable (whole-network slice, a box without canonical config
 // keys, an unknown invariant type, or Options.NoCanon).

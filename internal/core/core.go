@@ -268,34 +268,13 @@ func (v *Verifier) registerMetrics() {
 		return
 	}
 	m := o.Metrics
-	m.RegisterFunc("vmn_core_encoding_cache_hits", func() float64 {
-		h, _ := v.EncodingCacheStats()
-		return float64(h)
-	})
-	m.RegisterFunc("vmn_core_encoding_cache_misses", func() float64 {
-		_, mi := v.EncodingCacheStats()
-		return float64(mi)
-	})
-	m.RegisterFunc("vmn_core_journey_cache_hits", func() float64 {
-		h, _ := v.JourneyCacheStats()
-		return float64(h)
-	})
-	m.RegisterFunc("vmn_core_journey_cache_misses", func() float64 {
-		_, mi := v.JourneyCacheStats()
-		return float64(mi)
-	})
-	m.RegisterFunc("vmn_core_canon_classes", func() float64 {
-		c, _, _ := v.CanonStats()
-		return float64(c)
-	})
-	m.RegisterFunc("vmn_core_canon_shared_checks", func() float64 {
-		_, s, _ := v.CanonStats()
-		return float64(s)
-	})
-	m.RegisterFunc("vmn_core_canon_enc_translated", func() float64 {
-		_, _, tr := v.CanonStats()
-		return float64(tr)
-	})
+	m.RegisterFunc("vmn_core_encoding_cache_hits", func() float64 { h, _ := v.EncodingCacheStats(); return float64(h) })
+	m.RegisterFunc("vmn_core_encoding_cache_misses", func() float64 { _, mi := v.EncodingCacheStats(); return float64(mi) })
+	m.RegisterFunc("vmn_core_journey_cache_hits", func() float64 { h, _ := v.JourneyCacheStats(); return float64(h) })
+	m.RegisterFunc("vmn_core_journey_cache_misses", func() float64 { _, mi := v.JourneyCacheStats(); return float64(mi) })
+	m.RegisterFunc("vmn_core_canon_classes", func() float64 { c, _, _ := v.CanonStats(); return float64(c) })
+	m.RegisterFunc("vmn_core_canon_shared_checks", func() float64 { _, s, _ := v.CanonStats(); return float64(s) })
+	m.RegisterFunc("vmn_core_canon_enc_translated", func() float64 { _, _, tr := v.CanonStats(); return float64(tr) })
 	size := func(c interface{ Len() int }) func() float64 {
 		return func() float64 {
 			v.mu.Lock()

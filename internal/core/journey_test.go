@@ -17,8 +17,8 @@ import (
 // solver reuse on, the encoding cache absorbs same-slice re-solves one
 // level higher (see TestEncodingReuseAcrossInvariants). It runs at the
 // default worker count: the two checks may first touch the alphabet
-// concurrently, and single-flight makes the later asker of each key wait
-// for the one enumeration and count a hit, so the counts are exact.
+// concurrently, and single-flight makes the later asker of the problem
+// wait for the one enumeration and count hits, so the counts are exact.
 func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	aA, aB := pkt.MustParseAddr("10.0.0.1"), pkt.MustParseAddr("10.0.0.2")
 	net, hA, hB, _ := pairNet(mbox.NewLearningFirewall("fw",
@@ -40,15 +40,15 @@ func TestJourneyMemoAcrossInvariants(t *testing.T) {
 	if reports[0].Result.Outcome != inv.Violated || reports[1].Result.Outcome != inv.Holds {
 		t.Fatalf("unexpected verdicts: %v %v", reports[0].Result.Outcome, reports[1].Result.Outcome)
 	}
-	// Both checks enumerate the same alphabet: one miss per choice, then
-	// one hit per choice.
+	// Both checks enumerate the same alphabet: one miss per sample, then
+	// one hit per sample.
 	cp, err := v.PlanOn(invs[0], topo.NoFailures(), v.EngineFor(topo.NoFailures()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices := int64(len(cp.p.prob.Samples) * len(cp.p.prob.ClassAssignments()))
-	if hits, misses := v.JourneyCacheStats(); hits != choices || misses != choices {
-		t.Fatalf("journey cache hits=%d misses=%d, want %d and %d", hits, misses, choices, choices)
+	samples := int64(len(cp.p.prob.Samples))
+	if hits, misses := v.JourneyCacheStats(); hits != samples || misses != samples {
+		t.Fatalf("journey cache hits=%d misses=%d, want %d and %d", hits, misses, samples, samples)
 	}
 
 	// A fresh verifier starts cold — the cache never crosses the frozen-

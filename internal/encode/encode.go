@@ -11,7 +11,9 @@
 // does nothing or picks one alphabet packet with one oracle class
 // assignment; the packet's complete journey through the static fabric and
 // the middleboxes happens within the step (journeys are enumerated by
-// symbolic execution, forking on every middlebox state bit read). Middlebox
+// symbolic execution, forking on every middlebox state bit read, once per
+// sample: the class assignment labels a sample's journeys unless a box on
+// them reads it, and only then is each assignment walked). Middlebox
 // state — which for every model the paper evaluates is a monotone set of
 // keys (established flows, cached objects, prefixes under attack) — becomes
 // one SAT variable per (box, key, step), with frame axioms
@@ -87,11 +89,23 @@ type jpath struct {
 	events []logic.Event
 }
 
-// choice is one (sample, class assignment) pair.
+// choice is one (sample, class assignment) pair. When shared, its paths
+// are the sample's journeys under its first class assignment, which every
+// assignment's choice holds, and event labels them with classes.
 type choice struct {
 	sample  inv.Sample
 	classes pkt.ClassSet
 	paths   []jpath
+	shared  bool
+}
+
+// event returns ev as c's journeys produce it: stamped with c's classes
+// when the journeys are shared.
+func (c *choice) event(ev logic.Event) logic.Event {
+	if c.shared {
+		ev.Classes = c.classes
+	}
+	return ev
 }
 
 // Verify encodes and solves the bounded verification problem on a fresh
@@ -107,8 +121,13 @@ func Verify(p *inv.Problem, opts Options) (inv.Result, error) {
 	return enc.Verify(p, opts)
 }
 
-// journeys symbolically executes the packet's journey, forking on state
-// reads, and returns all resolved paths.
+// journeys symbolically executes the packet's journey under classes cls,
+// forking on state reads, and returns all resolved paths. shared reports
+// that under each of alts the journeys are the same, their events labelled
+// alt: every output passes its input's classes through, and every box
+// whose relevant classes (rel, by box index) tell alt from cls answers
+// alike under alt (sameAnswer). A box that declares every class it reads
+// (mbox.Model) needs no check where its relevant classes agree.
 //
 // A partial path carries no per-hop maps: the state bits it assumed are
 // exactly those its conds name, and the bits it derived are exactly those
@@ -117,7 +136,7 @@ func Verify(p *inv.Problem, opts Options) (inv.Result, error) {
 // append in place; at a fork every branch gets capacity-limited slices, so
 // its first append copies instead of overwriting a sibling's. A finished
 // path keeps the arrays it grew, which no one writes again.
-func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.ClassSet) ([]jpath, error) {
+func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, rel []pkt.ClassSet, s inv.Sample, cls pkt.ClassSet, alts []pkt.ClassSet) (out []jpath, shared bool, err error) {
 	type flight struct {
 		Hdr     pkt.Header
 		Classes pkt.ClassSet
@@ -133,7 +152,7 @@ func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.
 	}
 	sendEv := logic.Event{Kind: logic.EvSend, Src: s.Sender, Dst: dstOf(s.Hdr), Hdr: s.Hdr, Classes: cls}
 
-	var out []jpath
+	shared = true
 	var rec func(queue []flight, conds []keyCond, sets []keyRef, events []logic.Event) error
 	rec = func(queue []flight, conds []keyCond, sets []keyRef, events []logic.Event) error {
 		if len(queue) == 0 {
@@ -223,6 +242,11 @@ func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.
 					node.Name, len(branches))
 			}
 			br := branches[0]
+			for _, alt := range alts {
+				if shared && (alt^cls)&rel[bi] != 0 && !sameAnswer(model, st, input, reads, br, alt) {
+					shared = false
+				}
+			}
 			newKeys, ok := mbox.SetStateKeys(br.Next)
 			if !ok {
 				return fmt.Errorf("encode: middlebox %s produced non-boolean state", node.Name)
@@ -235,6 +259,7 @@ func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.
 			}
 			events = append(events, logic.Event{Kind: logic.EvRecv, Dst: fl.At, Src: fl.From, Hdr: fl.Hdr, Classes: fl.Classes})
 			for _, o := range br.Out {
+				shared = shared && o.Classes == fl.Classes
 				events = append(events, logic.Event{Kind: logic.EvSend, Src: fl.At, Dst: dstOf(o.Hdr), Hdr: o.Hdr, Classes: o.Classes})
 				var err error
 				queue, err = forwardTo(o.Hdr, o.Classes, fl.Hops+1, queue)
@@ -267,13 +292,32 @@ func journeys(p *inv.Problem, boxIdx map[topo.NodeID]int, s inv.Sample, cls pkt.
 	var queue []flight
 	to, ok, err := p.TF.Next(s.Sender, s.Hdr.RouteAddr())
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if ok {
 		queue = append(queue, flight{Hdr: s.Hdr, Classes: cls, From: s.Sender, At: to})
 	}
 	if err := rec(queue, nil, nil, []logic.Event{sendEv}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return out, nil
+	return out, shared, nil
+}
+
+// sameAnswer reports whether model, given input in in state st, reads the
+// same keys and takes the same branch br under classes alt, its outputs
+// carrying alt.
+func sameAnswer(model mbox.Model, st mbox.State, in mbox.Input, reads []string, br mbox.Branch, alt pkt.ClassSet) bool {
+	in.Classes = alt
+	if reader, ok := model.(mbox.KeyReader); ok && !slices.Equal(reader.ReadKeys(in), reads) {
+		return false
+	}
+	branches := model.Process(st, in)
+	if len(branches) != 1 {
+		return false
+	}
+	next, _ := mbox.SetStateKeys(br.Next)
+	altNext, _ := mbox.SetStateKeys(branches[0].Next)
+	return slices.Equal(next, altNext) && slices.EqualFunc(br.Out, branches[0].Out, func(o, a mbox.Output) bool {
+		return o.Hdr == a.Hdr && a.Classes == alt
+	})
 }

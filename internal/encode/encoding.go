@@ -32,6 +32,7 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/sat"
 	"github.com/netverify/vmn/internal/smt"
 	"github.com/netverify/vmn/internal/topo"
@@ -113,15 +114,15 @@ func NewSliceEncoding(p *inv.Problem, opts Options) (*SliceEncoding, error) {
 	if p.MaxSends <= 0 {
 		return nil, fmt.Errorf("encode: MaxSends must be positive")
 	}
-	boxIdx := map[topo.NodeID]int{}
+	boxIdx, rel := map[topo.NodeID]int{}, make([]pkt.ClassSet, len(p.Boxes))
 	for i, b := range p.Boxes {
 		if _, ok := mbox.SetStateKeys(b.Model.InitState()); !ok {
 			return nil, fmt.Errorf("encode: middlebox %s has non-boolean state (%T); use the explicit engine",
 				p.Topo.Node(b.Node).Name, b.Model.InitState())
 		}
-		boxIdx[b.Node] = i
+		boxIdx[b.Node], rel[i] = i, b.Model.RelevantClasses(p.Registry)
 	}
-	choices, err := enumerateChoices(p, opts, boxIdx)
+	choices, err := enumerateChoices(p, opts, boxIdx, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -301,37 +302,53 @@ func (e *SliceEncoding) closeCone() {
 }
 
 // enumerateChoices expands the (sample, class assignment) alphabet and
-// enumerates each choice's journeys, sharing enumerations across
-// invariants and encodings through the optional cache, where the problem
-// is interned once and each choice looked up under its journeyKey.
-func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int) ([]choice, error) {
-	var problem uint64
-	if opts.Journeys != nil {
-		if key, ok := appendProblemKey(nil, p); ok {
-			problem = opts.Journeys.problem(key)
-		} else {
-			opts.Journeys = nil // unfingerprintable box: no memoization
+// enumerates each sample's journeys (sampleJourneys), sharing enumerations
+// across invariants and encodings through the optional cache, where the
+// problem is interned once and each sample looked up under its journeyKey.
+func enumerateChoices(p *inv.Problem, opts Options, boxIdx map[topo.NodeID]int, rel []pkt.ClassSet) ([]choice, error) {
+	classes := p.ClassAssignments()
+	enumerate := func(s inv.Sample) (journeySet, error) { return sampleJourneys(p, boxIdx, rel, s, classes) }
+	var sets []journeySet
+	var err error
+	if key, ok := appendProblemKey(nil, p); ok && opts.Journeys != nil {
+		sets, err = opts.Journeys.sets(opts.Journeys.problem(key), p.Samples, enumerate)
+	} else { // no cache, or an unfingerprintable box: no memoization
+		sets = make([]journeySet, len(p.Samples))
+		for i := 0; i < len(sets) && err == nil; i++ {
+			sets[i], err = enumerate(p.Samples[i])
 		}
 	}
-	classes := p.ClassAssignments()
+	if err != nil {
+		return nil, err
+	}
 	choices := make([]choice, 0, len(p.Samples)*len(classes))
-	for _, s := range p.Samples {
-		for _, cls := range classes {
-			c := choice{sample: s, classes: cls}
-			enumerate := func() ([]jpath, error) { return journeys(p, boxIdx, s, cls) }
-			var err error
-			if opts.Journeys != nil {
-				c.paths, err = opts.Journeys.paths(journeyKey{problem, s, cls}, enumerate)
-			} else {
-				c.paths, err = enumerate()
+	for si, s := range p.Samples {
+		set := sets[si]
+		for ci, cls := range classes {
+			if set.shared {
+				ci = 0
 			}
-			if err != nil {
-				return nil, err
-			}
-			choices = append(choices, c)
+			choices = append(choices, choice{sample: s, classes: cls, paths: set.paths[ci], shared: set.shared})
 		}
 	}
 	return choices, nil
+}
+
+// sampleJourneys enumerates sample s's journeys under each of classes:
+// once, under the first, when every other assignment gives the same
+// journeys but for their class label (see journeys), and once per
+// assignment otherwise.
+func sampleJourneys(p *inv.Problem, boxIdx map[topo.NodeID]int, rel []pkt.ClassSet, s inv.Sample, classes []pkt.ClassSet) (journeySet, error) {
+	paths, shared, err := journeys(p, boxIdx, rel, s, classes[0], classes[1:])
+	set := journeySet{paths: [][]jpath{paths}, shared: shared}
+	for _, cls := range classes[1:] {
+		if err != nil || shared {
+			break
+		}
+		paths, _, err = journeys(p, boxIdx, rel, s, cls, nil)
+		set.paths = append(set.paths, paths)
+	}
+	return set, err
 }
 
 // Clauses calls fn with each clause of the encoding's CNF (see
@@ -410,8 +427,9 @@ func (e *SliceEncoding) activate(p *inv.Problem) (act smt.Form, ok bool) {
 		gps, ok := matches[a]
 		if !ok {
 			for gp, pth := range e.paths {
+				c := &e.choices[e.pathChoice[gp]]
 				for _, ev := range pth.events {
-					if a.Pred(ev) {
+					if a.Pred(c.event(ev)) {
 						e.groundPath(int32(gp))
 						gps = append(gps, int32(gp))
 						break
@@ -518,7 +536,7 @@ func (e *SliceEncoding) lexMinSchedule(act smt.Form) []int {
 
 // replay runs the schedule from the all-false boot state and returns its
 // trace: at each step, the events of the first path of the chosen packet
-// whose conds hold, whose sets then hold too. The schedule fully
+// whose conds hold, stamped with its classes, whose sets then hold too. The schedule fully
 // determines the state bits, so that is the path whose guard any model of
 // the schedule makes true, whether or not the guard was grounded.
 func (e *SliceEncoding) replay(sched []int) []logic.Event {
@@ -528,8 +546,9 @@ func (e *SliceEncoding) replay(sched []int) []logic.Event {
 		if ci == len(e.choices) {
 			continue
 		}
+		ch := &e.choices[ci]
 	paths:
-		for _, pth := range e.choices[ci].paths {
+		for _, pth := range ch.paths {
 			for _, c := range pth.conds {
 				if state[e.refIdx[c.ref]] != c.val {
 					continue paths
@@ -538,7 +557,9 @@ func (e *SliceEncoding) replay(sched []int) []logic.Event {
 			for _, r := range pth.sets {
 				state[e.refIdx[r]] = true
 			}
-			out = append(out, pth.events...)
+			for _, ev := range pth.events {
+				out = append(out, ch.event(ev))
+			}
 			break
 		}
 	}

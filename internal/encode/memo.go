@@ -1,23 +1,23 @@
 package encode
 
-// Journey-enumeration memoization. Enumerating a packet choice's journeys
+// Journey-enumeration memoization. Enumerating a sample's journeys
 // (symbolic execution through the fabric and middleboxes, forking on state
 // reads) depends only on the failure scenario, the middlebox set and the
-// (sample, class assignment) pair — not on the invariant being checked.
-// Different invariants over the same slice therefore reground identical
-// journeys; a JourneyCache shares them across Verify calls. The incremental
-// verifier makes repeated same-slice solves the common case, which is what
-// this cache targets (see DESIGN.md).
+// sample — not on the invariant being checked. Different invariants over
+// the same slice therefore reground identical journeys; a JourneyCache
+// shares them across Verify calls. An entry holds a sample's journeys under
+// every class assignment: one enumeration shared by all of them when the
+// class set only labels the journeys, one per assignment otherwise (see
+// sampleJourneys). The incremental verifier makes repeated same-slice
+// solves the common case, which is what this cache targets (see DESIGN.md).
 
 import (
 	"encoding/binary"
-	"errors"
 	"sync"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/lru"
 	"github.com/netverify/vmn/internal/mbox"
-	"github.com/netverify/vmn/internal/pkt"
 )
 
 // JourneyCache memoizes journey enumeration across Verify calls over one
@@ -28,120 +28,112 @@ import (
 // instead of returning stale journeys; problems containing a middlebox
 // without a configuration description (mbox.ExactKey reports false) skip
 // memoization entirely. Each encoding interns its problem key once, and
-// its choices are then looked up by a fixed-size journeyKey. Safe for
-// concurrent use, and single-flight: a miss registers its enumeration as
-// in flight, and concurrent askers for the same key wait for it instead of
-// enumerating again. Cached paths are handed out shared; Verify treats
-// them as immutable.
+// its samples are then looked up by a fixed-size journeyKey. Safe for
+// concurrent use, and single-flight per problem (see sets). Cached paths
+// are handed out shared; Verify treats them as immutable.
 type JourneyCache struct {
 	mu sync.Mutex
-	// problems interns full problem keys to ids, which are never reused:
+	// problems interns full problem keys, under ids that are never reused:
 	// a problem evicted here comes back under a fresh id, so its journeys
 	// are enumerated again, and no id ever names two problems.
-	problems     *lru.Cache[string, uint64]
+	problems     *lru.Cache[string, *journeyProblem]
 	lastID       uint64
-	m            *lru.Cache[journeyKey, []jpath]
-	flights      map[journeyKey]*journeyFlight // enumerations in progress
+	m            *lru.Cache[journeyKey, journeySet]
 	hits, misses int64
 }
 
-// journeyKey names one choice's journeys: the interned problem and the
-// (sample, class assignment) pair.
+// journeyProblem is an interned problem key: its id, and the lock held by
+// the one asker enumerating its samples.
+type journeyProblem struct {
+	id uint64
+	mu sync.Mutex
+}
+
+// journeyKey names one sample's journeys: the interned problem and the
+// sample.
 type journeyKey struct {
 	problem uint64
 	sample  inv.Sample
-	classes pkt.ClassSet
 }
 
-// journeyFlight is one enumeration in progress. Askers for its key wait on
-// wg, then read its outcome.
-type journeyFlight struct {
-	wg    sync.WaitGroup
-	paths []jpath
-	err   error
+// journeySet is one sample's journeys: paths[0] serves every class
+// assignment when shared, paths[i] the i-th assignment otherwise.
+type journeySet struct {
+	paths  [][]jpath
+	shared bool
 }
 
-// errEnumerationPanicked is what waiters read when the enumeration they
-// waited for panicked instead of returning.
-var errEnumerationPanicked = errors.New("encode: journey enumeration panicked")
-
-// journeyCacheCap and journeyProblemCap bound the cache's journeys and
+// journeyCacheCap and journeyProblemCap bound the cache's journey sets and
 // interned problem keys (DESIGN.md, "Bounded memory").
 const journeyCacheCap, journeyProblemCap = 1 << 16, 1 << 10
 
 // NewJourneyCache creates an empty cache.
 func NewJourneyCache() *JourneyCache {
 	return &JourneyCache{
-		problems: lru.New[string, uint64](journeyProblemCap, nil),
-		m:        lru.New[journeyKey, []jpath](journeyCacheCap, nil),
-		flights:  map[journeyKey]*journeyFlight{},
+		problems: lru.New[string, *journeyProblem](journeyProblemCap, nil),
+		m:        lru.New[journeyKey, journeySet](journeyCacheCap, nil),
 	}
 }
 
-// problem returns the id of the problem key, interning it on first use.
-func (c *JourneyCache) problem(key []byte) uint64 {
+// problem returns the problem key's interned entry, interning it on first
+// use.
+func (c *JourneyCache) problem(key []byte) *journeyProblem {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := c.problems.Get(string(key))
+	pr, ok := c.problems.Get(string(key))
 	if !ok {
 		c.lastID++
-		id = c.lastID
-		c.problems.Put(string(key), id)
+		pr = &journeyProblem{id: c.lastID}
+		c.problems.Put(string(key), pr)
 	}
-	return id
+	return pr
 }
 
-// Len is the number of journey enumerations held.
+// Len is the number of sample journey sets held.
 func (c *JourneyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m.Len()
 }
 
-// Stats reports cache hits and misses so far. An asker that waited for a
-// concurrent enumeration of its key counts as a hit.
+// Stats reports cache hits and misses so far, one per sample looked up.
 func (c *JourneyCache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
 
-// paths returns the journeys under key: cached, from a concurrent
-// enumeration of the same key, or from running enumerate, whose outcome —
-// an error included — every waiter reads. Only successful enumerations
-// are cached.
-func (c *JourneyCache) paths(key journeyKey, enumerate func() ([]jpath, error)) ([]jpath, error) {
-	c.mu.Lock()
-	if paths, ok := c.m.Get(key); ok {
-		c.hits++
-		c.mu.Unlock()
-		return paths, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		f.wg.Wait()
-		return f.paths, f.err
-	}
-	f := &journeyFlight{err: errEnumerationPanicked}
-	f.wg.Add(1)
-	c.flights[key] = f
-	c.misses++
-	c.mu.Unlock()
-	defer func() {
+// sets returns the journeys of each of pr's samples, cached or from
+// enumerate, caching each success. It holds pr's lock throughout, so
+// concurrent askers for one problem wait, then find the journeys cached
+// as hits; after a failed enumeration, the next asker enumerates what is
+// missing.
+func (c *JourneyCache) sets(pr *journeyProblem, samples []inv.Sample, enumerate func(inv.Sample) (journeySet, error)) ([]journeySet, error) {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	out := make([]journeySet, len(samples))
+	for i, s := range samples {
+		key := journeyKey{pr.id, s}
 		c.mu.Lock()
-		delete(c.flights, key)
-		if f.err == nil {
-			c.m.Put(key, f.paths)
+		set, ok := c.m.Get(key)
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
 		}
 		c.mu.Unlock()
-		f.wg.Done()
-	}()
-	f.paths, f.err = enumerate()
-	return f.paths, f.err
+		if !ok {
+			var err error
+			if set, err = enumerate(s); err != nil {
+				return nil, err
+			}
+			c.mu.Lock()
+			c.m.Put(key, set)
+			c.mu.Unlock()
+		}
+		out[i] = set
+	}
+	return out, nil
 }
 
 // appendProblemKey encodes the per-problem part of a journey key: the

@@ -9,6 +9,7 @@ package hsa
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
@@ -146,14 +147,7 @@ func walkDAG(inv DAG, types []string) string {
 		return fmt.Sprintf("first middlebox %q is not the DAG start %q", rest[0], cur)
 	}
 	for _, next := range rest[1:] {
-		ok := false
-		for _, succ := range inv.Edges[cur] {
-			if succ == next {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(inv.Edges[cur], next) {
 			return fmt.Sprintf("transition %q -> %q not allowed", cur, next)
 		}
 		cur = next

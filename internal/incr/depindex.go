@@ -40,6 +40,8 @@ package incr
 // channel.
 
 import (
+	"slices"
+
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -105,22 +107,12 @@ func newFIBDelta(td tf.TableDelta) *fibDelta {
 // meets is the set-level prescreen: whether any prefix the delta names
 // meets a read atom, one AtomSet.IntersectsPrefix binary search each.
 func (d *fibDelta) meets(atoms topo.AtomSet) bool {
-	for _, p := range d.changed {
-		if atoms.IntersectsPrefix(p) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(d.changed, atoms.IntersectsPrefix)
 }
 
 // readsChanged reports whether any of one table's deltas meets atoms.
 func readsChanged(atoms topo.AtomSet, deltas []*fibDelta) bool {
-	for _, d := range deltas {
-		if d.meets(atoms) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(deltas, func(d *fibDelta) bool { return d.meets(atoms) })
 }
 
 // dirtyAtom reports whether any read atom resolves differently under the

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	stdslices "slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -758,7 +759,7 @@ func (s *Session) finishRecovery(reports []core.Report) ([]core.Report, error) {
 	s.cmu.Lock()
 	s.cache = newVerdictCache()
 	s.cmu.Unlock()
-	s.table, s.needFull = newGroupTable(), true
+	s.table, s.needFull, s.seq = newGroupTable(), true, s.seq-1 // as the recovery run, it takes no new seq
 	s.mu.Unlock()
 	return s.Apply(nil)
 }
@@ -792,24 +793,12 @@ func (s *Session) reverifySampleLocked() (checked int, ok bool) {
 			}
 			checked++
 			stored := e.reports[si]
-			if fresh.Result.Outcome != stored.Result.Outcome || fresh.Satisfied != stored.Satisfied || !sameTrace(fresh.Result.Trace, stored.Result.Trace) {
+			if fresh.Result.Outcome != stored.Result.Outcome || fresh.Satisfied != stored.Satisfied || !stdslices.Equal(fresh.Result.Trace, stored.Result.Trace) {
 				return checked, false
 			}
 		}
 	}
 	return checked, true
-}
-
-func sameTrace(a, b []logic.Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // public surface -------------------------------------------------------------

@@ -315,25 +315,20 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		})
 		// Size gauges for the structures that only grow with the change
 		// stream; walked at scrape time, never on the apply path.
-		sopts.Obs.Metrics.RegisterFunc("vmn_incr_posting_entries", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.table.postings())
-		})
-		sopts.Obs.Metrics.RegisterFunc("vmn_incr_applied_ids", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.appliedIDs.Len())
-		})
-		sopts.Obs.Metrics.RegisterFunc("vmn_incr_verdict_cache_entries", func() float64 {
-			s.cmu.Lock()
-			defer s.cmu.Unlock()
-			return float64(s.cache.Len())
-		})
+		size := func(mu *sync.Mutex, n func() int) func() float64 {
+			return func() float64 { mu.Lock(); defer mu.Unlock(); return float64(n()) }
+		}
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_posting_entries", size(&s.mu, func() int { return s.table.postings() }))
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_applied_ids", size(&s.mu, func() int { return s.appliedIDs.Len() }))
+		sopts.Obs.Metrics.RegisterFunc("vmn_incr_verdict_cache_entries", size(&s.cmu, func() int { return s.cache.Len() }))
 	}
 	// A failed first run discards the session: it has no state to go back
-	// to, so it arms no trail.
+	// to, so it arms no trail. After a restore it re-verifies the last
+	// journaled state, so it takes that state's sequence number again.
 	s.needFull = true
+	if s.recovery.Recovered {
+		s.seq--
+	}
 	reports, err := s.Apply(nil)
 	if err != nil {
 		return nil, nil, err

@@ -120,7 +120,10 @@ type Branch struct {
 	Next  State
 }
 
-// Model is a middlebox forwarding model.
+// Model is a middlebox forwarding model. A model passes its input's
+// classes through to every output, and declares in RelevantClasses every
+// class its Process or ReadKeys reads: the SAT engine walks a packet once
+// for all class assignments that no box on its journey tells apart.
 type Model interface {
 	// Type is the model family name ("firewall", "nat", "cache", ...).
 	Type() string

@@ -35,6 +35,7 @@ package slices
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"github.com/netverify/vmn/internal/logic"
 	"github.com/netverify/vmn/internal/mbox"
@@ -138,25 +139,7 @@ func (r *Renaming) Equal(o *Renaming) bool {
 	if r == nil || o == nil {
 		return false
 	}
-	if len(r.nodeInv) != len(o.nodeInv) || len(r.addrInv) != len(o.addrInv) || len(r.pfxInv) != len(o.pfxInv) {
-		return false
-	}
-	for i := range r.nodeInv {
-		if r.nodeInv[i] != o.nodeInv[i] {
-			return false
-		}
-	}
-	for i := range r.addrInv {
-		if r.addrInv[i] != o.addrInv[i] {
-			return false
-		}
-	}
-	for i := range r.pfxInv {
-		if r.pfxInv[i] != o.pfxInv[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(r.nodeInv, o.nodeInv) && slices.Equal(r.addrInv, o.addrInv) && slices.Equal(r.pfxInv, o.pfxInv)
 }
 
 // TranslateNode carries a node from this renaming's namespace into to's:
