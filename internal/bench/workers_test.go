@@ -109,7 +109,7 @@ func TestVerifyAllWorkersBitIdentical(t *testing.T) {
 // share a warm encoding solve it in the order the pool runs them, so the
 // counts (not the verdicts) vary from run to run.
 func TestSolverDeterministicAtOneWorker(t *testing.T) {
-	want := sat.Stats{Decisions: 1288, Propagations: 82289, Conflicts: 16, Learnt: 16, MinimizedLit: 4, SolveCalls: 97}
+	want := sat.Stats{Decisions: 490, Propagations: 35851, Conflicts: 6, Learnt: 6, MinimizedLit: 3, SolveCalls: 81}
 	var first []core.Report
 	for run := 0; run < 3; run++ {
 		d := NewDatacenter(DCConfig{Groups: 4, HostsPerGroup: 1, WithCaches: true})

@@ -20,12 +20,14 @@ var raceEnabled bool
 // share the other four canonically; and of coldFileCandidate, the same
 // checks as cachefarm-cold's file-described candidates verify them, six
 // encodings. Building the encodings dominates both. Each ceiling is the
-// measured figure (9 877 allocations and 1.12 MB in memory, 17 118 and
-// 1.89 MB from the file, on linux/amd64, go1.24) plus 5 %. Enumerating
-// the journeys of each (sample, class assignment) rather than once per
-// sample made 15 373 and 1.59 MB in memory, 29 058 and 2.85 MB from the
-// file. A selector
-// row over the whole 253-position alphabet at every step, with its
+// measured figure (8 436 allocations and 1.02 MB in memory, 15 514 and
+// 1.69 MB from the file, on linux/amd64, go1.24) plus 5 %. Declaring
+// "malicious" on the scrubber-less IDSes, which never read it (two class
+// assignments per sample, 252 choices per encoding), made 9 877 and
+// 1.12 MB in memory, 17 118 and 1.89 MB from the file. Enumerating the
+// journeys of each (sample, class assignment) rather than once per sample
+// made 15 373 and 1.59 MB in memory, 29 058 and 2.85 MB from the file. A
+// selector row over the whole 253-position alphabet at every step, with its
 // product-encoding grid, made 15 821 and 2.42 MB; a clause struct per
 // binary clause, 16-byte watchers holding a pointer and per-variable
 // arrays grown one NewVar at a time made 16 090 and 3.69 MB. Grounding
@@ -41,8 +43,8 @@ func TestColdVerifyAllAllocs(t *testing.T) {
 		verifyAll          func() *core.Verifier
 		ceiling, byteLimit float64
 	}{
-		{"in-memory", coldCandidate(t), 10371, 1_172_100},
-		{"file", coldFileCandidate(t), 17974, 1_989_100},
+		{"in-memory", coldCandidate(t), 8858, 1_070_700},
+		{"file", coldFileCandidate(t), 16291, 1_779_500},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -112,9 +114,11 @@ func coldFileCandidate(tb testing.TB) func() *core.Verifier {
 // TestColdCandidateEncodings pins the shapes coldCandidate and
 // coldFileCandidate's comments state: two encodings and four shared checks
 // in memory, six encodings and none shared from the description. Each
-// encoding looks up its 126 samples' journeys once (two per sample, one
-// per class assignment, before samples were enumerated once: 504 lookups
-// and 280 misses in memory, 1 512 and 840 from the file).
+// encoding looks up its 126 samples' journeys once: no box reads a class,
+// so each sample has one class assignment and makes one choice, 126 per
+// encoding. Before samples were enumerated once, each of a sample's two
+// class assignments looked its journeys up: 504 lookups and 280 misses in
+// memory, 1 512 and 840 from the file.
 func TestColdCandidateEncodings(t *testing.T) {
 	for _, c := range []struct {
 		name                     string

@@ -104,10 +104,10 @@ func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
 		cnf   string
 		stats sat.Stats
 	}{
-		{"3e91bb96e6cb12a090a7a952b0c146089458a2a61a3c62ee70e5b483e6e8a5e0",
-			sat.Stats{Propagations: 84, SolveCalls: 6}},
-		{"900edb54c1e84af7d15d3bce0ed71d10bca69350bec74ed028674b26fdb33852",
-			sat.Stats{Decisions: 213, Propagations: 6021, Conflicts: 9, Learnt: 9, SolveCalls: 42}},
+		{"4d36121a639f6ca3111becded85eb56a65251b3b6b0c9af8ff4d36b1f3f47f71",
+			sat.Stats{Propagations: 60, SolveCalls: 6}},
+		{"9e0e3e162105b8fde34e1907f4672284ec47ece0fec13d89577df296087f1436",
+			sat.Stats{Decisions: 54, Propagations: 2259, Conflicts: 6, Learnt: 6, SolveCalls: 30}},
 	}
 	for i, c := range datacenterCases {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
@@ -129,14 +129,14 @@ func TestSliceEncodingCNFPinnedDatacenter(t *testing.T) {
 // TestSliceEncodingConeDatacenter pins the cone of influence each of the
 // six encodings grounds for its data-isolation invariant: out of 50 state
 // bits, a holding invariant's bad formula reaches one, group 0's leak
-// three; out of 252 choices, it admits 2 and 12; and the variables the
+// three; out of 126 choices, it admits 1 and 6; and the variables the
 // encoding holds. The whole-network baseline grounds all 50 bits and
-// admits all 252 choices whatever the verdict, and agrees on the verdict
+// admits all 126 choices whatever the verdict, and agrees on the verdict
 // and, byte for byte, on the witness.
 func TestSliceEncodingConeDatacenter(t *testing.T) {
 	want := []struct{ bits, choices, vars []int }{
-		{[]int{1, 1, 1, 1, 1, 1}, []int{2, 2, 2, 2, 2, 2}, []int{30, 30, 30, 30, 30, 30}},
-		{[]int{3, 3, 3, 1, 1, 1}, []int{12, 12, 12, 2, 2, 2}, []int{168, 168, 168, 30, 30, 30}},
+		{[]int{1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1}, []int{18, 18, 18, 18, 18, 18}},
+		{[]int{3, 3, 3, 1, 1, 1}, []int{6, 6, 6, 1, 1, 1}, []int{92, 92, 92, 18, 18, 18}},
 	}
 	for i, c := range datacenterCases {
 		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
@@ -149,13 +149,13 @@ func TestSliceEncodingConeDatacenter(t *testing.T) {
 			if bits != want[i].bits[j] || ofBits != 50 {
 				t.Errorf("%s encoding %d: grounded %d of %d state bits, want %d of 50", c.name, j, bits, ofBits, want[i].bits[j])
 			}
-			if choices != want[i].choices[j] || ofChoices != 252 {
-				t.Errorf("%s encoding %d: admitted %d of %d choices, want %d of 252", c.name, j, choices, ofChoices, want[i].choices[j])
+			if choices != want[i].choices[j] || ofChoices != 126 {
+				t.Errorf("%s encoding %d: admitted %d of %d choices, want %d of 126", c.name, j, choices, ofChoices, want[i].choices[j])
 			}
 			if vars != want[i].vars[j] {
 				t.Errorf("%s encoding %d: %d variables, want %d", c.name, j, vars, want[i].vars[j])
 			}
-			if bits, ofBits, choices, ofChoices := eager[j].Grounded(); bits != ofBits || ofBits < 50 || choices != ofChoices || ofChoices != 252 {
+			if bits, ofBits, choices, ofChoices := eager[j].Grounded(); bits != ofBits || ofBits < 50 || choices != ofChoices || ofChoices != 126 {
 				t.Errorf("%s encoding %d: whole-network baseline grounded %d of %d state bits and admitted %d of %d choices", c.name, j, bits, ofBits, choices, ofChoices)
 			}
 			if lazyRes[j].Outcome != eagerRes[j].Outcome || !reflect.DeepEqual(lazyRes[j].Trace, eagerRes[j].Trace) {

@@ -119,8 +119,8 @@ func (d digest) String() string { return hex.EncodeToString(d.h.Sum(nil))[:16] }
 func TestKeysByteIdentical(t *testing.T) {
 	want := map[string]string{
 		"cloudvpc":          "checks=19 canonical=19 boxes=38 exact=45fa62938591b226 read=9286f96987c6c118 class=1c7ab7f58e4c4979 enc=05878533e3cb96a1 encx=fb9d5f8c5f299b9f",
-		"datacenter":        "checks=30 canonical=30 boxes=66 exact=bcf88e875a167b5b read=c38999f60959f4df class=6c42862cb4005ed2 enc=9542a4d7d8b97945 encx=a42411d500a70858",
-		"datacenter-caches": "checks=3 canonical=3 boxes=15 exact=6e606ba9303fd23a read=6e606ba9303fd23a class=44ecb28489f18ef9 enc=8aec9e65dcf4884a encx=2c1aa82831a5f9ad",
+		"datacenter":        "checks=30 canonical=30 boxes=66 exact=bcf88e875a167b5b read=c38999f60959f4df class=6c42862cb4005ed2 enc=9542a4d7d8b97945 encx=4052b6dd2b22ee54",
+		"datacenter-caches": "checks=3 canonical=3 boxes=15 exact=6e606ba9303fd23a read=6e606ba9303fd23a class=44ecb28489f18ef9 enc=8aec9e65dcf4884a encx=a3981690566d3809",
 		"enterprise":        "checks=6 canonical=6 boxes=12 exact=aa3d65a1f99d77f6 read=a97174351c1de40d class=dce63e3064352a91 enc=2335b54e7c12d38c encx=61633ce0e20f3b8d",
 		"fattree":           "checks=8 canonical=8 boxes=16 exact=73ddf4a4d1bd3d44 read=73ddf4a4d1bd3d44 class=4b60e8ec93e9c39f enc=d0983ef7ceaa5b0c encx=61ff912ff371d876",
 		"isp":               "checks=6 canonical=0 boxes=30 exact=6995030ad8248d11 read=1d0d0664cd745c93 class=b0f66adc83641586 enc=b0f66adc83641586 encx=5d982ff890ac6be1",

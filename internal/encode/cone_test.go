@@ -13,8 +13,10 @@ import (
 
 // coneFamilies are violatedFamilies plus families mixing holding and
 // violated invariants: the restrictive firewall pair, the cache group
-// behind its protective ACLs, and the IDS fragment. The problems of a
-// family differ only in the invariant, so they share an encoding.
+// behind its protective ACLs, and the IDS fragment with the host's reply
+// to the peer added, which crosses the IDS unwatched and so reads no
+// class. The problems of a family differ only in the invariant, so they
+// share an encoding.
 func coneFamilies() [][]*inv.Problem {
 	aA, aB := pkt.MustParseAddr("10.0.0.1"), pkt.MustParseAddr("10.0.0.2")
 	fw := testnet.NewFirewallPair(mbox.NewLearningFirewall("fw", mbox.AllowEntry(pkt.HostPrefix(aA), pkt.HostPrefix(aB))))
@@ -22,6 +24,11 @@ func coneFamilies() [][]*inv.Problem {
 	cg := testnet.NewCacheGroup(mbox.NewContentCache("cache", mbox.DenyEntry(client, guest)),
 		&mbox.LearningFirewall{InstanceName: "fw", ACL: []mbox.ACLEntry{mbox.DenyEntry(client, guest), mbox.DenyEntry(guest, client)}, DefaultAllow: true})
 	ids := testnet.NewIDSFragment(testnet.NewIDSRegistry())
+	idsProblem := func(i inv.Invariant) *inv.Problem {
+		p := ids.Problem(i, 3)
+		p.Samples = append(p.Samples, inv.Sample{Sender: ids.Host, Hdr: pkt.Header{Src: ids.AddrHost, Dst: ids.AddrPeer, SrcPort: 80, DstPort: 1000, Proto: pkt.TCP}})
+		return p
+	}
 	return append(violatedFamilies(), []*inv.Problem{
 		fw.Problem(inv.SimpleIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}, topo.NoFailures()),
 		fw.Problem(inv.FlowIsolation{Dst: fw.HA, SrcAddr: fw.AddrB}, topo.NoFailures()),
@@ -33,9 +40,9 @@ func coneFamilies() [][]*inv.Problem {
 		cg.Problem(inv.SimpleIsolation{Dst: cg.H2, SrcAddr: cg.AddrS}),
 		cg.Problem(inv.SimpleIsolation{Dst: cg.H1, SrcAddr: cg.AddrS}),
 	}, []*inv.Problem{
-		ids.Problem(inv.Traversal{Dst: ids.Host, SrcPrefix: pkt.HostPrefix(ids.AddrPeer), Vias: []topo.NodeID{ids.IDSNode}}, 3),
-		ids.Problem(inv.SimpleIsolation{Dst: ids.Host, SrcAddr: ids.AddrPeer}, 3),
-		ids.Problem(inv.Reachability{Dst: ids.Host, SrcAddr: ids.AddrPeer}, 3),
+		idsProblem(inv.Traversal{Dst: ids.Host, SrcPrefix: pkt.HostPrefix(ids.AddrPeer), Vias: []topo.NodeID{ids.IDSNode}}),
+		idsProblem(inv.SimpleIsolation{Dst: ids.Host, SrcAddr: ids.AddrPeer}),
+		idsProblem(inv.Reachability{Dst: ids.Host, SrcAddr: ids.AddrPeer}),
 	})
 }
 

@@ -18,8 +18,8 @@ var ConeFamilies = coneFamilies
 // events stamped as the encoding reads them, has the journeys of its own
 // (sample, class assignment) walked alone: the same conds, sets and
 // events, in order. It returns how many of p's samples are enumerated per
-// class assignment rather than shared.
-func SharedMatchesPerClass(t *testing.T, p *inv.Problem) (perClass int) {
+// class assignment and how many are enumerated once for all of them.
+func SharedMatchesPerClass(t *testing.T, p *inv.Problem) (perClass, shared int) {
 	t.Helper()
 	e, err := NewSliceEncoding(p, Options{})
 	if err != nil {
@@ -47,9 +47,13 @@ func SharedMatchesPerClass(t *testing.T, p *inv.Problem) (perClass int) {
 				t.Fatalf("%s: choice %d (classes %b) path %d is not its own walk's:\n%+v\nwant\n%+v", p.Invariant.Name(), ci, c.classes, pi, pth, w)
 			}
 		}
-		if !c.shared && c.classes == e.choices[0].classes {
-			perClass++
+		if c.classes == e.choices[0].classes {
+			if c.shared {
+				shared++
+			} else {
+				perClass++
+			}
 		}
 	}
-	return perClass
+	return perClass, shared
 }

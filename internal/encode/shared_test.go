@@ -17,16 +17,25 @@ import (
 // coneFamilies problem and on the six checks of the file-described cache
 // datacenter (cachefarm-cold's candidate). The IDS fragment's scrubber
 // reads a class, so some of its samples must fall back to a walk per
-// class; the datacenter's boxes read none, so none of its may.
+// class, and some family with two or more class assignments must share a
+// sample, or the stamping goes untested. No box of the datacenter reads a
+// class, so its problems have one class assignment each.
 func TestSharedJourneysMatchPerClass(t *testing.T) {
+	stamped := false
 	for fi, fam := range encode.ConeFamilies() {
-		perClass := 0
+		perClass, shared := 0, 0
 		for _, p := range fam {
-			perClass += encode.SharedMatchesPerClass(t, p)
+			pc, sh := encode.SharedMatchesPerClass(t, p)
+			perClass, shared = perClass+pc, shared+sh
 		}
-		if classes := len(fam[0].ClassAssignments()); classes > 1 && perClass == 0 {
+		classes := len(fam[0].ClassAssignments())
+		if classes > 1 && perClass == 0 {
 			t.Errorf("family %d: %d class assignments and every sample shared, want the IDS fallback", fi, classes)
 		}
+		stamped = stamped || classes > 1 && shared > 0
+	}
+	if !stamped {
+		t.Error("no family with two or more class assignments shares a sample: stamping a class set goes untested")
 	}
 
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1, WithCaches: true})
@@ -53,9 +62,9 @@ func TestSharedJourneysMatchPerClass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p := cp.Problem(); len(p.ClassAssignments()) < 2 {
-				t.Fatalf("%s under %v: %d class assignments, want the datacenter's two", i.Name(), sc.Nodes(), len(p.ClassAssignments()))
-			} else if n := encode.SharedMatchesPerClass(t, p); n != 0 {
+			if p := cp.Problem(); len(p.ClassAssignments()) != 1 {
+				t.Fatalf("%s under %v: %d class assignments, want one", i.Name(), sc.Nodes(), len(p.ClassAssignments()))
+			} else if n, _ := encode.SharedMatchesPerClass(t, p); n != 0 {
 				t.Errorf("%s under %v: %d samples walked per class, want none", i.Name(), sc.Nodes(), n)
 			}
 		}

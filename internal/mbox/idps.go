@@ -33,10 +33,8 @@ type IDPS struct {
 // class is resolved against reg (may be nil, disabling detection).
 func NewIDPS(name string, reg *pkt.Registry, scrubber pkt.Addr, watched ...pkt.Prefix) *IDPS {
 	d := &IDPS{InstanceName: name, Scrubber: scrubber, Watched: watched}
-	if reg != nil {
-		if c, ok := reg.Lookup(ClassMalicious); ok {
-			d.MalClass, d.HasClass = c, true
-		}
+	if c, ok := reg.Lookup(ClassMalicious); ok {
+		d.MalClass, d.HasClass = c, true
 	}
 	return d
 }
@@ -54,9 +52,10 @@ func (d *IDPS) Discipline() Discipline { return FlowParallel }
 func (d *IDPS) FailMode() FailMode { return FailOpen }
 
 // RelevantClasses implements Model: the lightweight detector consults the
-// "malicious" class.
+// "malicious" class, but only a box with a scrubber and a watched prefix
+// runs it; any other configuration passes every packet through unread.
 func (d *IDPS) RelevantClasses(reg *pkt.Registry) pkt.ClassSet {
-	if reg == nil {
+	if d.Scrubber == pkt.AddrNone || len(d.Watched) == 0 {
 		return 0
 	}
 	if c, ok := reg.Lookup(ClassMalicious); ok {
@@ -126,10 +125,8 @@ type Scrubber struct {
 // "attack" class.
 func NewScrubber(name string, reg *pkt.Registry) *Scrubber {
 	s := &Scrubber{InstanceName: name}
-	if reg != nil {
-		if c, ok := reg.Lookup(ClassAttack); ok {
-			s.AttackClass, s.HasClass = c, true
-		}
+	if c, ok := reg.Lookup(ClassAttack); ok {
+		s.AttackClass, s.HasClass = c, true
 	}
 	return s
 }
@@ -145,9 +142,6 @@ func (s *Scrubber) FailMode() FailMode { return FailClosed }
 
 // RelevantClasses implements Model.
 func (s *Scrubber) RelevantClasses(reg *pkt.Registry) pkt.ClassSet {
-	if reg == nil {
-		return 0
-	}
 	if c, ok := reg.Lookup(ClassAttack); ok {
 		return pkt.ClassSet(0).With(c)
 	}

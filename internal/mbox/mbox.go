@@ -121,9 +121,12 @@ type Branch struct {
 }
 
 // Model is a middlebox forwarding model. A model passes its input's
-// classes through to every output, and declares in RelevantClasses every
-// class its Process or ReadKeys reads: the SAT engine walks a packet once
-// for all class assignments that no box on its journey tells apart.
+// classes through to every output, and declares classes per
+// configuration: RelevantClasses is exactly the classes this
+// configuration's Process or ReadKeys reads. The SAT engine walks a
+// packet once for all class assignments that no box on its journey tells
+// apart, so a class read but not declared hides violations, and one
+// declared but not read can double the oracle's assignments for nothing.
 type Model interface {
 	// Type is the model family name ("firewall", "nat", "cache", ...).
 	Type() string
@@ -137,8 +140,8 @@ type Model interface {
 	Discipline() Discipline
 	// FailMode declares behaviour while failed (§3.4).
 	FailMode() FailMode
-	// RelevantClasses reports which abstract classes the model consults,
-	// resolved against the registry.
+	// RelevantClasses reports which abstract classes this configuration
+	// consults, resolved against the registry.
 	RelevantClasses(reg *pkt.Registry) pkt.ClassSet
 }
 

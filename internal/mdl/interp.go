@@ -117,9 +117,6 @@ func (m *Interpreted) Discipline() mbox.Discipline { return m.discipline }
 // the model body.
 func (m *Interpreted) RelevantClasses(reg *pkt.Registry) pkt.ClassSet {
 	var set pkt.ClassSet
-	if reg == nil {
-		return 0
-	}
 	for _, name := range collectClassPredicates(m.cls) {
 		if c, ok := reg.Lookup(name); ok {
 			set = set.With(c)
@@ -554,15 +551,8 @@ func (e *env) evalCall(n *CallExpr) (value, error) {
 	}
 	// Class predicate skype?(p).
 	if strings.HasSuffix(n.Name, "?") {
-		cls := strings.TrimSuffix(n.Name, "?")
-		if e.m.reg == nil {
-			return false, nil
-		}
-		c, ok := e.m.reg.Lookup(cls)
-		if !ok {
-			return false, nil
-		}
-		return e.classes.Has(c), nil
+		c, ok := e.m.reg.Lookup(strings.TrimSuffix(n.Name, "?"))
+		return ok && e.classes.Has(c), nil
 	}
 	// Header accessors.
 	if accessorNames[n.Name] {

@@ -390,11 +390,7 @@ func BuildBox(name string, b *Box, reg *pkt.Registry) (mbox.Model, error) {
 		return nil, errf("", "box.type", "mdl boxes load from description files only")
 	}
 	for i, c := range b.Blocked {
-		var known bool
-		if reg != nil {
-			_, known = reg.Lookup(c)
-		}
-		if !known {
+		if _, known := reg.Lookup(c); !known {
 			return nil, errf("", fmt.Sprintf("box.blocked[%d]", i), "unknown class %q", c)
 		}
 	}

@@ -66,6 +66,9 @@ func (r *Registry) Register(name string) Class {
 
 // Lookup returns the class for name, if registered.
 func (r *Registry) Lookup(name string) (Class, bool) {
+	if r == nil {
+		return 0, false
+	}
 	c, ok := r.byName[name]
 	return c, ok
 }

@@ -190,16 +190,22 @@ func Compute(in Input) (Result, error) {
 		}
 	}
 
+	// sources are the slice's hosts and middleboxes in the order added;
+	// walked[i] counts the hosts sources[i] has been walked to.
 	inSlice := map[topo.NodeID]bool{}
-	var hosts []topo.NodeID
+	var hosts, sources []topo.NodeID
+	var walked []int
 	addNode := func(id topo.NodeID) {
 		if inSlice[id] {
 			return
 		}
 		inSlice[id] = true
-		n := in.Topo.Node(id)
-		if n.Kind == topo.Host || n.Kind == topo.External {
+		switch in.Topo.Node(id).Kind {
+		case topo.Host, topo.External:
 			hosts = append(hosts, id)
+			fallthrough
+		case topo.Middlebox:
+			sources, walked = append(sources, id), append(walked, 0)
 		}
 	}
 	for _, id := range in.Keep {
@@ -216,17 +222,12 @@ func Compute(in Input) (Result, error) {
 		}
 		changed := false
 
-		// Closure under forwarding.
-		cur := append([]topo.NodeID(nil), hosts...)
-		// Also close paths from middleboxes already in the slice (e.g. the
-		// invariant names a middlebox: traffic still flows host-to-host).
-		for id := range inSlice {
-			if in.Topo.Node(id).Kind == topo.Middlebox {
-				cur = append(cur, id)
-			}
-		}
-		for _, a := range cur {
-			for _, b := range hosts {
+		// Closure under forwarding, from the hosts and middleboxes in the
+		// slice when the round starts (e.g. the invariant names a
+		// middlebox: traffic still flows host-to-host). Paths are fixed, so
+		// each (source, host) pair is walked once over all rounds.
+		for i, a := range sources {
+			for _, b := range hosts[walked[i]:] {
 				if a == b {
 					continue
 				}
@@ -241,6 +242,7 @@ func Compute(in Input) (Result, error) {
 					}
 				}
 			}
+			walked[i] = len(hosts)
 		}
 		// Auxiliary addresses of slice middleboxes.
 		for id := range inSlice {

@@ -13,6 +13,7 @@ package tf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/netverify/vmn/internal/pkt"
@@ -310,11 +311,11 @@ func (e *Engine) reads(from topo.NodeID, dst pkt.Addr) (nodes, tables []topo.Nod
 // behaviour is irrelevant for static pipeline checking). It returns the
 // visited edge nodes in order, ending with the destination host, and
 // errors on loops (including loops through middleboxes) or if the packet
-// is dropped by the fabric.
+// is dropped by the fabric. A loop is found by scanning the path so far,
+// which visits each edge node at most once.
 func (e *Engine) Path(from topo.NodeID, dst pkt.Addr) ([]topo.NodeID, error) {
 	var path []topo.NodeID
 	cur := from
-	seen := map[topo.NodeID]bool{cur: true}
 	for {
 		next, ok, err := e.Next(cur, dst)
 		if err != nil {
@@ -324,18 +325,17 @@ func (e *Engine) Path(from topo.NodeID, dst pkt.Addr) ([]topo.NodeID, error) {
 			return nil, fmt.Errorf("tf: packet from %s to %s dropped at %s",
 				e.topo.Node(from).Name, dst, e.topo.Node(cur).Name)
 		}
-		path = append(path, next)
 		n := e.topo.Node(next)
 		if n.Kind == topo.Host || n.Kind == topo.External {
 			if n.Addr == dst || n.Kind == topo.External {
-				return path, nil
+				return append(path, next), nil
 			}
 			return nil, fmt.Errorf("tf: packet to %s delivered to wrong host %s", dst, n.Name)
 		}
-		if seen[next] {
+		if next == from || slices.Contains(path, next) {
 			return nil, fmt.Errorf("%w: middlebox cycle through %s", ErrLoop, n.Name)
 		}
-		seen[next] = true
+		path = append(path, next)
 		cur = next
 	}
 }

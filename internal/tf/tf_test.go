@@ -364,3 +364,32 @@ func (e *Engine) Matrix() ([]Entry, error) {
 	}
 	return out, nil
 }
+
+// TestPathErrors pins Path's error text for a drop and for middlebox
+// cycles, one through the box the walk started at.
+func TestPathErrors(t *testing.T) {
+	tp, ids := lineTopo()
+	fw2 := tp.AddMiddlebox("fw2", "firewall")
+	tp.AddLink(ids["sw2"], fw2)
+	h2 := pkt.HostPrefix(addrOf(tp, ids["h2"]))
+	fib := FIB{}
+	fib.Add(ids["sw1"], Rule{Match: h2, In: topo.NodeNone, Out: ids["sw2"]})
+	fib.Add(ids["sw2"], Rule{Match: h2, In: ids["fw"], Out: fw2, Priority: 10})
+	fib.Add(ids["sw2"], Rule{Match: h2, In: topo.NodeNone, Out: ids["fw"]})
+	e := New(tp, fib, topo.NoFailures())
+	for _, c := range []struct {
+		from topo.NodeID
+		dst  pkt.Addr
+		want string
+	}{
+		{ids["h1"], h2.Addr, "tf: static forwarding loop: middlebox cycle through fw"},
+		{ids["fw"], h2.Addr, "tf: static forwarding loop: middlebox cycle through fw"},
+		{fw2, h2.Addr, "tf: static forwarding loop: middlebox cycle through fw2"},
+		{ids["h2"], addrOf(tp, ids["h1"]), "tf: packet from h2 to 10.0.0.1 dropped at h2"},
+	} {
+		_, err := e.Path(c.from, c.dst)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Path(%s, %s) = %v, want %q", tp.Node(c.from).Name, c.dst, err, c.want)
+		}
+	}
+}
