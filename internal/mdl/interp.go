@@ -66,9 +66,19 @@ func Instantiate(cls *Class, instanceName string, cfg Config, reg *pkt.Registry)
 	sort.Slice(m.addrs, func(i, j int) bool { return m.addrs[i] < m.addrs[j] })
 	m.failMode = deriveFailMode(cls)
 	m.discipline = deriveDiscipline(cls)
-	// Pre-register the class predicates the model consults.
-	for _, name := range collectClassPredicates(cls) {
-		if reg != nil {
+	// Pre-register the class predicates the model consults, within the
+	// registry's pkt.MaxClasses.
+	if reg != nil {
+		preds, fresh := collectClassPredicates(cls), 0
+		for _, name := range preds {
+			if _, ok := reg.Lookup(name); !ok {
+				fresh++
+			}
+		}
+		if reg.Len()+fresh > pkt.MaxClasses {
+			return nil, fmt.Errorf("mdl: %s: more than %d abstract classes", cls.Name, pkt.MaxClasses)
+		}
+		for _, name := range preds {
 			reg.Register(name)
 		}
 	}

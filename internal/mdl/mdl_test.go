@@ -1,6 +1,7 @@
 package mdl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -354,6 +355,30 @@ func TestClassPredicate(t *testing.T) {
 	b2 := m.Process(st, mbox.Input{Hdr: hdr(aA, aB, 1, 2)})
 	if len(b2[0].Out) != 1 {
 		t.Fatal("non-skype packet must pass")
+	}
+}
+
+// A registry holds at most pkt.MaxClasses classes: a bundle whose class
+// predicates would overflow it fails to instantiate instead of panicking,
+// and one whose predicates are already registered still instantiates.
+func TestClassPredicateRegistryFull(t *testing.T) {
+	cls, err := Parse(appFWSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(last string) *pkt.Registry {
+		reg := pkt.NewRegistry()
+		for i := 0; i < pkt.MaxClasses-1; i++ {
+			reg.Register(fmt.Sprintf("c%d", i))
+		}
+		reg.Register(last)
+		return reg
+	}
+	if _, err := Instantiate(cls, "blk", Config{}, full("other")); err == nil {
+		t.Fatal("instantiation past pkt.MaxClasses classes must fail")
+	}
+	if _, err := Instantiate(cls, "blk", Config{}, full("skype")); err != nil {
+		t.Fatalf("skype is already registered: %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
@@ -14,123 +16,329 @@ import (
 	"github.com/netverify/vmn/internal/topo"
 )
 
-// Build constructs the verifiable network and invariant set a description
-// denotes. baseDir resolves relative MDL bundle references (use the
-// description file's directory; "" means the working directory). The
-// description is re-validated first, so Build never panics and never
-// returns a half-built network: any error leaves nothing constructed.
-func Build(d *Desc, baseDir string) (*core.Network, []inv.Invariant, error) {
-	if err := d.Validate(""); err != nil {
-		return nil, nil, err
+// parsed is what one pass over a description yields, indexed like its
+// nodes (node i becomes NodeID i): every address, prefix, ACL entry, box
+// model, FIB rule and invariant, parsed once. Build assembles the
+// network from it; Validate drops it.
+type parsed struct {
+	reg    *pkt.Registry
+	addrs  []pkt.Addr   // hosts' and externals' addresses
+	models []mbox.Model // middleboxes' models; nil for mdl boxes
+	mdls   []mdlBox     // mdl boxes, in node order
+	policy map[topo.NodeID]string
+	links  [][2]topo.NodeID
+	fib    tf.FIB
+	invs   []inv.Invariant
+}
+
+// mdlBox is an mdl box whose config is converted but whose bundle, a
+// file, is not read yet.
+type mdlBox struct {
+	node int
+	cfg  mdl.Config
+}
+
+// parse is the one pass over a description: it checks everything the
+// topo and mbox constructors would otherwise panic on and parses every
+// field once. Errors carry file and a field path; the first error in
+// field order wins, so one document always reports one field.
+func (d *Desc) parse(file string) (*parsed, *Error) {
+	if d.Format != Format {
+		return nil, errf(file, "format", "unsupported format %q (want %q)", d.Format, Format)
+	}
+	if d.Name == "" {
+		return nil, errf(file, "name", "description needs a name")
+	}
+	p := &parsed{reg: pkt.NewRegistry(), policy: map[topo.NodeID]string{}}
+	for i, c := range d.Classes {
+		switch _, dup := p.reg.Lookup(c); {
+		case c == "":
+			return nil, errf(file, fmt.Sprintf("classes[%d]", i), "empty class name")
+		case dup:
+			return nil, errf(file, fmt.Sprintf("classes[%d]", i), "duplicate class %q", c)
+		case p.reg.Len() == pkt.MaxClasses:
+			return nil, errf(file, fmt.Sprintf("classes[%d]", i), "more than %d classes", pkt.MaxClasses)
+		}
+		p.reg.Register(c)
 	}
 
-	reg := pkt.NewRegistry()
-	for _, c := range d.Classes {
-		reg.Register(c)
+	n := len(d.Nodes)
+	if n == 0 {
+		return nil, errf(file, "nodes", "description has no nodes")
 	}
-
-	// MDL bundles load and parse before any topology state exists, so a
-	// broken bundle aborts cleanly. Parsed classes are cached per path:
-	// many middleboxes typically share one bundle.
-	bundles := map[string]*mdl.Class{}
+	names := make(map[string]topo.NodeID, n)
+	owner := make(map[pkt.Addr]int)
+	p.addrs = make([]pkt.Addr, n)
+	p.models = make([]mbox.Model, n)
 	for i := range d.Nodes {
-		b := d.Nodes[i].Box
-		if b == nil || b.Type != "mdl" {
+		nd := &d.Nodes[i]
+		if nd.Name == "" {
+			return nil, errf(file, fmt.Sprintf("nodes[%d].name", i), "node needs a name")
+		}
+		if _, dup := names[nd.Name]; dup {
+			return nil, errf(file, fmt.Sprintf("nodes[%d].name", i), "duplicate node name %q", nd.Name)
+		}
+		names[nd.Name] = topo.NodeID(i)
+		switch nd.Kind {
+		case "host", "external":
+			if nd.Addr == "" {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].addr", i), "%s %q needs an address", nd.Kind, nd.Name)
+			}
+			a, err := pkt.ParseAddr(nd.Addr)
+			if err != nil {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].addr", i), "%v", err)
+			}
+			if prev, dup := owner[a]; dup {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].addr", i), "address %s already owned by node %q", nd.Addr, d.Nodes[prev].Name)
+			}
+			owner[a] = i
+			p.addrs[i] = a
+			if nd.Box != nil {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].box", i), "%s %q cannot carry a box", nd.Kind, nd.Name)
+			}
+			if nd.Class != "" {
+				p.policy[topo.NodeID(i)] = nd.Class
+			}
+		case "switch", "middlebox":
+			if nd.Addr != "" {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].addr", i), "%s %q cannot carry an address", nd.Kind, nd.Name)
+			}
+			if nd.Class != "" {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].class", i), "%s %q cannot carry a policy class", nd.Kind, nd.Name)
+			}
+			switch {
+			case nd.Kind == "switch" && nd.Box != nil:
+				return nil, errf(file, fmt.Sprintf("nodes[%d].box", i), "switch %q cannot carry a box", nd.Name)
+			case nd.Kind == "middlebox" && nd.Box == nil:
+				return nil, errf(file, fmt.Sprintf("nodes[%d].box", i), "middlebox %q needs a box configuration", nd.Name)
+			case nd.Kind == "middlebox":
+				model, cfg, err := parseBox(nd.Name, nd.Box, p.reg)
+				if err != nil {
+					err.File, err.Field = file, fmt.Sprintf("nodes[%d].box.%s", i, err.Field)
+					return nil, err
+				}
+				if model == nil {
+					p.mdls = append(p.mdls, mdlBox{node: i, cfg: cfg})
+				}
+				p.models[i] = model
+			}
+		default:
+			return nil, errf(file, fmt.Sprintf("nodes[%d].kind", i), "unknown kind %q", nd.Kind)
+		}
+	}
+
+	// Links: endpoints exist, no self-links, no duplicates (undirected).
+	adj := make([][]topo.NodeID, n)
+	p.links = make([][2]topo.NodeID, 0, len(d.Links))
+	for i, l := range d.Links {
+		var ends [2]topo.NodeID
+		for k, end := range l {
+			id, ok := names[end]
+			if !ok {
+				return nil, errf(file, fmt.Sprintf("links[%d]", i), "unknown node %q", end)
+			}
+			ends[k] = id
+		}
+		a, b := ends[0], ends[1]
+		if a == b {
+			return nil, errf(file, fmt.Sprintf("links[%d]", i), "self-link on %q", l[0])
+		}
+		// A hub has thousands of links and its far ends a few: scan the
+		// shorter list.
+		short, other := adj[a], b
+		if len(adj[b]) < len(short) {
+			short, other = adj[b], a
+		}
+		if slices.Contains(short, other) {
+			return nil, errf(file, fmt.Sprintf("links[%d]", i), "duplicate link %s-%s", l[0], l[1])
+		}
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+		p.links = append(p.links, ends)
+	}
+	// What topo.Validate checks of a built topology: every node linked
+	// (when more than one), graph connected.
+	if n > 1 {
+		for i := range adj {
+			if len(adj[i]) == 0 {
+				return nil, errf(file, fmt.Sprintf("nodes[%d]", i), "node %q has no links", d.Nodes[i].Name)
+			}
+		}
+	}
+	if reached := reachable(adj); reached != n {
+		return nil, errf(file, "links", "topology is disconnected (%d of %d nodes reachable from %q)",
+			reached, n, d.Nodes[0].Name)
+	}
+
+	// FIB: tables in node order; rule matches parse; ports are neighbors.
+	// neighbor[v] == i+1 while node i's table is checked and v is linked
+	// to node i.
+	p.fib = make(tf.FIB, len(d.FIB))
+	neighbor := make([]int, n)
+	owners := 0
+	for i := range d.Nodes {
+		rules, ok := d.FIB[d.Nodes[i].Name]
+		if !ok {
 			continue
 		}
-		path := b.Bundle
+		owners++
+		for _, nb := range adj[i] {
+			neighbor[nb] = i + 1
+		}
+		port := func(name string) (topo.NodeID, bool) {
+			id, ok := names[name]
+			return id, ok && neighbor[id] == i+1
+		}
+		out := make([]tf.Rule, 0, len(rules))
+		for j, r := range rules {
+			if r.Match == "" {
+				return nil, errf(file, fmt.Sprintf("fib.%s[%d].match", d.Nodes[i].Name, j), "rule needs a match prefix (use \"*\" for match-all)")
+			}
+			match, err := ParsePrefix(r.Match)
+			if err != nil {
+				return nil, errf(file, fmt.Sprintf("fib.%s[%d].match", d.Nodes[i].Name, j), "%v", err)
+			}
+			in := topo.NodeNone
+			if r.In != "" {
+				if in, ok = port(r.In); !ok {
+					return nil, errf(file, fmt.Sprintf("fib.%s[%d].in", d.Nodes[i].Name, j), "ingress %q is not a neighbor of %q", r.In, d.Nodes[i].Name)
+				}
+			}
+			if r.Out == "" {
+				return nil, errf(file, fmt.Sprintf("fib.%s[%d].out", d.Nodes[i].Name, j), "rule needs an egress")
+			}
+			egress, ok := port(r.Out)
+			if !ok {
+				return nil, errf(file, fmt.Sprintf("fib.%s[%d].out", d.Nodes[i].Name, j), "egress %q is not a neighbor of %q", r.Out, d.Nodes[i].Name)
+			}
+			out = append(out, tf.Rule{Match: match, In: in, Out: egress, Priority: r.Priority})
+		}
+		if len(out) > 0 {
+			p.fib[topo.NodeID(i)] = out
+		}
+	}
+	if owners < len(d.FIB) {
+		var unknown []string
+		for name := range d.FIB {
+			if _, ok := names[name]; !ok {
+				unknown = append(unknown, name)
+			}
+		}
+		first := slices.Min(unknown)
+		return nil, errf(file, "fib."+first, "unknown node %q", first)
+	}
+
+	// Invariants resolve through the codec the wire and the journal use.
+	node := func(name string) (topo.NodeID, bool, bool) {
+		id, ok := names[name]
+		return id, ok && d.Nodes[id].Kind == "middlebox", ok
+	}
+	for i := range d.Invariants {
+		iv, err := resolveInvariant(&d.Invariants[i], node)
+		if err != nil {
+			err.File, err.Field = file, fmt.Sprintf("invariants[%d].%s", i, err.Field)
+			return nil, err
+		}
+		p.invs = append(p.invs, iv)
+	}
+	return p, nil
+}
+
+// reachable counts the nodes reachable from node 0.
+func reachable(adj [][]topo.NodeID) int {
+	seen := make([]bool, len(adj))
+	seen[0] = true
+	queue := []topo.NodeID{0}
+	for k := 0; k < len(queue); k++ {
+		for _, nb := range adj[queue[k]] {
+			if !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return len(queue)
+}
+
+// Build constructs the verifiable network and invariant set a description
+// denotes. baseDir resolves relative MDL bundle references (use the
+// description file's directory; "" means the working directory). It runs
+// the one pass Validate runs and assembles what the pass yields, reading
+// MDL bundles only once the description is known good, so Build never
+// panics and never returns a half-built network: any error leaves
+// nothing constructed.
+func Build(d *Desc, baseDir string) (*core.Network, []inv.Invariant, error) {
+	p, perr := d.parse("")
+	if perr != nil {
+		return nil, nil, perr
+	}
+
+	// Parsed classes are cached per path: many middleboxes typically
+	// share one bundle.
+	bundles := map[string]*mdl.Class{}
+	for _, m := range p.mdls {
+		f := fmt.Sprintf("nodes[%d].box", m.node)
+		path := d.Nodes[m.node].Box.Bundle
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(baseDir, path)
 		}
-		if _, ok := bundles[path]; ok {
-			continue
+		cls, ok := bundles[path]
+		if !ok {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return nil, nil, errf("", f+".bundle", "%v", err)
+			}
+			if cls, err = mdl.Parse(string(src)); err != nil {
+				return nil, nil, &Error{File: path, Field: f + ".bundle", Msg: err.Error()}
+			}
+			bundles[path] = cls
 		}
-		src, err := os.ReadFile(path)
+		model, err := mdl.Instantiate(cls, d.Nodes[m.node].Name, m.cfg, p.reg)
 		if err != nil {
-			return nil, nil, errf("", fmt.Sprintf("nodes[%d].box.bundle", i), "%v", err)
+			return nil, nil, errf("", f, "%v", err)
 		}
-		cls, err := mdl.Parse(string(src))
-		if err != nil {
-			return nil, nil, &Error{File: path, Field: fmt.Sprintf("nodes[%d].box.bundle", i), Msg: err.Error()}
-		}
-		bundles[path] = cls
+		p.models[m.node] = model
 	}
 
 	t := topo.New()
-	ids := make(map[string]topo.NodeID, len(d.Nodes))
-	policy := map[topo.NodeID]string{}
 	var boxes []mbox.Instance
 	for i := range d.Nodes {
-		n := &d.Nodes[i]
-		switch n.Kind {
+		nd := &d.Nodes[i]
+		switch nd.Kind {
 		case "host":
-			id := t.AddHost(n.Name, pkt.MustParseAddr(n.Addr))
-			ids[n.Name] = id
-			if n.Class != "" {
-				policy[id] = n.Class
-			}
+			t.AddHost(nd.Name, p.addrs[i])
 		case "external":
-			id := t.AddExternal(n.Name, pkt.MustParseAddr(n.Addr))
-			ids[n.Name] = id
-			if n.Class != "" {
-				policy[id] = n.Class
-			}
+			t.AddExternal(nd.Name, p.addrs[i])
 		case "switch":
-			ids[n.Name] = t.AddSwitch(n.Name)
+			t.AddSwitch(nd.Name)
 		case "middlebox":
-			model, err := buildModel(n.Name, n.Box, reg, bundles, baseDir, i)
-			if err != nil {
-				return nil, nil, err
-			}
-			id := t.AddMiddlebox(n.Name, model.Type())
-			ids[n.Name] = id
-			boxes = append(boxes, mbox.Instance{Node: id, Model: model})
+			id := t.AddMiddlebox(nd.Name, p.models[i].Type())
+			boxes = append(boxes, mbox.Instance{Node: id, Model: p.models[i]})
 		}
 	}
-	for _, l := range d.Links {
-		t.AddLink(ids[l[0]], ids[l[1]])
+	for _, l := range p.links {
+		t.AddLink(l[0], l[1])
 	}
 
-	fib := tf.FIB{}
-	for node, rules := range d.FIB {
-		id := ids[node]
-		for _, r := range rules {
-			match, _ := ParsePrefix(r.Match)
-			in := topo.NodeNone
-			if r.In != "" {
-				in = ids[r.In]
-			}
-			fib.Add(id, tf.Rule{Match: match, In: in, Out: ids[r.Out], Priority: r.Priority})
-		}
-	}
-
-	if err := t.Validate(); err != nil {
-		return nil, nil, &Error{Msg: err.Error()}
-	}
-
-	var invs []inv.Invariant
-	for i := range d.Invariants {
-		iv, err := BuildInvariant(t, &d.Invariants[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		invs = append(invs, iv)
-	}
-
+	fib := p.fib
 	net := &core.Network{
 		Topo:        t,
 		Boxes:       boxes,
-		Registry:    reg,
-		PolicyClass: policy,
+		Registry:    p.reg,
+		PolicyClass: p.policy,
 		FIBFor:      func(topo.FailureScenario) tf.FIB { return fib },
 	}
-	return net, invs, nil
+	return net, p.invs, nil
 }
 
 // BuildFile loads the description at path and builds it, resolving MDL
-// bundles relative to the file.
+// bundles relative to the file. The file is checked once, by Build.
 func BuildFile(path string) (*Desc, *core.Network, []inv.Invariant, error) {
-	d, err := Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, nil, &Error{File: path, Msg: err.Error()}
+	}
+	d, err := decodeJSON(data, path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -144,80 +352,169 @@ func BuildFile(path string) (*Desc, *core.Network, []inv.Invariant, error) {
 	return d, net, invs, nil
 }
 
-func buildACL(acl []ACLRule) []mbox.ACLEntry {
-	var out []mbox.ACLEntry
-	for _, e := range acl {
-		src, _ := ParsePrefix(e.Src)
-		dst, _ := ParsePrefix(e.Dst)
-		action := mbox.Allow
-		if e.Action == "deny" {
-			action = mbox.Deny
-		}
-		out = append(out, mbox.ACLEntry{Src: src, Dst: dst, Action: action})
-	}
-	return out
+// boxFields lists which Box fields each type may set; parseBox rejects
+// anything else so a typo'd field never silently drops a configuration.
+var boxFields = map[string][]string{
+	"firewall":     {"acl", "default_allow"},
+	"cache":        {"acl", "default_serve"},
+	"nat":          {"addr"},
+	"idps":         {"scrubber", "watched"},
+	"scrubber":     {},
+	"loadbalancer": {"vip", "backends"},
+	"appfirewall":  {"blocked"},
+	"passthrough":  {"type_name"},
+	"wanopt":       {},
+	"mdl":          {"bundle", "config"},
 }
 
-func buildModel(name string, b *Box, reg *pkt.Registry, bundles map[string]*mdl.Class, baseDir string, idx int) (mbox.Model, error) {
+// parseBox checks one box configuration and builds its model for the
+// middlebox called name: the one box codec of description files, of the
+// box_state change and of snapshotted box state, with ExportBox its
+// inverse. An appfirewall may block only classes reg holds (a
+// description's declared classes, a live network's registry). An mdl box
+// yields no model but its converted config: its bundle is a file. Error
+// fields are relative to the box.
+func parseBox(name string, b *Box, reg *pkt.Registry) (mbox.Model, mdl.Config, *Error) {
+	allowed, ok := boxFields[b.Type]
+	if !ok {
+		return nil, nil, errf("", "type", "unknown box type %q", b.Type)
+	}
+	for _, fld := range [...]struct {
+		name string
+		set  bool
+	}{
+		{"acl", len(b.ACL) > 0}, {"default_allow", b.DefaultAllow}, {"default_serve", b.DefaultServe},
+		{"addr", b.Addr != ""}, {"scrubber", b.Scrubber != ""}, {"watched", len(b.Watched) > 0},
+		{"vip", b.VIP != ""}, {"backends", len(b.Backends) > 0}, {"blocked", len(b.Blocked) > 0},
+		{"type_name", b.TypeName != ""}, {"bundle", b.Bundle != ""}, {"config", len(b.Config) > 0},
+	} {
+		if fld.set && !slices.Contains(allowed, fld.name) {
+			return nil, nil, errf("", fld.name, "field not applicable to box type %q", b.Type)
+		}
+	}
+	addr := func(field, s string) (pkt.Addr, *Error) {
+		a, err := pkt.ParseAddr(s)
+		if err != nil {
+			return 0, errf("", field, "%v", err)
+		}
+		return a, nil
+	}
 	switch b.Type {
-	case "firewall":
-		return &mbox.LearningFirewall{InstanceName: name, ACL: buildACL(b.ACL), DefaultAllow: b.DefaultAllow}, nil
-	case "cache":
-		return &mbox.ContentCache{InstanceName: name, ACL: buildACL(b.ACL), DefaultServe: b.DefaultServe}, nil
+	case "firewall", "cache":
+		var acl []mbox.ACLEntry
+		if len(b.ACL) > 0 {
+			acl = make([]mbox.ACLEntry, len(b.ACL))
+		}
+		for i, e := range b.ACL {
+			switch e.Action {
+			case "allow":
+				acl[i].Action = mbox.Allow
+			case "deny":
+				acl[i].Action = mbox.Deny
+			default:
+				return nil, nil, errf("", fmt.Sprintf("acl[%d].action", i), "unknown action %q", e.Action)
+			}
+			var err error
+			if acl[i].Src, err = ParsePrefix(e.Src); err != nil {
+				return nil, nil, errf("", fmt.Sprintf("acl[%d].src", i), "%v", err)
+			}
+			if acl[i].Dst, err = ParsePrefix(e.Dst); err != nil {
+				return nil, nil, errf("", fmt.Sprintf("acl[%d].dst", i), "%v", err)
+			}
+		}
+		if b.Type == "cache" {
+			return &mbox.ContentCache{InstanceName: name, ACL: acl, DefaultServe: b.DefaultServe}, nil, nil
+		}
+		return &mbox.LearningFirewall{InstanceName: name, ACL: acl, DefaultAllow: b.DefaultAllow}, nil, nil
 	case "nat":
-		return mbox.NewNAT(name, pkt.MustParseAddr(b.Addr)), nil
+		if b.Addr == "" {
+			return nil, nil, errf("", "addr", "nat needs its public address")
+		}
+		a, err := addr("addr", b.Addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mbox.NewNAT(name, a), nil, nil
 	case "idps":
 		var scrubber pkt.Addr
 		if b.Scrubber != "" {
-			scrubber = pkt.MustParseAddr(b.Scrubber)
+			var err *Error
+			if scrubber, err = addr("scrubber", b.Scrubber); err != nil {
+				return nil, nil, err
+			}
 		}
 		var watched []pkt.Prefix
-		for _, w := range b.Watched {
-			p, _ := ParsePrefix(w)
+		for i, w := range b.Watched {
+			p, err := ParsePrefix(w)
+			if err != nil {
+				return nil, nil, errf("", fmt.Sprintf("watched[%d]", i), "%v", err)
+			}
 			watched = append(watched, p)
 		}
-		return mbox.NewIDPS(name, reg, scrubber, watched...), nil
+		return mbox.NewIDPS(name, reg, scrubber, watched...), nil, nil
 	case "scrubber":
-		return mbox.NewScrubber(name, reg), nil
+		return mbox.NewScrubber(name, reg), nil, nil
 	case "loadbalancer":
-		var backends []pkt.Addr
-		for _, be := range b.Backends {
-			backends = append(backends, pkt.MustParseAddr(be))
+		if b.VIP == "" {
+			return nil, nil, errf("", "vip", "loadbalancer needs a vip")
 		}
-		return mbox.NewLoadBalancer(name, pkt.MustParseAddr(b.VIP), backends...), nil
+		vip, err := addr("vip", b.VIP)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(b.Backends) == 0 {
+			return nil, nil, errf("", "backends", "loadbalancer needs at least one backend")
+		}
+		backends := make([]pkt.Addr, len(b.Backends))
+		for i, be := range b.Backends {
+			if backends[i], err = addr(fmt.Sprintf("backends[%d]", i), be); err != nil {
+				return nil, nil, err
+			}
+		}
+		return mbox.NewLoadBalancer(name, vip, backends...), nil, nil
 	case "appfirewall":
-		return mbox.NewAppFirewall(name, reg, b.Blocked...), nil
+		for i, c := range b.Blocked {
+			if c == "" {
+				return nil, nil, errf("", fmt.Sprintf("blocked[%d]", i), "empty class name")
+			}
+			if _, known := reg.Lookup(c); !known {
+				return nil, nil, errf("", fmt.Sprintf("blocked[%d]", i), "unknown class %q", c)
+			}
+		}
+		return mbox.NewAppFirewall(name, reg, b.Blocked...), nil, nil
 	case "passthrough":
-		return mbox.NewPassthrough(name, b.TypeName), nil
+		if b.TypeName == "" {
+			return nil, nil, errf("", "type_name", "passthrough needs a type_name")
+		}
+		return mbox.NewPassthrough(name, b.TypeName), nil, nil
 	case "wanopt":
-		return mbox.NewWANOptimizer(name), nil
-	case "mdl":
-		path := b.Bundle
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
-		}
-		cfg, err := buildMDLConfig(b.Config)
-		if err != nil {
-			return nil, errf("", fmt.Sprintf("nodes[%d].box.config", idx), "%v", err)
-		}
-		model, err := mdl.Instantiate(bundles[path], name, cfg, reg)
-		if err != nil {
-			return nil, errf("", fmt.Sprintf("nodes[%d].box", idx), "%v", err)
-		}
-		return model, nil
+		return mbox.NewWANOptimizer(name), nil, nil
 	}
-	// Unreachable: Validate rejected unknown types.
-	return nil, errf("", fmt.Sprintf("nodes[%d].box.type", idx), "unknown box type %q", b.Type)
+	// mdl: the only type left.
+	if b.Bundle == "" {
+		return nil, nil, errf("", "bundle", "mdl box needs a bundle path")
+	}
+	cfg, err := mdlConfig(b.Config)
+	if err != nil {
+		return nil, nil, errf("", "config", "%v", err)
+	}
+	return nil, cfg, nil
 }
 
-// buildMDLConfig converts decoded JSON config values into the Go values
+// mdlConfig converts decoded JSON config values into the Go values
 // mdl.Instantiate accepts: dotted-quad strings become addresses, integral
 // numbers ints, and arrays sets (of addresses, address pairs, or raw
-// string keys).
-func buildMDLConfig(raw map[string]any) (mdl.Config, error) {
+// string keys). Keys convert in sorted order, so a config with two bad
+// values always reports the same one.
+func mdlConfig(raw map[string]any) (mdl.Config, error) {
+	keys := make([]string, 0, len(raw))
+	for k := range raw {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	cfg := mdl.Config{}
-	for k, v := range raw {
-		cv, err := configValue(v)
+	for _, k := range keys {
+		cv, err := configValue(raw[k])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", k, err)
 		}
@@ -280,20 +577,9 @@ func configSet(xs []any) (any, error) {
 			return nil, fmt.Errorf("unsupported set element of type %T", e)
 		}
 	}
-	n := 0
-	if len(addrs) > 0 {
-		n++
-	}
-	if len(pairs) > 0 {
-		n++
-	}
-	if len(keys) > 0 {
-		n++
-	}
-	if n > 1 {
-		return nil, fmt.Errorf("mixed set element kinds")
-	}
 	switch {
+	case len(pairs) > 0 && len(addrs)+len(keys) > 0, len(addrs) > 0 && len(keys) > 0:
+		return nil, fmt.Errorf("mixed set element kinds")
 	case len(pairs) > 0:
 		return pairs, nil
 	case len(keys) > 0:
@@ -304,10 +590,11 @@ func configSet(xs []any) (any, error) {
 }
 
 // resolveInvariant validates one invariant and resolves its names: the
-// only Invariant → inv.Invariant there is. Validate runs it against the
-// description's own node list, BuildInvariant against a built topology
-// (the wire, the journal and snapshots). node reports a name's id and
-// whether it is a middlebox; error fields are relative to the invariant.
+// only Invariant → inv.Invariant there is. The one pass runs it against
+// the description's own node list, BuildInvariant against a built
+// topology (the wire, the journal and snapshots). node reports a name's
+// id and whether it is a middlebox; error fields are relative to the
+// invariant.
 func resolveInvariant(w *Invariant, node func(name string) (id topo.NodeID, middlebox, ok bool)) (inv.Invariant, *Error) {
 	dst, _, ok := node(w.Dst)
 	if !ok {
@@ -381,18 +668,16 @@ func BuildInvariant(t *topo.Topology, w *Invariant) (inv.Invariant, error) {
 // middlebox called name in a live network: the codec of the box_state
 // change and of snapshotted box state, with ExportBox its inverse. It
 // leaves the network's class registry as it is (an appfirewall may block
-// registered classes only) and refuses mdl boxes, whose bundles are files.
+// registered classes only, as in a description file) and refuses mdl
+// boxes, whose bundles are files.
 func BuildBox(name string, b *Box, reg *pkt.Registry) (mbox.Model, error) {
-	if err := validateBox(b, "", "box"); err != nil {
+	model, _, err := parseBox(name, b, reg)
+	if err != nil {
+		err.Field = "box." + err.Field
 		return nil, err
 	}
-	if b.Type == "mdl" {
+	if model == nil {
 		return nil, errf("", "box.type", "mdl boxes load from description files only")
 	}
-	for i, c := range b.Blocked {
-		if _, known := reg.Lookup(c); !known {
-			return nil, errf("", fmt.Sprintf("box.blocked[%d]", i), "unknown class %q", c)
-		}
-	}
-	return buildModel(name, b, reg, nil, "", 0)
+	return model, nil
 }

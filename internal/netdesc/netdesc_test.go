@@ -2,6 +2,9 @@ package netdesc
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -167,6 +170,25 @@ func TestDecodeErrors(t *testing.T) {
 			{"name":"a","kind":"host","addr":"10.0.0.1"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
 			"links":[["a","b"]],"fib":{},
 			"invariants":[{"type":"traversal","dst":"a","src_prefix":"*","vias":["b"]}]}`, "invariants[0].vias[0]", false},
+		{"too-many-classes", tooManyClassesDoc, "classes[64]", false},
+		{"appfirewall-undeclared-classes", undeclaredBlockedDoc, "nodes[1].box.blocked[0]", false},
+		{"mdl-non-integral-config", mdlFractionDoc, "nodes[1].box.config", false},
+	}
+	check := func(t *testing.T, err error, file string, field string, line bool) {
+		t.Helper()
+		de, ok := err.(*Error)
+		if !ok {
+			t.Fatalf("error is %T, want *Error: %v", err, err)
+		}
+		if de.File != file {
+			t.Errorf("error does not carry the file %s: %v", file, de)
+		}
+		if field != "" && !strings.Contains(de.Field, field) {
+			t.Errorf("error field %q does not name %q (%v)", de.Field, field, de)
+		}
+		if line && de.Line == 0 {
+			t.Errorf("syntax error lost its line number: %v", de)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,20 +199,69 @@ func TestDecodeErrors(t *testing.T) {
 			if d != nil {
 				t.Fatal("error decode returned a partial description")
 			}
-			de, ok := err.(*Error)
-			if !ok {
-				t.Fatalf("error is %T, want *Error: %v", err, err)
+			check(t, err, "test.json", tc.field, tc.line)
+			// BuildFile checks a file only through Build: it must refuse the
+			// same document on the same field.
+			path := filepath.Join(t.TempDir(), "test.json")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if de.File != "test.json" {
-				t.Errorf("error does not carry the file: %v", de)
+			d, net, invs, err := BuildFile(path)
+			if err == nil {
+				t.Fatal("BuildFile built a malformed file")
 			}
-			if tc.field != "" && !strings.Contains(de.Field, tc.field) {
-				t.Errorf("error field %q does not name %q (%v)", de.Field, tc.field, de)
+			if d != nil || net != nil || invs != nil {
+				t.Fatal("BuildFile returned a partial result")
 			}
-			if tc.line && de.Line == 0 {
-				t.Errorf("syntax error lost its line number: %v", de)
-			}
+			check(t, err, path, tc.field, tc.line)
 		})
+	}
+}
+
+// Documents the two validators once let through to Build. Each is also a
+// FuzzDecodeTopology seed.
+var (
+	// 65 declared classes: one more than a class set holds.
+	tooManyClassesDoc = `{"format":"vmn-topology/1","name":"x","classes":[` + classList(65) + `],
+		"nodes":[{"name":"a","kind":"switch"}],"links":[],"fib":{}}`
+	// An appfirewall blocking 80 classes the description never declares.
+	undeclaredBlockedDoc = `{"format":"vmn-topology/1","name":"x","nodes":[
+		{"name":"a","kind":"switch"},
+		{"name":"f","kind":"middlebox","box":{"type":"appfirewall","blocked":[` + classList(80) + `]}}],
+		"links":[["a","f"]],"fib":{}}`
+	// An mdl config value no model parameter can take.
+	mdlFractionDoc = `{"format":"vmn-topology/1","name":"x","nodes":[
+		{"name":"a","kind":"switch"},
+		{"name":"m","kind":"middlebox","box":{"type":"mdl","bundle":"m.mdl","config":{"acl":1.5}}}],
+		"links":[["a","m"]],"fib":{}}`
+	// Two tables with a bad egress each, owned by the first and the last node.
+	twoBadFIBOwnersDoc = `{"format":"vmn-topology/1","name":"x","nodes":[
+		{"name":"a","kind":"switch"},{"name":"b","kind":"switch"},{"name":"c","kind":"switch"}],
+		"links":[["a","b"],["b","c"]],
+		"fib":{"a":[{"match":"*","out":"c","priority":1}],"c":[{"match":"*","out":"a","priority":1}]}}`
+)
+
+func classList(n int) string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%q", fmt.Sprintf("c%d", i))
+	}
+	return strings.Join(names, ",")
+}
+
+// TestDecodeErrorsDeterministic decodes a document with two bad FIB
+// tables many times: tables are checked in node order, so every decode
+// names the first owner's rule.
+func TestDecodeErrorsDeterministic(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		_, err := Decode([]byte(twoBadFIBOwnersDoc), "test.json")
+		de, ok := err.(*Error)
+		if !ok {
+			t.Fatalf("decode %d: error is %T, want *Error: %v", i, err, err)
+		}
+		if de.Field != "fib.a[0].out" {
+			t.Fatalf("decode %d: error names %q, want fib.a[0].out (%v)", i, de.Field, de)
+		}
 	}
 }
 
@@ -238,6 +309,9 @@ func FuzzDecodeTopology(f *testing.F) {
 	f.Add([]byte(`{"format":"vmn-topology/1","name":"x","nodes":[{"name":"a","kind":"host","addr":"10.0.0.1"}],"links":[],"fib":{}}`))
 	f.Add([]byte("null"))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	for _, doc := range []string{tooManyClassesDoc, undeclaredBlockedDoc, mdlFractionDoc, twoBadFIBOwnersDoc} {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(data, "fuzz.json")
 		if err != nil {
@@ -247,14 +321,38 @@ func FuzzDecodeTopology(f *testing.F) {
 			if _, ok := err.(*Error); !ok {
 				t.Fatalf("decode error is %T, want *Error", err)
 			}
+		}
+		// Build, with no Validate first, is all that stands between a file
+		// and the daemon: on the strict-JSON decode it must fail exactly
+		// when Decode fails, on the same field. Only an mdl box may fail it
+		// past Decode: its bundle is a file (none exists here).
+		raw, jerr := decodeJSON(data, "fuzz.json")
+		if jerr != nil {
+			if err == nil {
+				t.Fatalf("strict JSON refused what Decode accepted: %v", jerr)
+			}
 			return
 		}
-		// A decoded description must build (MDL bundle references may
-		// still fail on file access — as an error, never a panic).
-		if _, _, err := Build(d, t.TempDir()); err != nil {
-			if _, ok := err.(*Error); !ok {
-				t.Fatalf("build error is %T, want *Error", err)
+		_, _, berr := Build(raw, t.TempDir())
+		if berr == nil {
+			if err != nil {
+				t.Fatalf("Build accepted what Decode refused: %v", err)
 			}
+			return
+		}
+		be, ok := berr.(*Error)
+		if !ok {
+			t.Fatalf("build error is %T, want *Error", berr)
+		}
+		if err != nil {
+			if de := err.(*Error); de.Field != be.Field || de.Msg != be.Msg {
+				t.Fatalf("Decode and Build disagree: %v vs %v", de, be)
+			}
+			return
+		}
+		var i int
+		if _, serr := fmt.Sscanf(be.Field, "nodes[%d].box", &i); serr != nil || raw.Nodes[i].Box.Type != "mdl" {
+			t.Fatalf("Build refused a decoded description outside an mdl box: %v", be)
 		}
 	})
 }
