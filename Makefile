@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22112
+LOC_CEILING = 22054
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \

@@ -551,7 +551,7 @@ func main() {
 		withCache = flag.Bool("with-caches", false, "add caches and data servers (datacenter)")
 		engine    = flag.String("engine", "auto", "auto | sat | explicit")
 		workers   = flag.Int("workers", 0, "verification workers: check pool and explicit-engine search (0 = GOMAXPROCS)")
-		noSym     = flag.Bool("no-symmetry", false, "verify every invariant individually")
+		noSym     = flag.Bool("no-symmetry", false, "sign invariants with no policy classes: only invariants that assert the same thing share a verdict")
 		timeout   = flag.Duration("timeout", 0,
 			"per-request wall-clock budget (0 = none); checks past the deadline degrade to budget_exceeded verdicts")
 		maxConflicts = flag.Int64("max-conflicts", 0,

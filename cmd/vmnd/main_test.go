@@ -480,6 +480,59 @@ func TestGoldenTopology(t *testing.T) {
 	}
 }
 
+// TestGoldenNoSymmetry pins `vmnd -no-symmetry -topology vpc-small.json`
+// through two firewall edits: t2-fw, then t0-fw, both tenants of t0's
+// shape. Without symmetry every tenant's invariants are verified on their
+// own slices, so the edits leave 3 and then 6 invariants unsatisfied.
+func TestGoldenNoSymmetry(t *testing.T) {
+	path := filepath.Join("..", "..", "examples", "topologies", "vpc-small.json")
+	d, net, invs, err := netdesc.BuildFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := incr.NewSession(net, core.Options{Workers: 1}, invs, incr.Options{NoSymmetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := serveHooks{topoName: d.Name, topoSource: "vpc-small.json"}
+	lines := []string{
+		`{"op":"fw_deny","node":"t2-fw","src":"*","dst":"*"}`,
+		`{"op":"fw_deny","node":"t0-fw","src":"*","dst":"*"}`,
+	}
+	in := strings.NewReader(strings.Join(lines, "\n") + "\n")
+	var out bytes.Buffer
+	if err := serve(sess, net, in, &out, hooks, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := normalize(out.Bytes())
+	var unsat []int
+	for _, line := range bytes.Split(bytes.TrimSpace(got), []byte("\n"))[1:] {
+		var r struct{ Unsatisfied int }
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		unsat = append(unsat, r.Unsatisfied)
+	}
+	if !reflect.DeepEqual(unsat, []int{3, 6}) {
+		t.Errorf("unsatisfied after the t2-fw and t0-fw edits: %v, want [3 6]", unsat)
+	}
+	golden := filepath.Join("testdata", "golden", "no_symmetry.ndjson")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("wire exchange diverged from golden %s\n--- got ---\n%s\n--- want ---\n%s",
+			golden, got, want)
+	}
+}
+
 // TestTopologyStartupRejectsMalformed pins the -topology startup
 // contract the daemon relies on: a malformed or adversarial description
 // file yields one structured *netdesc.Error naming the file (and where

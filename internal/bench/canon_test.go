@@ -50,8 +50,15 @@ func runCanonDiff(t *testing.T, net *core.Network, opts core.Options, invs []inv
 	}
 	// Every canonicalizable check is either a solved representative or a
 	// translated member; a shortfall means witness translation fell back
-	// to solving, which class-key equality is supposed to rule out.
-	if total := int64(len(canon)); classes+shared != total {
+	// to solving, which class-key equality is supposed to rule out. A
+	// Reused report is a copy of its group representative's, not a check.
+	var total int64
+	for _, r := range canon {
+		if !r.Reused {
+			total++
+		}
+	}
+	if classes+shared != total {
 		t.Fatalf("%s: translation fell back to solving: classes=%d shared=%d of %d checks",
 			label, classes, shared, total)
 	}
@@ -103,16 +110,19 @@ func TestCanonMatchesNoCanonCaches(t *testing.T) {
 	// here — §4.1 pulls one representative of every policy class into an
 	// origin-agnostic slice, so each group's destination sits at a
 	// different position in the (shared) host list (a documented
-	// completeness limit); the duplicated invariant pins that exact
-	// repeats still share, and the differential identity is the point.
+	// completeness limit). An exact repeat is a Reused copy of its first
+	// occurrence; what class-shares is one invariant's checks across the
+	// failover scenarios, whose slices stay isomorphic. The differential
+	// identity is the point.
 	d := NewDatacenter(DCConfig{Groups: 4, HostsPerGroup: 1, WithCaches: true})
 	d.DeleteCacheACLs(0, 0)
 	var invs []inv.Invariant
 	for g := 0; g < 4; g++ {
 		invs = append(invs, d.DataIsolationInvariant(g))
 	}
-	invs = append(invs, d.DataIsolationInvariant(0)) // violated: trace shared
-	opts := core.Options{Engine: core.EngineSAT}
+	invs = append(invs, d.DataIsolationInvariant(0)) // violated: a Reused copy
+	opts := core.Options{Engine: core.EngineSAT,
+		Scenarios: []topo.FailureScenario{topo.NoFailures(), topo.Failures(d.FW1), topo.Failures(d.IDS1)}}
 	runCanonDiff(t, d.Net, opts, invs, 2, "datacenter caches")
 }
 

@@ -239,6 +239,18 @@ func NewVerifier(net *Network, opts Options) (*Verifier, error) {
 	if net.Topo == nil || net.FIBFor == nil {
 		return nil, fmt.Errorf("core: network needs a topology and a FIB provider")
 	}
+	// One model per middlebox node: every lookup of a node's box, the
+	// slicer's and an edit's alike, then finds the same one.
+	bound := make(map[topo.NodeID]bool, len(net.Boxes))
+	for _, b := range net.Boxes {
+		if b.Node < 0 || int(b.Node) >= net.Topo.NumNodes() || net.Topo.Node(b.Node).Kind != topo.Middlebox {
+			return nil, fmt.Errorf("core: a model is bound at node %d, which is not a middlebox", b.Node)
+		}
+		if bound[b.Node] {
+			return nil, fmt.Errorf("core: two models are bound at middlebox %q", net.Topo.Node(b.Node).Name)
+		}
+		bound[b.Node] = true
+	}
 	if net.Registry == nil {
 		net.Registry = pkt.NewRegistry()
 	}
@@ -549,9 +561,11 @@ func (v *Verifier) enginesFor(scens []topo.FailureScenario) []*tf.Engine {
 	return engines
 }
 
-// VerifyAll verifies a set of invariants, optionally collapsing symmetric
-// invariants to one representative check (§4.2). Reports for non-
-// representative members are copies marked Reused.
+// VerifyAll verifies a set of invariants, collapsing symmetric invariants
+// to one representative check (§4.2). Without symmetry the invariants are
+// signed with no policy classes, so that only invariants asserting the same
+// thing share a check. Reports for non-representative members are copies
+// marked Reused.
 //
 // Unless Options.NoCanon is set, the remaining checks are further grouped
 // into canonical equivalence classes — checks whose (slice, invariant)
@@ -564,19 +578,15 @@ func (v *Verifier) enginesFor(scens []topo.FailureScenario) []*tf.Engine {
 // Planning and the representative checks run on the Options.Workers pool;
 // report content and order are identical to a one-worker run.
 func (v *Verifier) VerifyAll(invs []inv.Invariant, useSymmetry bool) ([]Report, error) {
-	var groups []symmetry.Group
+	cls := symmetry.Classifier{Topo: v.net.Topo}
 	if useSymmetry {
-		cls := symmetry.Classifier{HostClass: v.net.PolicyClass, Topo: v.net.Topo}
-		sigs := make([]string, len(invs))
-		for ii, i := range invs {
-			sigs[ii] = cls.Signature(i)
-		}
-		groups = symmetry.Groups(sigs, invs)
-	} else {
-		for _, i := range invs {
-			groups = append(groups, symmetry.Group{Representative: i, Members: []inv.Invariant{i}})
-		}
+		cls.HostClass = v.net.PolicyClass
 	}
+	sigs := make([]string, len(invs))
+	for ii, i := range invs {
+		sigs[ii] = cls.Signature(i)
+	}
+	groups := symmetry.Groups(sigs, invs)
 
 	// One engine per scenario for the whole batch; the network is frozen
 	// for the duration of a VerifyAll by contract.

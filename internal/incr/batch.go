@@ -35,8 +35,8 @@ package incr
 //   - InvAdd: never coalesced — its validation and ordering semantics are
 //     order-sensitive.
 //
-// Survivors keep their relative order (by the index of the retained
-// occurrence), so order-sensitive kinds interleave exactly as given.
+// Survivors keep their relative order (by the index of the change
+// retained), so order-sensitive kinds interleave exactly as given.
 
 import (
 	"github.com/netverify/vmn/internal/core"

@@ -111,8 +111,8 @@ type CheckOrigin struct {
 type ExplainRecord struct {
 	// Seq is the Apply sequence number the record belongs to.
 	Seq int
-	// GroupKey is the group's stable identity (symmetry signature, or the
-	// canonical invariant key in NoSymmetry mode).
+	// GroupKey is the group's stable identity: its members' symmetry
+	// signature, signed with no policy classes in NoSymmetry mode.
 	GroupKey string
 	// Members lists the invariant names in the group (representative
 	// first).

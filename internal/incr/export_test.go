@@ -129,9 +129,8 @@ func (s *Session) UnsatTallies() (table, assembled map[string]int) {
 
 // GroupsAgree returns an error unless the group table's partition, and
 // the pending shadow's when a Propose is pending, is the one computed from
-// scratch — symmetry.Groups over signatures computed from scratch, or
-// singletons keyed by identity and occurrence without symmetry — with the
-// same order, members and keys, every cached signature and key is the one
+// scratch — symmetry.Groups over signatures computed from scratch — with
+// the same order, members and keys, every cached signature is the one
 // computed from scratch, and so is the node index.
 func (s *Session) GroupsAgree() error {
 	s.mu.Lock()
@@ -144,10 +143,10 @@ func (s *Session) GroupsAgree() error {
 }
 
 func (s *Session) groupsAgree() error {
-	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
-	sigs, invs := make([]string, len(s.invs)), make([]inv.Invariant, len(s.invs))
+	cls := s.classifier()
+	sigs := make([]string, len(s.invs))
 	for i, m := range s.invs {
-		sigs[i], invs[i] = cls.Signature(m.inv), m.inv
+		sigs[i] = cls.Signature(m.inv)
 		if m.sig != sigs[i] {
 			return fmt.Errorf("invariant %s: cached signature %q, from scratch %q", m.inv.Name(), m.sig, sigs[i])
 		}
@@ -155,7 +154,7 @@ func (s *Session) groupsAgree() error {
 	if err := s.indexAgrees(); err != nil {
 		return err
 	}
-	return tableAgrees(s.table, s.invs, sigs, s.sopts.NoSymmetry)
+	return tableAgrees(s.table, s.invs, sigs)
 }
 
 // indexAgrees checks byNode against the index built from the invariant
@@ -185,28 +184,14 @@ func (s *Session) indexAgrees() error {
 
 // tableAgrees checks t against the partition of invs computed from scratch
 // under sigs (position-aligned): report order, member order, keys and
-// representatives, and that every member is in the record its key names.
-func tableAgrees(t *groupTable, invs []*member, sigs []string, noSymmetry bool) error {
-	var want []symmetry.Group
-	var keys []string
-	if noSymmetry {
-		seen := map[string]int{}
-		for i, m := range invs {
-			id := invIdentity(m.inv, sigs[i])
-			want = append(want, symmetry.Group{Signature: sigs[i], Representative: m.inv, Members: []inv.Invariant{m.inv}})
-			keys = append(keys, fmt.Sprintf("%s#%d", id, seen[id]))
-			seen[id]++
-		}
-	} else {
-		plain := make([]inv.Invariant, len(invs))
-		for i, m := range invs {
-			plain[i] = m.inv
-		}
-		want = symmetry.Groups(sigs, plain)
-		for _, g := range want {
-			keys = append(keys, g.Signature)
-		}
+// representatives, and that every member is in the record its signature
+// names.
+func tableAgrees(t *groupTable, invs []*member, sigs []string) error {
+	plain := make([]inv.Invariant, len(invs))
+	for i, m := range invs {
+		plain[i] = m.inv
 	}
+	want := symmetry.Groups(sigs, plain)
 	if len(want) != len(t.order) {
 		return fmt.Errorf("%d groups, from scratch %d", len(t.order), len(want))
 	}
@@ -214,15 +199,15 @@ func tableAgrees(t *groupTable, invs []*member, sigs []string, noSymmetry bool) 
 	held := 0
 	for gi, sl := range t.order {
 		r := &t.recs[sl]
-		if r.key != keys[gi] || !slices.EqualFunc(r.members, want[gi].Members, name) {
-			return fmt.Errorf("group %d is %q %d members, from scratch %q %d members", gi, r.key, len(r.members), keys[gi], len(want[gi].Members))
+		if r.key != want[gi].Signature || !slices.EqualFunc(r.members, want[gi].Members, name) {
+			return fmt.Errorf("group %d is %q %d members, from scratch %q %d members", gi, r.key, len(r.members), want[gi].Signature, len(want[gi].Members))
 		}
 		if t.slotOf[r.key] != sl || r.rep != invIdentity(want[gi].Representative, want[gi].Signature) {
 			return fmt.Errorf("group %d (%q): slot %d of %d, representative %q", gi, r.key, sl, t.slotOf[r.key], r.rep)
 		}
 		for mi, m := range r.members {
-			if m.key != r.key || (mi > 0 && m.ord <= r.members[mi-1].ord) {
-				return fmt.Errorf("group %q: member %d keyed %q, ord %d", r.key, mi, m.key, m.ord)
+			if m.sig != r.key || (mi > 0 && m.ord <= r.members[mi-1].ord) {
+				return fmt.Errorf("group %q: member %d signed %q, ord %d", r.key, mi, m.sig, m.ord)
 			}
 		}
 		held += len(r.members)

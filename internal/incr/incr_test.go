@@ -13,6 +13,7 @@ package incr_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -386,9 +387,10 @@ func TestSessionNoSymmetry(t *testing.T) {
 	}
 	compareReports(t, "remove", reports, baseline(t, sess, opts, false))
 
-	// The singletons stay keyed by identity and occurrence through a
-	// duplicate arriving, a relabel and the original leaving.
-	for _, cs := range [][]incr.Change{
+	// A duplicate of a survivor arrives, a host is relabeled and the
+	// original leaves. The duplicate asserts what the original does, so it
+	// joins the original's group and both sides report it as a Reused copy.
+	for i, cs := range [][]incr.Change{
 		{incr.AddInvariant(invs[1])},
 		{incr.Relabel(d.Hosts[0][0], "isolated-0")},
 		{incr.RemoveInvariant(invs[1].Name())},
@@ -399,7 +401,66 @@ func TestSessionNoSymmetry(t *testing.T) {
 		if err := sess.GroupsAgree(); err != nil {
 			t.Fatal(err)
 		}
-		compareReports(t, "churn", reports, baseline(t, sess, opts, false))
+		want := baseline(t, sess, opts, false)
+		compareReports(t, "churn", reports, want)
+		if i == 0 && (!reused(reports, invs[1].Name()) || !reused(want, invs[1].Name())) {
+			t.Fatalf("the duplicate of %s is not a Reused copy (session %v, from scratch %v)",
+				invs[1].Name(), reused(reports, invs[1].Name()), reused(want, invs[1].Name()))
+		}
+	}
+}
+
+// reused reports whether some report of the invariant named name is a
+// Reused copy.
+func reused(reports []core.Report, name string) bool {
+	return slices.ContainsFunc(reports, func(r core.Report) bool { return r.Reused && r.Invariant.Name() == name })
+}
+
+// TestMisboundBoxesRefused pins that a network binds at most one model per
+// node, and only at a middlebox: with a second model at fw1, an edit of fw1
+// would reach one model while slicing reads the other, so the verifier and
+// the session refuse the network.
+func TestMisboundBoxesRefused(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bind func(d *bench.Datacenter) mbox.Instance
+	}{
+		{"second model at fw1", func(d *bench.Datacenter) mbox.Instance {
+			return mbox.Instance{Node: d.FW1, Model: cloneFirewall(d.FWPrimary)}
+		}},
+		{"model at a host", func(d *bench.Datacenter) mbox.Instance {
+			return mbox.Instance{Node: d.Hosts[0][0], Model: cloneFirewall(d.FWPrimary)}
+		}},
+	} {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+		d.Net.Boxes = append(d.Net.Boxes, c.bind(d))
+		if _, err := core.NewVerifier(d.Net, core.Options{}); err == nil {
+			t.Errorf("%s: the verifier accepted the network", c.name)
+		}
+		if _, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, d.AllIsolationInvariants(), incr.Options{}); err == nil {
+			t.Errorf("%s: the session accepted the network", c.name)
+		}
+	}
+}
+
+// TestRelabelRefusesReservedClass pins that a relabel cannot declare the
+// class an unlabeled node is signed and sliced under, nor one holding a
+// signature's field separator, and that a refused relabel changes nothing.
+func TestRelabelRefusesReservedClass(t *testing.T) {
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
+	invs := d.AllIsolationInvariants()
+	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, invs, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := sess.GroupKeys()
+	for _, class := range []string{fmt.Sprintf("node-%d", d.Hosts[2][0]), "tier|0"} {
+		if _, err := sess.Apply([]incr.Change{incr.Relabel(d.Hosts[0][0], class)}); err == nil {
+			t.Errorf("relabel to %q was accepted", class)
+		}
+		if got := sess.GroupKeys(); !slices.Equal(got, keys) {
+			t.Fatalf("a refused relabel to %q moved the groups: %q, was %q", class, got, keys)
+		}
 	}
 }
 

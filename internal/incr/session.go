@@ -25,9 +25,10 @@ import (
 
 // Options tune a Session.
 type Options struct {
-	// NoSymmetry disables §4.2 grouping: every invariant is its own
-	// group. With symmetry on (default), a dirtied representative re-runs
-	// once for its whole group.
+	// NoSymmetry disables §4.2 grouping: invariants are signed with no
+	// policy classes, so every node is a class of its own and a group holds
+	// only invariants that assert the same thing. With symmetry on
+	// (default), a dirtied representative re-runs once for its whole group.
 	NoSymmetry bool
 	// RequestTimeout bounds the wall clock of one request (Apply or
 	// Propose, including repair search). Checks not started before the
@@ -753,6 +754,10 @@ func (s *Session) validate(changes []Change) error {
 				return fmt.Errorf("incr: no middlebox model at %q", nd.Name)
 			}
 			present[ch.Node] = false
+		case KindRelabel:
+			if err := slices.CheckClass(ch.Class); err != nil {
+				return fmt.Errorf("incr: relabel %s: %v", nd.Name, err)
+			}
 		}
 	}
 	return nil

@@ -33,8 +33,6 @@ package incr
 import (
 	"cmp"
 	"slices"
-	"strconv"
-	"strings"
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
@@ -128,17 +126,16 @@ func withSlot(tr *trail, list []slot, s slot, in bool) ([]slot, bool) {
 }
 
 // member is one invariant of the session as the group table holds it. The
-// session's list and the records share it: sig and key are written only
-// through set, name is a cache filled once.
+// session's list and the records share it: sig is written only through
+// set, name is a cache filled once.
 type member struct {
 	inv inv.Invariant
 	// ord is the invariant's place in list order: increasing along the
 	// list, never reused, so comparing ords compares positions.
 	ord uint64
-	// sig is the invariant's symmetry signature ("" until first signed);
-	// key the key of the group it is in: sig itself with symmetry, its
-	// identity and occurrence without.
-	sig, key string
+	// sig is the invariant's signature ("" until first signed), and so the
+	// key of the group it is in.
+	sig string
 	// name is `{"invariant":<quoted name>`, rendered on a reply's first
 	// need (reply.go).
 	name []byte
@@ -163,9 +160,9 @@ func (pd *partitionDelta) remove(m *member) {
 
 // regroup brings the group table's partition up to date with pd: it signs
 // the invariants that arrived, re-signs those a relabel can move — the ones
-// byNode lists under a relabeled node — and moves each whose group key
-// changed. On a needFull run the table is empty, byNode is built from the
-// list, and every invariant is signed and arrives: the same path.
+// byNode lists under a relabeled node — and moves each whose signature, its
+// group key, changed. On a needFull run the table is empty, byNode is built
+// from the list, and every invariant is signed and arrives: the same path.
 func (s *Session) regroup(pd *partitionDelta) {
 	arrivals, departures := pd.added, pd.removed
 	var resign []*member
@@ -183,103 +180,47 @@ func (s *Session) regroup(pd *partitionDelta) {
 	} else {
 		for _, n := range pd.relabeled {
 			for _, m := range s.byNode[n] {
-				if m.key != "" { // an arrival is signed below
+				if m.sig != "" { // an arrival is signed below
 					resign = append(resign, m)
 				}
 			}
 		}
 		resign = slices.Compact(sortedByOrd(resign))
 	}
-	cls := symmetry.Classifier{HostClass: s.net.PolicyClass, Topo: s.net.Topo}
-	var moved []*member // present before and after, under a new signature
-	for i, m := range append(arrivals[:len(arrivals):len(arrivals)], resign...) {
+	cls := s.classifier()
+	sign := func(m *member) (was, sig string) {
 		s.signed++
-		if sig := cls.Signature(m.inv); sig != m.sig {
+		if was, sig = m.sig, cls.Signature(m.inv); sig != was {
 			set(s.trail, &m.sig, sig)
-			if i >= len(arrivals) {
-				moved = append(moved, m)
-			}
+		}
+		return was, sig
+	}
+	var moves []move
+	for _, m := range resign {
+		if was, sig := sign(m); sig != was {
+			moves = append(moves, move{m, was, sig})
 		}
 	}
-	moves := s.table.moves(arrivals, departures, moved, s.sopts.NoSymmetry)
-	for _, mv := range moves {
-		set(s.trail, &mv.m.key, mv.to)
+	for _, m := range arrivals {
+		_, sig := sign(m)
+		moves = append(moves, move{m, "", sig})
+	}
+	for _, m := range departures {
+		moves = append(moves, move{m, m.sig, ""})
 	}
 	s.rewritten += s.table.regroup(s.trail, moves)
 }
 
-// moves turns the members that arrive, depart and were re-signed (their
-// sig already the new one, their key still the old) into the moves between
-// keys. With symmetry a group's key is the signature. Without, every
-// invariant is its own group, keyed by its identity (invIdentity) plus its
-// occurrence among the invariants of that identity in list order — NOT by
-// list position or class-based signature, either of which would shift
-// across invariant removal or coarse labels and hand a surviving invariant
-// a neighbour's cached entry. Only the identities a move names are
-// renumbered, their current holders read off the table's keys.
-func (t *groupTable) moves(arrivals, departures, moved []*member, noSymmetry bool) []move {
-	moves := make([]move, 0, len(arrivals)+len(departures)+len(moved))
-	if !noSymmetry {
-		for _, m := range moved {
-			moves = append(moves, move{m, m.key, m.sig})
-		}
-		for _, m := range arrivals {
-			moves = append(moves, move{m, "", m.sig})
-		}
-		for _, m := range departures {
-			moves = append(moves, move{m, m.key, ""})
-		}
-		return moves
+// classifier signs the session's invariants: by their nodes' policy
+// classes, or without symmetry by none, so that every node is a class of
+// its own and only invariants that assert the same thing share a group.
+func (s *Session) classifier() symmetry.Classifier {
+	cls := symmetry.Classifier{Topo: s.net.Topo}
+	if !s.sopts.NoSymmetry {
+		cls.HostClass = s.net.PolicyClass
 	}
-	leaving, entering := map[*member]bool{}, map[string][]move{} // entering by identity, to unset
-	var ids []string
-	renumber := func(id string, mvs ...move) {
-		if _, ok := entering[id]; !ok {
-			ids = append(ids, id)
-		}
-		entering[id] = append(entering[id], mvs...)
-	}
-	for _, m := range departures {
-		leaving[m] = true
-		renumber(occurrenceID(m.key))
-		moves = append(moves, move{m, m.key, ""})
-	}
-	for _, m := range moved {
-		if id := memberIdentity(m); id != occurrenceID(m.key) {
-			leaving[m] = true
-			renumber(occurrenceID(m.key))
-			renumber(id, move{m, m.key, ""})
-		}
-	}
-	for _, m := range arrivals {
-		renumber(memberIdentity(m), move{m, "", ""})
-	}
-	for _, id := range ids {
-		holders := entering[id]
-		for n := 0; ; n++ {
-			sl, ok := t.slotOf[occurrenceKey(id, n)]
-			if !ok {
-				break
-			}
-			if m := t.recs[sl].members[0]; !leaving[m] {
-				holders = append(holders, move{m, m.key, ""})
-			}
-		}
-		slices.SortFunc(holders, func(a, b move) int { return cmp.Compare(a.m.ord, b.m.ord) })
-		for n, mv := range holders {
-			if mv.to = occurrenceKey(id, n); mv.to != mv.from {
-				moves = append(moves, mv)
-			}
-		}
-	}
-	return moves
+	return cls
 }
-
-// occurrenceKey is the NoSymmetry key of the n-th invariant of identity id;
-// occurrenceID recovers id from it.
-func occurrenceKey(id string, n int) string { return id + "#" + strconv.Itoa(n) }
-
-func occurrenceID(key string) string { return key[:strings.LastIndexByte(key, '#')] }
 
 // index puts m on the byNode lists of the nodes it names, or takes it off
 // them when remove. A list is replaced, never written in place: a trail may

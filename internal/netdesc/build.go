@@ -12,6 +12,7 @@ import (
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/mdl"
 	"github.com/netverify/vmn/internal/pkt"
+	vslices "github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
@@ -96,6 +97,9 @@ func (d *Desc) parse(file string) (*parsed, *Error) {
 			if nd.Box != nil {
 				return nil, errf(file, fmt.Sprintf("nodes[%d].box", i), "%s %q cannot carry a box", nd.Kind, nd.Name)
 			}
+			if err := vslices.CheckClass(nd.Class); err != nil {
+				return nil, errf(file, fmt.Sprintf("nodes[%d].class", i), "%v", err)
+			}
 			if nd.Class != "" {
 				p.policy[topo.NodeID(i)] = nd.Class
 			}
@@ -156,8 +160,7 @@ func (d *Desc) parse(file string) (*parsed, *Error) {
 		adj[b] = append(adj[b], a)
 		p.links = append(p.links, ends)
 	}
-	// What topo.Validate checks of a built topology: every node linked
-	// (when more than one), graph connected.
+	// Every node linked (when more than one), the graph connected.
 	if n > 1 {
 		for i := range adj {
 			if len(adj[i]) == 0 {

@@ -170,6 +170,14 @@ func TestDecodeErrors(t *testing.T) {
 			{"name":"a","kind":"host","addr":"10.0.0.1"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
 			"links":[["a","b"]],"fib":{},
 			"invariants":[{"type":"traversal","dst":"a","src_prefix":"*","vias":["b"]}]}`, "invariants[0].vias[0]", false},
+		// An unlabeled node's class is named node-<id>; a declared class can
+		// take neither that form nor a signature's field separator.
+		{"class-unlabeled-form", `{"format":"vmn-topology/1","name":"x","nodes":[
+			{"name":"a","kind":"host","addr":"10.0.0.1","class":"node-1"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
+			"links":[["a","b"]],"fib":{}}`, "nodes[0].class", false},
+		{"class-separator", `{"format":"vmn-topology/1","name":"x","nodes":[
+			{"name":"a","kind":"host","addr":"10.0.0.1"},{"name":"b","kind":"host","addr":"10.0.0.2","class":"web|db"}],
+			"links":[["a","b"]],"fib":{}}`, "nodes[1].class", false},
 		{"too-many-classes", tooManyClassesDoc, "classes[64]", false},
 		{"appfirewall-undeclared-classes", undeclaredBlockedDoc, "nodes[1].box.blocked[0]", false},
 		{"mdl-non-integral-config", mdlFractionDoc, "nodes[1].box.config", false},

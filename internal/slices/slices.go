@@ -12,6 +12,8 @@ package slices
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/netverify/vmn/internal/mbox"
 	"github.com/netverify/vmn/internal/pkt"
@@ -306,19 +308,23 @@ func Compute(in Input) (Result, error) {
 }
 
 // boxAt finds the instance bound to node id, which only a middlebox node
-// carries (the last one, should two share a node). A scan, not a map built
-// per call: what a call allocates must follow its slice, not the network's
-// box count.
+// carries. A scan, not a map built per call: what a call allocates must
+// follow its slice, not the network's box count.
 func boxAt(in Input, id topo.NodeID) (mbox.Instance, bool) {
 	if in.Topo.Node(id).Kind == topo.Middlebox {
-		for i := len(in.Boxes) - 1; i >= 0; i-- {
-			if in.Boxes[i].Node == id {
-				return in.Boxes[i], true
+		for _, b := range in.Boxes {
+			if b.Node == id {
+				return b, true
 			}
 		}
 	}
 	return mbox.Instance{}, false
 }
+
+// unlabeled prefixes the class name of an unlabeled node. CheckClass
+// refuses it in a declared class, so no declared class can be taken for an
+// unlabeled node's.
+const unlabeled = "node-"
 
 // ClassOf is id's policy class under classes; an unlabeled node is a
 // singleton class of its own.
@@ -326,7 +332,17 @@ func ClassOf(classes map[topo.NodeID]string, id topo.NodeID) string {
 	if c, ok := classes[id]; ok {
 		return c
 	}
-	return fmt.Sprintf("singleton-%d", id)
+	return unlabeled + strconv.Itoa(int(id))
+}
+
+// CheckClass refuses a policy class that a description or a relabel may
+// not declare: one that could name an unlabeled node's class (ClassOf), or
+// that holds '|', which separates a symmetry signature's fields.
+func CheckClass(c string) error {
+	if strings.HasPrefix(c, unlabeled) || strings.Contains(c, "|") {
+		return fmt.Errorf("policy class %q is reserved: a class may neither begin with %q nor hold '|'", c, unlabeled)
+	}
+	return nil
 }
 
 // Whole is the no-slicing result: every host and external node of t and

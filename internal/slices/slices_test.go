@@ -1,6 +1,8 @@
 package slices
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/mbox"
@@ -83,6 +85,37 @@ func TestOriginAgnosticSliceAddsClassReps(t *testing.T) {
 	}
 	if !have["red"] || !have["green"] || !have["blue"] {
 		t.Fatalf("missing class representative: %v", have)
+	}
+}
+
+// TestUnlabeledClassCannotBeDeclared pins that an unlabeled node's class
+// is a name no description or relabel may declare, so a host declared with
+// a look-alike name never stands in for the unlabeled host as its class's
+// §4.1 representative.
+func TestUnlabeledClassCannotBeDeclared(t *testing.T) {
+	tp, fib, fw, hosts := star(3)
+	eng := tf.New(tp, fib, topo.NoFailures())
+	unlabeled := hosts[2]
+	if err := CheckClass(ClassOf(nil, unlabeled)); err == nil {
+		t.Fatalf("the class of unlabeled node %d, %q, can be declared", unlabeled, ClassOf(nil, unlabeled))
+	}
+	for _, look := range []string{fmt.Sprintf("singleton-%d", unlabeled), fmt.Sprint(unlabeled), "node"} {
+		if err := CheckClass(look); err != nil {
+			t.Fatalf("%q: %v", look, err)
+		}
+		res, err := Compute(Input{
+			Topo:        tp,
+			TF:          eng,
+			Boxes:       []mbox.Instance{{Node: fw, Model: mbox.NewContentCache("cache")}},
+			PolicyClass: map[topo.NodeID]string{hosts[0]: look, hosts[1]: "red"},
+			Keep:        []topo.NodeID{hosts[0]},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(res.Hosts, unlabeled) {
+			t.Fatalf("a host declared %q hides unlabeled node %d: slice hosts %v", look, unlabeled, res.Hosts)
+		}
 	}
 }
 

@@ -11,26 +11,25 @@ import (
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/topo"
 )
 
 // Classifier resolves nodes and addresses to policy-class names.
 type Classifier struct {
 	// HostClass maps host/external nodes to their policy equivalence
-	// class. Missing nodes are singletons.
+	// class. Missing nodes are singletons; with HostClass nil every node
+	// is, and a signature names exactly what its invariant asserts.
 	HostClass map[topo.NodeID]string
 	// Topo resolves addresses to nodes; may be nil if no invariant uses
 	// address fields.
 	Topo *topo.Topology
 }
 
-// NodeClass names the policy class of a node. A signature spells the
-// class of every node it depends on.
+// NodeClass names the policy class of a node (slices.ClassOf). A signature
+// spells the class of every node it depends on.
 func (c Classifier) NodeClass(id topo.NodeID) string {
-	if cl, ok := c.HostClass[id]; ok {
-		return cl
-	}
-	return fmt.Sprintf("node-%d", id)
+	return slices.ClassOf(c.HostClass, id)
 }
 
 func (c Classifier) addrClass(a pkt.Addr) string {
@@ -43,8 +42,9 @@ func (c Classifier) addrClass(a pkt.Addr) string {
 }
 
 // Signature renders an invariant's symmetry signature: two invariants with
-// equal signatures are symmetric (given a symmetric network). Unknown
-// invariant types get unique signatures and are never grouped.
+// equal signatures are symmetric (given a symmetric network). An invariant
+// type without a case here is signed by its type and content, so it shares
+// a signature only with an equal invariant, whatever the classes.
 func (c Classifier) Signature(i inv.Invariant) string {
 	switch v := i.(type) {
 	case inv.SimpleIsolation:
@@ -61,9 +61,9 @@ func (c Classifier) Signature(i inv.Invariant) string {
 			vias[j] = c.NodeClass(m)
 		}
 		sort.Strings(vias)
-		return fmt.Sprintf("trav|%s|%s|%v", c.NodeClass(v.Dst), v.SrcPrefix, vias)
+		return fmt.Sprintf("trav|%s|%s|%s|%v", c.NodeClass(v.Dst), v.SrcPrefix, c.addrClass(v.SrcAddr), vias)
 	default:
-		return fmt.Sprintf("opaque|%s", i.Name())
+		return fmt.Sprintf("opaque|%T|%#v", i, i)
 	}
 }
 

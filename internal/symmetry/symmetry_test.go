@@ -5,6 +5,7 @@ import (
 
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -68,12 +69,72 @@ func TestTraversalSignatureSortsVias(t *testing.T) {
 	}
 }
 
+// TestTraversalSignatureNamesSender pins that a traversal's sender is in
+// its signature: the sender is pulled into the slice, so two traversals
+// that differ only in it are different checks.
+func TestTraversalSignatureNamesSender(t *testing.T) {
+	c, hosts := classifier()
+	t1 := inv.Traversal{Dst: hosts[0], SrcPrefix: pkt.Prefix{Addr: addrOf(0), Len: 8}, SrcAddr: addrOf(1), Vias: []topo.NodeID{7}}
+	t2 := t1
+	t2.SrcAddr = addrOf(2)
+	for _, cls := range []Classifier{c, {Topo: c.Topo}} {
+		if cls.Signature(t1) == cls.Signature(t2) {
+			t.Fatalf("traversals from different senders share signature %q", cls.Signature(t1))
+		}
+	}
+}
+
 func TestUnknownNodesAreSingletons(t *testing.T) {
 	c, _ := classifier()
 	i1 := inv.SimpleIsolation{Dst: 99, SrcAddr: addrOf(0)}
 	i2 := inv.SimpleIsolation{Dst: 98, SrcAddr: addrOf(0)}
 	if c.Signature(i1) == c.Signature(i2) {
 		t.Fatal("unlabeled nodes must not be grouped")
+	}
+}
+
+// TestUnlabeledNodeClassCannotBeDeclared pins that a signature names an
+// unlabeled node by a class no description or relabel may declare, the
+// one the slicer uses for it too: a declared class never shares a
+// signature with an unlabeled node.
+func TestUnlabeledNodeClassCannotBeDeclared(t *testing.T) {
+	c, hosts := classifier()
+	for _, n := range []topo.NodeID{99, hosts[0]} {
+		for _, cls := range []Classifier{{Topo: c.Topo}, {HostClass: map[topo.NodeID]string{}, Topo: c.Topo}} {
+			name := cls.NodeClass(n)
+			if name != slices.ClassOf(nil, n) {
+				t.Fatalf("node %d: the signature names its class %q, the slicer %q", n, name, slices.ClassOf(nil, n))
+			}
+			if slices.CheckClass(name) == nil {
+				t.Fatalf("node %d: its class %q can be declared", n, name)
+			}
+		}
+	}
+}
+
+// opaqueInv is an invariant type the classifier has no case for.
+type opaqueInv struct {
+	inv.Invariant // nil: only the name is read
+	dst           topo.NodeID
+	label         string
+}
+
+func (o opaqueInv) Name() string { return o.label }
+
+// TestOpaqueSignatureIsContent pins that an invariant of a type without a
+// case is signed by what it holds, not by its name: two such invariants
+// that share a name but not their content never share a signature, with or
+// without classes, and equal ones do.
+func TestOpaqueSignatureIsContent(t *testing.T) {
+	c, hosts := classifier()
+	a, b := opaqueInv{dst: hosts[0], label: "same"}, opaqueInv{dst: hosts[1], label: "same"}
+	for _, cls := range []Classifier{c, {Topo: c.Topo}} {
+		if cls.Signature(a) == cls.Signature(b) {
+			t.Fatalf("same-named invariants of different content share signature %q", cls.Signature(a))
+		}
+		if cls.Signature(a) != cls.Signature(opaqueInv{dst: hosts[0], label: "same"}) {
+			t.Fatal("equal invariants must share a signature")
+		}
 	}
 }
 

@@ -198,39 +198,6 @@ func (t *Topology) EdgeNodes() []NodeID {
 	return out
 }
 
-// Validate checks structural well-formedness: every host and middlebox is
-// linked, and the topology is connected (over non-failed nodes).
-func (t *Topology) Validate() error {
-	if len(t.nodes) == 0 {
-		return fmt.Errorf("topo: empty topology")
-	}
-	for _, n := range t.nodes {
-		if len(t.adj[n.ID]) == 0 && len(t.nodes) > 1 {
-			return fmt.Errorf("topo: node %q has no links", n.Name)
-		}
-	}
-	// Connectivity via BFS from node 0.
-	seen := make([]bool, len(t.nodes))
-	queue := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.adj[cur] {
-			if !seen[nb] {
-				seen[nb] = true
-				count++
-				queue = append(queue, nb)
-			}
-		}
-	}
-	if count != len(t.nodes) {
-		return fmt.Errorf("topo: topology is disconnected (%d of %d reachable)", count, len(t.nodes))
-	}
-	return nil
-}
-
 // FailureScenario is a set of failed nodes. The empty scenario is the
 // fault-free network.
 type FailureScenario struct {

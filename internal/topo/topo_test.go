@@ -93,41 +93,6 @@ func TestNodesOfKindAndEdgeNodes(t *testing.T) {
 	}
 }
 
-func TestValidateOK(t *testing.T) {
-	if err := buildSmall(t).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateDisconnected(t *testing.T) {
-	tp := New()
-	a, b := tp.AddSwitch("a"), tp.AddSwitch("b")
-	tp.AddLink(a, b)
-	tp.AddSwitch("c")
-	tp.AddSwitch("d")
-	c, _ := tp.ByName("c")
-	d, _ := tp.ByName("d")
-	tp.AddLink(c.ID, d.ID)
-	if err := tp.Validate(); err == nil {
-		t.Fatal("expected disconnection error")
-	}
-}
-
-func TestValidateIsolatedNode(t *testing.T) {
-	tp := New()
-	tp.AddHost("h", 1)
-	tp.AddHost("g", 2)
-	if err := tp.Validate(); err == nil {
-		t.Fatal("expected error for unlinked nodes")
-	}
-}
-
-func TestValidateEmpty(t *testing.T) {
-	if err := New().Validate(); err == nil {
-		t.Fatal("empty topology must not validate")
-	}
-}
-
 func TestFailureScenario(t *testing.T) {
 	f := Failures(3, 1)
 	if !f.Failed(3) || !f.Failed(1) || f.Failed(2) {
