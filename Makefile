@@ -30,7 +30,7 @@ loc:
 # The roadmap's "`make loc` total must not rise across the round" as a
 # failing check. A PR that shrinks the tree lowers the ceiling to its own
 # total; one that has to grow it says why in CHANGES.md and raises it.
-LOC_CEILING = 22054
+LOC_CEILING = 22294
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -74,10 +74,14 @@ bench-harness:
 # VerifyAll of the 2-group cache datacenter, in memory (two slice
 # encodings, four checks shared canonically) and exported and built back
 # as cachefarm-cold verifies it (six encodings).
+# BenchmarkDecodeVPC loads the 2 048-tenant CloudVPC description the vpc-*
+# workloads start from (Decode; decode and Build), with bytes and
+# allocations per load.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'ReplyRender|Propose' -benchtime 1x ./internal/incr
 	$(GO) test -run '^$$' -bench ColdVerifyAll -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench DecodeVPC -benchtime 1x ./internal/netdesc
 	$(GO) run ./cmd/vmnbench -fig 2,explicit -runs 1 -json > /dev/null
 
 # A short coverage-guided run of each fuzz target beyond its checked-in
@@ -92,8 +96,10 @@ bench-smoke:
 # per input line (stats/trace/explain and transaction shapes must never
 # panic) and state recovery (arbitrary snapshot and journal payloads
 # recover or cold-start with a reason, never half-restore); the topology
-# decoder (never a panic, and Build with no Validate first fails exactly
-# when Decode does, on the same field); the table-patch
+# decoder (never a panic, Build with no Validate first fails exactly when
+# Decode does, on the same field, and the reflection-free reader of the
+# canonical form decodes what it takes exactly as encoding/json does and
+# declines all that encoding/json refuses); the table-patch
 # differential (a patched tf.Tables behaves as tf.New on the same FIB after
 # every edit), the trimmed-delta property (head/tail trimming changes no
 # dirtying verdict or witness) and the group table (its posting lists equal
@@ -120,7 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s -fuzzminimizetime 1s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 5s -fuzzminimizetime 1s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 5s -fuzzminimizetime 1s
-	$(GO) test ./internal/netdesc -run '^$$' -fuzz '^FuzzDecodeTopology$$' -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/netdesc -run '^$$' -fuzz '^FuzzDecodeTopology$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzConeGrounding$$' -fuzztime 5s -fuzzminimizetime 1s
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 10s -fuzzminimizetime 1s
 

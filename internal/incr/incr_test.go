@@ -444,8 +444,9 @@ func TestMisboundBoxesRefused(t *testing.T) {
 }
 
 // TestRelabelRefusesReservedClass pins that a relabel cannot declare the
-// class an unlabeled node is signed and sliced under, nor one holding a
-// signature's field separator, and that a refused relabel changes nothing.
+// class an unlabeled node is signed and sliced under, nor the class an
+// address no host owns is signed under, nor one holding a signature's
+// field separator, and that a refused relabel changes nothing.
 func TestRelabelRefusesReservedClass(t *testing.T) {
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
 	invs := d.AllIsolationInvariants()
@@ -454,7 +455,7 @@ func TestRelabelRefusesReservedClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := sess.GroupKeys()
-	for _, class := range []string{fmt.Sprintf("node-%d", d.Hosts[2][0]), "tier|0"} {
+	for _, class := range []string{fmt.Sprintf("node-%d", d.Hosts[2][0]), "addr-10.255.255.1", "tier|0"} {
 		if _, err := sess.Apply([]incr.Change{incr.Relabel(d.Hosts[0][0], class)}); err == nil {
 			t.Errorf("relabel to %q was accepted", class)
 		}

@@ -6,22 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
 	"github.com/netverify/vmn/internal/pkt"
 )
-
-// Load reads and decodes the description at path. Errors are *Error
-// carrying the path (and line/field where recoverable).
-func Load(path string) (*Desc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, &Error{File: path, Msg: err.Error()}
-	}
-	return Decode(data, path)
-}
 
 // Decode parses and validates a description. file is used only for error
 // reporting (may be empty). Decoding is strict — unknown fields, type
@@ -51,7 +40,17 @@ func (d *Desc) Validate(file string) error {
 
 // decodeJSON is the strict JSON half of Decode: unknown fields, type
 // mismatches and trailing data are rejected, semantics are not checked.
+// The canonical form is read without reflection (readCanonical); every
+// other input, and so every error, is encoding/json's (decodeStrict).
 func decodeJSON(data []byte, file string) (*Desc, error) {
+	if d, ok := readCanonical(data); ok {
+		return d, nil
+	}
+	return decodeStrict(data, file)
+}
+
+// decodeStrict decodes data with encoding/json and DisallowUnknownFields.
+func decodeStrict(data []byte, file string) (*Desc, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var d Desc

@@ -14,7 +14,9 @@
 // names or addresses, and inconsistent node/box combinations are all
 // rejected with a structured *Error carrying file, line (for syntax
 // errors) and field path — never a panic, and never a partially built
-// network.
+// network. The canonical form Encode writes is read without reflection,
+// in one pass; any other input is decoded by encoding/json, which so
+// decides every error.
 //
 //	{
 //	  "format": "vmn-topology/1",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,10 +171,14 @@ func TestDecodeErrors(t *testing.T) {
 			{"name":"a","kind":"host","addr":"10.0.0.1"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
 			"links":[["a","b"]],"fib":{},
 			"invariants":[{"type":"traversal","dst":"a","src_prefix":"*","vias":["b"]}]}`, "invariants[0].vias[0]", false},
-		// An unlabeled node's class is named node-<id>; a declared class can
-		// take neither that form nor a signature's field separator.
+		// An unlabeled node's class is named node-<id> and an unowned
+		// address's addr-<ip>; a declared class can take neither form nor a
+		// signature's field separator.
 		{"class-unlabeled-form", `{"format":"vmn-topology/1","name":"x","nodes":[
 			{"name":"a","kind":"host","addr":"10.0.0.1","class":"node-1"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
+			"links":[["a","b"]],"fib":{}}`, "nodes[0].class", false},
+		{"class-addr-form", `{"format":"vmn-topology/1","name":"x","nodes":[
+			{"name":"a","kind":"host","addr":"10.0.0.1","class":"addr-10.0.0.9"},{"name":"b","kind":"host","addr":"10.0.0.2"}],
 			"links":[["a","b"]],"fib":{}}`, "nodes[0].class", false},
 		{"class-separator", `{"format":"vmn-topology/1","name":"x","nodes":[
 			{"name":"a","kind":"host","addr":"10.0.0.1"},{"name":"b","kind":"host","addr":"10.0.0.2","class":"web|db"}],
@@ -249,6 +254,12 @@ var (
 		"fib":{"a":[{"match":"*","out":"c","priority":1}],"c":[{"match":"*","out":"a","priority":1}]}}`
 )
 
+// declinedBase is a document the reader takes; FuzzDecodeTopology edits
+// it once for each reason the reader declines an input.
+const declinedBase = `{"format":"vmn-topology/1","name":"x","nodes":[{"name":"a","kind":"switch"},` +
+	`{"name":"f","kind":"middlebox","box":{"type":"firewall","default_allow":true}}],"links":[["a","f"]],` +
+	`"fib":{"a":[{"match":"*","out":"f","priority":1}]}}`
+
 func classList(n int) string {
 	names := make([]string, n)
 	for i := range names {
@@ -304,7 +315,8 @@ func TestBuildNeverPanics(t *testing.T) {
 
 // FuzzDecodeTopology asserts the decoder never panics and never returns
 // a partial description, whatever the input; valid descriptions must
-// also build without panicking.
+// also build without panicking. Its differential lane holds the
+// reflection-free reader to encoding/json on every input.
 func FuzzDecodeTopology(f *testing.F) {
 	for _, d := range generators() {
 		data, err := Encode(d)
@@ -320,7 +332,55 @@ func FuzzDecodeTopology(f *testing.F) {
 	for _, doc := range []string{tooManyClassesDoc, undeclaredBlockedDoc, mdlFractionDoc, twoBadFIBOwnersDoc} {
 		f.Add([]byte(doc))
 	}
+	// One document per reason the reader declines an input; encoding/json
+	// decodes most of them.
+	if _, ok := readCanonical([]byte(declinedBase)); !ok {
+		f.Fatal("the reader declines the unedited document")
+	}
+	edit := func(old, new string) string { return strings.Replace(declinedBase, old, new, 1) }
+	for _, doc := range []string{
+		edit(`"name":"x"`, `"name":"\u0078"`),
+		edit(`"name":"x"`, `"name":"é"`),
+		edit(`"links":[`, `"classes":null,"links":[`),
+		edit(`"name":"x"`, `"Name":"x"`),
+		edit(`"box":{`, `"box":{"type":"cache","default_serve":true},"box":{`),
+		edit(`"fib":{`, `"fib":{"f":[]},"fib":{`),
+		edit(`"priority":1`, `"priority":1.0`),
+		edit(`"priority":1`, `"priority":01`),
+		edit(`"priority":1`, `"priority":99999999999999999999`),
+		edit(`["a","f"]`, `["a","f","a"]`),
+		edit(`{"type":"firewall","default_allow":true}`, `{"type":"mdl","bundle":"m.mdl","config":{"n":1}}`),
+		declinedBase + " {}",
+		"\xef\xbb\xbf" + declinedBase,
+	} {
+		if _, ok := readCanonical([]byte(doc)); ok {
+			f.Fatalf("the reader takes %s", doc)
+		}
+		f.Add([]byte(doc))
+	}
+	// The reader takes a FIB that names an owner twice past its first 16:
+	// the later table replaces the earlier one, as in encoding/json.
+	var owners strings.Builder
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&owners, `"p%d":[],`, i)
+	}
+	repeated := edit(`"fib":{`, `"fib":{`+owners.String()+`"o":[],"o":[{"match":"*","out":"a","priority":2}],`)
+	if _, ok := readCanonical([]byte(repeated)); !ok {
+		f.Fatal("the reader declines a FIB owner named twice past its first 16")
+	}
+	f.Add([]byte(repeated))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reader takes only what encoding/json decodes to the same
+		// description: so it declines whatever encoding/json refuses.
+		strict, serr := decodeStrict(data, "fuzz.json")
+		if got, ok := readCanonical(data); ok {
+			if serr != nil {
+				t.Fatalf("the reader took what encoding/json refuses: %v", serr)
+			}
+			if !reflect.DeepEqual(got, strict) {
+				t.Fatalf("the reader and encoding/json disagree:\n%+v\n%+v", got, strict)
+			}
+		}
 		d, err := Decode(data, "fuzz.json")
 		if err != nil {
 			if d != nil {

@@ -321,10 +321,10 @@ func boxAt(in Input, id topo.NodeID) (mbox.Instance, bool) {
 	return mbox.Instance{}, false
 }
 
-// unlabeled prefixes the class name of an unlabeled node. CheckClass
-// refuses it in a declared class, so no declared class can be taken for an
-// unlabeled node's.
-const unlabeled = "node-"
+// unlabeled prefixes the class name of an unlabeled node, Unowned the one
+// a symmetry signature gives an address no host owns. CheckClass refuses
+// both in a declared class, so no declared class can be taken for either.
+const unlabeled, Unowned = "node-", "addr-"
 
 // ClassOf is id's policy class under classes; an unlabeled node is a
 // singleton class of its own.
@@ -336,11 +336,11 @@ func ClassOf(classes map[topo.NodeID]string, id topo.NodeID) string {
 }
 
 // CheckClass refuses a policy class that a description or a relabel may
-// not declare: one that could name an unlabeled node's class (ClassOf), or
-// that holds '|', which separates a symmetry signature's fields.
+// not declare: one that could name an unlabeled node's or an unowned
+// address's class, or that holds '|', which separates a signature's fields.
 func CheckClass(c string) error {
-	if strings.HasPrefix(c, unlabeled) || strings.Contains(c, "|") {
-		return fmt.Errorf("policy class %q is reserved: a class may neither begin with %q nor hold '|'", c, unlabeled)
+	if strings.HasPrefix(c, unlabeled) || strings.HasPrefix(c, Unowned) || strings.Contains(c, "|") {
+		return fmt.Errorf("policy class %q is reserved: a class may neither begin with %q or %q nor hold '|'", c, unlabeled, Unowned)
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ func (c Classifier) addrClass(a pkt.Addr) string {
 			return c.NodeClass(n.ID)
 		}
 	}
-	return "addr-" + a.String()
+	return slices.Unowned + a.String()
 }
 
 // Signature renders an invariant's symmetry signature: two invariants with

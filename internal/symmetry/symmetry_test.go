@@ -112,6 +112,16 @@ func TestUnlabeledNodeClassCannotBeDeclared(t *testing.T) {
 	}
 }
 
+// TestUnownedAddrClassCannotBeDeclared pins that the class a signature
+// gives an address no host owns cannot be declared: a host declaring it
+// would share signatures with the invariants that name that address.
+func TestUnownedAddrClassCannotBeDeclared(t *testing.T) {
+	c, _ := classifier()
+	if name := c.addrClass(addrOf(9)); slices.CheckClass(name) == nil {
+		t.Fatalf("the class %q of an unowned address can be declared", name)
+	}
+}
+
 // opaqueInv is an invariant type the classifier has no case for.
 type opaqueInv struct {
 	inv.Invariant // nil: only the name is read
